@@ -9,6 +9,7 @@ coordinator (FedAvg).  Every run is reproducible from one 64-bit seed.
 from .engine import (
     ComparisonReport,
     DetectionMetrics,
+    DivergenceError,
     RunResult,
     TopologySummary,
     compare_topologies,
@@ -18,16 +19,17 @@ from .engine import (
 )
 from .federation import (
     FederationConfig,
-    FederationMessage,
     NeighborGraph,
+    NeighborTable,
     TrafficStats,
     build_neighbor_graph,
-    central_round,
+    exchange_traffic,
     fedavg_aggregate,
-    gossip_round,
+    fedavg_mix,
+    gossip_mix,
     merge_models,
+    neighbor_table,
     payload_bytes,
-    traffic_of_round,
 )
 from .radio import (
     ChannelModel,
@@ -72,10 +74,11 @@ __all__ = [
     "ComparisonReport",
     "CostReport",
     "DetectionMetrics",
+    "DivergenceError",
     "FederationConfig",
-    "FederationMessage",
     "ModelParams",
     "NeighborGraph",
+    "NeighborTable",
     "Observation",
     "Placement",
     "PuState",
@@ -89,19 +92,21 @@ __all__ = [
     "bce_gradient",
     "bce_loss",
     "build_neighbor_graph",
-    "central_round",
     "compare_topologies",
     "dbm_to_mw",
     "energy_baseline_decide",
     "evaluate_detection",
+    "exchange_traffic",
     "fedavg_aggregate",
+    "fedavg_mix",
     "generate_dataset",
-    "gossip_round",
+    "gossip_mix",
     "init_model",
     "load_scenario",
     "merge_models",
     "model_cost",
     "mw_to_dbm",
+    "neighbor_table",
     "path_loss_db",
     "payload_bytes",
     "place_nodes",
@@ -113,7 +118,6 @@ __all__ = [
     "scenario_digest",
     "substream",
     "synthesize_observation",
-    "traffic_of_round",
     "train_local",
     "validate_scenario",
 ]

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import engine
 from .federation import TOPOLOGIES
 from .radio import generate_dataset
-from .rng import substream
+from .rng import MAX_SEED, substream
 from .scenario import Scenario, load_scenario
 from .sensing import model_snapshot_json
 
@@ -31,6 +31,9 @@ def _parse_seeds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"seeds must be integers: {exc}")
     if not seeds:
         raise argparse.ArgumentTypeError("need at least one seed")
+    for seed in seeds:
+        if not 0 <= seed <= MAX_SEED:
+            raise argparse.ArgumentTypeError(f"seeds must be in 0..{MAX_SEED} (got {seed})")
     return seeds
 
 

@@ -17,19 +17,20 @@ tests).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .federation import (
-    FederationConfig,
     TOPOLOGIES,
     TrafficStats,
     build_neighbor_graph,
-    central_round,
-    gossip_round,
-    traffic_of_round,
+    exchange_traffic,
+    fedavg_mix,
+    gossip_mix,
+    neighbor_table,
+    payload_bytes,
 )
 from .radio import Observation, PuState, pu_activity_step, synthesize_observation
 from .rng import substream
@@ -45,7 +46,6 @@ from .sensing import (
     ModelParams,
     cost_constants,
     init_model,
-    model_cost,
     predict,
     train_local,
 )
@@ -53,6 +53,17 @@ from .sensing import (
 
 class EmptyInputError(ValueError):
     """Metrics were requested for an empty prediction list."""
+
+
+class DivergenceError(ValueError):
+    """A node's model left the finite numbers during a run."""
+
+
+def _check_finite(theta: np.ndarray, when: str) -> None:
+    finite = np.isfinite(theta).all(axis=1)
+    if not finite.all():
+        node = int(np.argmin(finite))  # row i is sensor node i
+        raise DivergenceError(f"node {node}: theta has non-finite entries {when}")
 
 
 @dataclass(frozen=True)
@@ -136,13 +147,14 @@ def run_simulation(
         scenario: validated experiment description.
         topology: "isolated", "gossip", or "central"; overrides the
             scenario's federation topology for this run.
-        seed: master seed for every labeled sub-stream.
+        seed: master seed for every labeled sub-stream, in ``0..2**64-1``.
         shared_streams: test hook; all nodes receive one identical
             observation stream (synthesized at sensor 0) and identical
             training shuffles.
 
     Returns:
         RunResult with per-node and global metrics, traffic, and costs.
+        A model that goes non-finite raises DivergenceError naming its node.
     """
     violations = validate_scenario(scenario)
     if violations:
@@ -159,17 +171,26 @@ def run_simulation(
     central_id = next(p.node_id for p in placements if p.kind == "central")
     n = len(sensors)
 
-    cfg = replace(scenario.federation, topology=topology)
-    graph = (
-        build_neighbor_graph(sensors, cfg.neighbor_radius_m)
-        if topology == "gossip"
-        else None
-    )
+    cfg = scenario.federation
+    # Per round: models each node sends and receives, and models merged.
+    if topology == "gossip":
+        graph = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
+        table = neighbor_table(graph)
+        degrees = {i: graph.degree(i) for i in range(n)}
+        node_merges, central_merges = list(degrees.values()), 0
+    elif topology == "central":
+        degrees = {**dict.fromkeys(range(n), 1), central_id: n}
+        node_merges, central_merges = [0] * n, n
+    else:
+        degrees, node_merges, central_merges = {}, [0] * n, 0
 
     tc = scenario.training
-    base_model = init_model(tc.model_kind, tc, substream(seed, "init"))
-    models = [base_model.copy() for _ in range(n)]
-    macs_per_inference, param_count = cost_constants(tc.model_kind)
+    kind = tc.model_kind
+    base_model = init_model(kind, tc, substream(seed, "init"))
+    # Row i is sensor i's model, trained on samples[i] since its last exchange.
+    theta = np.tile(base_model.theta, (n, 1))
+    samples = np.full(n, base_model.n_train_samples, dtype=np.int64)
+    macs_per_inference, param_count = cost_constants(kind)
 
     if shared_streams:
         obs_rngs = [substream(seed, "obs:shared")]
@@ -182,9 +203,6 @@ def run_simulation(
     pu_states = [PuState(p.node_id, False) for p in pus]
     buffers: list[list[Observation]] = [[] for _ in range(n)]
     train_macs = [0] * n
-    merge_macs = [0] * n
-    central_macs = 0
-    traffic = TrafficStats()
     rounds = 0
     schedule = scenario.schedule
 
@@ -229,42 +247,30 @@ def run_simulation(
             for i in range(n):
                 if not buffers[i]:
                     continue
-                models[i], delta = train_local(models[i], buffers[i], tc, train_rngs[i])
+                model = ModelParams(kind, theta[i], int(samples[i]))
+                trained, delta = train_local(model, buffers[i], tc, train_rngs[i])
+                theta[i] = trained.theta
+                samples[i] = trained.n_train_samples
                 train_macs[i] += delta.train_macs_accumulated
                 buffers[i].clear()
+            local_round = slot // schedule.local_train_period_slots
+            _check_finite(theta, f"after local training round {local_round} (slot {slot})")
         if topology != "isolated" and slot % schedule.federation_period_slots == 0:
             rounds += 1
             if topology == "gossip":
-                models, messages = gossip_round(models, graph, sensors, cfg, rounds)
-                traffic.add(traffic_of_round(messages, central_id))
-                for i in range(n):
-                    merge_macs[i] += graph.degree(i) * param_count
+                theta, samples = gossip_mix(theta, samples, table, cfg)
             else:
-                models, _, round_traffic = central_round(models, cfg, rounds, central_id)
-                traffic.add(round_traffic)
-                central_macs += n * param_count
+                theta, samples = fedavg_mix(theta, samples)
+            _check_finite(theta, f"after federation round {rounds} (slot {slot})")
 
-    counts = np.zeros((n, 4), dtype=np.int64)  # tp, fp, tn, fn
+    models = [ModelParams(kind, row, int(c)) for row, c in zip(theta.copy(), samples)]
+
+    outcomes = np.zeros((n, schedule.n_eval_slots, 2), dtype=bool)  # predicted, truth
     for slot in range(1, schedule.n_eval_slots + 1):
         for i, obs in enumerate(sense(slot)):
-            predicted = predict(models[i], obs.features) >= 0.5
-            truth = obs.truth_occupied
-            if predicted and truth:
-                counts[i, 0] += 1
-            elif predicted:
-                counts[i, 1] += 1
-            elif truth:
-                counts[i, 3] += 1
-            else:
-                counts[i, 2] += 1
-
-    per_node = [
-        DetectionMetrics(int(c[0]), int(c[1]), int(c[2]), int(c[3])) for c in counts
-    ]
-    total = counts.sum(axis=0)
-    global_metrics = DetectionMetrics(
-        int(total[0]), int(total[1]), int(total[2]), int(total[3])
-    )
+            outcomes[i, slot - 1] = predict(models[i], obs.features) >= 0.5, obs.truth_occupied
+    per_node = [evaluate_detection(o.tolist()) for o in outcomes]
+    global_metrics = DetectionMetrics(*np.sum([astuple(m) for m in per_node], axis=0).tolist())
     costs = [
         CostReport(macs_per_inference, param_count, 8 * param_count, train_macs[i])
         for i in range(n)
@@ -275,10 +281,10 @@ def run_simulation(
         seed=seed,
         per_node_metrics=per_node,
         global_metrics=global_metrics,
-        traffic=traffic,
+        traffic=exchange_traffic(degrees, payload_bytes(param_count), rounds, central_id),
         per_node_cost=costs,
-        node_aggregation_macs=merge_macs,
-        central_aggregation_macs=central_macs,
+        node_aggregation_macs=[rounds * param_count * m for m in node_merges],
+        central_aggregation_macs=rounds * param_count * central_merges,
         federation_rounds=rounds,
         final_models=models,
         wall_seconds=time.perf_counter() - started,

@@ -1,16 +1,20 @@
-"""Model exchange: neighbor gossip, coordinator FedAvg, traffic accounting.
+"""Model exchange as one mixing step over stacked node models.
 
-Every transferred model costs ``16 + 8 * param_count`` bytes (4-byte sender
-id, 4-byte round index, 8-byte sample count, then float64 coefficients).
-Rounds are synchronous: all merges read the models as they were when the
-round started.
+The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
+``i``) plus ``(n,)`` sample counts.  A gossip round mixes each row with its
+radio-range neighbors' rows; a central round replaces every row by their
+FedAvg mean.  Rounds are synchronous, and both steps match the per-model
+references ``merge_models`` and ``fedavg_aggregate`` bit for bit.  Traffic
+is a closed form: per round each node sends one model to and receives one
+from each peer, at ``16 + 8 * param_count`` bytes a model (4-byte sender id,
+4-byte round index, 8-byte sample count, then float64 coefficients).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,14 +50,6 @@ class FederationConfig:
 
 
 @dataclass
-class FederationMessage:
-    sender_id: int
-    receiver_id: int
-    round: int
-    payload_bytes: int
-
-
-@dataclass
 class NeighborGraph:
     """Symmetric radio-range graph over the sensor nodes, no self loops."""
 
@@ -81,21 +77,25 @@ class TrafficStats:
     total_bytes: int = 0
     messages: int = 0
 
-    def add(self, other: "TrafficStats") -> None:
-        for node, b in other.tx_bytes.items():
-            self.tx_bytes[node] = self.tx_bytes.get(node, 0) + b
-        for node, b in other.rx_bytes.items():
-            self.rx_bytes[node] = self.rx_bytes.get(node, 0) + b
-        self.central_bytes += other.central_bytes
-        self.total_bytes += other.total_bytes
-        self.messages += other.messages
-
     def node_bytes(self, node_id: int) -> int:
         return self.tx_bytes.get(node_id, 0) + self.rx_bytes.get(node_id, 0)
 
 
 def payload_bytes(param_count: int) -> int:
     return HEADER_BYTES + 8 * param_count
+
+
+def exchange_traffic(
+    degrees: Mapping[int, int], payload: int, rounds: int, central_id: int
+) -> TrafficStats:
+    """Traffic of ``rounds`` rounds in which each node sends one model to, and
+    receives one from, each of its ``degrees[node]`` peers (for central, the
+    star around ``central_id``).  Nodes that exchange nothing get no entry."""
+    per_node = {node: d * payload * rounds for node, d in degrees.items() if d and rounds}
+    links = sum(degrees.values()) * rounds
+    return TrafficStats(
+        per_node, dict(per_node), 2 * per_node.get(central_id, 0), links * payload, links
+    )
 
 
 def build_neighbor_graph(
@@ -114,6 +114,31 @@ def build_neighbor_graph(
                 adjacency[b.node_id].append(a.node_id)
                 distances[b.node_id].append(d)
     return NeighborGraph(adjacency, distances)
+
+
+class NeighborTable(NamedTuple):
+    """A neighbor graph padded to ``(n, max_degree)`` arrays: row ``i`` lists
+    node ``i``'s neighbors in adjacency order; padded slots have ``valid``
+    False, id 0 and distance inf."""
+
+    ids: np.ndarray
+    valid: np.ndarray
+    distances: np.ndarray
+
+
+def neighbor_table(graph: NeighborGraph) -> NeighborTable:
+    """Pad ``graph`` (node ids ``0..n-1``) into a ``NeighborTable``."""
+    n = len(graph.adjacency)
+    width = max(map(len, graph.adjacency.values()), default=0)
+    table = NeighborTable(
+        np.zeros((n, width), np.intp), np.zeros((n, width), bool), np.full((n, width), np.inf)
+    )
+    for i in range(n):
+        k = len(graph.adjacency[i])
+        table.ids[i, :k] = graph.adjacency[i]
+        table.valid[i, :k] = True
+        table.distances[i, :k] = graph.distances[i]
+    return table
 
 
 def _check_kinds(kinds: Sequence[str]) -> str:
@@ -171,43 +196,49 @@ def merge_models(
     return ModelParams(own.kind, theta, n_max)
 
 
-def gossip_round(
-    states: Sequence[ModelParams],
-    graph: NeighborGraph,
-    placements: Sequence["Placement"],
-    cfg: FederationConfig,
-    round_index: int,
-) -> tuple[list[ModelParams], list[FederationMessage]]:
-    """One synchronous gossip round.
+def gossip_mix(
+    theta: np.ndarray, counts: np.ndarray, table: NeighborTable, cfg: FederationConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous gossip round over stacked models; returns new arrays.
 
-    Every node sends its current model to every neighbor; every node with at
-    least one neighbor replaces its model by the merge of its own pre-round
-    snapshot with everything it received and resets its sample counter (the
-    contribution has been consumed).  Nodes without neighbors are untouched.
-    Messages come out sorted by (sender, receiver).  ``states`` must be
-    indexed by sensor node id.
+    Every node with a neighbor gets the ``merge_models`` of its pre-round row
+    and its neighbors' rows, bit for bit (same weights, same summation
+    order), and its sample counter resets to 0: the contribution has been
+    consumed.  Nodes without neighbors keep their row and counter.
     """
-    ids = sorted(graph.adjacency)
-    if not ids:
-        return list(states), []
-    _check_kinds([states[i].kind for i in ids])
-    pb = payload_bytes(len(states[ids[0]].theta))
-    messages = [
-        FederationMessage(i, j, round_index, pb)
-        for i in ids
-        for j in graph.adjacency[i]
-    ]
-    new_states: list[ModelParams] = list(states)
-    for i in ids:
-        neighbors = graph.adjacency[i]
-        if not neighbors:
-            continue
-        received = [
-            (states[j], d) for j, d in zip(neighbors, graph.distances[i])
-        ]
-        merged = merge_models(states[i], received, cfg)
-        new_states[i] = ModelParams(merged.kind, merged.theta, 0)
-    return new_states, messages
+    ids, valid, distances = table
+    if cfg.weighting == "uniform":
+        own_w = np.ones(len(theta))
+        nbr_w = valid.astype(np.float64)
+    elif cfg.weighting == "samples":
+        own_w = np.maximum(counts, 1).astype(np.float64)
+        nbr_w = np.where(valid, own_w[ids], 0.0)
+    elif cfg.weighting == "inverse_distance":
+        d = distances.min(initial=np.inf)
+        if d <= 0.0:
+            raise NonpositiveDistanceError(
+                f"distance: inverse_distance weighting needs d > 0 (got {d})"
+            )
+        own_w = np.ones(len(theta))
+        nbr_w = 1.0 / distances  # padded slots: 1/inf = 0
+    else:
+        raise ValueError(
+            f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"
+        )
+    if not cfg.include_self_weight:
+        own_w = np.zeros(len(theta))
+    # merge_models sums own_w + ((0 + w1) + w2 ...); padded 0.0 weights add exactly
+    received = np.zeros(len(theta))
+    for k in range(nbr_w.shape[1]):
+        received += nbr_w[:, k]
+    mixes = valid.any(axis=1)
+    total = np.where(mixes, own_w + received, 1.0)  # rows without neighbors are kept below
+    mixed = theta * (own_w / total)[:, None]
+    parts = theta[ids] * (nbr_w / total[:, None])[:, :, None]
+    for k in range(parts.shape[1]):
+        # where, not + 0.0: adding a padded slot would turn -0.0 into 0.0
+        mixed = np.where(valid[:, k, None], mixed + parts[:, k], mixed)
+    return np.where(mixes[:, None], mixed, theta), np.where(mixes, 0, counts)
 
 
 def fedavg_aggregate(updates: Sequence[ModelParams]) -> ModelParams:
@@ -223,51 +254,13 @@ def fedavg_aggregate(updates: Sequence[ModelParams]) -> ModelParams:
     return ModelParams(kind, theta, n)
 
 
-def central_round(
-    states: Sequence[ModelParams],
-    cfg: FederationConfig,
-    round_index: int,
-    central_id: int,
-) -> tuple[list[ModelParams], ModelParams, TrafficStats]:
-    """One collect/average/distribute round through the coordinator.
-
-    All nodes uplink their model, the coordinator aggregates with FedAvg and
-    downlinks the identical global model to everyone; sample counters reset.
-
-    Returns:
-        (replaced node models, global model, traffic for this round)
-    """
-    global_model = fedavg_aggregate(states)
-    pb = payload_bytes(len(global_model.theta))
-    messages = [
-        FederationMessage(i, central_id, round_index, pb)
-        for i in range(len(states))
-    ]
-    messages += [
-        FederationMessage(central_id, i, round_index, pb)
-        for i in range(len(states))
-    ]
-    new_states = [
-        ModelParams(global_model.kind, global_model.theta.copy(), 0) for _ in states
-    ]
-    return new_states, global_model, traffic_of_round(messages, central_id)
-
-
-def traffic_of_round(
-    messages: Sequence[FederationMessage], central_id: int
-) -> TrafficStats:
-    """Aggregate per-node and total byte counters for a batch of messages."""
-    stats = TrafficStats()
-    for msg in messages:
-        stats.tx_bytes[msg.sender_id] = (
-            stats.tx_bytes.get(msg.sender_id, 0) + msg.payload_bytes
-        )
-        stats.rx_bytes[msg.receiver_id] = (
-            stats.rx_bytes.get(msg.receiver_id, 0) + msg.payload_bytes
-        )
-        stats.total_bytes += msg.payload_bytes
-        stats.messages += 1
-    stats.central_bytes = stats.tx_bytes.get(central_id, 0) + stats.rx_bytes.get(
-        central_id, 0
-    )
-    return stats
+def fedavg_mix(theta: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One collect/average/distribute round over stacked models; returns new
+    arrays.  Every row becomes the ``fedavg_aggregate`` of all rows, bit for
+    bit (rows accumulated in node order), and every sample counter resets."""
+    weights = np.maximum(counts, 1)
+    weights = weights / weights.sum()
+    mean = np.zeros(theta.shape[1])
+    for row, w in zip(theta, weights):
+        mean += row * w
+    return np.tile(mean, (len(theta), 1)), np.zeros_like(counts)

@@ -59,13 +59,6 @@ class PuTrafficModel:
     mean_gap_slots: float = 40.0
 
 
-# Broadcast-TV-like source: bursts so long the channel is effectively
-# always occupied while the transmitter is licensed on air.
-TV_LONG_BURST = PuTrafficModel(
-    tx_power_dbm=30.0, mean_burst_slots=1.0e6, mean_gap_slots=10.0
-)
-
-
 @dataclass
 class PuState:
     pu_id: int

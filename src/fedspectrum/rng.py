@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-_U64 = (1 << 64) - 1
+MAX_SEED = (1 << 64) - 1
 
 
 def substream_key(label: str) -> int:
@@ -22,7 +22,7 @@ def substream_key(label: str) -> int:
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
-    """Independent generator for ``label`` under the given master seed."""
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & _U64, substream_key(label)])
-    )
+    """Independent generator for ``label`` under a seed in ``0..MAX_SEED``."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed: must be in 0..{MAX_SEED} (got {seed})")
+    return np.random.default_rng(np.random.SeedSequence([seed, substream_key(label)]))

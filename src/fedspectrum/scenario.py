@@ -16,11 +16,10 @@ import numpy as np
 
 from .federation import TOPOLOGIES, WEIGHTINGS, FederationConfig
 from .radio import ChannelModel, PuTrafficModel
+from .rng import MAX_SEED
 from .sensing import MODEL_KINDS, TrainingConfig
 
 PLACEMENT_MODES = ("grid", "uniform_random")
-
-_MAX_SEED = 2**64 - 1
 
 
 class ScenarioParseError(ValueError):
@@ -289,7 +288,7 @@ def validate_scenario(s: Scenario) -> list[str]:
             f"carrier_band_mhz: low edge must be below high edge "
             f"(got {list(s.carrier_band_mhz)})"
         )
-    if not 0 <= s.seed <= _MAX_SEED:
+    if not 0 <= s.seed <= MAX_SEED:
         v.append(f"seed: must fit in 64 unsigned bits (got {s.seed})")
     if s.central_xy_m is not None:
         x, y = s.central_xy_m

@@ -185,7 +185,8 @@ def train_local(
     The buffer is reshuffled once per epoch through ``rng``; the last batch
     of an epoch may be short.  Compute cost is booked as
     ``epochs * len(data) * macs_per_inference * 3`` (forward, backward,
-    update).
+    update).  The returned model is not checked for divergence: callers such
+    as ``run_simulation`` check its coefficients are finite.
 
     Returns:
         (updated model, CostReport delta for this call)
@@ -194,13 +195,13 @@ def train_local(
         raise EmptyDataError("data: training buffer is empty")
     x, y = _training_arrays(data)
     n = x.shape[0]
-    theta = model.theta.copy()
-    scratch = ModelParams(model.kind, theta, model.n_train_samples)
+    updated = ModelParams(model.kind, model.theta.copy(), model.n_train_samples + n)
+    theta = updated.theta
     for _ in range(tc.epochs_per_round):
         order = rng.permutation(n)
         for start in range(0, n, tc.batch_size):
             idx = order[start : start + tc.batch_size]
-            grad = bce_gradient(scratch, x[idx], y[idx])
+            grad = bce_gradient(updated, x[idx], y[idx])
             theta -= tc.learning_rate * grad
     macs, params = cost_constants(model.kind)
     delta = CostReport(
@@ -209,7 +210,6 @@ def train_local(
         model_bytes=8 * params,
         train_macs_accumulated=tc.epochs_per_round * n * macs * 3,
     )
-    updated = ModelParams(model.kind, theta, model.n_train_samples + n)
     return updated, delta
 
 

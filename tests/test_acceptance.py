@@ -17,9 +17,8 @@ from fedspectrum.engine import roc_sweep, run_simulation
 from fedspectrum.federation import (
     FederationConfig,
     build_neighbor_graph,
-    central_round,
-    gossip_round,
-    traffic_of_round,
+    gossip_mix,
+    neighbor_table,
 )
 from fedspectrum.radio import ChannelModel, Observation, PuTrafficModel, synthesize_observation
 from fedspectrum.rng import substream
@@ -123,19 +122,28 @@ def test_criterion_3_gradient_checks():
 
 def test_criterion_4_traffic_closed_form():
     with criterion(4, "central round is exactly 1344 B and gossip exactly 48*sum(degrees)"):
-        states = [ModelParams("logistic", np.zeros(4), i) for i in range(14)]
-        _, _, stats = central_round(states, FederationConfig(topology="central"), 0, 17)
-        assert stats.central_bytes == 1344
-        assert stats.total_bytes == 28 * 48
-
         scenario = load_scenario(DEFAULT_SCENARIO)
+        # 3 federation rounds, one eval slot; N stays at 14
+        scenario.schedule = SlotSchedule(
+            n_training_slots=150,
+            n_eval_slots=1,
+            local_train_period_slots=50,
+            federation_period_slots=50,
+            window_samples=16,
+        )
+        central = run_simulation(scenario, "central", scenario.seed)
+        assert central.federation_rounds == 3
+        assert central.traffic.central_bytes == 3 * 1344
+        assert central.traffic.total_bytes == 3 * 28 * 48
+
         placements = place_nodes(scenario, substream(scenario.seed, "placement"))
         sensors = [p for p in placements if p.kind == "sensor"]
         graph = build_neighbor_graph(sensors, scenario.federation.neighbor_radius_m)
-        cfg = FederationConfig(topology="gossip", weighting="uniform")
-        _, messages = gossip_round(states, graph, sensors, cfg, 0)
-        gossip_stats = traffic_of_round(messages, 17)
-        assert gossip_stats.total_bytes == 48 * graph.sum_degrees()
+        gossip = run_simulation(scenario, "gossip", scenario.seed)
+        assert gossip.traffic.total_bytes == 3 * 48 * graph.sum_degrees()
+        assert gossip.traffic.messages == 3 * graph.sum_degrees()
+        for i in range(14):
+            assert gossip.traffic.node_bytes(i) == 3 * 2 * 48 * graph.degree(i)
 
 
 def test_criterion_5_traffic_concentration(compare_dirs):
@@ -215,22 +223,20 @@ def test_criterion_8_roc_monotonicity():
 def test_criterion_9_consensus_contraction():
     with criterion(9, "uniform gossip on a 5-node line contracts the parameter spread"):
         placements = [Placement(i, "sensor", 100.0 * i, 0.0) for i in range(5)]
-        graph = build_neighbor_graph(placements, 150.0)
+        table = neighbor_table(build_neighbor_graph(placements, 150.0))
         cfg = FederationConfig(topology="gossip", weighting="uniform")
         rng = substream(91, "init")
-        states = [
-            ModelParams("logistic", rng.normal(0.0, 1.0, size=4), 1) for _ in range(5)
-        ]
+        theta = np.stack([rng.normal(0.0, 1.0, size=4) for _ in range(5)])
+        counts = np.ones(5, dtype=np.int64)
 
-        def spread(models):
-            thetas = np.stack([m.theta for m in models])
+        def spread(thetas):
             return thetas.max(axis=0) - thetas.min(axis=0)
 
-        initial = spread(states)
+        initial = spread(theta)
         previous = initial
         for round_index in range(1, 101):
-            states, _ = gossip_round(states, graph, placements, cfg, round_index)
-            current = spread(states)
+            theta, counts = gossip_mix(theta, counts, table, cfg)
+            current = spread(theta)
             if round_index <= 50:
                 assert np.all(current < previous)
             previous = current

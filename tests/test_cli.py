@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,31 @@ def test_parse_seeds():
         _parse_seeds("a,b")
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_seeds(",")
+    assert _parse_seeds("0,18446744073709551615") == [0, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_compare_rejects_seeds_outside_64_bits(seed, scenario_path, tmp_path, capsys):
+    # these used to wrap onto 2**64 - 1 and 0 and exit 0
+    out = tmp_path / "out"
+    argv = ["compare", "--scenario", scenario_path, "--out-dir", str(out), "--seeds", seed]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_diverging_run_names_the_node(tmp_path, capsys):
+    scenario = json.loads(Path("scenarios/default.json").read_text(encoding="utf-8"))
+    scenario["training"]["learning_rate"] = 1.7e308
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    argv = ["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out"),
+            "--topology", "gossip", "--training-slots", "200", "--eval-slots", "10"]
+    assert main(argv) == 1
+    assert "error: node " in capsys.readouterr().err
 
 
 def test_run_writes_metrics_and_summary(tmp_path, scenario_path, capsys):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fedspectrum import engine
 from fedspectrum.engine import (
     DetectionMetrics,
+    DivergenceError,
     EmptyInputError,
     METRICS_HEADER,
     RunResult,
@@ -18,7 +20,7 @@ from fedspectrum.engine import (
 )
 from fedspectrum.federation import FederationConfig, TrafficStats
 from fedspectrum.radio import Observation
-from fedspectrum.scenario import Scenario, ScenarioValidationError, SlotSchedule
+from fedspectrum.scenario import Scenario, ScenarioValidationError, SlotSchedule, load_scenario
 from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig
 
 
@@ -118,6 +120,36 @@ def test_run_simulation_rejects_bad_inputs():
     bad.schedule.window_samples = 1
     with pytest.raises(ScenarioValidationError):
         run_simulation(bad, "isolated", 1)
+    # 64-bit seeds only: -1 and 2**64 must not wrap onto 2**64 - 1 and 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            run_simulation(small_scenario(), "isolated", seed)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize("topology", ["isolated", "gossip", "central"])
+def test_divergent_training_names_node_and_slot(kind, topology):
+    scenario = load_scenario("scenarios/default.json")
+    scenario.training.learning_rate = 1.7e308
+    scenario.training.model_kind = kind
+    scenario.schedule.n_training_slots = 200
+    scenario.schedule.n_eval_slots = 10
+    named = r"^node \d+: .* after local training round \d+ \(slot \d+\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=named):
+            run_simulation(scenario, topology, 1)
+
+
+def test_divergent_mixing_names_node_and_round(monkeypatch):
+    def poisoned(theta, samples):
+        theta = theta.copy()
+        theta[1, 0] = np.inf
+        return theta, samples
+
+    monkeypatch.setattr(engine, "fedavg_mix", poisoned)
+    named = r"^node 1: .* after federation round 1 \(slot 20\)$"
+    with pytest.raises(DivergenceError, match=named):
+        run_simulation(small_scenario(), "central", 1)
 
 
 def test_run_simulation_deterministic_rerun():
