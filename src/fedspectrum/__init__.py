@@ -33,8 +33,6 @@ from .federation import (
 )
 from .radio import (
     ChannelModel,
-    Observation,
-    PuState,
     PuTrafficModel,
     dbm_to_mw,
     generate_dataset,
@@ -42,7 +40,8 @@ from .radio import (
     path_loss_db,
     pu_activity_step,
     received_power_dbm,
-    synthesize_observation,
+    sense_slot,
+    window_features,
 )
 from .rng import substream
 from .scenario import (
@@ -79,9 +78,7 @@ __all__ = [
     "ModelParams",
     "NeighborGraph",
     "NeighborTable",
-    "Observation",
     "Placement",
-    "PuState",
     "PuTrafficModel",
     "RunResult",
     "Scenario",
@@ -116,8 +113,9 @@ __all__ = [
     "roc_sweep",
     "run_simulation",
     "scenario_digest",
+    "sense_slot",
     "substream",
-    "synthesize_observation",
     "train_local",
     "validate_scenario",
+    "window_features",
 ]

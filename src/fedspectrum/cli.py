@@ -24,16 +24,20 @@ from .sensing import model_snapshot_json
 PROG = "fedspectrum"
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seed(text: str) -> int:
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"seeds must be integers: {exc}")
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is not an integer")
+    if not 0 <= seed <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside 0..{MAX_SEED}")
+    return seed
+
+
+def _parse_seeds(text: str) -> list[int]:
+    seeds = [_parse_seed(part) for part in text.split(",") if part.strip() != ""]
     if not seeds:
         raise argparse.ArgumentTypeError("need at least one seed")
-    for seed in seeds:
-        if not 0 <= seed <= MAX_SEED:
-            raise argparse.ArgumentTypeError(f"seeds must be in 0..{MAX_SEED} (got {seed})")
     return seeds
 
 
@@ -55,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one topology and write metrics")
     common(run_p)
     run_p.add_argument("--topology", required=True, choices=TOPOLOGIES)
-    run_p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    run_p.add_argument("--seed", type=_parse_seed, default=None, help="override scenario seed")
     run_p.add_argument("--training-slots", type=int, default=None)
     run_p.add_argument("--eval-slots", type=int, default=None)
     run_p.add_argument(
@@ -68,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(gen_p)
     gen_p.add_argument("--sensor-id", type=int, default=0)
     gen_p.add_argument("--slots", type=int, default=1000, help="number of dataset rows")
-    gen_p.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    gen_p.add_argument("--seed", type=_parse_seed, default=None, help="override scenario seed")
 
     cmp_p = sub.add_parser(
         "compare", help="run all three topologies over a seed list and summarize"

@@ -1,23 +1,26 @@
 """Slot-synchronous simulation engine and topology comparison.
 
-A run has two phases.  Training slots: every slot steps the primary-user
-chains and gives each sensor one observation; every
-``local_train_period_slots`` each node trains on its buffer and clears it;
-every ``federation_period_slots`` the selected exchange (gossip round or
-central FedAvg round) fires, training first when both land on the same slot.
-Eval slots: models are frozen and only confusion counts accumulate.
+A run has two phases, and every slot of both is one ``radio.sense_slot``
+call: it steps the primary-user chains and draws one feature window per
+sensor; the slot's truth label is whether any primary user transmits.
+Training slots fill an ``(n, local_train_period_slots, 3)`` buffer; every
+``local_train_period_slots`` each node trains on its row of it; every
+``federation_period_slots`` the selected exchange (gossip round or central
+FedAvg round) fires, training first when both land on the same slot.
+Eval slots: models are frozen, the windows fill an ``(n, n_eval_slots, 3)``
+array, and each node decides all of its windows with one batch prediction.
 
 Random sub-streams are labeled so modules cannot disturb each other:
 ``placement``, ``traffic``, ``init``, ``obs:<node_id>``, ``train:<node_id>``
-(``obs:shared``/``train:shared`` when ``shared_streams`` is set, which feeds
-every node one identical observation and shuffle stream for degeneracy
-tests).
+(``obs:shared``/``train:shared`` when ``shared_streams`` is set, which draws
+one window at sensor 0, gives it to every node, and gives every node the
+same shuffle stream, for degeneracy tests).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +35,7 @@ from .federation import (
     neighbor_table,
     payload_bytes,
 )
-from .radio import Observation, PuState, pu_activity_step, synthesize_observation
+from .radio import sense_slot
 from .rng import substream
 from .scenario import (
     Scenario,
@@ -46,7 +49,7 @@ from .sensing import (
     ModelParams,
     cost_constants,
     init_model,
-    predict,
+    predict_batch,
     train_local,
 )
 
@@ -149,8 +152,8 @@ def run_simulation(
             scenario's federation topology for this run.
         seed: master seed for every labeled sub-stream, in ``0..2**64-1``.
         shared_streams: test hook; all nodes receive one identical
-            observation stream (synthesized at sensor 0) and identical
-            training shuffles.
+            window stream (drawn at sensor 0) and identical training
+            shuffles.
 
     Returns:
         RunResult with per-node and global metrics, traffic, and costs.
@@ -193,83 +196,59 @@ def run_simulation(
     macs_per_inference, param_count = cost_constants(kind)
 
     if shared_streams:
+        obs_sensors = sensors[:1]
         obs_rngs = [substream(seed, "obs:shared")]
         train_rngs = [substream(seed, "train:shared") for _ in range(n)]
     else:
+        obs_sensors = sensors
         obs_rngs = [substream(seed, f"obs:{p.node_id}") for p in sensors]
         train_rngs = [substream(seed, f"train:{p.node_id}") for p in sensors]
     traffic_rng = substream(seed, "traffic")
 
-    pu_states = [PuState(p.node_id, False) for p in pus]
-    buffers: list[list[Observation]] = [[] for _ in range(n)]
+    on = np.zeros(len(pus), dtype=bool)
+    schedule = scenario.schedule
+    period = schedule.local_train_period_slots
+    # Window k of the current training period (a period longer than the
+    # phase never trains); a shared (1, 3) window broadcasts to every row.
+    x = np.empty((n, min(period, schedule.n_training_slots), 3))
+    y = np.empty(x.shape[1])
     train_macs = [0] * n
     rounds = 0
-    schedule = scenario.schedule
-
-    def sense(slot: int) -> list[Observation]:
-        nonlocal pu_states
-        pu_states = [
-            pu_activity_step(st, scenario.pu_traffic, traffic_rng)
-            for st in pu_states
-        ]
-        active = list(zip(pus, pu_states))
-        if shared_streams:
-            shared = synthesize_observation(
-                sensors[0],
-                active,
-                scenario.channel,
-                scenario.pu_traffic,
-                schedule.window_samples,
-                slot,
-                obs_rngs[0],
-            )
-            return [
-                Observation(p.node_id, slot, shared.features.copy(), shared.truth_occupied)
-                for p in sensors
-            ]
-        return [
-            synthesize_observation(
-                sensor,
-                active,
-                scenario.channel,
-                scenario.pu_traffic,
-                schedule.window_samples,
-                slot,
-                obs_rngs[i],
-            )
-            for i, sensor in enumerate(sensors)
-        ]
 
     for slot in range(1, schedule.n_training_slots + 1):
-        for i, obs in enumerate(sense(slot)):
-            buffers[i].append(obs)
-        if slot % schedule.local_train_period_slots == 0:
-            for i in range(n):
-                if not buffers[i]:
-                    continue
-                model = ModelParams(kind, theta[i], int(samples[i]))
-                trained, delta = train_local(model, buffers[i], tc, train_rngs[i])
-                theta[i] = trained.theta
-                samples[i] = trained.n_train_samples
-                train_macs[i] += delta.train_macs_accumulated
-                buffers[i].clear()
-            local_round = slot // schedule.local_train_period_slots
-            _check_finite(theta, f"after local training round {local_round} (slot {slot})")
+        k = (slot - 1) % period
+        on, x[:, k] = sense_slot(scenario, obs_sensors, pus, on, traffic_rng, obs_rngs)
+        y[k] = on.any()
+        if slot % period == 0:
+            # a diverging model is reported once, by node, in _check_finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(n):
+                    model = ModelParams(kind, theta[i], int(samples[i]))
+                    trained, delta = train_local(model, x[i], y, tc, train_rngs[i])
+                    theta[i] = trained.theta
+                    samples[i] = trained.n_train_samples
+                    train_macs[i] += delta.train_macs_accumulated
+            _check_finite(theta, f"after local training round {slot // period} (slot {slot})")
         if topology != "isolated" and slot % schedule.federation_period_slots == 0:
             rounds += 1
-            if topology == "gossip":
-                theta, samples = gossip_mix(theta, samples, table, cfg)
-            else:
-                theta, samples = fedavg_mix(theta, samples)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if topology == "gossip":
+                    theta, samples = gossip_mix(theta, samples, table, cfg)
+                else:
+                    theta, samples = fedavg_mix(theta, samples)
             _check_finite(theta, f"after federation round {rounds} (slot {slot})")
 
     models = [ModelParams(kind, row, int(c)) for row, c in zip(theta.copy(), samples)]
 
-    outcomes = np.zeros((n, schedule.n_eval_slots, 2), dtype=bool)  # predicted, truth
-    for slot in range(1, schedule.n_eval_slots + 1):
-        for i, obs in enumerate(sense(slot)):
-            outcomes[i, slot - 1] = predict(models[i], obs.features) >= 0.5, obs.truth_occupied
-    per_node = [evaluate_detection(o.tolist()) for o in outcomes]
+    x_eval = np.empty((n, schedule.n_eval_slots, 3))
+    truths = np.empty(schedule.n_eval_slots, dtype=bool)
+    for t in range(schedule.n_eval_slots):
+        on, x_eval[:, t] = sense_slot(scenario, obs_sensors, pus, on, traffic_rng, obs_rngs)
+        truths[t] = on.any()
+    per_node = [
+        evaluate_detection(list(zip((predict_batch(m, xe) >= 0.5).tolist(), truths.tolist())))
+        for m, xe in zip(models, x_eval)
+    ]
     global_metrics = DetectionMetrics(*np.sum([astuple(m) for m in per_node], axis=0).tolist())
     costs = [
         CostReport(macs_per_inference, param_count, 8 * param_count, train_macs[i])
@@ -292,19 +271,24 @@ def run_simulation(
 
 
 def roc_sweep(
-    model: ModelParams, eval_set: Sequence[Observation], n_points: int
+    model: ModelParams, features: np.ndarray, truths: Sequence[bool], n_points: int
 ) -> list[tuple[float, float | None, float | None]]:
     """(threshold, pd, pfa) at ``n_points`` thresholds evenly spanning [0, 1].
 
+    ``features`` is an (m, 3) window array and ``truths`` its m labels.
     Decisions use ``probability >= threshold``, so both rates are
     nonincreasing in the threshold.
     """
     if n_points < 2:
         raise ValueError(f"n_points: must be >= 2 (got {n_points})")
-    if len(eval_set) == 0:
-        raise EmptyInputError("eval_set: nothing to sweep")
-    probs = np.array([predict(model, obs.features) for obs in eval_set])
-    truths = np.array([obs.truth_occupied for obs in eval_set])
+    truths = np.asarray(truths, dtype=bool)
+    if truths.size == 0:
+        raise EmptyInputError("truths: nothing to sweep")
+    probs = predict_batch(model, features)
+    if probs.shape != truths.shape:
+        raise ValueError(
+            f"features: {probs.size} windows for {truths.size} truth labels"
+        )
     points = []
     for threshold in np.linspace(0.0, 1.0, n_points):
         decided = probs >= threshold
@@ -462,26 +446,14 @@ def metrics_csv_lines(runs: Sequence[RunResult]) -> list[str]:
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:
-    return {
-        "scenario_digest": report.scenario_digest,
-        "seeds": list(report.seeds),
-        "topologies": {
-            name: {
-                "needs_neighbor_comm": s.needs_neighbor_comm,
-                "busiest_node_bytes": s.busiest_node_bytes,
-                "total_bytes": s.total_bytes,
-                "central_bytes": s.central_bytes,
-                "aggregation_macs_central": s.aggregation_macs_central,
-                "max_node_aggregation_macs": s.max_node_aggregation_macs,
-                "mean_accuracy": s.mean_accuracy,
-                "mean_pd": s.mean_pd,
-                "mean_pfa": s.mean_pfa,
-                "pd_undefined_runs": s.pd_undefined_runs,
-                "pfa_undefined_runs": s.pfa_undefined_runs,
-            }
-            for name, s in sorted(report.topologies.items())
-        },
+    """The report as plain data, topologies in name order; each summary
+    drops its ``topology`` field, which repeats its key."""
+    out = asdict(report)
+    out["topologies"] = {
+        name: {k: v for k, v in summary.items() if k != "topology"}
+        for name, summary in sorted(out["topologies"].items())
     }
+    return out
 
 
 def _fmt_mean(value: float | None, digits: int = 4) -> str:

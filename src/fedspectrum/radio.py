@@ -5,13 +5,17 @@ the window synthesis.  A sensing window is ``window_samples`` draws of
 instantaneous power: exponential receiver noise plus one exponential
 component per active primary user (Rayleigh-faded carriers observed through
 an energy detector).
+
+``sense_slot`` is the one sensing path: it steps every primary-user chain
+and draws one window per sensor through ``window_features``.  Both the
+simulation engine and ``generate_dataset`` call it once per slot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -60,28 +64,6 @@ class PuTrafficModel:
 
 
 @dataclass
-class PuState:
-    pu_id: int
-    on: bool
-
-
-@dataclass
-class Observation:
-    """One sensing window at one sensor.
-
-    ``features`` holds the standardized window statistics
-    ``[(mean, std, max) power in dBm - noise floor] / 10``; the truth label
-    is the global channel state (any primary user transmitting), not what
-    the sensor could locally resolve.
-    """
-
-    node_id: int
-    slot: int
-    features: np.ndarray
-    truth_occupied: bool
-
-
-@dataclass
 class DatasetSummary:
     rows_written: int
     positive_fraction: float
@@ -104,24 +86,23 @@ def received_power_dbm(
 
 
 def pu_activity_step(
-    state: PuState, tm: PuTrafficModel, rng: np.random.Generator
-) -> PuState:
-    """Advance one slot.  Exactly one uniform draw is consumed per call."""
-    u = rng.random()
-    if state.on:
-        return PuState(state.pu_id, not (u < 1.0 / tm.mean_burst_slots))
-    return PuState(state.pu_id, u < 1.0 / tm.mean_gap_slots)
+    on: np.ndarray, tm: PuTrafficModel, rng: np.random.Generator
+) -> np.ndarray:
+    """Advance every chain one slot with one uniform per chain, in chain order."""
+    leave = rng.random(on.size) < np.where(
+        on, 1.0 / tm.mean_burst_slots, 1.0 / tm.mean_gap_slots
+    )
+    return on ^ leave
 
 
-def synthesize_observation(
+def window_features(
     sensor: "Placement",
-    pus: list[tuple["Placement", PuState]],
+    active_pus: Sequence["Placement"],
     ch: ChannelModel,
     tm: PuTrafficModel,
     window_samples: int,
-    slot: int,
     rng: np.random.Generator,
-) -> Observation:
+) -> np.ndarray:
     """Draw one sensing window and reduce it to standardized features.
 
     Per active primary user the mean received power is drawn once per window
@@ -129,13 +110,12 @@ def synthesize_observation(
     to the noise samples.  Statistics are taken on the linear powers and only
     then converted to dBm, so the mean feature sits at the noise floor when
     the channel is free.
+
+    Returns:
+        ``[(mean, std, max) power in dBm - noise floor] / 10``, shape (3,).
     """
     samples_mw = rng.exponential(dbm_to_mw(ch.noise_floor_dbm), size=window_samples)
-    occupied = False
-    for pu, state in pus:
-        if not state.on:
-            continue
-        occupied = True
+    for pu in active_pus:
         d = math.hypot(sensor.x_m - pu.x_m, sensor.y_m - pu.y_m)
         rx_dbm = received_power_dbm(ch, tm.tx_power_dbm, d, rng)
         samples_mw += rng.exponential(dbm_to_mw(rx_dbm), size=window_samples)
@@ -146,8 +126,40 @@ def synthesize_observation(
             mw_to_dbm(float(samples_mw.max())),
         ]
     )
-    features = (stats_dbm - ch.noise_floor_dbm) / 10.0
-    return Observation(sensor.node_id, slot, features, occupied)
+    return (stats_dbm - ch.noise_floor_dbm) / 10.0
+
+
+def sense_slot(
+    scenario: "Scenario",
+    sensors: Sequence["Placement"],
+    pus: Sequence["Placement"],
+    on: np.ndarray,
+    traffic_rng: np.random.Generator,
+    obs_rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One slot: step the primary-user chains, then draw every sensor's window.
+
+    ``on`` is the (P,) bool chain state before the slot.  Sensor ``i`` draws
+    from ``obs_rngs[i]``.  The slot's truth label is the global channel
+    state ``on.any()`` of the returned state, not what a sensor could
+    locally resolve.
+
+    Returns:
+        (chain state after the step, (len(sensors), 3) feature array)
+    """
+    on = pu_activity_step(on, scenario.pu_traffic, traffic_rng)
+    active = [pu for pu, is_on in zip(pus, on) if is_on]
+    features = np.empty((len(sensors), 3))
+    for i, sensor in enumerate(sensors):
+        features[i] = window_features(
+            sensor,
+            active,
+            scenario.channel,
+            scenario.pu_traffic,
+            scenario.schedule.window_samples,
+            obs_rngs[i],
+        )
+    return on, features
 
 
 def generate_dataset(
@@ -159,9 +171,10 @@ def generate_dataset(
 ) -> DatasetSummary:
     """Write a labeled feature CSV for one sensor.
 
-    The primary-user chains start idle and are stepped once per slot before
-    the window is drawn.  Node placement comes from the scenario seed's
-    "placement" sub-stream, so the file only depends on (scenario, rng state).
+    The primary-user chains start idle; each slot steps them and draws the
+    window through ``sense_slot``, both from ``rng``.  Node placement comes
+    from the scenario seed's "placement" sub-stream, so the file only
+    depends on (scenario, rng state).
 
     Returns:
         DatasetSummary with the row count and the fraction of occupied slots.
@@ -179,25 +192,16 @@ def generate_dataset(
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
     pus = [p for p in placements if p.kind == "primary_user"]
-    states = [PuState(p.node_id, False) for p in pus]
+    on = np.zeros(len(pus), dtype=bool)
     sensor = sensors[sensor_id]
     positives = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("slot,f1,f2,f3,label\n")
         for slot in range(n_slots):
-            states = [pu_activity_step(st, scenario.pu_traffic, rng) for st in states]
-            obs = synthesize_observation(
-                sensor,
-                list(zip(pus, states)),
-                scenario.channel,
-                scenario.pu_traffic,
-                scenario.schedule.window_samples,
-                slot,
-                rng,
-            )
-            label = int(obs.truth_occupied)
+            on, features = sense_slot(scenario, [sensor], pus, on, rng, [rng])
+            label = int(on.any())
             positives += label
-            f1, f2, f3 = (float(v) for v in obs.features)
+            f1, f2, f3 = (float(v) for v in features[0])
             fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{label}\n")
     fraction = positives / n_slots if n_slots else 0.0
     return DatasetSummary(n_slots, fraction)

@@ -9,13 +9,10 @@ average them without knowing the architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
-
-if TYPE_CHECKING:
-    from .radio import Observation
 
 MODEL_KINDS = ("logistic", "mlp")
 
@@ -168,33 +165,28 @@ def bce_gradient(model: ModelParams, features: np.ndarray, labels: np.ndarray) -
     return grad
 
 
-def _training_arrays(data: Sequence["Observation"]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([obs.features for obs in data], dtype=np.float64)
-    y = np.array([float(obs.truth_occupied) for obs in data])
-    return x, y
-
-
 def train_local(
     model: ModelParams,
-    data: Sequence["Observation"],
+    x: np.ndarray,
+    y: np.ndarray,
     tc: TrainingConfig,
     rng: np.random.Generator,
 ) -> tuple[ModelParams, CostReport]:
     """Run ``epochs_per_round`` epochs of mini-batch gradient descent.
 
-    The buffer is reshuffled once per epoch through ``rng``; the last batch
-    of an epoch may be short.  Compute cost is booked as
-    ``epochs * len(data) * macs_per_inference * 3`` (forward, backward,
-    update).  The returned model is not checked for divergence: callers such
-    as ``run_simulation`` check its coefficients are finite.
+    ``x`` is the (n, 3) feature buffer and ``y`` its (n,) 0/1 labels.  The
+    buffer is reshuffled once per epoch through ``rng``; the last batch of
+    an epoch may be short.  Compute cost is booked as
+    ``epochs * n * macs_per_inference * 3`` (forward, backward, update).
+    The returned model is not checked for divergence: callers such as
+    ``run_simulation`` check its coefficients are finite.
 
     Returns:
         (updated model, CostReport delta for this call)
     """
-    if len(data) == 0:
-        raise EmptyDataError("data: training buffer is empty")
-    x, y = _training_arrays(data)
-    n = x.shape[0]
+    n = len(x)
+    if n == 0:
+        raise EmptyDataError("x: training buffer is empty")
     updated = ModelParams(model.kind, model.theta.copy(), model.n_train_samples + n)
     theta = updated.theta
     for _ in range(tc.epochs_per_round):

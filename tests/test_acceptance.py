@@ -20,7 +20,7 @@ from fedspectrum.federation import (
     gossip_mix,
     neighbor_table,
 )
-from fedspectrum.radio import ChannelModel, Observation, PuTrafficModel, synthesize_observation
+from fedspectrum.radio import ChannelModel, PuTrafficModel, window_features
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, SlotSchedule, load_scenario, place_nodes
 from fedspectrum.sensing import (
@@ -181,11 +181,7 @@ def test_criterion_7_energy_baseline_calibration():
         sensor = Placement(0, "sensor", 0.0, 0.0)
 
         def noise_f1(count, rng):
-            values = np.empty(count)
-            for i in range(count):
-                obs = synthesize_observation(sensor, [], ch, tm, 64, i, rng)
-                values[i] = obs.features[0]
-            return values
+            return np.array([window_features(sensor, [], ch, tm, 64, rng)[0] for _ in range(count)])
 
         threshold = float(np.quantile(noise_f1(10_000, substream(71, "obs:0")), 0.99))
         fresh = noise_f1(20_000, substream(72, "obs:0"))
@@ -199,21 +195,20 @@ def test_criterion_8_roc_monotonicity():
         for index in range(10):
             kind = "logistic" if index < 5 else "mlp"
             rng = substream(81 + index, "dataset")
-            data = []
+            x = np.empty((200, 3))
+            y = np.empty(200)
             for i in range(200):
-                label = bool(rng.integers(0, 2))
-                center = rng.uniform(0.5, 2.0) if label else rng.uniform(-1.0, 0.2)
-                data.append(
-                    Observation(0, i, rng.normal(center, 0.8, size=3), label)
-                )
+                y[i] = rng.integers(0, 2)
+                center = rng.uniform(0.5, 2.0) if y[i] else rng.uniform(-1.0, 0.2)
+                x[i] = rng.normal(center, 0.8, size=3)
             tc = TrainingConfig(model_kind=kind, learning_rate=0.3, epochs_per_round=5)
             model = ModelParams(kind, np.zeros(model_dim(kind)))
             if kind == "mlp":
                 from fedspectrum.sensing import init_model
 
                 model = init_model(kind, tc, substream(81 + index, "init"))
-            trained, _ = train_local(model, data, tc, substream(81 + index, "train:0"))
-            points = roc_sweep(trained, data, 101)
+            trained, _ = train_local(model, x, y, tc, substream(81 + index, "train:0"))
+            points = roc_sweep(trained, x, y == 1.0, 101)
             pds = [p[1] for p in points]
             pfas = [p[2] for p in points]
             assert all(a >= b for a, b in zip(pds, pds[1:]))

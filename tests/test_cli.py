@@ -54,7 +54,24 @@ def test_compare_rejects_seeds_outside_64_bits(seed, scenario_path, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "generate"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "x"])
+def test_seed_option_rejects_what_seeds_rejects(command, seed, scenario_path, tmp_path, capsys):
+    # one parser for --seed and --seeds: a usage error before any work
+    out = tmp_path / "out"
+    argv = [command, "--scenario", scenario_path, "--out-dir", str(out), "--seed", seed]
+    if command == "run":
+        argv += ["--topology", "isolated"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed: seed " in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_run_names_the_node(tmp_path, capsys):
     scenario = json.loads(Path("scenarios/default.json").read_text(encoding="utf-8"))
     scenario["training"]["learning_rate"] = 1.7e308
@@ -63,7 +80,9 @@ def test_diverging_run_names_the_node(tmp_path, capsys):
     argv = ["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out"),
             "--topology", "gossip", "--training-slots", "200", "--eval-slots", "10"]
     assert main(argv) == 1
-    assert "error: node " in capsys.readouterr().err
+    # the named error is the whole report: no numpy overflow warnings before it
+    err = capsys.readouterr().err
+    assert err.startswith("fedspectrum: error: node 0: ") and err.count("\n") == 1
 
 
 def test_run_writes_metrics_and_summary(tmp_path, scenario_path, capsys):

@@ -1,5 +1,10 @@
+import warnings
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedspectrum import engine
 from fedspectrum.engine import (
@@ -18,8 +23,9 @@ from fedspectrum.engine import (
     run_simulation,
     summarize_runs,
 )
-from fedspectrum.federation import FederationConfig, TrafficStats
-from fedspectrum.radio import Observation
+from fedspectrum.federation import TOPOLOGIES, FederationConfig, TrafficStats
+from fedspectrum.radio import pu_activity_step
+from fedspectrum.rng import substream
 from fedspectrum.scenario import Scenario, ScenarioValidationError, SlotSchedule, load_scenario
 from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig
 
@@ -68,11 +74,9 @@ def test_metrics_undefined_without_support():
 def test_roc_sweep_endpoints_and_monotonicity():
     model = ModelParams("logistic", np.array([2.0, 0.0, 0.0, -1.0]))
     rng = np.random.default_rng(3)
-    eval_set = [
-        Observation(0, i, np.array([x, 0.0, 0.0]), x > 0.5)
-        for i, x in enumerate(rng.normal(0.5, 1.0, size=200))
-    ]
-    points = roc_sweep(model, eval_set, 101)
+    features = np.zeros((200, 3))
+    features[:, 0] = rng.normal(0.5, 1.0, size=200)
+    points = roc_sweep(model, features, features[:, 0] > 0.5, 101)
     assert len(points) == 101
     assert points[0][0] == 0.0 and points[-1][0] == 1.0
     # threshold 0 accepts everything
@@ -85,11 +89,12 @@ def test_roc_sweep_endpoints_and_monotonicity():
 
 def test_roc_sweep_validation():
     model = ModelParams("logistic", np.zeros(4))
-    obs = Observation(0, 0, np.zeros(3), True)
     with pytest.raises(ValueError, match="n_points"):
-        roc_sweep(model, [obs], 1)
+        roc_sweep(model, np.zeros((1, 3)), [True], 1)
     with pytest.raises(EmptyInputError):
-        roc_sweep(model, [], 5)
+        roc_sweep(model, np.empty((0, 3)), [], 5)
+    with pytest.raises(ValueError, match="2 windows for 1 truth labels"):
+        roc_sweep(model, np.zeros((2, 3)), [True], 5)
 
 
 def test_run_simulation_shapes_and_counts():
@@ -135,9 +140,26 @@ def test_divergent_training_names_node_and_slot(kind, topology):
     scenario.schedule.n_training_slots = 200
     scenario.schedule.n_eval_slots = 10
     named = r"^node \d+: .* after local training round \d+ \(slot \d+\)$"
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the named error is the only report: numpy's overflow warnings stay quiet
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match=named):
             run_simulation(scenario, topology, 1)
+
+
+def test_mixing_overflow_names_node_and_round():
+    # Two sensors 5e-309 m apart: the inverse-distance weight 1/d overflows
+    # in the mixing step, which reports the node, not a numpy warning.
+    scenario = small_scenario(
+        area_size_m=1e-308,
+        n_sensors=2,
+        federation=FederationConfig(neighbor_radius_m=1.0, weighting="inverse_distance"),
+    )
+    named = r"^node 0: .* after federation round 1 \(slot 20\)$"
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match=named):
+            run_simulation(scenario, "gossip", 1)
 
 
 def test_divergent_mixing_names_node_and_round(monkeypatch):
@@ -150,6 +172,52 @@ def test_divergent_mixing_names_node_and_round(monkeypatch):
     named = r"^node 1: .* after federation round 1 \(slot 20\)$"
     with pytest.raises(DivergenceError, match=named):
         run_simulation(small_scenario(), "central", 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sensors=st.integers(1, 5),
+    n_pus=st.integers(0, 3),
+    placement=st.sampled_from(["grid", "uniform_random"]),
+    kind=st.sampled_from(["logistic", "mlp"]),
+    topology=st.sampled_from(TOPOLOGIES),
+    shared=st.booleans(),
+    n_training=st.integers(0, 30),
+    n_eval=st.integers(1, 15),
+    period=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_every_window_is_counted_once_against_one_truth_per_slot(
+    n_sensors, n_pus, placement, kind, topology, shared, n_training, n_eval, period, seed
+):
+    schedule = SlotSchedule(
+        n_training_slots=n_training,
+        n_eval_slots=n_eval,
+        local_train_period_slots=period,
+        federation_period_slots=period,
+        window_samples=4,
+    )
+    scenario = small_scenario(
+        seed=seed,
+        n_sensors=n_sensors,
+        n_primary_users=n_pus,
+        sensor_placement=placement,
+        training=TrainingConfig(model_kind=kind),
+        schedule=schedule,
+    )
+    result = run_simulation(scenario, topology, seed, shared_streams=shared)
+    per_node = [astuple(m) for m in result.per_node_metrics]
+    assert len(per_node) == n_sensors
+    assert sum(map(sum, per_node)) == sum(astuple(result.global_metrics)) == n_sensors * n_eval
+    # The truth label is one value per slot: the traffic stream's chains
+    # replayed through both phases give every node the same positives.
+    rng = substream(seed, "traffic")
+    on = np.zeros(n_pus, dtype=bool)
+    occupied = 0
+    for slot in range(n_training + n_eval):
+        on = pu_activity_step(on, scenario.pu_traffic, rng)
+        occupied += slot >= n_training and bool(on.any())
+    assert {m.tp + m.fn for m in result.per_node_metrics} == {occupied}
 
 
 def test_run_simulation_deterministic_rerun():

@@ -1,4 +1,4 @@
-"""Golden outputs: sha256 of every file three short CLI calls write.
+"""Golden outputs: sha256 of every file four short CLI calls write.
 
 The hashes pin the simulator's behaviour byte for byte.  A change that is
 meant to keep outputs identical (a refactor or a speed-up) must pass them
@@ -38,6 +38,13 @@ CASES = {
             "metrics.csv": "f8d7fac5bb6db884ed62896169ea7116a877182c96f60f1fd1bb3ef7892e4683",
             "models.json": "4a071c13b73c1c1b3b460329e05284b308091e6c16b6b5b534cfae6022445999",
             "summary.json": "4f7717b5769f284bcc1af1e111a5d7f0c0a6b3beef46a21c4ea69ff8cc121f09",
+        },
+    ),
+    "default-generate": (
+        ["generate", "--scenario", "scenarios/default.json", "--sensor-id", "5",
+         "--slots", "1000"],
+        {
+            "dataset.csv": "2d3ff8cc6211a961b18027c78e9afbd2e5db2d0341e0256f8f63166674196d2c",
         },
     ),
 }

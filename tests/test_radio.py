@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fedspectrum.radio import (
     ChannelModel,
-    PuState,
     PuTrafficModel,
     UnknownSensorError,
     dbm_to_mw,
@@ -16,10 +15,11 @@ from fedspectrum.radio import (
     path_loss_db,
     pu_activity_step,
     received_power_dbm,
-    synthesize_observation,
+    sense_slot,
+    window_features,
 )
 from fedspectrum.rng import substream
-from fedspectrum.scenario import Placement, Scenario
+from fedspectrum.scenario import Placement, Scenario, SlotSchedule
 
 
 @given(st.floats(min_value=-120.0, max_value=60.0))
@@ -73,12 +73,20 @@ def test_shadowing_moments_monte_carlo():
 
 
 def test_activity_step_consumes_one_uniform():
+    # One uniform per chain, drawn in chain order, each applied with the
+    # scalar rule; no chains draw nothing.
     tm = PuTrafficModel(mean_burst_slots=20.0, mean_gap_slots=40.0)
     rng_a = substream(11, "traffic")
     rng_b = substream(11, "traffic")
-    pu_activity_step(PuState(0, False), tm, rng_a)
-    rng_b.random()
+    before = np.array([False, True, False, True])
+    after = pu_activity_step(before, tm, rng_a)
+    u = [rng_b.random() for _ in before]
+    expected = [not (ui < 1.0 / 20.0) if was else ui < 1.0 / 40.0 for ui, was in zip(u, before)]
+    assert after.dtype == bool and after.tolist() == expected
     assert rng_a.random() == rng_b.random()
+    state = rng_a.bit_generator.state
+    assert pu_activity_step(np.zeros(0, dtype=bool), tm, rng_a).shape == (0,)
+    assert rng_a.bit_generator.state == state
 
 
 def test_activity_stationary_occupancy_and_run_length():
@@ -88,11 +96,11 @@ def test_activity_stationary_occupancy_and_run_length():
     # std ~ 0.002 (autocorrelation included) and the run-length mean ~ 0.07.
     tm = PuTrafficModel(mean_burst_slots=10.0, mean_gap_slots=5.0)
     rng = substream(13, "traffic")
-    state = PuState(0, False)
+    state = np.zeros(1, dtype=bool)
     on = np.empty(300_000, dtype=bool)
     for i in range(on.size):
         state = pu_activity_step(state, tm, rng)
-        on[i] = state.on
+        on[i] = state[0]
     assert on.mean() == pytest.approx(10.0 / 15.0, abs=0.01)
     padded = np.concatenate(([False], on, [False])).astype(int)
     starts = np.flatnonzero(np.diff(padded) == 1)
@@ -105,12 +113,9 @@ def _noise_only_features(n_windows, window_samples, seed):
     tm = PuTrafficModel()
     sensor = Placement(0, "sensor", 0.0, 0.0)
     rng = substream(seed, "obs:0")
-    feats = np.empty((n_windows, 3))
-    for i in range(n_windows):
-        obs = synthesize_observation(sensor, [], ch, tm, window_samples, i, rng)
-        assert obs.truth_occupied is False
-        feats[i] = obs.features
-    return feats
+    return np.array(
+        [window_features(sensor, [], ch, tm, window_samples, rng) for _ in range(n_windows)]
+    )
 
 
 def test_noise_only_mean_feature_sits_at_floor():
@@ -135,29 +140,60 @@ def test_strong_pu_lifts_mean_feature_30db():
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pu = Placement(1, "primary_user", 1.0, 0.0)
     rng = substream(19, "obs:0")
-    f1 = np.empty(2000)
-    for i in range(f1.size):
-        obs = synthesize_observation(
-            sensor, [(pu, PuState(1, True))], ch, tm, 64, i, rng
-        )
-        assert obs.truth_occupied is True
-        f1[i] = obs.features[0]
+    f1 = np.array([window_features(sensor, [pu], ch, tm, 64, rng)[0] for _ in range(2000)])
     assert f1.mean() == pytest.approx(3.0, abs=0.1)
 
 
+def _sensing_scenario(burst, gap, window_samples=32):
+    return Scenario(
+        seed=23,
+        channel=ChannelModel(shadowing_sigma_db=6.0),
+        pu_traffic=PuTrafficModel(tx_power_dbm=30.0, mean_burst_slots=burst, mean_gap_slots=gap),
+        schedule=SlotSchedule(window_samples=window_samples),
+    )
+
+
 def test_off_pu_contributes_nothing():
-    ch = ChannelModel(shadowing_sigma_db=6.0)
-    tm = PuTrafficModel(tx_power_dbm=30.0)
+    # A gap mean of 1e300 keeps the chain off, so the slot is free and the
+    # window is the one drawn with no primary user at all.
+    scenario = _sensing_scenario(burst=20.0, gap=1e300)
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pu = Placement(1, "primary_user", 5.0, 0.0)
-    rng_a = substream(23, "obs:0")
-    rng_b = substream(23, "obs:0")
-    with_off = synthesize_observation(
-        sensor, [(pu, PuState(1, False))], ch, tm, 32, 0, rng_a
+    on, with_off = sense_slot(
+        scenario, [sensor], [pu], np.array([False]), substream(23, "traffic"),
+        [substream(23, "obs:0")],
     )
-    empty = synthesize_observation(sensor, [], ch, tm, 32, 0, rng_b)
-    assert with_off.truth_occupied is False
-    np.testing.assert_array_equal(with_off.features, empty.features)
+    none_on, empty = sense_slot(
+        scenario, [sensor], [], np.zeros(0, dtype=bool), substream(23, "traffic"),
+        [substream(23, "obs:0")],
+    )
+    assert not on.any() and not none_on.any()
+    np.testing.assert_array_equal(with_off, empty)
+
+
+def test_sense_slot_steps_chains_then_draws_each_sensor_window():
+    # Replay: one uniform per chain from the traffic stream, then sensor i's
+    # window from its own stream, given the primary users left on.  A burst
+    # mean of 1e300 keeps an on chain on, so the slot is occupied.
+    scenario = _sensing_scenario(burst=1e300, gap=40.0)
+    sensors = [Placement(0, "sensor", 0.0, 0.0), Placement(1, "sensor", 300.0, 0.0)]
+    pus = [Placement(2, "primary_user", 30.0, 40.0), Placement(3, "primary_user", 60.0, 80.0)]
+    on = np.array([True, False])
+    traffic = substream(37, "traffic")
+    obs_rngs = [substream(37, "obs:0"), substream(37, "obs:1")]
+    after, features = sense_slot(scenario, sensors, pus, on, traffic, obs_rngs)
+
+    replay = substream(37, "traffic")
+    expected_on = pu_activity_step(on, scenario.pu_traffic, replay)
+    assert after.tolist() == expected_on.tolist() and after[0]
+    assert traffic.random() == replay.random()
+    active = [pu for pu, is_on in zip(pus, after) if is_on]
+    assert features.shape == (2, 3)
+    for i, sensor in enumerate(sensors):
+        window = window_features(
+            sensor, active, scenario.channel, scenario.pu_traffic, 32, substream(37, f"obs:{i}")
+        )
+        np.testing.assert_array_equal(features[i], window)
 
 
 def test_window_draw_order_one_shadowing_draw_per_active_pu():
@@ -168,15 +204,15 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
     tm = PuTrafficModel(tx_power_dbm=10.0)
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pus = [
-        (Placement(1, "primary_user", 30.0, 40.0), PuState(1, True)),
-        (Placement(2, "primary_user", 60.0, 80.0), PuState(2, True)),
+        Placement(1, "primary_user", 30.0, 40.0),
+        Placement(2, "primary_user", 60.0, 80.0),
     ]
     rng = substream(29, "obs:3")
-    obs = synthesize_observation(sensor, pus, ch, tm, 16, 0, rng)
+    features = window_features(sensor, pus, ch, tm, 16, rng)
 
     replay = substream(29, "obs:3")
     samples = replay.exponential(dbm_to_mw(ch.noise_floor_dbm), size=16)
-    for pu, _ in pus:
+    for pu in pus:
         d = math.hypot(pu.x_m, pu.y_m)
         rx = 10.0 - path_loss_db(ch, d) + replay.normal(0.0, 4.0)
         samples = samples + replay.exponential(dbm_to_mw(rx), size=16)
@@ -190,7 +226,8 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
         )
         - ch.noise_floor_dbm
     ) / 10.0
-    np.testing.assert_array_equal(obs.features, expected)
+    np.testing.assert_array_equal(features, expected)
+    assert rng.random() == replay.random()
 
 
 def test_generate_dataset_file_shape_and_determinism(tmp_path):

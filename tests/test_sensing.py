@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedspectrum.radio import Observation
 from fedspectrum.rng import substream
 from fedspectrum.sensing import (
     LOGISTIC_DIM,
@@ -25,10 +24,6 @@ from fedspectrum.sensing import (
     predict_batch,
     train_local,
 )
-
-
-def obs(features, label, node_id=0, slot=0):
-    return Observation(node_id, slot, np.asarray(features, dtype=np.float64), label)
 
 
 def random_model(kind, rng):
@@ -161,14 +156,15 @@ def test_gradient_zero_at_perfect_fit_direction():
 def test_train_local_empty_buffer_raises():
     m = ModelParams("logistic", np.zeros(4))
     with pytest.raises(EmptyDataError):
-        train_local(m, [], TrainingConfig(), substream(1, "train:0"))
+        train_local(m, np.empty((0, 3)), np.empty(0), TrainingConfig(), substream(1, "train:0"))
 
 
 def test_train_local_returns_new_model_and_counts():
-    data = [obs([1.0, 0.5, 1.5], True), obs([-1.0, -0.5, -1.5], False)] * 5
+    x = np.array([[1.0, 0.5, 1.5], [-1.0, -0.5, -1.5]] * 5)
+    y = np.array([1.0, 0.0] * 5)
     m = ModelParams("logistic", np.zeros(4), 3)
     tc = TrainingConfig(learning_rate=0.2, epochs_per_round=4, batch_size=10)
-    updated, delta = train_local(m, data, tc, substream(1, "train:0"))
+    updated, delta = train_local(m, x, y, tc, substream(1, "train:0"))
     np.testing.assert_array_equal(m.theta, np.zeros(4))  # input untouched
     assert m.n_train_samples == 3
     assert updated.n_train_samples == 13
@@ -178,33 +174,27 @@ def test_train_local_returns_new_model_and_counts():
 
 def test_train_local_reduces_loss_both_kinds():
     rng = substream(43, "obs:0")
-    data = []
-    for _ in range(60):
-        label = bool(rng.integers(0, 2))
-        center = 2.0 if label else -2.0
-        data.append(obs(rng.normal(center, 0.5, size=3), label))
-    x = np.array([o.features for o in data])
-    y = np.array([float(o.truth_occupied) for o in data])
+    x = np.empty((60, 3))
+    y = np.empty(60)
+    for i in range(60):
+        y[i] = rng.integers(0, 2)
+        x[i] = rng.normal(2.0 if y[i] else -2.0, 0.5, size=3)
     for kind in ("logistic", "mlp"):
         tc = TrainingConfig(model_kind=kind, learning_rate=0.1, epochs_per_round=5)
         m = init_model(kind, tc, substream(43, "init"))
         before = bce_loss(m, x, y)
-        trained, _ = train_local(m, data, tc, substream(43, "train:0"))
+        trained, _ = train_local(m, x, y, tc, substream(43, "train:0"))
         assert bce_loss(trained, x, y) < before
 
 
 def test_train_local_shuffle_uses_rng():
-    data = [
-        obs([1.0, 0.0, 0.0], True),
-        obs([0.9, 0.1, 0.0], True),
-        obs([-1.0, 0.0, 0.0], False),
-        obs([-0.9, -0.1, 0.0], False),
-    ]
+    x = np.array([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [-1.0, 0.0, 0.0], [-0.9, -0.1, 0.0]])
+    y = np.array([1.0, 1.0, 0.0, 0.0])
     m = ModelParams("logistic", np.zeros(4))
     tc = TrainingConfig(batch_size=2, epochs_per_round=1, learning_rate=0.5)
-    a, _ = train_local(m, data, tc, substream(1, "train:0"))
-    b, _ = train_local(m, data, tc, substream(1, "train:0"))
-    c, _ = train_local(m, data, tc, substream(2, "train:0"))
+    a, _ = train_local(m, x, y, tc, substream(1, "train:0"))
+    b, _ = train_local(m, x, y, tc, substream(1, "train:0"))
+    c, _ = train_local(m, x, y, tc, substream(2, "train:0"))
     np.testing.assert_array_equal(a.theta, b.theta)
     assert not np.array_equal(a.theta, c.theta)
 
@@ -213,10 +203,9 @@ def test_separable_data_reaches_high_accuracy():
     rng = substream(47, "obs:0")
     x = np.concatenate([rng.normal(2.5, 0.4, size=(300, 3)), rng.normal(-0.5, 0.4, size=(300, 3))])
     y = np.concatenate([np.ones(300), np.zeros(300)])
-    data = [obs(x[i], bool(y[i])) for i in range(600)]
     tc = TrainingConfig(learning_rate=0.5, epochs_per_round=30, batch_size=32)
     m = init_model("logistic", tc, substream(47, "init"))
-    trained, _ = train_local(m, data, tc, substream(47, "train:0"))
+    trained, _ = train_local(m, x, y, tc, substream(47, "train:0"))
     acc = np.mean((predict_batch(trained, x) >= 0.5) == y.astype(bool))
     assert acc >= 0.99
 
