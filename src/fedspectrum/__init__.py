@@ -12,7 +12,6 @@ from .engine import (
     DivergenceError,
     RunResult,
     TopologySummary,
-    compare_topologies,
     evaluate_detection,
     roc_sweep,
     run_simulation,
@@ -89,7 +88,6 @@ __all__ = [
     "bce_gradient",
     "bce_loss",
     "build_neighbor_graph",
-    "compare_topologies",
     "dbm_to_mw",
     "energy_baseline_decide",
     "evaluate_detection",

@@ -58,7 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one topology and write metrics")
     common(run_p)
-    run_p.add_argument("--topology", required=True, choices=TOPOLOGIES)
+    run_p.add_argument(
+        "--topology", choices=TOPOLOGIES, help="default: the scenario's federation.topology"
+    )
     run_p.add_argument("--seed", type=_parse_seed, default=None, help="override scenario seed")
     run_p.add_argument("--training-slots", type=int, default=None)
     run_p.add_argument("--eval-slots", type=int, default=None)
@@ -118,8 +120,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     models_path = (
         _target(out_dir, "models.json", args.force) if args.export_models else None
     )
-    _say(f"running topology={args.topology} seed={scenario.seed}")
-    result = engine.run_simulation(scenario, args.topology, scenario.seed)
+    topology = args.topology or scenario.federation.topology
+    _say(f"running topology={topology} seed={scenario.seed}")
+    result = engine.run_simulation(scenario, topology, scenario.seed)
     metrics_path.write_text(
         "\n".join(engine.metrics_csv_lines([result])) + "\n", encoding="utf-8"
     )

@@ -55,7 +55,7 @@ from .sensing import (
 
 
 class EmptyInputError(ValueError):
-    """Metrics were requested for an empty prediction list."""
+    """Metrics were requested for no truth labels or no runs."""
 
 
 class DivergenceError(ValueError):
@@ -94,21 +94,18 @@ class DetectionMetrics:
         return (self.tp + self.tn) / total if total else None
 
 
-def evaluate_detection(pairs: Sequence[tuple[bool, bool]]) -> DetectionMetrics:
-    """Confusion counts for (predicted, truth) pairs."""
-    if len(pairs) == 0:
-        raise EmptyInputError("pairs: nothing to evaluate")
-    tp = fp = tn = fn = 0
-    for predicted, truth in pairs:
-        if predicted and truth:
-            tp += 1
-        elif predicted and not truth:
-            fp += 1
-        elif not predicted and truth:
-            fn += 1
-        else:
-            tn += 1
-    return DetectionMetrics(tp, fp, tn, fn)
+def evaluate_detection(decided: np.ndarray, truths: np.ndarray) -> DetectionMetrics:
+    """Confusion counts of bool decisions against their bool truth labels."""
+    decided = np.asarray(decided, dtype=bool)
+    truths = np.asarray(truths, dtype=bool)
+    if truths.size == 0:
+        raise EmptyInputError("truths: nothing to evaluate")
+    if decided.shape != truths.shape:
+        raise ValueError(f"decided: {decided.size} decisions for {truths.size} truth labels")
+    tp = int(np.count_nonzero(decided & truths))
+    fp = int(np.count_nonzero(decided)) - tp
+    fn = int(np.count_nonzero(truths)) - tp
+    return DetectionMetrics(tp, fp, truths.size - tp - fp - fn, fn)
 
 
 @dataclass
@@ -246,8 +243,7 @@ def run_simulation(
         on, x_eval[:, t] = sense_slot(scenario, obs_sensors, pus, on, traffic_rng, obs_rngs)
         truths[t] = on.any()
     per_node = [
-        evaluate_detection(list(zip((predict_batch(m, xe) >= 0.5).tolist(), truths.tolist())))
-        for m, xe in zip(models, x_eval)
+        evaluate_detection(predict_batch(m, xe) >= 0.5, truths) for m, xe in zip(models, x_eval)
     ]
     global_metrics = DetectionMetrics(*np.sum([astuple(m) for m in per_node], axis=0).tolist())
     costs = [
@@ -291,12 +287,7 @@ def roc_sweep(
         )
     points = []
     for threshold in np.linspace(0.0, 1.0, n_points):
-        decided = probs >= threshold
-        tp = int(np.sum(decided & truths))
-        fp = int(np.sum(decided & ~truths))
-        fn = int(np.sum(~decided & truths))
-        tn = int(np.sum(~decided & ~truths))
-        m = DetectionMetrics(tp, fp, tn, fn)
+        m = evaluate_detection(probs >= threshold, truths)
         points.append((float(threshold), m.pd, m.pfa))
     return points
 
@@ -334,17 +325,6 @@ def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:
     return sum(defined) / len(defined), skipped
 
 
-def run_all_topologies(scenario: Scenario, seeds: Sequence[int]) -> list[RunResult]:
-    """Every (topology, seed) run, topologies in canonical order."""
-    if len(seeds) == 0:
-        raise EmptyInputError("seeds: need at least one seed")
-    return [
-        run_simulation(scenario, topology, seed)
-        for topology in TOPOLOGIES
-        for seed in seeds
-    ]
-
-
 def summarize_runs(runs: Sequence[RunResult], seeds: Sequence[int]) -> ComparisonReport:
     """Aggregate per-topology means from an already-computed run matrix."""
     by_topology: dict[str, list[RunResult]] = {t: [] for t in TOPOLOGIES}
@@ -380,11 +360,6 @@ def summarize_runs(runs: Sequence[RunResult], seeds: Sequence[int]) -> Compariso
         )
     digest = runs[0].scenario_digest
     return ComparisonReport(digest, list(seeds), summaries)
-
-
-def compare_topologies(scenario: Scenario, seeds: Sequence[int]) -> ComparisonReport:
-    """Run isolated, gossip, and central over the seeds and aggregate."""
-    return summarize_runs(run_all_topologies(scenario, seeds), seeds)
 
 
 # ---------------------------------------------------------------------------

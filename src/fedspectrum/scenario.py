@@ -1,16 +1,21 @@
 """Scenario schema: strict JSON loading, validation, and node placement.
 
-A scenario file is a flat JSON object; every key is optional except ``seed``
-and unknown keys are rejected so typos cannot silently fall back to
-defaults.  ``docs/scenario_schema.md`` carries the annotated reference.
+A scenario file is a JSON object read straight from the ``Scenario``
+dataclass: its field names are the allowed keys, its field types the
+accepted value types, and its defaults fill absent keys; nested dataclass
+fields are nested objects.  Every key is optional except ``seed``, and
+unknown keys are rejected so typos cannot silently fall back to defaults.
+``docs/scenario_schema.md`` carries the annotated reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from hashlib import sha256
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -69,180 +74,78 @@ class Scenario:
     schedule: SlotSchedule = field(default_factory=SlotSchedule)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    out = asdict(s)
-    out["carrier_band_mhz"] = list(s.carrier_band_mhz)
-    out["central_xy_m"] = list(s.central_xy_m) if s.central_xy_m is not None else None
-    return out
-
-
 def scenario_digest(s: Scenario) -> str:
     """Stable 16-hex-digit fingerprint of the full scenario."""
-    canonical = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(s), sort_keys=True, separators=(",", ":"))
     return sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _reject_unknown(obj: dict, allowed: set[str], ctx: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+# what a value of each field type must be, as schema errors word it
+_EXPECTED = {
+    float: "a number",
+    int: "an integer",
+    str: "a string",
+    bool: "a boolean",
+    tuple: "a pair of numbers",
+}
+
+
+def _convert(hint, value):
+    """``value`` as field type ``hint``; TypeError when it has another type.
+
+    ``hint`` is float (an int is accepted and stored as a float), int, str,
+    bool, a tuple of those, or ``T | None``.  Booleans are not numbers.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # T | None
+        return None if value is None else _convert(args[0], value)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise TypeError
+        return tuple(map(_convert, args, value))
+    allowed = (int, float) if hint is float else hint
+    if isinstance(value, bool) and hint is not bool or not isinstance(value, allowed):
+        raise TypeError
+    return hint(value)
+
+
+def _read(cls, raw: dict, ctx: str):
+    """Dataclass ``cls`` from a JSON object; absent keys take the field defaults.
+
+    Keys, types and defaults all come from the dataclass fields, and nested
+    dataclass fields are read from nested objects.  ``ctx``, the dotted path
+    of the enclosing objects, prefixes key names in error messages.
+    """
+    declared = fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in declared})
     if unknown:
         raise ScenarioSchemaError(f"unknown key {ctx}{unknown[0]!r}")
-
-
-def _num(obj: dict, key: str, default: float, ctx: str) -> float:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioSchemaError(f"key {ctx}{key!r} must be a number")
-    return float(value)
-
-
-def _int(obj: dict, key: str, default: int, ctx: str) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioSchemaError(f"key {ctx}{key!r} must be an integer")
-    return value
-
-
-def _str(obj: dict, key: str, default: str, ctx: str) -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        raise ScenarioSchemaError(f"key {ctx}{key!r} must be a string")
-    return value
-
-
-def _bool(obj: dict, key: str, default: bool, ctx: str) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ScenarioSchemaError(f"key {ctx}{key!r} must be a boolean")
-    return value
-
-
-def _pair(obj: dict, key: str, default, ctx: str):
-    value = obj.get(key, default)
-    if value is None:
-        return None
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-    ):
-        raise ScenarioSchemaError(f"key {ctx}{key!r} must be a pair of numbers")
-    return (float(value[0]), float(value[1]))
-
-
-def _section(obj: dict, key: str) -> dict:
-    value = obj.get(key, {})
-    if not isinstance(value, dict):
-        raise ScenarioSchemaError(f"key {key!r} must be an object")
-    return value
-
-
-_TOP_KEYS = {
-    "seed",
-    "area_size_m",
-    "n_sensors",
-    "n_primary_users",
-    "sensor_placement",
-    "carrier_band_mhz",
-    "central_xy_m",
-    "channel",
-    "pu_traffic",
-    "training",
-    "federation",
-    "schedule",
-}
-_CHANNEL_KEYS = {"pl0_db", "d0_m", "n_exp", "shadowing_sigma_db", "noise_floor_dbm"}
-_TRAFFIC_KEYS = {"tx_power_dbm", "mean_burst_slots", "mean_gap_slots"}
-_TRAINING_KEYS = {
-    "learning_rate",
-    "epochs_per_round",
-    "batch_size",
-    "init_scale",
-    "model_kind",
-}
-_FEDERATION_KEYS = {
-    "topology",
-    "neighbor_radius_m",
-    "weighting",
-    "include_self_weight",
-}
-_SCHEDULE_KEYS = {
-    "n_training_slots",
-    "n_eval_slots",
-    "local_train_period_slots",
-    "federation_period_slots",
-    "window_samples",
-}
+    hints = get_type_hints(cls)
+    values = {}
+    for f in declared:
+        hint, key = hints[f.name], f"{ctx}{f.name!r}"
+        if f.name not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ScenarioSchemaError(f"missing required key {key}")
+        elif is_dataclass(hint):
+            if not isinstance(raw[f.name], dict):
+                raise ScenarioSchemaError(f"key {key} must be an object")
+            values[f.name] = _read(hint, raw[f.name], f"{ctx}{f.name}.")
+        else:
+            try:
+                values[f.name] = _convert(hint, raw[f.name])
+            except TypeError:
+                named = get_args(hint)[0] if get_origin(hint) is UnionType else hint
+                expected = _EXPECTED[get_origin(named) or named]
+                raise ScenarioSchemaError(f"key {key} must be {expected}") from None
+    return cls(**values)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     """Build a Scenario from an already-parsed JSON object (strict keys)."""
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("scenario root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "")
-    if "seed" not in raw:
-        raise ScenarioSchemaError("missing required key 'seed'")
-
-    ch = _section(raw, "channel")
-    _reject_unknown(ch, _CHANNEL_KEYS, "channel.")
-    tr = _section(raw, "pu_traffic")
-    _reject_unknown(tr, _TRAFFIC_KEYS, "pu_traffic.")
-    tc = _section(raw, "training")
-    _reject_unknown(tc, _TRAINING_KEYS, "training.")
-    fc = _section(raw, "federation")
-    _reject_unknown(fc, _FEDERATION_KEYS, "federation.")
-    sc = _section(raw, "schedule")
-    _reject_unknown(sc, _SCHEDULE_KEYS, "schedule.")
-
-    defaults = Scenario(seed=0)
-    band = _pair(raw, "carrier_band_mhz", list(defaults.carrier_band_mhz), "")
-    if band is None:
-        raise ScenarioSchemaError("key 'carrier_band_mhz' must be a pair of numbers")
-    scenario = Scenario(
-        seed=_int(raw, "seed", 0, ""),
-        area_size_m=_num(raw, "area_size_m", defaults.area_size_m, ""),
-        n_sensors=_int(raw, "n_sensors", defaults.n_sensors, ""),
-        n_primary_users=_int(raw, "n_primary_users", defaults.n_primary_users, ""),
-        sensor_placement=_str(raw, "sensor_placement", defaults.sensor_placement, ""),
-        carrier_band_mhz=band,
-        central_xy_m=_pair(raw, "central_xy_m", None, ""),
-        channel=ChannelModel(
-            pl0_db=_num(ch, "pl0_db", 40.0, "channel."),
-            d0_m=_num(ch, "d0_m", 1.0, "channel."),
-            n_exp=_num(ch, "n_exp", 3.0, "channel."),
-            shadowing_sigma_db=_num(ch, "shadowing_sigma_db", 6.0, "channel."),
-            noise_floor_dbm=_num(ch, "noise_floor_dbm", -100.0, "channel."),
-        ),
-        pu_traffic=PuTrafficModel(
-            tx_power_dbm=_num(tr, "tx_power_dbm", 20.0, "pu_traffic."),
-            mean_burst_slots=_num(tr, "mean_burst_slots", 20.0, "pu_traffic."),
-            mean_gap_slots=_num(tr, "mean_gap_slots", 40.0, "pu_traffic."),
-        ),
-        training=TrainingConfig(
-            learning_rate=_num(tc, "learning_rate", 0.2, "training."),
-            epochs_per_round=_int(tc, "epochs_per_round", 4, "training."),
-            batch_size=_int(tc, "batch_size", 10, "training."),
-            init_scale=_num(tc, "init_scale", 0.5, "training."),
-            model_kind=_str(tc, "model_kind", "logistic", "training."),
-        ),
-        federation=FederationConfig(
-            topology=_str(fc, "topology", "isolated", "federation."),
-            neighbor_radius_m=_num(fc, "neighbor_radius_m", 300.0, "federation."),
-            weighting=_str(fc, "weighting", "samples", "federation."),
-            include_self_weight=_bool(fc, "include_self_weight", True, "federation."),
-        ),
-        schedule=SlotSchedule(
-            n_training_slots=_int(sc, "n_training_slots", 2000, "schedule."),
-            n_eval_slots=_int(sc, "n_eval_slots", 2000, "schedule."),
-            local_train_period_slots=_int(
-                sc, "local_train_period_slots", 50, "schedule."
-            ),
-            federation_period_slots=_int(
-                sc, "federation_period_slots", 50, "schedule."
-            ),
-            window_samples=_int(sc, "window_samples", 64, "schedule."),
-        ),
-    )
-    return scenario
+    return _read(Scenario, raw, "")
 
 
 def load_scenario(path) -> Scenario:
@@ -269,9 +172,22 @@ def load_scenario(path) -> Scenario:
     return scenario
 
 
+def _leaves(d: dict, prefix: str = ""):
+    """(dotted name, value) of every non-dict value in a nested dict, tuples as lists."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", list(value) if isinstance(value, tuple) else value
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     """All invariant violations, each naming the offending field."""
     v: list[str] = []
+    for name, value in _leaves(asdict(s)):
+        numbers = value if isinstance(value, list) else [value]
+        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+            v.append(f"{name}: must be finite (got {value})")
     if not s.area_size_m > 0:
         v.append(f"area_size_m: must be > 0 (got {s.area_size_m})")
     if s.n_sensors < 1:

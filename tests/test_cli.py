@@ -243,3 +243,29 @@ def test_console_script_help():
     assert proc.returncode == 0
     for token in ("run", "generate", "compare"):
         assert token in proc.stdout
+
+
+def test_run_rejects_non_finite_radius_by_name(tmp_path, capsys):
+    # a NaN radius used to make every node isolated: gossip with total_bytes 0
+    scenario = json.loads(Path("scenarios/data_scarce.json").read_text(encoding="utf-8"))
+    scenario["federation"]["neighbor_radius_m"] = float("nan")
+    path = tmp_path / "nan_radius.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", str(path), "--out-dir", str(out), "--topology", "gossip"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "federation.neighbor_radius_m: must be finite (got nan)" in captured.err
+    assert captured.out == ""
+    assert not (out / "summary.json").exists()
+
+
+def test_run_topology_defaults_to_the_scenario(tmp_path):
+    # bench/scenarios/dense_gossip.json sets federation.topology to gossip
+    argv = ["run", "--scenario", "bench/scenarios/dense_gossip.json",
+            "--training-slots", "40", "--eval-slots", "5"]
+    assert main(argv + ["--out-dir", str(tmp_path / "default")]) == 0
+    assert main(argv + ["--out-dir", str(tmp_path / "gossip"), "--topology", "gossip"]) == 0
+    summary = (tmp_path / "default" / "summary.json").read_bytes()
+    assert summary == (tmp_path / "gossip" / "summary.json").read_bytes()
+    assert json.loads(summary)["topology"] == "gossip"

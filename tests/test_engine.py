@@ -1,5 +1,6 @@
+import json
 import warnings
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -7,19 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedspectrum import engine
+from fedspectrum.cli import main
 from fedspectrum.engine import (
     DetectionMetrics,
     DivergenceError,
     EmptyInputError,
     METRICS_HEADER,
     RunResult,
-    compare_topologies,
     comparison_table,
     comparison_to_dict,
     evaluate_detection,
     metrics_csv_lines,
     roc_sweep,
-    run_all_topologies,
     run_simulation,
     summarize_runs,
 )
@@ -50,15 +50,32 @@ def small_scenario(seed=1, **kwargs):
 
 
 def test_evaluate_detection_balanced_example():
-    pairs = [(True, True), (False, True), (True, False), (False, False)]
-    m = evaluate_detection(pairs)
+    decided = np.array([True, False, True, False])
+    truths = np.array([True, True, False, False])
+    m = evaluate_detection(decided, truths)
     assert (m.tp, m.fn, m.fp, m.tn) == (1, 1, 1, 1)
     assert m.pd == 0.5 and m.pfa == 0.5 and m.accuracy == 0.5
+    assert all(type(count) is int for count in astuple(m))  # JSON-ready
 
 
 def test_evaluate_detection_empty_raises():
     with pytest.raises(EmptyInputError):
-        evaluate_detection([])
+        evaluate_detection(np.array([], dtype=bool), np.array([], dtype=bool))
+    with pytest.raises(ValueError, match="2 decisions for 1 truth labels"):
+        evaluate_detection(np.array([True, False]), np.array([True]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=30))
+def test_evaluate_detection_matches_pairwise_count(pairs):
+    decided, truths = np.array(pairs).T
+    expected = (
+        sum(d and t for d, t in pairs),
+        sum(d and not t for d, t in pairs),
+        sum(not d and not t for d, t in pairs),
+        sum(not d and t for d, t in pairs),
+    )
+    assert astuple(evaluate_detection(decided, truths)) == expected
 
 
 def test_metrics_undefined_without_support():
@@ -289,12 +306,24 @@ def test_traffic_equals_rounds_times_closed_form():
     assert central.central_aggregation_macs == 3 * 3 * 4
 
 
-def test_run_all_topologies_order_and_summary():
+def test_compare_run_order_and_summary(tmp_path, capsys):
     scenario = small_scenario()
-    runs = run_all_topologies(scenario, [1, 2])
-    assert [r.topology for r in runs] == ["isolated"] * 2 + ["gossip"] * 2 + ["central"] * 2
-    assert [r.seed for r in runs] == [1, 2, 1, 2, 1, 2]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(asdict(scenario)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", "1,2"]) == 0
+    # the CLI runs every seed of one topology before the next topology
+    order = [(t, s) for t in ["isolated", "gossip", "central"] for s in (1, 2)]
+    progress = [l for l in capsys.readouterr().out.splitlines() if "running" in l]
+    assert progress == [f"fedspectrum: running topology={t} seed={s}" for t, s in order]
+    rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+    run_ids = list(dict.fromkeys(r.split(",")[0] for r in rows))
+    assert run_ids == [f"{t}-s{s}" for t, s in order]
+
+    runs = [run_simulation(scenario, t, s) for t, s in order]
     report = summarize_runs(runs, [1, 2])
+    payload = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+    assert payload == comparison_to_dict(report)
     assert set(report.topologies) == {"isolated", "gossip", "central"}
     assert report.topologies["isolated"].total_bytes == 0.0
     assert report.topologies["gossip"].needs_neighbor_comm is True
@@ -302,11 +331,15 @@ def test_run_all_topologies_order_and_summary():
     expected = np.mean([runs[4].traffic.central_bytes, runs[5].traffic.central_bytes])
     assert report.topologies["central"].central_bytes == expected
     with pytest.raises(EmptyInputError):
-        run_all_topologies(scenario, [])
+        summarize_runs([], [])
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", ","])
+    assert exc.value.code == 2
+    assert "need at least one seed" in capsys.readouterr().err
 
 
 def test_metrics_csv_shape_and_global_row():
-    runs = run_all_topologies(small_scenario(), [1])
+    runs = [run_simulation(small_scenario(), t, 1) for t in TOPOLOGIES]
     lines = metrics_csv_lines(runs)
     assert lines[0] == METRICS_HEADER
     assert len(lines) == 1 + 3 * (3 + 1)
@@ -347,7 +380,7 @@ def test_metrics_csv_blank_cell_for_undefined_rate():
 
 
 def test_comparison_serialization_and_table():
-    report = compare_topologies(small_scenario(), [1])
+    report = summarize_runs([run_simulation(small_scenario(), t, 1) for t in TOPOLOGIES], [1])
     payload = comparison_to_dict(report)
     assert list(payload["topologies"]) == ["central", "gossip", "isolated"]
     assert payload["seeds"] == [1]

@@ -1,4 +1,8 @@
 import json
+import re
+from dataclasses import asdict
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -173,3 +177,111 @@ def test_shipped_scenarios_load():
     for name in ("scenarios/default.json", "scenarios/data_scarce.json"):
         s = load_scenario(name)
         assert validate_scenario(s) == []
+
+
+SCHEMA_DOC = Path("docs/scenario_schema.md")
+DOC_TYPES = {
+    "number": float,
+    "int": int,
+    "string": str,
+    "bool": bool,
+    "[number, number]": tuple[float, float],
+}
+
+
+def schema_doc_tables():
+    """{section: {key: (type, default)}} from the doc's tables; "" is the top level."""
+    tables, section = {}, None
+    for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = line[3:].strip("`")
+            section = "" if heading == "Top level" else heading
+        elif line.startswith("| `"):
+            key, type_, default = (cell.strip() for cell in line.strip("|").split("|")[:3])
+            tables.setdefault(section, {})[key.strip("`")] = (type_, default)
+    return tables
+
+
+def float_fields():
+    """Dotted names of every documented number, and of each element of a pair."""
+    for section, rows in schema_doc_tables().items():
+        for key, (doc_type, _) in rows.items():
+            name = f"{section}.{key}" if section else key
+            if doc_type == "number":
+                yield name
+            elif doc_type == "[number, number]":
+                yield from (f"{name}.0", f"{name}.1")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("name", list(float_fields()))
+def test_non_finite_number_is_rejected_by_field_name(tmp_path, name, bad):
+    # Python's json reads NaN, Infinity and -Infinity
+    obj = json.loads(Path("scenarios/default.json").read_text(encoding="utf-8"))
+    obj["central_xy_m"] = [500.0, 500.0]
+    *parents, last = [int(k) if k.isdigit() else k for k in name.split(".")]
+    holder = obj
+    for key in parents:
+        holder = holder[key]
+    holder[last] = bad
+    field, shown = (name[:-2], holder) if isinstance(last, int) else (name, bad)
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(write(tmp_path, obj))
+    assert f"{field}: must be finite (got {shown})" in str(exc.value)
+
+
+def test_non_finite_number_fails_programmatic_validation():
+    s = Scenario(seed=1)
+    s.federation.neighbor_radius_m = float("nan")
+    assert validate_scenario(s) == ["federation.neighbor_radius_m: must be finite (got nan)"]
+
+
+def test_schema_doc_tables_match_the_dataclasses():
+    tables = schema_doc_tables()
+    values = asdict(Scenario(seed=1))
+    hints = get_type_hints(Scenario)
+    sections = {"": ({k: v for k, v in values.items() if not isinstance(v, dict)}, hints)}
+    for name, value in values.items():
+        if isinstance(value, dict):
+            sections[name] = (value, get_type_hints(hints[name]))
+    assert set(tables) == set(sections)
+    for section, (defaults, types) in sections.items():
+        assert set(tables[section]) == set(defaults), section
+        for key, default in defaults.items():
+            doc_type, doc_default = tables[section][key]
+            assert types[key] in (DOC_TYPES[doc_type], DOC_TYPES[doc_type] | None), key
+            if key == "seed":
+                assert doc_default == "required"
+            else:
+                expected = list(default) if isinstance(default, tuple) else default
+                assert json.loads(doc_default.strip("`")) == expected, f"{section}.{key}"
+
+
+def test_schema_doc_example_is_the_default_scenario():
+    text = SCHEMA_DOC.read_text(encoding="utf-8").split("## Complete example", 1)[1]
+    example = json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+    digest = scenario_digest(load_scenario("scenarios/default.json"))
+    assert scenario_digest(scenario_from_dict(example)) == digest
+
+
+# per documented type: what a value must be, and values that are not that
+TYPE_ERRORS = {
+    "number": ("a number", ["x", True, None]),
+    "int": ("an integer", ["x", True, None, 2.5]),
+    "string": ("a string", [7, None]),
+    "bool": ("a boolean", ["yes", 1, None]),
+    "[number, number]": ("a pair of numbers", ["x", True, [1.0], [1.0, "x"]]),
+}
+
+
+@pytest.mark.parametrize(
+    "section,key,doc_type",
+    [(s, k, t) for s, rows in schema_doc_tables().items() for k, (t, _) in rows.items()],
+)
+def test_every_documented_key_rejects_other_types_by_name(section, key, doc_type):
+    expected, wrong_values = TYPE_ERRORS[doc_type]
+    name = f"{section}.{key!r}" if section else repr(key)
+    for value in wrong_values:
+        obj = {"seed": 1, section: {key: value}} if section else {"seed": 1, key: value}
+        with pytest.raises(ScenarioSchemaError, match=f"^key {re.escape(name)} must be {expected}$"):
+            scenario_from_dict(obj)
