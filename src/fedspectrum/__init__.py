@@ -18,7 +18,6 @@ from .engine import (
 )
 from .federation import (
     FederationConfig,
-    NeighborGraph,
     NeighborTable,
     TrafficStats,
     build_neighbor_graph,
@@ -27,7 +26,6 @@ from .federation import (
     fedavg_mix,
     gossip_mix,
     merge_models,
-    neighbor_table,
     payload_bytes,
 )
 from .radio import (
@@ -60,7 +58,6 @@ from .sensing import (
     bce_loss,
     energy_baseline_decide,
     init_model,
-    model_cost,
     predict,
     train_local,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "DivergenceError",
     "FederationConfig",
     "ModelParams",
-    "NeighborGraph",
     "NeighborTable",
     "Placement",
     "PuTrafficModel",
@@ -99,9 +95,7 @@ __all__ = [
     "init_model",
     "load_scenario",
     "merge_models",
-    "model_cost",
     "mw_to_dbm",
-    "neighbor_table",
     "path_loss_db",
     "payload_bytes",
     "place_nodes",

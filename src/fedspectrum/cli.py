@@ -3,15 +3,19 @@
 Exit codes: 0 success, 1 runtime/validation/IO failure, 2 usage error.
 Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
 All outputs land under ``--out-dir`` and existing files are only replaced
-with ``--force``.
+with ``--force``.  Each output is written to a temp file beside it and moved
+into place once the command's outputs are all written, so a failed or
+interrupted command leaves no output behind, whole or partial.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import engine
@@ -107,6 +111,27 @@ def _target(out_dir: Path, name: str, force: bool) -> Path:
     return path
 
 
+@contextmanager
+def _atomic(*paths: Path):
+    """Yield a temp path beside each of ``paths``; they replace the targets
+    when the block succeeds and are removed when it fails."""
+    temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    try:
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+
+
+def _write_all(texts: dict[Path, str]) -> None:
+    """Write each text to its path, all or none."""
+    with _atomic(*texts) as temps:
+        for temp, text in zip(temps, texts.values()):
+            temp.write_text(text, encoding="utf-8")
+
+
 def _say(message: str) -> None:
     print(f"{PROG}: {message}")
 
@@ -123,23 +148,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     topology = args.topology or scenario.federation.topology
     _say(f"running topology={topology} seed={scenario.seed}")
     result = engine.run_simulation(scenario, topology, scenario.seed)
-    metrics_path.write_text(
-        "\n".join(engine.metrics_csv_lines([result])) + "\n", encoding="utf-8"
-    )
+    g = result.global_metrics
     summary = {
         "scenario_digest": result.scenario_digest,
         "topology": result.topology,
         "seed": result.seed,
         "federation_rounds": result.federation_rounds,
-        "global": {
-            "tp": result.global_metrics.tp,
-            "fp": result.global_metrics.fp,
-            "tn": result.global_metrics.tn,
-            "fn": result.global_metrics.fn,
-            "pd": result.global_metrics.pd,
-            "pfa": result.global_metrics.pfa,
-            "accuracy": result.global_metrics.accuracy,
-        },
+        "global": {**asdict(g), "pd": g.pd, "pfa": g.pfa, "accuracy": g.accuracy},
         "traffic": {
             "total_bytes": result.traffic.total_bytes,
             "central_bytes": result.traffic.central_bytes,
@@ -157,18 +172,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             "max_node_aggregation_macs": max(result.node_aggregation_macs),
         },
     }
-    summary_path.write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    texts = {
+        metrics_path: "\n".join(engine.metrics_csv_lines([result])) + "\n",
+        summary_path: json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    }
     if models_path is not None:
-        body = ",\n".join(
-            "  " + model_snapshot_json(m) for m in result.final_models
-        )
-        models_path.write_text("[\n" + body + "\n]\n", encoding="utf-8")
+        body = ",\n".join("  " + model_snapshot_json(m) for m in result.final_models)
+        texts[models_path] = "[\n" + body + "\n]\n"
+    _write_all(texts)
+    if models_path is not None:
         _say(f"wrote {models_path}")
-    acc = result.global_metrics.accuracy
     _say(
-        f"accuracy={acc:.4f} total_bytes={result.traffic.total_bytes} "
+        f"accuracy={g.accuracy:.4f} total_bytes={result.traffic.total_bytes} "
         f"wall={result.wall_seconds:.2f}s"
     )
     _say(f"wrote {metrics_path} and {summary_path}")
@@ -181,7 +196,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = _target(out_dir, "dataset.csv", args.force)
     rng = substream(scenario.seed, "dataset")
-    summary = generate_dataset(scenario, args.sensor_id, args.slots, rng, path)
+    with _atomic(path) as (temp,):
+        summary = generate_dataset(scenario, args.sensor_id, args.slots, rng, temp)
     _say(
         f"wrote {path}: {summary.rows_written} rows, "
         f"positive fraction {summary.positive_fraction:.4f}"
@@ -202,15 +218,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
             _say(f"running topology={topology} seed={seed}")
             runs.append(engine.run_simulation(scenario, topology, seed))
     report = engine.summarize_runs(runs, args.seeds)
-    metrics_path.write_text(
-        "\n".join(engine.metrics_csv_lines(runs)) + "\n", encoding="utf-8"
-    )
-    json_path.write_text(
-        json.dumps(engine.comparison_to_dict(report), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    comparison = json.dumps(engine.comparison_to_dict(report), indent=2, sort_keys=True)
     table = engine.comparison_table(report)
-    table_path.write_text(table, encoding="utf-8")
+    _write_all(
+        {
+            metrics_path: "\n".join(engine.metrics_csv_lines(runs)) + "\n",
+            json_path: comparison + "\n",
+            table_path: table,
+        }
+    )
     print(table, end="")
     _say(f"wrote {metrics_path}, {json_path}, {table_path}")
     return 0

@@ -9,6 +9,12 @@ Training slots fill an ``(n, local_train_period_slots, 3)`` buffer; every
 FedAvg round) fires, training first when both land on the same slot.
 Eval slots: models are frozen, the windows fill an ``(n, n_eval_slots, 3)``
 array, and each node decides all of its windows with one batch prediction.
+Sensor ``i`` is row ``i`` of every array: models, neighbor table, windows.
+
+Costs are closed forms of the schedule, not tallies: every node trains on
+``period * (n_training_slots // period)`` windows, ``epochs_per_round``
+times each at ``3 * macs_per_inference`` (forward, backward, update), and
+traffic and aggregation MACs follow from the rounds and the node degrees.
 
 Random sub-streams are labeled so modules cannot disturb each other:
 ``placement``, ``traffic``, ``init``, ``obs:<node_id>``, ``train:<node_id>``
@@ -32,7 +38,6 @@ from .federation import (
     exchange_traffic,
     fedavg_mix,
     gossip_mix,
-    neighbor_table,
     payload_bytes,
 )
 from .radio import sense_slot
@@ -174,10 +179,9 @@ def run_simulation(
     cfg = scenario.federation
     # Per round: models each node sends and receives, and models merged.
     if topology == "gossip":
-        graph = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
-        table = neighbor_table(graph)
-        degrees = {i: graph.degree(i) for i in range(n)}
-        node_merges, central_merges = list(degrees.values()), 0
+        table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
+        node_merges, central_merges = table.valid.sum(axis=1).tolist(), 0
+        degrees = dict(enumerate(node_merges))
     elif topology == "central":
         degrees = {**dict.fromkeys(range(n), 1), central_id: n}
         node_merges, central_merges = [0] * n, n
@@ -190,7 +194,6 @@ def run_simulation(
     # Row i is sensor i's model, trained on samples[i] since its last exchange.
     theta = np.tile(base_model.theta, (n, 1))
     samples = np.full(n, base_model.n_train_samples, dtype=np.int64)
-    macs_per_inference, param_count = cost_constants(kind)
 
     if shared_streams:
         obs_sensors = sensors[:1]
@@ -209,7 +212,6 @@ def run_simulation(
     # phase never trains); a shared (1, 3) window broadcasts to every row.
     x = np.empty((n, min(period, schedule.n_training_slots), 3))
     y = np.empty(x.shape[1])
-    train_macs = [0] * n
     rounds = 0
 
     for slot in range(1, schedule.n_training_slots + 1):
@@ -219,12 +221,9 @@ def run_simulation(
         if slot % period == 0:
             # a diverging model is reported once, by node, in _check_finite
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(n):
-                    model = ModelParams(kind, theta[i], int(samples[i]))
-                    trained, delta = train_local(model, x[i], y, tc, train_rngs[i])
-                    theta[i] = trained.theta
-                    samples[i] = trained.n_train_samples
-                    train_macs[i] += delta.train_macs_accumulated
+                for i, rng in enumerate(train_rngs):
+                    theta[i] = train_local(ModelParams(kind, theta[i]), x[i], y, tc, rng).theta
+            samples += len(y)
             _check_finite(theta, f"after local training round {slot // period} (slot {slot})")
         if topology != "isolated" and slot % schedule.federation_period_slots == 0:
             rounds += 1
@@ -246,10 +245,11 @@ def run_simulation(
         evaluate_detection(predict_batch(m, xe) >= 0.5, truths) for m, xe in zip(models, x_eval)
     ]
     global_metrics = DetectionMetrics(*np.sum([astuple(m) for m in per_node], axis=0).tolist())
-    costs = [
-        CostReport(macs_per_inference, param_count, 8 * param_count, train_macs[i])
-        for i in range(n)
-    ]
+    # closed forms (module docstring): every node trains on each full period
+    macs_per_inference, param_count = cost_constants(kind)
+    windows = period * (schedule.n_training_slots // period)
+    train_macs = 3 * tc.epochs_per_round * windows * macs_per_inference
+    cost = CostReport(macs_per_inference, param_count, 8 * param_count, train_macs)
     return RunResult(
         scenario_digest=scenario_digest(scenario),
         topology=topology,
@@ -257,7 +257,7 @@ def run_simulation(
         per_node_metrics=per_node,
         global_metrics=global_metrics,
         traffic=exchange_traffic(degrees, payload_bytes(param_count), rounds, central_id),
-        per_node_cost=costs,
+        per_node_cost=[cost] * n,
         node_aggregation_macs=[rounds * param_count * m for m in node_merges],
         central_aggregation_macs=rounds * param_count * central_merges,
         federation_rounds=rounds,
@@ -379,44 +379,18 @@ def metrics_csv_lines(runs: Sequence[RunResult]) -> list[str]:
     """CSV rows: one per sensor per run plus a totals row per run."""
     lines = [METRICS_HEADER]
     for run in runs:
-        run_id = f"{run.topology}-s{run.seed}"
-        for i, metrics in enumerate(run.per_node_metrics):
-            cost = run.per_node_cost[i]
-            lines.append(
-                ",".join(
-                    [
-                        run_id,
-                        run.topology,
-                        str(run.seed),
-                        str(i),
-                        _fmt_rate(metrics.pd),
-                        _fmt_rate(metrics.pfa),
-                        _fmt_rate(metrics.accuracy),
-                        str(run.traffic.tx_bytes.get(i, 0)),
-                        str(run.traffic.rx_bytes.get(i, 0)),
-                        str(cost.train_macs_accumulated),
-                        str(cost.model_bytes),
-                    ]
-                )
-            )
-        g = run.global_metrics
-        lines.append(
-            ",".join(
-                [
-                    run_id,
-                    run.topology,
-                    str(run.seed),
-                    "global",
-                    _fmt_rate(g.pd),
-                    _fmt_rate(g.pfa),
-                    _fmt_rate(g.accuracy),
-                    str(sum(run.traffic.tx_bytes.values())),
-                    str(sum(run.traffic.rx_bytes.values())),
-                    str(sum(c.train_macs_accumulated for c in run.per_node_cost)),
-                    str(sum(c.model_bytes for c in run.per_node_cost)),
-                ]
-            )
-        )
+        tx, rx, costs = run.traffic.tx_bytes, run.traffic.rx_bytes, run.per_node_cost
+        rows = [
+            (str(i), m, tx.get(i, 0), rx.get(i, 0), c.train_macs_accumulated, c.model_bytes)
+            for i, (m, c) in enumerate(zip(run.per_node_metrics, costs))
+        ]
+        # totals over every node, the coordinator's traffic included
+        totals = [sum(tx.values()), sum(rx.values())]
+        totals += [sum(c.train_macs_accumulated for c in costs), sum(c.model_bytes for c in costs)]
+        for node, m, *counts in rows + [("global", run.global_metrics, *totals)]:
+            cells = [f"{run.topology}-s{run.seed}", run.topology, str(run.seed), node]
+            cells += [_fmt_rate(m.pd), _fmt_rate(m.pfa), _fmt_rate(m.accuracy)]
+            lines.append(",".join(cells + [str(count) for count in counts]))
     return lines
 
 

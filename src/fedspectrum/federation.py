@@ -1,13 +1,15 @@
 """Model exchange as one mixing step over stacked node models.
 
 The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
-``i``) plus ``(n,)`` sample counts.  A gossip round mixes each row with its
-radio-range neighbors' rows; a central round replaces every row by their
-FedAvg mean.  Rounds are synchronous, and both steps match the per-model
-references ``merge_models`` and ``fedavg_aggregate`` bit for bit.  Traffic
-is a closed form: per round each node sends one model to and receives one
-from each peer, at ``16 + 8 * param_count`` bytes a model (4-byte sender id,
-4-byte round index, 8-byte sample count, then float64 coefficients).
+``i``) plus ``(n,)`` sample counts, and the radio-range graph as one padded
+``NeighborTable`` whose row ``i`` lists node ``i``'s neighbors.  A gossip
+round mixes each row with its neighbors' rows; a central round replaces
+every row by their FedAvg mean.  Rounds are synchronous, and both steps
+match the per-model references ``merge_models`` and ``fedavg_aggregate``
+bit for bit.  Traffic is a closed form: per round each node sends one model
+to and receives one from each peer, at ``16 + 8 * param_count`` bytes a
+model (4-byte sender id, 4-byte round index, 8-byte sample count, then
+float64 coefficients).
 """
 
 from __future__ import annotations
@@ -50,24 +52,6 @@ class FederationConfig:
 
 
 @dataclass
-class NeighborGraph:
-    """Symmetric radio-range graph over the sensor nodes, no self loops."""
-
-    adjacency: dict[int, list[int]]
-    distances: dict[int, list[float]]
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
-    def degree(self, node_id: int) -> int:
-        return len(self.adjacency[node_id])
-
-    def sum_degrees(self) -> int:
-        return sum(len(v) for v in self.adjacency.values())
-
-
-@dataclass
 class TrafficStats:
     """Byte counters for one or more federation rounds."""
 
@@ -98,46 +82,42 @@ def exchange_traffic(
     )
 
 
-def build_neighbor_graph(
-    placements: Sequence["Placement"], radius_m: float
-) -> NeighborGraph:
-    """Connect every pair of sensors within ``radius_m`` of each other."""
-    nodes = sorted(placements, key=lambda p: p.node_id)
-    adjacency: dict[int, list[int]] = {p.node_id: [] for p in nodes}
-    distances: dict[int, list[float]] = {p.node_id: [] for p in nodes}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            d = math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
-            if d <= radius_m:
-                adjacency[a.node_id].append(b.node_id)
-                distances[a.node_id].append(d)
-                adjacency[b.node_id].append(a.node_id)
-                distances[b.node_id].append(d)
-    return NeighborGraph(adjacency, distances)
-
-
 class NeighborTable(NamedTuple):
-    """A neighbor graph padded to ``(n, max_degree)`` arrays: row ``i`` lists
-    node ``i``'s neighbors in adjacency order; padded slots have ``valid``
-    False, id 0 and distance inf."""
+    """The symmetric radio-range graph, no self loops, padded to
+    ``(n, max_degree)`` arrays: row ``i`` lists node ``i``'s neighbors in
+    ascending order; padded slots have ``valid`` False, id 0 and distance
+    inf.  Node ``i``'s degree is ``valid[i].sum()``."""
 
     ids: np.ndarray
     valid: np.ndarray
     distances: np.ndarray
 
 
-def neighbor_table(graph: NeighborGraph) -> NeighborTable:
-    """Pad ``graph`` (node ids ``0..n-1``) into a ``NeighborTable``."""
-    n = len(graph.adjacency)
-    width = max(map(len, graph.adjacency.values()), default=0)
+def build_neighbor_graph(
+    placements: Sequence["Placement"], radius_m: float
+) -> NeighborTable:
+    """Connect every pair of nodes within ``radius_m`` of each other; row
+    ``i`` is the ``i``-th placement by node id (sensors have ids ``0..n-1``)."""
+    nodes = sorted(placements, key=lambda p: p.node_id)
+    n = len(nodes)
+    ids: list[list[int]] = [[] for _ in range(n)]
+    dists: list[list[float]] = [[] for _ in range(n)]
+    for i, a in enumerate(nodes):
+        for j, b in enumerate(nodes[i + 1 :], i + 1):
+            d = math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
+            if d <= radius_m:
+                ids[i].append(j)
+                dists[i].append(d)
+                ids[j].append(i)
+                dists[j].append(d)
+    width = max(map(len, ids), default=0)
     table = NeighborTable(
         np.zeros((n, width), np.intp), np.zeros((n, width), bool), np.full((n, width), np.inf)
     )
-    for i in range(n):
-        k = len(graph.adjacency[i])
-        table.ids[i, :k] = graph.adjacency[i]
-        table.valid[i, :k] = True
-        table.distances[i, :k] = graph.distances[i]
+    for i, row in enumerate(ids):
+        table.ids[i, : len(row)] = row
+        table.valid[i, : len(row)] = True
+        table.distances[i, : len(row)] = dists[i]
     return table
 
 

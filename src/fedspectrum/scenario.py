@@ -93,8 +93,10 @@ _EXPECTED = {
 def _convert(hint, value):
     """``value`` as field type ``hint``; TypeError when it has another type.
 
-    ``hint`` is float (an int is accepted and stored as a float), int, str,
-    bool, a tuple of those, or ``T | None``.  Booleans are not numbers.
+    ``hint`` is float (an int is accepted and stored as a float; one beyond
+    float range becomes an infinity, as JSON's ``1e400`` does, for validation
+    to reject), int, str, bool, a tuple of those, or ``T | None``.  Booleans
+    are not numbers.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:  # T | None
@@ -106,7 +108,10 @@ def _convert(hint, value):
     allowed = (int, float) if hint is float else hint
     if isinstance(value, bool) and hint is not bool or not isinstance(value, allowed):
         raise TypeError
-    return hint(value)
+    try:
+        return hint(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _read(cls, raw: dict, ctx: str):

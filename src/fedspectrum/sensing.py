@@ -59,8 +59,10 @@ class TrainingConfig:
     model_kind: str = "logistic"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostReport:
+    """One node's model costs; a run shares one report among all its nodes."""
+
     macs_per_inference: int
     param_count: int
     model_bytes: int
@@ -171,18 +173,14 @@ def train_local(
     y: np.ndarray,
     tc: TrainingConfig,
     rng: np.random.Generator,
-) -> tuple[ModelParams, CostReport]:
+) -> ModelParams:
     """Run ``epochs_per_round`` epochs of mini-batch gradient descent.
 
     ``x`` is the (n, 3) feature buffer and ``y`` its (n,) 0/1 labels.  The
     buffer is reshuffled once per epoch through ``rng``; the last batch of
-    an epoch may be short.  Compute cost is booked as
-    ``epochs * n * macs_per_inference * 3`` (forward, backward, update).
-    The returned model is not checked for divergence: callers such as
+    an epoch may be short.  Returns a new model backed by ``n`` more
+    samples; it is not checked for divergence: callers such as
     ``run_simulation`` check its coefficients are finite.
-
-    Returns:
-        (updated model, CostReport delta for this call)
     """
     n = len(x)
     if n == 0:
@@ -195,24 +193,12 @@ def train_local(
             idx = order[start : start + tc.batch_size]
             grad = bce_gradient(updated, x[idx], y[idx])
             theta -= tc.learning_rate * grad
-    macs, params = cost_constants(model.kind)
-    delta = CostReport(
-        macs_per_inference=macs,
-        param_count=params,
-        model_bytes=8 * params,
-        train_macs_accumulated=tc.epochs_per_round * n * macs * 3,
-    )
-    return updated, delta
+    return updated
 
 
 def energy_baseline_decide(features: Sequence[float], threshold_std: float) -> bool:
     """Classical energy detector on the standardized mean-power feature."""
     return bool(features[0] > threshold_std)
-
-
-def model_cost(model: ModelParams) -> CostReport:
-    macs, params = cost_constants(model.kind)
-    return CostReport(macs, params, 8 * params, 0)
 
 
 def model_snapshot_json(model: ModelParams) -> str:

@@ -14,12 +14,7 @@ from scipy.stats import wilcoxon
 
 from fedspectrum.cli import main
 from fedspectrum.engine import roc_sweep, run_simulation
-from fedspectrum.federation import (
-    FederationConfig,
-    build_neighbor_graph,
-    gossip_mix,
-    neighbor_table,
-)
+from fedspectrum.federation import FederationConfig, build_neighbor_graph, gossip_mix
 from fedspectrum.radio import ChannelModel, PuTrafficModel, window_features
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, SlotSchedule, load_scenario, place_nodes
@@ -138,12 +133,12 @@ def test_criterion_4_traffic_closed_form():
 
         placements = place_nodes(scenario, substream(scenario.seed, "placement"))
         sensors = [p for p in placements if p.kind == "sensor"]
-        graph = build_neighbor_graph(sensors, scenario.federation.neighbor_radius_m)
+        valid = build_neighbor_graph(sensors, scenario.federation.neighbor_radius_m).valid
         gossip = run_simulation(scenario, "gossip", scenario.seed)
-        assert gossip.traffic.total_bytes == 3 * 48 * graph.sum_degrees()
-        assert gossip.traffic.messages == 3 * graph.sum_degrees()
+        assert gossip.traffic.total_bytes == 3 * 48 * valid.sum()
+        assert gossip.traffic.messages == 3 * valid.sum()
         for i in range(14):
-            assert gossip.traffic.node_bytes(i) == 3 * 2 * 48 * graph.degree(i)
+            assert gossip.traffic.node_bytes(i) == 3 * 2 * 48 * valid[i].sum()
 
 
 def test_criterion_5_traffic_concentration(compare_dirs):
@@ -207,7 +202,7 @@ def test_criterion_8_roc_monotonicity():
                 from fedspectrum.sensing import init_model
 
                 model = init_model(kind, tc, substream(81 + index, "init"))
-            trained, _ = train_local(model, x, y, tc, substream(81 + index, "train:0"))
+            trained = train_local(model, x, y, tc, substream(81 + index, "train:0"))
             points = roc_sweep(trained, x, y == 1.0, 101)
             pds = [p[1] for p in points]
             pfas = [p[2] for p in points]
@@ -218,7 +213,7 @@ def test_criterion_8_roc_monotonicity():
 def test_criterion_9_consensus_contraction():
     with criterion(9, "uniform gossip on a 5-node line contracts the parameter spread"):
         placements = [Placement(i, "sensor", 100.0 * i, 0.0) for i in range(5)]
-        table = neighbor_table(build_neighbor_graph(placements, 150.0))
+        table = build_neighbor_graph(placements, 150.0)
         cfg = FederationConfig(topology="gossip", weighting="uniform")
         rng = substream(91, "init")
         theta = np.stack([rng.normal(0.0, 1.0, size=4) for _ in range(5)])

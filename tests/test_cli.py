@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from fedspectrum import radio
 from fedspectrum.cli import _parse_seeds, main
 
 FAST_SCENARIO = {
@@ -269,3 +270,76 @@ def test_run_topology_defaults_to_the_scenario(tmp_path):
     summary = (tmp_path / "default" / "summary.json").read_bytes()
     assert summary == (tmp_path / "gossip" / "summary.json").read_bytes()
     assert json.loads(summary)["topology"] == "gossip"
+
+
+def test_run_names_an_integer_beyond_float_range(tmp_path):
+    # float(10**400) raises OverflowError, which used to escape as a traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**FAST_SCENARIO, "area_size_m": 10**400}), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedspectrum.cli", "run", "--scenario", str(path),
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["fedspectrum: error: area_size_m: must be finite (got inf)"]
+    assert proc.stdout == ""
+
+
+def fail_second_write_midway(monkeypatch):
+    """Make the second ``Path.write_text`` write half its text, then fail."""
+    write_text, calls = Path.write_text, []
+
+    def write_half_then_fail(self, text, **kwargs):
+        calls.append(self)
+        if len(calls) == 2:
+            write_text(self, text[: len(text) // 2], **kwargs)
+            raise OSError(28, "No space left on device")
+        return write_text(self, text, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--export-models"], ["compare", "--seeds", "1"]],
+    ids=["run", "compare"],
+)
+def test_failed_write_leaves_no_output(argv, scenario_path, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = argv + ["--scenario", scenario_path, "--out-dir", str(out)]
+    with monkeypatch.context() as patch:
+        fail_second_write_midway(patch)
+        assert main(argv) == 1
+    assert capsys.readouterr().err.endswith("No space left on device\n")
+    assert list(out.iterdir()) == []  # no target, no temp file
+    # nothing was written, so the next run needs no --force
+    assert main(argv) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(written) == 3
+    # a failed --force run keeps the previous outputs whole
+    with monkeypatch.context() as patch:
+        fail_second_write_midway(patch)
+        assert main(argv + ["--force"]) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+def test_failed_generate_leaves_no_dataset(scenario_path, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out"
+    argv = ["generate", "--scenario", scenario_path, "--out-dir", str(out), "--slots", "20"]
+    sense_slot, calls = radio.sense_slot, []
+
+    def fail_at_slot_10(*args):
+        calls.append(args)
+        if len(calls) == 10:
+            raise OSError("sensor read failed")
+        return sense_slot(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(radio, "sense_slot", fail_at_slot_10)
+        assert main(argv) == 1
+    assert "sensor read failed" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert main(argv) == 0
+    assert len((out / "dataset.csv").read_text(encoding="utf-8").splitlines()) == 21

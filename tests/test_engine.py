@@ -4,7 +4,7 @@ from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectrum import engine
@@ -26,8 +26,15 @@ from fedspectrum.engine import (
 from fedspectrum.federation import TOPOLOGIES, FederationConfig, TrafficStats
 from fedspectrum.radio import pu_activity_step
 from fedspectrum.rng import substream
-from fedspectrum.scenario import Scenario, ScenarioValidationError, SlotSchedule, load_scenario
-from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig
+from fedspectrum.scenario import (
+    Scenario,
+    ScenarioValidationError,
+    SlotSchedule,
+    load_scenario,
+    place_nodes,
+)
+from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig, cost_constants
+from oracles import radio_range
 
 
 def small_scenario(seed=1, **kwargs):
@@ -128,8 +135,9 @@ def test_run_simulation_shapes_and_counts():
     assert result.federation_rounds == 0
     assert result.traffic.total_bytes == 0
     assert result.traffic.messages == 0
-    assert all(c.train_macs_accumulated > 0 for c in result.per_node_cost)
-    assert all(c.model_bytes == 32 for c in result.per_node_cost)
+    # 4 epochs over 60 windows at 3 MACs per pass (forward, backward, update)
+    # of 3 MACs each; 4 float64 coefficients
+    assert result.per_node_cost == [CostReport(3, 4, 32, 4 * 60 * 3 * 3)] * 3
     assert result.central_aggregation_macs == 0
     assert result.node_aggregation_macs == [0, 0, 0]
     assert result.wall_seconds > 0.0
@@ -237,6 +245,61 @@ def test_every_window_is_counted_once_against_one_truth_per_slot(
     assert {m.tp + m.fn for m in result.per_node_metrics} == {occupied}
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sensors=st.integers(1, 6),
+    placement=st.sampled_from(["grid", "uniform_random"]),
+    kind=st.sampled_from(["logistic", "mlp"]),
+    topology=st.sampled_from(TOPOLOGIES),
+    n_training=st.integers(0, 30),
+    period=st.integers(1, 40),
+    federation_period=st.integers(1, 40),
+    epochs=st.integers(1, 3),
+    radius=st.floats(0.0, 500.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+# a training period longer than the phase: nothing is trained
+@example(3, "grid", "mlp", "gossip", 25, 30, 10, 2, 250.0, 5)
+def test_costs_and_traffic_are_closed_forms(
+    n_sensors, placement, kind, topology, n_training, period, federation_period, epochs,
+    radius, seed,
+):
+    scenario = small_scenario(
+        seed=seed,
+        n_sensors=n_sensors,
+        sensor_placement=placement,
+        training=TrainingConfig(model_kind=kind, epochs_per_round=epochs),
+        schedule=SlotSchedule(n_training, 1, period, federation_period, 4),
+        federation=FederationConfig(neighbor_radius_m=radius),
+    )
+    result = run_simulation(scenario, topology, seed)
+    macs, params = cost_constants(kind)
+    windows = period * (n_training // period)
+    cost = CostReport(macs, params, 8 * params, 3 * epochs * windows * macs)
+    assert result.per_node_cost == [cost] * n_sensors
+
+    # links per round: each sensor's neighbors (gossip) or the coordinator (central)
+    rounds = 0 if topology == "isolated" else n_training // federation_period
+    degree, central = np.zeros(n_sensors, np.int64), 0
+    if topology == "gossip":
+        placements = place_nodes(scenario, substream(seed, "placement"))
+        xy = [(p.x_m, p.y_m) for p in placements if p.kind == "sensor"]
+        degree = radio_range(xy, radius)[0].sum(axis=1)
+    elif topology == "central":
+        degree, central = degree + 1, n_sensors
+    payload = 16 + 8 * params
+    traffic = result.traffic
+    assert result.federation_rounds == rounds
+    assert traffic.messages == rounds * (degree.sum() + central)
+    assert traffic.total_bytes == rounds * (degree.sum() + central) * payload
+    assert traffic.central_bytes == 2 * rounds * central * payload
+    node_bytes = [traffic.node_bytes(i) for i in range(n_sensors)]
+    assert node_bytes == (2 * rounds * payload * degree).tolist()
+    merges = degree if topology == "gossip" else 0 * degree
+    assert result.node_aggregation_macs == (rounds * params * merges).tolist()
+    assert result.central_aggregation_macs == rounds * params * central
+
+
 def test_run_simulation_deterministic_rerun():
     a = run_simulation(small_scenario(), "gossip", 7)
     b = run_simulation(small_scenario(), "gossip", 7)
@@ -290,15 +353,13 @@ def test_traffic_equals_rounds_times_closed_form():
     result = run_simulation(small_scenario(), "gossip", 15)
     assert result.federation_rounds == 3
     from fedspectrum.federation import build_neighbor_graph
-    from fedspectrum.rng import substream
-    from fedspectrum.scenario import place_nodes
 
     placements = place_nodes(small_scenario(), substream(15, "placement"))
     sensors = [p for p in placements if p.kind == "sensor"]
-    graph = build_neighbor_graph(sensors, 400.0)
-    assert result.traffic.total_bytes == 3 * 48 * graph.sum_degrees()
+    valid = build_neighbor_graph(sensors, 400.0).valid
+    assert result.traffic.total_bytes == 3 * 48 * valid.sum()
     assert result.traffic.central_bytes == 0
-    assert result.node_aggregation_macs == [3 * graph.degree(i) * 4 for i in range(3)]
+    assert result.node_aggregation_macs == [3 * valid[i].sum() * 4 for i in range(3)]
 
     central = run_simulation(small_scenario(), "central", 15)
     assert central.traffic.total_bytes == 3 * 2 * 3 * 48

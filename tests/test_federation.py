@@ -8,6 +8,7 @@ from fedspectrum.federation import (
     EmptyUpdatesError,
     FederationConfig,
     KindMismatchError,
+    NeighborTable,
     NonpositiveDistanceError,
     TrafficStats,
     build_neighbor_graph,
@@ -16,11 +17,11 @@ from fedspectrum.federation import (
     fedavg_mix,
     gossip_mix,
     merge_models,
-    neighbor_table,
     payload_bytes,
 )
 from fedspectrum.scenario import Placement
 from fedspectrum.sensing import ModelParams, model_dim
+from oracles import radio_range
 
 
 def logistic(value, n=0):
@@ -36,21 +37,30 @@ def test_payload_bytes():
     assert payload_bytes(41) == 344
 
 
+def neighbors(table):
+    """Row i's neighbor ids, padding dropped."""
+    return [ids[valid].tolist() for ids, valid in zip(table.ids, table.valid)]
+
+
 def test_neighbor_graph_radius_and_symmetry():
-    g = build_neighbor_graph(line_placements(100.0, 4), 150.0)
-    assert g.adjacency == {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
-    assert g.distances[1] == [100.0, 100.0]
-    assert g.n_edges == 3
-    assert g.degree(1) == 2
-    assert g.sum_degrees() == 6
+    table = build_neighbor_graph(line_placements(100.0, 4), 150.0)
+    assert neighbors(table) == [[1], [0, 2], [1, 3], [2]]
+    assert table.distances[1].tolist() == [100.0, 100.0]
+    # padded slots: invalid, id 0, distance inf
+    assert table.valid[0].tolist() == [True, False]
+    assert table.ids[0].tolist() == [1, 0]
+    assert table.distances[0].tolist() == [100.0, np.inf]
+    assert table.valid.sum() // 2 == 3  # edges
+    assert table.valid[1].sum() == 2
+    assert table.valid.sum() == 6
 
 
 def test_neighbor_graph_boundary_inclusive():
-    g = build_neighbor_graph(line_placements(100.0, 2), 100.0)
-    assert g.adjacency == {0: [1], 1: [0]}
-    g = build_neighbor_graph(line_placements(100.0, 2), 99.999)
-    assert g.adjacency == {0: [], 1: []}
-    assert g.n_edges == 0
+    table = build_neighbor_graph(line_placements(100.0, 2), 100.0)
+    assert neighbors(table) == [[1], [0]]
+    table = build_neighbor_graph(line_placements(100.0, 2), 99.999)
+    assert neighbors(table) == [[], []]
+    assert table.valid.shape == (2, 0) and table.valid.sum() == 0
 
 
 def test_merge_uniform_average():
@@ -195,8 +205,8 @@ def stacked(models):
     return theta, np.array([m.n_train_samples for m in models], dtype=np.int64)
 
 
-def degrees_of(graph):
-    return {i: graph.degree(i) for i in graph.adjacency}
+def degrees_of(table):
+    return dict(enumerate(table.valid.sum(axis=1).tolist()))
 
 
 def star(n, central_id):
@@ -206,11 +216,11 @@ def star(n, central_id):
 
 def test_gossip_round_snapshot_semantics():
     # 3-node line, uniform weighting: every merge must read pre-round models
-    graph = build_neighbor_graph(line_placements(100.0, 3), 150.0)
+    table = build_neighbor_graph(line_placements(100.0, 3), 150.0)
     theta, counts = stacked([logistic(0.0, 4), logistic(3.0, 4), logistic(9.0, 4)])
     before = theta.copy()
     cfg = FederationConfig(weighting="uniform")
-    new_theta, new_counts = gossip_mix(theta, counts, neighbor_table(graph), cfg)
+    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
     np.testing.assert_allclose(new_theta[0], np.full(4, 1.5), rtol=1e-15)
     np.testing.assert_allclose(new_theta[1], np.full(4, 4.0), rtol=1e-15)
     np.testing.assert_allclose(new_theta[2], np.full(4, 6.0), rtol=1e-15)
@@ -218,38 +228,36 @@ def test_gossip_round_snapshot_semantics():
     # inputs untouched
     np.testing.assert_array_equal(theta, before)
     assert counts.tolist() == [4, 4, 4]
-    stats = exchange_traffic(degrees_of(graph), 48, 1, central_id=9)
+    stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
     assert stats.tx_bytes == stats.rx_bytes == {0: 48, 1: 96, 2: 48}
     assert stats.messages == 4
 
 
 def test_gossip_isolated_node_untouched():
-    placements = line_placements(100.0, 3)
-    graph = build_neighbor_graph(placements, 100.0)
-    graph.adjacency[2] = []
-    graph.distances[2] = []
-    graph.adjacency[1] = [0]
-    graph.distances[1] = [100.0]
+    # the 3-node line at radius 100 with link 1-2 cut: node 2 has no neighbor
+    table = NeighborTable(
+        ids=np.array([[1], [0], [0]]),
+        valid=np.array([[True], [True], [False]]),
+        distances=np.array([[100.0], [100.0], [np.inf]]),
+    )
     theta, counts = stacked([logistic(0.0, 4), logistic(3.0, 4), logistic(9.0, 7)])
     for self_weight in (True, False):
         cfg = FederationConfig(weighting="uniform", include_self_weight=self_weight)
-        new_theta, new_counts = gossip_mix(theta, counts, neighbor_table(graph), cfg)
+        new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
         assert new_theta[2].tobytes() == theta[2].tobytes()
         assert new_counts.tolist() == [0, 0, 7]
-    stats = exchange_traffic(degrees_of(graph), 48, 1, central_id=9)
+    stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
     assert stats.messages == 2
     assert 2 not in stats.tx_bytes and 2 not in stats.rx_bytes
 
 
 def test_gossip_empty_graph_no_messages():
-    graph = build_neighbor_graph(line_placements(1000.0, 3), 10.0)
+    table = build_neighbor_graph(line_placements(1000.0, 3), 10.0)
     theta, counts = stacked([logistic(1.0, 1), logistic(2.0, 2), logistic(3.0, 3)])
-    new_theta, new_counts = gossip_mix(
-        theta, counts, neighbor_table(graph), FederationConfig(weighting="samples")
-    )
+    new_theta, new_counts = gossip_mix(theta, counts, table, FederationConfig(weighting="samples"))
     np.testing.assert_array_equal(new_theta, theta)
     np.testing.assert_array_equal(new_counts, counts)
-    assert exchange_traffic(degrees_of(graph), 48, 5, central_id=9) == TrafficStats()
+    assert exchange_traffic(degrees_of(table), 48, 5, central_id=9) == TrafficStats()
 
 
 def message_traffic(links, payload, rounds, central_id):
@@ -273,12 +281,12 @@ def test_gossip_message_count_equals_degree_sum(seed, n, rounds):
         Placement(i, "sensor", float(x), float(y))
         for i, (x, y) in enumerate(rng.uniform(0, 500, size=(n, 2)))
     ]
-    graph = build_neighbor_graph(placements, float(rng.uniform(0, 400)))
-    stats = exchange_traffic(degrees_of(graph), 48, rounds, central_id=99)
-    links = [(i, j) for i in graph.adjacency for j in graph.adjacency[i]]
+    table = build_neighbor_graph(placements, float(rng.uniform(0, 400)))
+    stats = exchange_traffic(degrees_of(table), 48, rounds, central_id=99)
+    links = [(i, j) for i, row in enumerate(neighbors(table)) for j in row]
     assert stats == message_traffic(links, 48, rounds, central_id=99)
-    assert stats.messages == rounds * graph.sum_degrees()
-    assert stats.total_bytes == 48 * rounds * graph.sum_degrees()
+    assert stats.messages == rounds * table.valid.sum()
+    assert stats.total_bytes == 48 * rounds * table.valid.sum()
     assert stats.central_bytes == 0
 
 
@@ -353,18 +361,69 @@ def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight
         for i, (x, y) in enumerate(rng.uniform(0, 500, size=(n, 2)))
     ]
     # radii from empty to complete, so some nodes are isolated and rows are padded
-    graph = build_neighbor_graph(placements, float(rng.uniform(0, 500)))
+    table = build_neighbor_graph(placements, float(rng.uniform(0, 500)))
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
     models = random_models(rng, n, kind)
     theta, counts = stacked(models)
-    new_theta, new_counts = gossip_mix(theta, counts, neighbor_table(graph), cfg)
-    for i in range(n):
-        received = [
-            (models[j], d) for j, d in zip(graph.adjacency[i], graph.distances[i])
-        ]
+    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+    for i, (ids, valid, distances) in enumerate(zip(*table)):
+        received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
         expected = merge_models(models[i], received, cfg)
         assert new_theta[i].tobytes() == expected.theta.tobytes()
         assert new_counts[i] == (0 if received else models[i].n_train_samples)
+
+
+def mixing_matrix(adjacent, dist, counts, cfg):
+    """Dense row-stochastic ``W`` of one gossip round, so that the round maps
+    ``theta`` to ``W @ theta``; a row without neighbors is an identity row."""
+    n = len(adjacent)
+    own = np.ones(n)
+    if cfg.weighting == "uniform":
+        links = np.where(adjacent, 1.0, 0.0)
+    elif cfg.weighting == "samples":
+        own = np.maximum(counts, 1).astype(np.float64)
+        links = np.where(adjacent, own[None, :], 0.0)
+    else:
+        links = np.where(adjacent, 1.0 / np.where(adjacent, dist, 1.0), 0.0)
+    w = links + np.diag(own if cfg.include_self_weight else np.zeros(n))
+    mixes = adjacent.any(axis=1)
+    w[mixes] /= w[mixes].sum(axis=1, keepdims=True)
+    w[~mixes] = np.eye(n)[~mixes]
+    return w
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.floats(0.0, 600.0),
+    st.sampled_from(WEIGHTINGS),
+    st.booleans(),
+    st.sampled_from(["logistic", "mlp"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_gossip_mix_equals_its_mixing_matrix(seed, n, radius, weighting, self_weight, kind):
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0, 500, size=(n, 2))
+    placements = [Placement(i, "sensor", float(x), float(y)) for i, (x, y) in enumerate(xy)]
+    table = build_neighbor_graph(placements, radius)
+    # the table holds exactly the numpy distance matrix's graph
+    adjacent, dist = radio_range(xy, radius)
+    degree = adjacent.sum(axis=1)
+    assert table.valid.shape == table.ids.shape == table.distances.shape == (n, degree.max())
+    for i, k in enumerate(degree):
+        assert table.ids[i, :k].tolist() == np.flatnonzero(adjacent[i]).tolist()
+        assert table.valid[i].tolist() == [True] * k + [False] * (degree.max() - k)
+        np.testing.assert_allclose(table.distances[i, :k], dist[i, adjacent[i]], rtol=1e-15)
+        assert np.all(table.ids[i, k:] == 0) and np.all(table.distances[i, k:] == np.inf)
+
+    cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
+    theta, counts = stacked(random_models(rng, n, kind))
+    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+    w = mixing_matrix(adjacent, dist, counts, cfg)
+    assert np.all(w >= 0.0)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new_theta, w @ theta, rtol=0, atol=1e-12)
+    assert new_counts.tolist() == np.where(degree > 0, 0, counts).tolist()
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.sampled_from(["logistic", "mlp"]))
@@ -381,7 +440,7 @@ def test_fedavg_mix_matches_fedavg_aggregate_bitwise(seed, n, kind):
 def test_gossip_mix_rejects_what_merge_models_rejects():
     # two sensors at one spot: inverse-distance weighting has no weight for them
     placements = [Placement(0, "sensor", 5.0, 5.0), Placement(1, "sensor", 5.0, 5.0)]
-    table = neighbor_table(build_neighbor_graph(placements, 10.0))
+    table = build_neighbor_graph(placements, 10.0)
     theta, counts = stacked([logistic(1.0), logistic(2.0)])
     with pytest.raises(NonpositiveDistanceError):
         gossip_mix(theta, counts, table, FederationConfig(weighting="inverse_distance"))

@@ -230,6 +230,18 @@ def test_non_finite_number_is_rejected_by_field_name(tmp_path, name, bad):
     assert f"{field}: must be finite (got {shown})" in str(exc.value)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_beyond_float_range_is_rejected_by_field_name(tmp_path, sign):
+    # float() of a 401-digit integer raises OverflowError; it reads as an
+    # infinity, as 1e400 does, and fails validation by name
+    obj = json.loads(Path("scenarios/default.json").read_text(encoding="utf-8"))
+    obj["federation"]["neighbor_radius_m"] = sign * 10**400
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(write(tmp_path, obj))
+    shown = "inf" if sign > 0 else "-inf"
+    assert f"federation.neighbor_radius_m: must be finite (got {shown})" in str(exc.value)
+
+
 def test_non_finite_number_fails_programmatic_validation():
     s = Scenario(seed=1)
     s.federation.neighbor_radius_m = float("nan")

@@ -16,7 +16,6 @@ from fedspectrum.sensing import (
     cost_constants,
     energy_baseline_decide,
     init_model,
-    model_cost,
     model_dim,
     model_from_snapshot,
     model_snapshot_json,
@@ -41,10 +40,11 @@ def test_dims_and_cost_constants():
 
 def test_model_cost_bytes():
     tc = TrainingConfig()
-    logistic = model_cost(init_model("logistic", tc, substream(1, "init")))
-    mlp = model_cost(init_model("mlp", tc, substream(1, "init")))
-    assert (logistic.macs_per_inference, logistic.param_count, logistic.model_bytes) == (3, 4, 32)
-    assert (mlp.macs_per_inference, mlp.param_count, mlp.model_bytes) == (32, 41, 328)
+    for kind, cost in (("logistic", (3, 4, 32)), ("mlp", (32, 41, 328))):
+        macs, params = cost_constants(kind)
+        assert (macs, params, 8 * params) == cost
+        # a model's bytes are its float64 coefficients
+        assert init_model(kind, tc, substream(1, "init")).theta.nbytes == 8 * params
 
 
 def test_init_logistic_is_zero():
@@ -164,12 +164,11 @@ def test_train_local_returns_new_model_and_counts():
     y = np.array([1.0, 0.0] * 5)
     m = ModelParams("logistic", np.zeros(4), 3)
     tc = TrainingConfig(learning_rate=0.2, epochs_per_round=4, batch_size=10)
-    updated, delta = train_local(m, x, y, tc, substream(1, "train:0"))
+    updated = train_local(m, x, y, tc, substream(1, "train:0"))
     np.testing.assert_array_equal(m.theta, np.zeros(4))  # input untouched
     assert m.n_train_samples == 3
     assert updated.n_train_samples == 13
-    assert delta.train_macs_accumulated == 4 * 10 * 3 * 3
-    assert delta.param_count == 4 and delta.model_bytes == 32
+    assert not np.array_equal(updated.theta, m.theta)
 
 
 def test_train_local_reduces_loss_both_kinds():
@@ -183,7 +182,7 @@ def test_train_local_reduces_loss_both_kinds():
         tc = TrainingConfig(model_kind=kind, learning_rate=0.1, epochs_per_round=5)
         m = init_model(kind, tc, substream(43, "init"))
         before = bce_loss(m, x, y)
-        trained, _ = train_local(m, x, y, tc, substream(43, "train:0"))
+        trained = train_local(m, x, y, tc, substream(43, "train:0"))
         assert bce_loss(trained, x, y) < before
 
 
@@ -192,9 +191,9 @@ def test_train_local_shuffle_uses_rng():
     y = np.array([1.0, 1.0, 0.0, 0.0])
     m = ModelParams("logistic", np.zeros(4))
     tc = TrainingConfig(batch_size=2, epochs_per_round=1, learning_rate=0.5)
-    a, _ = train_local(m, x, y, tc, substream(1, "train:0"))
-    b, _ = train_local(m, x, y, tc, substream(1, "train:0"))
-    c, _ = train_local(m, x, y, tc, substream(2, "train:0"))
+    a = train_local(m, x, y, tc, substream(1, "train:0"))
+    b = train_local(m, x, y, tc, substream(1, "train:0"))
+    c = train_local(m, x, y, tc, substream(2, "train:0"))
     np.testing.assert_array_equal(a.theta, b.theta)
     assert not np.array_equal(a.theta, c.theta)
 
@@ -205,7 +204,7 @@ def test_separable_data_reaches_high_accuracy():
     y = np.concatenate([np.ones(300), np.zeros(300)])
     tc = TrainingConfig(learning_rate=0.5, epochs_per_round=30, batch_size=32)
     m = init_model("logistic", tc, substream(47, "init"))
-    trained, _ = train_local(m, x, y, tc, substream(47, "train:0"))
+    trained = train_local(m, x, y, tc, substream(47, "train:0"))
     acc = np.mean((predict_batch(trained, x) >= 0.5) == y.astype(bool))
     assert acc >= 0.99
 
