@@ -11,10 +11,12 @@ from .engine import (
     DetectionMetrics,
     DivergenceError,
     RunResult,
+    RunSensing,
     TopologySummary,
     evaluate_detection,
     roc_sweep,
     run_simulation,
+    sense_run,
 )
 from .federation import (
     FederationConfig,
@@ -35,10 +37,9 @@ from .radio import (
     generate_dataset,
     mw_to_dbm,
     path_loss_db,
-    pu_activity_step,
-    received_power_dbm,
-    sense_slot,
-    window_features,
+    pu_chain,
+    sense_windows,
+    sensor_windows,
 )
 from .rng import substream
 from .scenario import (
@@ -76,6 +77,7 @@ __all__ = [
     "Placement",
     "PuTrafficModel",
     "RunResult",
+    "RunSensing",
     "Scenario",
     "SlotSchedule",
     "TopologySummary",
@@ -100,14 +102,14 @@ __all__ = [
     "payload_bytes",
     "place_nodes",
     "predict",
-    "pu_activity_step",
-    "received_power_dbm",
+    "pu_chain",
     "roc_sweep",
     "run_simulation",
     "scenario_digest",
-    "sense_slot",
+    "sense_run",
+    "sense_windows",
+    "sensor_windows",
     "substream",
     "train_local",
     "validate_scenario",
-    "window_features",
 ]

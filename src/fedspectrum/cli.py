@@ -213,10 +213,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     json_path = _target(out_dir, "comparison.json", args.force)
     table_path = _target(out_dir, "comparison.txt", args.force)
     runs = []
-    for topology in TOPOLOGIES:
-        for seed in args.seeds:
+    for seed in args.seeds:
+        # every topology runs on one draw of the seed's radio environment
+        sensing = engine.sense_run(scenario, seed)
+        for topology in TOPOLOGIES:
             _say(f"running topology={topology} seed={seed}")
-            runs.append(engine.run_simulation(scenario, topology, seed))
+            runs.append(engine.run_simulation(scenario, topology, seed, sensing=sensing))
+        del sensing  # one seed's tensor alive at a time
+    runs.sort(key=lambda run: TOPOLOGIES.index(run.topology))  # stable: seeds keep their order
     report = engine.summarize_runs(runs, args.seeds)
     comparison = json.dumps(engine.comparison_to_dict(report), indent=2, sort_keys=True)
     table = engine.comparison_table(report)

@@ -1,15 +1,18 @@
 """Slot-synchronous simulation engine and topology comparison.
 
-A run has two phases, and every slot of both is one ``radio.sense_slot``
-call: it steps the primary-user chains and draws one feature window per
-sensor; the slot's truth label is whether any primary user transmits.
-Training slots fill an ``(n, local_train_period_slots, 3)`` buffer; every
-``local_train_period_slots`` each node trains on its row of it; every
+A run senses first, then trains, mixes and evaluates on slices of what it
+sensed.  ``sense_run`` places the nodes and draws the whole run's windows,
+an ``(n, n_training_slots + n_eval_slots, 3)`` tensor, and the truth labels
+(whether any primary user transmits in a slot) through
+``radio.sense_windows``.  These depend on (scenario, seed) only, never on
+the topology, so ``compare`` senses once per seed and runs every topology
+on the same tensor.  Training slots: every ``local_train_period_slots`` each
+node trains on its row of the period's windows; every
 ``federation_period_slots`` the selected exchange (gossip round or central
-FedAvg round) fires, training first when both land on the same slot.
-Eval slots: models are frozen, the windows fill an ``(n, n_eval_slots, 3)``
-array, and each node decides all of its windows with one batch prediction.
-Sensor ``i`` is row ``i`` of every array: models, neighbor table, windows.
+FedAvg round) fires, training first when both land on the same slot.  Eval
+slots: models are frozen and each node decides all of its windows with one
+batch prediction.  Sensor ``i`` is row ``i`` of every array: models,
+neighbor table, windows.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -19,7 +22,7 @@ traffic and aggregation MACs follow from the rounds and the node degrees.
 Random sub-streams are labeled so modules cannot disturb each other:
 ``placement``, ``traffic``, ``init``, ``obs:<node_id>``, ``train:<node_id>``
 (``obs:shared``/``train:shared`` when ``shared_streams`` is set, which draws
-one window at sensor 0, gives it to every node, and gives every node the
+one window row at sensor 0, gives it to every node, and gives every node the
 same shuffle stream, for degeneracy tests).
 """
 
@@ -40,9 +43,10 @@ from .federation import (
     gossip_mix,
     payload_bytes,
 )
-from .radio import sense_slot
+from .radio import sense_windows
 from .rng import substream
 from .scenario import (
+    Placement,
     Scenario,
     ScenarioValidationError,
     place_nodes,
@@ -139,12 +143,53 @@ class RunResult:
         return max(self.traffic.node_bytes(i) for i in range(n))
 
 
+def _validate(scenario: Scenario) -> None:
+    violations = validate_scenario(scenario)
+    if violations:
+        raise ScenarioValidationError("; ".join(violations))
+
+
+@dataclass(frozen=True, eq=False)
+class RunSensing:
+    """What a run draws before training: placement, windows, truth labels.
+
+    ``windows`` (read-only) is ``(n_sensors, slots, 3)``, or one row drawn at
+    sensor 0 under ``shared_streams``; ``truths`` (read-only) is ``(slots,)``.
+    """
+
+    scenario: Scenario
+    seed: int
+    shared_streams: bool
+    placements: list[Placement]
+    windows: np.ndarray
+    truths: np.ndarray
+
+
+def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
+    """Place the nodes and draw every window of one (scenario, seed) run."""
+    _validate(scenario)
+    placements = place_nodes(scenario, substream(seed, "placement"))
+    sensors = [p for p in placements if p.kind == "sensor"]
+    if shared_streams:
+        sensors, obs_rngs = sensors[:1], [substream(seed, "obs:shared")]
+    else:
+        obs_rngs = [substream(seed, f"obs:{p.node_id}") for p in sensors]
+    pus = [p for p in placements if p.kind == "primary_user"]
+    n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
+    windows, truths = sense_windows(
+        scenario, sensors, pus, substream(seed, "traffic"), obs_rngs, n_slots
+    )
+    windows.flags.writeable = truths.flags.writeable = False
+    return RunSensing(scenario, seed, shared_streams, placements, windows, truths)
+
+
 def run_simulation(
     scenario: Scenario,
     topology: str,
     seed: int,
     *,
     shared_streams: bool = False,
+    sensing: RunSensing | None = None,
 ) -> RunResult:
     """Simulate one (scenario, topology, seed) combination.
 
@@ -156,23 +201,27 @@ def run_simulation(
         shared_streams: test hook; all nodes receive one identical
             window stream (drawn at sensor 0) and identical training
             shuffles.
+        sensing: ``sense_run(scenario, seed, shared_streams=...)``, drawn
+            once and reused across topologies; drawn here when omitted.
 
     Returns:
         RunResult with per-node and global metrics, traffic, and costs.
         A model that goes non-finite raises DivergenceError naming its node.
     """
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError("; ".join(violations))
+    _validate(scenario)
     if topology not in TOPOLOGIES:
         raise ValueError(
             f"topology: must be one of {TOPOLOGIES} (got {topology!r})"
         )
     started = time.perf_counter()
+    run = (scenario, seed, shared_streams)
+    if sensing is None:
+        sensing = sense_run(scenario, seed, shared_streams=shared_streams)
+    elif (sensing.scenario, sensing.seed, sensing.shared_streams) != run:
+        raise ValueError("sensing: drawn for another scenario, seed or shared_streams")
 
-    placements = place_nodes(scenario, substream(seed, "placement"))
+    placements = sensing.placements
     sensors = [p for p in placements if p.kind == "sensor"]
-    pus = [p for p in placements if p.kind == "primary_user"]
     central_id = next(p.node_id for p in placements if p.kind == "central")
     n = len(sensors)
 
@@ -194,31 +243,22 @@ def run_simulation(
     # Row i is sensor i's model, trained on samples[i] since its last exchange.
     theta = np.tile(base_model.theta, (n, 1))
     samples = np.full(n, base_model.n_train_samples, dtype=np.int64)
-
     if shared_streams:
-        obs_sensors = sensors[:1]
-        obs_rngs = [substream(seed, "obs:shared")]
         train_rngs = [substream(seed, "train:shared") for _ in range(n)]
     else:
-        obs_sensors = sensors
-        obs_rngs = [substream(seed, f"obs:{p.node_id}") for p in sensors]
         train_rngs = [substream(seed, f"train:{p.node_id}") for p in sensors]
-    traffic_rng = substream(seed, "traffic")
 
-    on = np.zeros(len(pus), dtype=bool)
     schedule = scenario.schedule
     period = schedule.local_train_period_slots
-    # Window k of the current training period (a period longer than the
-    # phase never trains); a shared (1, 3) window broadcasts to every row.
-    x = np.empty((n, min(period, schedule.n_training_slots), 3))
-    y = np.empty(x.shape[1])
+    # a shared window row broadcasts to every node
+    windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
+    truths = sensing.truths
     rounds = 0
 
+    # a period longer than the training phase never trains
     for slot in range(1, schedule.n_training_slots + 1):
-        k = (slot - 1) % period
-        on, x[:, k] = sense_slot(scenario, obs_sensors, pus, on, traffic_rng, obs_rngs)
-        y[k] = on.any()
         if slot % period == 0:
+            x, y = windows[:, slot - period : slot], truths[slot - period : slot]
             # a diverging model is reported once, by node, in _check_finite
             with np.errstate(over="ignore", invalid="ignore"):
                 for i, rng in enumerate(train_rngs):
@@ -236,13 +276,10 @@ def run_simulation(
 
     models = [ModelParams(kind, row, int(c)) for row, c in zip(theta.copy(), samples)]
 
-    x_eval = np.empty((n, schedule.n_eval_slots, 3))
-    truths = np.empty(schedule.n_eval_slots, dtype=bool)
-    for t in range(schedule.n_eval_slots):
-        on, x_eval[:, t] = sense_slot(scenario, obs_sensors, pus, on, traffic_rng, obs_rngs)
-        truths[t] = on.any()
+    eval_truths = truths[schedule.n_training_slots :]
     per_node = [
-        evaluate_detection(predict_batch(m, xe) >= 0.5, truths) for m, xe in zip(models, x_eval)
+        evaluate_detection(predict_batch(m, xe) >= 0.5, eval_truths)
+        for m, xe in zip(models, windows[:, schedule.n_training_slots :])
     ]
     global_metrics = DetectionMetrics(*np.sum([astuple(m) for m in per_node], axis=0).tolist())
     # closed forms (module docstring): every node trains on each full period

@@ -6,9 +6,10 @@ instantaneous power: exponential receiver noise plus one exponential
 component per active primary user (Rayleigh-faded carriers observed through
 an energy detector).
 
-``sense_slot`` is the one sensing path: it steps every primary-user chain
-and draws one window per sensor through ``window_features``.  Both the
-simulation engine and ``generate_dataset`` call it once per slot.
+A run is sensed before anything else (``sense_windows``): the primary-user
+chains step over one block of uniforms (``pu_chain``), then each sensor
+draws its windows in slot order from its own stream (``sensor_windows``).
+``generate_dataset`` steps the same two functions one slot at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ if TYPE_CHECKING:
 
 # keeps the log-domain features finite if a window statistic underflows
 _POWER_FLOOR_MW = 1e-30
+# power samples held at once per sensor: 256 windows of 64 samples (128 KiB)
+_BLOCK_SAMPLES = 256 * 64
 
 
 class UnknownSensorError(ValueError):
@@ -75,91 +78,108 @@ def path_loss_db(ch: ChannelModel, distance_m: float) -> float:
     return ch.pl0_db + 10.0 * ch.n_exp * math.log10(d / ch.d0_m)
 
 
-def received_power_dbm(
-    ch: ChannelModel, tx_power_dbm: float, distance_m: float, rng: np.random.Generator
-) -> float:
-    """Received power with one shadowing draw; sigma=0 consumes no draws."""
-    power = tx_power_dbm - path_loss_db(ch, distance_m)
-    if ch.shadowing_sigma_db > 0.0:
-        power += rng.normal(0.0, ch.shadowing_sigma_db)
-    return power
-
-
-def pu_activity_step(
-    on: np.ndarray, tm: PuTrafficModel, rng: np.random.Generator
+def pu_chain(
+    uniforms: np.ndarray, tm: PuTrafficModel, on: np.ndarray | None = None
 ) -> np.ndarray:
-    """Advance every chain one slot with one uniform per chain, in chain order."""
-    leave = rng.random(on.size) < np.where(
-        on, 1.0 / tm.mean_burst_slots, 1.0 / tm.mean_gap_slots
-    )
-    return on ^ leave
+    """Primary-user chain states after each slot of a uniform block.
 
-
-def window_features(
-    sensor: "Placement",
-    active_pus: Sequence["Placement"],
-    ch: ChannelModel,
-    tm: PuTrafficModel,
-    window_samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one sensing window and reduce it to standardized features.
-
-    Per active primary user the mean received power is drawn once per window
-    (shadowing), then ``window_samples`` exponential power samples are added
-    to the noise samples.  Statistics are taken on the linear powers and only
-    then converted to dBm, so the mean feature sits at the noise floor when
-    the channel is free.
+    ``uniforms`` is a (slots, P) block, row t holding slot t's draw for each
+    chain; ``on`` is the (P,) state before the first slot (default: idle).
+    A chain leaves its state when its uniform is below 1/mean of that state.
 
     Returns:
-        ``[(mean, std, max) power in dBm - noise floor] / 10``, shape (3,).
+        (slots, P) bool states; row t is the state after slot t.
     """
-    samples_mw = rng.exponential(dbm_to_mw(ch.noise_floor_dbm), size=window_samples)
-    for pu in active_pus:
-        d = math.hypot(sensor.x_m - pu.x_m, sensor.y_m - pu.y_m)
-        rx_dbm = received_power_dbm(ch, tm.tx_power_dbm, d, rng)
-        samples_mw += rng.exponential(dbm_to_mw(rx_dbm), size=window_samples)
-    stats_dbm = np.array(
-        [
-            mw_to_dbm(float(samples_mw.mean())),
-            mw_to_dbm(float(samples_mw.std())),
-            mw_to_dbm(float(samples_mw.max())),
-        ]
-    )
-    return (stats_dbm - ch.noise_floor_dbm) / 10.0
+    leave = (1.0 / tm.mean_gap_slots, 1.0 / tm.mean_burst_slots)
+    states = np.empty(uniforms.shape, dtype=bool)
+    for p, column in enumerate(uniforms.T.tolist()):
+        state = on is not None and bool(on[p])
+        trajectory = []
+        for u in column:
+            state ^= u < leave[state]
+            trajectory.append(state)
+        states[:, p] = trajectory
+    return states
 
 
-def sense_slot(
-    scenario: "Scenario",
-    sensors: Sequence["Placement"],
-    pus: Sequence["Placement"],
-    on: np.ndarray,
-    traffic_rng: np.random.Generator,
-    obs_rngs: Sequence[np.random.Generator],
+def sensor_windows(
+    sensor: "Placement", pus: Sequence["Placement"], states: np.ndarray, ch: ChannelModel,
+    tm: PuTrafficModel, window_samples: int, rng: np.random.Generator,
+) -> np.ndarray:
+    """One sensor's windows over the slots of ``states``, drawn in slot order.
+
+    A window is ``window_samples`` exponential noise powers plus, for each
+    primary user on in that slot, one shadowing normal (none when sigma is
+    0) and ``window_samples`` exponential powers around the shadowed mean.
+    Path loss is computed once per primary user.  The windows are reduced
+    in blocks of slots (``_window_stats``).
+
+    Returns:
+        (slots, 3) features, row t from slot t's window.
+    """
+    noise_mw = dbm_to_mw(ch.noise_floor_dbm)
+    sigma = ch.shadowing_sigma_db
+    mean_dbm = [
+        tm.tx_power_dbm - path_loss_db(ch, math.hypot(sensor.x_m - pu.x_m, sensor.y_m - pu.y_m))
+        for pu in pus
+    ]
+    features = np.empty((len(states), 3))
+    block = max(1, _BLOCK_SAMPLES // window_samples)
+    for start in range(0, len(states), block):
+        rows = states[start : start + block].tolist()
+        samples = np.empty((len(rows), window_samples))
+        for window, row in zip(samples, rows):
+            window[:] = rng.exponential(noise_mw, size=window_samples)
+            for power, is_on in zip(mean_dbm, row):
+                if is_on:
+                    if sigma > 0.0:
+                        power += rng.normal(0.0, sigma)
+                    window += rng.exponential(dbm_to_mw(power), size=window_samples)
+        features[start : start + len(rows)] = _window_stats(samples, ch.noise_floor_dbm)
+    return features
+
+
+def _window_stats(samples: np.ndarray, noise_floor_dbm: float) -> np.ndarray:
+    """(mean, std, max) of each row of linear powers, in dBm over the noise
+    floor, / 10: ``[(stat_dbm - noise floor) / 10]`` per row, shape (rows, 3).
+
+    The reductions repeat ``np.mean``/``np.std``/``np.max`` of one row step
+    for step (sum, divide, subtract, square in place, sum, divide, sqrt), so
+    the features equal the per-window ones bit for bit; the dBm conversion
+    stays scalar ``math.log10`` for the same reason.
+    """
+    n = samples.shape[1]
+    mean = np.add.reduce(samples, axis=1, keepdims=True)
+    mean /= n
+    dev = samples - mean
+    np.multiply(dev, dev, out=dev)
+    var = np.add.reduce(dev, axis=1)
+    var /= n
+    stats = np.stack([mean[:, 0], np.sqrt(var), np.maximum.reduce(samples, axis=1)], axis=1)
+    dbm = np.array([mw_to_dbm(v) for v in stats.ravel().tolist()]).reshape(stats.shape)
+    return (dbm - noise_floor_dbm) / 10.0
+
+
+def sense_windows(
+    scenario: "Scenario", sensors: Sequence["Placement"], pus: Sequence["Placement"],
+    traffic_rng: np.random.Generator, obs_rngs: Sequence[np.random.Generator], n_slots: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One slot: step the primary-user chains, then draw every sensor's window.
+    """A run's sensing: every chain over ``n_slots``, then every sensor's windows.
 
-    ``on`` is the (P,) bool chain state before the slot.  Sensor ``i`` draws
-    from ``obs_rngs[i]``.  The slot's truth label is the global channel
-    state ``on.any()`` of the returned state, not what a sensor could
-    locally resolve.
+    The chains start idle and step over one ``traffic_rng.random((n_slots,
+    P))`` block; sensor ``i`` then draws all its windows from
+    ``obs_rngs[i]``.  A slot's truth label is the global channel state (any
+    primary user on), not what a sensor could locally resolve.
 
     Returns:
-        (chain state after the step, (len(sensors), 3) feature array)
+        ((len(sensors), n_slots, 3) windows, (n_slots,) bool truth labels)
     """
-    on = pu_activity_step(on, scenario.pu_traffic, traffic_rng)
-    active = [pu for pu, is_on in zip(pus, on) if is_on]
-    features = np.empty((len(sensors), 3))
-    for i, sensor in enumerate(sensors):
-        features[i] = window_features(
-            sensor,
-            active,
-            scenario.channel,
-            scenario.pu_traffic,
-            scenario.schedule.window_samples,
-            obs_rngs[i],
-        )
-    return on, features
+    tm, w = scenario.pu_traffic, scenario.schedule.window_samples
+    states = pu_chain(traffic_rng.random((n_slots, len(pus))), tm)
+    windows = np.empty((len(sensors), n_slots, 3))
+    for i, (sensor, rng) in enumerate(zip(sensors, obs_rngs)):
+        windows[i] = sensor_windows(sensor, pus, states, scenario.channel, tm, w, rng)
+    return windows, states.any(axis=1)
 
 
 def generate_dataset(
@@ -171,10 +191,10 @@ def generate_dataset(
 ) -> DatasetSummary:
     """Write a labeled feature CSV for one sensor.
 
-    The primary-user chains start idle; each slot steps them and draws the
-    window through ``sense_slot``, both from ``rng``.  Node placement comes
-    from the scenario seed's "placement" sub-stream, so the file only
-    depends on (scenario, rng state).
+    The primary-user chains start idle; each slot steps them (``pu_chain``)
+    and then draws the window (``sensor_windows``), both from ``rng``.  Node
+    placement comes from the scenario seed's "placement" sub-stream, so the
+    file only depends on (scenario, rng state).
 
     Returns:
         DatasetSummary with the row count and the fraction of occupied slots.
@@ -192,16 +212,17 @@ def generate_dataset(
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
     pus = [p for p in placements if p.kind == "primary_user"]
-    on = np.zeros(len(pus), dtype=bool)
+    on = np.zeros((1, len(pus)), dtype=bool)
     sensor = sensors[sensor_id]
+    ch, tm, w = scenario.channel, scenario.pu_traffic, scenario.schedule.window_samples
     positives = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("slot,f1,f2,f3,label\n")
         for slot in range(n_slots):
-            on, features = sense_slot(scenario, [sensor], pus, on, rng, [rng])
+            on = pu_chain(rng.random(on.shape), tm, on[0])
+            f1, f2, f3 = sensor_windows(sensor, pus, on, ch, tm, w, rng)[0].tolist()
             label = int(on.any())
             positives += label
-            f1, f2, f3 = (float(v) for v in features[0])
             fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{label}\n")
     fraction = positives / n_slots if n_slots else 0.0
     return DatasetSummary(n_slots, fraction)

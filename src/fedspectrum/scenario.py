@@ -25,6 +25,10 @@ from .rng import MAX_SEED
 from .sensing import MODEL_KINDS, TrainingConfig
 
 PLACEMENT_MODES = ("grid", "uniform_random")
+# Bounds checked before any work: every integer count but the seed, and the
+# run's window tensor (sensors x slots) and chain block (primary users x slots).
+MAX_COUNT = 10**6
+MAX_WINDOWS = 10**8
 
 
 class ScenarioParseError(ValueError):
@@ -189,10 +193,24 @@ def _leaves(d: dict, prefix: str = ""):
 def validate_scenario(s: Scenario) -> list[str]:
     """All invariant violations, each naming the offending field."""
     v: list[str] = []
+    too_large = False
     for name, value in _leaves(asdict(s)):
         numbers = value if isinstance(value, list) else [value]
         if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
             v.append(f"{name}: must be finite (got {value})")
+        if name != "seed" and isinstance(value, int) and value > MAX_COUNT:
+            v.append(f"{name}: must be <= {MAX_COUNT} (got {value})")
+            too_large = True
+    slots = s.schedule.n_training_slots + s.schedule.n_eval_slots
+    for name, count, what in (
+        ("n_sensors", s.n_sensors, "windows"),
+        ("n_primary_users", s.n_primary_users, "chain steps"),
+    ):
+        if not too_large and count * slots > MAX_WINDOWS:
+            v.append(
+                f"{name}: {count} x {slots} slots is {count * slots} {what}, "
+                f"above the limit of {MAX_WINDOWS}"
+            )
     if not s.area_size_m > 0:
         v.append(f"area_size_m: must be > 0 (got {s.area_size_m})")
     if s.n_sensors < 1:

@@ -13,9 +13,9 @@ import pytest
 from scipy.stats import wilcoxon
 
 from fedspectrum.cli import main
-from fedspectrum.engine import roc_sweep, run_simulation
+from fedspectrum.engine import roc_sweep, run_simulation, sense_run
 from fedspectrum.federation import FederationConfig, build_neighbor_graph, gossip_mix
-from fedspectrum.radio import ChannelModel, PuTrafficModel, window_features
+from fedspectrum.radio import ChannelModel, PuTrafficModel, sensor_windows
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, SlotSchedule, load_scenario, place_nodes
 from fedspectrum.sensing import (
@@ -157,9 +157,11 @@ def test_criterion_6_federation_benefit():
         scenario = load_scenario(DATA_SCARCE_SCENARIO)
         seeds = range(1, 21)
         accuracy = {"isolated": [], "gossip": [], "central": []}
-        for topology in accuracy:
-            for seed in seeds:
-                run = run_simulation(scenario, topology, seed)
+        for seed in seeds:
+            # the three designs see one draw of the environment per seed
+            sensing = sense_run(scenario, seed)
+            for topology in accuracy:
+                run = run_simulation(scenario, topology, seed, sensing=sensing)
                 accuracy[topology].append(run.global_metrics.accuracy)
         iso = np.array(accuracy["isolated"])
         for topology in ("central", "gossip"):
@@ -176,7 +178,8 @@ def test_criterion_7_energy_baseline_calibration():
         sensor = Placement(0, "sensor", 0.0, 0.0)
 
         def noise_f1(count, rng):
-            return np.array([window_features(sensor, [], ch, tm, 64, rng)[0] for _ in range(count)])
+            idle = np.zeros((count, 0), dtype=bool)
+            return sensor_windows(sensor, [], idle, ch, tm, 64, rng)[:, 0]
 
         threshold = float(np.quantile(noise_f1(10_000, substream(71, "obs:0")), 0.99))
         fresh = noise_f1(20_000, substream(72, "obs:0"))

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -287,6 +288,37 @@ def test_run_names_an_integer_beyond_float_range(tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "command,changes,message",
+    [
+        ("run", {"n_sensors": 10**400}, "n_sensors: must be <= 1000000 (got 1000000000"),
+        ("compare", {"n_primary_users": 10**400}, "n_primary_users: must be <= 1000000 (got 10"),
+        ("run", {"schedule": {"window_samples": 10**6 + 1}},
+         "schedule.window_samples: must be <= 1000000 (got 1000001)"),
+        ("compare", {"n_sensors": 10**6, "schedule": {"n_training_slots": 0, "n_eval_slots": 101}},
+         "n_sensors: 1000000 x 101 slots is 101000000 windows, above the limit of 100000000"),
+        ("run", {"n_primary_users": 10**6, "schedule": {"n_training_slots": 1000}},
+         "n_primary_users: 1000000 x 1020 slots is 1020000000 chain steps, above the limit"),
+    ],
+    ids=["sensors", "primary-users", "window-samples", "windows", "chain-steps"],
+)
+def test_huge_counts_are_rejected_by_name_before_any_work(command, changes, message, tmp_path,
+                                                         capsys):
+    # 10**400 sensors used to raise OverflowError in placement, and as many
+    # primary users kept placing until killed
+    raw = {**FAST_SCENARIO, **changes}
+    raw["schedule"] = {**FAST_SCENARIO["schedule"], **changes.get("schedule", {})}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    argv = [command, "--scenario", str(path), "--out-dir", str(tmp_path / "out")]
+    started = time.perf_counter()
+    assert main(argv + (["--seeds", "1"] if command == "compare" else [])) == 1
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"fedspectrum: error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def fail_second_write_midway(monkeypatch):
     """Make the second ``Path.write_text`` write half its text, then fail."""
     write_text, calls = Path.write_text, []
@@ -328,16 +360,16 @@ def test_failed_write_leaves_no_output(argv, scenario_path, tmp_path, monkeypatc
 def test_failed_generate_leaves_no_dataset(scenario_path, tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     argv = ["generate", "--scenario", scenario_path, "--out-dir", str(out), "--slots", "20"]
-    sense_slot, calls = radio.sense_slot, []
+    sensor_windows, calls = radio.sensor_windows, []
 
     def fail_at_slot_10(*args):
         calls.append(args)
         if len(calls) == 10:
             raise OSError("sensor read failed")
-        return sense_slot(*args)
+        return sensor_windows(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(radio, "sense_slot", fail_at_slot_10)
+        patch.setattr(radio, "sensor_windows", fail_at_slot_10)
         assert main(argv) == 1
     assert "sensor read failed" in capsys.readouterr().err
     assert list(out.iterdir()) == []

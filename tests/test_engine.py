@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -21,10 +21,11 @@ from fedspectrum.engine import (
     metrics_csv_lines,
     roc_sweep,
     run_simulation,
+    sense_run,
     summarize_runs,
 )
 from fedspectrum.federation import TOPOLOGIES, FederationConfig, TrafficStats
-from fedspectrum.radio import pu_activity_step
+from fedspectrum.radio import pu_chain
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
     Scenario,
@@ -34,7 +35,10 @@ from fedspectrum.scenario import (
     place_nodes,
 )
 from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig, cost_constants
-from oracles import radio_range
+from oracles import pu_activity_step, radio_range
+
+
+PU_TRAFFIC = Scenario(seed=1).pu_traffic
 
 
 def small_scenario(seed=1, **kwargs):
@@ -300,6 +304,74 @@ def test_costs_and_traffic_are_closed_forms(
     assert result.central_aggregation_macs == rounds * params * central
 
 
+def assert_same_run(a, b):
+    """Every RunResult field equal but the wall clock; models as bytes."""
+    for f in fields(RunResult):
+        if f.name == "final_models":
+            for ma, mb in zip(a.final_models, b.final_models, strict=True):
+                assert (ma.kind, ma.n_train_samples) == (mb.kind, mb.n_train_samples)
+                assert ma.theta.tobytes() == mb.theta.tobytes()
+        elif f.name != "wall_seconds":
+            assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_shared_sensing_gives_the_run_a_fresh_draw_gives(kind, shared):
+    # one tensor, reused by every topology in turn, changes no run
+    scenario = small_scenario(training=TrainingConfig(model_kind=kind))
+    sensing = sense_run(scenario, 21, shared_streams=shared)
+    before = sensing.windows.tobytes(), sensing.truths.tobytes()
+    for topology in TOPOLOGIES:
+        reused = run_simulation(scenario, topology, 21, shared_streams=shared, sensing=sensing)
+        fresh = run_simulation(scenario, topology, 21, shared_streams=shared)
+        assert_same_run(reused, fresh)
+    assert (sensing.windows.tobytes(), sensing.truths.tobytes()) == before
+    assert not sensing.windows.flags.writeable and not sensing.truths.flags.writeable
+
+
+def test_sensing_for_another_run_is_rejected():
+    scenario = small_scenario()
+    sensing = sense_run(scenario, 3)
+    other = replace(scenario, schedule=replace(scenario.schedule, n_eval_slots=39))
+    for args, kwargs in [
+        ((scenario, "gossip", 4), {}),
+        ((other, "gossip", 3), {}),
+        ((scenario, "gossip", 3), {"shared_streams": True}),
+    ]:
+        with pytest.raises(ValueError, match="sensing: drawn for another"):
+            run_simulation(*args, sensing=sensing, **kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_pus=st.integers(0, 3),
+    placement=st.sampled_from(["grid", "uniform_random"]),
+    slots=st.lists(st.integers(0, 120), min_size=2, max_size=2),
+    n_eval=st.lists(st.integers(1, 60), min_size=2, max_size=2),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_shorter_run_senses_a_prefix_of_a_longer_one(n_pus, placement, slots, n_eval, seed):
+    # Placement and the primary-user trajectory depend on the seed only; a
+    # run with fewer slots sees the first slots of a longer run.
+    runs = []
+    for n_training, eval_slots in zip(slots, n_eval):
+        schedule = SlotSchedule(n_training, eval_slots, 10, 10, 4)
+        scenario = small_scenario(
+            seed=seed, n_primary_users=n_pus, sensor_placement=placement, schedule=schedule
+        )
+        runs.append(sense_run(scenario, seed))
+    short, long = sorted(runs, key=lambda r: len(r.truths))
+    k = len(short.truths)
+    assert short.placements == long.placements
+    assert short.truths.tobytes() == long.truths[:k].tobytes()
+    assert short.windows.tobytes() == long.windows[:, :k].tobytes()
+    chain = pu_chain(substream(seed, "traffic").random((len(long.truths), n_pus)), PU_TRAFFIC)
+    shorter = pu_chain(substream(seed, "traffic").random((k, n_pus)), PU_TRAFFIC)
+    assert shorter.tobytes() == chain[:k].tobytes()
+    assert long.truths.tolist() == chain.any(axis=1).tolist()
+
+
 def test_run_simulation_deterministic_rerun():
     a = run_simulation(small_scenario(), "gossip", 7)
     b = run_simulation(small_scenario(), "gossip", 7)
@@ -373,10 +445,15 @@ def test_compare_run_order_and_summary(tmp_path, capsys):
     path.write_text(json.dumps(asdict(scenario)), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", "1,2"]) == 0
-    # the CLI runs every seed of one topology before the next topology
+    # the CLI senses each seed once and runs every topology on it, seed by
+    # seed, then writes the runs topology by topology
     order = [(t, s) for t in ["isolated", "gossip", "central"] for s in (1, 2)]
     progress = [l for l in capsys.readouterr().out.splitlines() if "running" in l]
-    assert progress == [f"fedspectrum: running topology={t} seed={s}" for t, s in order]
+    assert progress == [
+        f"fedspectrum: running topology={t} seed={s}"
+        for s in (1, 2)
+        for t in ["isolated", "gossip", "central"]
+    ]
     rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
     run_ids = list(dict.fromkeys(r.split(",")[0] for r in rows))
     assert run_ids == [f"{t}-s{s}" for t, s in order]

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedspectrum.engine import sense_run
 from fedspectrum.radio import (
     ChannelModel,
     PuTrafficModel,
@@ -13,13 +15,19 @@ from fedspectrum.radio import (
     generate_dataset,
     mw_to_dbm,
     path_loss_db,
+    pu_chain,
+    sense_windows,
+    sensor_windows,
+)
+from fedspectrum.rng import substream
+from fedspectrum.scenario import Placement, Scenario, SlotSchedule, load_scenario, place_nodes
+from oracles import (
     pu_activity_step,
     received_power_dbm,
     sense_slot,
+    sense_slots,
     window_features,
 )
-from fedspectrum.rng import substream
-from fedspectrum.scenario import Placement, Scenario, SlotSchedule
 
 
 @given(st.floats(min_value=-120.0, max_value=60.0))
@@ -57,6 +65,15 @@ def test_received_power_no_shadowing_is_deterministic():
     assert p == pytest.approx(20.0 - 70.0)
     # sigma=0 must not consume entropy
     assert rng.bit_generator.state == before
+    # nor in the block path: an occupied window draws noise and PU samples only
+    sensor, pu = Placement(0, "sensor", 0.0, 0.0), Placement(1, "primary_user", 10.0, 0.0)
+    features = sensor_windows(sensor, [pu], np.ones((1, 1), bool), ch, PuTrafficModel(), 16, rng)
+    replay = substream(5, "obs:0")
+    samples = replay.exponential(dbm_to_mw(ch.noise_floor_dbm), size=16)
+    samples += replay.exponential(dbm_to_mw(20.0 - path_loss_db(ch, 10.0)), size=16)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    np.testing.assert_array_equal(features[0], window_features(
+        sensor, [pu], ch, PuTrafficModel(), 16, substream(5, "obs:0")))
 
 
 def test_shadowing_moments_monte_carlo():
@@ -73,20 +90,26 @@ def test_shadowing_moments_monte_carlo():
 
 
 def test_activity_step_consumes_one_uniform():
-    # One uniform per chain, drawn in chain order, each applied with the
-    # scalar rule; no chains draw nothing.
+    # One uniform per chain per slot, drawn in chain order within a slot's
+    # row, each applied with the scalar rule; no chains draw nothing.
     tm = PuTrafficModel(mean_burst_slots=20.0, mean_gap_slots=40.0)
     rng_a = substream(11, "traffic")
     rng_b = substream(11, "traffic")
     before = np.array([False, True, False, True])
-    after = pu_activity_step(before, tm, rng_a)
+    after = pu_chain(rng_a.random((1, before.size)), tm, before)[0]
     u = [rng_b.random() for _ in before]
     expected = [not (ui < 1.0 / 20.0) if was else ui < 1.0 / 40.0 for ui, was in zip(u, before)]
     assert after.dtype == bool and after.tolist() == expected
     assert rng_a.random() == rng_b.random()
     state = rng_a.bit_generator.state
-    assert pu_activity_step(np.zeros(0, dtype=bool), tm, rng_a).shape == (0,)
+    assert pu_chain(rng_a.random((5, 0)), tm).shape == (5, 0)
     assert rng_a.bit_generator.state == state
+    # a block of slots steps like the one-slot rule applied row by row
+    states = pu_chain(substream(12, "traffic").random((500, 3)), tm)
+    replay, on = substream(12, "traffic"), np.zeros(3, dtype=bool)
+    for row in states:
+        on = pu_activity_step(on, tm, replay)
+        assert row.tolist() == on.tolist()
 
 
 def test_activity_stationary_occupancy_and_run_length():
@@ -95,12 +118,7 @@ def test_activity_stationary_occupancy_and_run_length():
     # With burst=10, gap=5 over 3e5 slots the occupancy estimator has
     # std ~ 0.002 (autocorrelation included) and the run-length mean ~ 0.07.
     tm = PuTrafficModel(mean_burst_slots=10.0, mean_gap_slots=5.0)
-    rng = substream(13, "traffic")
-    state = np.zeros(1, dtype=bool)
-    on = np.empty(300_000, dtype=bool)
-    for i in range(on.size):
-        state = pu_activity_step(state, tm, rng)
-        on[i] = state[0]
+    on = pu_chain(substream(13, "traffic").random((300_000, 1)), tm)[:, 0]
     assert on.mean() == pytest.approx(10.0 / 15.0, abs=0.01)
     padded = np.concatenate(([False], on, [False])).astype(int)
     starts = np.flatnonzero(np.diff(padded) == 1)
@@ -112,10 +130,8 @@ def _noise_only_features(n_windows, window_samples, seed):
     ch = ChannelModel(shadowing_sigma_db=0.0)
     tm = PuTrafficModel()
     sensor = Placement(0, "sensor", 0.0, 0.0)
-    rng = substream(seed, "obs:0")
-    return np.array(
-        [window_features(sensor, [], ch, tm, window_samples, rng) for _ in range(n_windows)]
-    )
+    idle = np.zeros((n_windows, 0), dtype=bool)
+    return sensor_windows(sensor, [], idle, ch, tm, window_samples, substream(seed, "obs:0"))
 
 
 def test_noise_only_mean_feature_sits_at_floor():
@@ -139,8 +155,8 @@ def test_strong_pu_lifts_mean_feature_30db():
     tm = PuTrafficModel(tx_power_dbm=-30.0)
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pu = Placement(1, "primary_user", 1.0, 0.0)
-    rng = substream(19, "obs:0")
-    f1 = np.array([window_features(sensor, [pu], ch, tm, 64, rng)[0] for _ in range(2000)])
+    busy = np.ones((2000, 1), dtype=bool)
+    f1 = sensor_windows(sensor, [pu], busy, ch, tm, 64, substream(19, "obs:0"))[:, 0]
     assert f1.mean() == pytest.approx(3.0, abs=0.1)
 
 
@@ -154,46 +170,116 @@ def _sensing_scenario(burst, gap, window_samples=32):
 
 
 def test_off_pu_contributes_nothing():
-    # A gap mean of 1e300 keeps the chain off, so the slot is free and the
-    # window is the one drawn with no primary user at all.
+    # A gap mean of 1e300 keeps the chain off, so every slot is free and the
+    # windows are the ones drawn with no primary user at all.
     scenario = _sensing_scenario(burst=20.0, gap=1e300)
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pu = Placement(1, "primary_user", 5.0, 0.0)
-    on, with_off = sense_slot(
-        scenario, [sensor], [pu], np.array([False]), substream(23, "traffic"),
-        [substream(23, "obs:0")],
+    with_off, on = sense_windows(
+        scenario, [sensor], [pu], substream(23, "traffic"), [substream(23, "obs:0")], 50
     )
-    none_on, empty = sense_slot(
-        scenario, [sensor], [], np.zeros(0, dtype=bool), substream(23, "traffic"),
-        [substream(23, "obs:0")],
+    empty, none_on = sense_windows(
+        scenario, [sensor], [], substream(23, "traffic"), [substream(23, "obs:0")], 50
     )
     assert not on.any() and not none_on.any()
     np.testing.assert_array_equal(with_off, empty)
 
 
 def test_sense_slot_steps_chains_then_draws_each_sensor_window():
-    # Replay: one uniform per chain from the traffic stream, then sensor i's
-    # window from its own stream, given the primary users left on.  A burst
-    # mean of 1e300 keeps an on chain on, so the slot is occupied.
-    scenario = _sensing_scenario(burst=1e300, gap=40.0)
+    # Replay slot by slot: one uniform per chain from the traffic stream, then
+    # sensor i's window from its own stream, given the primary users left on;
+    # the truth label is whether any is on.  Short means make the chains flip.
+    scenario = _sensing_scenario(burst=3.0, gap=4.0)
     sensors = [Placement(0, "sensor", 0.0, 0.0), Placement(1, "sensor", 300.0, 0.0)]
     pus = [Placement(2, "primary_user", 30.0, 40.0), Placement(3, "primary_user", 60.0, 80.0)]
-    on = np.array([True, False])
     traffic = substream(37, "traffic")
     obs_rngs = [substream(37, "obs:0"), substream(37, "obs:1")]
-    after, features = sense_slot(scenario, sensors, pus, on, traffic, obs_rngs)
+    features, truths = sense_windows(scenario, sensors, pus, traffic, obs_rngs, 40)
 
     replay = substream(37, "traffic")
-    expected_on = pu_activity_step(on, scenario.pu_traffic, replay)
-    assert after.tolist() == expected_on.tolist() and after[0]
+    obs_replay = [substream(37, "obs:0"), substream(37, "obs:1")]
+    on = np.zeros(2, dtype=bool)
+    seen = set()
+    assert features.shape == (2, 40, 3)
+    for t in range(40):
+        on, expected = sense_slot(scenario, sensors, pus, on, replay, obs_replay)
+        seen.add(tuple(on))
+        assert truths[t] == on.any()
+        np.testing.assert_array_equal(features[:, t], expected)
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert traffic.random() == replay.random()
-    active = [pu for pu, is_on in zip(pus, after) if is_on]
-    assert features.shape == (2, 3)
-    for i, sensor in enumerate(sensors):
-        window = window_features(
-            sensor, active, scenario.channel, scenario.pu_traffic, 32, substream(37, f"obs:{i}")
-        )
-        np.testing.assert_array_equal(features[i], window)
+    for rng, rng_replay in zip(obs_rngs, obs_replay):
+        assert rng.random() == rng_replay.random()
+
+
+def per_slot_reference(scenario, seed, shared_streams=False):
+    """The run's windows, truths and chain states from one ``sense_slot`` per
+    slot, on the streams ``sense_run`` uses."""
+    placements = place_nodes(scenario, substream(seed, "placement"))
+    sensors = [p for p in placements if p.kind == "sensor"]
+    pus = [p for p in placements if p.kind == "primary_user"]
+    if shared_streams:
+        sensors, obs_rngs = sensors[:1], [substream(seed, "obs:shared")]
+    else:
+        obs_rngs = [substream(seed, f"obs:{p.node_id}") for p in sensors]
+    n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
+    return sense_slots(scenario, sensors, pus, substream(seed, "traffic"), obs_rngs, n_slots)
+
+
+def assert_same_bytes(sensing, reference):
+    windows, truths, _ = reference
+    assert sensing.windows.dtype == windows.dtype and sensing.windows.shape == windows.shape
+    assert sensing.windows.tobytes() == windows.tobytes()
+    assert sensing.truths.dtype == truths.dtype and sensing.truths.tobytes() == truths.tobytes()
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["scenarios/default.json", "scenarios/data_scarce.json", "bench/scenarios/dense_gossip.json"],
+)
+def test_sensed_tensor_equals_per_slot_reference_on_presets(path):
+    scenario = load_scenario(path)
+    if path == "scenarios/default.json":  # 600 slots still cross the 256-slot blocks
+        scenario = replace(scenario, schedule=replace(scenario.schedule, n_training_slots=400,
+                                                      n_eval_slots=200))
+    assert_same_bytes(sense_run(scenario, 7), per_slot_reference(scenario, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sensors=st.integers(1, 4),
+    n_pus=st.integers(0, 3),
+    sigma=st.sampled_from([0.0, 6.0]),
+    shared=st.booleans(),
+    # numpy's pairwise sum unrolls by 8 and splits blocks above 128 samples
+    window_samples=st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 300)),
+    n_training=st.integers(0, 150),
+    n_eval=st.integers(1, 150),
+    burst=st.floats(1.0, 30.0),
+    gap=st.floats(1.0, 30.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(3, 0, 6.0, False, 64, 20, 20, 20.0, 40.0, 1)  # no primary users
+@example(3, 3, 0.0, False, 16, 20, 20, 5.0, 5.0, 2)  # no shadowing draws
+@example(3, 2, 6.0, True, 16, 20, 20, 5.0, 5.0, 3)  # one shared window row
+@example(2, 2, 6.0, False, 5, 20, 20, 5.0, 5.0, 4)  # below 8 samples
+@example(2, 2, 6.0, False, 100, 20, 20, 5.0, 5.0, 5)  # 8 to 128 samples
+@example(2, 2, 6.0, False, 300, 150, 150, 5.0, 5.0, 6)  # above 128, blocks of 54 slots
+def test_sensed_tensor_equals_per_slot_reference(
+    n_sensors, n_pus, sigma, shared, window_samples, n_training, n_eval, burst, gap, seed
+):
+    scenario = Scenario(
+        seed=seed,
+        area_size_m=300.0,
+        n_sensors=n_sensors,
+        n_primary_users=n_pus,
+        channel=ChannelModel(shadowing_sigma_db=sigma),
+        pu_traffic=PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=burst, mean_gap_slots=gap),
+        schedule=SlotSchedule(n_training, n_eval, 10, 10, window_samples),
+    )
+    sensing = sense_run(scenario, seed, shared_streams=shared)
+    assert len(sensing.windows) == (1 if shared else n_sensors)
+    assert_same_bytes(sensing, per_slot_reference(scenario, seed, shared))
 
 
 def test_window_draw_order_one_shadowing_draw_per_active_pu():
@@ -208,7 +294,7 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
         Placement(2, "primary_user", 60.0, 80.0),
     ]
     rng = substream(29, "obs:3")
-    features = window_features(sensor, pus, ch, tm, 16, rng)
+    features = sensor_windows(sensor, pus, np.ones((1, 2), dtype=bool), ch, tm, 16, rng)[0]
 
     replay = substream(29, "obs:3")
     samples = replay.exponential(dbm_to_mw(ch.noise_floor_dbm), size=16)

@@ -1,18 +1,22 @@
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from fedspectrum.engine import run_simulation
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
+    MAX_COUNT,
+    MAX_WINDOWS,
     Scenario,
     ScenarioParseError,
     ScenarioSchemaError,
     ScenarioValidationError,
+    SlotSchedule,
     load_scenario,
     place_nodes,
     scenario_digest,
@@ -297,3 +301,44 @@ def test_every_documented_key_rejects_other_types_by_name(section, key, doc_type
         obj = {"seed": 1, section: {key: value}} if section else {"seed": 1, key: value}
         with pytest.raises(ScenarioSchemaError, match=f"^key {re.escape(name)} must be {expected}$"):
             scenario_from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [
+        (s, k)
+        for s, rows in schema_doc_tables().items()
+        for k, (t, _) in rows.items()
+        if t == "int" and k != "seed"
+    ],
+)
+def test_every_count_above_the_limit_is_rejected_by_field_name(section, key):
+    name = f"{section}.{key}" if section else key
+
+    def violations(count):
+        raw = {"seed": 1, section: {key: count}} if section else {"seed": 1, key: count}
+        return validate_scenario(scenario_from_dict(raw))
+
+    assert f"{name}: must be <= {MAX_COUNT} (got {MAX_COUNT + 1})" in violations(MAX_COUNT + 1)
+    assert not any("must be <=" in v for v in violations(MAX_COUNT))
+    huge = violations(10**400)  # one message per field, no arithmetic on the huge value
+    assert huge == [f"{name}: must be <= {MAX_COUNT} (got {10**400})"]
+
+
+def test_window_tensor_and_chain_block_limits():
+    # sensors x slots windows and primary users x slots chain steps, inclusive
+    at = Scenario(seed=1, n_sensors=10**6, n_primary_users=10**6, schedule=SlotSchedule(40, 60))
+    assert MAX_WINDOWS == 10**8 and validate_scenario(at) == []
+    over = replace(at, schedule=SlotSchedule(40, 61))
+    assert validate_scenario(over) == [
+        "n_sensors: 1000000 x 101 slots is 101000000 windows, above the limit of 100000000",
+        "n_primary_users: 1000000 x 101 slots is 101000000 chain steps, above the limit of "
+        "100000000",
+    ]
+    with pytest.raises(ScenarioValidationError, match="n_sensors: 1000000 x 101 slots"):
+        run_simulation(over, "isolated", 1)  # before placing a million nodes
+
+
+def test_schema_doc_states_the_count_limits():
+    text = SCHEMA_DOC.read_text(encoding="utf-8")
+    assert f"`{MAX_COUNT}`" in text and f"`{MAX_WINDOWS}`" in text
