@@ -14,6 +14,7 @@ from .engine import (
     RunSensing,
     TopologySummary,
     evaluate_detection,
+    generate_dataset,
     roc_sweep,
     run_simulation,
     sense_run,
@@ -24,17 +25,14 @@ from .federation import (
     TrafficStats,
     build_neighbor_graph,
     exchange_traffic,
-    fedavg_aggregate,
     fedavg_mix,
     gossip_mix,
-    merge_models,
     payload_bytes,
 )
 from .radio import (
     ChannelModel,
     PuTrafficModel,
     dbm_to_mw,
-    generate_dataset,
     mw_to_dbm,
     path_loss_db,
     pu_chain,
@@ -59,7 +57,6 @@ from .sensing import (
     bce_loss,
     energy_baseline_decide,
     init_model,
-    predict,
     train_local,
 )
 
@@ -90,18 +87,15 @@ __all__ = [
     "energy_baseline_decide",
     "evaluate_detection",
     "exchange_traffic",
-    "fedavg_aggregate",
     "fedavg_mix",
     "generate_dataset",
     "gossip_mix",
     "init_model",
     "load_scenario",
-    "merge_models",
     "mw_to_dbm",
     "path_loss_db",
     "payload_bytes",
     "place_nodes",
-    "predict",
     "pu_chain",
     "roc_sweep",
     "run_simulation",

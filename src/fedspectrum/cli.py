@@ -5,7 +5,8 @@ Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
 All outputs land under ``--out-dir`` and existing files are only replaced
 with ``--force``.  Each output is written to a temp file beside it and moved
 into place once the command's outputs are all written, so a failed or
-interrupted command leaves no output behind, whole or partial.
+interrupted command leaves no output behind, whole or partial; SIGTERM
+exits through the same cleanup, with code 143.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -20,9 +22,8 @@ from pathlib import Path
 
 from . import engine
 from .federation import TOPOLOGIES
-from .radio import generate_dataset
-from .rng import MAX_SEED, substream
-from .scenario import Scenario, load_scenario
+from .rng import MAX_SEED
+from .scenario import MAX_WINDOWS, Scenario, load_scenario
 from .sensing import model_snapshot_json
 
 PROG = "fedspectrum"
@@ -77,7 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p = sub.add_parser("generate", help="write a labeled dataset CSV for one sensor")
     common(gen_p)
     gen_p.add_argument("--sensor-id", type=int, default=0)
-    gen_p.add_argument("--slots", type=int, default=1000, help="number of dataset rows")
+    gen_p.add_argument(
+        "--slots", type=int, default=1000,
+        help=f"number of dataset rows, at most {MAX_WINDOWS} / max(1, n_primary_users)",
+    )
     gen_p.add_argument("--seed", type=_parse_seed, default=None, help="override scenario seed")
 
     cmp_p = sub.add_parser(
@@ -195,9 +199,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = _target(out_dir, "dataset.csv", args.force)
-    rng = substream(scenario.seed, "dataset")
     with _atomic(path) as (temp,):
-        summary = generate_dataset(scenario, args.sensor_id, args.slots, rng, temp)
+        summary = engine.generate_dataset(scenario, args.sensor_id, args.slots, temp)
     _say(
         f"wrote {path}: {summary.rows_written} rows, "
         f"positive fraction {summary.positive_fraction:.4f}"
@@ -222,7 +225,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         del sensing  # one seed's tensor alive at a time
     runs.sort(key=lambda run: TOPOLOGIES.index(run.topology))  # stable: seeds keep their order
     report = engine.summarize_runs(runs, args.seeds)
-    comparison = json.dumps(engine.comparison_to_dict(report), indent=2, sort_keys=True)
+    comparison = json.dumps(asdict(report), indent=2, sort_keys=True)
     table = engine.comparison_table(report)
     _write_all(
         {
@@ -236,15 +239,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _terminate(signum, frame) -> None:
+    raise SystemExit(128 + signum)  # unwinds through _atomic's cleanup
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; call from the main thread (it sets a SIGTERM handler
+    for the command's duration)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "generate": cmd_generate, "compare": cmd_compare}
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         return handlers[args.command](args)
     except (OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

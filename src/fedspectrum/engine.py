@@ -6,8 +6,9 @@ an ``(n, n_training_slots + n_eval_slots, 3)`` tensor, and the truth labels
 (whether any primary user transmits in a slot) through
 ``radio.sense_windows``.  These depend on (scenario, seed) only, never on
 the topology, so ``compare`` senses once per seed and runs every topology
-on the same tensor.  Training slots: every ``local_train_period_slots`` each
-node trains on its row of the period's windows; every
+on the same tensor, and ``generate_dataset`` writes one sensor's row of it.
+Training slots: every ``local_train_period_slots`` each node trains on its
+row of the period's windows; every
 ``federation_period_slots`` the selected exchange (gossip round or central
 FedAvg round) fires, training first when both land on the same slot.  Eval
 slots: models are frozen and each node decides all of its windows with one
@@ -19,8 +20,9 @@ Costs are closed forms of the schedule, not tallies: every node trains on
 times each at ``3 * macs_per_inference`` (forward, backward, update), and
 traffic and aggregation MACs follow from the rounds and the node degrees.
 
-Random sub-streams are labeled so modules cannot disturb each other:
-``placement``, ``traffic``, ``init``, ``obs:<node_id>``, ``train:<node_id>``
+Random sub-streams are labeled so modules cannot disturb each other, and
+are derived here only: ``placement``, ``traffic``, ``init``,
+``obs:<node_id>``, ``train:<node_id>``
 (``obs:shared``/``train:shared`` when ``shared_streams`` is set, which draws
 one window row at sensor 0, gives it to every node, and gives every node the
 same shuffle stream, for degeneracy tests).
@@ -29,7 +31,7 @@ same shuffle stream, for degeneracy tests).
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +48,7 @@ from .federation import (
 from .radio import sense_windows
 from .rng import substream
 from .scenario import (
+    MAX_WINDOWS,
     Placement,
     Scenario,
     ScenarioValidationError,
@@ -69,6 +72,10 @@ class EmptyInputError(ValueError):
 
 class DivergenceError(ValueError):
     """A node's model left the finite numbers during a run."""
+
+
+class UnknownSensorError(ValueError):
+    """Requested sensor id does not exist in the scenario."""
 
 
 def _check_finite(theta: np.ndarray, when: str) -> None:
@@ -181,6 +188,47 @@ def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) ->
     )
     windows.flags.writeable = truths.flags.writeable = False
     return RunSensing(scenario, seed, shared_streams, placements, windows, truths)
+
+
+@dataclass
+class DatasetSummary:
+    rows_written: int
+    positive_fraction: float
+
+
+def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> DatasetSummary:
+    """Write a CSV whose row ``t`` is slot ``t`` of sensor ``sensor_id`` in
+    ``sense_run(scenario, scenario.seed)`` (of a longer run, past its slots).
+
+    Returns:
+        DatasetSummary with the row count and the fraction of occupied slots.
+    """
+    _validate(scenario)
+    # the row's windows and the chain block's steps are each at most MAX_WINDOWS
+    limit = MAX_WINDOWS // max(1, scenario.n_primary_users)
+    if not 0 <= n_slots <= limit:
+        raise ValueError(
+            f"n_slots: must be in 0..{limit} (got {n_slots}); the limit is "
+            f"{MAX_WINDOWS} / max(1, n_primary_users)"
+        )
+    placements = place_nodes(scenario, substream(scenario.seed, "placement"))
+    sensor = [p for p in placements if p.kind == "sensor" and p.node_id == sensor_id]
+    if not sensor:
+        raise UnknownSensorError(
+            f"sensor_id: no sensor with id {sensor_id} "
+            f"(valid ids 0..{scenario.n_sensors - 1})"
+        )
+    pus = [p for p in placements if p.kind == "primary_user"]
+    obs_rng = substream(scenario.seed, f"obs:{sensor_id}")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("slot,f1,f2,f3,label\n")
+        windows, truths = sense_windows(
+            scenario, sensor, pus, substream(scenario.seed, "traffic"), [obs_rng], n_slots
+        )
+        for slot, ((f1, f2, f3), label) in enumerate(zip(windows[0].tolist(), truths.tolist())):
+            fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{int(label)}\n")
+    positives = int(np.count_nonzero(truths))
+    return DatasetSummary(n_slots, positives / n_slots if n_slots else 0.0)
 
 
 def run_simulation(
@@ -333,7 +381,6 @@ def roc_sweep(
 class TopologySummary:
     """Per-topology aggregation across seeds (byte/MAC fields are means)."""
 
-    topology: str
     needs_neighbor_comm: bool
     busiest_node_bytes: float
     total_bytes: float
@@ -376,7 +423,6 @@ def summarize_runs(runs: Sequence[RunResult], seeds: Sequence[int]) -> Compariso
         mean_pfa, pfa_skipped = _mean_defined([r.global_metrics.pfa for r in group])
         mean_acc, _ = _mean_defined([r.global_metrics.accuracy for r in group])
         summaries[topology] = TopologySummary(
-            topology=topology,
             needs_neighbor_comm=topology == "gossip",
             busiest_node_bytes=float(
                 np.mean([r.busiest_node_bytes() for r in group])
@@ -416,30 +462,20 @@ def metrics_csv_lines(runs: Sequence[RunResult]) -> list[str]:
     """CSV rows: one per sensor per run plus a totals row per run."""
     lines = [METRICS_HEADER]
     for run in runs:
-        tx, rx, costs = run.traffic.tx_bytes, run.traffic.rx_bytes, run.per_node_cost
+        # every node receives as many bytes as it sends: rx_bytes repeats tx_bytes
+        tx, costs = run.traffic.tx_bytes, run.per_node_cost
         rows = [
-            (str(i), m, tx.get(i, 0), rx.get(i, 0), c.train_macs_accumulated, c.model_bytes)
+            (str(i), m, tx.get(i, 0), tx.get(i, 0), c.train_macs_accumulated, c.model_bytes)
             for i, (m, c) in enumerate(zip(run.per_node_metrics, costs))
         ]
         # totals over every node, the coordinator's traffic included
-        totals = [sum(tx.values()), sum(rx.values())]
+        totals = [sum(tx.values())] * 2
         totals += [sum(c.train_macs_accumulated for c in costs), sum(c.model_bytes for c in costs)]
         for node, m, *counts in rows + [("global", run.global_metrics, *totals)]:
             cells = [f"{run.topology}-s{run.seed}", run.topology, str(run.seed), node]
             cells += [_fmt_rate(m.pd), _fmt_rate(m.pfa), _fmt_rate(m.accuracy)]
             lines.append(",".join(cells + [str(count) for count in counts]))
     return lines
-
-
-def comparison_to_dict(report: ComparisonReport) -> dict:
-    """The report as plain data, topologies in name order; each summary
-    drops its ``topology`` field, which repeats its key."""
-    out = asdict(report)
-    out["topologies"] = {
-        name: {k: v for k, v in summary.items() if k != "topology"}
-        for name, summary in sorted(out["topologies"].items())
-    }
-    return out
 
 
 def _fmt_mean(value: float | None, digits: int = 4) -> str:

@@ -5,11 +5,12 @@ The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
 ``NeighborTable`` whose row ``i`` lists node ``i``'s neighbors.  A gossip
 round mixes each row with its neighbors' rows; a central round replaces
 every row by their FedAvg mean.  Rounds are synchronous, and both steps
-match the per-model references ``merge_models`` and ``fedavg_aggregate``
-bit for bit.  Traffic is a closed form: per round each node sends one model
-to and receives one from each peer, at ``16 + 8 * param_count`` bytes a
-model (4-byte sender id, 4-byte round index, 8-byte sample count, then
-float64 coefficients).
+match per-model references (``merge_models`` and ``fedavg_aggregate`` in
+the tests' oracles) bit for bit.  Traffic is a closed form: per round each
+node sends one model to and receives one from each peer, at
+``16 + 8 * param_count`` bytes a model (4-byte sender id, 4-byte round
+index, 8-byte sample count, then float64 coefficients), so a node receives
+as many bytes as it sends.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .sensing import ModelParams
-
 if TYPE_CHECKING:
     from .scenario import Placement
 
@@ -31,16 +30,8 @@ TOPOLOGIES = ("isolated", "gossip", "central")
 WEIGHTINGS = ("uniform", "samples", "inverse_distance")
 
 
-class KindMismatchError(ValueError):
-    """Models of different kinds cannot be averaged."""
-
-
 class NonpositiveDistanceError(ValueError):
     """Inverse-distance weighting needs strictly positive link distances."""
-
-
-class EmptyUpdatesError(ValueError):
-    """FedAvg was called with no updates."""
 
 
 @dataclass
@@ -53,16 +44,17 @@ class FederationConfig:
 
 @dataclass
 class TrafficStats:
-    """Byte counters for one or more federation rounds."""
+    """Byte counters for one or more federation rounds; every node receives
+    as many bytes as it sends (``tx_bytes``)."""
 
     tx_bytes: dict[int, int] = field(default_factory=dict)
-    rx_bytes: dict[int, int] = field(default_factory=dict)
     central_bytes: int = 0
     total_bytes: int = 0
     messages: int = 0
 
     def node_bytes(self, node_id: int) -> int:
-        return self.tx_bytes.get(node_id, 0) + self.rx_bytes.get(node_id, 0)
+        """Bytes the node sent and received."""
+        return 2 * self.tx_bytes.get(node_id, 0)
 
 
 def payload_bytes(param_count: int) -> int:
@@ -77,9 +69,7 @@ def exchange_traffic(
     star around ``central_id``).  Nodes that exchange nothing get no entry."""
     per_node = {node: d * payload * rounds for node, d in degrees.items() if d and rounds}
     links = sum(degrees.values()) * rounds
-    return TrafficStats(
-        per_node, dict(per_node), 2 * per_node.get(central_id, 0), links * payload, links
-    )
+    return TrafficStats(per_node, 2 * per_node.get(central_id, 0), links * payload, links)
 
 
 class NeighborTable(NamedTuple):
@@ -119,61 +109,6 @@ def build_neighbor_graph(
         table.valid[i, : len(row)] = True
         table.distances[i, : len(row)] = dists[i]
     return table
-
-
-def _check_kinds(kinds: Sequence[str]) -> str:
-    first = kinds[0]
-    for k in kinds[1:]:
-        if k != first:
-            raise KindMismatchError(
-                f"kind: cannot merge {k!r} into {first!r} models"
-            )
-    return first
-
-
-def merge_models(
-    own: ModelParams,
-    received: Sequence[tuple[ModelParams, float]],
-    cfg: FederationConfig,
-) -> ModelParams:
-    """Convex combination of the own model and the received ones.
-
-    Weights before normalization: ``uniform`` gives 1 to every contributor,
-    ``samples`` gives ``max(n_train_samples, 1)``, ``inverse_distance`` gives
-    the own model 1 and each received model ``1/distance``.  With
-    ``include_self_weight`` false the own model gets weight 0 (its sample
-    count still participates in the resulting counter).  An empty ``received``
-    returns ``own`` unchanged.
-    """
-    if not received:
-        return own
-    _check_kinds([own.kind] + [m.kind for m, _ in received])
-    if cfg.weighting == "uniform":
-        own_w = 1.0
-        recv_w = [1.0] * len(received)
-    elif cfg.weighting == "samples":
-        own_w = float(max(own.n_train_samples, 1))
-        recv_w = [float(max(m.n_train_samples, 1)) for m, _ in received]
-    elif cfg.weighting == "inverse_distance":
-        for _, d in received:
-            if d <= 0.0:
-                raise NonpositiveDistanceError(
-                    f"distance: inverse_distance weighting needs d > 0 (got {d})"
-                )
-        own_w = 1.0
-        recv_w = [1.0 / d for _, d in received]
-    else:
-        raise ValueError(
-            f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"
-        )
-    if not cfg.include_self_weight:
-        own_w = 0.0
-    total = own_w + sum(recv_w)
-    theta = own.theta * (own_w / total)
-    for (m, _), w in zip(received, recv_w):
-        theta = theta + m.theta * (w / total)
-    n_max = max([own.n_train_samples] + [m.n_train_samples for m, _ in received])
-    return ModelParams(own.kind, theta, n_max)
 
 
 def gossip_mix(
@@ -219,19 +154,6 @@ def gossip_mix(
         # where, not + 0.0: adding a padded slot would turn -0.0 into 0.0
         mixed = np.where(valid[:, k, None], mixed + parts[:, k], mixed)
     return np.where(mixes[:, None], mixed, theta), np.where(mixes, 0, counts)
-
-
-def fedavg_aggregate(updates: Sequence[ModelParams]) -> ModelParams:
-    """Sample-count-weighted average; empty counters weigh as one sample."""
-    if len(updates) == 0:
-        raise EmptyUpdatesError("updates: nothing to aggregate")
-    kind = _check_kinds([m.kind for m in updates])
-    counts = [max(m.n_train_samples, 1) for m in updates]
-    n = sum(counts)
-    theta = np.zeros_like(updates[0].theta)
-    for m, c in zip(updates, counts):
-        theta += m.theta * (c / n)
-    return ModelParams(kind, theta, n)
 
 
 def fedavg_mix(theta: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,9 @@ an energy detector).
 A run is sensed before anything else (``sense_windows``): the primary-user
 chains step over one block of uniforms (``pu_chain``), then each sensor
 draws its windows in slot order from its own stream (``sensor_windows``).
-``generate_dataset`` steps the same two functions one slot at a time.
+This is the only sensing driver: ``engine`` calls it, with the ``traffic``
+and ``obs:<id>`` streams it derives, both for a run's whole tensor and for
+the one sensor row ``generate`` writes.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ if TYPE_CHECKING:
 _POWER_FLOOR_MW = 1e-30
 # power samples held at once per sensor: 256 windows of 64 samples (128 KiB)
 _BLOCK_SAMPLES = 256 * 64
-
-
-class UnknownSensorError(ValueError):
-    """Requested sensor id does not exist in the scenario."""
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -66,26 +64,18 @@ class PuTrafficModel:
     mean_gap_slots: float = 40.0
 
 
-@dataclass
-class DatasetSummary:
-    rows_written: int
-    positive_fraction: float
-
-
 def path_loss_db(ch: ChannelModel, distance_m: float) -> float:
     """Deterministic log-distance loss, clamped below the reference distance."""
     d = max(distance_m, ch.d0_m)
     return ch.pl0_db + 10.0 * ch.n_exp * math.log10(d / ch.d0_m)
 
 
-def pu_chain(
-    uniforms: np.ndarray, tm: PuTrafficModel, on: np.ndarray | None = None
-) -> np.ndarray:
+def pu_chain(uniforms: np.ndarray, tm: PuTrafficModel) -> np.ndarray:
     """Primary-user chain states after each slot of a uniform block.
 
     ``uniforms`` is a (slots, P) block, row t holding slot t's draw for each
-    chain; ``on`` is the (P,) state before the first slot (default: idle).
-    A chain leaves its state when its uniform is below 1/mean of that state.
+    chain; every chain starts idle.  A chain leaves its state when its
+    uniform is below 1/mean of that state.
 
     Returns:
         (slots, P) bool states; row t is the state after slot t.
@@ -93,7 +83,7 @@ def pu_chain(
     leave = (1.0 / tm.mean_gap_slots, 1.0 / tm.mean_burst_slots)
     states = np.empty(uniforms.shape, dtype=bool)
     for p, column in enumerate(uniforms.T.tolist()):
-        state = on is not None and bool(on[p])
+        state = False
         trajectory = []
         for u in column:
             state ^= u < leave[state]
@@ -180,49 +170,3 @@ def sense_windows(
     for i, (sensor, rng) in enumerate(zip(sensors, obs_rngs)):
         windows[i] = sensor_windows(sensor, pus, states, scenario.channel, tm, w, rng)
     return windows, states.any(axis=1)
-
-
-def generate_dataset(
-    scenario: "Scenario",
-    sensor_id: int,
-    n_slots: int,
-    rng: np.random.Generator,
-    path,
-) -> DatasetSummary:
-    """Write a labeled feature CSV for one sensor.
-
-    The primary-user chains start idle; each slot steps them (``pu_chain``)
-    and then draws the window (``sensor_windows``), both from ``rng``.  Node
-    placement comes from the scenario seed's "placement" sub-stream, so the
-    file only depends on (scenario, rng state).
-
-    Returns:
-        DatasetSummary with the row count and the fraction of occupied slots.
-    """
-    from .rng import substream
-    from .scenario import place_nodes
-
-    if n_slots < 0:
-        raise ValueError(f"n_slots: must be >= 0 (got {n_slots})")
-    placements = place_nodes(scenario, substream(scenario.seed, "placement"))
-    sensors = {p.node_id: p for p in placements if p.kind == "sensor"}
-    if sensor_id not in sensors:
-        raise UnknownSensorError(
-            f"sensor_id: no sensor with id {sensor_id} "
-            f"(valid ids 0..{scenario.n_sensors - 1})"
-        )
-    pus = [p for p in placements if p.kind == "primary_user"]
-    on = np.zeros((1, len(pus)), dtype=bool)
-    sensor = sensors[sensor_id]
-    ch, tm, w = scenario.channel, scenario.pu_traffic, scenario.schedule.window_samples
-    positives = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("slot,f1,f2,f3,label\n")
-        for slot in range(n_slots):
-            on = pu_chain(rng.random(on.shape), tm, on[0])
-            f1, f2, f3 = sensor_windows(sensor, pus, on, ch, tm, w, rng)[0].tolist()
-            label = int(on.any())
-            positives += label
-            fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{label}\n")
-    fraction = positives / n_slots if n_slots else 0.0
-    return DatasetSummary(n_slots, fraction)

@@ -124,13 +124,6 @@ def _logits(kind: str, theta: np.ndarray, x: np.ndarray):
     return h @ w2 + b2, h
 
 
-def predict(model: ModelParams, features: Sequence[float]) -> float:
-    """Occupancy probability in [0, 1] for one feature vector."""
-    x = np.asarray(features, dtype=np.float64).reshape(1, N_FEATURES)
-    z, _ = _logits(model.kind, model.theta, x)
-    return float(expit(z[0]))
-
-
 def predict_batch(model: ModelParams, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
     z, _ = _logits(model.kind, model.theta, x)

@@ -1,10 +1,14 @@
 """Independent references the module tests share."""
 
 import math
+from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
+from fedspectrum.federation import WEIGHTINGS, FederationConfig, NonpositiveDistanceError
 from fedspectrum.radio import dbm_to_mw, mw_to_dbm, path_loss_db
+from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams
 
 
 def radio_range(xy, radius_m):
@@ -83,3 +87,96 @@ def sense_slots(scenario, sensors, pus, traffic_rng, obs_rngs, n_slots):
         states[t] = on
         truths[t] = on.any()
     return windows, truths, states
+
+
+# Per-model references for the stacked federation steps: ``gossip_mix`` and
+# ``fedavg_mix`` must equal them bit for bit.
+
+
+class KindMismatchError(ValueError):
+    """Models of different kinds cannot be averaged."""
+
+
+class EmptyUpdatesError(ValueError):
+    """FedAvg was called with no updates."""
+
+
+def _check_kinds(kinds: Sequence[str]) -> str:
+    first = kinds[0]
+    for k in kinds[1:]:
+        if k != first:
+            raise KindMismatchError(
+                f"kind: cannot merge {k!r} into {first!r} models"
+            )
+    return first
+
+
+def merge_models(
+    own: ModelParams,
+    received: Sequence[tuple[ModelParams, float]],
+    cfg: FederationConfig,
+) -> ModelParams:
+    """Convex combination of the own model and the received ones.
+
+    Weights before normalization: ``uniform`` gives 1 to every contributor,
+    ``samples`` gives ``max(n_train_samples, 1)``, ``inverse_distance`` gives
+    the own model 1 and each received model ``1/distance``.  With
+    ``include_self_weight`` false the own model gets weight 0 (its sample
+    count still participates in the resulting counter).  An empty ``received``
+    returns ``own`` unchanged.
+    """
+    if not received:
+        return own
+    _check_kinds([own.kind] + [m.kind for m, _ in received])
+    if cfg.weighting == "uniform":
+        own_w = 1.0
+        recv_w = [1.0] * len(received)
+    elif cfg.weighting == "samples":
+        own_w = float(max(own.n_train_samples, 1))
+        recv_w = [float(max(m.n_train_samples, 1)) for m, _ in received]
+    elif cfg.weighting == "inverse_distance":
+        for _, d in received:
+            if d <= 0.0:
+                raise NonpositiveDistanceError(
+                    f"distance: inverse_distance weighting needs d > 0 (got {d})"
+                )
+        own_w = 1.0
+        recv_w = [1.0 / d for _, d in received]
+    else:
+        raise ValueError(
+            f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"
+        )
+    if not cfg.include_self_weight:
+        own_w = 0.0
+    total = own_w + sum(recv_w)
+    theta = own.theta * (own_w / total)
+    for (m, _), w in zip(received, recv_w):
+        theta = theta + m.theta * (w / total)
+    n_max = max([own.n_train_samples] + [m.n_train_samples for m, _ in received])
+    return ModelParams(own.kind, theta, n_max)
+
+
+def fedavg_aggregate(updates: Sequence[ModelParams]) -> ModelParams:
+    """Sample-count-weighted average; empty counters weigh as one sample."""
+    if len(updates) == 0:
+        raise EmptyUpdatesError("updates: nothing to aggregate")
+    kind = _check_kinds([m.kind for m in updates])
+    counts = [max(m.n_train_samples, 1) for m in updates]
+    n = sum(counts)
+    theta = np.zeros_like(updates[0].theta)
+    for m, c in zip(updates, counts):
+        theta += m.theta * (c / n)
+    return ModelParams(kind, theta, n)
+
+
+def predict(model, features):
+    """Occupancy probability of one feature vector, the layers written out:
+    the reference for ``sensing.predict_batch``."""
+    x = np.asarray(features, dtype=np.float64).reshape(N_FEATURES)
+    theta = model.theta
+    if model.kind == "logistic":
+        return float(expit(x @ theta[:N_FEATURES] + theta[N_FEATURES]))
+    w1_end, b1_end = N_FEATURES * MLP_HIDDEN, N_FEATURES * MLP_HIDDEN + MLP_HIDDEN
+    w1 = theta[:w1_end].reshape(MLP_HIDDEN, N_FEATURES)
+    hidden = np.tanh(w1 @ x + theta[w1_end:b1_end])
+    return float(expit(hidden @ theta[b1_end : b1_end + MLP_HIDDEN] + theta[-1]))

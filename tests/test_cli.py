@@ -1,13 +1,19 @@
+import functools
 import json
+import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedspectrum import radio
 from fedspectrum.cli import _parse_seeds, main
+from fedspectrum.engine import sense_run
+from fedspectrum.scenario import load_scenario
 
 FAST_SCENARIO = {
     "seed": 3,
@@ -170,6 +176,97 @@ def test_generate_dataset_cli(tmp_path, scenario_path):
     lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "slot,f1,f2,f3,label"
     assert len(lines) == 51
+
+
+# slots of the runs that generate is checked against
+ROW_SLOTS = 120
+
+
+@functools.lru_cache(maxsize=8)  # 2 scenarios x 2 seeds x 2 lengths
+def sensed(scenario_file, seed, n_slots):
+    """``sense_run`` of the scenario file at ``seed`` (None: the file's own),
+    with the schedule cut to ``n_slots`` slots."""
+    scenario = load_scenario(scenario_file)
+    schedule = replace(scenario.schedule, n_training_slots=n_slots - 20, n_eval_slots=20)
+    return sense_run(replace(scenario, schedule=schedule), scenario.seed if seed is None else seed)
+
+
+@pytest.mark.parametrize("slots", [70, ROW_SLOTS + 80])
+@pytest.mark.parametrize("sensor", [0, 5, -1])
+@pytest.mark.parametrize("seed", [None, 2**64 - 1])
+@pytest.mark.parametrize(
+    "scenario_file", ["scenarios/default.json", "bench/scenarios/dense_gossip.json"]
+)
+def test_generate_writes_a_row_of_the_run(scenario_file, seed, sensor, slots, tmp_path):
+    # generate writes sensor k's row of the windows and truth labels a run of
+    # the same seed senses; past the run's slots, the row of a longer run
+    k = sensor % load_scenario(scenario_file).n_sensors
+    argv = ["generate", "--scenario", scenario_file, "--out-dir", str(tmp_path),
+            "--sensor-id", str(k), "--slots", str(slots)]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == 0
+    lines = (tmp_path / "dataset.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[0]) for row in rows] == list(range(slots))
+    assert {row[4] for row in rows} <= {"0", "1"}
+    windows = np.array([[float(v) for v in row[1:4]] for row in rows])
+    truths = [row[4] == "1" for row in rows]
+    run = sensed(scenario_file, seed, ROW_SLOTS)
+    m = min(slots, ROW_SLOTS)
+    assert windows[:m].tobytes() == run.windows[k, :m].tobytes()
+    assert truths[:m] == run.truths[:m].tolist()
+    if slots > ROW_SLOTS:
+        longer = sensed(scenario_file, seed, slots)
+        assert windows.tobytes() == longer.windows[k].tobytes()
+        assert truths == longer.truths.tolist()
+
+
+def run_cli(*argv, timeout=60):
+    return subprocess.run(
+        [sys.executable, "-m", "fedspectrum.cli", *argv],
+        capture_output=True, text=True, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize(
+    "n_pus,slots,limit",
+    [(1, 10**20, 10**8), (0, 10**8 + 1, 10**8), (4, 25 * 10**6 + 1, 25 * 10**6)],
+    ids=["huge", "windows", "chain-steps"],
+)
+def test_generate_rejects_slots_beyond_the_window_limit(n_pus, slots, limit, tmp_path):
+    # --slots 10**20 used to write rows until the process was killed
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**FAST_SCENARIO, "n_primary_users": n_pus}), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("generate", "--scenario", str(path), "--out-dir", str(out),
+                   "--slots", str(slots))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"fedspectrum: error: n_slots: must be in 0..{limit} (got {slots}); "
+        f"the limit is 100000000 / max(1, n_primary_users)"
+    ]
+    assert proc.stdout == ""
+    assert list(out.iterdir()) == []
+
+
+def test_sigterm_leaves_no_temp_file(tmp_path):
+    # a SIGTERM used to end generate before its temp file was removed
+    out = tmp_path / "out"
+    argv = [sys.executable, "-m", "fedspectrum.cli", "generate", "--out-dir", str(out),
+            "--scenario", "scenarios/default.json", "--slots", "1000000"]
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob(".dataset.csv.*.tmp")):
+                assert proc.poll() is None, "generate ended before writing its temp file"
+                assert time.monotonic() < deadline, "no temp file within 60 s"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # only still running if an assertion failed
+    assert proc.returncode == 128 + signal.SIGTERM == 143
+    assert err == b""
+    assert list(out.iterdir()) == []
 
 
 def test_compare_outputs_and_determinism(tmp_path, scenario_path, capsys):
@@ -360,16 +457,14 @@ def test_failed_write_leaves_no_output(argv, scenario_path, tmp_path, monkeypatc
 def test_failed_generate_leaves_no_dataset(scenario_path, tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     argv = ["generate", "--scenario", scenario_path, "--out-dir", str(out), "--slots", "20"]
-    sensor_windows, calls = radio.sensor_windows, []
 
-    def fail_at_slot_10(*args):
-        calls.append(args)
-        if len(calls) == 10:
-            raise OSError("sensor read failed")
-        return sensor_windows(*args)
+    def fail_the_draw(*args):
+        # the row is drawn once the temp file is open
+        assert len(list(out.glob(".dataset.csv.*.tmp"))) == 1
+        raise OSError("sensor read failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(radio, "sensor_windows", fail_at_slot_10)
+        patch.setattr(radio, "sensor_windows", fail_the_draw)
         assert main(argv) == 1
     assert "sensor read failed" in capsys.readouterr().err
     assert list(out.iterdir()) == []

@@ -16,7 +16,6 @@ from fedspectrum.engine import (
     METRICS_HEADER,
     RunResult,
     comparison_table,
-    comparison_to_dict,
     evaluate_detection,
     metrics_csv_lines,
     roc_sweep,
@@ -461,7 +460,7 @@ def test_compare_run_order_and_summary(tmp_path, capsys):
     runs = [run_simulation(scenario, t, s) for t, s in order]
     report = summarize_runs(runs, [1, 2])
     payload = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
-    assert payload == comparison_to_dict(report)
+    assert payload == json.loads(json.dumps(asdict(report)))
     assert set(report.topologies) == {"isolated", "gossip", "central"}
     assert report.topologies["isolated"].total_bytes == 0.0
     assert report.topologies["gossip"].needs_neighbor_comm is True
@@ -519,8 +518,9 @@ def test_metrics_csv_blank_cell_for_undefined_rate():
 
 def test_comparison_serialization_and_table():
     report = summarize_runs([run_simulation(small_scenario(), t, 1) for t in TOPOLOGIES], [1])
-    payload = comparison_to_dict(report)
+    payload = json.loads(json.dumps(asdict(report), sort_keys=True))
     assert list(payload["topologies"]) == ["central", "gossip", "isolated"]
+    assert all("topology" not in summary for summary in payload["topologies"].values())
     assert payload["seeds"] == [1]
     assert len(payload["scenario_digest"]) == 16
 

@@ -5,23 +5,25 @@ from hypothesis import strategies as st
 
 from fedspectrum.federation import (
     WEIGHTINGS,
-    EmptyUpdatesError,
     FederationConfig,
-    KindMismatchError,
     NeighborTable,
     NonpositiveDistanceError,
     TrafficStats,
     build_neighbor_graph,
     exchange_traffic,
-    fedavg_aggregate,
     fedavg_mix,
     gossip_mix,
-    merge_models,
     payload_bytes,
 )
 from fedspectrum.scenario import Placement
 from fedspectrum.sensing import ModelParams, model_dim
-from oracles import radio_range
+from oracles import (
+    EmptyUpdatesError,
+    KindMismatchError,
+    fedavg_aggregate,
+    merge_models,
+    radio_range,
+)
 
 
 def logistic(value, n=0):
@@ -229,7 +231,8 @@ def test_gossip_round_snapshot_semantics():
     np.testing.assert_array_equal(theta, before)
     assert counts.tolist() == [4, 4, 4]
     stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
-    assert stats.tx_bytes == stats.rx_bytes == {0: 48, 1: 96, 2: 48}
+    assert stats.tx_bytes == {0: 48, 1: 96, 2: 48}
+    assert stats.node_bytes(1) == 2 * 96  # receives what it sends
     assert stats.messages == 4
 
 
@@ -248,7 +251,7 @@ def test_gossip_isolated_node_untouched():
         assert new_counts.tolist() == [0, 0, 7]
     stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
     assert stats.messages == 2
-    assert 2 not in stats.tx_bytes and 2 not in stats.rx_bytes
+    assert 2 not in stats.tx_bytes and stats.node_bytes(2) == 0
 
 
 def test_gossip_empty_graph_no_messages():
@@ -261,16 +264,27 @@ def test_gossip_empty_graph_no_messages():
 
 
 def message_traffic(links, payload, rounds, central_id):
-    """Reference: book every (sender, receiver) model transfer one at a time."""
-    stats = TrafficStats()
+    """Reference: book every (sender, receiver) model transfer one at a time.
+
+    Returns (bytes sent per node, bytes received per node, TrafficStats
+    holding the sent bytes and the totals)."""
+    stats, rx = TrafficStats(), {}
     for _ in range(rounds):
         for sender, receiver in links:
             stats.tx_bytes[sender] = stats.tx_bytes.get(sender, 0) + payload
-            stats.rx_bytes[receiver] = stats.rx_bytes.get(receiver, 0) + payload
+            rx[receiver] = rx.get(receiver, 0) + payload
             stats.total_bytes += payload
             stats.messages += 1
-    stats.central_bytes = stats.node_bytes(central_id)
-    return stats
+    stats.central_bytes = stats.tx_bytes.get(central_id, 0) + rx.get(central_id, 0)
+    return stats.tx_bytes, rx, stats
+
+
+def assert_matches_messages(stats, links, payload, rounds, central_id):
+    """``stats`` books what sending every message one at a time books; its one
+    per-node field is both the bytes sent and the bytes received."""
+    tx, rx, expected = message_traffic(links, payload, rounds, central_id)
+    assert stats == expected
+    assert stats.tx_bytes == tx and stats.tx_bytes == rx
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.integers(0, 3))
@@ -284,7 +298,7 @@ def test_gossip_message_count_equals_degree_sum(seed, n, rounds):
     table = build_neighbor_graph(placements, float(rng.uniform(0, 400)))
     stats = exchange_traffic(degrees_of(table), 48, rounds, central_id=99)
     links = [(i, j) for i, row in enumerate(neighbors(table)) for j in row]
-    assert stats == message_traffic(links, 48, rounds, central_id=99)
+    assert_matches_messages(stats, links, 48, rounds, central_id=99)
     assert stats.messages == rounds * table.valid.sum()
     assert stats.total_bytes == 48 * rounds * table.valid.sum()
     assert stats.central_bytes == 0
@@ -300,9 +314,9 @@ def test_central_round_traffic_and_distribution():
     assert stats.central_bytes == 24 * 48
     for i in range(12):
         assert stats.tx_bytes[i] == 48
-        assert stats.rx_bytes[i] == 48
+        assert stats.node_bytes(i) == 2 * 48
     links = [(i, 20) for i in range(12)] + [(20, i) for i in range(12)]
-    assert stats == message_traffic(links, 48, 1, central_id=20)
+    assert_matches_messages(stats, links, 48, 1, central_id=20)
     # counts 1,1,2,...,11 -> weighted mean of 0..11
     counts_floor = [max(i, 1) for i in range(12)]
     expected = sum(c * i for c, i in zip(counts_floor, range(12))) / sum(counts_floor)
@@ -316,7 +330,7 @@ def test_central_round_traffic_and_distribution():
 def test_traffic_closed_form_scales_with_rounds():
     degrees = {0: 1, 1: 2, 2: 1}
     one = exchange_traffic(degrees, 344, 1, central_id=7)
-    assert sum(one.tx_bytes.values()) == sum(one.rx_bytes.values()) == one.total_bytes
+    assert sum(one.tx_bytes.values()) == one.total_bytes
     assert one.total_bytes == 4 * 344
     assert one.node_bytes(1) == 2 * 2 * 344
     three = exchange_traffic(degrees, 344, 3, central_id=7)
@@ -332,7 +346,7 @@ def test_traffic_closed_form_scales_with_rounds():
 def test_traffic_conservation_property(degrees, rounds):
     stats = exchange_traffic(degrees, 48, rounds, central_id=0)
     assert sum(stats.tx_bytes.values()) == stats.total_bytes
-    assert sum(stats.rx_bytes.values()) == stats.total_bytes
+    assert sum(stats.node_bytes(i) for i in degrees) == 2 * stats.total_bytes
     assert stats.messages == rounds * sum(degrees.values())
     assert stats.central_bytes == 2 * 48 * rounds * degrees.get(0, 0)
 

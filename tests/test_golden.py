@@ -44,7 +44,7 @@ CASES = {
         ["generate", "--scenario", "scenarios/default.json", "--sensor-id", "5",
          "--slots", "1000"],
         {
-            "dataset.csv": "2d3ff8cc6211a961b18027c78e9afbd2e5db2d0341e0256f8f63166674196d2c",
+            "dataset.csv": "0c03d519d73f181d3cd00d2380c696e6a19f4c250c0bfe08f1d32f7eb981a82a",
         },
     ),
 }

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedspectrum.engine import sense_run
+from fedspectrum.engine import UnknownSensorError, generate_dataset, sense_run
 from fedspectrum.radio import (
     ChannelModel,
     PuTrafficModel,
-    UnknownSensorError,
     dbm_to_mw,
-    generate_dataset,
     mw_to_dbm,
     path_loss_db,
     pu_chain,
@@ -91,15 +89,19 @@ def test_shadowing_moments_monte_carlo():
 
 def test_activity_step_consumes_one_uniform():
     # One uniform per chain per slot, drawn in chain order within a slot's
-    # row, each applied with the scalar rule; no chains draw nothing.
-    tm = PuTrafficModel(mean_burst_slots=20.0, mean_gap_slots=40.0)
+    # row, each applied with the scalar rule; no chains draw nothing.  Slot
+    # 0 leaves idle half the time, so slot 1 applies both rules.
+    tm = PuTrafficModel(mean_burst_slots=4.0, mean_gap_slots=2.0)
     rng_a = substream(11, "traffic")
     rng_b = substream(11, "traffic")
-    before = np.array([False, True, False, True])
-    after = pu_chain(rng_a.random((1, before.size)), tm, before)[0]
-    u = [rng_b.random() for _ in before]
-    expected = [not (ui < 1.0 / 20.0) if was else ui < 1.0 / 40.0 for ui, was in zip(u, before)]
-    assert after.dtype == bool and after.tolist() == expected
+    block = pu_chain(rng_a.random((2, 8)), tm)
+    expected, was = [], [False] * 8
+    for _ in range(2):
+        u = [rng_b.random() for _ in was]
+        was = [not (ui < 1.0 / 4.0) if on else ui < 1.0 / 2.0 for ui, on in zip(u, was)]
+        expected.append(was)
+    assert block.dtype == bool and block.tolist() == expected
+    assert 0 < sum(expected[0]) < 8
     assert rng_a.random() == rng_b.random()
     state = rng_a.bit_generator.state
     assert pu_chain(rng_a.random((5, 0)), tm).shape == (5, 0)
@@ -318,9 +320,8 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
 
 def test_generate_dataset_file_shape_and_determinism(tmp_path):
     scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2, area_size_m=400.0)
-    rng = substream(31, "dataset")
     out = tmp_path / "a.csv"
-    summary = generate_dataset(scenario, 2, 200, rng, out)
+    summary = generate_dataset(scenario, 2, 200, out)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "slot,f1,f2,f3,label"
     assert len(lines) == 201
@@ -331,20 +332,20 @@ def test_generate_dataset_file_shape_and_determinism(tmp_path):
     float(first[1]), float(first[2]), float(first[3])
 
     out_b = tmp_path / "b.csv"
-    generate_dataset(scenario, 2, 200, substream(31, "dataset"), out_b)
+    generate_dataset(scenario, 2, 200, out_b)
     assert out.read_bytes() == out_b.read_bytes()
 
 
 def test_generate_dataset_unknown_sensor(tmp_path):
     scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2)
     with pytest.raises(UnknownSensorError, match="valid ids 0..3"):
-        generate_dataset(scenario, 9, 10, substream(31, "dataset"), tmp_path / "x.csv")
+        generate_dataset(scenario, 9, 10, tmp_path / "x.csv")
 
 
 def test_generate_dataset_zero_slots(tmp_path):
     scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2)
     out = tmp_path / "empty.csv"
-    summary = generate_dataset(scenario, 0, 0, substream(31, "dataset"), out)
+    summary = generate_dataset(scenario, 0, 0, out)
     assert summary.rows_written == 0
     assert summary.positive_fraction == 0.0
     assert out.read_text(encoding="utf-8") == "slot,f1,f2,f3,label\n"

@@ -19,10 +19,10 @@ from fedspectrum.sensing import (
     model_dim,
     model_from_snapshot,
     model_snapshot_json,
-    predict,
     predict_batch,
     train_local,
 )
+from oracles import predict
 
 
 def random_model(kind, rng):
