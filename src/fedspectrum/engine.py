@@ -51,10 +51,9 @@ from .scenario import (
     MAX_WINDOWS,
     Placement,
     Scenario,
-    ScenarioValidationError,
+    check_scenario,
     place_nodes,
     scenario_digest,
-    validate_scenario,
 )
 from .sensing import (
     CostReport,
@@ -150,12 +149,6 @@ class RunResult:
         return max(self.traffic.node_bytes(i) for i in range(n))
 
 
-def _validate(scenario: Scenario) -> None:
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError("; ".join(violations))
-
-
 @dataclass(frozen=True, eq=False)
 class RunSensing:
     """What a run draws before training: placement, windows, truth labels.
@@ -174,7 +167,7 @@ class RunSensing:
 
 def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
     """Place the nodes and draw every window of one (scenario, seed) run."""
-    _validate(scenario)
+    check_scenario(scenario)
     placements = place_nodes(scenario, substream(seed, "placement"))
     sensors = [p for p in placements if p.kind == "sensor"]
     if shared_streams:
@@ -203,7 +196,7 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
     Returns:
         DatasetSummary with the row count and the fraction of occupied slots.
     """
-    _validate(scenario)
+    check_scenario(scenario)
     # the row's windows and the chain block's steps are each at most MAX_WINDOWS
     limit = MAX_WINDOWS // max(1, scenario.n_primary_users)
     if not 0 <= n_slots <= limit:
@@ -256,7 +249,7 @@ def run_simulation(
         RunResult with per-node and global metrics, traffic, and costs.
         A model that goes non-finite raises DivergenceError naming its node.
     """
-    _validate(scenario)
+    check_scenario(scenario)
     if topology not in TOPOLOGIES:
         raise ValueError(
             f"topology: must be one of {TOPOLOGIES} (got {topology!r})"

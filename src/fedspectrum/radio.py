@@ -131,21 +131,8 @@ def sensor_windows(
 
 def _window_stats(samples: np.ndarray, noise_floor_dbm: float) -> np.ndarray:
     """(mean, std, max) of each row of linear powers, in dBm over the noise
-    floor, / 10: ``[(stat_dbm - noise floor) / 10]`` per row, shape (rows, 3).
-
-    The reductions repeat ``np.mean``/``np.std``/``np.max`` of one row step
-    for step (sum, divide, subtract, square in place, sum, divide, sqrt), so
-    the features equal the per-window ones bit for bit; the dBm conversion
-    stays scalar ``math.log10`` for the same reason.
-    """
-    n = samples.shape[1]
-    mean = np.add.reduce(samples, axis=1, keepdims=True)
-    mean /= n
-    dev = samples - mean
-    np.multiply(dev, dev, out=dev)
-    var = np.add.reduce(dev, axis=1)
-    var /= n
-    stats = np.stack([mean[:, 0], np.sqrt(var), np.maximum.reduce(samples, axis=1)], axis=1)
+    floor, / 10: ``[(stat_dbm - noise floor) / 10]`` per row, shape (rows, 3)."""
+    stats = np.stack([samples.mean(axis=1), samples.std(axis=1), samples.max(axis=1)], axis=1)
     dbm = np.array([mw_to_dbm(v) for v in stats.ravel().tolist()]).reshape(stats.shape)
     return (dbm - noise_floor_dbm) / 10.0
 

@@ -3,15 +3,18 @@
 A scenario file is a JSON object read straight from the ``Scenario``
 dataclass: its field names are the allowed keys, its field types the
 accepted value types, and its defaults fill absent keys; nested dataclass
-fields are nested objects.  Every key is optional except ``seed``, and
-unknown keys are rejected so typos cannot silently fall back to defaults.
-``docs/scenario_schema.md`` carries the annotated reference.
+fields are nested objects.  Every key is optional except ``seed``; unknown
+keys are rejected so typos cannot silently fall back to defaults, and
+duplicate keys so no value is silently dropped.  Value bounds and choices
+are one table, ``_RULES``.  ``docs/scenario_schema.md`` carries the
+annotated reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from hashlib import sha256
 from types import UnionType
@@ -157,28 +160,39 @@ def scenario_from_dict(raw: dict) -> Scenario:
     return _read(Scenario, raw, "")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a repeated key is a schema error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioSchemaError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scenario(path) -> Scenario:
     """Load, schema-check, and validate a scenario file.
 
     Raises:
         FileNotFoundError: missing file.
-        ScenarioParseError: invalid JSON (message carries line and column).
-        ScenarioSchemaError: unknown/missing/mistyped key.
+        ScenarioParseError: the file is not UTF-8 JSON that Python can read
+            (the message names the file, and the line and column of a syntax
+            error).
+        ScenarioSchemaError: unknown/missing/mistyped/duplicate key.
         ScenarioValidationError: a field invariant does not hold.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.loads(fh.read(), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    scenario = scenario_from_dict(raw)
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ScenarioValidationError("; ".join(violations))
-    return scenario
+    except ScenarioSchemaError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, deep nesting, huge integers
+        raise ScenarioParseError(f"{path}: invalid JSON: {exc}") from exc
+    return check_scenario(scenario_from_dict(raw))
 
 
 def _leaves(d: dict, prefix: str = ""):
@@ -190,17 +204,59 @@ def _leaves(d: dict, prefix: str = ""):
             yield f"{prefix}{key}", list(value) if isinstance(value, tuple) else value
 
 
+# Value rule per field, by the dotted name ``_leaves`` yields: a bound
+# "<op> <limit>" that is both the check and its message, or the tuple of
+# allowed choices.  A field without a rule takes any value of its type.
+_RULES = {
+    "area_size_m": "> 0",
+    "n_sensors": ">= 1",
+    "n_primary_users": ">= 0",
+    "sensor_placement": PLACEMENT_MODES,
+    "channel.d0_m": "> 0",
+    "channel.n_exp": ">= 0",
+    "channel.shadowing_sigma_db": ">= 0",
+    "pu_traffic.mean_burst_slots": "> 0",
+    "pu_traffic.mean_gap_slots": "> 0",
+    "training.learning_rate": "> 0",
+    "training.epochs_per_round": ">= 1",
+    "training.batch_size": ">= 1",
+    "training.init_scale": ">= 0",
+    "training.model_kind": MODEL_KINDS,
+    "federation.topology": TOPOLOGIES,
+    "federation.neighbor_radius_m": ">= 0",
+    "federation.weighting": WEIGHTINGS,
+    "schedule.n_training_slots": ">= 0",
+    "schedule.n_eval_slots": ">= 1",
+    "schedule.local_train_period_slots": ">= 1",
+    "schedule.federation_period_slots": ">= 1",
+    "schedule.window_samples": ">= 2",
+}
+_OPS = {">": operator.gt, ">=": operator.ge}
+
+
 def validate_scenario(s: Scenario) -> list[str]:
-    """All invariant violations, each naming the offending field."""
+    """All invariant violations, each naming the offending field.
+
+    Fields come in field order, with at most one message each: a non-finite
+    number, a count above ``MAX_COUNT``, or a broken ``_RULES`` entry.  The
+    cross-field checks follow.
+    """
     v: list[str] = []
     too_large = False
     for name, value in _leaves(asdict(s)):
         numbers = value if isinstance(value, list) else [value]
+        rule = _RULES.get(name)
         if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
             v.append(f"{name}: must be finite (got {value})")
-        if name != "seed" and isinstance(value, int) and value > MAX_COUNT:
+        elif name != "seed" and isinstance(value, int) and value > MAX_COUNT:
             v.append(f"{name}: must be <= {MAX_COUNT} (got {value})")
             too_large = True
+        elif isinstance(rule, tuple) and value not in rule:
+            v.append(f"{name}: must be one of {rule} (got {value!r})")
+        elif isinstance(rule, str):
+            op, limit = rule.split()
+            if not _OPS[op](value, float(limit)):
+                v.append(f"{name}: must be {rule} (got {value})")
     slots = s.schedule.n_training_slots + s.schedule.n_eval_slots
     for name, count, what in (
         ("n_sensors", s.n_sensors, "windows"),
@@ -211,17 +267,6 @@ def validate_scenario(s: Scenario) -> list[str]:
                 f"{name}: {count} x {slots} slots is {count * slots} {what}, "
                 f"above the limit of {MAX_WINDOWS}"
             )
-    if not s.area_size_m > 0:
-        v.append(f"area_size_m: must be > 0 (got {s.area_size_m})")
-    if s.n_sensors < 1:
-        v.append(f"n_sensors: must be >= 1 (got {s.n_sensors})")
-    if s.n_primary_users < 0:
-        v.append(f"n_primary_users: must be >= 0 (got {s.n_primary_users})")
-    if s.sensor_placement not in PLACEMENT_MODES:
-        v.append(
-            f"sensor_placement: must be one of {PLACEMENT_MODES} "
-            f"(got {s.sensor_placement!r})"
-        )
     if not s.carrier_band_mhz[0] < s.carrier_band_mhz[1]:
         v.append(
             f"carrier_band_mhz: low edge must be below high edge "
@@ -233,82 +278,15 @@ def validate_scenario(s: Scenario) -> list[str]:
         x, y = s.central_xy_m
         if not (0 <= x <= s.area_size_m and 0 <= y <= s.area_size_m):
             v.append(f"central_xy_m: must lie inside the area (got {[x, y]})")
-    if not s.channel.d0_m > 0:
-        v.append(f"channel.d0_m: must be > 0 (got {s.channel.d0_m})")
-    if s.channel.n_exp < 0:
-        v.append(f"channel.n_exp: must be >= 0 (got {s.channel.n_exp})")
-    if s.channel.shadowing_sigma_db < 0:
-        v.append(
-            f"channel.shadowing_sigma_db: must be >= 0 "
-            f"(got {s.channel.shadowing_sigma_db})"
-        )
-    if not s.pu_traffic.mean_burst_slots > 0:
-        v.append(
-            f"pu_traffic.mean_burst_slots: must be > 0 "
-            f"(got {s.pu_traffic.mean_burst_slots})"
-        )
-    if not s.pu_traffic.mean_gap_slots > 0:
-        v.append(
-            f"pu_traffic.mean_gap_slots: must be > 0 "
-            f"(got {s.pu_traffic.mean_gap_slots})"
-        )
-    if not s.training.learning_rate > 0:
-        v.append(
-            f"training.learning_rate: must be > 0 (got {s.training.learning_rate})"
-        )
-    if s.training.epochs_per_round < 1:
-        v.append(
-            f"training.epochs_per_round: must be >= 1 "
-            f"(got {s.training.epochs_per_round})"
-        )
-    if s.training.batch_size < 1:
-        v.append(f"training.batch_size: must be >= 1 (got {s.training.batch_size})")
-    if s.training.init_scale < 0:
-        v.append(f"training.init_scale: must be >= 0 (got {s.training.init_scale})")
-    if s.training.model_kind not in MODEL_KINDS:
-        v.append(
-            f"training.model_kind: must be one of {MODEL_KINDS} "
-            f"(got {s.training.model_kind!r})"
-        )
-    if s.federation.topology not in TOPOLOGIES:
-        v.append(
-            f"federation.topology: must be one of {TOPOLOGIES} "
-            f"(got {s.federation.topology!r})"
-        )
-    if s.federation.neighbor_radius_m < 0:
-        v.append(
-            f"federation.neighbor_radius_m: must be >= 0 "
-            f"(got {s.federation.neighbor_radius_m})"
-        )
-    if s.federation.weighting not in WEIGHTINGS:
-        v.append(
-            f"federation.weighting: must be one of {WEIGHTINGS} "
-            f"(got {s.federation.weighting!r})"
-        )
-    if s.schedule.n_training_slots < 0:
-        v.append(
-            f"schedule.n_training_slots: must be >= 0 "
-            f"(got {s.schedule.n_training_slots})"
-        )
-    if s.schedule.n_eval_slots < 1:
-        v.append(
-            f"schedule.n_eval_slots: must be >= 1 (got {s.schedule.n_eval_slots})"
-        )
-    if s.schedule.local_train_period_slots < 1:
-        v.append(
-            f"schedule.local_train_period_slots: must be >= 1 "
-            f"(got {s.schedule.local_train_period_slots})"
-        )
-    if s.schedule.federation_period_slots < 1:
-        v.append(
-            f"schedule.federation_period_slots: must be >= 1 "
-            f"(got {s.schedule.federation_period_slots})"
-        )
-    if s.schedule.window_samples < 2:
-        v.append(
-            f"schedule.window_samples: must be >= 2 (got {s.schedule.window_samples})"
-        )
     return v
+
+
+def check_scenario(s: Scenario) -> Scenario:
+    """``s`` unchanged, or ScenarioValidationError joining every violation."""
+    violations = validate_scenario(s)
+    if violations:
+        raise ScenarioValidationError("; ".join(violations))
+    return s
 
 
 def place_nodes(s: Scenario, rng: np.random.Generator) -> list[Placement]:

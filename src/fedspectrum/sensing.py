@@ -34,11 +34,7 @@ class EmptyDataError(ValueError):
 
 
 def model_dim(kind: str) -> int:
-    if kind == "logistic":
-        return LOGISTIC_DIM
-    if kind == "mlp":
-        return MLP_DIM
-    raise ValueError(f"kind: unknown model kind {kind!r} (expected one of {MODEL_KINDS})")
+    return cost_constants(kind)[1]
 
 
 def cost_constants(kind: str) -> tuple[int, int]:

@@ -386,6 +386,41 @@ def test_run_names_an_integer_beyond_float_range(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "body,message",
+    [
+        ('"channel": ' + "[" * 100_000 + "]" * 100_000,
+         "invalid JSON: maximum recursion depth exceeded"),
+        ('"n_sensors": ' + "9" * 5000, "invalid JSON: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["deep-nesting", "5000-digit-integer"],
+)
+def test_unreadable_json_is_one_error_line_naming_the_file(tmp_path, body, message):
+    # deep nesting used to print a RecursionError traceback
+    path = tmp_path / "unreadable.json"
+    path.write_text('{"seed": 1, ' + body + "}", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedspectrum.cli", "run", "--scenario", str(path),
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"fedspectrum: error: {path}: {message}")
+    assert proc.stdout == "" and not (tmp_path / "out").exists()
+
+
+def test_duplicate_key_is_rejected(tmp_path, capsys):
+    # the last value used to win silently: this ran with 9 sensors
+    path = tmp_path / "dup.json"
+    path.write_text('{"seed": 1, "n_sensors": 4, "n_sensors": 9}', encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fedspectrum: error: duplicate key 'n_sensors'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "command,changes,message",
     [
         ("run", {"n_sensors": 10**400}, "n_sensors: must be <= 1000000 (got 1000000000"),

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -17,6 +18,8 @@ from fedspectrum.scenario import (
     ScenarioSchemaError,
     ScenarioValidationError,
     SlotSchedule,
+    _leaves,
+    _RULES,
     load_scenario,
     place_nodes,
     scenario_digest,
@@ -60,6 +63,40 @@ def test_invalid_json_reports_position(tmp_path):
     path.write_text('{"seed": 1,\n  "n_sensors": }', encoding="utf-8")
     with pytest.raises(ScenarioParseError, match=r"line 2"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"seed": 1, "n_sensors": 4, "n_sensors": 9}', "n_sensors"),
+        ('{"seed": 1, "channel": {"d0_m": 1.0, "n_exp": 2.0, "d0_m": 5.0}}', "d0_m"),
+        ('{"seed": 1, "seed": 1}', "seed"),
+    ],
+    ids=["top-level", "nested", "same-value"],
+)
+def test_duplicate_key_rejected(tmp_path, text, key):
+    # json.loads alone keeps the last value, so the first would be ignored
+    path = tmp_path / "dup.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioSchemaError, match=f"^duplicate key {re.escape(repr(key))}$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "text,reason",
+    [
+        (b'{"seed": 1, "channel": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "recursion"),
+        (b'{"seed": 1, "n_sensors": ' + b"9" * 5000 + b"}", "digits"),
+        (b'{"seed": 1, "sensor_placement": "\xff"}', "utf-8"),
+    ],
+    ids=["deep-nesting", "5000-digit-integer", "not-utf-8"],
+)
+def test_unreadable_json_is_a_parse_error_naming_the_file(tmp_path, text, reason):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(text)
+    with pytest.raises(ScenarioParseError) as exc:
+        load_scenario(path)
+    assert re.match(f"{re.escape(str(path))}: invalid JSON: .*{reason}", str(exc.value))
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -194,22 +231,23 @@ DOC_TYPES = {
 
 
 def schema_doc_tables():
-    """{section: {key: (type, default)}} from the doc's tables; "" is the top level."""
+    """{section: {key: (type, default, constraint)}} from the doc's tables; "" is the
+    top level."""
     tables, section = {}, None
     for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
         if line.startswith("## "):
             heading = line[3:].strip("`")
             section = "" if heading == "Top level" else heading
         elif line.startswith("| `"):
-            key, type_, default = (cell.strip() for cell in line.strip("|").split("|")[:3])
-            tables.setdefault(section, {})[key.strip("`")] = (type_, default)
+            key, *cells = (cell.strip() for cell in line.strip("|").split("|")[:4])
+            tables.setdefault(section, {})[key.strip("`")] = tuple(cells)
     return tables
 
 
 def float_fields():
     """Dotted names of every documented number, and of each element of a pair."""
     for section, rows in schema_doc_tables().items():
-        for key, (doc_type, _) in rows.items():
+        for key, (doc_type, _, _) in rows.items():
             name = f"{section}.{key}" if section else key
             if doc_type == "number":
                 yield name
@@ -231,7 +269,9 @@ def test_non_finite_number_is_rejected_by_field_name(tmp_path, name, bad):
     field, shown = (name[:-2], holder) if isinstance(last, int) else (name, bad)
     with pytest.raises(ScenarioValidationError) as exc:
         load_scenario(write(tmp_path, obj))
-    assert f"{field}: must be finite (got {shown})" in str(exc.value)
+    # one message per field, not also its bound; cross-field checks word theirs apart
+    bounds = [m for m in str(exc.value).split("; ") if m.startswith(f"{field}: must be ")]
+    assert bounds == [f"{field}: must be finite (got {shown})"]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -264,7 +304,7 @@ def test_schema_doc_tables_match_the_dataclasses():
     for section, (defaults, types) in sections.items():
         assert set(tables[section]) == set(defaults), section
         for key, default in defaults.items():
-            doc_type, doc_default = tables[section][key]
+            doc_type, doc_default, _ = tables[section][key]
             assert types[key] in (DOC_TYPES[doc_type], DOC_TYPES[doc_type] | None), key
             if key == "seed":
                 assert doc_default == "required"
@@ -292,7 +332,7 @@ TYPE_ERRORS = {
 
 @pytest.mark.parametrize(
     "section,key,doc_type",
-    [(s, k, t) for s, rows in schema_doc_tables().items() for k, (t, _) in rows.items()],
+    [(s, k, t) for s, rows in schema_doc_tables().items() for k, (t, _, _) in rows.items()],
 )
 def test_every_documented_key_rejects_other_types_by_name(section, key, doc_type):
     expected, wrong_values = TYPE_ERRORS[doc_type]
@@ -308,7 +348,7 @@ def test_every_documented_key_rejects_other_types_by_name(section, key, doc_type
     [
         (s, k)
         for s, rows in schema_doc_tables().items()
-        for k, (t, _) in rows.items()
+        for k, (t, _, _) in rows.items()
         if t == "int" and k != "seed"
     ],
 )
@@ -342,3 +382,61 @@ def test_window_tensor_and_chain_block_limits():
 def test_schema_doc_states_the_count_limits():
     text = SCHEMA_DOC.read_text(encoding="utf-8")
     assert f"`{MAX_COUNT}`" in text and f"`{MAX_WINDOWS}`" in text
+
+
+DEFAULT_LEAVES = dict(_leaves(asdict(Scenario(seed=1))))
+BOUNDS = sorted((name, rule) for name, rule in _RULES.items() if isinstance(rule, str))
+CHOICES = sorted((name, rule) for name, rule in _RULES.items() if isinstance(rule, tuple))
+
+
+def with_leaf(name, value):
+    """A default scenario with the dotted field ``name`` set to ``value``."""
+    raw = {"seed": 1}
+    *parents, last = name.split(".")
+    holder = raw
+    for key in parents:
+        holder = holder.setdefault(key, {})
+    holder[last] = value
+    return scenario_from_dict(raw)
+
+
+def test_every_rule_names_a_scenario_leaf():
+    # a misspelt key would silently check nothing
+    assert set(_RULES) <= set(DEFAULT_LEAVES)
+    assert BOUNDS and CHOICES and len(BOUNDS) + len(CHOICES) == len(_RULES)
+
+
+@pytest.mark.parametrize("name,rule", BOUNDS)
+def test_each_bound_accepts_its_limit_and_rejects_the_next_value_past_it(name, rule):
+    op, text = rule.split()
+    limit = type(DEFAULT_LEAVES[name])(float(text))
+    if isinstance(limit, int):
+        below, above = limit - 1, limit + 1
+    else:
+        below, above = math.nextafter(limit, -math.inf), math.nextafter(limit, math.inf)
+    inside, outside = (limit, below) if op == ">=" else (above, limit)
+    assert validate_scenario(with_leaf(name, inside)) == []
+    message = f"{name}: must be {rule} (got {outside})"
+    assert validate_scenario(with_leaf(name, outside)) == [message]
+
+
+@pytest.mark.parametrize("name,choices", CHOICES)
+def test_each_choice_field_accepts_its_choices_and_rejects_others(name, choices):
+    for choice in choices:
+        assert validate_scenario(with_leaf(name, choice)) == []
+    assert validate_scenario(with_leaf(name, "nope")) == [
+        f"{name}: must be one of {choices} (got 'nope')"
+    ]
+
+
+def test_doc_constraint_column_states_each_rule():
+    for section, rows in schema_doc_tables().items():
+        for key, (_, _, constraint) in rows.items():
+            name = f"{section}.{key}" if section else key
+            rule = _RULES.get(name)
+            if isinstance(rule, str):
+                assert constraint.startswith(rule), name
+            elif isinstance(rule, tuple):
+                assert re.findall(r'"(\w+)"', constraint) == list(rule), name
+            else:
+                assert not re.match("[<>]", constraint) and '"' not in constraint, name
