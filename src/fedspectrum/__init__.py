@@ -57,7 +57,7 @@ from .sensing import (
     bce_loss,
     energy_baseline_decide,
     init_model,
-    train_local,
+    train_rows,
 )
 
 __version__ = "0.1.0"
@@ -104,6 +104,6 @@ __all__ = [
     "sense_windows",
     "sensor_windows",
     "substream",
-    "train_local",
+    "train_rows",
     "validate_scenario",
 ]

@@ -7,13 +7,13 @@ an ``(n, n_training_slots + n_eval_slots, 3)`` tensor, and the truth labels
 ``radio.sense_windows``.  These depend on (scenario, seed) only, never on
 the topology, so ``compare`` senses once per seed and runs every topology
 on the same tensor, and ``generate_dataset`` writes one sensor's row of it.
-Training slots: every ``local_train_period_slots`` each node trains on its
-row of the period's windows; every
-``federation_period_slots`` the selected exchange (gossip round or central
-FedAvg round) fires, training first when both land on the same slot.  Eval
-slots: models are frozen and each node decides all of its windows with one
-batch prediction.  Sensor ``i`` is row ``i`` of every array: models,
-neighbor table, windows.
+Training slots: every ``local_train_period_slots`` one ``train_rows`` step
+trains every node's model, row ``i`` of the ``(n, d)`` model array on its
+row of the period's windows; every ``federation_period_slots`` the selected
+exchange (gossip round or central FedAvg round) fires, training first when
+both land on the same slot.  Eval slots: models are frozen and each node
+decides all of its windows with one batch prediction.  Sensor ``i`` is row
+``i`` of every array: models, neighbor table, windows.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -61,7 +61,7 @@ from .sensing import (
     cost_constants,
     init_model,
     predict_batch,
-    train_local,
+    train_rows,
 )
 
 
@@ -302,8 +302,7 @@ def run_simulation(
             x, y = windows[:, slot - period : slot], truths[slot - period : slot]
             # a diverging model is reported once, by node, in _check_finite
             with np.errstate(over="ignore", invalid="ignore"):
-                for i, rng in enumerate(train_rngs):
-                    theta[i] = train_local(ModelParams(kind, theta[i]), x[i], y, tc, rng).theta
+                train_rows(kind, theta, x, y, tc, train_rngs)
             samples += len(y)
             _check_finite(theta, f"after local training round {slot // period} (slot {slot})")
         if topology != "isolated" and slot % schedule.federation_period_slots == 0:

@@ -239,42 +239,46 @@ def validate_scenario(s: Scenario) -> list[str]:
 
     Fields come in field order, with at most one message each: a non-finite
     number, a count above ``MAX_COUNT``, or a broken ``_RULES`` entry.  The
-    cross-field checks follow.
+    cross-field checks follow, each only when no field it reads was reported.
     """
-    v: list[str] = []
-    too_large = False
+    bad: dict[str, str] = {}
     for name, value in _leaves(asdict(s)):
         numbers = value if isinstance(value, list) else [value]
         rule = _RULES.get(name)
         if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
-            v.append(f"{name}: must be finite (got {value})")
+            bad[name] = f"{name}: must be finite (got {value})"
         elif name != "seed" and isinstance(value, int) and value > MAX_COUNT:
-            v.append(f"{name}: must be <= {MAX_COUNT} (got {value})")
-            too_large = True
+            bad[name] = f"{name}: must be <= {MAX_COUNT} (got {value})"
         elif isinstance(rule, tuple) and value not in rule:
-            v.append(f"{name}: must be one of {rule} (got {value!r})")
+            bad[name] = f"{name}: must be one of {rule} (got {value!r})"
         elif isinstance(rule, str):
             op, limit = rule.split()
             if not _OPS[op](value, float(limit)):
-                v.append(f"{name}: must be {rule} (got {value})")
+                bad[name] = f"{name}: must be {rule} (got {value})"
+    v = list(bad.values())
+
+    def clean(*names: str) -> bool:
+        return bad.keys().isdisjoint(names)
+
     slots = s.schedule.n_training_slots + s.schedule.n_eval_slots
     for name, count, what in (
         ("n_sensors", s.n_sensors, "windows"),
         ("n_primary_users", s.n_primary_users, "chain steps"),
     ):
-        if not too_large and count * slots > MAX_WINDOWS:
+        reads = (name, "schedule.n_training_slots", "schedule.n_eval_slots")
+        if clean(*reads) and count * slots > MAX_WINDOWS:
             v.append(
                 f"{name}: {count} x {slots} slots is {count * slots} {what}, "
                 f"above the limit of {MAX_WINDOWS}"
             )
-    if not s.carrier_band_mhz[0] < s.carrier_band_mhz[1]:
+    if clean("carrier_band_mhz") and not s.carrier_band_mhz[0] < s.carrier_band_mhz[1]:
         v.append(
             f"carrier_band_mhz: low edge must be below high edge "
             f"(got {list(s.carrier_band_mhz)})"
         )
     if not 0 <= s.seed <= MAX_SEED:
         v.append(f"seed: must fit in 64 unsigned bits (got {s.seed})")
-    if s.central_xy_m is not None:
+    if s.central_xy_m is not None and clean("central_xy_m", "area_size_m"):
         x, y = s.central_xy_m
         if not (0 <= x <= s.area_size_m and 0 <= y <= s.area_size_m):
             v.append(f"central_xy_m: must lie inside the area (got {[x, y]})")

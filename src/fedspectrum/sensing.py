@@ -3,7 +3,10 @@
 Both models map the three standardized window features to an occupancy
 probability and are trained with mini-batch gradient descent on mean binary
 cross-entropy.  Parameters live in a flat float64 vector so federation can
-average them without knowing the architecture.
+average them without knowing the architecture.  The model math is written
+once over leading axes: the same code serves one model (``predict_batch``,
+``bce_loss``, ``bce_gradient``) and the ``(n, d)`` array of all nodes'
+models, which ``train_rows`` trains in one step per mini-batch.
 """
 
 from __future__ import annotations
@@ -103,21 +106,32 @@ def init_model(kind: str, tc: TrainingConfig, rng: np.random.Generator) -> Model
     return ModelParams(kind, theta, 0)
 
 
-def _unpack_mlp(theta: np.ndarray):
-    w1 = theta[:_W1_END].reshape(MLP_HIDDEN, N_FEATURES)
-    b1 = theta[_W1_END:_B1_END]
-    w2 = theta[_B1_END:_W2_END]
-    b2 = theta[_W2_END]
-    return w1, b1, w2, b2
-
-
 def _logits(kind: str, theta: np.ndarray, x: np.ndarray):
-    """Pre-sigmoid outputs for a (n, 3) batch; MLP also returns activations."""
+    """Pre-sigmoid outputs ``(..., b)`` of models ``theta (..., d)`` on batches
+    ``x (..., b, 3)``; MLP also returns its activations ``(..., b, 8)``.  Sums
+    are ``@`` on per-row matrices, so one model and n rows sum alike."""
     if kind == "logistic":
-        return x @ theta[:N_FEATURES] + theta[N_FEATURES], None
-    w1, b1, w2, b2 = _unpack_mlp(theta)
-    h = np.tanh(x @ w1.T + b1)
-    return h @ w2 + b2, h
+        return (x @ theta[..., :N_FEATURES, None])[..., 0] + theta[..., N_FEATURES, None], None
+    w1 = theta[..., :_W1_END].reshape(*theta.shape[:-1], MLP_HIDDEN, N_FEATURES)
+    h = np.tanh(x @ np.swapaxes(w1, -1, -2) + theta[..., None, _W1_END:_B1_END])
+    return (h @ theta[..., _B1_END:_W2_END, None])[..., 0] + theta[..., _W2_END, None], h
+
+
+def _gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``."""
+    z, h = _logits(kind, theta, x)
+    r = (expit(z) - y) / x.shape[-2]
+    column = r[..., None]
+    grad = np.empty_like(theta)
+    grad[..., -1] = r.sum(axis=-1)
+    if kind == "logistic":
+        grad[..., :N_FEATURES] = (np.swapaxes(x, -1, -2) @ column)[..., 0]
+        return grad
+    dpre = column * theta[..., None, _B1_END:_W2_END] * (1.0 - h * h)
+    grad[..., :_W1_END] = (np.swapaxes(dpre, -1, -2) @ x).reshape(*theta.shape[:-1], _W1_END)
+    grad[..., _W1_END:_B1_END] = dpre.sum(axis=-2)
+    grad[..., _B1_END:_W2_END] = (np.swapaxes(h, -1, -2) @ column)[..., 0]
+    return grad
 
 
 def predict_batch(model: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -138,51 +152,31 @@ def bce_gradient(model: ModelParams, features: np.ndarray, labels: np.ndarray) -
     """Gradient of mean binary cross-entropy w.r.t. the flat theta vector."""
     x = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
     y = np.asarray(labels, dtype=np.float64)
-    n = x.shape[0]
-    z, h = _logits(model.kind, model.theta, x)
-    r = (expit(z) - y) / n
-    grad = np.empty_like(model.theta)
-    if model.kind == "logistic":
-        grad[:N_FEATURES] = x.T @ r
-        grad[N_FEATURES] = r.sum()
-        return grad
-    w1, b1, w2, b2 = _unpack_mlp(model.theta)
-    dh = np.outer(r, w2)
-    dpre = dh * (1.0 - h * h)
-    grad[:_W1_END] = (dpre.T @ x).reshape(-1)
-    grad[_W1_END:_B1_END] = dpre.sum(axis=0)
-    grad[_B1_END:_W2_END] = h.T @ r
-    grad[_W2_END] = r.sum()
-    return grad
+    return _gradient(model.kind, model.theta, x, y)
 
 
-def train_local(
-    model: ModelParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    tc: TrainingConfig,
-    rng: np.random.Generator,
-) -> ModelParams:
-    """Run ``epochs_per_round`` epochs of mini-batch gradient descent.
-
-    ``x`` is the (n, 3) feature buffer and ``y`` its (n,) 0/1 labels.  The
-    buffer is reshuffled once per epoch through ``rng``; the last batch of
-    an epoch may be short.  Returns a new model backed by ``n`` more
-    samples; it is not checked for divergence: callers such as
-    ``run_simulation`` check its coefficients are finite.
-    """
-    n = len(x)
-    if n == 0:
+def train_rows(
+    kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray, tc: TrainingConfig,
+    rngs: Sequence[np.random.Generator],
+) -> None:
+    """``epochs_per_round`` epochs of mini-batch descent on every row of
+    ``theta (n, d)`` at once, in place: row i on its ``(m, 3)`` buffer ``x[i]``
+    and the shared ``(m,)`` 0/1 labels ``y``, reshuffled each epoch through
+    ``rngs[i]``; an epoch's last batch may be short.  Rows are not checked for
+    divergence: callers such as ``run_simulation`` check they are finite."""
+    n, m = len(theta), x.shape[1]
+    if not len(rngs) == len(x) == n:
+        raise ValueError(f"rngs: {len(rngs)}, x: {len(x)} and theta: {n} rows must agree")
+    if len(y) != m:
+        raise ValueError(f"y: {len(y)} labels for buffers of {m} windows")
+    if m == 0:
         raise EmptyDataError("x: training buffer is empty")
-    updated = ModelParams(model.kind, model.theta.copy(), model.n_train_samples + n)
-    theta = updated.theta
+    y, rows = np.asarray(y, dtype=np.float64), np.arange(n)[:, None]
     for _ in range(tc.epochs_per_round):
-        order = rng.permutation(n)
-        for start in range(0, n, tc.batch_size):
-            idx = order[start : start + tc.batch_size]
-            grad = bce_gradient(updated, x[idx], y[idx])
-            theta -= tc.learning_rate * grad
-    return updated
+        order = np.stack([rng.permutation(m) for rng in rngs])
+        for start in range(0, m, tc.batch_size):
+            idx = order[:, start : start + tc.batch_size]
+            theta -= tc.learning_rate * _gradient(kind, theta, x[rows, idx], y[idx])
 
 
 def energy_baseline_decide(features: Sequence[float], threshold_std: float) -> bool:

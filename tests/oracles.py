@@ -180,3 +180,34 @@ def predict(model, features):
     w1 = theta[:w1_end].reshape(MLP_HIDDEN, N_FEATURES)
     hidden = np.tanh(w1 @ x + theta[w1_end:b1_end])
     return float(expit(hidden @ theta[b1_end : b1_end + MLP_HIDDEN] + theta[-1]))
+
+
+# The per-model training loop ``sensing.train_rows`` replaced: one 2-D
+# gradient per node per mini-batch.  ``train_rows`` must equal it byte for byte.
+
+
+def gradient(kind, theta, x, y):
+    """Mean-BCE gradient of one model on a ``(b, 3)`` batch, the layers written
+    out in 2-D products: the reference for the stacked gradient."""
+    w1_end, b1_end = N_FEATURES * MLP_HIDDEN, N_FEATURES * MLP_HIDDEN + MLP_HIDDEN
+    if kind == "logistic":
+        r = (expit(x @ theta[:N_FEATURES] + theta[N_FEATURES]) - y) / len(x)
+        return np.concatenate([x.T @ r, [r.sum()]])
+    w1 = theta[:w1_end].reshape(MLP_HIDDEN, N_FEATURES)
+    w2 = theta[b1_end : b1_end + MLP_HIDDEN]
+    h = np.tanh(x @ w1.T + theta[w1_end:b1_end])
+    r = (expit(h @ w2 + theta[-1]) - y) / len(x)
+    dpre = np.outer(r, w2) * (1.0 - h * h)
+    return np.concatenate([(dpre.T @ x).reshape(-1), dpre.sum(axis=0), h.T @ r, [r.sum()]])
+
+
+def train_local(kind, theta, x, y, tc, rng):
+    """``theta`` after ``epochs_per_round`` epochs of mini-batch descent on the
+    ``(m, 3)`` buffer ``x``, reshuffled once per epoch through ``rng``."""
+    theta = theta.copy()
+    for _ in range(tc.epochs_per_round):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), tc.batch_size):
+            idx = order[start : start + tc.batch_size]
+            theta -= tc.learning_rate * gradient(kind, theta, x[idx], y[idx])
+    return theta

@@ -24,8 +24,9 @@ from fedspectrum.sensing import (
     bce_gradient,
     bce_loss,
     energy_baseline_decide,
+    init_model,
     model_dim,
-    train_local,
+    train_rows,
 )
 
 DEFAULT_SCENARIO = "scenarios/default.json"
@@ -200,13 +201,11 @@ def test_criterion_8_roc_monotonicity():
                 center = rng.uniform(0.5, 2.0) if y[i] else rng.uniform(-1.0, 0.2)
                 x[i] = rng.normal(center, 0.8, size=3)
             tc = TrainingConfig(model_kind=kind, learning_rate=0.3, epochs_per_round=5)
-            model = ModelParams(kind, np.zeros(model_dim(kind)))
+            theta = np.zeros((1, model_dim(kind)))
             if kind == "mlp":
-                from fedspectrum.sensing import init_model
-
-                model = init_model(kind, tc, substream(81 + index, "init"))
-            trained = train_local(model, x, y, tc, substream(81 + index, "train:0"))
-            points = roc_sweep(trained, x, y == 1.0, 101)
+                theta[0] = init_model(kind, tc, substream(81 + index, "init")).theta
+            train_rows(kind, theta, x[None], y, tc, [substream(81 + index, "train:0")])
+            points = roc_sweep(ModelParams(kind, theta[0]), x, y == 1.0, 101)
             pds = [p[1] for p in points]
             pfas = [p[2] for p in points]
             assert all(a >= b for a, b in zip(pds, pds[1:]))

@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fedspectrum
 from fedspectrum import radio
 from fedspectrum.cli import _parse_seeds, main
 from fedspectrum.engine import sense_run
@@ -220,11 +222,17 @@ def test_generate_writes_a_row_of_the_run(scenario_file, seed, sensor, slots, tm
         assert truths == longer.truths.tolist()
 
 
-def run_cli(*argv, timeout=60):
-    return subprocess.run(
-        [sys.executable, "-m", "fedspectrum.cli", *argv],
-        capture_output=True, text=True, timeout=timeout,
-    )
+# the CLI in a child process imports the package these tests import
+CLI = [sys.executable, "-m", "fedspectrum.cli"]
+PACKAGE_ROOT = str(Path(fedspectrum.__file__).parents[1])
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
+
+
+def run_cli(*argv):
+    return subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=60, env=CLI_ENV)
 
 
 @pytest.mark.parametrize(
@@ -251,9 +259,11 @@ def test_generate_rejects_slots_beyond_the_window_limit(n_pus, slots, limit, tmp
 def test_sigterm_leaves_no_temp_file(tmp_path):
     # a SIGTERM used to end generate before its temp file was removed
     out = tmp_path / "out"
-    argv = [sys.executable, "-m", "fedspectrum.cli", "generate", "--out-dir", str(out),
+    argv = [*CLI, "generate", "--out-dir", str(out),
             "--scenario", "scenarios/default.json", "--slots", "1000000"]
-    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=CLI_ENV
+    ) as proc:
         try:
             deadline = time.monotonic() + 60
             while not list(out.glob(".dataset.csv.*.tmp")):
@@ -334,11 +344,7 @@ def test_usage_errors_exit_two(scenario_path, tmp_path):
 
 
 def test_console_script_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedspectrum.cli", "--help"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("--help")
     assert proc.returncode == 0
     for token in ("run", "generate", "compare"):
         assert token in proc.stdout
@@ -374,12 +380,7 @@ def test_run_names_an_integer_beyond_float_range(tmp_path):
     # float(10**400) raises OverflowError, which used to escape as a traceback
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({**FAST_SCENARIO, "area_size_m": 10**400}), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedspectrum.cli", "run", "--scenario", str(path),
-         "--out-dir", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("run", "--scenario", str(path), "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["fedspectrum: error: area_size_m: must be finite (got inf)"]
     assert proc.stdout == ""
@@ -398,12 +399,7 @@ def test_unreadable_json_is_one_error_line_naming_the_file(tmp_path, body, messa
     # deep nesting used to print a RecursionError traceback
     path = tmp_path / "unreadable.json"
     path.write_text('{"seed": 1, ' + body + "}", encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "fedspectrum.cli", "run", "--scenario", str(path),
-         "--out-dir", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("run", "--scenario", str(path), "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 1
     [line] = proc.stderr.splitlines()
     assert line.startswith(f"fedspectrum: error: {path}: {message}")

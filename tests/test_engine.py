@@ -33,8 +33,8 @@ from fedspectrum.scenario import (
     load_scenario,
     place_nodes,
 )
-from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig, cost_constants
-from oracles import pu_activity_step, radio_range
+from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig, cost_constants, init_model
+from oracles import pu_activity_step, radio_range, train_local
 
 
 PU_TRAFFIC = Scenario(seed=1).pu_traffic
@@ -141,6 +141,8 @@ def test_run_simulation_shapes_and_counts():
     # 4 epochs over 60 windows at 3 MACs per pass (forward, backward, update)
     # of 3 MACs each; 4 float64 coefficients
     assert result.per_node_cost == [CostReport(3, 4, 32, 4 * 60 * 3 * 3)] * 3
+    # each model is backed by the 60 windows it trained on
+    assert [m.n_train_samples for m in result.final_models] == [60] * 3
     assert result.central_aggregation_macs == 0
     assert result.node_aggregation_macs == [0, 0, 0]
     assert result.wall_seconds > 0.0
@@ -403,6 +405,23 @@ def test_shared_streams_central_matches_single_pool():
     first = cen.final_models[0].theta
     for m in cen.final_models[1:]:
         np.testing.assert_array_equal(m.theta, first)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-streams"])
+def test_isolated_training_is_the_per_node_oracle_loop(kind, shared):
+    # the one stacked training step per period equals training node by node
+    scenario = small_scenario(training=TrainingConfig(model_kind=kind, batch_size=7))
+    result = run_simulation(scenario, "isolated", 17, shared_streams=shared)
+    sensing = sense_run(scenario, 17, shared_streams=shared)
+    start = init_model(kind, scenario.training, substream(17, "init")).theta
+    for i, model in enumerate(result.final_models):
+        rng = substream(17, "train:shared" if shared else f"train:{i}")
+        row, theta = sensing.windows[0 if shared else i], start
+        for end in (20, 40, 60):
+            x, y = row[end - 20 : end], sensing.truths[end - 20 : end]
+            theta = train_local(kind, theta, x, y, scenario.training, rng)
+        assert model.theta.tobytes() == theta.tobytes()
 
 
 def test_eval_phase_does_not_touch_models():

@@ -269,9 +269,9 @@ def test_non_finite_number_is_rejected_by_field_name(tmp_path, name, bad):
     field, shown = (name[:-2], holder) if isinstance(last, int) else (name, bad)
     with pytest.raises(ScenarioValidationError) as exc:
         load_scenario(write(tmp_path, obj))
-    # one message per field, not also its bound; cross-field checks word theirs apart
-    bounds = [m for m in str(exc.value).split("; ") if m.startswith(f"{field}: must be ")]
-    assert bounds == [f"{field}: must be finite (got {shown})"]
+    # one message in all: not also the field's bound, nor a cross-field check
+    # reading the field (the area around central_xy_m, the band's edge order)
+    assert str(exc.value).split("; ") == [f"{field}: must be finite (got {shown})"]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -290,6 +290,25 @@ def test_non_finite_number_fails_programmatic_validation():
     s = Scenario(seed=1)
     s.federation.neighbor_radius_m = float("nan")
     assert validate_scenario(s) == ["federation.neighbor_radius_m: must be finite (got nan)"]
+
+
+def test_cross_field_checks_skip_fields_already_reported():
+    def violations(**raw):
+        return validate_scenario(scenario_from_dict({"seed": 1, **raw}))
+
+    nan = float("nan")
+    assert violations(area_size_m=nan, central_xy_m=[1, 1]) == [
+        "area_size_m: must be finite (got nan)"
+    ]
+    assert violations(area_size_m=-1, central_xy_m=[1, 1]) == ["area_size_m: must be > 0 (got -1.0)"]
+    assert violations(carrier_band_mhz=[nan, 1]) == [
+        "carrier_band_mhz: must be finite (got [nan, 1.0])"
+    ]
+    # a count the window check does not read leaves it running
+    assert violations(n_sensors=10**6, schedule={"window_samples": 10**7}) == [
+        "schedule.window_samples: must be <= 1000000 (got 10000000)",
+        "n_sensors: 1000000 x 4000 slots is 4000000000 windows, above the limit of 100000000",
+    ]
 
 
 def test_schema_doc_tables_match_the_dataclasses():

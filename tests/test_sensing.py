@@ -20,9 +20,9 @@ from fedspectrum.sensing import (
     model_from_snapshot,
     model_snapshot_json,
     predict_batch,
-    train_local,
+    train_rows,
 )
-from oracles import predict
+from oracles import gradient, predict, train_local
 
 
 def random_model(kind, rng):
@@ -153,25 +153,90 @@ def test_gradient_zero_at_perfect_fit_direction():
     assert np.linalg.norm(bce_gradient(m, x, y)) < 1e-12
 
 
-def test_train_local_empty_buffer_raises():
-    m = ModelParams("logistic", np.zeros(4))
-    with pytest.raises(EmptyDataError):
-        train_local(m, np.empty((0, 3)), np.empty(0), TrainingConfig(), substream(1, "train:0"))
+def stacked_buffers(kind, n, m, seed):
+    """(theta (n, d), x (n, m, 3), bool y (m,)) drawn from one stream."""
+    rng = substream(seed, "obs:0")
+    theta = rng.normal(0.0, 1.0, size=(n, model_dim(kind)))
+    return theta, rng.normal(0.0, 1.0, size=(n, m, 3)), rng.integers(0, 2, size=m) == 1
 
 
-def test_train_local_returns_new_model_and_counts():
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_gradient_matches_the_2d_oracle_bytewise(kind):
+    theta, x, y = stacked_buffers(kind, 3, 57, 40)
+    for i in range(3):
+        got = bce_gradient(ModelParams(kind, theta[i]), x[i], y)
+        assert got.tobytes() == gradient(kind, theta[i], x[i], y).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize(
+    "n, m, batch",
+    [(1, 1, 10), (3, 23, 10), (5, 7, 7), (4, 5, 64), (14, 50, 1), (6, 333, 64)],
+    ids=["single-window", "short-last-batch", "batch-is-buffer", "batch-past-buffer",
+         "batch-1", "long-buffer"],
+)
+@pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-streams"])
+def test_train_rows_matches_the_per_model_oracle_bytewise(kind, n, m, batch, shared):
+    theta, x, y = stacked_buffers(kind, n, m, 60 + n + m)
+    tc = TrainingConfig(learning_rate=0.3, epochs_per_round=3, batch_size=batch)
+    # shared_streams: n generators on one label, each drawing the same shuffles
+    labels = ["train:shared"] * n if shared else [f"train:{i}" for i in range(n)]
+    want = [train_local(kind, theta[i], x[i], y, tc, substream(9, labels[i])) for i in range(n)]
+    train_rows(kind, theta, x, y, tc, [substream(9, label) for label in labels])
+    assert theta.tobytes() == np.stack(want).tobytes()
+
+
+def test_train_rows_overflowing_row_leaves_the_others_bytewise():
+    theta, x, y = stacked_buffers("logistic", 4, 30, 61)
+    x[2] *= 1e300
+    tc = TrainingConfig(learning_rate=1e10, epochs_per_round=2, batch_size=7)
+    want = [train_local("logistic", theta[i], x[i], y, tc, substream(9, f"train:{i}"))
+            for i in (0, 1, 3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_rows("logistic", theta, x, y, tc, [substream(9, f"train:{i}") for i in range(4)])
+    assert not np.isfinite(theta[2]).all()
+    assert theta[[0, 1, 3]].tobytes() == np.stack(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, buffers, generators, labels, match",
+    [
+        (3, 3, 1, 10, "rngs: 1, x: 3 and theta: 3 rows must agree"),
+        (3, 2, 3, 10, "rngs: 3, x: 2 and theta: 3 rows must agree"),
+        (2, 3, 3, 10, "rngs: 3, x: 3 and theta: 2 rows must agree"),
+        (3, 3, 3, 9, "y: 9 labels for buffers of 10 windows"),
+    ],
+)
+def test_train_rows_rejects_mismatched_inputs_by_name(rows, buffers, generators, labels, match):
+    theta = np.zeros((rows, 4))
+    x, y = np.ones((buffers, 10, 3)), np.ones(labels)
+    rngs = [substream(1, f"train:{i}") for i in range(generators)]
+    with pytest.raises(ValueError, match=match):
+        train_rows("logistic", theta, x, y, TrainingConfig(), rngs)
+    np.testing.assert_array_equal(theta, np.zeros((rows, 4)))
+
+
+def test_train_rows_empty_buffer_raises():
+    with pytest.raises(EmptyDataError, match="x: training buffer is empty"):
+        train_rows("logistic", np.zeros((2, 4)), np.empty((2, 0, 3)), np.empty(0),
+                   TrainingConfig(), [substream(1, "train:0"), substream(1, "train:1")])
+
+
+def test_train_rows_updates_theta_in_place_and_nothing_else():
     x = np.array([[1.0, 0.5, 1.5], [-1.0, -0.5, -1.5]] * 5)
     y = np.array([1.0, 0.0] * 5)
-    m = ModelParams("logistic", np.zeros(4), 3)
+    theta = np.zeros((2, 4))
+    buffers = np.stack([x, -x])
     tc = TrainingConfig(learning_rate=0.2, epochs_per_round=4, batch_size=10)
-    updated = train_local(m, x, y, tc, substream(1, "train:0"))
-    np.testing.assert_array_equal(m.theta, np.zeros(4))  # input untouched
-    assert m.n_train_samples == 3
-    assert updated.n_train_samples == 13
-    assert not np.array_equal(updated.theta, m.theta)
+    rngs = [substream(1, "train:0"), substream(1, "train:1")]
+    assert train_rows("logistic", theta, buffers, y, tc, rngs) is None
+    np.testing.assert_array_equal(buffers, np.stack([x, -x]))  # inputs untouched
+    np.testing.assert_array_equal(y, [1.0, 0.0] * 5)
+    # each row moved, and toward its own buffer: row 1's features are flipped
+    assert np.all(theta[0, :3] > 0.0) and np.all(theta[1, :3] < 0.0)
 
 
-def test_train_local_reduces_loss_both_kinds():
+def test_train_rows_reduces_loss_both_kinds():
     rng = substream(43, "obs:0")
     x = np.empty((60, 3))
     y = np.empty(60)
@@ -182,20 +247,20 @@ def test_train_local_reduces_loss_both_kinds():
         tc = TrainingConfig(model_kind=kind, learning_rate=0.1, epochs_per_round=5)
         m = init_model(kind, tc, substream(43, "init"))
         before = bce_loss(m, x, y)
-        trained = train_local(m, x, y, tc, substream(43, "train:0"))
-        assert bce_loss(trained, x, y) < before
+        theta = m.theta[None].copy()
+        train_rows(kind, theta, x[None], y, tc, [substream(43, "train:0")])
+        assert bce_loss(ModelParams(kind, theta[0]), x, y) < before
 
 
-def test_train_local_shuffle_uses_rng():
+def test_train_rows_shuffle_uses_rng():
     x = np.array([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0], [-1.0, 0.0, 0.0], [-0.9, -0.1, 0.0]])
     y = np.array([1.0, 1.0, 0.0, 0.0])
-    m = ModelParams("logistic", np.zeros(4))
+    theta = np.zeros((3, 4))
     tc = TrainingConfig(batch_size=2, epochs_per_round=1, learning_rate=0.5)
-    a = train_local(m, x, y, tc, substream(1, "train:0"))
-    b = train_local(m, x, y, tc, substream(1, "train:0"))
-    c = train_local(m, x, y, tc, substream(2, "train:0"))
-    np.testing.assert_array_equal(a.theta, b.theta)
-    assert not np.array_equal(a.theta, c.theta)
+    rngs = [substream(1, "train:0"), substream(1, "train:0"), substream(2, "train:0")]
+    train_rows("logistic", theta, np.stack([x] * 3), y, tc, rngs)
+    np.testing.assert_array_equal(theta[0], theta[1])
+    assert not np.array_equal(theta[0], theta[2])
 
 
 def test_separable_data_reaches_high_accuracy():
@@ -203,9 +268,9 @@ def test_separable_data_reaches_high_accuracy():
     x = np.concatenate([rng.normal(2.5, 0.4, size=(300, 3)), rng.normal(-0.5, 0.4, size=(300, 3))])
     y = np.concatenate([np.ones(300), np.zeros(300)])
     tc = TrainingConfig(learning_rate=0.5, epochs_per_round=30, batch_size=32)
-    m = init_model("logistic", tc, substream(47, "init"))
-    trained = train_local(m, x, y, tc, substream(47, "train:0"))
-    acc = np.mean((predict_batch(trained, x) >= 0.5) == y.astype(bool))
+    theta = init_model("logistic", tc, substream(47, "init")).theta[None].copy()
+    train_rows("logistic", theta, x[None], y, tc, [substream(47, "train:0")])
+    acc = np.mean((predict_batch(ModelParams("logistic", theta[0]), x) >= 0.5) == y.astype(bool))
     assert acc >= 0.99
 
 
