@@ -32,6 +32,7 @@ from .federation import (
 from .radio import (
     ChannelModel,
     PuTrafficModel,
+    SensorStreams,
     dbm_to_mw,
     mw_to_dbm,
     path_loss_db,
@@ -76,6 +77,7 @@ __all__ = [
     "RunResult",
     "RunSensing",
     "Scenario",
+    "SensorStreams",
     "SlotSchedule",
     "TopologySummary",
     "TrafficStats",

@@ -21,11 +21,13 @@ times each at ``3 * macs_per_inference`` (forward, backward, update), and
 traffic and aggregation MACs follow from the rounds and the node degrees.
 
 Random sub-streams are labeled so modules cannot disturb each other, and
-are derived here only: ``placement``, ``traffic``, ``init``,
-``obs:<node_id>``, ``train:<node_id>``
-(``obs:shared``/``train:shared`` when ``shared_streams`` is set, which draws
-one window row at sensor 0, gives it to every node, and gives every node the
-same shuffle stream, for degeneracy tests).
+are derived here only: ``placement``, ``traffic``, ``init``, each sensor's
+``obs:<node_id>``, ``shadow:<node_id>`` and ``fade:<node_id>`` (its
+``radio.SensorStreams``), and ``train:<node_id>``.  ``shared_streams`` swaps
+the ``shared`` key in for every node id: it draws one window row at sensor 0
+from ``obs:shared``, ``shadow:shared`` and ``fade:shared``, gives it to
+every node, and gives every node the same ``train:shared`` shuffle stream,
+for degeneracy tests.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .federation import (
     gossip_mix,
     payload_bytes,
 )
-from .radio import sense_windows
+from .radio import SensorStreams, sense_windows
 from .rng import substream
 from .scenario import (
     MAX_WINDOWS,
@@ -165,19 +167,25 @@ class RunSensing:
     truths: np.ndarray
 
 
+def _sensor_streams(seed: int, key: int | str) -> SensorStreams:
+    """The ``obs``, ``shadow`` and ``fade`` streams of sensor ``key`` (a node
+    id, or ``"shared"``) under ``seed``."""
+    return SensorStreams(*(substream(seed, f"{name}:{key}") for name in SensorStreams._fields))
+
+
 def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
     """Place the nodes and draw every window of one (scenario, seed) run."""
     check_scenario(scenario)
     placements = place_nodes(scenario, substream(seed, "placement"))
     sensors = [p for p in placements if p.kind == "sensor"]
     if shared_streams:
-        sensors, obs_rngs = sensors[:1], [substream(seed, "obs:shared")]
+        sensors, streams = sensors[:1], [_sensor_streams(seed, "shared")]
     else:
-        obs_rngs = [substream(seed, f"obs:{p.node_id}") for p in sensors]
+        streams = [_sensor_streams(seed, p.node_id) for p in sensors]
     pus = [p for p in placements if p.kind == "primary_user"]
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
     windows, truths = sense_windows(
-        scenario, sensors, pus, substream(seed, "traffic"), obs_rngs, n_slots
+        scenario, sensors, pus, substream(seed, "traffic"), streams, n_slots
     )
     windows.flags.writeable = truths.flags.writeable = False
     return RunSensing(scenario, seed, shared_streams, placements, windows, truths)
@@ -212,11 +220,11 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
     pus = [p for p in placements if p.kind == "primary_user"]
-    obs_rng = substream(scenario.seed, f"obs:{sensor_id}")
+    streams = _sensor_streams(scenario.seed, sensor_id)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("slot,f1,f2,f3,label\n")
         windows, truths = sense_windows(
-            scenario, sensor, pus, substream(scenario.seed, "traffic"), [obs_rng], n_slots
+            scenario, sensor, pus, substream(scenario.seed, "traffic"), [streams], n_slots
         )
         for slot, ((f1, f2, f3), label) in enumerate(zip(windows[0].tolist(), truths.tolist())):
             fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{int(label)}\n")

@@ -1,24 +1,34 @@
 """Radio environment: propagation, primary-user activity, synthetic sensing.
 
 Powers are handled in dBm at the interface and in linear milliwatts inside
-the window synthesis.  A sensing window is ``window_samples`` draws of
-instantaneous power: exponential receiver noise plus one exponential
-component per active primary user (Rayleigh-faded carriers observed through
-an energy detector).
+the window synthesis; ``dbm_to_mw`` and ``mw_to_dbm`` convert whole arrays.
+A sensing window is ``window_samples`` draws of instantaneous power:
+exponential receiver noise plus one exponential component per active
+primary user (Rayleigh-faded carriers observed through an energy detector),
+whose mean carries path loss and a log-normal shadowing draw.
 
 A run is sensed before anything else (``sense_windows``): the primary-user
 chains step over one block of uniforms (``pu_chain``), then each sensor
-draws its windows in slot order from its own stream (``sensor_windows``).
-This is the only sensing driver: ``engine`` calls it, with the ``traffic``
-and ``obs:<id>`` streams it derives, both for a run's whole tensor and for
-the one sensor row ``generate`` writes.
+draws its windows in blocks of slots (``sensor_windows``) from its three
+streams (``SensorStreams``), each consumed in slot order:
+
+- ``obs``: ``window_samples`` standard exponentials per slot, the noise;
+- ``shadow``: one standard normal per active (slot, primary user) pair, in
+  slot-major ``np.nonzero(states)`` order (none when sigma is 0);
+- ``fade``: ``window_samples`` standard exponentials per such pair.
+
+Draws are sequential, so the windows do not depend on the block size and a
+shorter run senses a prefix of a longer one.  This is the only sensing
+path: ``engine`` calls it, with the ``traffic`` and per-sensor streams it
+derives, both for a run's whole tensor and for the one sensor row
+``generate`` writes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,12 +41,23 @@ _POWER_FLOOR_MW = 1e-30
 _BLOCK_SAMPLES = 256 * 64
 
 
-def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
+def dbm_to_mw(dbm) -> np.ndarray:
+    """Linear milliwatts of dBm powers, elementwise; too small a power reads 0."""
+    with np.errstate(under="ignore"):
+        return np.power(10.0, np.asarray(dbm, dtype=np.float64) / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    return 10.0 * math.log10(max(mw, _POWER_FLOOR_MW))
+def mw_to_dbm(mw) -> np.ndarray:
+    """dBm of linear powers, elementwise, floored at -300 dBm (1e-30 mW)."""
+    return 10.0 * np.log10(np.maximum(mw, _POWER_FLOOR_MW))
+
+
+class SensorStreams(NamedTuple):
+    """One sensor's draw streams (module docstring), each read in slot order."""
+
+    obs: np.random.Generator
+    shadow: np.random.Generator
+    fade: np.random.Generator
 
 
 @dataclass
@@ -94,38 +115,40 @@ def pu_chain(uniforms: np.ndarray, tm: PuTrafficModel) -> np.ndarray:
 
 def sensor_windows(
     sensor: "Placement", pus: Sequence["Placement"], states: np.ndarray, ch: ChannelModel,
-    tm: PuTrafficModel, window_samples: int, rng: np.random.Generator,
+    tm: PuTrafficModel, window_samples: int, streams: SensorStreams,
 ) -> np.ndarray:
-    """One sensor's windows over the slots of ``states``, drawn in slot order.
+    """One sensor's windows over the slots of ``states``, drawn a block of
+    slots at a time from ``streams`` (module docstring).
 
-    A window is ``window_samples`` exponential noise powers plus, for each
-    primary user on in that slot, one shadowing normal (none when sigma is
-    0) and ``window_samples`` exponential powers around the shadowed mean.
-    Path loss is computed once per primary user.  The windows are reduced
-    in blocks of slots (``_window_stats``).
+    A window is its noise row plus, for each primary user on in that slot,
+    in index order, a fade row scaled to the path-loss mean shadowed by
+    ``sigma`` times the pair's normal, in dB.  Path loss is computed once
+    per primary user.
 
     Returns:
         (slots, 3) features, row t from slot t's window.
     """
     noise_mw = dbm_to_mw(ch.noise_floor_dbm)
     sigma = ch.shadowing_sigma_db
-    mean_dbm = [
+    mean_dbm = np.array([
         tm.tx_power_dbm - path_loss_db(ch, math.hypot(sensor.x_m - pu.x_m, sensor.y_m - pu.y_m))
         for pu in pus
-    ]
+    ])
     features = np.empty((len(states), 3))
     block = max(1, _BLOCK_SAMPLES // window_samples)
     for start in range(0, len(states), block):
-        rows = states[start : start + block].tolist()
-        samples = np.empty((len(rows), window_samples))
-        for window, row in zip(samples, rows):
-            window[:] = rng.exponential(noise_mw, size=window_samples)
-            for power, is_on in zip(mean_dbm, row):
-                if is_on:
-                    if sigma > 0.0:
-                        power += rng.normal(0.0, sigma)
-                    window += rng.exponential(dbm_to_mw(power), size=window_samples)
-        features[start : start + len(rows)] = _window_stats(samples, ch.noise_floor_dbm)
+        chunk = states[start : start + block]
+        slots, pu = np.nonzero(chunk)
+        power_dbm = mean_dbm[pu]
+        if sigma > 0.0:
+            power_dbm = power_dbm + sigma * streams.shadow.standard_normal(len(pu))
+        fades = streams.fade.standard_exponential((len(pu), window_samples))
+        fades *= dbm_to_mw(power_dbm)[:, None]
+        samples = streams.obs.standard_exponential((len(chunk), window_samples)) * noise_mw
+        for p in range(len(pus)):
+            mine = pu == p
+            samples[slots[mine]] += fades[mine]
+        features[start : start + len(chunk)] = _window_stats(samples, ch.noise_floor_dbm)
     return features
 
 
@@ -133,20 +156,19 @@ def _window_stats(samples: np.ndarray, noise_floor_dbm: float) -> np.ndarray:
     """(mean, std, max) of each row of linear powers, in dBm over the noise
     floor, / 10: ``[(stat_dbm - noise floor) / 10]`` per row, shape (rows, 3)."""
     stats = np.stack([samples.mean(axis=1), samples.std(axis=1), samples.max(axis=1)], axis=1)
-    dbm = np.array([mw_to_dbm(v) for v in stats.ravel().tolist()]).reshape(stats.shape)
-    return (dbm - noise_floor_dbm) / 10.0
+    return (mw_to_dbm(stats) - noise_floor_dbm) / 10.0
 
 
 def sense_windows(
     scenario: "Scenario", sensors: Sequence["Placement"], pus: Sequence["Placement"],
-    traffic_rng: np.random.Generator, obs_rngs: Sequence[np.random.Generator], n_slots: int,
+    traffic_rng: np.random.Generator, sensor_streams: Sequence[SensorStreams], n_slots: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A run's sensing: every chain over ``n_slots``, then every sensor's windows.
 
     The chains start idle and step over one ``traffic_rng.random((n_slots,
     P))`` block; sensor ``i`` then draws all its windows from
-    ``obs_rngs[i]``.  A slot's truth label is the global channel state (any
-    primary user on), not what a sensor could locally resolve.
+    ``sensor_streams[i]``.  A slot's truth label is the global channel state
+    (any primary user on), not what a sensor could locally resolve.
 
     Returns:
         ((len(sensors), n_slots, 3) windows, (n_slots,) bool truth labels)
@@ -154,6 +176,6 @@ def sense_windows(
     tm, w = scenario.pu_traffic, scenario.schedule.window_samples
     states = pu_chain(traffic_rng.random((n_slots, len(pus))), tm)
     windows = np.empty((len(sensors), n_slots, 3))
-    for i, (sensor, rng) in enumerate(zip(sensors, obs_rngs)):
-        windows[i] = sensor_windows(sensor, pus, states, scenario.channel, tm, w, rng)
+    for i, (sensor, streams) in enumerate(zip(sensors, sensor_streams)):
+        windows[i] = sensor_windows(sensor, pus, states, scenario.channel, tm, w, streams)
     return windows, states.any(axis=1)

@@ -1,9 +1,10 @@
 """Labeled random sub-stream derivation.
 
 Every experiment owns a single 64-bit master seed.  Each consumer (placement,
-primary-user traffic, per-sensor observation noise, per-node training shuffle)
-derives its own generator from ``(seed, label)``, so adding or removing draws
-in one module never shifts the sequences any other module sees.
+primary-user traffic, model init, each sensor's noise, shadowing and fading,
+each node's training shuffle) derives its own generator from ``(seed,
+label)``, so adding or removing draws in one module never shifts the
+sequences any other module sees.  ``engine`` derives every label.
 """
 
 from __future__ import annotations

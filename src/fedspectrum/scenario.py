@@ -32,6 +32,10 @@ PLACEMENT_MODES = ("grid", "uniform_random")
 # run's window tensor (sensors x slots) and chain block (primary users x slots).
 MAX_COUNT = 10**6
 MAX_WINDOWS = 10**8
+# Version of how a scenario and seed become draws (the streams and what each
+# yields, in ``radio``); bumped whenever the same scenario would sense other
+# windows, so ``scenario_digest`` tells the two apart.
+STREAM_LAYOUT = 2
 
 
 class ScenarioParseError(ValueError):
@@ -82,8 +86,9 @@ class Scenario:
 
 
 def scenario_digest(s: Scenario) -> str:
-    """Stable 16-hex-digit fingerprint of the full scenario."""
-    canonical = json.dumps(asdict(s), sort_keys=True, separators=(",", ":"))
+    """Stable 16-hex-digit fingerprint of the full scenario and of the stream
+    layout that turns it into draws (``STREAM_LAYOUT``)."""
+    canonical = json.dumps([STREAM_LAYOUT, asdict(s)], sort_keys=True, separators=(",", ":"))
     return sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 

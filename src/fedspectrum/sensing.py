@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 MODEL_KINDS = ("logistic", "mlp")
 
@@ -30,6 +29,13 @@ MLP_DIM = N_FEATURES * MLP_HIDDEN + MLP_HIDDEN + MLP_HIDDEN + 1
 _W1_END = N_FEATURES * MLP_HIDDEN
 _B1_END = _W1_END + MLP_HIDDEN
 _W2_END = _B1_END + MLP_HIDDEN
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid ``1 / (1 + exp(-z))``, elementwise; saturates to 0 and
+    1 without warnings."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 class EmptyDataError(ValueError):

@@ -4,11 +4,17 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from fedspectrum.federation import WEIGHTINGS, FederationConfig, NonpositiveDistanceError
-from fedspectrum.radio import dbm_to_mw, mw_to_dbm, path_loss_db
+from fedspectrum.radio import SensorStreams, path_loss_db
+from fedspectrum.rng import substream
 from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams
+
+
+def expit(z):
+    """Logistic sigmoid written out: the reference for ``sensing.expit``."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def radio_range(xy, radius_m):
@@ -20,16 +26,24 @@ def radio_range(xy, radius_m):
     return (dist <= radius_m) & ~np.eye(len(xy), dtype=bool), dist
 
 
-# The per-slot sensing path the block tensor (``radio.sense_windows``) replaced:
-# one chain step and one ``np.mean``/``np.std``/``np.max`` window per sensor per
-# slot.  The tensor must equal it byte for byte.
+def sensor_streams(seed, key):
+    """Sensor ``key``'s ``obs:``, ``shadow:`` and ``fade:`` streams (``key`` a
+    node id or ``shared``), spelled out from their labels."""
+    return SensorStreams(*(substream(seed, f"{name}:{key}") for name in ("obs", "shadow", "fade")))
 
 
-def received_power_dbm(ch, tx_power_dbm, distance_m, rng):
-    """Received power with one shadowing draw; sigma=0 consumes no draws."""
+# The per-slot sensing path the block draws (``radio.sense_windows``) must
+# equal byte for byte: one chain step per slot, then per sensor one noise row
+# from ``obs`` and, per active primary user in index order, one normal from
+# ``shadow`` and one fade row from ``fade``.  dB conversions are the numpy
+# ufuncs ``np.power`` and ``np.log10``, elementwise like the block's.
+
+
+def received_power_dbm(ch, tx_power_dbm, distance_m, shadow_rng):
+    """Received power with one shadowing normal; sigma=0 consumes no draws."""
     power = tx_power_dbm - path_loss_db(ch, distance_m)
     if ch.shadowing_sigma_db > 0.0:
-        power += rng.normal(0.0, ch.shadowing_sigma_db)
+        power += ch.shadowing_sigma_db * shadow_rng.standard_normal()
     return power
 
 
@@ -41,27 +55,24 @@ def pu_activity_step(on, tm, rng):
     return on ^ leave
 
 
-def window_features(sensor, active_pus, ch, tm, window_samples, rng):
-    """One window: noise samples, then per active primary user one shadowing
-    normal and a window of exponentials; (mean, std, max) in dBm over the
-    noise floor, / 10."""
-    samples_mw = rng.exponential(dbm_to_mw(ch.noise_floor_dbm), size=window_samples)
+def window_features(sensor, active_pus, ch, tm, window_samples, streams):
+    """One window: a noise row, then per active primary user one shadowing
+    normal and a fade row; (mean, std, max) in dBm over the noise floor, / 10."""
+    noise_mw = np.power(10.0, ch.noise_floor_dbm / 10.0)
+    samples_mw = streams.obs.standard_exponential(window_samples) * noise_mw
     for pu in active_pus:
         d = math.hypot(sensor.x_m - pu.x_m, sensor.y_m - pu.y_m)
-        rx_dbm = received_power_dbm(ch, tm.tx_power_dbm, d, rng)
-        samples_mw += rng.exponential(dbm_to_mw(rx_dbm), size=window_samples)
-    stats_dbm = np.array(
-        [
-            mw_to_dbm(float(samples_mw.mean())),
-            mw_to_dbm(float(samples_mw.std())),
-            mw_to_dbm(float(samples_mw.max())),
-        ]
-    )
+        rx_dbm = received_power_dbm(ch, tm.tx_power_dbm, d, streams.shadow)
+        samples_mw += streams.fade.standard_exponential(window_samples) * np.power(
+            10.0, rx_dbm / 10.0
+        )
+    stats_mw = np.array([samples_mw.mean(), samples_mw.std(), samples_mw.max()])
+    stats_dbm = 10.0 * np.log10(np.maximum(stats_mw, 1e-30))
     return (stats_dbm - ch.noise_floor_dbm) / 10.0
 
 
-def sense_slot(scenario, sensors, pus, on, traffic_rng, obs_rngs):
-    """One slot: step the chains, then draw sensor i's window from ``obs_rngs[i]``.
+def sense_slot(scenario, sensors, pus, on, traffic_rng, streams):
+    """One slot: step the chains, then draw sensor i's window from ``streams[i]``.
 
     Returns (chain state after the step, (len(sensors), 3) features)."""
     on = pu_activity_step(on, scenario.pu_traffic, traffic_rng)
@@ -70,12 +81,12 @@ def sense_slot(scenario, sensors, pus, on, traffic_rng, obs_rngs):
     for i, sensor in enumerate(sensors):
         features[i] = window_features(
             sensor, active, scenario.channel, scenario.pu_traffic,
-            scenario.schedule.window_samples, obs_rngs[i],
+            scenario.schedule.window_samples, streams[i],
         )
     return on, features
 
 
-def sense_slots(scenario, sensors, pus, traffic_rng, obs_rngs, n_slots):
+def sense_slots(scenario, sensors, pus, traffic_rng, streams, n_slots):
     """``n_slots`` calls of ``sense_slot`` from idle chains: ((len(sensors),
     n_slots, 3) windows, (n_slots,) truth labels, (n_slots, P) chain states)."""
     on = np.zeros(len(pus), dtype=bool)
@@ -83,7 +94,7 @@ def sense_slots(scenario, sensors, pus, traffic_rng, obs_rngs, n_slots):
     truths = np.empty(n_slots, dtype=bool)
     states = np.empty((n_slots, len(pus)), dtype=bool)
     for t in range(n_slots):
-        on, windows[:, t] = sense_slot(scenario, sensors, pus, on, traffic_rng, obs_rngs)
+        on, windows[:, t] = sense_slot(scenario, sensors, pus, on, traffic_rng, streams)
         states[t] = on
         truths[t] = on.any()
     return windows, truths, states

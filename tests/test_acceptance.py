@@ -28,6 +28,7 @@ from fedspectrum.sensing import (
     model_dim,
     train_rows,
 )
+from oracles import sensor_streams
 
 DEFAULT_SCENARIO = "scenarios/default.json"
 DATA_SCARCE_SCENARIO = "scenarios/data_scarce.json"
@@ -178,12 +179,12 @@ def test_criterion_7_energy_baseline_calibration():
         tm = PuTrafficModel()
         sensor = Placement(0, "sensor", 0.0, 0.0)
 
-        def noise_f1(count, rng):
+        def noise_f1(count, streams):
             idle = np.zeros((count, 0), dtype=bool)
-            return sensor_windows(sensor, [], idle, ch, tm, 64, rng)[:, 0]
+            return sensor_windows(sensor, [], idle, ch, tm, 64, streams)[:, 0]
 
-        threshold = float(np.quantile(noise_f1(10_000, substream(71, "obs:0")), 0.99))
-        fresh = noise_f1(20_000, substream(72, "obs:0"))
+        threshold = float(np.quantile(noise_f1(10_000, sensor_streams(71, 0)), 0.99))
+        fresh = noise_f1(20_000, sensor_streams(72, 0))
         decisions = [energy_baseline_decide([v, 0.0, 0.0], threshold) for v in fresh]
         pfa = float(np.mean(decisions))
         assert 0.005 <= pfa <= 0.015

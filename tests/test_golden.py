@@ -17,18 +17,18 @@ CASES = {
         ["compare", "--scenario", "scenarios/default.json", "--seeds", "7",
          "--training-slots", "400", "--eval-slots", "200"],
         {
-            "comparison.json": "51e31719537200b44272561f432b2eec1da83de5c411412319d7be753a55b9ac",
-            "comparison.txt": "0f170cda39256dbcfd7313591ad7d00f7c3c1f8e0c9588b5aa63063b2bc4910d",
-            "metrics.csv": "d1b0b3a9947fd2f9deba91247f1f9819029977e8f15ac7f175e5c963447bbd68",
+            "comparison.json": "05dc85b7eac29f3426a1cdc848bf75b7401c0dfa821d2c4f223fa1aff0d57089",
+            "comparison.txt": "15a105c291acce4bfe4c02f9ac205bed319d3a3c97d10d698da749e98ed90fa4",
+            "metrics.csv": "0e673e7ae71c9a45930448204d1e4c9af5db6d713d7d59205cce4dd07f1e399a",
         },
     ),
     "data-scarce-compare": (
         ["compare", "--scenario", "scenarios/data_scarce.json", "--seeds", "3,4",
          "--eval-slots", "200"],
         {
-            "comparison.json": "da7ef9cbefb5dd6cad003fa0c07ace3a269b7593e2c814084f4bc7461f45db5e",
-            "comparison.txt": "84e0ea21811d695b6659c820a87936dec8f012aed15350ce4b3639f20952edf4",
-            "metrics.csv": "82d2390d971b77f493563a505160c8184325b99a6867416e5bae869124279407",
+            "comparison.json": "c51762d6caf4ceba200ff95c8d845e8fc2612fec058c71ff0a5b6f3850f11c8b",
+            "comparison.txt": "e2dcc7527480e4e12228dc2e291865494b35b9c3d99dfaa7cd070c18f0728899",
+            "metrics.csv": "db6a6cfeecd3d50b57c81086d808fee2ca452b7ea2f16ceb918506ce5e51b02f",
         },
     ),
     "dense-gossip-run": (
@@ -36,15 +36,15 @@ CASES = {
          "--export-models", "--training-slots", "40", "--eval-slots", "5"],
         {
             "metrics.csv": "f8d7fac5bb6db884ed62896169ea7116a877182c96f60f1fd1bb3ef7892e4683",
-            "models.json": "4a071c13b73c1c1b3b460329e05284b308091e6c16b6b5b534cfae6022445999",
-            "summary.json": "4f7717b5769f284bcc1af1e111a5d7f0c0a6b3beef46a21c4ea69ff8cc121f09",
+            "models.json": "5bd01b124fb1c3332c9362baba226fd40754533be3cd8007df57b59cd20f7886",
+            "summary.json": "ee86f2c94b0487b5d3e9d821be5dcdef6a3ee0cedf8c83f533e1bebb6fd4085d",
         },
     ),
     "default-generate": (
         ["generate", "--scenario", "scenarios/default.json", "--sensor-id", "5",
          "--slots", "1000"],
         {
-            "dataset.csv": "0c03d519d73f181d3cd00d2380c696e6a19f4c250c0bfe08f1d32f7eb981a82a",
+            "dataset.csv": "38ce4f184674e8ed1d4f70ee8982f73ac151cd6291092881540e456662ac6b7f",
         },
     ),
 }

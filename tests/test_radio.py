@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from fedspectrum import radio
 from fedspectrum.engine import UnknownSensorError, generate_dataset, sense_run
 from fedspectrum.radio import (
     ChannelModel,
@@ -24,17 +26,23 @@ from oracles import (
     received_power_dbm,
     sense_slot,
     sense_slots,
+    sensor_streams,
     window_features,
 )
 
 
-@given(st.floats(min_value=-120.0, max_value=60.0))
+@given(st.lists(st.floats(min_value=-120.0, max_value=60.0), max_size=20))
 def test_dbm_mw_round_trip(dbm):
-    assert mw_to_dbm(dbm_to_mw(dbm)) == pytest.approx(dbm, rel=1e-9, abs=1e-9)
+    back = mw_to_dbm(dbm_to_mw(dbm))
+    assert back.shape == (len(dbm),)
+    assert back == pytest.approx(dbm, rel=1e-9, abs=1e-9)
 
 
 def test_mw_to_dbm_floors_tiny_powers():
+    assert mw_to_dbm(np.array([0.0, 1e-40, 1.0])).tolist() == [-300.0, -300.0, 0.0]
     assert mw_to_dbm(0.0) == mw_to_dbm(1e-40) == -300.0
+    # the inverse reads a power too small for float64 as 0, without a warning
+    assert dbm_to_mw([-4000.0, 0.0]).tolist() == [0.0, 1.0]
 
 
 def test_path_loss_reference_point_and_clamp():
@@ -57,28 +65,30 @@ def test_path_loss_monotone_in_distance(d1, d2):
 
 def test_received_power_no_shadowing_is_deterministic():
     ch = ChannelModel(shadowing_sigma_db=0.0)
-    rng = substream(5, "obs:0")
-    before = rng.bit_generator.state
-    p = received_power_dbm(ch, 20.0, 10.0, rng)
+    streams = sensor_streams(5, 0)
+    before = streams.shadow.bit_generator.state
+    p = received_power_dbm(ch, 20.0, 10.0, streams.shadow)
     assert p == pytest.approx(20.0 - 70.0)
     # sigma=0 must not consume entropy
-    assert rng.bit_generator.state == before
-    # nor in the block path: an occupied window draws noise and PU samples only
+    assert streams.shadow.bit_generator.state == before
+    # nor in the block path: an occupied window draws a noise row and a fade row only
     sensor, pu = Placement(0, "sensor", 0.0, 0.0), Placement(1, "primary_user", 10.0, 0.0)
-    features = sensor_windows(sensor, [pu], np.ones((1, 1), bool), ch, PuTrafficModel(), 16, rng)
-    replay = substream(5, "obs:0")
-    samples = replay.exponential(dbm_to_mw(ch.noise_floor_dbm), size=16)
-    samples += replay.exponential(dbm_to_mw(20.0 - path_loss_db(ch, 10.0)), size=16)
-    assert rng.bit_generator.state == replay.bit_generator.state
+    busy = np.ones((1, 1), bool)
+    features = sensor_windows(sensor, [pu], busy, ch, PuTrafficModel(), 16, streams)
+    replay = sensor_streams(5, 0)
+    replay.obs.standard_exponential(16)
+    replay.fade.standard_exponential(16)
+    for got, expected in zip(streams, replay):
+        assert got.bit_generator.state == expected.bit_generator.state
     np.testing.assert_array_equal(features[0], window_features(
-        sensor, [pu], ch, PuTrafficModel(), 16, substream(5, "obs:0")))
+        sensor, [pu], ch, PuTrafficModel(), 16, sensor_streams(5, 0)))
 
 
 def test_shadowing_moments_monte_carlo():
     # Oracle: received = deterministic + N(0, sigma); check first two moments
     # of the residual over 1e5 draws.  std of the mean is 6/sqrt(1e5) ~ 0.019.
     ch = ChannelModel(shadowing_sigma_db=6.0)
-    rng = substream(7, "obs:0")
+    rng = substream(7, "shadow:0")
     base = 20.0 - path_loss_db(ch, 50.0)
     residuals = np.array(
         [received_power_dbm(ch, 20.0, 50.0, rng) - base for _ in range(100_000)]
@@ -133,7 +143,7 @@ def _noise_only_features(n_windows, window_samples, seed):
     tm = PuTrafficModel()
     sensor = Placement(0, "sensor", 0.0, 0.0)
     idle = np.zeros((n_windows, 0), dtype=bool)
-    return sensor_windows(sensor, [], idle, ch, tm, window_samples, substream(seed, "obs:0"))
+    return sensor_windows(sensor, [], idle, ch, tm, window_samples, sensor_streams(seed, 0))
 
 
 def test_noise_only_mean_feature_sits_at_floor():
@@ -158,8 +168,78 @@ def test_strong_pu_lifts_mean_feature_30db():
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pu = Placement(1, "primary_user", 1.0, 0.0)
     busy = np.ones((2000, 1), dtype=bool)
-    f1 = sensor_windows(sensor, [pu], busy, ch, tm, 64, substream(19, "obs:0"))[:, 0]
+    f1 = sensor_windows(sensor, [pu], busy, ch, tm, 64, sensor_streams(19, 0))[:, 0]
     assert f1.mean() == pytest.approx(3.0, abs=0.1)
+
+
+# Distribution checks: each states a law of the block draws from the
+# channel model alone, with no code shared with the per-slot oracle.
+
+
+@pytest.mark.parametrize("window_samples", [16, 64])
+def test_noise_only_mean_feature_follows_the_gamma_law(window_samples):
+    # With no primary user a window mean over the noise floor is the mean of
+    # W standard exponentials, Gamma(W, 1) / W (criterion 7's law): 10**f1
+    # must pass a Kolmogorov-Smirnov test against it.  Over 20,000 windows a
+    # noise scale off by 0.1 dB (2.3%) moves the statistic ~3x past p = 1e-3.
+    f1 = _noise_only_features(20_000, window_samples, 61)[:, 0]
+    law = stats.gamma(window_samples, scale=1.0 / window_samples)
+    assert stats.kstest(10.0**f1, law.cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("sigma", [0.0, 6.0])
+@pytest.mark.parametrize("distance_m", [10.0, 46.4, 100.0])
+def test_mean_power_feature_follows_path_loss(sigma, distance_m):
+    # 10**f1 is a window's mean power over the noise floor.  With the primary
+    # user always on, its expectation is 1 (the noise) plus the mean received
+    # power over the floor: 10**((tx - path loss - floor) / 10), times the
+    # log-normal mean exp((sigma ln 10 / 10)**2 / 2) of dB-domain shadowing.
+    # Held to 4 standard errors of the 20,000-window mean.
+    ch = ChannelModel(shadowing_sigma_db=sigma)
+    tm = PuTrafficModel(tx_power_dbm=0.0)
+    sensor, pu = Placement(0, "sensor", 0.0, 0.0), Placement(1, "primary_user", distance_m, 0.0)
+    busy = np.ones((20_000, 1), dtype=bool)
+    power = 10.0 ** sensor_windows(sensor, [pu], busy, ch, tm, 64, sensor_streams(67, 0))[:, 0]
+    snr = 10.0 ** ((tm.tx_power_dbm - path_loss_db(ch, distance_m) - ch.noise_floor_dbm) / 10.0)
+    expected = 1.0 + snr * math.exp((sigma * math.log(10.0) / 10.0) ** 2 / 2.0)
+    assert abs(power.mean() - expected) < 4.0 * power.std() / math.sqrt(len(power))
+
+
+def test_per_pair_shadowing_moments():
+    # Two primary users always on; the first 90 dB stronger than the second
+    # and 50 dB over the noise, with W = 1024 so the window mean sits within
+    # ~0.14 dB of its faded mean.  The mean feature in dBm, less the first
+    # user's path-loss power, is then its shadowing: mean 0 and std sigma (to
+    # ~3.5 standard errors over 4,000 slots), and it is the shadow stream's
+    # normals times sigma in slot-major pair order: every other normal, from
+    # the first, and none of the second user's.
+    ch = ChannelModel(shadowing_sigma_db=6.0)
+    tm = PuTrafficModel(tx_power_dbm=20.0)
+    sensor = Placement(0, "sensor", 0.0, 0.0)
+    pus = [Placement(1, "primary_user", 10.0, 0.0), Placement(2, "primary_user", 10_000.0, 0.0)]
+    busy = np.ones((4_000, 2), dtype=bool)
+    f1 = sensor_windows(sensor, pus, busy, ch, tm, 1024, sensor_streams(71, 0))[:, 0]
+    residual = 10.0 * f1 + ch.noise_floor_dbm - (tm.tx_power_dbm - path_loss_db(ch, 10.0))
+    assert abs(residual.mean()) < 0.35
+    assert residual.std() == pytest.approx(6.0, abs=0.25)
+    normals = substream(71, "shadow:0").standard_normal(2 * len(f1))
+    assert np.corrcoef(residual, normals[0::2])[0, 1] > 0.999
+    assert abs(np.corrcoef(residual, normals[1::2])[0, 1]) < 0.1
+
+
+def test_block_size_does_not_change_the_tensor(monkeypatch):
+    # Each stream's draws are sequential, so blocks of one window, of an odd
+    # number of windows, and of more than the run sense the same tensor as
+    # the default blocks of 256 slots.
+    scenario = Scenario(
+        seed=43, area_size_m=300.0, n_sensors=3, n_primary_users=3,
+        pu_traffic=PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=5.0, mean_gap_slots=5.0),
+        schedule=SlotSchedule(400, 200, 10, 10, 64),
+    )
+    default = sense_run(scenario, 43).windows.tobytes()
+    for windows in (1, 3, 10_000):
+        monkeypatch.setattr(radio, "_BLOCK_SAMPLES", windows * 64)
+        assert sense_run(scenario, 43).windows.tobytes() == default
 
 
 def _sensing_scenario(burst, gap, window_samples=32):
@@ -178,10 +258,10 @@ def test_off_pu_contributes_nothing():
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pu = Placement(1, "primary_user", 5.0, 0.0)
     with_off, on = sense_windows(
-        scenario, [sensor], [pu], substream(23, "traffic"), [substream(23, "obs:0")], 50
+        scenario, [sensor], [pu], substream(23, "traffic"), [sensor_streams(23, 0)], 50
     )
     empty, none_on = sense_windows(
-        scenario, [sensor], [], substream(23, "traffic"), [substream(23, "obs:0")], 50
+        scenario, [sensor], [], substream(23, "traffic"), [sensor_streams(23, 0)], 50
     )
     assert not on.any() and not none_on.any()
     np.testing.assert_array_equal(with_off, empty)
@@ -189,29 +269,30 @@ def test_off_pu_contributes_nothing():
 
 def test_sense_slot_steps_chains_then_draws_each_sensor_window():
     # Replay slot by slot: one uniform per chain from the traffic stream, then
-    # sensor i's window from its own stream, given the primary users left on;
+    # sensor i's window from its own streams, given the primary users left on;
     # the truth label is whether any is on.  Short means make the chains flip.
     scenario = _sensing_scenario(burst=3.0, gap=4.0)
     sensors = [Placement(0, "sensor", 0.0, 0.0), Placement(1, "sensor", 300.0, 0.0)]
     pus = [Placement(2, "primary_user", 30.0, 40.0), Placement(3, "primary_user", 60.0, 80.0)]
     traffic = substream(37, "traffic")
-    obs_rngs = [substream(37, "obs:0"), substream(37, "obs:1")]
-    features, truths = sense_windows(scenario, sensors, pus, traffic, obs_rngs, 40)
+    streams = [sensor_streams(37, 0), sensor_streams(37, 1)]
+    features, truths = sense_windows(scenario, sensors, pus, traffic, streams, 40)
 
     replay = substream(37, "traffic")
-    obs_replay = [substream(37, "obs:0"), substream(37, "obs:1")]
+    streams_replay = [sensor_streams(37, 0), sensor_streams(37, 1)]
     on = np.zeros(2, dtype=bool)
     seen = set()
     assert features.shape == (2, 40, 3)
     for t in range(40):
-        on, expected = sense_slot(scenario, sensors, pus, on, replay, obs_replay)
+        on, expected = sense_slot(scenario, sensors, pus, on, replay, streams_replay)
         seen.add(tuple(on))
         assert truths[t] == on.any()
         np.testing.assert_array_equal(features[:, t], expected)
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
     assert traffic.random() == replay.random()
-    for rng, rng_replay in zip(obs_rngs, obs_replay):
-        assert rng.random() == rng_replay.random()
+    for sensor_rngs, sensor_replay in zip(streams, streams_replay):
+        for rng, rng_replay in zip(sensor_rngs, sensor_replay):
+            assert rng.random() == rng_replay.random()
 
 
 def per_slot_reference(scenario, seed, shared_streams=False):
@@ -221,11 +302,11 @@ def per_slot_reference(scenario, seed, shared_streams=False):
     sensors = [p for p in placements if p.kind == "sensor"]
     pus = [p for p in placements if p.kind == "primary_user"]
     if shared_streams:
-        sensors, obs_rngs = sensors[:1], [substream(seed, "obs:shared")]
+        sensors, streams = sensors[:1], [sensor_streams(seed, "shared")]
     else:
-        obs_rngs = [substream(seed, f"obs:{p.node_id}") for p in sensors]
+        streams = [sensor_streams(seed, p.node_id) for p in sensors]
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
-    return sense_slots(scenario, sensors, pus, substream(seed, "traffic"), obs_rngs, n_slots)
+    return sense_slots(scenario, sensors, pus, substream(seed, "traffic"), streams, n_slots)
 
 
 def assert_same_bytes(sensing, reference):
@@ -285,9 +366,9 @@ def test_sensed_tensor_equals_per_slot_reference(
 
 
 def test_window_draw_order_one_shadowing_draw_per_active_pu():
-    # Documented draw order: window noise vector, then per active PU one
-    # shadowing normal followed by a window of exponentials.  Replaying that
-    # sequence by hand must reproduce the features bitwise.
+    # Documented draw order: a noise row from obs, then per active PU in
+    # index order one normal from shadow and one fade row from fade.
+    # Replaying that sequence by hand must reproduce the features bitwise.
     ch = ChannelModel(shadowing_sigma_db=4.0)
     tm = PuTrafficModel(tx_power_dbm=10.0)
     sensor = Placement(0, "sensor", 0.0, 0.0)
@@ -295,27 +376,20 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
         Placement(1, "primary_user", 30.0, 40.0),
         Placement(2, "primary_user", 60.0, 80.0),
     ]
-    rng = substream(29, "obs:3")
-    features = sensor_windows(sensor, pus, np.ones((1, 2), dtype=bool), ch, tm, 16, rng)[0]
+    streams = sensor_streams(29, 3)
+    features = sensor_windows(sensor, pus, np.ones((1, 2), dtype=bool), ch, tm, 16, streams)[0]
 
-    replay = substream(29, "obs:3")
-    samples = replay.exponential(dbm_to_mw(ch.noise_floor_dbm), size=16)
+    replay = sensor_streams(29, 3)
+    samples = replay.obs.standard_exponential(16) * np.power(10.0, ch.noise_floor_dbm / 10.0)
     for pu in pus:
         d = math.hypot(pu.x_m, pu.y_m)
-        rx = 10.0 - path_loss_db(ch, d) + replay.normal(0.0, 4.0)
-        samples = samples + replay.exponential(dbm_to_mw(rx), size=16)
-    expected = (
-        np.array(
-            [
-                mw_to_dbm(float(samples.mean())),
-                mw_to_dbm(float(samples.std())),
-                mw_to_dbm(float(samples.max())),
-            ]
-        )
-        - ch.noise_floor_dbm
-    ) / 10.0
+        rx = 10.0 - path_loss_db(ch, d) + 4.0 * replay.shadow.standard_normal()
+        samples = samples + replay.fade.standard_exponential(16) * np.power(10.0, rx / 10.0)
+    stats_mw = np.array([samples.mean(), samples.std(), samples.max()])
+    expected = (10.0 * np.log10(stats_mw) - ch.noise_floor_dbm) / 10.0
     np.testing.assert_array_equal(features, expected)
-    assert rng.random() == replay.random()
+    for rng, rng_replay in zip(streams, replay):
+        assert rng.random() == rng_replay.random()
 
 
 def test_generate_dataset_file_shape_and_determinism(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import expit as scipy_expit
 
 from fedspectrum.rng import substream
 from fedspectrum.sensing import (
@@ -15,6 +16,7 @@ from fedspectrum.sensing import (
     bce_loss,
     cost_constants,
     energy_baseline_decide,
+    expit,
     init_model,
     model_dim,
     model_from_snapshot,
@@ -45,6 +47,16 @@ def test_model_cost_bytes():
         assert (macs, params, 8 * params) == cost
         # a model's bytes are its float64 coefficients
         assert init_model(kind, tc, substream(1, "init")).theta.nbytes == 8 * params
+
+
+def test_expit_saturates_quietly_and_tracks_scipy():
+    # numpy's exp is not libm's, so expit may differ from scipy's in the last
+    # bits; it must stay within a few ulps and saturate without warnings
+    z = np.linspace(-800.0, 800.0, 16_001)
+    with np.errstate(all="raise"):
+        got = expit(z)
+    assert (got[0], got[8_000], got[-1]) == (0.0, 0.5, 1.0)
+    np.testing.assert_allclose(got, scipy_expit(z), rtol=1e-15, atol=1e-300)
 
 
 def test_init_logistic_is_zero():
