@@ -217,12 +217,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     table_path = _target(out_dir, "comparison.txt", args.force)
     runs = []
     for seed in args.seeds:
-        # every topology runs on one draw of the seed's radio environment
-        sensing = engine.sense_run(scenario, seed)
+        # every topology trains on one draw of the seed's radio environment, in one loop
+        trained = engine.train_topologies(engine.sense_run(scenario, seed), TOPOLOGIES)
         for topology in TOPOLOGIES:
             _say(f"running topology={topology} seed={seed}")
-            runs.append(engine.run_simulation(scenario, topology, seed, sensing=sensing))
-        del sensing  # one seed's tensor alive at a time
+            runs.append(engine.run_simulation(scenario, topology, seed, trained=trained))
+        del trained  # one seed's tensor alive at a time
     runs.sort(key=lambda run: TOPOLOGIES.index(run.topology))  # stable: seeds keep their order
     report = engine.summarize_runs(runs, args.seeds)
     comparison = json.dumps(asdict(report), indent=2, sort_keys=True)

@@ -1,19 +1,20 @@
 """Slot-synchronous simulation engine and topology comparison.
 
-A run senses first, then trains, mixes and evaluates on slices of what it
-sensed.  ``sense_run`` places the nodes and draws the whole run's windows,
-an ``(n, n_training_slots + n_eval_slots, 3)`` tensor, and the truth labels
-(whether any primary user transmits in a slot) through
-``radio.sense_windows``.  These depend on (scenario, seed) only, never on
-the topology, so ``compare`` senses once per seed and runs every topology
-on the same tensor, and ``generate_dataset`` writes one sensor's row of it.
-Training slots: every ``local_train_period_slots`` one ``train_rows`` step
-trains every node's model, row ``i`` of the ``(n, d)`` model array on its
-row of the period's windows; every ``federation_period_slots`` the selected
-exchange (gossip round or central FedAvg round) fires, training first when
-both land on the same slot.  Eval slots: models are frozen and each node
-decides all of its windows with one batch prediction.  Sensor ``i`` is row
-``i`` of every array: models, neighbor table, windows.
+A run senses, trains, then evaluates on slices of what it sensed.
+``sense_run`` places the nodes and draws the whole run's windows, an ``(n,
+n_training_slots + n_eval_slots, 3)`` tensor, and the truth labels (whether
+any primary user transmits in a slot) through ``radio.sense_windows``.
+These and the training shuffles depend on (scenario, seed) only, never on
+the topology, so ``compare`` senses once per seed, ``train_topologies``
+trains isolated, gossip and central as one ``(3, n, d)`` model array, and
+``run_simulation`` evaluates each; ``generate_dataset`` writes one sensor's
+row of the tensor.  Training slots: every ``local_train_period_slots`` one
+``train_rows`` step trains row ``i`` of every ``(n, d)`` slice on its row of
+the period's windows; every ``federation_period_slots`` each topology's
+exchange (gossip or central FedAvg round) mixes its slice, training first
+when both land on the same slot.  Eval slots: models are frozen and each
+node decides all of its windows with one batch prediction.  Sensor ``i`` is
+row ``i`` of every array: models, neighbor table, windows.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -40,6 +41,7 @@ import numpy as np
 
 from .federation import (
     TOPOLOGIES,
+    NeighborTable,
     TrafficStats,
     build_neighbor_graph,
     exchange_traffic,
@@ -77,13 +79,6 @@ class DivergenceError(ValueError):
 
 class UnknownSensorError(ValueError):
     """Requested sensor id does not exist in the scenario."""
-
-
-def _check_finite(theta: np.ndarray, when: str) -> None:
-    finite = np.isfinite(theta).all(axis=1)
-    if not finite.all():
-        node = int(np.argmin(finite))  # row i is sensor node i
-        raise DivergenceError(f"node {node}: theta has non-finite entries {when}")
 
 
 @dataclass(frozen=True)
@@ -232,13 +227,85 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
     return DatasetSummary(n_slots, positives / n_slots if n_slots else 0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class TrainedRuns:
+    """Topologies trained on one ``RunSensing``: row ``j`` of ``theta (k, n, d)``,
+    ``samples (k, n)`` (both read-only) and ``rounds`` is ``topologies[j]``'s at
+    the end of the training phase; ``table`` is the gossip graph, if any."""
+
+    sensing: RunSensing
+    topologies: tuple[str, ...]
+    theta: np.ndarray
+    samples: np.ndarray
+    rounds: tuple[int, ...]
+    table: NeighborTable | None
+
+
+def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedRuns:
+    """Train ``topologies`` on ``sensing`` in one schedule loop, their models
+    one ``(k, n, d)`` array in ``TOPOLOGIES`` order.  Every run's ``train:<id>``
+    streams start fresh and the training slots do not depend on the topology,
+    so the k copies of node i's model share one shuffle per epoch.  A diverging
+    copy trains on without touching the others; after the loop the first
+    divergence in ``TOPOLOGIES`` order is raised, as its run alone raises it."""
+    if not set(topologies) <= set(TOPOLOGIES):
+        raise ValueError(f"topology: must be one of {TOPOLOGIES} (got {list(topologies)})")
+    topologies = tuple(t for t in TOPOLOGIES if t in topologies)
+    scenario, seed, tc = sensing.scenario, sensing.seed, sensing.scenario.training
+    sensors = [p for p in sensing.placements if p.kind == "sensor"]
+    k, n, cfg, kind = len(topologies), len(sensors), scenario.federation, tc.model_kind
+    table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
+    # theta[j, i] is sensor i's model in topology j, trained on samples[j, i]
+    # windows since its last exchange
+    theta = np.tile(init_model(kind, tc, substream(seed, "init")).theta, (k, n, 1))
+    samples = np.zeros((k, n), dtype=np.int64)
+    keys = ["shared"] * n if sensing.shared_streams else [p.node_id for p in sensors]
+    train_rngs = [substream(seed, f"train:{key}") for key in keys]
+
+    schedule = scenario.schedule
+    period = schedule.local_train_period_slots
+    # a shared window row broadcasts to every node
+    windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
+    failures: dict[int, str] = {}  # topology index: its first divergence
+    rounds = 0
+
+    def check(when: str) -> None:
+        finite = np.isfinite(theta).all(axis=-1)
+        for j in np.flatnonzero(~finite.all(axis=1)).tolist():
+            node = int(np.argmin(finite[j]))  # row i is sensor node i
+            failures.setdefault(j, f"node {node}: theta has non-finite entries {when}")
+
+    # a diverging model is reported once, by node, in check; a period longer
+    # than the training phase never trains
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slot in range(1, schedule.n_training_slots + 1):
+            if slot % period == 0:
+                x, y = windows[:, slot - period : slot], sensing.truths[slot - period : slot]
+                train_rows(kind, theta, x, y, tc, train_rngs)
+                samples += period
+                check(f"after local training round {slot // period} (slot {slot})")
+            if slot % schedule.federation_period_slots == 0 and topologies != ("isolated",):
+                rounds += 1
+                for j, topology in enumerate(topologies):
+                    if topology == "gossip":
+                        theta[j], samples[j] = gossip_mix(theta[j], samples[j], table, cfg)
+                    elif topology == "central":
+                        theta[j], samples[j] = fedavg_mix(theta[j], samples[j])
+                check(f"after federation round {rounds} (slot {slot})")
+    if failures:
+        raise DivergenceError(failures[min(failures)])
+    theta.flags.writeable = samples.flags.writeable = False
+    run_rounds = tuple(0 if t == "isolated" else rounds for t in topologies)
+    return TrainedRuns(sensing, topologies, theta, samples, run_rounds, table)
+
+
 def run_simulation(
     scenario: Scenario,
     topology: str,
     seed: int,
     *,
     shared_streams: bool = False,
-    sensing: RunSensing | None = None,
+    trained: TrainedRuns | None = None,
 ) -> RunResult:
     """Simulate one (scenario, topology, seed) combination.
 
@@ -250,8 +317,9 @@ def run_simulation(
         shared_streams: test hook; all nodes receive one identical
             window stream (drawn at sensor 0) and identical training
             shuffles.
-        sensing: ``sense_run(scenario, seed, shared_streams=...)``, drawn
-            once and reused across topologies; drawn here when omitted.
+        trained: ``train_topologies`` of ``sense_run(scenario, seed,
+            shared_streams=...)`` over this topology and maybe others;
+            trained here when omitted.
 
     Returns:
         RunResult with per-node and global metrics, traffic, and costs.
@@ -259,26 +327,24 @@ def run_simulation(
     """
     check_scenario(scenario)
     if topology not in TOPOLOGIES:
-        raise ValueError(
-            f"topology: must be one of {TOPOLOGIES} (got {topology!r})"
-        )
+        raise ValueError(f"topology: must be one of {TOPOLOGIES} (got {topology!r})")
     started = time.perf_counter()
-    run = (scenario, seed, shared_streams)
-    if sensing is None:
+    if trained is None:
         sensing = sense_run(scenario, seed, shared_streams=shared_streams)
-    elif (sensing.scenario, sensing.seed, sensing.shared_streams) != run:
-        raise ValueError("sensing: drawn for another scenario, seed or shared_streams")
+        trained = train_topologies(sensing, [topology])
+    sensing = trained.sensing
+    if (sensing.scenario, sensing.seed, sensing.shared_streams) != (scenario, seed, shared_streams):
+        raise ValueError("trained: for another scenario, seed or shared_streams")
+    if topology not in trained.topologies:
+        raise ValueError(f"trained: has no {topology!r} run (trained {trained.topologies})")
+    j = trained.topologies.index(topology)
+    rounds = trained.rounds[j]
 
-    placements = sensing.placements
-    sensors = [p for p in placements if p.kind == "sensor"]
-    central_id = next(p.node_id for p in placements if p.kind == "central")
-    n = len(sensors)
-
-    cfg = scenario.federation
+    central_id = next(p.node_id for p in sensing.placements if p.kind == "central")
+    n = trained.theta.shape[1]
     # Per round: models each node sends and receives, and models merged.
     if topology == "gossip":
-        table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
-        node_merges, central_merges = table.valid.sum(axis=1).tolist(), 0
+        node_merges, central_merges = trained.table.valid.sum(axis=1).tolist(), 0
         degrees = dict(enumerate(node_merges))
     elif topology == "central":
         degrees = {**dict.fromkeys(range(n), 1), central_id: n}
@@ -286,45 +352,13 @@ def run_simulation(
     else:
         degrees, node_merges, central_merges = {}, [0] * n, 0
 
-    tc = scenario.training
-    kind = tc.model_kind
-    base_model = init_model(kind, tc, substream(seed, "init"))
-    # Row i is sensor i's model, trained on samples[i] since its last exchange.
-    theta = np.tile(base_model.theta, (n, 1))
-    samples = np.full(n, base_model.n_train_samples, dtype=np.int64)
-    if shared_streams:
-        train_rngs = [substream(seed, "train:shared") for _ in range(n)]
-    else:
-        train_rngs = [substream(seed, f"train:{p.node_id}") for p in sensors]
+    kind = scenario.training.model_kind
+    theta, samples = trained.theta[j].copy(), trained.samples[j]
+    models = [ModelParams(kind, row, int(c)) for row, c in zip(theta, samples)]
 
     schedule = scenario.schedule
-    period = schedule.local_train_period_slots
-    # a shared window row broadcasts to every node
     windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
-    truths = sensing.truths
-    rounds = 0
-
-    # a period longer than the training phase never trains
-    for slot in range(1, schedule.n_training_slots + 1):
-        if slot % period == 0:
-            x, y = windows[:, slot - period : slot], truths[slot - period : slot]
-            # a diverging model is reported once, by node, in _check_finite
-            with np.errstate(over="ignore", invalid="ignore"):
-                train_rows(kind, theta, x, y, tc, train_rngs)
-            samples += len(y)
-            _check_finite(theta, f"after local training round {slot // period} (slot {slot})")
-        if topology != "isolated" and slot % schedule.federation_period_slots == 0:
-            rounds += 1
-            with np.errstate(over="ignore", invalid="ignore"):
-                if topology == "gossip":
-                    theta, samples = gossip_mix(theta, samples, table, cfg)
-                else:
-                    theta, samples = fedavg_mix(theta, samples)
-            _check_finite(theta, f"after federation round {rounds} (slot {slot})")
-
-    models = [ModelParams(kind, row, int(c)) for row, c in zip(theta.copy(), samples)]
-
-    eval_truths = truths[schedule.n_training_slots :]
+    eval_truths = sensing.truths[schedule.n_training_slots :]
     per_node = [
         evaluate_detection(predict_batch(m, xe) >= 0.5, eval_truths)
         for m, xe in zip(models, windows[:, schedule.n_training_slots :])
@@ -332,8 +366,9 @@ def run_simulation(
     global_metrics = DetectionMetrics(*np.sum([astuple(m) for m in per_node], axis=0).tolist())
     # closed forms (module docstring): every node trains on each full period
     macs_per_inference, param_count = cost_constants(kind)
+    period = schedule.local_train_period_slots
     windows = period * (schedule.n_training_slots // period)
-    train_macs = 3 * tc.epochs_per_round * windows * macs_per_inference
+    train_macs = 3 * scenario.training.epochs_per_round * windows * macs_per_inference
     cost = CostReport(macs_per_inference, param_count, 8 * param_count, train_macs)
     return RunResult(
         scenario_digest=scenario_digest(scenario),

@@ -209,17 +209,21 @@ def _leaves(d: dict, prefix: str = ""):
             yield f"{prefix}{key}", list(value) if isinstance(value, tuple) else value
 
 
-# Value rule per field, by the dotted name ``_leaves`` yields: a bound
-# "<op> <limit>" that is both the check and its message, or the tuple of
-# allowed choices.  A field without a rule takes any value of its type.
+# Value rule per field, by the dotted name ``_leaves`` yields: bounds
+# "<op> <limit>[, <op> <limit>]" that are both the check and its message, or
+# the tuple of allowed choices.  A field without a rule takes any value of its
+# type.  dB powers are bounded to keep linear powers' squares finite.
 _RULES = {
     "area_size_m": "> 0",
     "n_sensors": ">= 1",
     "n_primary_users": ">= 0",
     "sensor_placement": PLACEMENT_MODES,
+    "channel.pl0_db": ">= -300, <= 300",
     "channel.d0_m": "> 0",
     "channel.n_exp": ">= 0",
-    "channel.shadowing_sigma_db": ">= 0",
+    "channel.shadowing_sigma_db": ">= 0, <= 30",
+    "channel.noise_floor_dbm": ">= -300, <= 300",
+    "pu_traffic.tx_power_dbm": ">= -300, <= 300",
     "pu_traffic.mean_burst_slots": "> 0",
     "pu_traffic.mean_gap_slots": "> 0",
     "training.learning_rate": "> 0",
@@ -236,7 +240,7 @@ _RULES = {
     "schedule.federation_period_slots": ">= 1",
     "schedule.window_samples": ">= 2",
 }
-_OPS = {">": operator.gt, ">=": operator.ge}
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -257,8 +261,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         elif isinstance(rule, tuple) and value not in rule:
             bad[name] = f"{name}: must be one of {rule} (got {value!r})"
         elif isinstance(rule, str):
-            op, limit = rule.split()
-            if not _OPS[op](value, float(limit)):
+            bounds = (bound.split() for bound in rule.split(", "))
+            if not all(_OPS[op](value, float(limit)) for op, limit in bounds):
                 bad[name] = f"{name}: must be {rule} (got {value})"
     v = list(bad.values())
 

@@ -5,8 +5,9 @@ probability and are trained with mini-batch gradient descent on mean binary
 cross-entropy.  Parameters live in a flat float64 vector so federation can
 average them without knowing the architecture.  The model math is written
 once over leading axes: the same code serves one model (``predict_batch``,
-``bce_loss``, ``bce_gradient``) and the ``(n, d)`` array of all nodes'
-models, which ``train_rows`` trains in one step per mini-batch.
+``bce_loss``, ``bce_gradient``), the ``(n, d)`` array of all nodes' models
+and a ``(k, n, d)`` stack of k copies of it, which ``train_rows`` trains in
+one step per mini-batch.
 """
 
 from __future__ import annotations
@@ -166,11 +167,12 @@ def train_rows(
     rngs: Sequence[np.random.Generator],
 ) -> None:
     """``epochs_per_round`` epochs of mini-batch descent on every row of
-    ``theta (n, d)`` at once, in place: row i on its ``(m, 3)`` buffer ``x[i]``
-    and the shared ``(m,)`` 0/1 labels ``y``, reshuffled each epoch through
-    ``rngs[i]``; an epoch's last batch may be short.  Rows are not checked for
-    divergence: callers such as ``run_simulation`` check they are finite."""
-    n, m = len(theta), x.shape[1]
+    ``theta (..., n, d)`` at once, in place: row i of each leading copy on its
+    ``(m, 3)`` buffer ``x[i]`` and the shared ``(m,)`` 0/1 labels ``y``, all
+    copies reshuffled each epoch by one ``rngs[i]`` draw; an epoch's last batch
+    may be short.  Callers such as ``engine.train_topologies`` check that the
+    rows stay finite."""
+    n, m = theta.shape[-2], x.shape[1]
     if not len(rngs) == len(x) == n:
         raise ValueError(f"rngs: {len(rngs)}, x: {len(x)} and theta: {n} rows must agree")
     if len(y) != m:

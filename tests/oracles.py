@@ -5,10 +5,17 @@ from typing import Sequence
 
 import numpy as np
 
-from fedspectrum.federation import WEIGHTINGS, FederationConfig, NonpositiveDistanceError
+from fedspectrum.federation import (
+    WEIGHTINGS,
+    FederationConfig,
+    NonpositiveDistanceError,
+    build_neighbor_graph,
+    fedavg_mix,
+    gossip_mix,
+)
 from fedspectrum.radio import SensorStreams, path_loss_db
 from fedspectrum.rng import substream
-from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams
+from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
 
 
 def expit(z):
@@ -222,3 +229,37 @@ def train_local(kind, theta, x, y, tc, rng):
             idx = order[start : start + tc.batch_size]
             theta -= tc.learning_rate * gradient(kind, theta, x[idx], y[idx])
     return theta
+
+
+# The per-topology schedule loop ``engine.train_topologies`` replaced: one
+# loop, with fresh ``train:<id>`` streams, for each topology of a seed, over
+# the ``(n, d)`` model array.  The stage must equal it byte for byte.
+
+
+def train_topology(sensing, topology):
+    """(theta ``(n, d)``, sample counts ``(n,)``, federation rounds) of
+    ``topology`` trained alone on ``sensing``, a ``RunSensing``."""
+    scenario, seed = sensing.scenario, sensing.seed
+    tc, cfg, schedule = scenario.training, scenario.federation, scenario.schedule
+    sensors = [p for p in sensing.placements if p.kind == "sensor"]
+    table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
+    start = init_model(tc.model_kind, tc, substream(seed, "init"))
+    theta = np.tile(start.theta, (len(sensors), 1))
+    samples = np.full(len(sensors), start.n_train_samples, dtype=np.int64)
+    keys = ["shared"] * len(sensors) if sensing.shared_streams else [p.node_id for p in sensors]
+    rngs = [substream(seed, f"train:{key}") for key in keys]
+    windows = np.broadcast_to(sensing.windows, (len(sensors), *sensing.windows.shape[1:]))
+    period, rounds = schedule.local_train_period_slots, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for slot in range(1, schedule.n_training_slots + 1):
+            if slot % period == 0:
+                x, y = windows[:, slot - period : slot], sensing.truths[slot - period : slot]
+                train_rows(tc.model_kind, theta, x, y, tc, rngs)
+                samples += period
+            if topology != "isolated" and slot % schedule.federation_period_slots == 0:
+                rounds += 1
+                if topology == "gossip":
+                    theta, samples = gossip_mix(theta, samples, table, cfg)
+                else:
+                    theta, samples = fedavg_mix(theta, samples)
+    return theta, samples, rounds

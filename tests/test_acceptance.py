@@ -13,8 +13,8 @@ import pytest
 from scipy.stats import wilcoxon
 
 from fedspectrum.cli import main
-from fedspectrum.engine import roc_sweep, run_simulation, sense_run
-from fedspectrum.federation import FederationConfig, build_neighbor_graph, gossip_mix
+from fedspectrum.engine import roc_sweep, run_simulation, sense_run, train_topologies
+from fedspectrum.federation import TOPOLOGIES, FederationConfig, build_neighbor_graph, gossip_mix
 from fedspectrum.radio import ChannelModel, PuTrafficModel, sensor_windows
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, SlotSchedule, load_scenario, place_nodes
@@ -160,10 +160,11 @@ def test_criterion_6_federation_benefit():
         seeds = range(1, 21)
         accuracy = {"isolated": [], "gossip": [], "central": []}
         for seed in seeds:
-            # the three designs see one draw of the environment per seed
-            sensing = sense_run(scenario, seed)
+            # the three designs see one draw of the environment per seed and
+            # train in one loop
+            trained = train_topologies(sense_run(scenario, seed), TOPOLOGIES)
             for topology in accuracy:
-                run = run_simulation(scenario, topology, seed, sensing=sensing)
+                run = run_simulation(scenario, topology, seed, trained=trained)
                 accuracy[topology].append(run.global_metrics.accuracy)
         iso = np.array(accuracy["isolated"])
         for topology in ("central", "gossip"):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import warnings
 from dataclasses import asdict, astuple, fields, replace
@@ -22,6 +23,7 @@ from fedspectrum.engine import (
     run_simulation,
     sense_run,
     summarize_runs,
+    train_topologies,
 )
 from fedspectrum.federation import TOPOLOGIES, FederationConfig, TrafficStats
 from fedspectrum.radio import pu_chain
@@ -34,7 +36,7 @@ from fedspectrum.scenario import (
     place_nodes,
 )
 from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig, cost_constants, init_model
-from oracles import pu_activity_step, radio_range, train_local
+from oracles import pu_activity_step, radio_range, train_local, train_topology
 
 
 PU_TRAFFIC = Scenario(seed=1).pu_traffic
@@ -170,11 +172,18 @@ def test_divergent_training_names_node_and_slot(kind, topology):
     scenario.schedule.n_training_slots = 200
     scenario.schedule.n_eval_slots = 10
     named = r"^node \d+: .* after local training round \d+ \(slot \d+\)$"
+    sensing = sense_run(scenario, 1)
     # the named error is the only report: numpy's overflow warnings stay quiet
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DivergenceError, match=named):
+        with pytest.raises(DivergenceError, match=named) as alone:
             run_simulation(scenario, topology, 1)
+        with pytest.raises(DivergenceError, match=named):
+            train_topologies(sensing, TOPOLOGIES)
+        # stacked with the topologies after it, its own run's error is raised
+        with pytest.raises(DivergenceError) as stacked:
+            train_topologies(sensing, TOPOLOGIES[TOPOLOGIES.index(topology) :])
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_mixing_overflow_names_node_and_round():
@@ -202,6 +211,44 @@ def test_divergent_mixing_names_node_and_round(monkeypatch):
     named = r"^node 1: .* after federation round 1 \(slot 20\)$"
     with pytest.raises(DivergenceError, match=named):
         run_simulation(small_scenario(), "central", 1)
+
+
+def poisoned_at(mix, round_):
+    """``mix`` with node 1's model made non-finite in its ``round_``-th call."""
+    calls = itertools.count(1)
+
+    def poisoned(theta, samples, *args):
+        theta, samples = mix(theta, samples, *args)
+        if next(calls) == round_:
+            theta = theta.copy()
+            theta[1, 0] = np.inf
+        return theta, samples
+
+    return poisoned
+
+
+def test_stacked_divergence_names_the_diverging_topology(monkeypatch):
+    # the other topologies train on; the gossip run's own error is raised
+    sensing = sense_run(small_scenario(), 1)
+    monkeypatch.setattr(engine, "gossip_mix", poisoned_at(engine.gossip_mix, 1))
+    named = r"^node 1: .* after federation round 1 \(slot 20\)$"
+    with pytest.raises(DivergenceError, match=named):
+        train_topologies(sensing, TOPOLOGIES)
+
+
+def test_stacked_divergence_is_raised_in_topology_order(monkeypatch):
+    # central diverges a round before gossip, but gossip comes first in
+    # TOPOLOGIES: compare's sequential runs raised gossip's error
+    sensing = sense_run(small_scenario(), 1)
+    gossip_mix, fedavg_mix = engine.gossip_mix, engine.fedavg_mix
+    monkeypatch.setattr(engine, "fedavg_mix", poisoned_at(fedavg_mix, 1))
+    with pytest.raises(DivergenceError, match=r"after federation round 1 \(slot 20\)$"):
+        train_topologies(sensing, ["central"])
+    monkeypatch.setattr(engine, "gossip_mix", poisoned_at(gossip_mix, 2))
+    monkeypatch.setattr(engine, "fedavg_mix", poisoned_at(fedavg_mix, 1))
+    named = r"^node 1: .* after federation round 2 \(slot 40\)$"
+    with pytest.raises(DivergenceError, match=named):
+        train_topologies(sensing, TOPOLOGIES)
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,29 +366,80 @@ def assert_same_run(a, b):
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
 @pytest.mark.parametrize("shared", [False, True])
 def test_shared_sensing_gives_the_run_a_fresh_draw_gives(kind, shared):
-    # one tensor, reused by every topology in turn, changes no run
+    # one tensor, trained once for every topology, changes no run
     scenario = small_scenario(training=TrainingConfig(model_kind=kind))
     sensing = sense_run(scenario, 21, shared_streams=shared)
     before = sensing.windows.tobytes(), sensing.truths.tobytes()
+    trained = train_topologies(sensing, TOPOLOGIES)
     for topology in TOPOLOGIES:
-        reused = run_simulation(scenario, topology, 21, shared_streams=shared, sensing=sensing)
+        reused = run_simulation(scenario, topology, 21, shared_streams=shared, trained=trained)
         fresh = run_simulation(scenario, topology, 21, shared_streams=shared)
         assert_same_run(reused, fresh)
     assert (sensing.windows.tobytes(), sensing.truths.tobytes()) == before
     assert not sensing.windows.flags.writeable and not sensing.truths.flags.writeable
+    assert not trained.theta.flags.writeable and not trained.samples.flags.writeable
 
 
 def test_sensing_for_another_run_is_rejected():
     scenario = small_scenario()
-    sensing = sense_run(scenario, 3)
+    trained = train_topologies(sense_run(scenario, 3), TOPOLOGIES)
     other = replace(scenario, schedule=replace(scenario.schedule, n_eval_slots=39))
     for args, kwargs in [
         ((scenario, "gossip", 4), {}),
         ((other, "gossip", 3), {}),
         ((scenario, "gossip", 3), {"shared_streams": True}),
     ]:
-        with pytest.raises(ValueError, match="sensing: drawn for another"):
-            run_simulation(*args, sensing=sensing, **kwargs)
+        with pytest.raises(ValueError, match="^trained: for another scenario, seed or shared_"):
+            run_simulation(*args, trained=trained, **kwargs)
+    isolated = train_topologies(sense_run(scenario, 3), ["isolated"])
+    with pytest.raises(ValueError, match="trained: has no 'gossip' run"):
+        run_simulation(scenario, "gossip", 3, trained=isolated)
+    with pytest.raises(ValueError, match="topology: must be one of"):
+        train_topologies(sense_run(scenario, 3), ["isolated", "ring"])
+
+
+SUBSETS = [TOPOLOGIES, ("isolated",), ("gossip",), ("central",), ("gossip", "central")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["logistic", "mlp"]),
+    shared=st.booleans(),
+    weighting=st.sampled_from(["uniform", "samples", "inverse_distance"]),
+    self_weight=st.booleans(),
+    n_training=st.integers(0, 45),
+    period=st.integers(1, 50),
+    federation_period=st.integers(1, 50),
+    topologies=st.sampled_from(SUBSETS),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example("logistic", False, "samples", True, 0, 10, 10, TOPOLOGIES, 1)
+@example("mlp", False, "samples", True, 30, 40, 10, TOPOLOGIES, 2)
+@example("mlp", True, "inverse_distance", False, 45, 7, 5, TOPOLOGIES, 3)
+@example("logistic", False, "uniform", False, 40, 5, 8, ("gossip", "central"), 4)
+def test_stacked_training_is_the_per_topology_loop(
+    kind, shared, weighting, self_weight, n_training, period, federation_period, topologies, seed
+):
+    # one (k, n, d) loop with shared shuffles trains each topology as its
+    # own loop with fresh streams does, byte for byte
+    scenario = small_scenario(
+        seed=seed,
+        n_sensors=4,
+        sensor_placement="uniform_random",
+        schedule=SlotSchedule(n_training, 5, period, federation_period, 8),
+        training=TrainingConfig(model_kind=kind, batch_size=7),
+        federation=FederationConfig(
+            neighbor_radius_m=250.0, weighting=weighting, include_self_weight=self_weight
+        ),
+    )
+    sensing = sense_run(scenario, seed, shared_streams=shared)
+    trained = train_topologies(sensing, topologies)
+    assert trained.topologies == topologies and trained.sensing is sensing
+    for j, topology in enumerate(topologies):
+        theta, samples, rounds = train_topology(sensing, topology)
+        assert trained.theta[j].tobytes() == theta.tobytes()
+        assert trained.samples[j].tolist() == samples.tolist()
+        assert trained.rounds[j] == rounds
 
 
 @settings(max_examples=30, deadline=None)

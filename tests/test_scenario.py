@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -8,7 +9,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from fedspectrum.engine import run_simulation
+from fedspectrum.engine import run_simulation, sense_run
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
     MAX_COUNT,
@@ -215,9 +216,35 @@ def test_scenario_from_dict_rejects_non_object():
 
 
 def test_shipped_scenarios_load():
-    for name in ("scenarios/default.json", "scenarios/data_scarce.json"):
+    for name in (
+        "scenarios/default.json", "scenarios/data_scarce.json", "bench/scenarios/dense_gossip.json"
+    ):
         s = load_scenario(name)
         assert validate_scenario(s) == []
+
+
+def test_absurd_power_is_rejected_by_field_name(tmp_path):
+    # 4000 dBm is 1e400 mW: its windows would be non-finite
+    obj = {"seed": 1, "pu_traffic": {"tx_power_dbm": 4000}}
+    with pytest.raises(ScenarioValidationError) as exc:
+        load_scenario(write(tmp_path, obj))
+    assert str(exc.value) == "pu_traffic.tx_power_dbm: must be >= -300, <= 300 (got 4000.0)"
+
+
+@pytest.mark.parametrize("sigma", [0.0, 30.0])
+@pytest.mark.parametrize("noise", [-300.0, 300.0])
+@pytest.mark.parametrize("pl0", [-300.0, 300.0])
+@pytest.mark.parametrize("tx", [-300.0, 300.0])
+def test_power_bounds_keep_the_windows_finite(tx, pl0, noise, sigma):
+    # at every corner of the power bounds the windows are finite and no
+    # numpy overflow or invalid-value warning fires
+    s = Scenario(seed=3, n_sensors=4, schedule=SlotSchedule(30, 30, 10, 10, 64))
+    s.pu_traffic.tx_power_dbm, s.pu_traffic.mean_gap_slots = tx, 2.0
+    s.channel.pl0_db, s.channel.noise_floor_dbm, s.channel.shadowing_sigma_db = pl0, noise, sigma
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        sensing = sense_run(s, 3)
+    assert sensing.truths.any() and np.isfinite(sensing.windows).all()
 
 
 SCHEMA_DOC = Path("docs/scenario_schema.md")
@@ -404,7 +431,13 @@ def test_schema_doc_states_the_count_limits():
 
 
 DEFAULT_LEAVES = dict(_leaves(asdict(Scenario(seed=1))))
-BOUNDS = sorted((name, rule) for name, rule in _RULES.items() if isinstance(rule, str))
+# one entry per bound: a rule "<op> <limit>, <op> <limit>" gives two
+BOUNDS = sorted(
+    (name, bound)
+    for name, rule in _RULES.items()
+    if isinstance(rule, str)
+    for bound in rule.split(", ")
+)
 CHOICES = sorted((name, rule) for name, rule in _RULES.items() if isinstance(rule, tuple))
 
 
@@ -422,7 +455,7 @@ def with_leaf(name, value):
 def test_every_rule_names_a_scenario_leaf():
     # a misspelt key would silently check nothing
     assert set(_RULES) <= set(DEFAULT_LEAVES)
-    assert BOUNDS and CHOICES and len(BOUNDS) + len(CHOICES) == len(_RULES)
+    assert BOUNDS and CHOICES and len(dict(BOUNDS)) + len(CHOICES) == len(_RULES)
 
 
 @pytest.mark.parametrize("name,rule", BOUNDS)
@@ -433,9 +466,9 @@ def test_each_bound_accepts_its_limit_and_rejects_the_next_value_past_it(name, r
         below, above = limit - 1, limit + 1
     else:
         below, above = math.nextafter(limit, -math.inf), math.nextafter(limit, math.inf)
-    inside, outside = (limit, below) if op == ">=" else (above, limit)
+    inside, outside = {">=": (limit, below), ">": (above, limit), "<=": (limit, above)}[op]
     assert validate_scenario(with_leaf(name, inside)) == []
-    message = f"{name}: must be {rule} (got {outside})"
+    message = f"{name}: must be {_RULES[name]} (got {outside})"
     assert validate_scenario(with_leaf(name, outside)) == [message]
 
 
