@@ -12,9 +12,9 @@ row of the tensor.  Training slots: every ``local_train_period_slots`` one
 ``train_rows`` step trains row ``i`` of every ``(n, d)`` slice on its row of
 the period's windows; every ``federation_period_slots`` each topology's
 exchange (gossip or central FedAvg round) mixes its slice, training first
-when both land on the same slot.  Eval slots: models are frozen and each
-node decides all of its windows with one batch prediction.  Sensor ``i`` is
-row ``i`` of every array: models, neighbor table, windows.
+when both land on the same slot.  Eval slots: models are frozen and one
+``predict_rows`` call decides every node's windows.  Sensor ``i`` is row
+``i`` of every array: models, neighbor table, windows.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -34,7 +34,7 @@ for degeneracy tests.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +65,7 @@ from .sensing import (
     cost_constants,
     init_model,
     predict_batch,
+    predict_rows,
     train_rows,
 )
 
@@ -106,18 +107,22 @@ class DetectionMetrics:
         return (self.tp + self.tn) / total if total else None
 
 
+def _confusion(decided: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """(tp, fp, tn, fn) ``(..., 4)`` of bool decisions ``(..., m)`` against ``(m,)`` truths."""
+    tp = np.count_nonzero(decided & truths, axis=-1)
+    fp = np.count_nonzero(decided, axis=-1) - tp
+    fn = np.count_nonzero(truths) - tp
+    return np.stack([tp, fp, truths.size - tp - fp - fn, fn], axis=-1)
+
+
 def evaluate_detection(decided: np.ndarray, truths: np.ndarray) -> DetectionMetrics:
     """Confusion counts of bool decisions against their bool truth labels."""
-    decided = np.asarray(decided, dtype=bool)
-    truths = np.asarray(truths, dtype=bool)
+    decided, truths = np.asarray(decided, dtype=bool), np.asarray(truths, dtype=bool)
     if truths.size == 0:
         raise EmptyInputError("truths: nothing to evaluate")
     if decided.shape != truths.shape:
         raise ValueError(f"decided: {decided.size} decisions for {truths.size} truth labels")
-    tp = int(np.count_nonzero(decided & truths))
-    fp = int(np.count_nonzero(decided)) - tp
-    fn = int(np.count_nonzero(truths)) - tp
-    return DetectionMetrics(tp, fp, truths.size - tp - fp - fn, fn)
+    return DetectionMetrics(*_confusion(decided, truths).tolist())
 
 
 @dataclass
@@ -358,12 +363,10 @@ def run_simulation(
 
     schedule = scenario.schedule
     windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
-    eval_truths = sensing.truths[schedule.n_training_slots :]
-    per_node = [
-        evaluate_detection(predict_batch(m, xe) >= 0.5, eval_truths)
-        for m, xe in zip(models, windows[:, schedule.n_training_slots :])
-    ]
-    global_metrics = DetectionMetrics(*np.sum([astuple(m) for m in per_node], axis=0).tolist())
+    decided = predict_rows(kind, theta, windows[:, schedule.n_training_slots :]) >= 0.5
+    counts = _confusion(decided, sensing.truths[schedule.n_training_slots :])
+    per_node = [DetectionMetrics(*row) for row in counts.tolist()]
+    global_metrics = DetectionMetrics(*counts.sum(axis=0).tolist())
     # closed forms (module docstring): every node trains on each full period
     macs_per_inference, param_count = cost_constants(kind)
     period = schedule.local_train_period_slots

@@ -6,8 +6,8 @@ cross-entropy.  Parameters live in a flat float64 vector so federation can
 average them without knowing the architecture.  The model math is written
 once over leading axes: the same code serves one model (``predict_batch``,
 ``bce_loss``, ``bce_gradient``), the ``(n, d)`` array of all nodes' models
-and a ``(k, n, d)`` stack of k copies of it, which ``train_rows`` trains in
-one step per mini-batch.
+(``predict_rows``) and a ``(k, n, d)`` stack of k copies of it, which
+``train_rows`` trains in one step per mini-batch.
 """
 
 from __future__ import annotations
@@ -143,8 +143,13 @@ def _gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.
 
 def predict_batch(model: ModelParams, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
-    z, _ = _logits(model.kind, model.theta, x)
-    return expit(z)
+    return predict_rows(model.kind, model.theta, x)
+
+
+def predict_rows(kind: str, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Probabilities ``(n, m)`` of models ``theta (n, d)``, row i on windows
+    ``x[i]`` of ``x (n, m, 3)``; one model and its ``(m, 3)`` windows give ``(m,)``."""
+    return expit(_logits(kind, theta, x)[0])
 
 
 def bce_loss(model: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedspectrum import federation
 from fedspectrum.federation import (
     WEIGHTINGS,
     FederationConfig,
@@ -15,15 +18,19 @@ from fedspectrum.federation import (
     gossip_mix,
     payload_bytes,
 )
-from fedspectrum.scenario import Placement
+from fedspectrum.rng import substream
+from fedspectrum.scenario import Placement, load_scenario, place_nodes
 from fedspectrum.sensing import ModelParams, model_dim
 from oracles import (
     EmptyUpdatesError,
     KindMismatchError,
     fedavg_aggregate,
     merge_models,
+    neighbor_graph,
     radio_range,
 )
+
+DENSE_GOSSIP = "bench/scenarios/dense_gossip.json"
 
 
 def logistic(value, n=0):
@@ -63,6 +70,95 @@ def test_neighbor_graph_boundary_inclusive():
     table = build_neighbor_graph(line_placements(100.0, 2), 99.999)
     assert neighbors(table) == [[], []]
     assert table.valid.shape == (2, 0) and table.valid.sum() == 0
+
+
+def points(xy, order=None):
+    """Sensor placements at ``xy``, listed in ``order`` (default: by id)."""
+    placements = [Placement(i, "sensor", float(x), float(y)) for i, (x, y) in enumerate(xy)]
+    return placements if order is None else [placements[i] for i in order]
+
+
+def dense_gossip_sensors():
+    """The 400-sensor grid of the dense-gossip bench scenario, and its radius."""
+    scenario = load_scenario(DENSE_GOSSIP)
+    placements = place_nodes(scenario, substream(scenario.seed, "placement"))
+    return [p for p in placements if p.kind == "sensor"], scenario.federation.neighbor_radius_m
+
+
+def assert_same_table(table, expected):
+    for got, want in zip(table, expected, strict=True):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def layouts(draw):
+    """(placements, radius): scattered or grid points, some of them coincident,
+    in shuffled list order, under a radius that is 0, a drawn value, or the
+    exact distance of some pair (a tie at ``d == radius``)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        spacing = draw(st.sampled_from([0.1, 1.0, 50.0, 1000.0 / 3.0]))
+        cols = draw(st.integers(1, 8))
+        xy = np.stack([np.arange(n) % cols, np.arange(n) // cols], axis=1) * spacing
+    else:
+        xy = rng.uniform(0.0, 500.0, size=(n, 2)).round(draw(st.integers(0, 6)))
+    copies = rng.integers(0, n, size=draw(st.integers(0, n // 2))) if n else []
+    for i, j in zip(copies, rng.permutation(n)):
+        xy[j] = xy[i]  # coincident sensors
+    radius = draw(st.sampled_from(["zero", "drawn", "tie"]))
+    if radius == "zero" or n < 2:
+        radius = 0.0
+    elif radius == "drawn":
+        radius = draw(st.floats(0.0, 800.0))
+    else:
+        i, j = rng.choice(n, size=2, replace=False)
+        radius = math.hypot(*(xy[i] - xy[j]).tolist())
+    return points(xy, rng.permutation(n)), radius
+
+
+@given(layouts())
+@settings(max_examples=300, deadline=None)
+def test_neighbor_graph_matches_the_pairwise_oracle_bytewise(layout):
+    placements, radius = layout
+    assert_same_table(build_neighbor_graph(placements, radius), neighbor_graph(placements, radius))
+
+
+@pytest.mark.parametrize(
+    "dx, dy, radius, edge",
+    [
+        # np.hypot rounds up past math.hypot: a numpy decision drops the edge
+        (40.974, 16.528, 44.181935901451844, True),
+        # np.hypot rounds down below math.hypot: a numpy decision adds one
+        (983.335, 837.047, 1291.3540964561191, False),
+    ],
+)
+def test_neighbor_graph_decides_with_math_hypot_at_the_radius(dx, dy, radius, edge):
+    assert (math.hypot(dx, dy) <= radius) is edge
+    assert (float(np.hypot(dx, dy)) <= radius) is not edge  # the pair tells them apart
+    placements = points([(0.0, 0.0), (dx, dy)])
+    table = build_neighbor_graph(placements, radius)
+    assert neighbors(table) == ([[1], [0]] if edge else [[], []])
+    assert_same_table(table, neighbor_graph(placements, radius))
+
+
+def test_neighbor_graph_calls_hypot_per_candidate_not_per_pair(monkeypatch):
+    sensors, radius = dense_gossip_sensors()
+    calls, real = [], math.hypot
+
+    def hypot(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(federation.math, "hypot", hypot)
+    table = build_neighbor_graph(sensors, radius)
+    monkeypatch.undo()
+    edges, n = int(table.valid.sum()) // 2, len(sensors)
+    assert edges == 6190 and n * (n - 1) // 2 == 79800
+    # the numpy screen passes each edge plus at most a few pairs within its slack
+    assert edges <= len(calls) <= edges + n
+    assert_same_table(table, neighbor_graph(sensors, radius))
 
 
 def test_merge_uniform_average():
@@ -368,6 +464,8 @@ def random_models(rng, n, kind):
     st.sampled_from(["logistic", "mlp"]),
 )
 @settings(max_examples=150, deadline=None)
+# falsified a mix whose reduction started from add's default +0.0
+@example(seed=0, n=2, weighting="uniform", self_weight=False, kind="logistic")
 def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight, kind):
     rng = np.random.default_rng(seed)
     placements = [
@@ -442,6 +540,8 @@ def test_gossip_mix_equals_its_mixing_matrix(seed, n, radius, weighting, self_we
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.sampled_from(["logistic", "mlp"]))
 @settings(max_examples=100, deadline=None)
+@example(seed=1, n=400, kind="logistic")
+@example(seed=2, n=1200, kind="mlp")
 def test_fedavg_mix_matches_fedavg_aggregate_bitwise(seed, n, kind):
     models = random_models(np.random.default_rng(seed), n, kind)
     theta, counts = stacked(models)
@@ -460,3 +560,25 @@ def test_gossip_mix_rejects_what_merge_models_rejects():
         gossip_mix(theta, counts, table, FederationConfig(weighting="inverse_distance"))
     with pytest.raises(ValueError, match="weighting"):
         gossip_mix(theta, counts, table, FederationConfig(weighting="mean"))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize("self_weight", [True, False])
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+def test_gossip_mix_wide_rows_on_the_dense_grid(weighting, self_weight, kind):
+    # 36 neighbor slots a row, past the widths the drawn layouts above reach
+    sensors, radius = dense_gossip_sensors()
+    table = build_neighbor_graph(sensors, radius)
+    assert table.ids.shape == (400, 36)
+    cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
+    rng = np.random.default_rng(len(weighting) + 2 * self_weight)
+    models = random_models(rng, len(sensors), kind)
+    theta, counts = stacked(models)
+    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+    for i, (ids, valid, distances) in enumerate(zip(*table)):
+        received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
+        assert new_theta[i].tobytes() == merge_models(models[i], received, cfg).theta.tobytes()
+    adjacent, dist = radio_range([(p.x_m, p.y_m) for p in sensors], radius)
+    w = mixing_matrix(adjacent, dist, counts, cfg)
+    np.testing.assert_allclose(new_theta, w @ theta, rtol=0, atol=1e-12)
+    assert new_counts.tolist() == [0] * len(sensors)

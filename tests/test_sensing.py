@@ -22,6 +22,7 @@ from fedspectrum.sensing import (
     model_from_snapshot,
     model_snapshot_json,
     predict_batch,
+    predict_rows,
     train_rows,
 )
 from oracles import gradient, predict, train_local
@@ -178,6 +179,19 @@ def test_gradient_matches_the_2d_oracle_bytewise(kind):
     for i in range(3):
         got = bce_gradient(ModelParams(kind, theta[i]), x[i], y)
         assert got.tobytes() == gradient(kind, theta[i], x[i], y).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 57), (400, 40)])
+@pytest.mark.parametrize("shared", [False, True], ids=["own-windows", "shared-windows"])
+def test_predict_rows_matches_predict_batch_bytewise(kind, n, m, shared):
+    theta, x, _ = stacked_buffers(kind, n, m + 5, 70 + n + m)
+    # the engine's eval slice: the tail of each row, one row broadcast when shared
+    x = (np.broadcast_to(x[:1], x.shape) if shared else x)[:, 5:]
+    got = predict_rows(kind, theta, x)
+    assert got.shape == (n, m)
+    for i in range(n):
+        assert got[i].tobytes() == predict_batch(ModelParams(kind, theta[i]), x[i]).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
