@@ -8,16 +8,20 @@ primary user (Rayleigh-faded carriers observed through an energy detector),
 whose mean carries path loss and a log-normal shadowing draw.
 
 A run is sensed before anything else (``sense_windows``): the primary-user
-chains step over one block of uniforms (``pu_chain``), then each sensor
-draws its windows in blocks of slots (``sensor_windows``) from its three
-streams (``SensorStreams``), each consumed in slot order:
+chains step over one block of uniforms (``pu_chain``), then every sensor's
+windows are drawn (``draw_windows``) in blocks of (sensor group x slot
+range) of at most ``_BLOCK_SAMPLES`` noise samples: a long run takes one
+sensor over many slots, a short one several sensors over all its slots.
+Each sensor draws from its own three streams (``SensorStreams``), each
+consumed in slot order:
 
 - ``obs``: ``window_samples`` standard exponentials per slot, the noise;
 - ``shadow``: one standard normal per active (slot, primary user) pair, in
   slot-major ``np.nonzero(states)`` order (none when sigma is 0);
 - ``fade``: ``window_samples`` standard exponentials per such pair.
 
-Draws are sequential, so the windows do not depend on the block size and a
+Draws are sequential and no stream is shared between sensors, so the
+windows depend on neither the block shape nor the sensors' grouping, and a
 shorter run senses a prefix of a longer one.  This is the only sensing
 path: ``engine`` calls it, with the ``traffic`` and per-sensor streams it
 derives, both for a run's whole tensor and for the one sensor row
@@ -37,7 +41,7 @@ if TYPE_CHECKING:
 
 # keeps the log-domain features finite if a window statistic underflows
 _POWER_FLOOR_MW = 1e-30
-# power samples held at once per sensor: 256 windows of 64 samples (128 KiB)
+# noise samples held at once per block: 256 windows of 64 samples (128 KiB)
 _BLOCK_SAMPLES = 256 * 64
 
 
@@ -113,50 +117,97 @@ def pu_chain(uniforms: np.ndarray, tm: PuTrafficModel) -> np.ndarray:
     return states
 
 
-def sensor_windows(
-    sensor: "Placement", pus: Sequence["Placement"], states: np.ndarray, ch: ChannelModel,
-    tm: PuTrafficModel, window_samples: int, streams: SensorStreams,
+def draw_windows(
+    sensors: Sequence["Placement"], pus: Sequence["Placement"], states: np.ndarray,
+    ch: ChannelModel, tm: PuTrafficModel, window_samples: int,
+    streams: Sequence[SensorStreams],
 ) -> np.ndarray:
-    """One sensor's windows over the slots of ``states``, drawn a block of
-    slots at a time from ``streams`` (module docstring).
+    """Every sensor's windows over the slots of ``states``, sensor ``i``'s
+    drawn from ``streams[i]`` (module docstring), one block of (sensor group
+    x slot range) at a time.
 
     A window is its noise row plus, for each primary user on in that slot,
     in index order, a fade row scaled to the path-loss mean shadowed by
     ``sigma`` times the pair's normal, in dB.  Path loss is computed once
-    per primary user.
+    per (sensor, primary user) and the active pairs once per slot range;
+    each sensor then draws its rows of the block, and the block's arithmetic
+    runs once for the whole group.
 
     Returns:
-        (slots, 3) features, row t from slot t's window.
+        (len(sensors), slots, 3) features, [i, t] from sensor i's window of slot t.
     """
-    noise_mw = dbm_to_mw(ch.noise_floor_dbm)
+    n, n_slots, w = len(sensors), len(states), window_samples
     sigma = ch.shadowing_sigma_db
+    noise_mw = dbm_to_mw(ch.noise_floor_dbm)
     mean_dbm = np.array([
-        tm.tx_power_dbm - path_loss_db(ch, math.hypot(sensor.x_m - pu.x_m, sensor.y_m - pu.y_m))
-        for pu in pus
+        [tm.tx_power_dbm - path_loss_db(ch, math.hypot(s.x_m - pu.x_m, s.y_m - pu.y_m))
+         for pu in pus]
+        for s in sensors
     ])
-    features = np.empty((len(states), 3))
-    block = max(1, _BLOCK_SAMPLES // window_samples)
-    for start in range(0, len(states), block):
-        chunk = states[start : start + block]
+    # (mean, std, max) in mW, converted to features in place at the end
+    stats = np.empty((n, n_slots, 3))
+    # a block holds at most _BLOCK_SAMPLES noise samples: long runs take one
+    # sensor over many slots, short runs several sensors over every slot
+    block_slots = max(1, min(n_slots, _BLOCK_SAMPLES // w))
+    group = max(1, _BLOCK_SAMPLES // (block_slots * w))
+    for start in range(0, n_slots, block_slots):
+        chunk = states[start : start + block_slots]
         slots, pu = np.nonzero(chunk)
-        power_dbm = mean_dbm[pu]
-        if sigma > 0.0:
-            power_dbm = power_dbm + sigma * streams.shadow.standard_normal(len(pu))
-        fades = streams.fade.standard_exponential((len(pu), window_samples))
-        fades *= dbm_to_mw(power_dbm)[:, None]
-        samples = streams.obs.standard_exponential((len(chunk), window_samples)) * noise_mw
-        for p in range(len(pus)):
-            mine = pu == p
-            samples[slots[mine]] += fades[mine]
-        features[start : start + len(chunk)] = _window_stats(samples, ch.noise_floor_dbm)
-    return features
+        by_pu = [(slots[mine], mine) for mine in (pu == p for p in range(len(pus)))]
+        for first in range(0, n, group):
+            rows = range(first, min(first + group, n))
+            samples = np.empty((len(rows), len(chunk), w))
+            normals = np.empty((len(rows), len(pu)))
+            fades = np.empty((len(rows), len(pu), w))
+            for j, i in enumerate(rows):
+                obs, shadow, fade = streams[i]
+                obs.standard_exponential(out=samples[j])
+                if sigma > 0.0:
+                    shadow.standard_normal(out=normals[j])
+                fade.standard_exponential(out=fades[j])
+            samples *= noise_mw
+            power_dbm = mean_dbm[first : rows.stop, pu]
+            if sigma > 0.0:
+                power_dbm = power_dbm + sigma * normals
+            fades *= dbm_to_mw(power_dbm)[..., None]
+            for on_slots, mine in by_pu:
+                samples[:, on_slots] += fades[:, mine]
+            _window_stats(samples, stats[first : rows.stop, start : start + len(chunk)])
+    # features (mw_to_dbm(stats) - noise floor) / 10, in place: no
+    # temporaries the size of the run's tensor
+    np.maximum(stats, _POWER_FLOOR_MW, out=stats)
+    np.log10(stats, out=stats)
+    stats *= 10.0
+    stats -= ch.noise_floor_dbm
+    stats /= 10.0
+    return stats
 
 
-def _window_stats(samples: np.ndarray, noise_floor_dbm: float) -> np.ndarray:
-    """(mean, std, max) of each row of linear powers, in dBm over the noise
-    floor, / 10: ``[(stat_dbm - noise floor) / 10]`` per row, shape (rows, 3)."""
-    stats = np.stack([samples.mean(axis=1), samples.std(axis=1), samples.max(axis=1)], axis=1)
-    return (mw_to_dbm(stats) - noise_floor_dbm) / 10.0
+def _window_stats(samples: np.ndarray, out: np.ndarray) -> None:
+    """(mean, std, max) of each window of ``samples (..., W)`` into ``out
+    (..., 3)``, overwriting ``samples``.  The std reuses the one mean and
+    follows ``np.std``'s ufuncs (sum, / W, subtract, square, sum, / W,
+    sqrt), so both equal ``samples.mean(-1)`` and ``samples.std(-1)`` bit
+    for bit."""
+    w = samples.shape[-1]
+    mean = np.add.reduce(samples, axis=-1, keepdims=True)
+    mean /= w
+    out[..., 0] = mean[..., 0]
+    np.maximum.reduce(samples, axis=-1, out=out[..., 2])
+    samples -= mean
+    samples *= samples
+    var = np.add.reduce(samples, axis=-1)
+    var /= w
+    np.sqrt(var, out=out[..., 1])
+
+
+def sensor_windows(
+    sensor: "Placement", pus: Sequence["Placement"], states: np.ndarray, ch: ChannelModel,
+    tm: PuTrafficModel, window_samples: int, streams: SensorStreams,
+) -> np.ndarray:
+    """One sensor's windows over the slots of ``states``: ``draw_windows``
+    with a group of one, shape (slots, 3)."""
+    return draw_windows([sensor], pus, states, ch, tm, window_samples, [streams])[0]
 
 
 def sense_windows(
@@ -175,7 +226,5 @@ def sense_windows(
     """
     tm, w = scenario.pu_traffic, scenario.schedule.window_samples
     states = pu_chain(traffic_rng.random((n_slots, len(pus))), tm)
-    windows = np.empty((len(sensors), n_slots, 3))
-    for i, (sensor, streams) in enumerate(zip(sensors, sensor_streams)):
-        windows[i] = sensor_windows(sensor, pus, states, scenario.channel, tm, w, streams)
+    windows = draw_windows(sensors, pus, states, scenario.channel, tm, w, sensor_streams)
     return windows, states.any(axis=1)

@@ -185,8 +185,12 @@ def train_rows(
     if m == 0:
         raise EmptyDataError("x: training buffer is empty")
     y, rows = np.asarray(y, dtype=np.float64), np.arange(n)[:, None]
+    # shuffling a fresh arange draws what rng.permutation(m) draws
+    ordered, order = np.arange(m), np.empty((n, m), dtype=np.intp)
     for _ in range(tc.epochs_per_round):
-        order = np.stack([rng.permutation(m) for rng in rngs])
+        order[:] = ordered
+        for rng, row in zip(rngs, order):
+            rng.shuffle(row)
         for start in range(0, m, tc.batch_size):
             idx = order[:, start : start + tc.batch_size]
             theta -= tc.learning_rate * _gradient(kind, theta, x[rows, idx], y[idx])

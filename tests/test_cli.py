@@ -489,14 +489,18 @@ def test_failed_generate_leaves_no_dataset(scenario_path, tmp_path, monkeypatch,
     out = tmp_path / "out"
     argv = ["generate", "--scenario", scenario_path, "--out-dir", str(out), "--slots", "20"]
 
+    raised = []
+
     def fail_the_draw(*args):
         # the row is drawn once the temp file is open
         assert len(list(out.glob(".dataset.csv.*.tmp"))) == 1
-        raise OSError("sensor read failed")
+        raised.append(OSError("sensor read failed"))
+        raise raised[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(radio, "sensor_windows", fail_the_draw)
+        patch.setattr(radio, "draw_windows", fail_the_draw)
         assert main(argv) == 1
+    assert len(raised) == 1
     assert "sensor read failed" in capsys.readouterr().err
     assert list(out.iterdir()) == []
     assert main(argv) == 0

@@ -13,6 +13,7 @@ from fedspectrum.radio import (
     ChannelModel,
     PuTrafficModel,
     dbm_to_mw,
+    draw_windows,
     mw_to_dbm,
     path_loss_db,
     pu_chain,
@@ -228,18 +229,62 @@ def test_per_pair_shadowing_moments():
 
 
 def test_block_size_does_not_change_the_tensor(monkeypatch):
-    # Each stream's draws are sequential, so blocks of one window, of an odd
-    # number of windows, and of more than the run sense the same tensor as
-    # the default blocks of 256 slots.
-    scenario = Scenario(
-        seed=43, area_size_m=300.0, n_sensors=3, n_primary_users=3,
-        pu_traffic=PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=5.0, mean_gap_slots=5.0),
-        schedule=SlotSchedule(400, 200, 10, 10, 64),
-    )
-    default = sense_run(scenario, 43).windows.tobytes()
-    for windows in (1, 3, 10_000):
-        monkeypatch.setattr(radio, "_BLOCK_SAMPLES", windows * 64)
-        assert sense_run(scenario, 43).windows.tobytes() == default
+    # Each stream's draws are sequential and each sensor's rows of a block
+    # are its own, so no block shape changes the tensor, with three primary
+    # users or none.  The long run (600 slots of 64 samples, default blocks
+    # of one sensor over 256 slots) takes slot ranges of one window, of an
+    # odd number of windows and of more than the run.  The short run (7
+    # sensors, 40 slots of 16 samples, by default all 7 over every slot)
+    # takes groups of 1, 2 and 3 sensors (the last group a remainder), of
+    # all 7 and of more than 7 over every slot, and blocks of one and of 3
+    # slots; one-slot blocks with every chain off draw no (slot, primary
+    # user) pair.
+    traffic = PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=5.0, mean_gap_slots=5.0)
+    runs = []
+    for n_pus in (3, 0):
+        long_run = Scenario(
+            seed=43, area_size_m=300.0, n_sensors=3, n_primary_users=n_pus, pu_traffic=traffic,
+            schedule=SlotSchedule(400, 200, 10, 10, 64),
+        )
+        short_run = replace(long_run, n_sensors=7, schedule=SlotSchedule(30, 10, 10, 10, 16))
+        runs += [
+            (long_run, [64, 3 * 64, 10_000 * 64]),
+            (short_run, [16, 3 * 16] + [group * 40 * 16 for group in (1, 2, 3, 7, 10)]),
+        ]
+    defaults = [sense_run(scenario, 43) for scenario, _ in runs]
+    for short in defaults[1::2]:
+        assert_same_bytes(short, per_slot_reference(short.scenario, 43))
+    assert defaults[1].truths.any() and not defaults[1].truths.all()
+    for (scenario, block_samples), default in zip(runs, defaults):
+        for samples in block_samples:
+            monkeypatch.setattr(radio, "_BLOCK_SAMPLES", samples)
+            assert sense_run(scenario, 43).windows.tobytes() == default.windows.tobytes()
+
+
+def test_grouped_windows_without_shadowing_draw_no_normals():
+    # sigma = 0 on one block of three sensors: every sensor's shadow stream
+    # is left untouched, and each window is the per-slot oracle's, drawn
+    # from that sensor's own obs and fade streams.
+    ch, tm = ChannelModel(shadowing_sigma_db=0.0), PuTrafficModel(tx_power_dbm=0.0)
+    sensors = [Placement(i, "sensor", 40.0 * i, 0.0) for i in range(3)]
+    pus = [Placement(3, "primary_user", 50.0, 30.0), Placement(4, "primary_user", 0.0, 60.0)]
+    states = np.array([[True, False], [True, True], [False, False], [False, True]])
+    streams = [sensor_streams(5, i) for i in range(3)]
+    shadow_before = [rngs.shadow.bit_generator.state for rngs in streams]
+    features = draw_windows(sensors, pus, states, ch, tm, 16, streams)
+
+    replay = [sensor_streams(5, i) for i in range(3)]
+    assert features.shape == (3, 4, 3)
+    for t, on in enumerate(states):
+        active = [pu for pu, is_on in zip(pus, on) if is_on]
+        for i, sensor in enumerate(sensors):
+            np.testing.assert_array_equal(
+                features[i, t], window_features(sensor, active, ch, tm, 16, replay[i])
+            )
+    for rngs, rngs_replay, before in zip(streams, replay, shadow_before):
+        assert rngs.shadow.bit_generator.state == before
+        for rng, rng_replay in zip(rngs, rngs_replay):
+            assert rng.bit_generator.state == rng_replay.bit_generator.state
 
 
 def _sensing_scenario(burst, gap, window_samples=32):
