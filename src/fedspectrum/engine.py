@@ -28,7 +28,9 @@ are derived here only: ``placement``, ``traffic``, ``init``, each sensor's
 the ``shared`` key in for every node id: it draws one window row at sensor 0
 from ``obs:shared``, ``shadow:shared`` and ``fade:shared``, gives it to
 every node, and gives every node the same ``train:shared`` shuffle stream,
-for degeneracy tests.
+for degeneracy tests.  Streams needed together are derived in one
+``rng.substreams`` batch: every sensor's three (``_sensor_streams``, for
+``sense_run`` and ``generate_dataset``) and every node's ``train:`` stream.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .federation import (
     payload_bytes,
 )
 from .radio import SensorStreams, sense_windows
-from .rng import substream
+from .rng import substream, substreams
 from .scenario import (
     MAX_WINDOWS,
     Placement,
@@ -167,10 +169,12 @@ class RunSensing:
     truths: np.ndarray
 
 
-def _sensor_streams(seed: int, key: int | str) -> SensorStreams:
-    """The ``obs``, ``shadow`` and ``fade`` streams of sensor ``key`` (a node
-    id, or ``"shared"``) under ``seed``."""
-    return SensorStreams(*(substream(seed, f"{name}:{key}") for name in SensorStreams._fields))
+def _sensor_streams(seed: int, keys: Sequence[int | str]) -> list[SensorStreams]:
+    """The ``obs``, ``shadow`` and ``fade`` streams of each sensor key (a node
+    id, or ``"shared"``) under ``seed``, derived in one ``substreams`` call."""
+    names = SensorStreams._fields
+    rngs = substreams(seed, [f"{name}:{key}" for key in keys for name in names])
+    return [SensorStreams(*rngs[i : i + len(names)]) for i in range(0, len(rngs), len(names))]
 
 
 def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
@@ -179,9 +183,9 @@ def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) ->
     placements = place_nodes(scenario, substream(seed, "placement"))
     sensors = [p for p in placements if p.kind == "sensor"]
     if shared_streams:
-        sensors, streams = sensors[:1], [_sensor_streams(seed, "shared")]
+        sensors, streams = sensors[:1], _sensor_streams(seed, ["shared"])
     else:
-        streams = [_sensor_streams(seed, p.node_id) for p in sensors]
+        streams = _sensor_streams(seed, [p.node_id for p in sensors])
     pus = [p for p in placements if p.kind == "primary_user"]
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
     windows, truths = sense_windows(
@@ -220,11 +224,11 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
     pus = [p for p in placements if p.kind == "primary_user"]
-    streams = _sensor_streams(scenario.seed, sensor_id)
+    streams = _sensor_streams(scenario.seed, [sensor_id])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("slot,f1,f2,f3,label\n")
         windows, truths = sense_windows(
-            scenario, sensor, pus, substream(scenario.seed, "traffic"), [streams], n_slots
+            scenario, sensor, pus, substream(scenario.seed, "traffic"), streams, n_slots
         )
         for slot, ((f1, f2, f3), label) in enumerate(zip(windows[0].tolist(), truths.tolist())):
             fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{int(label)}\n")
@@ -265,7 +269,7 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     theta = np.tile(init_model(kind, tc, substream(seed, "init")).theta, (k, n, 1))
     samples = np.zeros((k, n), dtype=np.int64)
     keys = ["shared"] * n if sensing.shared_streams else [p.node_id for p in sensors]
-    train_rngs = [substream(seed, f"train:{key}") for key in keys]
+    train_rngs = substreams(seed, [f"train:{key}" for key in keys])
 
     schedule = scenario.schedule
     period = schedule.local_train_period_slots

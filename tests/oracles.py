@@ -15,8 +15,19 @@ from fedspectrum.federation import (
     gossip_mix,
 )
 from fedspectrum.radio import SensorStreams, path_loss_db
-from fedspectrum.rng import substream
+from fedspectrum.rng import substream_key
 from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
+
+
+def seed_sequence_stream(seed, key):
+    """The generator of ``SeedSequence([seed, key])``: one stream derived by
+    numpy, the reference ``rng.substreams`` must equal state for state."""
+    return np.random.default_rng(np.random.SeedSequence([seed, key]))
+
+
+def substream(seed, label):
+    """Stream ``label`` under ``seed``, one ``SeedSequence`` per label."""
+    return seed_sequence_stream(seed, substream_key(label))
 
 
 def expit(z):

@@ -492,6 +492,31 @@ def test_gossip_zero_radius_degenerates_to_isolated():
         np.testing.assert_array_equal(ma.theta, mb.theta)
 
 
+@pytest.mark.parametrize("self_weight", [True, False])
+def test_samples_weighting_trains_as_uniform(self_weight):
+    # every node trains on the same windows at the same slots and a gossip
+    # round resets the counters of every node it mixes, so each merge weighs
+    # equal counts; training twice per exchange keeps the counters above one
+    # period, and the graph has an isolated node and degrees 1 and 2
+    def trained(weighting):
+        scenario = small_scenario(
+            seed=2,
+            area_size_m=600.0,
+            n_sensors=6,
+            sensor_placement="uniform_random",
+            schedule=SlotSchedule(60, 40, 10, 20, 8),
+            federation=FederationConfig(
+                neighbor_radius_m=250.0, weighting=weighting, include_self_weight=self_weight
+            ),
+        )
+        return train_topologies(sense_run(scenario, 2), ["isolated", "gossip"])
+
+    uniform, samples = trained("uniform"), trained("samples")
+    assert uniform.table.valid.sum(axis=1).tolist() == [2, 1, 2, 2, 0, 1]
+    assert uniform.rounds == (0, 3) and uniform.theta[0].tobytes() != uniform.theta[1].tobytes()
+    assert samples.theta.tobytes() == uniform.theta.tobytes()
+
+
 def test_shared_streams_central_matches_single_pool():
     # with identical data and shuffles at every node, FedAvg of identical
     # updates is the update itself, so central must track isolated bitwise-
