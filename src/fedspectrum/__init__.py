@@ -27,6 +27,7 @@ from .federation import (
     exchange_traffic,
     fedavg_mix,
     gossip_mix,
+    gossip_mixer,
     payload_bytes,
 )
 from .radio import (
@@ -92,6 +93,7 @@ __all__ = [
     "fedavg_mix",
     "generate_dataset",
     "gossip_mix",
+    "gossip_mixer",
     "init_model",
     "load_scenario",
     "mw_to_dbm",

@@ -12,9 +12,10 @@ row of the tensor.  Training slots: every ``local_train_period_slots`` one
 ``train_rows`` step trains row ``i`` of every ``(n, d)`` slice on its row of
 the period's windows; every ``federation_period_slots`` each topology's
 exchange (gossip or central FedAvg round) mixes its slice, training first
-when both land on the same slot.  Eval slots: models are frozen and one
-``predict_rows`` call decides every node's windows.  Sensor ``i`` is row
-``i`` of every array: models, neighbor table, windows.
+when both land on the same slot; the gossip mixer is built at the first
+gossip round.  Eval slots: models are frozen and one ``predict_rows`` call
+decides every node's windows.  Sensor ``i`` is row ``i`` of every array:
+models, neighbor table, windows.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -29,8 +30,8 @@ the ``shared`` key in for every node id: it draws one window row at sensor 0
 from ``obs:shared``, ``shadow:shared`` and ``fade:shared``, gives it to
 every node, and gives every node the same ``train:shared`` shuffle stream,
 for degeneracy tests.  Streams needed together are derived in one
-``rng.substreams`` batch: every sensor's three (``_sensor_streams``, for
-``sense_run`` and ``generate_dataset``) and every node's ``train:`` stream.
+``rng.substreams`` batch: ``placement`` with ``traffic``, every sensor's three
+(``_sensor_streams``) and ``init`` with every node's ``train:`` stream.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ from .federation import (
     exchange_traffic,
     fedavg_mix,
     gossip_mix,
+    gossip_mixer,
     payload_bytes,
 )
 from .radio import SensorStreams, sense_windows
-from .rng import substream, substreams
+from .rng import substreams
 from .scenario import (
     MAX_WINDOWS,
     Placement,
@@ -180,7 +182,8 @@ def _sensor_streams(seed: int, keys: Sequence[int | str]) -> list[SensorStreams]
 def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
     """Place the nodes and draw every window of one (scenario, seed) run."""
     check_scenario(scenario)
-    placements = place_nodes(scenario, substream(seed, "placement"))
+    placement_rng, traffic_rng = substreams(seed, ["placement", "traffic"])
+    placements = place_nodes(scenario, placement_rng)
     sensors = [p for p in placements if p.kind == "sensor"]
     if shared_streams:
         sensors, streams = sensors[:1], _sensor_streams(seed, ["shared"])
@@ -188,9 +191,7 @@ def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) ->
         streams = _sensor_streams(seed, [p.node_id for p in sensors])
     pus = [p for p in placements if p.kind == "primary_user"]
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
-    windows, truths = sense_windows(
-        scenario, sensors, pus, substream(seed, "traffic"), streams, n_slots
-    )
+    windows, truths = sense_windows(scenario, sensors, pus, traffic_rng, streams, n_slots)
     windows.flags.writeable = truths.flags.writeable = False
     return RunSensing(scenario, seed, shared_streams, placements, windows, truths)
 
@@ -216,7 +217,8 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
             f"n_slots: must be in 0..{limit} (got {n_slots}); the limit is "
             f"{MAX_WINDOWS} / max(1, n_primary_users)"
         )
-    placements = place_nodes(scenario, substream(scenario.seed, "placement"))
+    placement_rng, traffic_rng = substreams(scenario.seed, ["placement", "traffic"])
+    placements = place_nodes(scenario, placement_rng)
     sensor = [p for p in placements if p.kind == "sensor" and p.node_id == sensor_id]
     if not sensor:
         raise UnknownSensorError(
@@ -227,9 +229,7 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
     streams = _sensor_streams(scenario.seed, [sensor_id])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("slot,f1,f2,f3,label\n")
-        windows, truths = sense_windows(
-            scenario, sensor, pus, substream(scenario.seed, "traffic"), streams, n_slots
-        )
+        windows, truths = sense_windows(scenario, sensor, pus, traffic_rng, streams, n_slots)
         for slot, ((f1, f2, f3), label) in enumerate(zip(windows[0].tolist(), truths.tolist())):
             fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{int(label)}\n")
     positives = int(np.count_nonzero(truths))
@@ -266,19 +266,21 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
     # theta[j, i] is sensor i's model in topology j, trained on samples[j, i]
     # windows since its last exchange
-    theta = np.tile(init_model(kind, tc, substream(seed, "init")).theta, (k, n, 1))
-    samples = np.zeros((k, n), dtype=np.int64)
     keys = ["shared"] * n if sensing.shared_streams else [p.node_id for p in sensors]
-    train_rngs = substreams(seed, [f"train:{key}" for key in keys])
+    init_rng, *train_rngs = substreams(seed, ["init"] + [f"train:{key}" for key in keys])
+    theta = np.tile(init_model(kind, tc, init_rng).theta, (k, n, 1))
+    samples = np.zeros((k, n), dtype=np.int64)
 
     schedule = scenario.schedule
     period = schedule.local_train_period_slots
     # a shared window row broadcasts to every node
     windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
     failures: dict[int, str] = {}  # topology index: its first divergence
-    rounds = 0
+    rounds, mixer = 0, None
 
     def check(when: str) -> None:
+        if np.isfinite(theta).all():
+            return
         finite = np.isfinite(theta).all(axis=-1)
         for j in np.flatnonzero(~finite.all(axis=1)).tolist():
             node = int(np.argmin(finite[j]))  # row i is sensor node i
@@ -297,7 +299,9 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
                 rounds += 1
                 for j, topology in enumerate(topologies):
                     if topology == "gossip":
-                        theta[j], samples[j] = gossip_mix(theta[j], samples[j], table, cfg)
+                        if mixer is None:  # the first gossip round, under errstate
+                            mixer = gossip_mixer(table, cfg, theta.shape[-1])
+                        theta[j], samples[j] = gossip_mix(theta[j], samples[j], mixer)
                     elif topology == "central":
                         theta[j], samples[j] = fedavg_mix(theta[j], samples[j])
                 check(f"after federation round {rounds} (slot {slot})")

@@ -1,18 +1,21 @@
 """Model exchange as one mixing step over stacked node models.
 
 The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
-``i``) plus ``(n,)`` sample counts, and the radio-range graph as one
-padded ``NeighborTable`` whose row ``i`` lists node ``i``'s neighbors;
-numpy screens the candidate pairs and ``math.hypot`` decides each one.  A
-gossip round mixes each row with its neighbors' rows in one ordered
-reduction over a stack of own and neighbor terms; a central round replaces
-every row by their FedAvg mean, one reduction over the rows.  Rounds are
-synchronous, and both steps match per-model references (``merge_models``
-and ``fedavg_aggregate`` in the tests' oracles) bit for bit.  Traffic is a
-closed form: per round each node sends one model to and receives one from
-each peer, at ``16 + 8 * param_count`` bytes a model (4-byte sender id,
-4-byte round index, 8-byte sample count, then float64 coefficients), so a
-node receives as many bytes as it sends.
+``i``) plus ``(n,)`` sample counts, and the radio-range graph as one padded
+``NeighborTable`` whose row ``i`` lists node ``i``'s neighbors; numpy screens
+the candidate pairs in blocks of rows and ``math.hypot`` decides each one.
+A run's gossip rounds apply one fixed operator, which ``gossip_mixer`` builds
+once: the table slot-major, the normalised weights and the work buffers.  A
+``gossip_mix`` round fills the buffers and adds each node's own and neighbor
+terms in one ordered reduction; it rebuilds ``samples`` weights only when
+the counts change.  A central round replaces every row by their FedAvg
+mean, one reduction over the rows.  Rounds are synchronous, and both steps
+match per-model references (``merge_models`` and ``fedavg_aggregate`` in
+the tests' oracles) bit for bit.  Traffic is a closed form: per round each
+node sends one model to and receives one from each peer, at ``16 + 8 *
+param_count`` bytes a model (4-byte sender id, 4-byte round index, 8-byte
+sample count, then float64 coefficients), so a node receives as many bytes
+as it sends.
 """
 
 from __future__ import annotations
@@ -85,22 +88,21 @@ class NeighborTable(NamedTuple):
     distances: np.ndarray
 
 
-def build_neighbor_graph(
-    placements: Sequence["Placement"], radius_m: float
-) -> NeighborTable:
+def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> NeighborTable:
     """Connect every pair of nodes within ``radius_m`` of each other; row
     ``i`` is the ``i``-th placement by node id (sensors have ids ``0..n-1``).
-    numpy screens pairs row by row with a little slack (no ``(n, n)`` array);
-    ``math.hypot`` decides each candidate and gives its distance."""
+    numpy screens pairs in blocks of rows with a little slack (no ``(n, n)``
+    array); ``math.hypot`` decides each candidate and gives its distance."""
     nodes = sorted(placements, key=lambda p: p.node_id)
     n = len(nodes)
     xy = np.array([(p.x_m, p.y_m) for p in nodes], dtype=np.float64).reshape(n, 2)
-    near = [
-        np.flatnonzero(np.hypot(*(xy[i + 1 :] - xy[i]).T) <= radius_m * (1 + 1e-9)) + i + 1
-        for i in range(n)
-    ]
-    src = np.repeat(np.arange(n), [len(js) for js in near])
-    dst = np.concatenate(near) if n else src
+    pairs = [np.zeros((2, 0), np.intp)]
+    step = max(1, (1 << 14) // max(n, 1))  # rows a block: at most 16,384 pairs
+    for a in range(0, n, step):
+        # rows a.. against columns a..; a pair counts once, from its lower id
+        dx, dy = (xy[a:] - xy[a : a + step, None]).transpose(2, 0, 1)
+        pairs.append(np.argwhere(np.triu(np.hypot(dx, dy) <= radius_m * (1 + 1e-9), 1)).T + a)
+    src, dst = np.concatenate(pairs, axis=1)
     d = np.array(list(map(math.hypot, *(xy[src] - xy[dst]).T.tolist())))
     src, dst, d = src[d <= radius_m], dst[d <= radius_m], d[d <= radius_m]
     # both directions of every edge, by row and then by neighbor id
@@ -115,49 +117,71 @@ def build_neighbor_graph(
     return table
 
 
-def gossip_mix(
-    theta: np.ndarray, counts: np.ndarray, table: NeighborTable, cfg: FederationConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous gossip round over stacked models; returns new arrays.
+class GossipMixer(NamedTuple):
+    """A run's gossip round (module docstring); ``counts`` copies the counts
+    the ``samples`` weights were built for, and is None for the others."""
 
-    Every node with a neighbor gets the ``merge_models`` of its pre-round row
-    and its neighbors' rows, bit for bit (same weights, same summation
-    order), and its sample counter resets to 0: the contribution has been
-    consumed.  Nodes without neighbors keep their row and counter.
-    """
-    # slot k is row k of ids, valid and distances; padded slots point at row n
-    ids, valid, distances = (np.ascontiguousarray(a.T) for a in table)
-    n = len(theta)
-    slots, own_w = np.where(valid, ids, n), np.ones(n)
-    if cfg.weighting == "uniform":
-        nbr_w = valid.astype(np.float64)
-    elif cfg.weighting == "samples":
-        own_w = np.maximum(counts, 1).astype(np.float64)
-        nbr_w = np.append(own_w, 0.0)[slots]
-    elif cfg.weighting == "inverse_distance":
-        d = distances.min(initial=np.inf)
-        if d <= 0.0:
-            raise NonpositiveDistanceError(
-                f"distance: inverse_distance weighting needs d > 0 (got {d})"
-            )
-        nbr_w = 1.0 / distances  # padded slots: 1/inf = 0
-    else:
+    slots: np.ndarray  # (D + 1, n) rows of padded: own, then neighbor slots
+    mixes: np.ndarray  # (n,) nodes with a neighbor
+    weights: np.ndarray  # (D + 1, n, d) normalised, per term
+    terms: np.ndarray  # (D + 1, n, d) work buffer
+    padded: np.ndarray  # (n + 1, d) work buffer; row n stays -0.0 (a real row's inf * 0 is NaN)
+    counts: np.ndarray | None
+    include_self_weight: bool
+
+
+def _set_weights(mixer: GossipMixer, own_w: np.ndarray, nbr_w: np.ndarray) -> None:
+    """Normalise own ``(n,)`` and neighbor ``(D, n)`` weights into ``mixer.weights``."""
+    own_w = own_w if mixer.include_self_weight else np.zeros(len(own_w))
+    # Outer-axis reductions add rows in order, as merge_models does, from -0.0:
+    # add's own +0.0 start turns -0.0 to 0.0.  Padded slots add -0.0 * 0.0.
+    total = np.where(mixer.mixes, own_w + np.add.reduce(nbr_w, axis=0, initial=-0.0), 1.0)
+    mixer.weights[:] = (np.vstack([own_w, nbr_w]) / total)[..., None]
+
+
+def gossip_mixer(table: NeighborTable, cfg: FederationConfig, d: int) -> GossipMixer:
+    """The gossip round over ``table`` under ``cfg`` for ``(n, d)`` models;
+    ``gossip_mix`` rebuilds ``samples`` weights for the counts it is given."""
+    if cfg.weighting not in WEIGHTINGS:
         raise ValueError(
             f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"
         )
-    if not cfg.include_self_weight:
-        own_w = np.zeros(n)
-    # Outer-axis reductions add rows in order, as merge_models does, from -0.0:
-    # add's own +0.0 start turns -0.0 to 0.0.  Padded slots add -0.0 * 0.0.
-    mixes = valid.any(axis=0)
-    total = np.where(mixes, own_w + np.add.reduce(nbr_w, axis=0, initial=-0.0), 1.0)
-    padded = np.concatenate([theta, np.full((1, theta.shape[1]), -0.0)])
-    terms = np.empty((len(ids) + 1, *theta.shape))  # own terms, then slot by slot
-    np.multiply(theta, (own_w / total)[:, None], out=terms[0])
-    np.take(padded, slots, axis=0, out=terms[1:], mode="clip")  # unbuffered, unlike "raise"
-    terms[1:] *= (nbr_w / total)[..., None]
-    mixed = np.add.reduce(terms, axis=0, initial=-0.0)
-    return np.where(mixes[:, None], mixed, theta), np.where(mixes, 0, counts)
+    # slot k + 1 is row k of ids, valid and distances; slot 0 is the node itself
+    ids, valid, distances = (np.ascontiguousarray(a.T) for a in table)
+    if cfg.weighting == "inverse_distance" and distances.min(initial=np.inf) <= 0.0:
+        raise NonpositiveDistanceError(
+            f"distance: inverse_distance weighting needs d > 0 (got {distances.min()})"
+        )
+    n = len(table.ids)
+    slots = np.concatenate([np.arange(n)[None], np.where(valid, ids, n)])
+    counts = np.zeros(n, np.int64) if cfg.weighting == "samples" else None
+    mixer = GossipMixer(
+        slots, valid.any(axis=0), np.empty((len(slots), n, d)), np.empty((len(slots), n, d)),
+        np.full((n + 1, d), -0.0), counts, cfg.include_self_weight,
+    )
+    # samples weights start at zero counts, as uniform's; padded slots: 0, 1/inf = 0
+    nbr_w = 1.0 / distances if cfg.weighting == "inverse_distance" else valid.astype(np.float64)
+    _set_weights(mixer, np.ones(n), nbr_w)
+    return mixer
+
+
+def gossip_mix(
+    theta: np.ndarray, counts: np.ndarray, mixer: GossipMixer
+) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous round of ``mixer`` over stacked models; returns new
+    arrays.  Every node with a neighbor gets the ``merge_models`` of its
+    pre-round row and its neighbors' rows, bit for bit (same weights, same
+    summation order), and its sample counter resets to 0: the contribution
+    has been consumed.  Nodes without neighbors keep their row and counter."""
+    if mixer.counts is not None and not np.array_equal(mixer.counts, counts):
+        own_w = np.maximum(counts, 1).astype(np.float64)
+        _set_weights(mixer, own_w, np.append(own_w, 0.0)[mixer.slots[1:]])
+        mixer.counts[:] = counts  # a copy: the engine updates its counts in place
+    mixer.padded[:-1] = theta
+    np.take(mixer.padded, mixer.slots, axis=0, out=mixer.terms, mode="clip")  # "raise" would buffer
+    np.multiply(mixer.terms, mixer.weights, out=mixer.terms)
+    mixed = np.add.reduce(mixer.terms, axis=0, initial=-0.0)
+    return np.where(mixer.mixes[:, None], mixed, theta), np.where(mixer.mixes, 0, counts)
 
 
 def fedavg_mix(theta: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

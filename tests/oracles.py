@@ -13,6 +13,7 @@ from fedspectrum.federation import (
     build_neighbor_graph,
     fedavg_mix,
     gossip_mix,
+    gossip_mixer,
 )
 from fedspectrum.radio import SensorStreams, path_loss_db
 from fedspectrum.rng import substream_key
@@ -298,7 +299,9 @@ def train_topology(sensing, topology):
             if topology != "isolated" and slot % schedule.federation_period_slots == 0:
                 rounds += 1
                 if topology == "gossip":
-                    theta, samples = gossip_mix(theta, samples, table, cfg)
+                    # a fresh mixer every round: the engine reuses one per run
+                    mixer = gossip_mixer(table, cfg, theta.shape[1])
+                    theta, samples = gossip_mix(theta, samples, mixer)
                 else:
                     theta, samples = fedavg_mix(theta, samples)
     return theta, samples, rounds

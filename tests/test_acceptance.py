@@ -14,7 +14,13 @@ from scipy.stats import wilcoxon
 
 from fedspectrum.cli import main
 from fedspectrum.engine import roc_sweep, run_simulation, sense_run, train_topologies
-from fedspectrum.federation import TOPOLOGIES, FederationConfig, build_neighbor_graph, gossip_mix
+from fedspectrum.federation import (
+    TOPOLOGIES,
+    FederationConfig,
+    build_neighbor_graph,
+    gossip_mix,
+    gossip_mixer,
+)
 from fedspectrum.radio import ChannelModel, PuTrafficModel, sensor_windows
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, SlotSchedule, load_scenario, place_nodes
@@ -222,6 +228,7 @@ def test_criterion_9_consensus_contraction():
         rng = substream(91, "init")
         theta = np.stack([rng.normal(0.0, 1.0, size=4) for _ in range(5)])
         counts = np.ones(5, dtype=np.int64)
+        mixer = gossip_mixer(table, cfg, theta.shape[1])
 
         def spread(thetas):
             return thetas.max(axis=0) - thetas.min(axis=0)
@@ -229,7 +236,7 @@ def test_criterion_9_consensus_contraction():
         initial = spread(theta)
         previous = initial
         for round_index in range(1, 101):
-            theta, counts = gossip_mix(theta, counts, table, cfg)
+            theta, counts = gossip_mix(theta, counts, mixer)
             current = spread(theta)
             if round_index <= 50:
                 assert np.all(current < previous)

@@ -213,6 +213,17 @@ def test_divergent_mixing_names_node_and_round(monkeypatch):
         run_simulation(small_scenario(), "central", 1)
 
 
+def test_gossip_run_without_a_round_builds_no_mixer(monkeypatch):
+    # training ends before the first federation slot: no mixer, so no weight
+    def unused(*args):
+        raise AssertionError("gossip_mixer called in a run without a round")
+
+    monkeypatch.setattr(engine, "gossip_mixer", unused)
+    scenario = small_scenario(schedule=SlotSchedule(15, 10, 5, 20, 8))
+    result = run_simulation(scenario, "gossip", 1)
+    assert result.federation_rounds == 0 and result.traffic == TrafficStats()
+
+
 def poisoned_at(mix, round_):
     """``mix`` with node 1's model made non-finite in its ``round_``-th call."""
     calls = itertools.count(1)

@@ -16,6 +16,7 @@ from fedspectrum.federation import (
     exchange_traffic,
     fedavg_mix,
     gossip_mix,
+    gossip_mixer,
     payload_bytes,
 )
 from fedspectrum.rng import substream
@@ -318,7 +319,7 @@ def test_gossip_round_snapshot_semantics():
     theta, counts = stacked([logistic(0.0, 4), logistic(3.0, 4), logistic(9.0, 4)])
     before = theta.copy()
     cfg = FederationConfig(weighting="uniform")
-    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
     np.testing.assert_allclose(new_theta[0], np.full(4, 1.5), rtol=1e-15)
     np.testing.assert_allclose(new_theta[1], np.full(4, 4.0), rtol=1e-15)
     np.testing.assert_allclose(new_theta[2], np.full(4, 6.0), rtol=1e-15)
@@ -342,7 +343,7 @@ def test_gossip_isolated_node_untouched():
     theta, counts = stacked([logistic(0.0, 4), logistic(3.0, 4), logistic(9.0, 7)])
     for self_weight in (True, False):
         cfg = FederationConfig(weighting="uniform", include_self_weight=self_weight)
-        new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+        new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
         assert new_theta[2].tobytes() == theta[2].tobytes()
         assert new_counts.tolist() == [0, 0, 7]
     stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
@@ -353,7 +354,9 @@ def test_gossip_isolated_node_untouched():
 def test_gossip_empty_graph_no_messages():
     table = build_neighbor_graph(line_placements(1000.0, 3), 10.0)
     theta, counts = stacked([logistic(1.0, 1), logistic(2.0, 2), logistic(3.0, 3)])
-    new_theta, new_counts = gossip_mix(theta, counts, table, FederationConfig(weighting="samples"))
+    new_theta, new_counts = gossip_mix(
+        theta, counts, gossip_mixer(table, FederationConfig(weighting="samples"), 4)
+    )
     np.testing.assert_array_equal(new_theta, theta)
     np.testing.assert_array_equal(new_counts, counts)
     assert exchange_traffic(degrees_of(table), 48, 5, central_id=9) == TrafficStats()
@@ -477,12 +480,50 @@ def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
     models = random_models(rng, n, kind)
     theta, counts = stacked(models)
-    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
     for i, (ids, valid, distances) in enumerate(zip(*table)):
         received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
         expected = merge_models(models[i], received, cfg)
         assert new_theta[i].tobytes() == expected.theta.tobytes()
         assert new_counts[i] == (0 if received else models[i].n_train_samples)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.sampled_from(WEIGHTINGS),
+    st.booleans(),
+    st.lists(st.integers(0, 2), min_size=2, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+# counts that change between rounds, then repeat
+@example(seed=3, n=6, weighting="samples", self_weight=True, rounds=[0, 1, 1, 2, 0])
+def test_one_mixer_over_many_rounds_matches_merge_models_bitwise(
+    seed, n, weighting, self_weight, rounds
+):
+    # one mixer for every round, as a run uses it; each round writes row r of
+    # three unequal count sets into one counts array in place, as the engine does
+    rng = np.random.default_rng(seed)
+    placements = points(rng.uniform(0, 500, size=(n, 2)))
+    table = build_neighbor_graph(placements, float(rng.uniform(0, 500)))
+    cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
+    count_sets = rng.integers(0, 40, size=(3, n))
+    theta, counts = stacked(random_models(rng, n, "mlp"))
+    mixer = gossip_mixer(table, cfg, theta.shape[1])
+    returned = []  # every round's results with their bytes when returned
+    for r in rounds:
+        counts[:] = count_sets[r]
+        models = [ModelParams("mlp", row.copy(), int(c)) for row, c in zip(theta, counts)]
+        theta, new_counts = gossip_mix(theta, counts, mixer)
+        for i, (ids, valid, distances) in enumerate(zip(*table)):
+            received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
+            expected = merge_models(models[i], received, cfg)
+            assert theta[i].tobytes() == expected.theta.tobytes()
+            assert new_counts[i] == (0 if received else models[i].n_train_samples)
+        returned.append((theta, new_counts, theta.tobytes(), new_counts.tobytes()))
+    # no result is a view of the mixer's buffers: later rounds left each intact
+    for theta, new_counts, theta_bytes, counts_bytes in returned:
+        assert (theta.tobytes(), new_counts.tobytes()) == (theta_bytes, counts_bytes)
 
 
 def mixing_matrix(adjacent, dist, counts, cfg):
@@ -530,7 +571,7 @@ def test_gossip_mix_equals_its_mixing_matrix(seed, n, radius, weighting, self_we
 
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
     theta, counts = stacked(random_models(rng, n, kind))
-    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
     w = mixing_matrix(adjacent, dist, counts, cfg)
     assert np.all(w >= 0.0)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -557,9 +598,10 @@ def test_gossip_mix_rejects_what_merge_models_rejects():
     table = build_neighbor_graph(placements, 10.0)
     theta, counts = stacked([logistic(1.0), logistic(2.0)])
     with pytest.raises(NonpositiveDistanceError):
-        gossip_mix(theta, counts, table, FederationConfig(weighting="inverse_distance"))
+        cfg = FederationConfig(weighting="inverse_distance")
+        gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
     with pytest.raises(ValueError, match="weighting"):
-        gossip_mix(theta, counts, table, FederationConfig(weighting="mean"))
+        gossip_mix(theta, counts, gossip_mixer(table, FederationConfig(weighting="mean"), 4))
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
@@ -574,7 +616,7 @@ def test_gossip_mix_wide_rows_on_the_dense_grid(weighting, self_weight, kind):
     rng = np.random.default_rng(len(weighting) + 2 * self_weight)
     models = random_models(rng, len(sensors), kind)
     theta, counts = stacked(models)
-    new_theta, new_counts = gossip_mix(theta, counts, table, cfg)
+    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
     for i, (ids, valid, distances) in enumerate(zip(*table)):
         received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
         assert new_theta[i].tobytes() == merge_models(models[i], received, cfg).theta.tobytes()

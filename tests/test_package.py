@@ -1,9 +1,12 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fedspectrum
+from fedspectrum import engine
 
 
 def test_every_exported_name_resolves_and_is_listed_once():
@@ -19,3 +22,22 @@ def test_runtime_imports_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
+def test_engine_calls_into_federation_through_its_own_functions():
+    # bench/layers.py times a call into a layer by wrapping the functions
+    # engine imports, and names the layer by their __module__; a closure or a
+    # callable object would count as engine time
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    names = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "federation")
+        for alias in node.names
+    ]
+    assert {"gossip_mix", "gossip_mixer", "fedavg_mix"} <= set(names)
+    for name in names:
+        obj = getattr(engine, name)
+        if callable(obj):
+            assert inspect.isfunction(obj) or inspect.isclass(obj), name
+            assert obj.__module__ == "fedspectrum.federation", name
