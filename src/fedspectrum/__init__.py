@@ -39,7 +39,6 @@ from .radio import (
     path_loss_db,
     pu_chain,
     sense_windows,
-    sensor_windows,
 )
 from .rng import substream
 from .scenario import (
@@ -106,7 +105,6 @@ __all__ = [
     "scenario_digest",
     "sense_run",
     "sense_windows",
-    "sensor_windows",
     "substream",
     "train_rows",
     "validate_scenario",

@@ -21,6 +21,9 @@ Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
 times each at ``3 * macs_per_inference`` (forward, backward, update), and
 traffic and aggregation MACs follow from the rounds and the node degrees.
+So is a final model's ``n_train_samples``, the windows trained since the
+node's last exchange: all of them for a node that never mixes, else those
+trained after the last federation slot.
 
 Random sub-streams are labeled so modules cannot disturb each other, and
 are derived here only: ``placement``, ``traffic``, ``init``, each sensor's
@@ -238,14 +241,13 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
 
 @dataclass(frozen=True, eq=False)
 class TrainedRuns:
-    """Topologies trained on one ``RunSensing``: row ``j`` of ``theta (k, n, d)``,
-    ``samples (k, n)`` (both read-only) and ``rounds`` is ``topologies[j]``'s at
-    the end of the training phase; ``table`` is the gossip graph, if any."""
+    """Topologies trained on one ``RunSensing``: row ``j`` of ``theta (k, n, d)``
+    (read-only) and ``rounds`` is ``topologies[j]``'s at the end of the
+    training phase; ``table`` is the gossip graph, if any."""
 
     sensing: RunSensing
     topologies: tuple[str, ...]
     theta: np.ndarray
-    samples: np.ndarray
     rounds: tuple[int, ...]
     table: NeighborTable | None
 
@@ -264,12 +266,10 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     sensors = [p for p in sensing.placements if p.kind == "sensor"]
     k, n, cfg, kind = len(topologies), len(sensors), scenario.federation, tc.model_kind
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
-    # theta[j, i] is sensor i's model in topology j, trained on samples[j, i]
-    # windows since its last exchange
+    # theta[j, i] is sensor i's model in topology j
     keys = ["shared"] * n if sensing.shared_streams else [p.node_id for p in sensors]
     init_rng, *train_rngs = substreams(seed, ["init"] + [f"train:{key}" for key in keys])
     theta = np.tile(init_model(kind, tc, init_rng).theta, (k, n, 1))
-    samples = np.zeros((k, n), dtype=np.int64)
 
     schedule = scenario.schedule
     period = schedule.local_train_period_slots
@@ -293,7 +293,6 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
             if slot % period == 0:
                 x, y = windows[:, slot - period : slot], sensing.truths[slot - period : slot]
                 train_rows(kind, theta, x, y, tc, train_rngs)
-                samples += period
                 check(f"after local training round {slot // period} (slot {slot})")
             if slot % schedule.federation_period_slots == 0 and topologies != ("isolated",):
                 rounds += 1
@@ -301,15 +300,15 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
                     if topology == "gossip":
                         if mixer is None:  # the first gossip round, under errstate
                             mixer = gossip_mixer(table, cfg, theta.shape[-1])
-                        theta[j], samples[j] = gossip_mix(theta[j], samples[j], mixer)
+                        theta[j] = gossip_mix(theta[j], mixer)
                     elif topology == "central":
-                        theta[j], samples[j] = fedavg_mix(theta[j], samples[j])
+                        theta[j] = fedavg_mix(theta[j])
                 check(f"after federation round {rounds} (slot {slot})")
     if failures:
         raise DivergenceError(failures[min(failures)])
-    theta.flags.writeable = samples.flags.writeable = False
+    theta.flags.writeable = False
     run_rounds = tuple(0 if t == "isolated" else rounds for t in topologies)
-    return TrainedRuns(sensing, topologies, theta, samples, run_rounds, table)
+    return TrainedRuns(sensing, topologies, theta, run_rounds, table)
 
 
 def run_simulation(
@@ -366,19 +365,21 @@ def run_simulation(
         degrees, node_merges, central_merges = {}, [0] * n, 0
 
     kind = scenario.training.model_kind
-    theta, samples = trained.theta[j].copy(), trained.samples[j]
-    models = [ModelParams(kind, row, int(c)) for row, c in zip(theta, samples)]
-
+    theta = trained.theta[j].copy()
     schedule = scenario.schedule
     windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
     decided = predict_rows(kind, theta, windows[:, schedule.n_training_slots :]) >= 0.5
     counts = _confusion(decided, sensing.truths[schedule.n_training_slots :])
     per_node = [DetectionMetrics(*row) for row in counts.tolist()]
     global_metrics = DetectionMetrics(*counts.sum(axis=0).tolist())
-    # closed forms (module docstring): every node trains on each full period
+    # closed forms (module docstring): every node trains on each full period,
+    # and a node that mixes last did so at the last federation slot
     macs_per_inference, param_count = cost_constants(kind)
     period = schedule.local_train_period_slots
     windows = period * (schedule.n_training_slots // period)
+    fresh = windows - period * (rounds * schedule.federation_period_slots // period)
+    models = [ModelParams(kind, row, fresh if degrees.get(i) else windows)
+              for i, row in enumerate(theta)]
     train_macs = 3 * scenario.training.epochs_per_round * windows * macs_per_inference
     cost = CostReport(macs_per_inference, param_count, 8 * param_count, train_macs)
     return RunResult(

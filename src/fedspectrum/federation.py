@@ -1,21 +1,22 @@
 """Model exchange as one mixing step over stacked node models.
 
 The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
-``i``) plus ``(n,)`` sample counts, and the radio-range graph as one padded
-``NeighborTable`` whose row ``i`` lists node ``i``'s neighbors; numpy screens
-the candidate pairs in blocks of rows and ``math.hypot`` decides each one.
-A run's gossip rounds apply one fixed operator, which ``gossip_mixer`` builds
-once: the table slot-major, the normalised weights and the work buffers.  A
-``gossip_mix`` round fills the buffers and adds each node's own and neighbor
-terms in one ordered reduction; it rebuilds ``samples`` weights only when
-the counts change.  A central round replaces every row by their FedAvg
-mean, one reduction over the rows.  Rounds are synchronous, and both steps
-match per-model references (``merge_models`` and ``fedavg_aggregate`` in
-the tests' oracles) bit for bit.  Traffic is a closed form: per round each
-node sends one model to and receives one from each peer, at ``16 + 8 *
-param_count`` bytes a model (4-byte sender id, 4-byte round index, 8-byte
-sample count, then float64 coefficients), so a node receives as many bytes
-as it sends.
+``i``) and the radio-range graph as one padded ``NeighborTable`` whose row
+``i`` lists node ``i``'s neighbors; numpy screens the candidate pairs in
+blocks of rows and ``math.hypot`` decides each one.  A run's gossip rounds
+apply one fixed operator, which ``gossip_mixer`` builds once: the table
+slot-major, the normalised weights and the work buffers.  A ``gossip_mix``
+round fills the buffers and adds each node's own and neighbor terms in one
+ordered reduction.  A central round replaces every row by their mean, one
+reduction over the rows.  Every node trains on the same windows at the same
+slots, so every merge would weigh equal sample counts: ``samples`` weighting
+builds ``uniform``'s weights, and no counts are kept.  Rounds are
+synchronous, and both steps match per-model references (``merge_models`` and
+``fedavg_aggregate`` in the tests' oracles, given equal counts) bit for bit.
+Traffic is a closed form: per round each node sends one model to and
+receives one from each peer, at ``16 + 8 * param_count`` bytes a model
+(4-byte sender id, 4-byte round index, 8-byte sample count, then float64
+coefficients), so a node receives as many bytes as it sends.
 """
 
 from __future__ import annotations
@@ -118,30 +119,18 @@ def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> 
 
 
 class GossipMixer(NamedTuple):
-    """A run's gossip round (module docstring); ``counts`` copies the counts
-    the ``samples`` weights were built for, and is None for the others."""
+    """A run's gossip round (module docstring)."""
 
     slots: np.ndarray  # (D + 1, n) rows of padded: own, then neighbor slots
     mixes: np.ndarray  # (n,) nodes with a neighbor
     weights: np.ndarray  # (D + 1, n, d) normalised, per term
     terms: np.ndarray  # (D + 1, n, d) work buffer
     padded: np.ndarray  # (n + 1, d) work buffer; row n stays -0.0 (a real row's inf * 0 is NaN)
-    counts: np.ndarray | None
-    include_self_weight: bool
-
-
-def _set_weights(mixer: GossipMixer, own_w: np.ndarray, nbr_w: np.ndarray) -> None:
-    """Normalise own ``(n,)`` and neighbor ``(D, n)`` weights into ``mixer.weights``."""
-    own_w = own_w if mixer.include_self_weight else np.zeros(len(own_w))
-    # Outer-axis reductions add rows in order, as merge_models does, from -0.0:
-    # add's own +0.0 start turns -0.0 to 0.0.  Padded slots add -0.0 * 0.0.
-    total = np.where(mixer.mixes, own_w + np.add.reduce(nbr_w, axis=0, initial=-0.0), 1.0)
-    mixer.weights[:] = (np.vstack([own_w, nbr_w]) / total)[..., None]
 
 
 def gossip_mixer(table: NeighborTable, cfg: FederationConfig, d: int) -> GossipMixer:
     """The gossip round over ``table`` under ``cfg`` for ``(n, d)`` models;
-    ``gossip_mix`` rebuilds ``samples`` weights for the counts it is given."""
+    ``samples`` weighting builds ``uniform``'s weights (module docstring)."""
     if cfg.weighting not in WEIGHTINGS:
         raise ValueError(
             f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"
@@ -154,41 +143,39 @@ def gossip_mixer(table: NeighborTable, cfg: FederationConfig, d: int) -> GossipM
         )
     n = len(table.ids)
     slots = np.concatenate([np.arange(n)[None], np.where(valid, ids, n)])
-    counts = np.zeros(n, np.int64) if cfg.weighting == "samples" else None
-    mixer = GossipMixer(
-        slots, valid.any(axis=0), np.empty((len(slots), n, d)), np.empty((len(slots), n, d)),
-        np.full((n + 1, d), -0.0), counts, cfg.include_self_weight,
-    )
-    # samples weights start at zero counts, as uniform's; padded slots: 0, 1/inf = 0
+    mixes = valid.any(axis=0)
+    own_w = np.full(n, float(cfg.include_self_weight))
+    # padded slots: 0, 1/inf = 0
     nbr_w = 1.0 / distances if cfg.weighting == "inverse_distance" else valid.astype(np.float64)
-    _set_weights(mixer, np.ones(n), nbr_w)
-    return mixer
+    # Outer-axis reductions add rows in order, as merge_models does, from -0.0:
+    # add's own +0.0 start turns -0.0 to 0.0.  Padded slots add -0.0 * 0.0.
+    total = np.where(mixes, own_w + np.add.reduce(nbr_w, axis=0, initial=-0.0), 1.0)
+    # full width: (D + 1, n, 1) weights broadcast in the multiply run slower
+    weights = np.repeat((np.vstack([own_w, nbr_w]) / total)[..., None], d, axis=2)
+    return GossipMixer(slots, mixes, weights, np.empty_like(weights), np.full((n + 1, d), -0.0))
 
 
-def gossip_mix(
-    theta: np.ndarray, counts: np.ndarray, mixer: GossipMixer
-) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous round of ``mixer`` over stacked models; returns new
-    arrays.  Every node with a neighbor gets the ``merge_models`` of its
-    pre-round row and its neighbors' rows, bit for bit (same weights, same
-    summation order), and its sample counter resets to 0: the contribution
-    has been consumed.  Nodes without neighbors keep their row and counter."""
-    if mixer.counts is not None and not np.array_equal(mixer.counts, counts):
-        own_w = np.maximum(counts, 1).astype(np.float64)
-        _set_weights(mixer, own_w, np.append(own_w, 0.0)[mixer.slots[1:]])
-        mixer.counts[:] = counts  # a copy: the engine updates its counts in place
+def gossip_mix(theta: np.ndarray, mixer: GossipMixer) -> np.ndarray:
+    """One synchronous round of ``mixer`` over stacked ``(n, d)`` models;
+    returns a new array.  Every node with a neighbor gets the
+    ``merge_models`` of its pre-round row and its neighbors' rows, bit for
+    bit (same weights, same summation order); nodes without neighbors keep
+    their row."""
+    if theta.shape != mixer.padded[:-1].shape:
+        raise ValueError(
+            f"theta: shape {theta.shape} does not match the mixer's {mixer.padded[:-1].shape}"
+        )
     mixer.padded[:-1] = theta
     np.take(mixer.padded, mixer.slots, axis=0, out=mixer.terms, mode="clip")  # "raise" would buffer
     np.multiply(mixer.terms, mixer.weights, out=mixer.terms)
     mixed = np.add.reduce(mixer.terms, axis=0, initial=-0.0)
-    return np.where(mixer.mixes[:, None], mixed, theta), np.where(mixer.mixes, 0, counts)
+    return np.where(mixer.mixes[:, None], mixed, theta)
 
 
-def fedavg_mix(theta: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One collect/average/distribute round over stacked models; returns new
-    arrays.  Every row becomes the ``fedavg_aggregate`` of all rows, bit for
-    bit (one reduction adds the rows in node order), and every counter resets."""
-    weights = np.maximum(counts, 1)
-    weights = weights / weights.sum()
-    mean = np.add.reduce(theta * weights[:, None], axis=0, initial=0.0)
-    return np.tile(mean, (len(theta), 1)), np.zeros_like(counts)
+def fedavg_mix(theta: np.ndarray) -> np.ndarray:
+    """One collect/average/distribute round over stacked models; returns a new
+    array.  Every row becomes the mean of all rows, one reduction adding them
+    in node order: the ``fedavg_aggregate`` of models with equal counts, bit
+    for bit, since ``c / (n * c)`` rounds to ``1 / n`` for every count ``c``."""
+    mean = np.add.reduce(theta * (1 / len(theta)), axis=0, initial=0.0)
+    return np.tile(mean, (len(theta), 1))

@@ -201,15 +201,6 @@ def _window_stats(samples: np.ndarray, out: np.ndarray) -> None:
     np.sqrt(var, out=out[..., 1])
 
 
-def sensor_windows(
-    sensor: "Placement", pus: Sequence["Placement"], states: np.ndarray, ch: ChannelModel,
-    tm: PuTrafficModel, window_samples: int, streams: SensorStreams,
-) -> np.ndarray:
-    """One sensor's windows over the slots of ``states``: ``draw_windows``
-    with a group of one, shape (slots, 3)."""
-    return draw_windows([sensor], pus, states, ch, tm, window_samples, [streams])[0]
-
-
 def sense_windows(
     scenario: "Scenario", sensors: Sequence["Placement"], pus: Sequence["Placement"],
     traffic_rng: np.random.Generator, sensor_streams: Sequence[SensorStreams], n_slots: int,

@@ -77,7 +77,8 @@ class CostReport:
 
 @dataclass
 class ModelParams:
-    """Flat parameter vector plus the sample count backing it."""
+    """Flat parameter vector plus ``n_train_samples``, the windows trained
+    since the model's last exchange (a closed form of the run's schedule)."""
 
     kind: str
     theta: np.ndarray

@@ -278,7 +278,9 @@ def train_local(kind, theta, x, y, tc, rng):
 
 def train_topology(sensing, topology):
     """(theta ``(n, d)``, sample counts ``(n,)``, federation rounds) of
-    ``topology`` trained alone on ``sensing``, a ``RunSensing``."""
+    ``topology`` trained alone on ``sensing``, a ``RunSensing``.  A node's
+    count tallies the windows it trains on and resets when it mixes: the
+    ``n_train_samples`` the engine writes from a closed form."""
     scenario, seed = sensing.scenario, sensing.seed
     tc, cfg, schedule = scenario.training, scenario.federation, scenario.schedule
     sensors = [p for p in sensing.placements if p.kind == "sensor"]
@@ -301,7 +303,9 @@ def train_topology(sensing, topology):
                 if topology == "gossip":
                     # a fresh mixer every round: the engine reuses one per run
                     mixer = gossip_mixer(table, cfg, theta.shape[1])
-                    theta, samples = gossip_mix(theta, samples, mixer)
+                    theta = gossip_mix(theta, mixer)
+                    samples[table.valid.any(axis=1)] = 0
                 else:
-                    theta, samples = fedavg_mix(theta, samples)
+                    theta = fedavg_mix(theta)
+                    samples[:] = 0
     return theta, samples, rounds

@@ -21,7 +21,7 @@ from fedspectrum.federation import (
     gossip_mix,
     gossip_mixer,
 )
-from fedspectrum.radio import ChannelModel, PuTrafficModel, sensor_windows
+from fedspectrum.radio import ChannelModel, PuTrafficModel, draw_windows
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, SlotSchedule, load_scenario, place_nodes
 from fedspectrum.sensing import (
@@ -188,7 +188,7 @@ def test_criterion_7_energy_baseline_calibration():
 
         def noise_f1(count, streams):
             idle = np.zeros((count, 0), dtype=bool)
-            return sensor_windows(sensor, [], idle, ch, tm, 64, streams)[:, 0]
+            return draw_windows([sensor], [], idle, ch, tm, 64, [streams])[0][:, 0]
 
         threshold = float(np.quantile(noise_f1(10_000, sensor_streams(71, 0)), 0.99))
         fresh = noise_f1(20_000, sensor_streams(72, 0))
@@ -227,7 +227,6 @@ def test_criterion_9_consensus_contraction():
         cfg = FederationConfig(topology="gossip", weighting="uniform")
         rng = substream(91, "init")
         theta = np.stack([rng.normal(0.0, 1.0, size=4) for _ in range(5)])
-        counts = np.ones(5, dtype=np.int64)
         mixer = gossip_mixer(table, cfg, theta.shape[1])
 
         def spread(thetas):
@@ -236,7 +235,7 @@ def test_criterion_9_consensus_contraction():
         initial = spread(theta)
         previous = initial
         for round_index in range(1, 101):
-            theta, counts = gossip_mix(theta, counts, mixer)
+            theta = gossip_mix(theta, mixer)
             current = spread(theta)
             if round_index <= 50:
                 assert np.all(current < previous)

@@ -202,10 +202,10 @@ def test_mixing_overflow_names_node_and_round():
 
 
 def test_divergent_mixing_names_node_and_round(monkeypatch):
-    def poisoned(theta, samples):
+    def poisoned(theta):
         theta = theta.copy()
         theta[1, 0] = np.inf
-        return theta, samples
+        return theta
 
     monkeypatch.setattr(engine, "fedavg_mix", poisoned)
     named = r"^node 1: .* after federation round 1 \(slot 20\)$"
@@ -228,12 +228,12 @@ def poisoned_at(mix, round_):
     """``mix`` with node 1's model made non-finite in its ``round_``-th call."""
     calls = itertools.count(1)
 
-    def poisoned(theta, samples, *args):
-        theta, samples = mix(theta, samples, *args)
+    def poisoned(theta, *args):
+        theta = mix(theta, *args)
         if next(calls) == round_:
             theta = theta.copy()
             theta[1, 0] = np.inf
-        return theta, samples
+        return theta
 
     return poisoned
 
@@ -388,7 +388,7 @@ def test_shared_sensing_gives_the_run_a_fresh_draw_gives(kind, shared):
         assert_same_run(reused, fresh)
     assert (sensing.windows.tobytes(), sensing.truths.tobytes()) == before
     assert not sensing.windows.flags.writeable and not sensing.truths.flags.writeable
-    assert not trained.theta.flags.writeable and not trained.samples.flags.writeable
+    assert not trained.theta.flags.writeable
 
 
 def test_sensing_for_another_run_is_rejected():
@@ -428,11 +428,18 @@ SUBSETS = [TOPOLOGIES, ("isolated",), ("gossip",), ("central",), ("gossip", "cen
 @example("mlp", False, "samples", True, 30, 40, 10, TOPOLOGIES, 2)
 @example("mlp", True, "inverse_distance", False, 45, 7, 5, TOPOLOGIES, 3)
 @example("logistic", False, "uniform", False, 40, 5, 8, ("gossip", "central"), 4)
+# no federation slot within the training slots
+@example("logistic", False, "samples", True, 30, 7, 45, TOPOLOGIES, 5)
+# a federation slot (4) before the first training slot (9)
+@example("mlp", False, "uniform", True, 45, 9, 4, TOPOLOGIES, 6)
+# gossip degrees [2, 0, 1, 1]; 5 windows trained after the last exchange
+@example("logistic", False, "samples", False, 45, 5, 20, TOPOLOGIES, 145)
 def test_stacked_training_is_the_per_topology_loop(
     kind, shared, weighting, self_weight, n_training, period, federation_period, topologies, seed
 ):
     # one (k, n, d) loop with shared shuffles trains each topology as its
-    # own loop with fresh streams does, byte for byte
+    # own loop with fresh streams does, byte for byte, and each final model's
+    # closed-form count is the loop's tally of windows since its last exchange
     scenario = small_scenario(
         seed=seed,
         n_sensors=4,
@@ -449,8 +456,9 @@ def test_stacked_training_is_the_per_topology_loop(
     for j, topology in enumerate(topologies):
         theta, samples, rounds = train_topology(sensing, topology)
         assert trained.theta[j].tobytes() == theta.tobytes()
-        assert trained.samples[j].tolist() == samples.tolist()
         assert trained.rounds[j] == rounds
+        run = run_simulation(scenario, topology, seed, shared_streams=shared, trained=trained)
+        assert [m.n_train_samples for m in run.final_models] == samples.tolist()
 
 
 @settings(max_examples=30, deadline=None)
@@ -509,8 +517,8 @@ def test_samples_weighting_trains_as_uniform(self_weight):
     # round resets the counters of every node it mixes, so each merge weighs
     # equal counts; training twice per exchange keeps the counters above one
     # period, and the graph has an isolated node and degrees 1 and 2
-    def trained(weighting):
-        scenario = small_scenario(
+    scenarios = {
+        weighting: small_scenario(
             seed=2,
             area_size_m=600.0,
             n_sensors=6,
@@ -520,12 +528,25 @@ def test_samples_weighting_trains_as_uniform(self_weight):
                 neighbor_radius_m=250.0, weighting=weighting, include_self_weight=self_weight
             ),
         )
-        return train_topologies(sense_run(scenario, 2), ["isolated", "gossip"])
-
-    uniform, samples = trained("uniform"), trained("samples")
+        for weighting in ("uniform", "samples")
+    }
+    trained = {w: train_topologies(sense_run(s, 2), ["isolated", "gossip"])
+               for w, s in scenarios.items()}
+    uniform, samples = trained["uniform"], trained["samples"]
     assert uniform.table.valid.sum(axis=1).tolist() == [2, 1, 2, 2, 0, 1]
     assert uniform.rounds == (0, 3) and uniform.theta[0].tobytes() != uniform.theta[1].tobytes()
     assert samples.theta.tobytes() == uniform.theta.tobytes()
+    # and so are the runs: final counts and every metrics.csv row
+    runs = {
+        w: [run_simulation(s, t, 2, trained=trained[w]) for t in ("isolated", "gossip")]
+        for w, s in scenarios.items()
+    }
+    for a, b in zip(runs["uniform"], runs["samples"], strict=True):
+        counts = [m.n_train_samples for m in a.final_models]
+        assert counts == [m.n_train_samples for m in b.final_models]
+    # the last exchange (slot 60) follows the last training: only node 4 keeps a count
+    assert [m.n_train_samples for m in runs["samples"][1].final_models] == [0, 0, 0, 0, 60, 0]
+    assert metrics_csv_lines(runs["samples"]) == metrics_csv_lines(runs["uniform"])
 
 
 def test_shared_streams_central_matches_single_pool():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,9 +300,8 @@ def test_fedavg_permutation_invariant(pairs, rnd):
 
 
 def stacked(models):
-    """(theta, counts) arrays of a list of models, as the engine holds them."""
-    theta = np.stack([m.theta for m in models])
-    return theta, np.array([m.n_train_samples for m in models], dtype=np.int64)
+    """The ``(n, d)`` array of a list of models, as the engine holds them."""
+    return np.stack([m.theta for m in models])
 
 
 def degrees_of(table):
@@ -316,17 +316,15 @@ def star(n, central_id):
 def test_gossip_round_snapshot_semantics():
     # 3-node line, uniform weighting: every merge must read pre-round models
     table = build_neighbor_graph(line_placements(100.0, 3), 150.0)
-    theta, counts = stacked([logistic(0.0, 4), logistic(3.0, 4), logistic(9.0, 4)])
+    theta = stacked([logistic(0.0), logistic(3.0), logistic(9.0)])
     before = theta.copy()
     cfg = FederationConfig(weighting="uniform")
-    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
+    new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
     np.testing.assert_allclose(new_theta[0], np.full(4, 1.5), rtol=1e-15)
     np.testing.assert_allclose(new_theta[1], np.full(4, 4.0), rtol=1e-15)
     np.testing.assert_allclose(new_theta[2], np.full(4, 6.0), rtol=1e-15)
-    assert new_counts.tolist() == [0, 0, 0]
-    # inputs untouched
+    # input untouched
     np.testing.assert_array_equal(theta, before)
-    assert counts.tolist() == [4, 4, 4]
     stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
     assert stats.tx_bytes == {0: 48, 1: 96, 2: 48}
     assert stats.node_bytes(1) == 2 * 96  # receives what it sends
@@ -340,12 +338,11 @@ def test_gossip_isolated_node_untouched():
         valid=np.array([[True], [True], [False]]),
         distances=np.array([[100.0], [100.0], [np.inf]]),
     )
-    theta, counts = stacked([logistic(0.0, 4), logistic(3.0, 4), logistic(9.0, 7)])
+    theta = stacked([logistic(0.0), logistic(3.0), logistic(9.0)])
     for self_weight in (True, False):
         cfg = FederationConfig(weighting="uniform", include_self_weight=self_weight)
-        new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
+        new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
         assert new_theta[2].tobytes() == theta[2].tobytes()
-        assert new_counts.tolist() == [0, 0, 7]
     stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
     assert stats.messages == 2
     assert 2 not in stats.tx_bytes and stats.node_bytes(2) == 0
@@ -353,12 +350,9 @@ def test_gossip_isolated_node_untouched():
 
 def test_gossip_empty_graph_no_messages():
     table = build_neighbor_graph(line_placements(1000.0, 3), 10.0)
-    theta, counts = stacked([logistic(1.0, 1), logistic(2.0, 2), logistic(3.0, 3)])
-    new_theta, new_counts = gossip_mix(
-        theta, counts, gossip_mixer(table, FederationConfig(weighting="samples"), 4)
-    )
+    theta = stacked([logistic(1.0), logistic(2.0), logistic(3.0)])
+    new_theta = gossip_mix(theta, gossip_mixer(table, FederationConfig(weighting="samples"), 4))
     np.testing.assert_array_equal(new_theta, theta)
-    np.testing.assert_array_equal(new_counts, counts)
     assert exchange_traffic(degrees_of(table), 48, 5, central_id=9) == TrafficStats()
 
 
@@ -404,9 +398,9 @@ def test_gossip_message_count_equals_degree_sum(seed, n, rounds):
 
 
 def test_central_round_traffic_and_distribution():
-    models = [logistic(i, i) for i in range(12)]
-    theta, counts = stacked(models)
-    new_theta, new_counts = fedavg_mix(theta, counts)
+    models = [logistic(i, 60) for i in range(12)]
+    theta = stacked(models)
+    new_theta = fedavg_mix(theta)
     stats = exchange_traffic(star(12, 20), 48, 1, central_id=20)
     assert stats.messages == 24
     assert stats.total_bytes == 24 * 48
@@ -416,14 +410,11 @@ def test_central_round_traffic_and_distribution():
         assert stats.node_bytes(i) == 2 * 48
     links = [(i, 20) for i in range(12)] + [(20, i) for i in range(12)]
     assert_matches_messages(stats, links, 48, 1, central_id=20)
-    # counts 1,1,2,...,11 -> weighted mean of 0..11
-    counts_floor = [max(i, 1) for i in range(12)]
-    expected = sum(c * i for c, i in zip(counts_floor, range(12))) / sum(counts_floor)
-    np.testing.assert_allclose(new_theta[0], np.full(4, expected), rtol=1e-15)
+    # equal counts -> the plain mean of 0..11
+    np.testing.assert_allclose(new_theta[0], np.full(4, 5.5), rtol=1e-15)
     for row in new_theta:
         assert row.tobytes() == fedavg_aggregate(models).theta.tobytes()
-    assert new_counts.tolist() == [0] * 12
-    assert counts.tolist() == list(range(12))
+    assert theta[:, 0].tolist() == list(range(12))
 
 
 def test_traffic_closed_form_scales_with_rounds():
@@ -450,13 +441,17 @@ def test_traffic_conservation_property(degrees, rounds):
     assert stats.central_bytes == 2 * 48 * rounds * degrees.get(0, 0)
 
 
-def random_models(rng, n, kind):
-    """Models with mixed-sign coefficients, signed zeros and zero counts."""
+def random_models(rng, n, kind, count):
+    """Models with mixed-sign coefficients and signed zeros, all backed by
+    ``count`` samples: in a run every merge sees one shared count."""
     theta = rng.normal(0.0, 2.0, size=(n, model_dim(kind)))
     theta[rng.random(theta.shape) < 0.2] = -0.0
     theta[rng.random(theta.shape) < 0.1] = 0.0
-    counts = rng.integers(0, 40, size=n) * (rng.random(n) < 0.8)
-    return [ModelParams(kind, theta[i], int(counts[i])) for i in range(n)]
+    return [ModelParams(kind, theta[i], count) for i in range(n)]
+
+
+# shared counts: none yet (floored to one), a few periods, and a large one
+COUNTS = st.one_of(st.just(0), st.integers(1, 500), st.just(2**40))
 
 
 @given(
@@ -465,11 +460,13 @@ def random_models(rng, n, kind):
     st.sampled_from(WEIGHTINGS),
     st.booleans(),
     st.sampled_from(["logistic", "mlp"]),
+    COUNTS,
 )
 @settings(max_examples=150, deadline=None)
 # falsified a mix whose reduction started from add's default +0.0
-@example(seed=0, n=2, weighting="uniform", self_weight=False, kind="logistic")
-def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight, kind):
+@example(seed=0, n=2, weighting="uniform", self_weight=False, kind="logistic", count=0)
+@example(seed=5, n=12, weighting="samples", self_weight=True, kind="mlp", count=2**40)
+def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight, kind, count):
     rng = np.random.default_rng(seed)
     placements = [
         Placement(i, "sensor", float(x), float(y))
@@ -478,14 +475,13 @@ def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight
     # radii from empty to complete, so some nodes are isolated and rows are padded
     table = build_neighbor_graph(placements, float(rng.uniform(0, 500)))
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
-    models = random_models(rng, n, kind)
-    theta, counts = stacked(models)
-    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
+    models = random_models(rng, n, kind, count)
+    theta = stacked(models)
+    new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
     for i, (ids, valid, distances) in enumerate(zip(*table)):
         received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
         expected = merge_models(models[i], received, cfg)
         assert new_theta[i].tobytes() == expected.theta.tobytes()
-        assert new_counts[i] == (0 if received else models[i].n_train_samples)
 
 
 @given(
@@ -496,34 +492,32 @@ def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight
     st.lists(st.integers(0, 2), min_size=2, max_size=6),
 )
 @settings(max_examples=100, deadline=None)
-# counts that change between rounds, then repeat
+# shared counts that change between rounds, then repeat
 @example(seed=3, n=6, weighting="samples", self_weight=True, rounds=[0, 1, 1, 2, 0])
 def test_one_mixer_over_many_rounds_matches_merge_models_bitwise(
     seed, n, weighting, self_weight, rounds
 ):
-    # one mixer for every round, as a run uses it; each round writes row r of
-    # three unequal count sets into one counts array in place, as the engine does
+    # one mixer for every round, as a run uses it; round r's models share
+    # count r of three, which the oracle weighs and the mixer never sees
     rng = np.random.default_rng(seed)
     placements = points(rng.uniform(0, 500, size=(n, 2)))
     table = build_neighbor_graph(placements, float(rng.uniform(0, 500)))
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
-    count_sets = rng.integers(0, 40, size=(3, n))
-    theta, counts = stacked(random_models(rng, n, "mlp"))
+    counts = [0, int(rng.integers(1, 40)), 2**40]
+    theta = stacked(random_models(rng, n, "mlp", 0))
     mixer = gossip_mixer(table, cfg, theta.shape[1])
-    returned = []  # every round's results with their bytes when returned
+    returned = []  # every round's result with its bytes when returned
     for r in rounds:
-        counts[:] = count_sets[r]
-        models = [ModelParams("mlp", row.copy(), int(c)) for row, c in zip(theta, counts)]
-        theta, new_counts = gossip_mix(theta, counts, mixer)
+        models = [ModelParams("mlp", row.copy(), counts[r]) for row in theta]
+        theta = gossip_mix(theta, mixer)
         for i, (ids, valid, distances) in enumerate(zip(*table)):
             received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
             expected = merge_models(models[i], received, cfg)
             assert theta[i].tobytes() == expected.theta.tobytes()
-            assert new_counts[i] == (0 if received else models[i].n_train_samples)
-        returned.append((theta, new_counts, theta.tobytes(), new_counts.tobytes()))
+        returned.append((theta, theta.tobytes()))
     # no result is a view of the mixer's buffers: later rounds left each intact
-    for theta, new_counts, theta_bytes, counts_bytes in returned:
-        assert (theta.tobytes(), new_counts.tobytes()) == (theta_bytes, counts_bytes)
+    for theta, theta_bytes in returned:
+        assert theta.tobytes() == theta_bytes
 
 
 def mixing_matrix(adjacent, dist, counts, cfg):
@@ -552,9 +546,12 @@ def mixing_matrix(adjacent, dist, counts, cfg):
     st.sampled_from(WEIGHTINGS),
     st.booleans(),
     st.sampled_from(["logistic", "mlp"]),
+    COUNTS,
 )
 @settings(max_examples=150, deadline=None)
-def test_gossip_mix_equals_its_mixing_matrix(seed, n, radius, weighting, self_weight, kind):
+def test_gossip_mix_equals_its_mixing_matrix(
+    seed, n, radius, weighting, self_weight, kind, count
+):
     rng = np.random.default_rng(seed)
     xy = rng.uniform(0, 500, size=(n, 2))
     placements = [Placement(i, "sensor", float(x), float(y)) for i, (x, y) in enumerate(xy)]
@@ -570,38 +567,47 @@ def test_gossip_mix_equals_its_mixing_matrix(seed, n, radius, weighting, self_we
         assert np.all(table.ids[i, k:] == 0) and np.all(table.distances[i, k:] == np.inf)
 
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
-    theta, counts = stacked(random_models(rng, n, kind))
-    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
-    w = mixing_matrix(adjacent, dist, counts, cfg)
+    theta = stacked(random_models(rng, n, kind, count))
+    new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
+    w = mixing_matrix(adjacent, dist, np.full(n, count), cfg)
     assert np.all(w >= 0.0)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(new_theta, w @ theta, rtol=0, atol=1e-12)
-    assert new_counts.tolist() == np.where(degree > 0, 0, counts).tolist()
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.sampled_from(["logistic", "mlp"]))
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 20), st.sampled_from(["logistic", "mlp"]), COUNTS
+)
 @settings(max_examples=100, deadline=None)
-@example(seed=1, n=400, kind="logistic")
-@example(seed=2, n=1200, kind="mlp")
-def test_fedavg_mix_matches_fedavg_aggregate_bitwise(seed, n, kind):
-    models = random_models(np.random.default_rng(seed), n, kind)
-    theta, counts = stacked(models)
-    new_theta, new_counts = fedavg_mix(theta, counts)
+@example(seed=1, n=400, kind="logistic", count=0)
+@example(seed=2, n=1200, kind="mlp", count=2**40)
+def test_fedavg_mix_matches_fedavg_aggregate_bitwise(seed, n, kind, count):
+    models = random_models(np.random.default_rng(seed), n, kind, count)
+    new_theta = fedavg_mix(stacked(models))
     expected = fedavg_aggregate(models).theta.tobytes()
     assert all(row.tobytes() == expected for row in new_theta)
-    assert new_counts.tolist() == [0] * n
 
 
 def test_gossip_mix_rejects_what_merge_models_rejects():
     # two sensors at one spot: inverse-distance weighting has no weight for them
     placements = [Placement(0, "sensor", 5.0, 5.0), Placement(1, "sensor", 5.0, 5.0)]
     table = build_neighbor_graph(placements, 10.0)
-    theta, counts = stacked([logistic(1.0), logistic(2.0)])
+    theta = stacked([logistic(1.0), logistic(2.0)])
     with pytest.raises(NonpositiveDistanceError):
         cfg = FederationConfig(weighting="inverse_distance")
-        gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
+        gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
     with pytest.raises(ValueError, match="weighting"):
-        gossip_mix(theta, counts, gossip_mixer(table, FederationConfig(weighting="mean"), 4))
+        gossip_mix(theta, gossip_mixer(table, FederationConfig(weighting="mean"), 4))
+
+
+def test_gossip_mix_rejects_a_theta_of_another_shape():
+    # a 1-row theta against a 3-node mixer once broadcast to a (3, d) result
+    table = build_neighbor_graph(line_placements(100.0, 3), 150.0)
+    mixer = gossip_mixer(table, FederationConfig(weighting="uniform"), 4)
+    for theta in (np.zeros((1, 4)), np.zeros((4, 4)), np.zeros((3, 5)), np.zeros(4)):
+        message = f"theta: shape {theta.shape} does not match the mixer's (3, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gossip_mix(theta, mixer)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
@@ -614,13 +620,13 @@ def test_gossip_mix_wide_rows_on_the_dense_grid(weighting, self_weight, kind):
     assert table.ids.shape == (400, 36)
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
     rng = np.random.default_rng(len(weighting) + 2 * self_weight)
-    models = random_models(rng, len(sensors), kind)
-    theta, counts = stacked(models)
-    new_theta, new_counts = gossip_mix(theta, counts, gossip_mixer(table, cfg, theta.shape[1]))
+    count = int(rng.integers(0, 2**40))
+    models = random_models(rng, len(sensors), kind, count)
+    theta = stacked(models)
+    new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
     for i, (ids, valid, distances) in enumerate(zip(*table)):
         received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
         assert new_theta[i].tobytes() == merge_models(models[i], received, cfg).theta.tobytes()
     adjacent, dist = radio_range([(p.x_m, p.y_m) for p in sensors], radius)
-    w = mixing_matrix(adjacent, dist, counts, cfg)
+    w = mixing_matrix(adjacent, dist, np.full(len(sensors), count), cfg)
     np.testing.assert_allclose(new_theta, w @ theta, rtol=0, atol=1e-12)
-    assert new_counts.tolist() == [0] * len(sensors)

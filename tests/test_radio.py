@@ -18,7 +18,6 @@ from fedspectrum.radio import (
     path_loss_db,
     pu_chain,
     sense_windows,
-    sensor_windows,
 )
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, Scenario, SlotSchedule, load_scenario, place_nodes
@@ -75,7 +74,7 @@ def test_received_power_no_shadowing_is_deterministic():
     # nor in the block path: an occupied window draws a noise row and a fade row only
     sensor, pu = Placement(0, "sensor", 0.0, 0.0), Placement(1, "primary_user", 10.0, 0.0)
     busy = np.ones((1, 1), bool)
-    features = sensor_windows(sensor, [pu], busy, ch, PuTrafficModel(), 16, streams)
+    features = draw_windows([sensor], [pu], busy, ch, PuTrafficModel(), 16, [streams])[0]
     replay = sensor_streams(5, 0)
     replay.obs.standard_exponential(16)
     replay.fade.standard_exponential(16)
@@ -144,7 +143,7 @@ def _noise_only_features(n_windows, window_samples, seed):
     tm = PuTrafficModel()
     sensor = Placement(0, "sensor", 0.0, 0.0)
     idle = np.zeros((n_windows, 0), dtype=bool)
-    return sensor_windows(sensor, [], idle, ch, tm, window_samples, sensor_streams(seed, 0))
+    return draw_windows([sensor], [], idle, ch, tm, window_samples, [sensor_streams(seed, 0)])[0]
 
 
 def test_noise_only_mean_feature_sits_at_floor():
@@ -169,7 +168,7 @@ def test_strong_pu_lifts_mean_feature_30db():
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pu = Placement(1, "primary_user", 1.0, 0.0)
     busy = np.ones((2000, 1), dtype=bool)
-    f1 = sensor_windows(sensor, [pu], busy, ch, tm, 64, sensor_streams(19, 0))[:, 0]
+    f1 = draw_windows([sensor], [pu], busy, ch, tm, 64, [sensor_streams(19, 0)])[0][:, 0]
     assert f1.mean() == pytest.approx(3.0, abs=0.1)
 
 
@@ -200,7 +199,8 @@ def test_mean_power_feature_follows_path_loss(sigma, distance_m):
     tm = PuTrafficModel(tx_power_dbm=0.0)
     sensor, pu = Placement(0, "sensor", 0.0, 0.0), Placement(1, "primary_user", distance_m, 0.0)
     busy = np.ones((20_000, 1), dtype=bool)
-    power = 10.0 ** sensor_windows(sensor, [pu], busy, ch, tm, 64, sensor_streams(67, 0))[:, 0]
+    streams = [sensor_streams(67, 0)]
+    power = 10.0 ** draw_windows([sensor], [pu], busy, ch, tm, 64, streams)[0][:, 0]
     snr = 10.0 ** ((tm.tx_power_dbm - path_loss_db(ch, distance_m) - ch.noise_floor_dbm) / 10.0)
     expected = 1.0 + snr * math.exp((sigma * math.log(10.0) / 10.0) ** 2 / 2.0)
     assert abs(power.mean() - expected) < 4.0 * power.std() / math.sqrt(len(power))
@@ -219,7 +219,7 @@ def test_per_pair_shadowing_moments():
     sensor = Placement(0, "sensor", 0.0, 0.0)
     pus = [Placement(1, "primary_user", 10.0, 0.0), Placement(2, "primary_user", 10_000.0, 0.0)]
     busy = np.ones((4_000, 2), dtype=bool)
-    f1 = sensor_windows(sensor, pus, busy, ch, tm, 1024, sensor_streams(71, 0))[:, 0]
+    f1 = draw_windows([sensor], pus, busy, ch, tm, 1024, [sensor_streams(71, 0)])[0][:, 0]
     residual = 10.0 * f1 + ch.noise_floor_dbm - (tm.tx_power_dbm - path_loss_db(ch, 10.0))
     assert abs(residual.mean()) < 0.35
     assert residual.std() == pytest.approx(6.0, abs=0.25)
@@ -422,7 +422,8 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
         Placement(2, "primary_user", 60.0, 80.0),
     ]
     streams = sensor_streams(29, 3)
-    features = sensor_windows(sensor, pus, np.ones((1, 2), dtype=bool), ch, tm, 16, streams)[0]
+    busy = np.ones((1, 2), dtype=bool)
+    features = draw_windows([sensor], pus, busy, ch, tm, 16, [streams])[0][0]
 
     replay = sensor_streams(29, 3)
     samples = replay.obs.standard_exponential(16) * np.power(10.0, ch.noise_floor_dbm / 10.0)
