@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 runtime/validation/IO failure, 2 usage error.
 Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
 All outputs land under ``--out-dir`` and existing files are only replaced
-with ``--force``.  Each output is written to a temp file beside it and moved
-into place once the command's outputs are all written, so a failed or
-interrupted command leaves no output behind, whole or partial; SIGTERM
-exits through the same cleanup, with code 143.
+with ``--force``; their formats are defined here, the engine returns data.
+Each output is written to a temp file beside it and moved into place once
+the command's outputs are all written, so a failed or interrupted command
+leaves no output behind, whole or partial; SIGTERM exits through the same
+cleanup, with code 143.
 """
 
 from __future__ import annotations
@@ -16,15 +17,17 @@ import json
 import os
 import signal
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Sequence
 
 from . import engine
 from .federation import TOPOLOGIES
 from .rng import MAX_SEED
 from .scenario import MAX_WINDOWS, Scenario, load_scenario
-from .sensing import model_snapshot_json
+from .sensing import ModelParams
 
 PROG = "fedspectrum"
 
@@ -43,6 +46,10 @@ def _parse_seeds(text: str) -> list[int]:
     seeds = [_parse_seed(part) for part in text.split(",") if part.strip() != ""]
     if not seeds:
         raise argparse.ArgumentTypeError("need at least one seed")
+    # a seed listed twice would repeat its run ids and count twice in the means
+    repeats = [seed for seed, count in Counter(seeds).items() if count > 1]
+    if repeats:
+        raise argparse.ArgumentTypeError(f"seed {repeats[0]} repeats")
     return seeds
 
 
@@ -140,6 +147,87 @@ def _say(message: str) -> None:
     print(f"{PROG}: {message}")
 
 
+METRICS_HEADER = (
+    "run_id,topology,seed,node_id,pd,pfa,accuracy,"
+    "tx_bytes,rx_bytes,train_macs,param_bytes"
+)
+
+
+def _fmt_rate(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def metrics_csv_lines(runs: Sequence[engine.RunResult]) -> list[str]:
+    """CSV rows: one per sensor per run plus a totals row per run."""
+    lines = [METRICS_HEADER]
+    for run in runs:
+        # every node receives as many bytes as it sends: rx_bytes repeats tx_bytes
+        tx, costs = run.traffic.tx_bytes, run.per_node_cost
+        rows = [
+            (str(i), m, tx.get(i, 0), tx.get(i, 0), c.train_macs_accumulated, c.model_bytes)
+            for i, (m, c) in enumerate(zip(run.per_node_metrics, costs))
+        ]
+        # totals over every node, the coordinator's traffic included
+        totals = [sum(tx.values())] * 2
+        totals += [sum(c.train_macs_accumulated for c in costs), sum(c.model_bytes for c in costs)]
+        for node, m, *counts in rows + [("global", run.global_metrics, *totals)]:
+            cells = [f"{run.topology}-s{run.seed}", run.topology, str(run.seed), node]
+            cells += [_fmt_rate(m.pd), _fmt_rate(m.pfa), _fmt_rate(m.accuracy)]
+            lines.append(",".join(cells + [str(count) for count in counts]))
+    return lines
+
+
+def _fmt_mean(value: float | None) -> str:
+    return "undefined" if value is None else f"{value:.4f}"
+
+
+_COMMUNICATION = {"isolated": "none", "gossip": "required", "central": "optional"}
+_FLEXIBILITY = {
+    "isolated": "n/a (no exchange)",
+    "gossip": "high (any layout in radio range)",
+    "central": "limited (coordinator placement)",
+}
+
+
+def comparison_table(report: engine.ComparisonReport) -> str:
+    """Aligned text table: one row per compared aspect, one column per topology."""
+    order = [t for t in TOPOLOGIES if t in report.topologies]
+    summaries = [report.topologies[t] for t in order]
+    rows = [
+        ["aspect", *order],
+        ["neighbor communication", *(_COMMUNICATION[t] for t in order)],
+        ["topology flexibility", *(_FLEXIBILITY[t] for t in order)],
+        ["traffic volume (bytes)"] + [
+            f"total {s.total_bytes:.0f}; central {s.central_bytes:.0f}; "
+            f"busiest node {s.busiest_node_bytes:.0f}"
+            for s in summaries
+        ],
+        ["aggregation compute (MACs)"] + [
+            f"central {s.aggregation_macs_central:.0f}; "
+            f"busiest node {s.max_node_aggregation_macs:.0f}"
+            for s in summaries
+        ],
+        ["detection quality"] + [
+            f"acc {_fmt_mean(s.mean_accuracy)}; pd {_fmt_mean(s.mean_pd)}; "
+            f"pfa {_fmt_mean(s.mean_pfa)}"
+            for s in summaries
+        ],
+    ]
+    widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
+    lines = [" | ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+    lines.insert(1, "-+-".join("-" * width for width in widths))
+    return "\n".join(lines) + "\n"
+
+
+def model_snapshot_json(model: ModelParams) -> str:
+    """One-line JSON snapshot with 17-significant-digit coefficients."""
+    theta = ", ".join(format(float(v), ".17g") for v in model.theta)
+    return (
+        f'{{"kind": "{model.kind}", "theta": [{theta}], '
+        f'"n_train_samples": {model.n_train_samples}}}'
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     out_dir = Path(args.out_dir)
@@ -177,7 +265,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
     }
     texts = {
-        metrics_path: "\n".join(engine.metrics_csv_lines([result])) + "\n",
+        metrics_path: "\n".join(metrics_csv_lines([result])) + "\n",
         summary_path: json.dumps(summary, indent=2, sort_keys=True) + "\n",
     }
     if models_path is not None:
@@ -226,10 +314,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     runs.sort(key=lambda run: TOPOLOGIES.index(run.topology))  # stable: seeds keep their order
     report = engine.summarize_runs(runs, args.seeds)
     comparison = json.dumps(asdict(report), indent=2, sort_keys=True)
-    table = engine.comparison_table(report)
+    table = comparison_table(report)
     _write_all(
         {
-            metrics_path: "\n".join(engine.metrics_csv_lines(runs)) + "\n",
+            metrics_path: "\n".join(metrics_csv_lines(runs)) + "\n",
             json_path: comparison + "\n",
             table_path: table,
         }

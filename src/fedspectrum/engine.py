@@ -7,15 +7,17 @@ any primary user transmits in a slot) through ``radio.sense_windows``.
 These and the training shuffles depend on (scenario, seed) only, never on
 the topology, so ``compare`` senses once per seed, ``train_topologies``
 trains isolated, gossip and central as one ``(3, n, d)`` model array, and
-``run_simulation`` evaluates each; ``generate_dataset`` writes one sensor's
-row of the tensor.  Training slots: every ``local_train_period_slots`` one
-``train_rows`` step trains row ``i`` of every ``(n, d)`` slice on its row of
-the period's windows; every ``federation_period_slots`` each topology's
-exchange (gossip or central FedAvg round) mixes its slice, training first
-when both land on the same slot; the gossip mixer is built at the first
-gossip round.  Eval slots: models are frozen and one ``predict_rows`` call
-decides every node's windows.  Sensor ``i`` is row ``i`` of every array:
-models, neighbor table, windows.
+``run_simulation`` evaluates each; ``generate_dataset`` places the nodes
+the same way (``_place``) and writes one sensor's row of the tensor.
+Training slots: every ``local_train_period_slots`` one ``train_rows`` step
+trains row ``i`` of every ``(n, d)`` slice on its row of the period's
+windows; every ``federation_period_slots`` each topology's exchange (gossip
+or central FedAvg round) mixes its slice, training first when both land on
+the same slot; the gossip mixer is built at the first gossip round.  Eval
+slots: models are frozen and one ``predict_rows`` call decides every node's
+windows.  Sensor ``i`` is row ``i`` of every array: models, neighbor table,
+windows.  Results are data (``RunResult``, ``ComparisonReport``); ``cli``
+owns every output format.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -71,7 +73,6 @@ from .sensing import (
     ModelParams,
     cost_constants,
     init_model,
-    predict_batch,
     predict_rows,
     train_rows,
 )
@@ -182,17 +183,25 @@ def _sensor_streams(seed: int, keys: Sequence[int | str]) -> list[SensorStreams]
     return [SensorStreams(*rngs[i : i + len(names)]) for i in range(0, len(rngs), len(names))]
 
 
-def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
-    """Place the nodes and draw every window of one (scenario, seed) run."""
+def _place(scenario: Scenario, seed: int):
+    """The set-up ``sense_run`` and ``generate_dataset`` share: check
+    ``scenario``, then place its nodes.  Returns the placements, the sensors,
+    the primary users and the ``traffic`` stream."""
     check_scenario(scenario)
     placement_rng, traffic_rng = substreams(seed, ["placement", "traffic"])
     placements = place_nodes(scenario, placement_rng)
     sensors = [p for p in placements if p.kind == "sensor"]
+    pus = [p for p in placements if p.kind == "primary_user"]
+    return placements, sensors, pus, traffic_rng
+
+
+def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
+    """Place the nodes and draw every window of one (scenario, seed) run."""
+    placements, sensors, pus, traffic_rng = _place(scenario, seed)
     if shared_streams:
         sensors, streams = sensors[:1], _sensor_streams(seed, ["shared"])
     else:
         streams = _sensor_streams(seed, [p.node_id for p in sensors])
-    pus = [p for p in placements if p.kind == "primary_user"]
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
     windows, truths = sense_windows(scenario, sensors, pus, traffic_rng, streams, n_slots)
     windows.flags.writeable = truths.flags.writeable = False
@@ -212,7 +221,7 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
     Returns:
         DatasetSummary with the row count and the fraction of occupied slots.
     """
-    check_scenario(scenario)
+    _, sensors, pus, traffic_rng = _place(scenario, scenario.seed)
     # the row's windows and the chain block's steps are each at most MAX_WINDOWS
     limit = MAX_WINDOWS // max(1, scenario.n_primary_users)
     if not 0 <= n_slots <= limit:
@@ -220,15 +229,12 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
             f"n_slots: must be in 0..{limit} (got {n_slots}); the limit is "
             f"{MAX_WINDOWS} / max(1, n_primary_users)"
         )
-    placement_rng, traffic_rng = substreams(scenario.seed, ["placement", "traffic"])
-    placements = place_nodes(scenario, placement_rng)
-    sensor = [p for p in placements if p.kind == "sensor" and p.node_id == sensor_id]
+    sensor = [p for p in sensors if p.node_id == sensor_id]
     if not sensor:
         raise UnknownSensorError(
             f"sensor_id: no sensor with id {sensor_id} "
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
-    pus = [p for p in placements if p.kind == "primary_user"]
     streams = _sensor_streams(scenario.seed, [sensor_id])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("slot,f1,f2,f3,label\n")
@@ -398,32 +404,6 @@ def run_simulation(
     )
 
 
-def roc_sweep(
-    model: ModelParams, features: np.ndarray, truths: Sequence[bool], n_points: int
-) -> list[tuple[float, float | None, float | None]]:
-    """(threshold, pd, pfa) at ``n_points`` thresholds evenly spanning [0, 1].
-
-    ``features`` is an (m, 3) window array and ``truths`` its m labels.
-    Decisions use ``probability >= threshold``, so both rates are
-    nonincreasing in the threshold.
-    """
-    if n_points < 2:
-        raise ValueError(f"n_points: must be >= 2 (got {n_points})")
-    truths = np.asarray(truths, dtype=bool)
-    if truths.size == 0:
-        raise EmptyInputError("truths: nothing to sweep")
-    probs = predict_batch(model, features)
-    if probs.shape != truths.shape:
-        raise ValueError(
-            f"features: {probs.size} windows for {truths.size} truth labels"
-        )
-    points = []
-    for threshold in np.linspace(0.0, 1.0, n_points):
-        m = evaluate_detection(probs >= threshold, truths)
-        points.append((float(threshold), m.pd, m.pfa))
-    return points
-
-
 @dataclass
 class TopologySummary:
     """Per-topology aggregation across seeds (byte/MAC fields are means)."""
@@ -490,108 +470,3 @@ def summarize_runs(runs: Sequence[RunResult], seeds: Sequence[int]) -> Compariso
         )
     digest = runs[0].scenario_digest
     return ComparisonReport(digest, list(seeds), summaries)
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers shared by the CLI
-
-METRICS_HEADER = (
-    "run_id,topology,seed,node_id,pd,pfa,accuracy,"
-    "tx_bytes,rx_bytes,train_macs,param_bytes"
-)
-
-
-def _fmt_rate(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def metrics_csv_lines(runs: Sequence[RunResult]) -> list[str]:
-    """CSV rows: one per sensor per run plus a totals row per run."""
-    lines = [METRICS_HEADER]
-    for run in runs:
-        # every node receives as many bytes as it sends: rx_bytes repeats tx_bytes
-        tx, costs = run.traffic.tx_bytes, run.per_node_cost
-        rows = [
-            (str(i), m, tx.get(i, 0), tx.get(i, 0), c.train_macs_accumulated, c.model_bytes)
-            for i, (m, c) in enumerate(zip(run.per_node_metrics, costs))
-        ]
-        # totals over every node, the coordinator's traffic included
-        totals = [sum(tx.values())] * 2
-        totals += [sum(c.train_macs_accumulated for c in costs), sum(c.model_bytes for c in costs)]
-        for node, m, *counts in rows + [("global", run.global_metrics, *totals)]:
-            cells = [f"{run.topology}-s{run.seed}", run.topology, str(run.seed), node]
-            cells += [_fmt_rate(m.pd), _fmt_rate(m.pfa), _fmt_rate(m.accuracy)]
-            lines.append(",".join(cells + [str(count) for count in counts]))
-    return lines
-
-
-def _fmt_mean(value: float | None, digits: int = 4) -> str:
-    return "undefined" if value is None else f"{value:.{digits}f}"
-
-
-def comparison_table(report: ComparisonReport) -> str:
-    """Aligned text table: one row per compared aspect, one column per topology."""
-    order = [t for t in TOPOLOGIES if t in report.topologies]
-    rows: list[tuple[str, dict[str, str]]] = []
-    comm = {"isolated": "none", "gossip": "required", "central": "optional"}
-    rows.append(("neighbor communication", {t: comm[t] for t in order}))
-    flexibility = {
-        "isolated": "n/a (no exchange)",
-        "gossip": "high (any layout in radio range)",
-        "central": "limited (coordinator placement)",
-    }
-    rows.append(("topology flexibility", {t: flexibility[t] for t in order}))
-    rows.append(
-        (
-            "traffic volume (bytes)",
-            {
-                t: (
-                    f"total {report.topologies[t].total_bytes:.0f}; "
-                    f"central {report.topologies[t].central_bytes:.0f}; "
-                    f"busiest node {report.topologies[t].busiest_node_bytes:.0f}"
-                )
-                for t in order
-            },
-        )
-    )
-    rows.append(
-        (
-            "aggregation compute (MACs)",
-            {
-                t: (
-                    f"central {report.topologies[t].aggregation_macs_central:.0f}; "
-                    f"busiest node {report.topologies[t].max_node_aggregation_macs:.0f}"
-                )
-                for t in order
-            },
-        )
-    )
-    rows.append(
-        (
-            "detection quality",
-            {
-                t: (
-                    f"acc {_fmt_mean(report.topologies[t].mean_accuracy)}; "
-                    f"pd {_fmt_mean(report.topologies[t].mean_pd)}; "
-                    f"pfa {_fmt_mean(report.topologies[t].mean_pfa)}"
-                )
-                for t in order
-            },
-        )
-    )
-    label_width = max(len(label) for label, _ in rows)
-    col_widths = {
-        t: max(len(t), max(len(values[t]) for _, values in rows)) for t in order
-    }
-    header = "aspect".ljust(label_width) + " | " + " | ".join(
-        t.ljust(col_widths[t]) for t in order
-    )
-    divider = "-" * label_width + "-+-" + "-+-".join("-" * col_widths[t] for t in order)
-    lines = [header, divider]
-    for label, values in rows:
-        lines.append(
-            label.ljust(label_width)
-            + " | "
-            + " | ".join(values[t].ljust(col_widths[t]) for t in order)
-        )
-    return "\n".join(lines) + "\n"

@@ -4,10 +4,10 @@ Both models map the three standardized window features to an occupancy
 probability and are trained with mini-batch gradient descent on mean binary
 cross-entropy.  Parameters live in a flat float64 vector so federation can
 average them without knowing the architecture.  The model math is written
-once over leading axes: the same code serves one model (``predict_batch``,
-``bce_loss``, ``bce_gradient``), the ``(n, d)`` array of all nodes' models
-(``predict_rows``) and a ``(k, n, d)`` stack of k copies of it, which
-``train_rows`` trains in one step per mini-batch.
+once over leading axes: ``predict_rows`` and ``gradient`` serve one ``(d,)``
+model on its ``(m, 3)`` windows, the ``(n, d)`` array of all nodes' models and
+a ``(k, n, d)`` stack of k copies of it, which ``train_rows`` trains in one
+``gradient`` step per mini-batch.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _logits(kind: str, theta: np.ndarray, x: np.ndarray):
     return (h @ theta[..., _B1_END:_W2_END, None])[..., 0] + theta[..., _W2_END, None], h
 
 
-def _gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``."""
     z, h = _logits(kind, theta, x)
     r = (expit(z) - y) / x.shape[-2]
@@ -142,30 +142,10 @@ def _gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.
     return grad
 
 
-def predict_batch(model: ModelParams, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
-    return predict_rows(model.kind, model.theta, x)
-
-
 def predict_rows(kind: str, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Probabilities ``(n, m)`` of models ``theta (n, d)``, row i on windows
     ``x[i]`` of ``x (n, m, 3)``; one model and its ``(m, 3)`` windows give ``(m,)``."""
     return expit(_logits(kind, theta, x)[0])
-
-
-def bce_loss(model: ModelParams, features: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy, evaluated from logits so it never overflows."""
-    x = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
-    y = np.asarray(labels, dtype=np.float64)
-    z, _ = _logits(model.kind, model.theta, x)
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-
-def bce_gradient(model: ModelParams, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of mean binary cross-entropy w.r.t. the flat theta vector."""
-    x = np.asarray(features, dtype=np.float64).reshape(-1, N_FEATURES)
-    y = np.asarray(labels, dtype=np.float64)
-    return _gradient(model.kind, model.theta, x, y)
 
 
 def train_rows(
@@ -194,25 +174,9 @@ def train_rows(
             rng.shuffle(row)
         for start in range(0, m, tc.batch_size):
             idx = order[:, start : start + tc.batch_size]
-            theta -= tc.learning_rate * _gradient(kind, theta, x[rows, idx], y[idx])
+            theta -= tc.learning_rate * gradient(kind, theta, x[rows, idx], y[idx])
 
 
 def energy_baseline_decide(features: Sequence[float], threshold_std: float) -> bool:
     """Classical energy detector on the standardized mean-power feature."""
     return bool(features[0] > threshold_std)
-
-
-def model_snapshot_json(model: ModelParams) -> str:
-    """One-line JSON snapshot with 17-significant-digit coefficients."""
-    theta = ", ".join(format(float(v), ".17g") for v in model.theta)
-    return (
-        f'{{"kind": "{model.kind}", "theta": [{theta}], '
-        f'"n_train_samples": {model.n_train_samples}}}'
-    )
-
-
-def model_from_snapshot(text: str) -> ModelParams:
-    import json
-
-    raw = json.loads(text)
-    return ModelParams(raw["kind"], np.array(raw["theta"]), raw["n_train_samples"])

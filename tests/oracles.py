@@ -229,7 +229,7 @@ def fedavg_aggregate(updates: Sequence[ModelParams]) -> ModelParams:
 
 def predict(model, features):
     """Occupancy probability of one feature vector, the layers written out:
-    the reference for ``sensing.predict_batch``."""
+    the reference for ``sensing.predict_rows``."""
     x = np.asarray(features, dtype=np.float64).reshape(N_FEATURES)
     theta = model.theta
     if model.kind == "logistic":
@@ -240,13 +240,27 @@ def predict(model, features):
     return float(expit(hidden @ theta[b1_end : b1_end + MLP_HIDDEN] + theta[-1]))
 
 
+def bce_loss(kind, theta, x, y):
+    """Mean binary cross-entropy of one model on ``(b, 3)`` windows, from its
+    logits written out in 2-D products, so it never overflows: the loss the
+    central-difference checks of ``sensing.gradient`` differentiate."""
+    w1_end, b1_end = N_FEATURES * MLP_HIDDEN, N_FEATURES * MLP_HIDDEN + MLP_HIDDEN
+    if kind == "logistic":
+        z = x @ theta[:N_FEATURES] + theta[N_FEATURES]
+    else:
+        w1 = theta[:w1_end].reshape(MLP_HIDDEN, N_FEATURES)
+        h = np.tanh(x @ w1.T + theta[w1_end:b1_end])
+        z = h @ theta[b1_end : b1_end + MLP_HIDDEN] + theta[-1]
+    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+
 # The per-model training loop ``sensing.train_rows`` replaced: one 2-D
 # gradient per node per mini-batch.  ``train_rows`` must equal it byte for byte.
 
 
 def gradient(kind, theta, x, y):
     """Mean-BCE gradient of one model on a ``(b, 3)`` batch, the layers written
-    out in 2-D products: the reference for the stacked gradient."""
+    out in 2-D products: the reference for ``sensing.gradient``."""
     w1_end, b1_end = N_FEATURES * MLP_HIDDEN, N_FEATURES * MLP_HIDDEN + MLP_HIDDEN
     if kind == "logistic":
         r = (expit(x @ theta[:N_FEATURES] + theta[N_FEATURES]) - y) / len(x)

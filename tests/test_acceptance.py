@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.stats import wilcoxon
 
-from fedspectrum.cli import main
-from fedspectrum.engine import roc_sweep, run_simulation, sense_run, train_topologies
+from fedspectrum.cli import main, metrics_csv_lines
+from fedspectrum.engine import evaluate_detection, run_simulation, sense_run, train_topologies
 from fedspectrum.federation import (
     TOPOLOGIES,
     FederationConfig,
@@ -25,16 +25,15 @@ from fedspectrum.radio import ChannelModel, PuTrafficModel, draw_windows
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, SlotSchedule, load_scenario, place_nodes
 from fedspectrum.sensing import (
-    ModelParams,
     TrainingConfig,
-    bce_gradient,
-    bce_loss,
     energy_baseline_decide,
+    gradient,
     init_model,
     model_dim,
+    predict_rows,
     train_rows,
 )
-from oracles import sensor_streams
+from oracles import bce_loss, sensor_streams
 
 DEFAULT_SCENARIO = "scenarios/default.json"
 DATA_SCARCE_SCENARIO = "scenarios/data_scarce.json"
@@ -107,19 +106,16 @@ def test_criterion_3_gradient_checks():
         for kind in ("logistic", "mlp"):
             rng = substream(101, f"train:{kind}")
             for _ in range(100):
-                model = ModelParams(kind, rng.normal(0.0, 1.0, size=model_dim(kind)))
+                theta = rng.normal(0.0, 1.0, size=model_dim(kind))
                 x = rng.normal(0.0, 1.5, size=(8, 3))
                 y = rng.integers(0, 2, size=8).astype(float)
-                grad = bce_gradient(model, x, y)
+                grad = gradient(kind, theta, x, y)
                 fd = np.empty_like(grad)
-                for j in range(model.theta.size):
-                    up, dn = model.theta.copy(), model.theta.copy()
+                for j in range(theta.size):
+                    up, dn = theta.copy(), theta.copy()
                     up[j] += h
                     dn[j] -= h
-                    fd[j] = (
-                        bce_loss(ModelParams(kind, up), x, y)
-                        - bce_loss(ModelParams(kind, dn), x, y)
-                    ) / (2.0 * h)
+                    fd[j] = (bce_loss(kind, up, x, y) - bce_loss(kind, dn, x, y)) / (2.0 * h)
                 assert np.linalg.norm(grad - fd) <= 1e-4 * np.linalg.norm(fd)
 
 
@@ -213,9 +209,12 @@ def test_criterion_8_roc_monotonicity():
             if kind == "mlp":
                 theta[0] = init_model(kind, tc, substream(81 + index, "init")).theta
             train_rows(kind, theta, x[None], y, tc, [substream(81 + index, "train:0")])
-            points = roc_sweep(ModelParams(kind, theta[0]), x, y == 1.0, 101)
-            pds = [p[1] for p in points]
-            pfas = [p[2] for p in points]
+            probs = predict_rows(kind, theta[0], x)
+            points = [evaluate_detection(probs >= t, y == 1.0) for t in np.linspace(0, 1, 101)]
+            pds = [p.pd for p in points]
+            pfas = [p.pfa for p in points]
+            # threshold 0 accepts everything
+            assert pds[0] == 1.0 and pfas[0] == 1.0
             assert all(a >= b for a, b in zip(pds, pds[1:]))
             assert all(a >= b for a, b in zip(pfas, pfas[1:]))
 
@@ -246,7 +245,6 @@ def test_criterion_9_consensus_contraction():
 
 def test_criterion_10_cost_contrast():
     with criterion(10, "MLP costs (32 MACs, 328 B) exceed logistic (3 MACs, 32 B) in the CSV"):
-        from fedspectrum.engine import metrics_csv_lines
         from fedspectrum.scenario import Scenario
 
         def tiny(kind):

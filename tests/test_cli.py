@@ -50,6 +50,20 @@ def test_parse_seeds():
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_seeds(",")
     assert _parse_seeds("0,18446744073709551615") == [0, 2**64 - 1]
+    with pytest.raises(argparse.ArgumentTypeError, match="seed 3 repeats"):
+        _parse_seeds("3,4,03")
+
+
+def test_compare_rejects_a_repeated_seed(scenario_path, tmp_path, capsys):
+    # a repeated seed would repeat run ids in metrics.csv and count twice in
+    # every topology mean
+    out = tmp_path / "out"
+    argv = ["compare", "--scenario", scenario_path, "--out-dir", str(out), "--seeds", "3,3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "seed 3 repeats" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])

@@ -9,17 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectrum import engine
-from fedspectrum.cli import main
+from fedspectrum.cli import METRICS_HEADER, comparison_table, main, metrics_csv_lines
 from fedspectrum.engine import (
     DetectionMetrics,
     DivergenceError,
     EmptyInputError,
-    METRICS_HEADER,
     RunResult,
-    comparison_table,
     evaluate_detection,
-    metrics_csv_lines,
-    roc_sweep,
     run_simulation,
     sense_run,
     summarize_runs,
@@ -35,7 +31,14 @@ from fedspectrum.scenario import (
     load_scenario,
     place_nodes,
 )
-from fedspectrum.sensing import CostReport, ModelParams, TrainingConfig, cost_constants, init_model
+from fedspectrum.sensing import (
+    CostReport,
+    ModelParams,
+    TrainingConfig,
+    cost_constants,
+    init_model,
+    predict_rows,
+)
 from oracles import pu_activity_step, radio_range, train_local, train_topology
 
 
@@ -101,29 +104,21 @@ def test_metrics_undefined_without_support():
 
 
 def test_roc_sweep_endpoints_and_monotonicity():
-    model = ModelParams("logistic", np.array([2.0, 0.0, 0.0, -1.0]))
+    theta = np.array([2.0, 0.0, 0.0, -1.0])
     rng = np.random.default_rng(3)
     features = np.zeros((200, 3))
     features[:, 0] = rng.normal(0.5, 1.0, size=200)
-    points = roc_sweep(model, features, features[:, 0] > 0.5, 101)
+    probs, truths = predict_rows("logistic", theta, features), features[:, 0] > 0.5
+    thresholds = np.linspace(0.0, 1.0, 101)
+    points = [evaluate_detection(probs >= t, truths) for t in thresholds]
     assert len(points) == 101
-    assert points[0][0] == 0.0 and points[-1][0] == 1.0
+    assert thresholds[0] == 0.0 and thresholds[-1] == 1.0
     # threshold 0 accepts everything
-    assert points[0][1] == 1.0 and points[0][2] == 1.0
-    pds = [p[1] for p in points]
-    pfas = [p[2] for p in points]
+    assert points[0].pd == 1.0 and points[0].pfa == 1.0
+    pds = [p.pd for p in points]
+    pfas = [p.pfa for p in points]
     assert all(a >= b for a, b in zip(pds, pds[1:]))
     assert all(a >= b for a, b in zip(pfas, pfas[1:]))
-
-
-def test_roc_sweep_validation():
-    model = ModelParams("logistic", np.zeros(4))
-    with pytest.raises(ValueError, match="n_points"):
-        roc_sweep(model, np.zeros((1, 3)), [True], 1)
-    with pytest.raises(EmptyInputError):
-        roc_sweep(model, np.empty((0, 3)), [], 5)
-    with pytest.raises(ValueError, match="2 windows for 1 truth labels"):
-        roc_sweep(model, np.zeros((2, 3)), [True], 5)
 
 
 def test_run_simulation_shapes_and_counts():

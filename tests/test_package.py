@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import os
 import subprocess
@@ -13,6 +14,32 @@ def test_every_exported_name_resolves_and_is_listed_once():
     names = fedspectrum.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(fedspectrum, name)] == []
+
+
+def test_every_exported_name_is_documented_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in fedspectrum.__all__ if name not in readme] == []
+
+
+def test_every_bench_import_from_the_package_resolves():
+    # no test imports bench/probe.py, so a name pruned from the package would
+    # otherwise fail only when the benchmark runs
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    missing = []
+    for path in sorted(bench.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module):
+                continue
+            if node.module.split(".")[0] != "fedspectrum":
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    try:  # a submodule: ``from fedspectrum import cli``
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert missing == []
 
 
 def test_runtime_imports_no_scipy():
