@@ -97,12 +97,24 @@ def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> 
     nodes = sorted(placements, key=lambda p: p.node_id)
     n = len(nodes)
     xy = np.array([(p.x_m, p.y_m) for p in nodes], dtype=np.float64).reshape(n, 2)
+    x, y = xy.T.copy()
     pairs = [np.zeros((2, 0), np.intp)]
     step = max(1, (1 << 14) // max(n, 1))  # rows a block: at most 16,384 pairs
+    # squared distances in units of a power of two near the radius (capped
+    # for a subnormal one): exact, and squares near the radius neither
+    # overflow nor underflow, so the slack keeps every pair math.hypot
+    # accepts; the absolute part covers its rounding of subnormal distances
+    reach = (radius_m + 1e-323) * (1 + 1e-9)
+    scale = math.ldexp(1.0, -max(math.frexp(reach)[1], -1000))
+    limit = (reach * scale) ** 2
     for a in range(0, n, step):
         # rows a.. against columns a..; a pair counts once, from its lower id
-        dx, dy = (xy[a:] - xy[a : a + step, None]).transpose(2, 0, 1)
-        pairs.append(np.argwhere(np.triu(np.hypot(dx, dy) <= radius_m * (1 + 1e-9), 1)).T + a)
+        # what overflows is out of range; what underflows is far inside it
+        with np.errstate(over="ignore", under="ignore"):
+            dx = (x[a:] - x[a : a + step, None]) * scale
+            dy = (y[a:] - y[a : a + step, None]) * scale
+            near = dx * dx + dy * dy <= limit
+        pairs.append(np.argwhere(np.triu(near, 1)).T + a)
     src, dst = np.concatenate(pairs, axis=1)
     d = np.array(list(map(math.hypot, *(xy[src] - xy[dst]).T.tolist())))
     src, dst, d = src[d <= radius_m], dst[d <= radius_m], d[d <= radius_m]

@@ -20,17 +20,22 @@ consumed in slot order:
   slot-major ``np.nonzero(states)`` order (none when sigma is 0);
 - ``fade``: ``window_samples`` standard exponentials per such pair.
 
-Draws are sequential and no stream is shared between sensors, so the
-windows depend on neither the block shape nor the sensors' grouping, and a
-shorter run senses a prefix of a longer one.  This is the only sensing
-path: ``engine`` calls it, with the ``traffic`` and per-sensor streams it
-derives, both for a run's whole tensor and for the one sensor row
-``generate`` writes.
+The sensor groups are split across worker threads, one contiguous row
+range each; numpy's draws and large ufuncs release the GIL, so the ranges
+overlap.  Draws are sequential, no stream is shared between sensors and a
+sensor's streams are drawn by one thread, so the windows depend on neither
+the block shape, the sensors' grouping nor the split, and a shorter run
+senses a prefix of a longer one.  This is the only sensing path:
+``engine`` calls it, with the ``traffic`` and per-sensor streams it derives,
+both for a run's whole tensor and for the one sensor row ``generate``
+writes.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -131,7 +136,11 @@ def draw_windows(
     ``sigma`` times the pair's normal, in dB.  Path loss is computed once
     per (sensor, primary user) and the active pairs once per slot range;
     each sensor then draws its rows of the block, and the block's arithmetic
-    runs once for the whole group.
+    runs once for the whole group.  The groups are split into contiguous
+    row ranges, one per worker (``_worker_count``, at most one per group):
+    the calling thread draws the first, a thread each the others.  A worker
+    that fails, or an interrupt of the caller, stops the others at their
+    next block; all are joined before this returns or raises the first error.
 
     Returns:
         (len(sensors), slots, 3) features, [i, t] from sensor i's window of slot t.
@@ -150,29 +159,74 @@ def draw_windows(
     # sensor over many slots, short runs several sensors over every slot
     block_slots = max(1, min(n_slots, _BLOCK_SAMPLES // w))
     group = max(1, _BLOCK_SAMPLES // (block_slots * w))
+    # each slot range's first slot, length and active (slot, primary user) pairs
+    slot_ranges = []
     for start in range(0, n_slots, block_slots):
         chunk = states[start : start + block_slots]
         slots, pu = np.nonzero(chunk)
         by_pu = [(slots[mine], mine) for mine in (pu == p for p in range(len(pus)))]
-        for first in range(0, n, group):
-            rows = range(first, min(first + group, n))
-            samples = np.empty((len(rows), len(chunk), w))
-            normals = np.empty((len(rows), len(pu)))
-            fades = np.empty((len(rows), len(pu), w))
-            for j, i in enumerate(rows):
-                obs, shadow, fade = streams[i]
-                obs.standard_exponential(out=samples[j])
+        slot_ranges.append((start, len(chunk), pu, by_pu))
+    max_pairs = max((len(pu) for _, _, pu, _ in slot_ranges), default=0)
+    stop, errors = threading.Event(), []
+
+    def draw(lo: int, hi: int) -> None:
+        """Rows ``lo..hi`` of ``stats``, block by block in slot order, in
+        buffers allocated once; returns early once ``stop`` is set."""
+        samples_buf = np.empty(group * block_slots * w)
+        normals_buf = np.empty(group * max_pairs)
+        fades_buf = np.empty(group * max_pairs * w)
+        for start, length, pu, by_pu in slot_ranges:
+            for first in range(lo, hi, group):
+                if stop.is_set():
+                    return
+                rows = range(first, min(first + group, hi))
+                size, pairs = len(rows), len(pu)
+                samples = samples_buf[: size * length * w].reshape(size, length, w)
+                normals = normals_buf[: size * pairs].reshape(size, pairs)
+                fades = fades_buf[: size * pairs * w].reshape(size, pairs, w)
+                for j, i in enumerate(rows):
+                    obs, shadow, fade = streams[i]
+                    obs.standard_exponential(out=samples[j])
+                    if sigma > 0.0:
+                        shadow.standard_normal(out=normals[j])
+                    fade.standard_exponential(out=fades[j])
+                samples *= noise_mw
+                power_dbm = mean_dbm[first : rows.stop, pu]
                 if sigma > 0.0:
-                    shadow.standard_normal(out=normals[j])
-                fade.standard_exponential(out=fades[j])
-            samples *= noise_mw
-            power_dbm = mean_dbm[first : rows.stop, pu]
-            if sigma > 0.0:
-                power_dbm = power_dbm + sigma * normals
-            fades *= dbm_to_mw(power_dbm)[..., None]
-            for on_slots, mine in by_pu:
-                samples[:, on_slots] += fades[:, mine]
-            _window_stats(samples, stats[first : rows.stop, start : start + len(chunk)])
+                    power_dbm = power_dbm + sigma * normals
+                fades *= dbm_to_mw(power_dbm)[..., None]
+                for on_slots, mine in by_pu:
+                    samples[:, on_slots] += fades[:, mine]
+                _window_stats(samples, stats[first : rows.stop, start : start + length])
+
+    def work(lo: int, hi: int) -> None:
+        try:
+            draw(lo, hi)
+        except BaseException as exc:  # re-raised by the caller after the joins
+            errors.append(exc)
+            stop.set()
+
+    n_groups = -(-n // group)
+    workers = max(1, min(_worker_count(), n_groups))
+    bounds = [min(n, group * (n_groups * k // workers)) for k in range(workers + 1)]
+    threads = [threading.Thread(target=work, args=r) for r in zip(bounds[1:-1], bounds[2:])]
+    try:
+        for thread in threads:
+            thread.start()
+        work(bounds[0], bounds[1])
+    except BaseException:  # a thread that would not start, or an interrupt
+        stop.set()
+        raise
+    finally:
+        for thread in threads:
+            while thread.is_alive():
+                try:
+                    thread.join()
+                except BaseException as exc:  # interrupted while waiting
+                    errors.append(exc)
+                    stop.set()
+    if errors:
+        raise errors[0]
     # features (mw_to_dbm(stats) - noise floor) / 10, in place: no
     # temporaries the size of the run's tensor
     np.maximum(stats, _POWER_FLOOR_MW, out=stats)
@@ -181,6 +235,14 @@ def draw_windows(
     stats -= ch.noise_floor_dbm
     stats /= 10.0
     return stats
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on: ``draw_windows`` starts at most
+    this many workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _window_stats(samples: np.ndarray, out: np.ndarray) -> None:

@@ -155,9 +155,9 @@ def train_rows(
     """``epochs_per_round`` epochs of mini-batch descent on every row of
     ``theta (..., n, d)`` at once, in place: row i of each leading copy on its
     ``(m, 3)`` buffer ``x[i]`` and the shared ``(m,)`` 0/1 labels ``y``, all
-    copies reshuffled each epoch by one ``rngs[i]`` draw; an epoch's last batch
-    may be short.  Callers such as ``engine.train_topologies`` check that the
-    rows stay finite."""
+    copies reshuffled each epoch, every epoch's order drawn by one ``rngs[i]``
+    call; an epoch's last batch may be short.  Callers such as
+    ``engine.train_topologies`` check that the rows stay finite."""
     n, m = theta.shape[-2], x.shape[1]
     if not len(rngs) == len(x) == n:
         raise ValueError(f"rngs: {len(rngs)}, x: {len(x)} and theta: {n} rows must agree")
@@ -165,16 +165,18 @@ def train_rows(
         raise ValueError(f"y: {len(y)} labels for buffers of {m} windows")
     if m == 0:
         raise EmptyDataError("x: training buffer is empty")
-    y, rows = np.asarray(y, dtype=np.float64), np.arange(n)[:, None]
-    # shuffling a fresh arange draws what rng.permutation(m) draws
-    ordered, order = np.arange(m), np.empty((n, m), dtype=np.intp)
-    for _ in range(tc.epochs_per_round):
-        order[:] = ordered
-        for rng, row in zip(rngs, order):
-            rng.shuffle(row)
+    y, epochs = np.asarray(y, dtype=np.float64), tc.epochs_per_round
+    # one permuted call per node draws what epochs_per_round shuffles of a
+    # fresh arange draw, each what rng.permutation(m) draws
+    order = np.empty((n, epochs, m), dtype=np.intp)
+    ordered = np.broadcast_to(np.arange(m), (epochs, m))
+    for rng, node in zip(rngs, order):
+        rng.permuted(ordered, axis=1, out=node)
+    xs, ys = x[np.arange(n)[:, None, None], order], y[order]
+    for epoch_x, epoch_y in zip(xs.swapaxes(0, 1), ys.swapaxes(0, 1)):
         for start in range(0, m, tc.batch_size):
-            idx = order[:, start : start + tc.batch_size]
-            theta -= tc.learning_rate * gradient(kind, theta, x[rows, idx], y[idx])
+            batch = slice(start, start + tc.batch_size)
+            theta -= tc.learning_rate * gradient(kind, theta, epoch_x[:, batch], epoch_y[:, batch])
 
 
 def energy_baseline_decide(features: Sequence[float], threshold_std: float) -> bool:

@@ -145,6 +145,35 @@ def test_neighbor_graph_decides_with_math_hypot_at_the_radius(dx, dy, radius, ed
     assert_same_table(table, neighbor_graph(placements, radius))
 
 
+@pytest.mark.parametrize("unit", [5e-324, 1e-160, 1.0, 1e160, 1e300])
+@pytest.mark.parametrize("seed", range(4))
+def test_neighbor_graph_screen_keeps_every_edge_at_extreme_scales(unit, seed):
+    # Squared distances underflow near 1e-160 and overflow near 1e160 (the
+    # radius's square too); ties at d == radius are where a screen that
+    # loses its slack would drop an edge.  Radii: ties of drawn pairs, a
+    # subnormal one, and ones whose squares overflow at any scale.
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(0.0, 4.0, size=(30, 2)) * unit
+    xy[rng.integers(0, 30, size=3)] = xy[0]  # coincident sensors
+    placements = points(xy, rng.permutation(30))
+    ties = [math.hypot(*(xy[i] - xy[j]).tolist()) for i, j in rng.integers(0, 30, size=(6, 2))]
+    for radius in ties + [unit, 5e-324, 1e160, 1e300, 1.7976931348623157e308]:
+        with np.errstate(all="warn"):  # and no numpy warning (an error under pytest)
+            table = build_neighbor_graph(placements, radius)
+        assert_same_table(table, neighbor_graph(placements, radius))
+
+
+@pytest.mark.parametrize("radius", [0.0, 5e-324, 1e-300, 1.0, 1e300])
+def test_neighbor_graph_pairs_whose_difference_overflows(radius):
+    # +-1e308 coordinates: differences overflow to inf and scaled ones of
+    # in-range sizes must not turn into NaN; coincident sensors stay linked
+    placements = points([(1e308, 0.0), (1e308, 0.0), (-1e308, 0.0), (-1e308, 1e308)])
+    with np.errstate(all="warn"):
+        table = build_neighbor_graph(placements, radius)
+    assert neighbors(table) == [[1], [0], [], []]
+    assert_same_table(table, neighbor_graph(placements, radius))
+
+
 def test_neighbor_graph_calls_hypot_per_candidate_not_per_pair(monkeypatch):
     sensors, radius = dense_gossip_sensors()
     calls, real = [], math.hypot

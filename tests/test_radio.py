@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fedspectrum import radio
+from fedspectrum import engine, radio
 from fedspectrum.engine import UnknownSensorError, generate_dataset, sense_run
 from fedspectrum.radio import (
     ChannelModel,
@@ -228,17 +231,10 @@ def test_per_pair_shadowing_moments():
     assert abs(np.corrcoef(residual, normals[1::2])[0, 1]) < 0.1
 
 
-def test_block_size_does_not_change_the_tensor(monkeypatch):
-    # Each stream's draws are sequential and each sensor's rows of a block
-    # are its own, so no block shape changes the tensor, with three primary
-    # users or none.  The long run (600 slots of 64 samples, default blocks
-    # of one sensor over 256 slots) takes slot ranges of one window, of an
-    # odd number of windows and of more than the run.  The short run (7
-    # sensors, 40 slots of 16 samples, by default all 7 over every slot)
-    # takes groups of 1, 2 and 3 sensors (the last group a remainder), of
-    # all 7 and of more than 7 over every slot, and blocks of one and of 3
-    # slots; one-slot blocks with every chain off draw no (slot, primary
-    # user) pair.
+def block_runs():
+    """(scenario, block sizes in samples) of a long run (3 sensors, 600 slots
+    of 64 samples) and a short one (7 sensors, 40 slots of 16 samples), each
+    with three primary users and with none."""
     traffic = PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=5.0, mean_gap_slots=5.0)
     runs = []
     for n_pus in (3, 0):
@@ -251,6 +247,21 @@ def test_block_size_does_not_change_the_tensor(monkeypatch):
             (long_run, [64, 3 * 64, 10_000 * 64]),
             (short_run, [16, 3 * 16] + [group * 40 * 16 for group in (1, 2, 3, 7, 10)]),
         ]
+    return runs
+
+
+def test_block_size_does_not_change_the_tensor(monkeypatch):
+    # Each stream's draws are sequential and each sensor's rows of a block
+    # are its own, so no block shape changes the tensor, with three primary
+    # users or none.  The long run (600 slots of 64 samples, default blocks
+    # of one sensor over 256 slots) takes slot ranges of one window, of an
+    # odd number of windows and of more than the run.  The short run (7
+    # sensors, 40 slots of 16 samples, by default all 7 over every slot)
+    # takes groups of 1, 2 and 3 sensors (the last group a remainder), of
+    # all 7 and of more than 7 over every slot, and blocks of one and of 3
+    # slots; one-slot blocks with every chain off draw no (slot, primary
+    # user) pair.
+    runs = block_runs()
     defaults = [sense_run(scenario, 43) for scenario, _ in runs]
     for short in defaults[1::2]:
         assert_same_bytes(short, per_slot_reference(short.scenario, 43))
@@ -259,6 +270,77 @@ def test_block_size_does_not_change_the_tensor(monkeypatch):
         for samples in block_samples:
             monkeypatch.setattr(radio, "_BLOCK_SAMPLES", samples)
             assert sense_run(scenario, 43).windows.tobytes() == default.windows.tobytes()
+
+
+def test_worker_count_does_not_change_the_tensor(monkeypatch):
+    # Each sensor's streams are drawn by one worker, in slot order, into its
+    # own rows, so neither the split nor thread scheduling (a short switch
+    # interval) changes the tensor.  1, 2 and 3 workers and more than there
+    # are groups: the long runs have 3 groups of one sensor, and the short
+    # runs, in blocks of 2 sensors, 4 groups, the last a remainder.
+    if hasattr(os, "sched_getaffinity"):
+        assert radio._worker_count() == len(os.sched_getaffinity(0))
+    default_blocks = radio._BLOCK_SAMPLES
+    runs = [
+        (scenario, False, default_blocks if scenario.n_sensors == 3 else 2 * 40 * 16)
+        for scenario, _ in block_runs()
+    ]
+    runs += [(block_runs()[0][0], True, default_blocks)] + [
+        (load_scenario(path), False, default_blocks)
+        for path in ("scenarios/default.json", "scenarios/data_scarce.json")
+    ]
+    interval = sys.getswitchinterval()
+    for scenario, shared, block_samples in runs:
+        monkeypatch.setattr(radio, "_BLOCK_SAMPLES", block_samples)
+        monkeypatch.setattr(radio, "_worker_count", lambda: 1)
+        want = sense_run(scenario, 43, shared_streams=shared).windows.tobytes()
+        for workers in (2, 3, 1000):
+            monkeypatch.setattr(radio, "_worker_count", lambda: workers)
+            try:
+                sys.setswitchinterval(1e-5)
+                got = sense_run(scenario, 43, shared_streams=shared)
+            finally:
+                sys.setswitchinterval(interval)
+            assert got.windows.tobytes() == want
+
+
+class RaisingStream:
+    """A stream whose draws raise ``error``, noting the thread that drew."""
+
+    def __init__(self, error):
+        self.error, self.threads = error, []
+
+    def standard_exponential(self, out):
+        self.threads.append(threading.current_thread())
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "sensor, error",
+    [(-1, RuntimeError("draw failed")), (0, RuntimeError("draw failed")), (0, KeyboardInterrupt())],
+    ids=["in-a-worker-thread", "in-the-calling-thread", "interrupt-in-the-calling-thread"],
+)
+def test_a_failing_draw_propagates_and_no_worker_outlives_the_call(monkeypatch, sensor, error):
+    # Two workers over the long run's 3 sensors: the caller draws sensor 0,
+    # a thread sensors 1 and 2.  Either side's error, raised where that
+    # sensor is drawn, comes out of sense_run with no thread left running.
+    scenario = block_runs()[0][0]
+    stream, real = RaisingStream(error), engine._sensor_streams
+
+    def streams(seed, keys):
+        drawn = real(seed, keys)
+        drawn[sensor] = drawn[sensor]._replace(obs=stream)
+        return drawn
+
+    monkeypatch.setattr(engine, "_sensor_streams", streams)
+    monkeypatch.setattr(radio, "_worker_count", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(type(error)) as raised:
+        sense_run(scenario, 43)
+    assert raised.value is error
+    assert threading.active_count() == before
+    on_caller = [thread is threading.current_thread() for thread in stream.threads]
+    assert on_caller == [sensor == 0]
 
 
 def test_grouped_windows_without_shadowing_draw_no_normals():

@@ -212,6 +212,26 @@ def test_train_rows_matches_the_per_model_oracle_bytewise(kind, n, m, batch, sha
     assert theta.tobytes() == np.stack(want).tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    m=st.sampled_from([1, 2, 3, 5, 20, 50, 64, 65, 200, 1000]),
+    epochs=st.integers(0, 6),
+)
+def test_one_permuted_call_draws_what_a_shuffle_per_epoch_draws(seed, m, epochs):
+    # train_rows draws a round's epoch orders in one permuted call; that is
+    # the per-epoch shuffles of the oracle only while numpy's permuted
+    # shuffles each row as shuffle does, leaving the stream in the same state
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = np.empty((2, epochs, m), dtype=np.intp)
+    rng.permuted(np.broadcast_to(np.arange(m), (epochs, m)), axis=1, out=got)
+    for row in want:
+        row[:] = np.arange(m)
+        reference.shuffle(row)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def test_train_rows_overflowing_row_leaves_the_others_bytewise():
     theta, x, y = stacked_buffers("logistic", 4, 30, 61)
     x[2] *= 1e300
