@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 runtime/validation/IO failure, 2 usage error.
 Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
-All outputs land under ``--out-dir`` and existing files are only replaced
-with ``--force``; their formats are defined here, the engine returns data.
+``main`` loads the scenario, applies the command's overrides and makes
+``--out-dir`` before it calls the command.  All outputs land under
+``--out-dir`` and existing files are only replaced with ``--force``; every
+file, output format and wall-clock reading is here, the engine returns data.
 Each output is written to a temp file beside it and moved into place once
 the command's outputs are all written, so a failed or interrupted command
 leaves no output behind, whole or partial; SIGTERM exits through the same
@@ -17,6 +19,7 @@ import json
 import os
 import signal
 import sys
+import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -228,10 +231,7 @@ def model_snapshot_json(model: ModelParams) -> str:
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_run(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> int:
     metrics_path = _target(out_dir, "metrics.csv", args.force)
     summary_path = _target(out_dir, "summary.json", args.force)
     models_path = (
@@ -239,7 +239,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     topology = args.topology or scenario.federation.topology
     _say(f"running topology={topology} seed={scenario.seed}")
+    started = time.perf_counter()
     result = engine.run_simulation(scenario, topology, scenario.seed)
+    wall = time.perf_counter() - started
     g = result.global_metrics
     summary = {
         "scenario_digest": result.scenario_digest,
@@ -274,32 +276,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_all(texts)
     if models_path is not None:
         _say(f"wrote {models_path}")
-    _say(
-        f"accuracy={g.accuracy:.4f} total_bytes={result.traffic.total_bytes} "
-        f"wall={result.wall_seconds:.2f}s"
-    )
+    _say(f"accuracy={g.accuracy:.4f} total_bytes={result.traffic.total_bytes} wall={wall:.2f}s")
     _say(f"wrote {metrics_path} and {summary_path}")
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_generate(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> int:
     path = _target(out_dir, "dataset.csv", args.force)
-    with _atomic(path) as (temp,):
-        summary = engine.generate_dataset(scenario, args.sensor_id, args.slots, temp)
-    _say(
-        f"wrote {path}: {summary.rows_written} rows, "
-        f"positive fraction {summary.positive_fraction:.4f}"
-    )
+    with _atomic(path) as (temp,), open(temp, "w", encoding="utf-8", newline="") as fh:
+        fh.write("slot,f1,f2,f3,label\n")
+        windows, truths = engine.generate_dataset(scenario, args.sensor_id, args.slots)
+        for slot, ((f1, f2, f3), label) in enumerate(zip(windows.tolist(), truths.tolist())):
+            fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{int(label)}\n")
+    fraction = truths.mean() if truths.size else 0.0
+    _say(f"wrote {path}: {truths.size} rows, positive fraction {fraction:.4f}")
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_compare(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> int:
     metrics_path = _target(out_dir, "metrics.csv", args.force)
     json_path = _target(out_dir, "comparison.json", args.force)
     table_path = _target(out_dir, "comparison.txt", args.force)
@@ -339,7 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "generate": cmd_generate, "compare": cmd_compare}
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        return handlers[args.command](args)
+        scenario = _apply_overrides(load_scenario(args.scenario), args)
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return handlers[args.command](args, scenario, out_dir)
     except (OSError, ValueError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ These and the training shuffles depend on (scenario, seed) only, never on
 the topology, so ``compare`` senses once per seed, ``train_topologies``
 trains isolated, gossip and central as one ``(3, n, d)`` model array, and
 ``run_simulation`` evaluates each; ``generate_dataset`` places the nodes
-the same way (``_place``) and writes one sensor's row of the tensor.
+the same way (``_place``) and returns one sensor's row of the tensor.
 Training slots: every ``local_train_period_slots`` one ``train_rows`` step
 trains row ``i`` of every ``(n, d)`` slice on its row of the period's
 windows; every ``federation_period_slots`` each topology's exchange (gossip
@@ -16,13 +16,16 @@ or central FedAvg round) mixes its slice, training first when both land on
 the same slot; the gossip mixer is built at the first gossip round.  Eval
 slots: models are frozen and one ``predict_rows`` call decides every node's
 windows.  Sensor ``i`` is row ``i`` of every array: models, neighbor table,
-windows.  Results are data (``RunResult``, ``ComparisonReport``); ``cli``
-owns every output format.
+windows.  The engine opens no file and reads no clock: results are data
+(arrays, ``RunResult``, ``ComparisonReport``) and ``cli`` owns every file,
+output format and wall-clock reading.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
-times each at ``3 * macs_per_inference`` (forward, backward, update), and
-traffic and aggregation MACs follow from the rounds and the node degrees.
+times each at ``3 * macs_per_inference`` (forward, backward, update); a
+gossip or central run has ``n_training_slots // federation_period_slots``
+rounds, and traffic and aggregation MACs follow from the rounds and the
+node degrees.
 So is a final model's ``n_train_samples``, the windows trained since the
 node's last exchange: all of them for a node that never mixes, else those
 trained after the last federation slot.
@@ -41,7 +44,6 @@ for degeneracy tests.  Streams needed together are derived in one
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,11 +137,7 @@ def evaluate_detection(decided: np.ndarray, truths: np.ndarray) -> DetectionMetr
 
 @dataclass
 class RunResult:
-    """Everything one simulation produced.
-
-    ``wall_seconds`` is informational only and excluded from all serialized
-    outputs so reruns stay byte-identical.
-    """
+    """Everything one simulation produced."""
 
     scenario_digest: str
     topology: str
@@ -152,7 +150,6 @@ class RunResult:
     central_aggregation_macs: int
     federation_rounds: int
     final_models: list[ModelParams]
-    wall_seconds: float
 
     def busiest_node_bytes(self) -> int:
         n = len(self.per_node_metrics)
@@ -208,19 +205,10 @@ def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) ->
     return RunSensing(scenario, seed, shared_streams, placements, windows, truths)
 
 
-@dataclass
-class DatasetSummary:
-    rows_written: int
-    positive_fraction: float
-
-
-def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> DatasetSummary:
-    """Write a CSV whose row ``t`` is slot ``t`` of sensor ``sensor_id`` in
-    ``sense_run(scenario, scenario.seed)`` (of a longer run, past its slots).
-
-    Returns:
-        DatasetSummary with the row count and the fraction of occupied slots.
-    """
+def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[np.ndarray, ...]:
+    """Sensor ``sensor_id``'s ``(n_slots, 3)`` windows and the ``(n_slots,)``
+    truth labels: its row of ``sense_run(scenario, scenario.seed)`` (of a
+    longer run, past its slots)."""
     _, sensors, pus, traffic_rng = _place(scenario, scenario.seed)
     # the row's windows and the chain block's steps are each at most MAX_WINDOWS
     limit = MAX_WINDOWS // max(1, scenario.n_primary_users)
@@ -229,32 +217,26 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int, path) -> 
             f"n_slots: must be in 0..{limit} (got {n_slots}); the limit is "
             f"{MAX_WINDOWS} / max(1, n_primary_users)"
         )
-    sensor = [p for p in sensors if p.node_id == sensor_id]
-    if not sensor:
+    if not 0 <= sensor_id < len(sensors):  # sensor i is node i
         raise UnknownSensorError(
             f"sensor_id: no sensor with id {sensor_id} "
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
     streams = _sensor_streams(scenario.seed, [sensor_id])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("slot,f1,f2,f3,label\n")
-        windows, truths = sense_windows(scenario, sensor, pus, traffic_rng, streams, n_slots)
-        for slot, ((f1, f2, f3), label) in enumerate(zip(windows[0].tolist(), truths.tolist())):
-            fh.write(f"{slot},{f1!r},{f2!r},{f3!r},{int(label)}\n")
-    positives = int(np.count_nonzero(truths))
-    return DatasetSummary(n_slots, positives / n_slots if n_slots else 0.0)
+    sensor = sensors[sensor_id : sensor_id + 1]
+    windows, truths = sense_windows(scenario, sensor, pus, traffic_rng, streams, n_slots)
+    return windows[0], truths
 
 
 @dataclass(frozen=True, eq=False)
 class TrainedRuns:
     """Topologies trained on one ``RunSensing``: row ``j`` of ``theta (k, n, d)``
-    (read-only) and ``rounds`` is ``topologies[j]``'s at the end of the
-    training phase; ``table`` is the gossip graph, if any."""
+    (read-only) is ``topologies[j]``'s models at the end of the training
+    phase; ``table`` is the gossip graph, if any."""
 
     sensing: RunSensing
     topologies: tuple[str, ...]
     theta: np.ndarray
-    rounds: tuple[int, ...]
     table: NeighborTable | None
 
 
@@ -278,11 +260,11 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     theta = np.tile(init_model(kind, tc, init_rng).theta, (k, n, 1))
 
     schedule = scenario.schedule
-    period = schedule.local_train_period_slots
+    period, federation = schedule.local_train_period_slots, schedule.federation_period_slots
     # a shared window row broadcasts to every node
     windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
     failures: dict[int, str] = {}  # topology index: its first divergence
-    rounds, mixer = 0, None
+    mixer = None
 
     def check(when: str) -> None:
         if np.isfinite(theta).all():
@@ -300,8 +282,7 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
                 x, y = windows[:, slot - period : slot], sensing.truths[slot - period : slot]
                 train_rows(kind, theta, x, y, tc, train_rngs)
                 check(f"after local training round {slot // period} (slot {slot})")
-            if slot % schedule.federation_period_slots == 0 and topologies != ("isolated",):
-                rounds += 1
+            if slot % federation == 0 and topologies != ("isolated",):
                 for j, topology in enumerate(topologies):
                     if topology == "gossip":
                         if mixer is None:  # the first gossip round, under errstate
@@ -309,12 +290,11 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
                         theta[j] = gossip_mix(theta[j], mixer)
                     elif topology == "central":
                         theta[j] = fedavg_mix(theta[j])
-                check(f"after federation round {rounds} (slot {slot})")
+                check(f"after federation round {slot // federation} (slot {slot})")
     if failures:
         raise DivergenceError(failures[min(failures)])
     theta.flags.writeable = False
-    run_rounds = tuple(0 if t == "isolated" else rounds for t in topologies)
-    return TrainedRuns(sensing, topologies, theta, run_rounds, table)
+    return TrainedRuns(sensing, topologies, theta, table)
 
 
 def run_simulation(
@@ -346,7 +326,6 @@ def run_simulation(
     check_scenario(scenario)
     if topology not in TOPOLOGIES:
         raise ValueError(f"topology: must be one of {TOPOLOGIES} (got {topology!r})")
-    started = time.perf_counter()
     if trained is None:
         sensing = sense_run(scenario, seed, shared_streams=shared_streams)
         trained = train_topologies(sensing, [topology])
@@ -356,7 +335,9 @@ def run_simulation(
     if topology not in trained.topologies:
         raise ValueError(f"trained: has no {topology!r} run (trained {trained.topologies})")
     j = trained.topologies.index(topology)
-    rounds = trained.rounds[j]
+    schedule = scenario.schedule
+    rounds = 0 if topology == "isolated" else (
+        schedule.n_training_slots // schedule.federation_period_slots)
 
     central_id = next(p.node_id for p in sensing.placements if p.kind == "central")
     n = trained.theta.shape[1]
@@ -372,7 +353,6 @@ def run_simulation(
 
     kind = scenario.training.model_kind
     theta = trained.theta[j].copy()
-    schedule = scenario.schedule
     windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
     decided = predict_rows(kind, theta, windows[:, schedule.n_training_slots :]) >= 0.5
     counts = _confusion(decided, sensing.truths[schedule.n_training_slots :])
@@ -400,7 +380,6 @@ def run_simulation(
         central_aggregation_macs=rounds * param_count * central_merges,
         federation_rounds=rounds,
         final_models=models,
-        wall_seconds=time.perf_counter() - started,
     )
 
 

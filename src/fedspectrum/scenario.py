@@ -307,33 +307,21 @@ def place_nodes(s: Scenario, rng: np.random.Generator) -> list[Placement]:
 
     Grid mode fills the nearest square grid with equal margins in row-major
     node-id order and consumes no random draws, so grid sensor positions are
-    seed-independent.  Primary users are always uniform over the area.  Node
-    ids: sensors ``0..n_sensors-1``, then primary users, then the central
-    node.
+    seed-independent.  Primary users are always uniform over the area.  Each
+    random node draws its x then its y, node after node, in one array draw
+    per kind.  Node ids: sensors ``0..n_sensors-1``, then primary users, then
+    the central node.
     """
-    placements: list[Placement] = []
+    n, area = s.n_sensors, s.area_size_m
     if s.sensor_placement == "grid":
-        k = math.ceil(math.sqrt(s.n_sensors))
-        cell = s.area_size_m / k
-        for i in range(s.n_sensors):
-            row, col = divmod(i, k)
-            placements.append(
-                Placement(i, "sensor", (col + 0.5) * cell, (row + 0.5) * cell)
-            )
+        k = math.ceil(math.sqrt(n))
+        row, col = np.divmod(np.arange(n), k)
+        with np.errstate(under="ignore"):  # subnormal coordinates are valid positions
+            xy = np.stack([col + 0.5, row + 0.5], axis=1) * (area / k)
     else:
-        for i in range(s.n_sensors):
-            x = rng.uniform(0.0, s.area_size_m)
-            y = rng.uniform(0.0, s.area_size_m)
-            placements.append(Placement(i, "sensor", x, y))
-    for j in range(s.n_primary_users):
-        x = rng.uniform(0.0, s.area_size_m)
-        y = rng.uniform(0.0, s.area_size_m)
-        placements.append(Placement(s.n_sensors + j, "primary_user", x, y))
-    if s.central_xy_m is not None:
-        cx, cy = s.central_xy_m
-    else:
-        cx = cy = s.area_size_m / 2.0
-    placements.append(
-        Placement(s.n_sensors + s.n_primary_users, "central", cx, cy)
-    )
-    return placements
+        xy = rng.uniform(0.0, area, size=(n, 2))
+    xy = np.concatenate([xy, rng.uniform(0.0, area, size=(s.n_primary_users, 2))])
+    kinds = ["sensor"] * n + ["primary_user"] * s.n_primary_users
+    nodes = [Placement(i, kind, x, y) for i, (kind, (x, y)) in enumerate(zip(kinds, xy.tolist()))]
+    cx, cy = s.central_xy_m if s.central_xy_m is not None else (area / 2.0, area / 2.0)
+    return nodes + [Placement(len(kinds), "central", cx, cy)]

@@ -17,6 +17,7 @@ from fedspectrum.federation import (
 )
 from fedspectrum.radio import SensorStreams, path_loss_db
 from fedspectrum.rng import substream_key
+from fedspectrum.scenario import Placement
 from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
 
 
@@ -62,6 +63,34 @@ def neighbor_graph(placements, radius_m):
         table.valid[i, : len(row)] = True
         table.distances[i, : len(row)] = dists[i]
     return table
+
+
+def place_nodes(s, rng):
+    """The per-node placement loop ``scenario.place_nodes`` replaced, which it
+    must equal float for float: one scalar ``uniform`` per coordinate, x then
+    y, sensors (unless on the grid) before primary users."""
+    placements = []
+    if s.sensor_placement == "grid":
+        k = math.ceil(math.sqrt(s.n_sensors))
+        cell = s.area_size_m / k
+        for i in range(s.n_sensors):
+            row, col = divmod(i, k)
+            placements.append(Placement(i, "sensor", (col + 0.5) * cell, (row + 0.5) * cell))
+    else:
+        for i in range(s.n_sensors):
+            x = rng.uniform(0.0, s.area_size_m)
+            y = rng.uniform(0.0, s.area_size_m)
+            placements.append(Placement(i, "sensor", x, y))
+    for j in range(s.n_primary_users):
+        x = rng.uniform(0.0, s.area_size_m)
+        y = rng.uniform(0.0, s.area_size_m)
+        placements.append(Placement(s.n_sensors + j, "primary_user", x, y))
+    if s.central_xy_m is not None:
+        cx, cy = s.central_xy_m
+    else:
+        cx = cy = s.area_size_m / 2.0
+    placements.append(Placement(s.n_sensors + s.n_primary_users, "central", cx, cy))
+    return placements
 
 
 def radio_range(xy, radius_m):

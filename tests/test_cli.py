@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import fedspectrum
-from fedspectrum import radio
+from fedspectrum import engine, radio
 from fedspectrum.cli import _parse_seeds, main
 from fedspectrum.engine import sense_run
 from fedspectrum.scenario import load_scenario
@@ -129,6 +130,21 @@ def test_run_writes_metrics_and_summary(tmp_path, scenario_path, capsys):
     assert "wall" in capsys.readouterr().out
 
 
+def test_run_prints_the_wall_clock_of_its_simulation(tmp_path, scenario_path, capsys, monkeypatch):
+    # the engine reads no clock: run times its run_simulation call
+    simulate = engine.run_simulation
+
+    def slow(*args, **kwargs):
+        time.sleep(0.25)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_simulation", slow)
+    assert main(["run", "--scenario", scenario_path, "--out-dir", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    wall = re.fullmatch(r"fedspectrum: accuracy=\d\.\d{4} total_bytes=0 wall=(\d+\.\d\d)s", line)
+    assert wall and 0.25 <= float(wall[1]) < 60
+
+
 def test_run_seed_and_slot_overrides(tmp_path, scenario_path):
     out = tmp_path / "out"
     code = main(
@@ -177,7 +193,7 @@ def test_run_export_models(tmp_path, scenario_path):
         assert len(m["theta"]) == 4
 
 
-def test_generate_dataset_cli(tmp_path, scenario_path):
+def test_generate_dataset_cli(tmp_path, scenario_path, capsys):
     out = tmp_path / "data"
     code = main(
         [
@@ -192,6 +208,18 @@ def test_generate_dataset_cli(tmp_path, scenario_path):
     lines = (out / "dataset.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "slot,f1,f2,f3,label"
     assert len(lines) == 51
+    positives = sum(line.endswith(",1") for line in lines[1:])
+    assert capsys.readouterr().out == (
+        f"fedspectrum: wrote {out / 'dataset.csv'}: 50 rows, "
+        f"positive fraction {positives / 50:.4f}\n"
+    )
+
+
+def test_generate_zero_slots_writes_the_header(tmp_path, scenario_path, capsys):
+    argv = ["generate", "--scenario", scenario_path, "--out-dir", str(tmp_path), "--slots", "0"]
+    assert main(argv) == 0
+    assert (tmp_path / "dataset.csv").read_text(encoding="utf-8") == "slot,f1,f2,f3,label\n"
+    assert capsys.readouterr().out.endswith(": 0 rows, positive fraction 0.0000\n")
 
 
 # slots of the runs that generate is checked against

@@ -142,7 +142,6 @@ def test_run_simulation_shapes_and_counts():
     assert [m.n_train_samples for m in result.final_models] == [60] * 3
     assert result.central_aggregation_macs == 0
     assert result.node_aggregation_macs == [0, 0, 0]
-    assert result.wall_seconds > 0.0
 
 
 def test_run_simulation_rejects_bad_inputs():
@@ -359,13 +358,13 @@ def test_costs_and_traffic_are_closed_forms(
 
 
 def assert_same_run(a, b):
-    """Every RunResult field equal but the wall clock; models as bytes."""
+    """Every RunResult field equal; models as bytes."""
     for f in fields(RunResult):
         if f.name == "final_models":
             for ma, mb in zip(a.final_models, b.final_models, strict=True):
                 assert (ma.kind, ma.n_train_samples) == (mb.kind, mb.n_train_samples)
                 assert ma.theta.tobytes() == mb.theta.tobytes()
-        elif f.name != "wall_seconds":
+        else:
             assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
@@ -451,8 +450,8 @@ def test_stacked_training_is_the_per_topology_loop(
     for j, topology in enumerate(topologies):
         theta, samples, rounds = train_topology(sensing, topology)
         assert trained.theta[j].tobytes() == theta.tobytes()
-        assert trained.rounds[j] == rounds
         run = run_simulation(scenario, topology, seed, shared_streams=shared, trained=trained)
+        assert run.federation_rounds == rounds
         assert [m.n_train_samples for m in run.final_models] == samples.tolist()
 
 
@@ -529,13 +528,14 @@ def test_samples_weighting_trains_as_uniform(self_weight):
                for w, s in scenarios.items()}
     uniform, samples = trained["uniform"], trained["samples"]
     assert uniform.table.valid.sum(axis=1).tolist() == [2, 1, 2, 2, 0, 1]
-    assert uniform.rounds == (0, 3) and uniform.theta[0].tobytes() != uniform.theta[1].tobytes()
+    assert uniform.theta[0].tobytes() != uniform.theta[1].tobytes()
     assert samples.theta.tobytes() == uniform.theta.tobytes()
     # and so are the runs: final counts and every metrics.csv row
     runs = {
         w: [run_simulation(s, t, 2, trained=trained[w]) for t in ("isolated", "gossip")]
         for w, s in scenarios.items()
     }
+    assert [run.federation_rounds for run in runs["uniform"]] == [0, 3]
     for a, b in zip(runs["uniform"], runs["samples"], strict=True):
         counts = [m.n_train_samples for m in a.final_models]
         assert counts == [m.n_train_samples for m in b.final_models]
@@ -677,7 +677,6 @@ def test_metrics_csv_blank_cell_for_undefined_rate():
         central_aggregation_macs=0,
         federation_rounds=0,
         final_models=[ModelParams("logistic", np.zeros(4))],
-        wall_seconds=0.1,
     )
     lines = metrics_csv_lines([run])
     cells = lines[1].split(",")

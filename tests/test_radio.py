@@ -520,34 +520,29 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
         assert rng.random() == rng_replay.random()
 
 
-def test_generate_dataset_file_shape_and_determinism(tmp_path):
+def test_generate_dataset_is_the_sensor_row_of_the_run():
+    # the rows ``dataset.csv`` holds: sensor 2's windows and the truth labels
+    # of the run at the scenario's seed, the same on every call
     scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2, area_size_m=400.0)
-    out = tmp_path / "a.csv"
-    summary = generate_dataset(scenario, 2, 200, out)
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "slot,f1,f2,f3,label"
-    assert len(lines) == 201
-    assert summary.rows_written == 200
-    assert 0.0 < summary.positive_fraction < 1.0
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[4] in ("0", "1")
-    float(first[1]), float(first[2]), float(first[3])
-
-    out_b = tmp_path / "b.csv"
-    generate_dataset(scenario, 2, 200, out_b)
-    assert out.read_bytes() == out_b.read_bytes()
+    windows, truths = generate_dataset(scenario, 2, 200)
+    assert windows.shape == (200, 3) and truths.shape == (200,)
+    assert 0 < np.count_nonzero(truths) < 200
+    run = sense_run(scenario, 31)
+    assert windows.tobytes() == run.windows[2, :200].tobytes()
+    assert truths.tobytes() == run.truths[:200].tobytes()
+    again, _ = generate_dataset(scenario, 2, 200)
+    assert again.tobytes() == windows.tobytes()
 
 
-def test_generate_dataset_unknown_sensor(tmp_path):
+@pytest.mark.parametrize("sensor_id", [9, 4, -1])
+def test_generate_dataset_unknown_sensor(sensor_id):
     scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2)
     with pytest.raises(UnknownSensorError, match="valid ids 0..3"):
-        generate_dataset(scenario, 9, 10, tmp_path / "x.csv")
+        generate_dataset(scenario, sensor_id, 10)
 
 
-def test_generate_dataset_zero_slots(tmp_path):
+def test_generate_dataset_zero_slots():
     scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2)
-    out = tmp_path / "empty.csv"
-    summary = generate_dataset(scenario, 0, 0, out)
-    assert summary.rows_written == 0
-    assert summary.positive_fraction == 0.0
-    assert out.read_text(encoding="utf-8") == "slot,f1,f2,f3,label\n"
+    windows, truths = generate_dataset(scenario, 0, 0)
+    assert windows.shape == (0, 3)
+    assert truths.shape == (0,)

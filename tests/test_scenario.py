@@ -8,6 +8,8 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedspectrum.engine import run_simulation, sense_run
 from fedspectrum.rng import substream
@@ -27,6 +29,7 @@ from fedspectrum.scenario import (
     scenario_from_dict,
     validate_scenario,
 )
+from oracles import place_nodes as reference_place_nodes
 
 
 def write(tmp_path, obj):
@@ -199,6 +202,36 @@ def test_primary_users_random_even_with_grid_sensors():
     pus_a = [(p.x_m, p.y_m) for p in a if p.kind == "primary_user"]
     pus_b = [(p.x_m, p.y_m) for p in b if p.kind == "primary_user"]
     assert pus_a != pus_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 14, 15, 16, 17, 400, 401]),
+    n_pus=st.integers(0, 7),
+    area=st.sampled_from([1e-300, 5e-309, 1e-160, 1.0, 1000.0, 3.7e7, 1e160, 1e300]),
+    placement=st.sampled_from(["grid", "uniform_random"]),
+    central=st.booleans(),
+    seed=st.sampled_from([0, 5, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+)
+@example(400, 7, 1e-300, "grid", False, 0)
+@example(401, 7, 1e300, "uniform_random", True, 2**64 - 1)
+def test_place_nodes_is_the_per_node_loop(n, n_pus, area, placement, central, seed):
+    # the array draws place every node where one scalar uniform per
+    # coordinate put it, bit for bit, and warn of no underflow
+    s = Scenario(
+        seed=seed, n_sensors=n, n_primary_users=n_pus, area_size_m=area,
+        sensor_placement=placement, central_xy_m=(area / 3, area) if central else None,
+    )
+    rng, rng_loop = substream(seed, "placement"), substream(seed, "placement")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = place_nodes(s, rng)
+    want = reference_place_nodes(s, rng_loop)
+    assert [(p.node_id, p.kind) for p in got] == [(p.node_id, p.kind) for p in want]
+    assert [(p.x_m.hex(), p.y_m.hex()) for p in got] == [(p.x_m.hex(), p.y_m.hex()) for p in want]
+    assert all(type(p.x_m) is type(p.y_m) is float for p in got)
+    assert rng.bit_generator.state == rng_loop.bit_generator.state
 
 
 def test_digest_stable_and_sensitive():
