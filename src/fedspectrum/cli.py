@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 runtime/validation/IO failure, 2 usage error.
 Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
-``main`` loads the scenario, applies the command's overrides and makes
-``--out-dir`` before it calls the command.  All outputs land under
-``--out-dir`` and existing files are only replaced with ``--force``; every
-file, output format and wall-clock reading is here, the engine returns data.
-Each output is written to a temp file beside it and moved into place once
-the command's outputs are all written, so a failed or interrupted command
-leaves no output behind, whole or partial; SIGTERM exits through the same
-cleanup, with code 143.
+``main`` loads the scenario, applies the command's overrides, validates the
+result and makes ``--out-dir`` before it calls the command.  All outputs
+land under ``--out-dir`` and existing files are only replaced with
+``--force``; every file, output format and wall-clock reading is here, the
+engine returns data.  Each output is written to a temp file beside it and
+moved into place once the command's outputs are all written, so a failed or
+interrupted command leaves no output behind, whole or partial; SIGTERM exits
+through the same cleanup, with code 143.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 from . import engine
 from .federation import TOPOLOGIES
 from .rng import MAX_SEED
-from .scenario import MAX_WINDOWS, Scenario, load_scenario
+from .scenario import MAX_WINDOWS, Scenario, check_scenario, load_scenario
 from .sensing import ModelParams
 
 PROG = "fedspectrum"
@@ -306,7 +306,7 @@ def cmd_compare(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> 
             runs.append(engine.run_simulation(scenario, topology, seed, trained=trained))
         del trained  # one seed's tensor alive at a time
     runs.sort(key=lambda run: TOPOLOGIES.index(run.topology))  # stable: seeds keep their order
-    report = engine.summarize_runs(runs, args.seeds)
+    report = engine.summarize_runs(runs)
     comparison = json.dumps(asdict(report), indent=2, sort_keys=True)
     table = comparison_table(report)
     _write_all(
@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "generate": cmd_generate, "compare": cmd_compare}
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        scenario = _apply_overrides(load_scenario(args.scenario), args)
+        scenario = check_scenario(_apply_overrides(load_scenario(args.scenario), args))
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args, scenario, out_dir)

@@ -33,13 +33,10 @@ trained after the last federation slot.
 Random sub-streams are labeled so modules cannot disturb each other, and
 are derived here only: ``placement``, ``traffic``, ``init``, each sensor's
 ``obs:<node_id>``, ``shadow:<node_id>`` and ``fade:<node_id>`` (its
-``radio.SensorStreams``), and ``train:<node_id>``.  ``shared_streams`` swaps
-the ``shared`` key in for every node id: it draws one window row at sensor 0
-from ``obs:shared``, ``shadow:shared`` and ``fade:shared``, gives it to
-every node, and gives every node the same ``train:shared`` shuffle stream,
-for degeneracy tests.  Streams needed together are derived in one
-``rng.substreams`` batch: ``placement`` with ``traffic``, every sensor's three
-(``_sensor_streams``) and ``init`` with every node's ``train:`` stream.
+``radio.SensorStreams``), and ``train:<node_id>``.  Streams needed together
+are derived in one ``rng.substreams`` batch: ``placement`` with
+``traffic``, every sensor's three (``_sensor_streams``) and ``init`` with
+every node's ``train:`` stream.
 """
 
 from __future__ import annotations
@@ -160,23 +157,22 @@ class RunResult:
 class RunSensing:
     """What a run draws before training: placement, windows, truth labels.
 
-    ``windows`` (read-only) is ``(n_sensors, slots, 3)``, or one row drawn at
-    sensor 0 under ``shared_streams``; ``truths`` (read-only) is ``(slots,)``.
+    ``windows`` (read-only) is ``(n_sensors, slots, 3)``, row ``i`` drawn from
+    sensor ``i``'s own streams; ``truths`` (read-only) is ``(slots,)``.
     """
 
     scenario: Scenario
     seed: int
-    shared_streams: bool
     placements: list[Placement]
     windows: np.ndarray
     truths: np.ndarray
 
 
-def _sensor_streams(seed: int, keys: Sequence[int | str]) -> list[SensorStreams]:
-    """The ``obs``, ``shadow`` and ``fade`` streams of each sensor key (a node
-    id, or ``"shared"``) under ``seed``, derived in one ``substreams`` call."""
+def _sensor_streams(seed: int, node_ids: Sequence[int]) -> list[SensorStreams]:
+    """The ``obs``, ``shadow`` and ``fade`` streams of each sensor node id under
+    ``seed``, derived in one ``substreams`` call."""
     names = SensorStreams._fields
-    rngs = substreams(seed, [f"{name}:{key}" for key in keys for name in names])
+    rngs = substreams(seed, [f"{name}:{node}" for node in node_ids for name in names])
     return [SensorStreams(*rngs[i : i + len(names)]) for i in range(0, len(rngs), len(names))]
 
 
@@ -192,17 +188,15 @@ def _place(scenario: Scenario, seed: int):
     return placements, sensors, pus, traffic_rng
 
 
-def sense_run(scenario: Scenario, seed: int, *, shared_streams: bool = False) -> RunSensing:
-    """Place the nodes and draw every window of one (scenario, seed) run."""
+def sense_run(scenario: Scenario, seed: int) -> RunSensing:
+    """Place the nodes and draw every window of one (scenario, seed) run, each
+    sensor's row from its own ``obs``, ``shadow`` and ``fade`` streams."""
     placements, sensors, pus, traffic_rng = _place(scenario, seed)
-    if shared_streams:
-        sensors, streams = sensors[:1], _sensor_streams(seed, ["shared"])
-    else:
-        streams = _sensor_streams(seed, [p.node_id for p in sensors])
+    streams = _sensor_streams(seed, [p.node_id for p in sensors])
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
     windows, truths = sense_windows(scenario, sensors, pus, traffic_rng, streams, n_slots)
     windows.flags.writeable = truths.flags.writeable = False
-    return RunSensing(scenario, seed, shared_streams, placements, windows, truths)
+    return RunSensing(scenario, seed, placements, windows, truths)
 
 
 def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[np.ndarray, ...]:
@@ -255,14 +249,12 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     k, n, cfg, kind = len(topologies), len(sensors), scenario.federation, tc.model_kind
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
     # theta[j, i] is sensor i's model in topology j
-    keys = ["shared"] * n if sensing.shared_streams else [p.node_id for p in sensors]
-    init_rng, *train_rngs = substreams(seed, ["init"] + [f"train:{key}" for key in keys])
+    init_rng, *train_rngs = substreams(seed, ["init"] + [f"train:{p.node_id}" for p in sensors])
     theta = np.tile(init_model(kind, tc, init_rng).theta, (k, n, 1))
 
     schedule = scenario.schedule
     period, federation = schedule.local_train_period_slots, schedule.federation_period_slots
-    # a shared window row broadcasts to every node
-    windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
+    windows, truths = sensing.windows, sensing.truths
     failures: dict[int, str] = {}  # topology index: its first divergence
     mixer = None
 
@@ -279,7 +271,7 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     with np.errstate(over="ignore", invalid="ignore"):
         for slot in range(1, schedule.n_training_slots + 1):
             if slot % period == 0:
-                x, y = windows[:, slot - period : slot], sensing.truths[slot - period : slot]
+                x, y = windows[:, slot - period : slot], truths[slot - period : slot]
                 train_rows(kind, theta, x, y, tc, train_rngs)
                 check(f"after local training round {slot // period} (slot {slot})")
             if slot % federation == 0 and topologies != ("isolated",):
@@ -298,12 +290,7 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
 
 
 def run_simulation(
-    scenario: Scenario,
-    topology: str,
-    seed: int,
-    *,
-    shared_streams: bool = False,
-    trained: TrainedRuns | None = None,
+    scenario: Scenario, topology: str, seed: int, *, trained: TrainedRuns | None = None
 ) -> RunResult:
     """Simulate one (scenario, topology, seed) combination.
 
@@ -312,12 +299,8 @@ def run_simulation(
         topology: "isolated", "gossip", or "central"; overrides the
             scenario's federation topology for this run.
         seed: master seed for every labeled sub-stream, in ``0..2**64-1``.
-        shared_streams: test hook; all nodes receive one identical
-            window stream (drawn at sensor 0) and identical training
-            shuffles.
-        trained: ``train_topologies`` of ``sense_run(scenario, seed,
-            shared_streams=...)`` over this topology and maybe others;
-            trained here when omitted.
+        trained: ``train_topologies`` of ``sense_run(scenario, seed)`` over
+            this topology and maybe others; trained here when omitted.
 
     Returns:
         RunResult with per-node and global metrics, traffic, and costs.
@@ -327,11 +310,10 @@ def run_simulation(
     if topology not in TOPOLOGIES:
         raise ValueError(f"topology: must be one of {TOPOLOGIES} (got {topology!r})")
     if trained is None:
-        sensing = sense_run(scenario, seed, shared_streams=shared_streams)
-        trained = train_topologies(sensing, [topology])
+        trained = train_topologies(sense_run(scenario, seed), [topology])
     sensing = trained.sensing
-    if (sensing.scenario, sensing.seed, sensing.shared_streams) != (scenario, seed, shared_streams):
-        raise ValueError("trained: for another scenario, seed or shared_streams")
+    if (sensing.scenario, sensing.seed) != (scenario, seed):
+        raise ValueError("trained: for another scenario or seed")
     if topology not in trained.topologies:
         raise ValueError(f"trained: has no {topology!r} run (trained {trained.topologies})")
     j = trained.topologies.index(topology)
@@ -353,8 +335,7 @@ def run_simulation(
 
     kind = scenario.training.model_kind
     theta = trained.theta[j].copy()
-    windows = np.broadcast_to(sensing.windows, (n, *sensing.windows.shape[1:]))
-    decided = predict_rows(kind, theta, windows[:, schedule.n_training_slots :]) >= 0.5
+    decided = predict_rows(kind, theta, sensing.windows[:, schedule.n_training_slots :]) >= 0.5
     counts = _confusion(decided, sensing.truths[schedule.n_training_slots :])
     per_node = [DetectionMetrics(*row) for row in counts.tolist()]
     global_metrics = DetectionMetrics(*counts.sum(axis=0).tolist())
@@ -415,16 +396,22 @@ def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:
     return sum(defined) / len(defined), skipped
 
 
-def summarize_runs(runs: Sequence[RunResult], seeds: Sequence[int]) -> ComparisonReport:
-    """Aggregate per-topology means from an already-computed run matrix."""
+def summarize_runs(runs: Sequence[RunResult]) -> ComparisonReport:
+    """Aggregate per-topology means from an already-computed run matrix.  Its
+    seeds are the first topology's, in run order; every topology must have run
+    the same seed list."""
     by_topology: dict[str, list[RunResult]] = {t: [] for t in TOPOLOGIES}
     for run in runs:
         by_topology[run.topology].append(run)
+    seeds = [r.seed for r in by_topology[TOPOLOGIES[0]]]
     summaries: dict[str, TopologySummary] = {}
     for topology in TOPOLOGIES:
         group = by_topology[topology]
         if not group:
             raise EmptyInputError(f"runs: no runs for topology {topology!r}")
+        ran = [r.seed for r in group]
+        if ran != seeds:
+            raise ValueError(f"runs: topology {topology!r} ran seeds {ran}, not {seeds}")
         mean_pd, pd_skipped = _mean_defined([r.global_metrics.pd for r in group])
         mean_pfa, pfa_skipped = _mean_defined([r.global_metrics.pfa for r in group])
         mean_acc, _ = _mean_defined([r.global_metrics.accuracy for r in group])
@@ -448,4 +435,4 @@ def summarize_runs(runs: Sequence[RunResult], seeds: Sequence[int]) -> Compariso
             pfa_undefined_runs=pfa_skipped,
         )
     digest = runs[0].scenario_digest
-    return ComparisonReport(digest, list(seeds), summaries)
+    return ComparisonReport(digest, seeds, summaries)

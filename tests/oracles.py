@@ -1,10 +1,13 @@
 """Independent references the module tests share."""
 
 import math
+import re
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
+from fedspectrum import engine
 from fedspectrum.federation import (
     WEIGHTINGS,
     FederationConfig,
@@ -103,9 +106,26 @@ def radio_range(xy, radius_m):
 
 
 def sensor_streams(seed, key):
-    """Sensor ``key``'s ``obs:``, ``shadow:`` and ``fade:`` streams (``key`` a
-    node id or ``shared``), spelled out from their labels."""
+    """Sensor ``key``'s ``obs:``, ``shadow:`` and ``fade:`` streams (``key`` its
+    node id), spelled out from their labels."""
     return SensorStreams(*(substream(seed, f"{name}:{key}") for name in ("obs", "shadow", "fade")))
+
+
+def identical_nodes(sensing, monkeypatch):
+    """The degenerate run where every node is the same node: ``sensing`` (a
+    ``RunSensing``) with sensor 0's windows at every row, and, for the rest of
+    the test, ``engine.substreams`` deriving ``train:shared`` for every
+    ``train:<node_id>`` label, so every node's generator draws the same
+    shuffles.  ``engine.train_topologies`` and ``engine.run_simulation(...,
+    trained=...)`` then train and evaluate it on the engine's own path."""
+    derive = engine.substreams
+
+    def substreams(seed, labels):
+        return derive(seed, [re.sub(r"^train:\d+$", "train:shared", label) for label in labels])
+
+    monkeypatch.setattr(engine, "substreams", substreams)
+    windows = sensing.windows
+    return replace(sensing, windows=np.broadcast_to(windows[:1], windows.shape))
 
 
 # The per-slot sensing path the block draws (``radio.sense_windows``) must
@@ -331,9 +351,8 @@ def train_topology(sensing, topology):
     start = init_model(tc.model_kind, tc, substream(seed, "init"))
     theta = np.tile(start.theta, (len(sensors), 1))
     samples = np.full(len(sensors), start.n_train_samples, dtype=np.int64)
-    keys = ["shared"] * len(sensors) if sensing.shared_streams else [p.node_id for p in sensors]
-    rngs = [substream(seed, f"train:{key}") for key in keys]
-    windows = np.broadcast_to(sensing.windows, (len(sensors), *sensing.windows.shape[1:]))
+    rngs = [substream(seed, f"train:{p.node_id}") for p in sensors]
+    windows = sensing.windows
     period, rounds = schedule.local_train_period_slots, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for slot in range(1, schedule.n_training_slots + 1):

@@ -33,7 +33,7 @@ from fedspectrum.sensing import (
     predict_rows,
     train_rows,
 )
-from oracles import bce_loss, sensor_streams
+from oracles import bce_loss, identical_nodes, sensor_streams
 
 DEFAULT_SCENARIO = "scenarios/default.json"
 DATA_SCARCE_SCENARIO = "scenarios/data_scarce.json"
@@ -78,7 +78,7 @@ def test_criterion_1_determinism(compare_dirs):
         ).read_bytes() == (second / "comparison.json").read_bytes()
 
 
-def test_criterion_2_fedavg_symmetry_oracle():
+def test_criterion_2_fedavg_symmetry_oracle(monkeypatch):
     with criterion(2, "central with identical streams tracks the single-pool oracle to 1e-9"):
         scenario = load_scenario(DEFAULT_SCENARIO)
         # 10 federation rounds, light windows; N stays at 14
@@ -89,10 +89,16 @@ def test_criterion_2_fedavg_symmetry_oracle():
             federation_period_slots=30,
             window_samples=16,
         )
-        oracle = run_simulation(scenario, "isolated", 5, shared_streams=True)
-        central = run_simulation(scenario, "central", 5, shared_streams=True)
+        # every node senses sensor 0's windows and draws train:shared's shuffles
+        sensing = identical_nodes(sense_run(scenario, 5), monkeypatch)
+        trained = train_topologies(sensing, ["isolated", "central"])
+        oracle = run_simulation(scenario, "isolated", 5, trained=trained)
+        central = run_simulation(scenario, "central", 5, trained=trained)
         assert central.federation_rounds == 10
         reference = oracle.final_models[0].theta
+        # the substitution took: every isolated node trained one single-pool model
+        for m in oracle.final_models[1:]:
+            assert m.theta.tobytes() == reference.tobytes()
         for m in central.final_models:
             assert np.max(np.abs(m.theta - reference)) <= 1e-9
         # and the broadcast really is one model

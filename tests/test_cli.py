@@ -489,6 +489,19 @@ def test_huge_counts_are_rejected_by_name_before_any_work(command, changes, mess
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_an_invalid_override_is_rejected_before_the_command(command, scenario_path, tmp_path,
+                                                           capsys):
+    # run used to print its progress line before the engine rejected the schedule
+    out = tmp_path / "out"
+    argv = [command, "--scenario", scenario_path, "--out-dir", str(out), "--training-slots", "-5"]
+    assert main(argv + (["--seeds", "1"] if command == "compare" else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fedspectrum: error: schedule.n_training_slots: must be >= 0 (got -5)\n"
+    assert "running" not in captured.out
+    assert not out.exists()
+
+
 def fail_second_write_midway(monkeypatch):
     """Make the second ``Path.write_text`` write half its text, then fail."""
     write_text, calls = Path.write_text, []

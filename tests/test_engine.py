@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 
@@ -39,7 +40,7 @@ from fedspectrum.sensing import (
     init_model,
     predict_rows,
 )
-from oracles import pu_activity_step, radio_range, train_local, train_topology
+from oracles import identical_nodes, pu_activity_step, radio_range, train_local, train_topology
 
 
 PU_TRAFFIC = Scenario(seed=1).pu_traffic
@@ -263,14 +264,13 @@ def test_stacked_divergence_is_raised_in_topology_order(monkeypatch):
     placement=st.sampled_from(["grid", "uniform_random"]),
     kind=st.sampled_from(["logistic", "mlp"]),
     topology=st.sampled_from(TOPOLOGIES),
-    shared=st.booleans(),
     n_training=st.integers(0, 30),
     n_eval=st.integers(1, 15),
     period=st.integers(1, 40),
     seed=st.integers(0, 2**64 - 1),
 )
 def test_every_window_is_counted_once_against_one_truth_per_slot(
-    n_sensors, n_pus, placement, kind, topology, shared, n_training, n_eval, period, seed
+    n_sensors, n_pus, placement, kind, topology, n_training, n_eval, period, seed
 ):
     schedule = SlotSchedule(
         n_training_slots=n_training,
@@ -287,7 +287,7 @@ def test_every_window_is_counted_once_against_one_truth_per_slot(
         training=TrainingConfig(model_kind=kind),
         schedule=schedule,
     )
-    result = run_simulation(scenario, topology, seed, shared_streams=shared)
+    result = run_simulation(scenario, topology, seed)
     per_node = [astuple(m) for m in result.per_node_metrics]
     assert len(per_node) == n_sensors
     assert sum(map(sum, per_node)) == sum(astuple(result.global_metrics)) == n_sensors * n_eval
@@ -369,16 +369,15 @@ def assert_same_run(a, b):
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
-@pytest.mark.parametrize("shared", [False, True])
-def test_shared_sensing_gives_the_run_a_fresh_draw_gives(kind, shared):
+def test_shared_sensing_gives_the_run_a_fresh_draw_gives(kind):
     # one tensor, trained once for every topology, changes no run
     scenario = small_scenario(training=TrainingConfig(model_kind=kind))
-    sensing = sense_run(scenario, 21, shared_streams=shared)
+    sensing = sense_run(scenario, 21)
     before = sensing.windows.tobytes(), sensing.truths.tobytes()
     trained = train_topologies(sensing, TOPOLOGIES)
     for topology in TOPOLOGIES:
-        reused = run_simulation(scenario, topology, 21, shared_streams=shared, trained=trained)
-        fresh = run_simulation(scenario, topology, 21, shared_streams=shared)
+        reused = run_simulation(scenario, topology, 21, trained=trained)
+        fresh = run_simulation(scenario, topology, 21)
         assert_same_run(reused, fresh)
     assert (sensing.windows.tobytes(), sensing.truths.tobytes()) == before
     assert not sensing.windows.flags.writeable and not sensing.truths.flags.writeable
@@ -389,13 +388,9 @@ def test_sensing_for_another_run_is_rejected():
     scenario = small_scenario()
     trained = train_topologies(sense_run(scenario, 3), TOPOLOGIES)
     other = replace(scenario, schedule=replace(scenario.schedule, n_eval_slots=39))
-    for args, kwargs in [
-        ((scenario, "gossip", 4), {}),
-        ((other, "gossip", 3), {}),
-        ((scenario, "gossip", 3), {"shared_streams": True}),
-    ]:
-        with pytest.raises(ValueError, match="^trained: for another scenario, seed or shared_"):
-            run_simulation(*args, trained=trained, **kwargs)
+    for args in [(scenario, "gossip", 4), (other, "gossip", 3)]:
+        with pytest.raises(ValueError, match="^trained: for another scenario or seed$"):
+            run_simulation(*args, trained=trained)
     isolated = train_topologies(sense_run(scenario, 3), ["isolated"])
     with pytest.raises(ValueError, match="trained: has no 'gossip' run"):
         run_simulation(scenario, "gossip", 3, trained=isolated)
@@ -409,7 +404,6 @@ SUBSETS = [TOPOLOGIES, ("isolated",), ("gossip",), ("central",), ("gossip", "cen
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["logistic", "mlp"]),
-    shared=st.booleans(),
     weighting=st.sampled_from(["uniform", "samples", "inverse_distance"]),
     self_weight=st.booleans(),
     n_training=st.integers(0, 45),
@@ -418,18 +412,18 @@ SUBSETS = [TOPOLOGIES, ("isolated",), ("gossip",), ("central",), ("gossip", "cen
     topologies=st.sampled_from(SUBSETS),
     seed=st.integers(0, 2**64 - 1),
 )
-@example("logistic", False, "samples", True, 0, 10, 10, TOPOLOGIES, 1)
-@example("mlp", False, "samples", True, 30, 40, 10, TOPOLOGIES, 2)
-@example("mlp", True, "inverse_distance", False, 45, 7, 5, TOPOLOGIES, 3)
-@example("logistic", False, "uniform", False, 40, 5, 8, ("gossip", "central"), 4)
+@example("logistic", "samples", True, 0, 10, 10, TOPOLOGIES, 1)
+@example("mlp", "samples", True, 30, 40, 10, TOPOLOGIES, 2)
+@example("mlp", "inverse_distance", False, 45, 7, 5, TOPOLOGIES, 3)
+@example("logistic", "uniform", False, 40, 5, 8, ("gossip", "central"), 4)
 # no federation slot within the training slots
-@example("logistic", False, "samples", True, 30, 7, 45, TOPOLOGIES, 5)
+@example("logistic", "samples", True, 30, 7, 45, TOPOLOGIES, 5)
 # a federation slot (4) before the first training slot (9)
-@example("mlp", False, "uniform", True, 45, 9, 4, TOPOLOGIES, 6)
+@example("mlp", "uniform", True, 45, 9, 4, TOPOLOGIES, 6)
 # gossip degrees [2, 0, 1, 1]; 5 windows trained after the last exchange
-@example("logistic", False, "samples", False, 45, 5, 20, TOPOLOGIES, 145)
+@example("logistic", "samples", False, 45, 5, 20, TOPOLOGIES, 145)
 def test_stacked_training_is_the_per_topology_loop(
-    kind, shared, weighting, self_weight, n_training, period, federation_period, topologies, seed
+    kind, weighting, self_weight, n_training, period, federation_period, topologies, seed
 ):
     # one (k, n, d) loop with shared shuffles trains each topology as its
     # own loop with fresh streams does, byte for byte, and each final model's
@@ -444,13 +438,13 @@ def test_stacked_training_is_the_per_topology_loop(
             neighbor_radius_m=250.0, weighting=weighting, include_self_weight=self_weight
         ),
     )
-    sensing = sense_run(scenario, seed, shared_streams=shared)
+    sensing = sense_run(scenario, seed)
     trained = train_topologies(sensing, topologies)
     assert trained.topologies == topologies and trained.sensing is sensing
     for j, topology in enumerate(topologies):
         theta, samples, rounds = train_topology(sensing, topology)
         assert trained.theta[j].tobytes() == theta.tobytes()
-        run = run_simulation(scenario, topology, seed, shared_streams=shared, trained=trained)
+        run = run_simulation(scenario, topology, seed, trained=trained)
         assert run.federation_rounds == rounds
         assert [m.n_train_samples for m in run.final_models] == samples.tolist()
 
@@ -544,12 +538,15 @@ def test_samples_weighting_trains_as_uniform(self_weight):
     assert metrics_csv_lines(runs["samples"]) == metrics_csv_lines(runs["uniform"])
 
 
-def test_shared_streams_central_matches_single_pool():
+def test_identical_nodes_central_matches_single_pool(monkeypatch):
     # with identical data and shuffles at every node, FedAvg of identical
     # updates is the update itself, so central must track isolated bitwise-
     # close (only float summation order differs)
-    iso = run_simulation(small_scenario(), "isolated", 11, shared_streams=True)
-    cen = run_simulation(small_scenario(), "central", 11, shared_streams=True)
+    scenario = small_scenario()
+    sensing = identical_nodes(sense_run(scenario, 11), monkeypatch)
+    trained = train_topologies(sensing, ["isolated", "central"])
+    iso = run_simulation(scenario, "isolated", 11, trained=trained)
+    cen = run_simulation(scenario, "central", 11, trained=trained)
     for ma, mb in zip(iso.final_models, cen.final_models):
         assert np.max(np.abs(ma.theta - mb.theta)) < 1e-9
     first = cen.final_models[0].theta
@@ -558,16 +555,19 @@ def test_shared_streams_central_matches_single_pool():
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
-@pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-streams"])
-def test_isolated_training_is_the_per_node_oracle_loop(kind, shared):
+@pytest.mark.parametrize("identical", [False, True], ids=["own-streams", "identical-nodes"])
+def test_isolated_training_is_the_per_node_oracle_loop(kind, identical, monkeypatch):
     # the one stacked training step per period equals training node by node
     scenario = small_scenario(training=TrainingConfig(model_kind=kind, batch_size=7))
-    result = run_simulation(scenario, "isolated", 17, shared_streams=shared)
-    sensing = sense_run(scenario, 17, shared_streams=shared)
+    sensing, trained = sense_run(scenario, 17), None
+    if identical:
+        sensing = identical_nodes(sensing, monkeypatch)
+        trained = train_topologies(sensing, ["isolated"])
+    result = run_simulation(scenario, "isolated", 17, trained=trained)
     start = init_model(kind, scenario.training, substream(17, "init")).theta
     for i, model in enumerate(result.final_models):
-        rng = substream(17, "train:shared" if shared else f"train:{i}")
-        row, theta = sensing.windows[0 if shared else i], start
+        rng = substream(17, "train:shared" if identical else f"train:{i}")
+        row, theta = sensing.windows[i], start
         for end in (20, 40, 60):
             x, y = row[end - 20 : end], sensing.truths[end - 20 : end]
             theta = train_local(kind, theta, x, y, scenario.training, rng)
@@ -627,7 +627,7 @@ def test_compare_run_order_and_summary(tmp_path, capsys):
     assert run_ids == [f"{t}-s{s}" for t, s in order]
 
     runs = [run_simulation(scenario, t, s) for t, s in order]
-    report = summarize_runs(runs, [1, 2])
+    report = summarize_runs(runs)
     payload = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
     assert payload == json.loads(json.dumps(asdict(report)))
     assert set(report.topologies) == {"isolated", "gossip", "central"}
@@ -637,7 +637,12 @@ def test_compare_run_order_and_summary(tmp_path, capsys):
     expected = np.mean([runs[4].traffic.central_bytes, runs[5].traffic.central_bytes])
     assert report.topologies["central"].central_bytes == expected
     with pytest.raises(EmptyInputError):
-        summarize_runs([], [])
+        summarize_runs([])
+    # the report's seeds are the runs': every topology must cover the same list
+    for partial, ran in [(runs[:5], [1]), (runs[:4] + runs[:3:-1], [2, 1])]:
+        named = re.escape(f"runs: topology 'central' ran seeds {ran}, not [1, 2]")
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            summarize_runs(partial)
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", ","])
     assert exc.value.code == 2
@@ -685,7 +690,7 @@ def test_metrics_csv_blank_cell_for_undefined_rate():
 
 
 def test_comparison_serialization_and_table():
-    report = summarize_runs([run_simulation(small_scenario(), t, 1) for t in TOPOLOGIES], [1])
+    report = summarize_runs([run_simulation(small_scenario(), t, 1) for t in TOPOLOGIES])
     payload = json.loads(json.dumps(asdict(report), sort_keys=True))
     assert list(payload["topologies"]) == ["central", "gossip", "isolated"]
     assert all("topology" not in summary for summary in payload["topologies"].values())

@@ -282,23 +282,23 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
         assert radio._worker_count() == len(os.sched_getaffinity(0))
     default_blocks = radio._BLOCK_SAMPLES
     runs = [
-        (scenario, False, default_blocks if scenario.n_sensors == 3 else 2 * 40 * 16)
+        (scenario, default_blocks if scenario.n_sensors == 3 else 2 * 40 * 16)
         for scenario, _ in block_runs()
     ]
-    runs += [(block_runs()[0][0], True, default_blocks)] + [
-        (load_scenario(path), False, default_blocks)
+    runs += [
+        (load_scenario(path), default_blocks)
         for path in ("scenarios/default.json", "scenarios/data_scarce.json")
     ]
     interval = sys.getswitchinterval()
-    for scenario, shared, block_samples in runs:
+    for scenario, block_samples in runs:
         monkeypatch.setattr(radio, "_BLOCK_SAMPLES", block_samples)
         monkeypatch.setattr(radio, "_worker_count", lambda: 1)
-        want = sense_run(scenario, 43, shared_streams=shared).windows.tobytes()
+        want = sense_run(scenario, 43).windows.tobytes()
         for workers in (2, 3, 1000):
             monkeypatch.setattr(radio, "_worker_count", lambda: workers)
             try:
                 sys.setswitchinterval(1e-5)
-                got = sense_run(scenario, 43, shared_streams=shared)
+                got = sense_run(scenario, 43)
             finally:
                 sys.setswitchinterval(interval)
             assert got.windows.tobytes() == want
@@ -422,16 +422,13 @@ def test_sense_slot_steps_chains_then_draws_each_sensor_window():
             assert rng.random() == rng_replay.random()
 
 
-def per_slot_reference(scenario, seed, shared_streams=False):
+def per_slot_reference(scenario, seed):
     """The run's windows, truths and chain states from one ``sense_slot`` per
     slot, on the streams ``sense_run`` uses."""
     placements = place_nodes(scenario, substream(seed, "placement"))
     sensors = [p for p in placements if p.kind == "sensor"]
     pus = [p for p in placements if p.kind == "primary_user"]
-    if shared_streams:
-        sensors, streams = sensors[:1], [sensor_streams(seed, "shared")]
-    else:
-        streams = [sensor_streams(seed, p.node_id) for p in sensors]
+    streams = [sensor_streams(seed, p.node_id) for p in sensors]
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
     return sense_slots(scenario, sensors, pus, substream(seed, "traffic"), streams, n_slots)
 
@@ -460,7 +457,6 @@ def test_sensed_tensor_equals_per_slot_reference_on_presets(path):
     n_sensors=st.integers(1, 4),
     n_pus=st.integers(0, 3),
     sigma=st.sampled_from([0.0, 6.0]),
-    shared=st.booleans(),
     # numpy's pairwise sum unrolls by 8 and splits blocks above 128 samples
     window_samples=st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 300)),
     n_training=st.integers(0, 150),
@@ -469,14 +465,14 @@ def test_sensed_tensor_equals_per_slot_reference_on_presets(path):
     gap=st.floats(1.0, 30.0),
     seed=st.integers(0, 2**64 - 1),
 )
-@example(3, 0, 6.0, False, 64, 20, 20, 20.0, 40.0, 1)  # no primary users
-@example(3, 3, 0.0, False, 16, 20, 20, 5.0, 5.0, 2)  # no shadowing draws
-@example(3, 2, 6.0, True, 16, 20, 20, 5.0, 5.0, 3)  # one shared window row
-@example(2, 2, 6.0, False, 5, 20, 20, 5.0, 5.0, 4)  # below 8 samples
-@example(2, 2, 6.0, False, 100, 20, 20, 5.0, 5.0, 5)  # 8 to 128 samples
-@example(2, 2, 6.0, False, 300, 150, 150, 5.0, 5.0, 6)  # above 128, blocks of 54 slots
+@example(3, 0, 6.0, 64, 20, 20, 20.0, 40.0, 1)  # no primary users
+@example(3, 3, 0.0, 16, 20, 20, 5.0, 5.0, 2)  # no shadowing draws
+@example(3, 2, 6.0, 16, 20, 20, 5.0, 5.0, 3)  # shadowing and fading from two users
+@example(2, 2, 6.0, 5, 20, 20, 5.0, 5.0, 4)  # below 8 samples
+@example(2, 2, 6.0, 100, 20, 20, 5.0, 5.0, 5)  # 8 to 128 samples
+@example(2, 2, 6.0, 300, 150, 150, 5.0, 5.0, 6)  # above 128, blocks of 54 slots
 def test_sensed_tensor_equals_per_slot_reference(
-    n_sensors, n_pus, sigma, shared, window_samples, n_training, n_eval, burst, gap, seed
+    n_sensors, n_pus, sigma, window_samples, n_training, n_eval, burst, gap, seed
 ):
     scenario = Scenario(
         seed=seed,
@@ -487,9 +483,9 @@ def test_sensed_tensor_equals_per_slot_reference(
         pu_traffic=PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=burst, mean_gap_slots=gap),
         schedule=SlotSchedule(n_training, n_eval, 10, 10, window_samples),
     )
-    sensing = sense_run(scenario, seed, shared_streams=shared)
-    assert len(sensing.windows) == (1 if shared else n_sensors)
-    assert_same_bytes(sensing, per_slot_reference(scenario, seed, shared))
+    sensing = sense_run(scenario, seed)
+    assert len(sensing.windows) == n_sensors
+    assert_same_bytes(sensing, per_slot_reference(scenario, seed))
 
 
 def test_window_draw_order_one_shadowing_draw_per_active_pu():

@@ -45,7 +45,7 @@ def test_substreams_are_the_labels_streams(seed, labels):
 
 
 def test_repeated_label_gives_distinct_generators_in_equal_states():
-    # the shared_streams path: every node gets its own train:shared generator
+    # oracles.identical_nodes: every node gets its own train:shared generator
     streams = substreams(3, ["train:shared"] * 3)
     assert len({id(s) for s in streams}) == len({id(s.bit_generator) for s in streams}) == 3
     start = substream(3, "train:shared").bit_generator.state

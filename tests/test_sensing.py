@@ -205,7 +205,7 @@ def test_predict_rows_stacked_matches_one_model_bytewise(kind, n, m, shared):
 def test_train_rows_matches_the_per_model_oracle_bytewise(kind, n, m, batch, shared):
     theta, x, y = stacked_buffers(kind, n, m, 60 + n + m)
     tc = TrainingConfig(learning_rate=0.3, epochs_per_round=3, batch_size=batch)
-    # shared_streams: n generators on one label, each drawing the same shuffles
+    # oracles.identical_nodes: n generators on one label, each drawing the same shuffles
     labels = ["train:shared"] * n if shared else [f"train:{i}" for i in range(n)]
     want = [train_local(kind, theta[i], x[i], y, tc, substream(9, labels[i])) for i in range(n)]
     train_rows(kind, theta, x, y, tc, [substream(9, label) for label in labels])
