@@ -134,7 +134,6 @@ class GossipMixer(NamedTuple):
     """A run's gossip round (module docstring)."""
 
     slots: np.ndarray  # (D + 1, n) rows of padded: own, then neighbor slots
-    mixes: np.ndarray  # (n,) nodes with a neighbor
     weights: np.ndarray  # (D + 1, n, d) normalised, per term
     terms: np.ndarray  # (D + 1, n, d) work buffer
     padded: np.ndarray  # (n + 1, d) work buffer; row n stays -0.0 (a real row's inf * 0 is NaN)
@@ -155,24 +154,26 @@ def gossip_mixer(table: NeighborTable, cfg: FederationConfig, d: int) -> GossipM
         )
     n = len(table.ids)
     slots = np.concatenate([np.arange(n)[None], np.where(valid, ids, n)])
-    mixes = valid.any(axis=0)
-    own_w = np.full(n, float(cfg.include_self_weight))
+    # a node without neighbors weighs its own row 1.0, whatever
+    # include_self_weight says: its round is -0.0 + row * 1.0 plus padded
+    # terms of -0.0, its row exactly, for ±0, ±inf and NaN alike
+    own_w = np.where(valid.any(axis=0), float(cfg.include_self_weight), 1.0)
     # padded slots: 0, 1/inf = 0
     nbr_w = 1.0 / distances if cfg.weighting == "inverse_distance" else valid.astype(np.float64)
     # Outer-axis reductions add rows in order, as merge_models does, from -0.0:
     # add's own +0.0 start turns -0.0 to 0.0.  Padded slots add -0.0 * 0.0.
-    total = np.where(mixes, own_w + np.add.reduce(nbr_w, axis=0, initial=-0.0), 1.0)
+    total = own_w + np.add.reduce(nbr_w, axis=0, initial=-0.0)
     # full width: (D + 1, n, 1) weights broadcast in the multiply run slower
     weights = np.repeat((np.vstack([own_w, nbr_w]) / total)[..., None], d, axis=2)
-    return GossipMixer(slots, mixes, weights, np.empty_like(weights), np.full((n + 1, d), -0.0))
+    return GossipMixer(slots, weights, np.empty_like(weights), np.full((n + 1, d), -0.0))
 
 
 def gossip_mix(theta: np.ndarray, mixer: GossipMixer) -> np.ndarray:
     """One synchronous round of ``mixer`` over stacked ``(n, d)`` models;
     returns a new array.  Every node with a neighbor gets the
     ``merge_models`` of its pre-round row and its neighbors' rows, bit for
-    bit (same weights, same summation order); nodes without neighbors keep
-    their row."""
+    bit (same weights, same summation order); a node without neighbors keeps
+    its row, its one term weighted 1.0."""
     if theta.shape != mixer.padded[:-1].shape:
         raise ValueError(
             f"theta: shape {theta.shape} does not match the mixer's {mixer.padded[:-1].shape}"
@@ -180,8 +181,7 @@ def gossip_mix(theta: np.ndarray, mixer: GossipMixer) -> np.ndarray:
     mixer.padded[:-1] = theta
     np.take(mixer.padded, mixer.slots, axis=0, out=mixer.terms, mode="clip")  # "raise" would buffer
     np.multiply(mixer.terms, mixer.weights, out=mixer.terms)
-    mixed = np.add.reduce(mixer.terms, axis=0, initial=-0.0)
-    return np.where(mixer.mixes[:, None], mixed, theta)
+    return np.add.reduce(mixer.terms, axis=0, initial=-0.0)
 
 
 def fedavg_mix(theta: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ average them without knowing the architecture.  The model math is written
 once over leading axes: ``predict_rows`` and ``gradient`` serve one ``(d,)``
 model on its ``(m, 3)`` windows, the ``(n, d)`` array of all nodes' models and
 a ``(k, n, d)`` stack of k copies of it, which ``train_rows`` trains in one
-``gradient`` step per mini-batch.
+``gradient`` step per mini-batch, in the epoch orders its caller draws and
+in buffers it makes once per call, each of the shape and layout of the fresh
+array it stands for, so the results are a fresh array's to the bit.
 """
 
 from __future__ import annotations
@@ -30,13 +32,6 @@ MLP_DIM = N_FEATURES * MLP_HIDDEN + MLP_HIDDEN + MLP_HIDDEN + 1
 _W1_END = N_FEATURES * MLP_HIDDEN
 _B1_END = _W1_END + MLP_HIDDEN
 _W2_END = _B1_END + MLP_HIDDEN
-
-
-def expit(z: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid ``1 / (1 + exp(-z))``, elementwise; saturates to 0 and
-    1 without warnings."""
-    with np.errstate(over="ignore", under="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
 
 
 class EmptyDataError(ValueError):
@@ -114,69 +109,102 @@ def init_model(kind: str, tc: TrainingConfig, rng: np.random.Generator) -> Model
     return ModelParams(kind, theta, 0)
 
 
-def _logits(kind: str, theta: np.ndarray, x: np.ndarray):
-    """Pre-sigmoid outputs ``(..., b)`` of models ``theta (..., d)`` on batches
-    ``x (..., b, 3)``; MLP also returns its activations ``(..., b, 8)``.  Sums
-    are ``@`` on per-row matrices, so one model and n rows sum alike."""
-    if kind == "logistic":
-        return (x @ theta[..., :N_FEATURES, None])[..., 0] + theta[..., N_FEATURES, None], None
-    w1 = theta[..., :_W1_END].reshape(*theta.shape[:-1], MLP_HIDDEN, N_FEATURES)
-    h = np.tanh(x @ np.swapaxes(w1, -1, -2) + theta[..., None, _W1_END:_B1_END])
-    return (h @ theta[..., _B1_END:_W2_END, None])[..., 0] + theta[..., _W2_END, None], h
+def _work(kind: str, theta: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """Buffers of a ``gradient`` step of ``theta`` on ``x``: the output column
+    ``(..., b, 1)``, the gradient ``(..., d)`` and, for MLP, two ``(..., b,
+    8)``, each shaped and laid out as the fresh array it stands for."""
+    lead = (*np.broadcast_shapes(theta.shape[:-1], x.shape[:-2]), x.shape[-2])
+    hidden = [(*lead, MLP_HIDDEN)] * (2 if kind == "mlp" else 0)
+    return [np.empty(shape) for shape in [(*lead, 1), (*lead[:-1], model_dim(kind)), *hidden]]
 
 
-def gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``."""
-    z, h = _logits(kind, theta, x)
-    r = (expit(z) - y) / x.shape[-2]
-    column = r[..., None]
-    grad = np.empty_like(theta)
-    grad[..., -1] = r.sum(axis=-1)
+def _probabilities(kind: str, theta: np.ndarray, x: np.ndarray, work: list[np.ndarray]) -> None:
+    """Outputs ``1 / (1 + exp(-z))`` of models ``theta (..., d)`` on ``x (...,
+    b, 3)`` into ``work[0]``, MLP activations into ``work[2]``, saturating under
+    the caller's ``np.errstate``.  Sums are ``@`` on per-row matrices, so one
+    model and n rows sum alike."""
+    z, weights = work[0], theta[..., :N_FEATURES, None]
+    if kind == "mlp":
+        h, w1 = work[2], theta[..., :_W1_END].reshape(*theta.shape[:-1], MLP_HIDDEN, N_FEATURES)
+        np.matmul(x, w1.swapaxes(-1, -2), out=h)
+        h += theta[..., None, _W1_END:_B1_END]
+        np.tanh(h, out=h)
+        x, weights = h, theta[..., _B1_END:_W2_END, None]
+    np.matmul(x, weights, out=z)
+    z += theta[..., -1, None, None]
+    np.exp(np.negative(z, out=z), out=z)
+    np.divide(1.0, np.add(z, 1.0, out=z), out=z)
+
+
+def gradient(
+    kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray, work: list | None = None
+) -> np.ndarray:
+    """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``, in
+    ``work``'s gradient buffer (``_work(kind, theta, x)``); without ``work`` the
+    buffers are fresh and the sigmoid saturates quietly."""
+    if work is None:
+        with np.errstate(over="ignore", under="ignore"):
+            return gradient(kind, theta, x, y, _work(kind, theta, x))
+    _probabilities(kind, theta, x, work)
+    column, grad, *hidden = work
+    column -= y[..., None]
+    column /= x.shape[-2]
+    np.add.reduce(column[..., 0], axis=-1, out=grad[..., -1])
     if kind == "logistic":
-        grad[..., :N_FEATURES] = (np.swapaxes(x, -1, -2) @ column)[..., 0]
+        np.matmul(x.swapaxes(-1, -2), column, out=grad[..., :N_FEATURES, None])
         return grad
-    dpre = column * theta[..., None, _B1_END:_W2_END] * (1.0 - h * h)
-    grad[..., :_W1_END] = (np.swapaxes(dpre, -1, -2) @ x).reshape(*theta.shape[:-1], _W1_END)
-    grad[..., _W1_END:_B1_END] = dpre.sum(axis=-2)
-    grad[..., _B1_END:_W2_END] = (np.swapaxes(h, -1, -2) @ column)[..., 0]
+    h, dpre = hidden
+    np.matmul(h.swapaxes(-1, -2), column, out=grad[..., _B1_END:_W2_END, None])
+    np.subtract(1.0, np.multiply(h, h, out=h), out=h)  # tanh's slope
+    np.multiply(column, theta[..., None, _B1_END:_W2_END], out=dpre)
+    dpre *= h
+    w1 = grad[..., :_W1_END].reshape(*grad.shape[:-1], MLP_HIDDEN, N_FEATURES)
+    np.matmul(dpre.swapaxes(-1, -2), x, out=w1)
+    np.add.reduce(dpre, axis=-2, out=grad[..., _W1_END:_B1_END])
     return grad
 
 
 def predict_rows(kind: str, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Probabilities ``(n, m)`` of models ``theta (n, d)``, row i on windows
     ``x[i]`` of ``x (n, m, 3)``; one model and its ``(m, 3)`` windows give ``(m,)``."""
-    return expit(_logits(kind, theta, x)[0])
+    work = _work(kind, theta, x)
+    with np.errstate(over="ignore", under="ignore"):
+        _probabilities(kind, theta, x, work)
+    return work[0][..., 0]
 
 
 def train_rows(
     kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray, tc: TrainingConfig,
-    rngs: Sequence[np.random.Generator],
+    order: np.ndarray,
 ) -> None:
     """``epochs_per_round`` epochs of mini-batch descent on every row of
     ``theta (..., n, d)`` at once, in place: row i of each leading copy on its
-    ``(m, 3)`` buffer ``x[i]`` and the shared ``(m,)`` 0/1 labels ``y``, all
-    copies reshuffled each epoch, every epoch's order drawn by one ``rngs[i]``
-    call; an epoch's last batch may be short.  Callers such as
+    ``(m, 3)`` buffer ``x[i]`` and the shared ``(m,)`` 0/1 labels ``y``, epoch
+    e in the order ``order[i, e]`` of ``order (n, epochs_per_round, m)``, each
+    row a permutation of ``range(m)``; an epoch's last batch may be short.
+    Each step is one ``gradient`` in buffers made once per call, one set per
+    batch length, under one ``np.errstate`` per call.  Callers such as
     ``engine.train_topologies`` check that the rows stay finite."""
-    n, m = theta.shape[-2], x.shape[1]
-    if not len(rngs) == len(x) == n:
-        raise ValueError(f"rngs: {len(rngs)}, x: {len(x)} and theta: {n} rows must agree")
+    n, m, batch, epochs = theta.shape[-2], x.shape[1], tc.batch_size, tc.epochs_per_round
+    if not len(order) == len(x) == n:
+        raise ValueError(f"order: {len(order)}, x: {len(x)} and theta: {n} rows must agree")
     if len(y) != m:
         raise ValueError(f"y: {len(y)} labels for buffers of {m} windows")
     if m == 0:
         raise EmptyDataError("x: training buffer is empty")
-    y, epochs = np.asarray(y, dtype=np.float64), tc.epochs_per_round
-    # one permuted call per node draws what epochs_per_round shuffles of a
-    # fresh arange draw, each what rng.permutation(m) draws
-    order = np.empty((n, epochs, m), dtype=np.intp)
-    ordered = np.broadcast_to(np.arange(m), (epochs, m))
-    for rng, node in zip(rngs, order):
-        rng.permuted(ordered, axis=1, out=node)
-    xs, ys = x[np.arange(n)[:, None, None], order], y[order]
-    for epoch_x, epoch_y in zip(xs.swapaxes(0, 1), ys.swapaxes(0, 1)):
-        for start in range(0, m, tc.batch_size):
-            batch = slice(start, start + tc.batch_size)
-            theta -= tc.learning_rate * gradient(kind, theta, epoch_x[:, batch], epoch_y[:, batch])
+    if order.shape[1:] != (epochs, m):
+        raise ValueError(f"order: rows {order.shape[1:]}, not (epochs_per_round, m) {(epochs, m)}")
+    # one take from the flattened buffers, several times faster than x[rows, order]
+    xs = np.take(x.reshape(n * m, 3), order + np.arange(0, n * m, m)[:, None, None], axis=0)
+    ys = np.take(np.asarray(y, dtype=np.float64), order)
+    work = {b: _work(kind, theta, x[:, :b]) for b in {min(batch, m), m % batch or batch}}
+    with np.errstate(over="ignore", under="ignore"):
+        for epoch_x, epoch_y in zip(xs.swapaxes(0, 1), ys.swapaxes(0, 1)):
+            for start in range(0, m, batch):
+                bx, by = epoch_x[:, start : start + batch], epoch_y[:, start : start + batch]
+                grad = gradient(kind, theta, bx, by, work[bx.shape[1]])
+                grad *= tc.learning_rate
+                theta -= grad
 
 
 def energy_baseline_decide(features: Sequence[float], threshold_std: float) -> bool:

@@ -322,6 +322,13 @@ def gradient(kind, theta, x, y):
     return np.concatenate([(dpre.T @ x).reshape(-1), dpre.sum(axis=0), h.T @ r, [r.sum()]])
 
 
+def shuffles(rngs, epochs, m):
+    """``(n, epochs, m)`` epoch orders for ``sensing.train_rows``: one
+    ``rng.permutation(m)`` per epoch from each node's generator, as
+    ``train_local`` draws them."""
+    return np.array([[rng.permutation(m) for _ in range(epochs)] for rng in rngs])
+
+
 def train_local(kind, theta, x, y, tc, rng):
     """``theta`` after ``epochs_per_round`` epochs of mini-batch descent on the
     ``(m, 3)`` buffer ``x``, reshuffled once per epoch through ``rng``."""
@@ -358,7 +365,8 @@ def train_topology(sensing, topology):
         for slot in range(1, schedule.n_training_slots + 1):
             if slot % period == 0:
                 x, y = windows[:, slot - period : slot], sensing.truths[slot - period : slot]
-                train_rows(tc.model_kind, theta, x, y, tc, rngs)
+                order = shuffles(rngs, tc.epochs_per_round, period)
+                train_rows(tc.model_kind, theta, x, y, tc, order)
                 samples += period
             if topology != "isolated" and slot % schedule.federation_period_slots == 0:
                 rounds += 1

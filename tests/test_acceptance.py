@@ -33,7 +33,7 @@ from fedspectrum.sensing import (
     predict_rows,
     train_rows,
 )
-from oracles import bce_loss, identical_nodes, sensor_streams
+from oracles import bce_loss, identical_nodes, sensor_streams, shuffles
 
 DEFAULT_SCENARIO = "scenarios/default.json"
 DATA_SCARCE_SCENARIO = "scenarios/data_scarce.json"
@@ -214,7 +214,8 @@ def test_criterion_8_roc_monotonicity():
             theta = np.zeros((1, model_dim(kind)))
             if kind == "mlp":
                 theta[0] = init_model(kind, tc, substream(81 + index, "init")).theta
-            train_rows(kind, theta, x[None], y, tc, [substream(81 + index, "train:0")])
+            order = shuffles([substream(81 + index, "train:0")], 5, 200)
+            train_rows(kind, theta, x[None], y, tc, order)
             probs = predict_rows(kind, theta[0], x)
             points = [evaluate_detection(probs >= t, y == 1.0) for t in np.linspace(0, 1, 101)]
             pds = [p.pd for p in points]

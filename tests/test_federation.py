@@ -360,21 +360,27 @@ def test_gossip_round_snapshot_semantics():
     assert stats.messages == 4
 
 
-def test_gossip_isolated_node_untouched():
-    # the 3-node line at radius 100 with link 1-2 cut: node 2 has no neighbor
+@pytest.mark.parametrize("weighting", WEIGHTINGS)
+@pytest.mark.parametrize("self_weight", [True, False])
+def test_gossip_isolated_node_untouched(weighting, self_weight):
+    # the 3-node line at radius 100 with link 1-2 cut, plus a far node 3:
+    # nodes 2 and 3 have no neighbor, so their round weighs their own row
+    # 1.0, whatever include_self_weight says, and adds -0.0 terms, which
+    # leave -0.0, +-inf and NaN as they are
     table = NeighborTable(
-        ids=np.array([[1], [0], [0]]),
-        valid=np.array([[True], [True], [False]]),
-        distances=np.array([[100.0], [100.0], [np.inf]]),
+        ids=np.array([[1], [0], [0], [0]]),
+        valid=np.array([[True], [True], [False], [False]]),
+        distances=np.array([[100.0], [100.0], [np.inf], [np.inf]]),
     )
-    theta = stacked([logistic(0.0), logistic(3.0), logistic(9.0)])
-    for self_weight in (True, False):
-        cfg = FederationConfig(weighting="uniform", include_self_weight=self_weight)
-        new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
-        assert new_theta[2].tobytes() == theta[2].tobytes()
+    theta = stacked([logistic(0.0), logistic(3.0), logistic(9.0), logistic(9.0)])
+    theta[2] = [-0.0, np.inf, -np.inf, np.nan]
+    cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
+    new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
+    np.testing.assert_array_equal(new_theta[2:], theta[2:])  # NaN compared as NaN
+    np.testing.assert_array_equal(np.signbit(new_theta[2:]), np.signbit(theta[2:]))
     stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
     assert stats.messages == 2
-    assert 2 not in stats.tx_bytes and stats.node_bytes(2) == 0
+    assert stats.tx_bytes.keys() == {0, 1} and stats.node_bytes(2) == 0
 
 
 def test_gossip_empty_graph_no_messages():

@@ -17,14 +17,13 @@ from fedspectrum.sensing import (
     TrainingConfig,
     cost_constants,
     energy_baseline_decide,
-    expit,
     gradient,
     init_model,
     model_dim,
     predict_rows,
     train_rows,
 )
-from oracles import bce_loss, predict, train_local
+from oracles import bce_loss, predict, shuffles, train_local
 from oracles import gradient as reference_gradient
 
 
@@ -50,14 +49,18 @@ def test_model_cost_bytes():
         assert init_model(kind, tc, substream(1, "init")).theta.nbytes == 8 * params
 
 
-def test_expit_saturates_quietly_and_tracks_scipy():
-    # numpy's exp is not libm's, so expit may differ from scipy's in the last
-    # bits; it must stay within a few ulps and saturate without warnings
+def test_sigmoid_saturates_quietly_and_tracks_scipy():
+    # numpy's exp is not libm's, so the sigmoid may differ from scipy's in the
+    # last bits; it must stay within a few ulps and saturate without warnings.
+    # The model [1, 0, 0, 0] has logit z on the window (z, 0, 0).
     z = np.linspace(-800.0, 800.0, 16_001)
+    theta, x = np.array([1.0, 0.0, 0.0, 0.0]), np.stack([z, 0 * z, 0 * z], axis=1)
     with np.errstate(all="raise"):
-        got = expit(z)
+        got = predict_rows("logistic", theta, x)
+        grad = gradient("logistic", theta, x, np.ones_like(z))
     assert (got[0], got[8_000], got[-1]) == (0.0, 0.5, 1.0)
     np.testing.assert_allclose(got, scipy_expit(z), rtol=1e-15, atol=1e-300)
+    assert np.isfinite(grad).all()
 
 
 def test_init_logistic_is_zero():
@@ -202,13 +205,20 @@ def test_predict_rows_stacked_matches_one_model_bytewise(kind, n, m, shared):
          "batch-1", "long-buffer"],
 )
 @pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-streams"])
-def test_train_rows_matches_the_per_model_oracle_bytewise(kind, n, m, batch, shared):
-    theta, x, y = stacked_buffers(kind, n, m, 60 + n + m)
+@pytest.mark.parametrize("k", [None, 3], ids=["no-copies", "three-copies"])
+def test_train_rows_matches_the_per_model_oracle_bytewise(kind, n, m, batch, shared, k):
+    # theta (n, d), or k leading copies (k, n, d), each from a different start,
+    # as train_topologies trains them: a step whose work buffers mix up the
+    # copies, or a full batch and a short last one, shows up byte-wise
+    _, x, y = stacked_buffers(kind, n, m, 60 + n + m)
+    lead = (n,) if k is None else (k, n)
+    theta = substream(60 + n + m, "init").normal(0.0, 1.0, size=(*lead, model_dim(kind)))
     tc = TrainingConfig(learning_rate=0.3, epochs_per_round=3, batch_size=batch)
     # oracles.identical_nodes: n generators on one label, each drawing the same shuffles
     labels = ["train:shared"] * n if shared else [f"train:{i}" for i in range(n)]
-    want = [train_local(kind, theta[i], x[i], y, tc, substream(9, labels[i])) for i in range(n)]
-    train_rows(kind, theta, x, y, tc, [substream(9, label) for label in labels])
+    want = [train_local(kind, row, x[i % n], y, tc, substream(9, labels[i % n]))
+            for i, row in enumerate(theta.reshape(-1, theta.shape[-1]))]
+    train_rows(kind, theta, x, y, tc, shuffles([substream(9, label) for label in labels], 3, m))
     assert theta.tobytes() == np.stack(want).tobytes()
 
 
@@ -216,19 +226,19 @@ def test_train_rows_matches_the_per_model_oracle_bytewise(kind, n, m, batch, sha
 @given(
     seed=st.integers(0, 2**64 - 1),
     m=st.sampled_from([1, 2, 3, 5, 20, 50, 64, 65, 200, 1000]),
+    periods=st.integers(0, 5),
     epochs=st.integers(0, 6),
 )
-def test_one_permuted_call_draws_what_a_shuffle_per_epoch_draws(seed, m, epochs):
-    # train_rows draws a round's epoch orders in one permuted call; that is
-    # the per-epoch shuffles of the oracle only while numpy's permuted
-    # shuffles each row as shuffle does, leaving the stream in the same state
+def test_one_permuted_call_draws_what_a_shuffle_per_epoch_draws(seed, m, periods, epochs):
+    # train_topologies draws a node's epoch orders for every period of a run
+    # in one permuted call into int32 rows; that is the per-epoch shuffles of
+    # the oracle only while numpy's permuted shuffles each row, in row order,
+    # as permutation does, leaving the stream in the same state
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = np.empty((2, epochs, m), dtype=np.intp)
-    rng.permuted(np.broadcast_to(np.arange(m), (epochs, m)), axis=1, out=got)
-    for row in want:
-        row[:] = np.arange(m)
-        reference.shuffle(row)
-    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    got = np.empty((periods * epochs, m), dtype=np.int32)
+    rng.permuted(np.broadcast_to(np.arange(m, dtype=np.int32), got.shape), axis=1, out=got)
+    want = [reference.permutation(m).tolist() for _ in range(periods * epochs)]
+    assert got.tolist() == want
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -238,34 +248,37 @@ def test_train_rows_overflowing_row_leaves_the_others_bytewise():
     tc = TrainingConfig(learning_rate=1e10, epochs_per_round=2, batch_size=7)
     want = [train_local("logistic", theta[i], x[i], y, tc, substream(9, f"train:{i}"))
             for i in (0, 1, 3)]
+    order = shuffles([substream(9, f"train:{i}") for i in range(4)], 2, 30)
     with np.errstate(over="ignore", invalid="ignore"):
-        train_rows("logistic", theta, x, y, tc, [substream(9, f"train:{i}") for i in range(4)])
+        train_rows("logistic", theta, x, y, tc, order)
     assert not np.isfinite(theta[2]).all()
     assert theta[[0, 1, 3]].tobytes() == np.stack(want).tobytes()
 
 
 @pytest.mark.parametrize(
-    "rows, buffers, generators, labels, match",
+    "rows, buffers, orders, labels, shape, match",
     [
-        (3, 3, 1, 10, "rngs: 1, x: 3 and theta: 3 rows must agree"),
-        (3, 2, 3, 10, "rngs: 3, x: 2 and theta: 3 rows must agree"),
-        (2, 3, 3, 10, "rngs: 3, x: 3 and theta: 2 rows must agree"),
-        (3, 3, 3, 9, "y: 9 labels for buffers of 10 windows"),
+        (3, 3, 1, 10, (4, 10), "order: 1, x: 3 and theta: 3 rows must agree"),
+        (3, 2, 3, 10, (4, 10), "order: 3, x: 2 and theta: 3 rows must agree"),
+        (2, 3, 3, 10, (4, 10), "order: 3, x: 3 and theta: 2 rows must agree"),
+        (3, 3, 3, 9, (4, 10), "y: 9 labels for buffers of 10 windows"),
+        (3, 3, 3, 10, (3, 10), r"order: rows \(3, 10\), not .* \(4, 10\)"),
+        (3, 3, 3, 10, (4, 9), r"order: rows \(4, 9\), not .* \(4, 10\)"),
     ],
 )
-def test_train_rows_rejects_mismatched_inputs_by_name(rows, buffers, generators, labels, match):
+def test_train_rows_rejects_mismatched_inputs_by_name(rows, buffers, orders, labels, shape, match):
     theta = np.zeros((rows, 4))
     x, y = np.ones((buffers, 10, 3)), np.ones(labels)
-    rngs = [substream(1, f"train:{i}") for i in range(generators)]
+    order = np.zeros((orders, *shape), dtype=np.int32)
     with pytest.raises(ValueError, match=match):
-        train_rows("logistic", theta, x, y, TrainingConfig(), rngs)
+        train_rows("logistic", theta, x, y, TrainingConfig(), order)
     np.testing.assert_array_equal(theta, np.zeros((rows, 4)))
 
 
 def test_train_rows_empty_buffer_raises():
     with pytest.raises(EmptyDataError, match="x: training buffer is empty"):
         train_rows("logistic", np.zeros((2, 4)), np.empty((2, 0, 3)), np.empty(0),
-                   TrainingConfig(), [substream(1, "train:0"), substream(1, "train:1")])
+                   TrainingConfig(), np.empty((2, 4, 0), dtype=np.int32))
 
 
 def test_train_rows_updates_theta_in_place_and_nothing_else():
@@ -274,10 +287,12 @@ def test_train_rows_updates_theta_in_place_and_nothing_else():
     theta = np.zeros((2, 4))
     buffers = np.stack([x, -x])
     tc = TrainingConfig(learning_rate=0.2, epochs_per_round=4, batch_size=10)
-    rngs = [substream(1, "train:0"), substream(1, "train:1")]
-    assert train_rows("logistic", theta, buffers, y, tc, rngs) is None
+    order = shuffles([substream(1, "train:0"), substream(1, "train:1")], 4, 10)
+    orders = order.copy()
+    assert train_rows("logistic", theta, buffers, y, tc, order) is None
     np.testing.assert_array_equal(buffers, np.stack([x, -x]))  # inputs untouched
     np.testing.assert_array_equal(y, [1.0, 0.0] * 5)
+    np.testing.assert_array_equal(order, orders)
     # each row moved, and toward its own buffer: row 1's features are flipped
     assert np.all(theta[0, :3] > 0.0) and np.all(theta[1, :3] < 0.0)
 
@@ -294,7 +309,7 @@ def test_train_rows_reduces_loss_both_kinds():
         m = init_model(kind, tc, substream(43, "init"))
         before = bce_loss(kind, m.theta, x, y)
         theta = m.theta[None].copy()
-        train_rows(kind, theta, x[None], y, tc, [substream(43, "train:0")])
+        train_rows(kind, theta, x[None], y, tc, shuffles([substream(43, "train:0")], 5, 60))
         assert bce_loss(kind, theta[0], x, y) < before
 
 
@@ -304,7 +319,7 @@ def test_train_rows_shuffle_uses_rng():
     theta = np.zeros((3, 4))
     tc = TrainingConfig(batch_size=2, epochs_per_round=1, learning_rate=0.5)
     rngs = [substream(1, "train:0"), substream(1, "train:0"), substream(2, "train:0")]
-    train_rows("logistic", theta, np.stack([x] * 3), y, tc, rngs)
+    train_rows("logistic", theta, np.stack([x] * 3), y, tc, shuffles(rngs, 1, 4))
     np.testing.assert_array_equal(theta[0], theta[1])
     assert not np.array_equal(theta[0], theta[2])
 
@@ -315,7 +330,7 @@ def test_separable_data_reaches_high_accuracy():
     y = np.concatenate([np.ones(300), np.zeros(300)])
     tc = TrainingConfig(learning_rate=0.5, epochs_per_round=30, batch_size=32)
     theta = init_model("logistic", tc, substream(47, "init")).theta[None].copy()
-    train_rows("logistic", theta, x[None], y, tc, [substream(47, "train:0")])
+    train_rows("logistic", theta, x[None], y, tc, shuffles([substream(47, "train:0")], 30, 600))
     acc = np.mean((predict_rows("logistic", theta[0], x) >= 0.5) == y.astype(bool))
     assert acc >= 0.99
 
