@@ -11,15 +11,16 @@ trains isolated, gossip and central as one ``(3, n, d)`` model array, and
 the same way (``_place``) and returns one sensor's row of the tensor.
 Training slots: every ``local_train_period_slots`` one ``train_rows`` step
 trains row ``i`` of every ``(n, d)`` slice on its row of the period's
-windows, in epoch orders drawn up front, one ``permuted`` call per node's
-``train:`` stream; every ``federation_period_slots`` each topology's
-exchange (gossip or central FedAvg round) mixes its slice, training first
-when both land on the same slot; the gossip mixer is built at the first
-gossip round.  Eval slots: models are frozen and one ``predict_rows`` call
-decides every node's windows.  Sensor ``i`` is row ``i`` of every array:
-models, neighbor table, windows.  The engine opens no file and reads no
-clock: results are data (arrays, ``RunResult``, ``ComparisonReport``) and
-``cli`` owns every file, output format and wall-clock reading.
+windows, in epoch orders drawn in chunks of periods, one ``permuted`` call
+per node's ``train:`` stream a chunk; every ``federation_period_slots`` each
+topology's exchange (gossip or central FedAvg round) mixes its slice,
+training first when both land on the same slot; the gossip mixer is built
+at the first gossip round.  Eval slots: models are frozen and one
+``predict_rows`` call decides every node's windows.  Sensor ``i`` is row
+``i`` of every array: models, neighbor table, windows.  The engine opens
+no file and reads no clock: results are data (arrays, ``RunResult``,
+``ComparisonReport``) and ``cli`` owns every file, output format and
+wall-clock reading.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -76,6 +77,10 @@ from .sensing import (
     predict_rows,
     train_rows,
 )
+
+
+# epoch orders held at once, in bytes: both presets draw a run's in one chunk
+_ORDER_BYTES = 1 << 20
 
 
 class EmptyInputError(ValueError):
@@ -256,13 +261,14 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     schedule = scenario.schedule
     period, federation = schedule.local_train_period_slots, schedule.federation_period_slots
     windows, truths, epochs = sensing.windows, sensing.truths, tc.epochs_per_round
-    # orders[i, p, e]: period p's e-th rng.permutation(period) of node i, drawn
-    # in one permuted call per node (fastest on intp rows) and kept as int32
-    orders = np.empty((n, schedule.n_training_slots // period, epochs, period), np.int32)
-    drawn = np.empty((orders.shape[1] * epochs, period), np.intp)
+    # orders[i, p % chunk, e]: period p's e-th rng.permutation(period) of node
+    # i, drawn a chunk of periods at a time in one permuted call per node
+    # (fastest on intp rows) and kept as int32, at most _ORDER_BYTES a chunk
+    periods = schedule.n_training_slots // period
+    chunk = min(periods, max(1, _ORDER_BYTES // (4 * n * epochs * period)))
+    orders = np.empty((n, chunk, epochs, period), np.int32)
+    drawn = np.empty((chunk * epochs, period), np.intp)
     ordered = np.broadcast_to(np.arange(period), drawn.shape)
-    for rng, rows in zip(train_rngs, orders):
-        rows[:] = rng.permuted(ordered, axis=1, out=drawn).reshape(rows.shape)
     failures: dict[int, str] = {}  # topology index: its first divergence
     mixer = None
 
@@ -279,8 +285,13 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     with np.errstate(over="ignore", invalid="ignore"):
         for slot in range(1, schedule.n_training_slots + 1):
             if slot % period == 0:
+                p = slot // period - 1
+                if p % chunk == 0:  # the next chunk's orders, maybe a shorter last one
+                    k = min(chunk, periods - p) * epochs
+                    for rng, rows in zip(train_rngs, orders.reshape(n, -1, period)):
+                        rows[:k] = rng.permuted(ordered[:k], axis=1, out=drawn[:k])
                 x, y = windows[:, slot - period : slot], truths[slot - period : slot]
-                train_rows(kind, theta, x, y, tc, orders[:, slot // period - 1])
+                train_rows(kind, theta, x, y, tc, orders[:, p % chunk])
                 check(f"after local training round {slot // period} (slot {slot})")
             if slot % federation == 0 and topologies != ("isolated",):
                 for j, topology in enumerate(topologies):

@@ -11,7 +11,8 @@ A run is sensed before anything else (``sense_windows``): the primary-user
 chains step over one block of uniforms (``pu_chain``), then every sensor's
 windows are drawn (``draw_windows``) in blocks of (sensor group x slot
 range) of at most ``_BLOCK_SAMPLES`` noise samples: a long run takes one
-sensor over many slots, a short one several sensors over all its slots.
+sensor over many slots, a short one several sensors over all its slots,
+and a group's shadowed mean powers take one pass per batch of slot ranges.
 Each sensor draws from its own three streams (``SensorStreams``), each
 consumed in slot order:
 
@@ -46,8 +47,9 @@ if TYPE_CHECKING:
 
 # keeps the log-domain features finite if a window statistic underflows
 _POWER_FLOOR_MW = 1e-30
-# noise samples held at once per block: 256 windows of 64 samples (128 KiB)
-_BLOCK_SAMPLES = 256 * 64
+# noise samples of one block, 384 windows of 64 (192 KiB); a block also holds
+# its fade rows, one row of as many samples per active (slot, primary user) pair
+_BLOCK_SAMPLES = 384 * 64
 
 
 def dbm_to_mw(dbm) -> np.ndarray:
@@ -134,13 +136,15 @@ def draw_windows(
     A window is its noise row plus, for each primary user on in that slot,
     in index order, a fade row scaled to the path-loss mean shadowed by
     ``sigma`` times the pair's normal, in dB.  Path loss is computed once
-    per (sensor, primary user) and the active pairs once per slot range;
-    each sensor then draws its rows of the block, and the block's arithmetic
-    runs once for the whole group.  The groups are split into contiguous
-    row ranges, one per worker (``_worker_count``, at most one per group):
-    the calling thread draws the first, a thread each the others.  A worker
-    that fails, or an interrupt of the caller, stops the others at their
-    next block; all are joined before this returns or raises the first error.
+    per (sensor, primary user); each worker finds the active pairs once per
+    batch of slot ranges, where each sensor group draws its normals and
+    converts its pairs' powers to mW in one pass, and per block each sensor
+    draws its noise and fade rows and the arithmetic runs once for the
+    group.  The groups are split into contiguous row ranges, one per worker
+    (``_worker_count``, at most one per group): the calling thread draws
+    the first, a thread each the others.  A worker that fails, or an
+    interrupt of the caller, stops the others at their next block; all are
+    joined before this returns or raises the first error.
 
     Returns:
         (len(sensors), slots, 3) features, [i, t] from sensor i's window of slot t.
@@ -156,48 +160,53 @@ def draw_windows(
     # (mean, std, max) in mW, converted to features in place at the end
     stats = np.empty((n, n_slots, 3))
     # a block holds at most _BLOCK_SAMPLES noise samples: long runs take one
-    # sensor over many slots, short runs several sensors over every slot
+    # sensor over many slots, short runs several sensors over every slot; a
+    # batch of slot ranges at most an eighth of that many group windows
     block_slots = max(1, min(n_slots, _BLOCK_SAMPLES // w))
     group = max(1, _BLOCK_SAMPLES // (block_slots * w))
-    # each slot range's first slot, length and active (slot, primary user) pairs
-    slot_ranges = []
-    for start in range(0, n_slots, block_slots):
-        chunk = states[start : start + block_slots]
-        slots, pu = np.nonzero(chunk)
-        by_pu = [(slots[mine], mine) for mine in (pu == p for p in range(len(pus)))]
-        slot_ranges.append((start, len(chunk), pu, by_pu))
-    max_pairs = max((len(pu) for _, _, pu, _ in slot_ranges), default=0)
+    batch_slots = block_slots * max(1, _BLOCK_SAMPLES // 8 // (block_slots * group))
+    # the most active (slot, primary user) pairs in one slot range
+    max_pairs = max((np.count_nonzero(states[start : start + block_slots])
+                     for start in range(0, n_slots, block_slots)), default=0)
     stop, errors = threading.Event(), []
 
     def draw(lo: int, hi: int) -> None:
-        """Rows ``lo..hi`` of ``stats``, block by block in slot order, in
-        buffers allocated once; returns early once ``stop`` is set."""
+        """Rows ``lo..hi`` of ``stats``, batch by batch: per sensor group, its
+        mean powers over the batch's active pairs, then its blocks in slot
+        order; returns early once ``stop`` is set."""
         samples_buf = np.empty(group * block_slots * w)
-        normals_buf = np.empty(group * max_pairs)
         fades_buf = np.empty(group * max_pairs * w)
-        for start, length, pu, by_pu in slot_ranges:
+        for batch in range(0, n_slots, batch_slots):
+            ranges = []  # (first slot, active pairs' users, per user (slots, pair mask))
+            for start in range(batch, min(batch + batch_slots, n_slots), block_slots):
+                slots, pu = np.nonzero(states[start : start + block_slots])
+                by_pu = [(slots[mine], mine) for mine in (pu == p for p in range(len(pus)))]
+                ranges.append((start, pu, by_pu))
+            users = np.concatenate([pu for _, pu, _ in ranges])
             for first in range(lo, hi, group):
-                if stop.is_set():
-                    return
                 rows = range(first, min(first + group, hi))
-                size, pairs = len(rows), len(pu)
-                samples = samples_buf[: size * length * w].reshape(size, length, w)
-                normals = normals_buf[: size * pairs].reshape(size, pairs)
-                fades = fades_buf[: size * pairs * w].reshape(size, pairs, w)
-                for j, i in enumerate(rows):
-                    obs, shadow, fade = streams[i]
-                    obs.standard_exponential(out=samples[j])
-                    if sigma > 0.0:
-                        shadow.standard_normal(out=normals[j])
-                    fade.standard_exponential(out=fades[j])
-                samples *= noise_mw
-                power_dbm = mean_dbm[first : rows.stop, pu]
+                power_dbm = mean_dbm[first : rows.stop, users]
                 if sigma > 0.0:
-                    power_dbm = power_dbm + sigma * normals
-                fades *= dbm_to_mw(power_dbm)[..., None]
-                for on_slots, mine in by_pu:
-                    samples[:, on_slots] += fades[:, mine]
-                _window_stats(samples, stats[first : rows.stop, start : start + length])
+                    normals = np.empty(power_dbm.shape)
+                    for j, i in enumerate(rows):
+                        streams[i].shadow.standard_normal(out=normals[j])
+                    power_dbm += sigma * normals
+                powers, done = dbm_to_mw(power_dbm), 0
+                for start, pu, by_pu in ranges:
+                    if stop.is_set():
+                        return
+                    size, length, pairs = len(rows), min(block_slots, n_slots - start), len(pu)
+                    samples = samples_buf[: size * length * w].reshape(size, length, w)
+                    fades = fades_buf[: size * pairs * w].reshape(size, pairs, w)
+                    for j, i in enumerate(rows):
+                        streams[i].obs.standard_exponential(out=samples[j])
+                        streams[i].fade.standard_exponential(out=fades[j])
+                    samples *= noise_mw
+                    fades *= powers[:, done : done + pairs, None]
+                    done += pairs
+                    for on_slots, mine in by_pu:
+                        samples[:, on_slots] += fades[:, mine]
+                    _window_stats(samples, stats[first : rows.stop, start : start + length])
 
     def work(lo: int, hi: int) -> None:
         try:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 
@@ -536,6 +537,76 @@ def test_samples_weighting_trains_as_uniform(self_weight):
     # the last exchange (slot 60) follows the last training: only node 4 keeps a count
     assert [m.n_train_samples for m in runs["samples"][1].final_models] == [0, 0, 0, 0, 60, 0]
     assert metrics_csv_lines(runs["samples"]) == metrics_csv_lines(runs["uniform"])
+
+
+def _trained_with_streams(sensing, topologies, monkeypatch):
+    """``train_topologies(sensing, topologies)`` and the ``train:`` generators
+    it drew the epoch orders from."""
+    derive, drawn = engine.substreams, []
+
+    def substreams(seed, labels):
+        rngs = derive(seed, labels)
+        drawn.extend(rng for rng, label in zip(rngs, labels) if label.startswith("train:"))
+        return rngs
+
+    monkeypatch.setattr(engine, "substreams", substreams)
+    trained = train_topologies(sensing, topologies)
+    monkeypatch.setattr(engine, "substreams", derive)
+    return trained, [rng.bit_generator.state for rng in drawn]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 6])
+def test_epoch_orders_drawn_in_chunks_train_the_one_chunk_models(chunk, monkeypatch):
+    # 7 training periods, their orders drawn `chunk` periods at a time (3:
+    # two full chunks and a last one of one period; 6: one full, one of one
+    # period) train every topology's models to the bit of the one-chunk draw,
+    # and leave every train: stream in the same state
+    schedule = SlotSchedule(70, 10, 10, 20, 8)
+    tc = TrainingConfig(model_kind="mlp", epochs_per_round=3, batch_size=4)
+    scenario = small_scenario(n_sensors=4, schedule=schedule, training=tc)
+    sensing = sense_run(scenario, 19)
+    assert 4 * 4 * 3 * 10 * 7 <= engine._ORDER_BYTES  # one chunk by default
+    whole, whole_states = _trained_with_streams(sensing, TOPOLOGIES, monkeypatch)
+    monkeypatch.setattr(engine, "_ORDER_BYTES", chunk * 4 * 4 * 3 * 10 + 3)
+    chunked, chunked_states = _trained_with_streams(sensing, TOPOLOGIES, monkeypatch)
+    assert chunked.theta.tobytes() == whole.theta.tobytes()
+    assert len(chunked_states) == 4 and chunked_states == whole_states
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["scenarios/default.json", "scenarios/data_scarce.json", "bench/scenarios/dense_gossip.json"],
+)
+def test_presets_draw_their_epoch_orders_in_one_chunk(path):
+    scenario = load_scenario(path)
+    schedule, n = scenario.schedule, scenario.n_sensors
+    period = schedule.local_train_period_slots
+    periods = schedule.n_training_slots // period
+    assert 4 * n * scenario.training.epochs_per_round * period * periods <= engine._ORDER_BYTES
+
+
+def test_epoch_orders_of_a_long_run_stay_within_a_chunk():
+    # default.json at 400 sensors and 16 epochs a period: the whole run's int32
+    # orders would be 4 * 400 * 40 * 16 * 50 bytes (51.2 MB); drawn a chunk
+    # at a time (here one period, 1.28 MB) training peaks at the step's own
+    # gather of a period's windows in epoch order (7.7 MB) plus a chunk.
+    # tracemalloc sees numpy's allocations.  The windows are a broadcast
+    # zero row, so the peak is training's alone.
+    scenario = load_scenario("scenarios/default.json")
+    scenario = replace(scenario, n_sensors=400,
+                       training=replace(scenario.training, epochs_per_round=16))
+    placements = place_nodes(scenario, substream(1, "placement"))
+    slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
+    truths = np.arange(slots) % 3 == 0
+    windows = np.broadcast_to(np.zeros(3), (400, slots, 3))
+    sensing = engine.RunSensing(scenario, 1, placements, windows, truths)
+    tracemalloc.start()
+    try:
+        train_topologies(sensing, ["isolated"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_identical_nodes_central_matches_single_pool(monkeypatch):

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -234,17 +235,19 @@ def test_per_pair_shadowing_moments():
 def block_runs():
     """(scenario, block sizes in samples) of a long run (3 sensors, 600 slots
     of 64 samples) and a short one (7 sensors, 40 slots of 16 samples), each
-    with three primary users and with none."""
+    with three primary users and 6 dB shadowing, three users and none, and
+    no primary user."""
     traffic = PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=5.0, mean_gap_slots=5.0)
     runs = []
-    for n_pus in (3, 0):
+    for n_pus, sigma in ((3, 6.0), (3, 0.0), (0, 6.0)):
         long_run = Scenario(
             seed=43, area_size_m=300.0, n_sensors=3, n_primary_users=n_pus, pu_traffic=traffic,
+            channel=ChannelModel(shadowing_sigma_db=sigma),
             schedule=SlotSchedule(400, 200, 10, 10, 64),
         )
         short_run = replace(long_run, n_sensors=7, schedule=SlotSchedule(30, 10, 10, 10, 16))
         runs += [
-            (long_run, [64, 3 * 64, 10_000 * 64]),
+            (long_run, [64, 3 * 64, 7 * 64, 10_000 * 64]),
             (short_run, [16, 3 * 16] + [group * 40 * 16 for group in (1, 2, 3, 7, 10)]),
         ]
     return runs
@@ -253,18 +256,20 @@ def block_runs():
 def test_block_size_does_not_change_the_tensor(monkeypatch):
     # Each stream's draws are sequential and each sensor's rows of a block
     # are its own, so no block shape changes the tensor, with three primary
-    # users or none.  The long run (600 slots of 64 samples, default blocks
-    # of one sensor over 256 slots) takes slot ranges of one window, of an
-    # odd number of windows and of more than the run.  The short run (7
+    # users, with or without shadowing, or none.  The long run (600 slots of
+    # 64 samples, default blocks of one sensor over 384 slots, one batch of
+    # two ranges) takes slot ranges of one window, of 3 and of 7 windows
+    # (batches of 8 ranges; with 7, the last batch has 6, the last of them
+    # a remainder of 5 slots) and of more than the run.  The short run (7
     # sensors, 40 slots of 16 samples, by default all 7 over every slot)
     # takes groups of 1, 2 and 3 sensors (the last group a remainder), of
     # all 7 and of more than 7 over every slot, and blocks of one and of 3
-    # slots; one-slot blocks with every chain off draw no (slot, primary
-    # user) pair.
+    # slots (batches of 2 ranges); one-slot blocks with every chain off
+    # draw no (slot, primary user) pair.
     runs = block_runs()
     defaults = [sense_run(scenario, 43) for scenario, _ in runs]
-    for short in defaults[1::2]:
-        assert_same_bytes(short, per_slot_reference(short.scenario, 43))
+    for default in defaults:
+        assert_same_bytes(default, per_slot_reference(default.scenario, 43))
     assert defaults[1].truths.any() and not defaults[1].truths.all()
     for (scenario, block_samples), default in zip(runs, defaults):
         for samples in block_samples:
@@ -276,15 +281,16 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
     # Each sensor's streams are drawn by one worker, in slot order, into its
     # own rows, so neither the split nor thread scheduling (a short switch
     # interval) changes the tensor.  1, 2 and 3 workers and more than there
-    # are groups: the long runs have 3 groups of one sensor, and the short
-    # runs, in blocks of 2 sensors, 4 groups, the last a remainder.
+    # are groups: the long runs have 3 groups of one sensor, in one batch by
+    # default and in 11 batches of 7-slot ranges, and the short runs, in
+    # blocks of 2 sensors, 4 groups, the last a remainder.
     if hasattr(os, "sched_getaffinity"):
         assert radio._worker_count() == len(os.sched_getaffinity(0))
     default_blocks = radio._BLOCK_SAMPLES
-    runs = [
-        (scenario, default_blocks if scenario.n_sensors == 3 else 2 * 40 * 16)
-        for scenario, _ in block_runs()
-    ]
+    runs = []
+    for scenario, _ in block_runs():
+        blocks = [default_blocks, 7 * 64] if scenario.n_sensors == 3 else [2 * 40 * 16]
+        runs += [(scenario, block_samples) for block_samples in blocks]
     runs += [
         (load_scenario(path), default_blocks)
         for path in ("scenarios/default.json", "scenarios/data_scarce.json")
@@ -302,6 +308,34 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
             finally:
                 sys.setswitchinterval(interval)
             assert got.windows.tobytes() == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("path", ["scenarios/default.json", "bench/scenarios/dense_gossip.json"])
+def test_sensing_memory_is_a_fixed_budget(monkeypatch, path, workers):
+    # tracemalloc sees numpy's allocations.  Beyond the windows and truth
+    # labels it returns, sense_run holds the run's set-up (placements, each
+    # sensor's three streams, the chain states, a byte per slot and primary
+    # user) and, per worker, a block's noise samples, its fade rows, the
+    # scatter's temporaries and a batch's pair data.  Less the chain states,
+    # that stays under 1.5 MiB plus five blocks of noise samples a worker,
+    # and 8 times as many training slots add less than 384 KiB (the busiest
+    # slot range has more pairs in a longer run).
+    monkeypatch.setattr(radio, "_worker_count", lambda: workers)
+    scenario, excess = load_scenario(path), []
+    for scale in (1, 8):
+        schedule = replace(scenario.schedule,
+                           n_training_slots=scale * scenario.schedule.n_training_slots)
+        tracemalloc.start()
+        try:
+            sensing = sense_run(replace(scenario, schedule=schedule), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_slot = sensing.windows.nbytes + len(sensing.truths) * (1 + scenario.n_primary_users)
+        excess.append(peak - per_slot)
+    assert max(excess) < 1.5 * 2**20 + workers * 5 * 8 * radio._BLOCK_SAMPLES
+    assert excess[1] < excess[0] + 384 * 2**10
 
 
 class RaisingStream:
