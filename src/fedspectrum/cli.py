@@ -165,13 +165,13 @@ def metrics_csv_lines(runs: Sequence[engine.RunResult]) -> list[str]:
     lines = [METRICS_HEADER]
     for run in runs:
         # every node receives as many bytes as it sends: rx_bytes repeats tx_bytes
-        tx, costs = run.traffic.tx_bytes, run.per_node_cost
+        tx_bytes, costs = run.traffic.tx_bytes.tolist(), run.per_node_cost
         rows = [
-            (str(i), m, tx.get(i, 0), tx.get(i, 0), c.train_macs_accumulated, c.model_bytes)
-            for i, (m, c) in enumerate(zip(run.per_node_metrics, costs))
+            (str(i), engine.DetectionMetrics(*m), tx, tx, c.train_macs_accumulated, c.model_bytes)
+            for i, (m, tx, c) in enumerate(zip(run.confusion.tolist(), tx_bytes, costs))
         ]
         # totals over every node, the coordinator's traffic included
-        totals = [sum(tx.values())] * 2
+        totals = [run.traffic.total_bytes] * 2
         totals += [sum(c.train_macs_accumulated for c in costs), sum(c.model_bytes for c in costs)]
         for node, m, *counts in rows + [("global", run.global_metrics, *totals)]:
             cells = [f"{run.topology}-s{run.seed}", run.topology, str(run.seed), node]
@@ -263,7 +263,7 @@ def cmd_run(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> int:
                 c.train_macs_accumulated for c in result.per_node_cost
             ),
             "central_aggregation_macs": result.central_aggregation_macs,
-            "max_node_aggregation_macs": max(result.node_aggregation_macs),
+            "max_node_aggregation_macs": int(result.node_aggregation_macs.max()),
         },
     }
     texts = {

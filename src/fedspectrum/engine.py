@@ -17,19 +17,19 @@ topology's exchange (gossip or central FedAvg round) mixes its slice,
 training first when both land on the same slot; the gossip mixer is built
 at the first gossip round.  Eval slots: models are frozen and one
 ``predict_rows`` call decides every node's windows.  Sensor ``i`` is row
-``i`` of every array: models, neighbor table, windows.  The engine opens
-no file and reads no clock: results are data (arrays, ``RunResult``,
-``ComparisonReport``) and ``cli`` owns every file, output format and
-wall-clock reading.
+``i`` of every array: models, neighbor table, windows, per-node results.
+The engine opens no file and reads no clock: results are data (arrays,
+``RunResult``, ``ComparisonReport``) and ``cli`` owns every file, output
+format and wall-clock reading.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
 times each at ``3 * macs_per_inference`` (forward, backward, update); a
 gossip or central run has ``n_training_slots // federation_period_slots``
-rounds, and traffic and aggregation MACs follow from the rounds and the
-node degrees.
+rounds, and traffic and aggregation MACs follow from the rounds and one
+``(n,)`` degree vector, the models each sensor sends a round.
 So is a final model's ``n_train_samples``, the windows trained since the
-node's last exchange: all of them for a node that never mixes, else those
+node's last exchange: all of them for a node of degree 0, else those
 trained after the last federation slot.
 
 Random sub-streams are labeled so modules cannot disturb each other, and
@@ -138,25 +138,26 @@ def evaluate_detection(decided: np.ndarray, truths: np.ndarray) -> DetectionMetr
     return DetectionMetrics(*_confusion(decided, truths).tolist())
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
-    """Everything one simulation produced."""
+    """Everything one simulation produced; row ``i`` of each per-node array
+    (read-only) is sensor ``i``, ``confusion``'s its (tp, fp, tn, fn)."""
 
     scenario_digest: str
     topology: str
     seed: int
-    per_node_metrics: list[DetectionMetrics]
+    confusion: np.ndarray
     global_metrics: DetectionMetrics
     traffic: TrafficStats
     per_node_cost: list[CostReport]
-    node_aggregation_macs: list[int]
+    node_aggregation_macs: np.ndarray
     central_aggregation_macs: int
     federation_rounds: int
     final_models: list[ModelParams]
 
     def busiest_node_bytes(self) -> int:
-        n = len(self.per_node_metrics)
-        return max(self.traffic.node_bytes(i) for i in range(n))
+        """Bytes the busiest sensor sent and received."""
+        return 2 * int(self.traffic.tx_bytes.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +257,7 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
     # theta[j, i] is sensor i's model in topology j
     init_rng, *train_rngs = substreams(seed, ["init"] + [f"train:{p.node_id}" for p in sensors])
-    theta = np.tile(init_model(kind, tc, init_rng).theta, (k, n, 1))
+    theta = np.tile(init_model(kind, tc, init_rng), (k, n, 1))
 
     schedule = scenario.schedule
     period, federation = schedule.local_train_period_slots, schedule.federation_period_slots
@@ -287,9 +288,9 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
             if slot % period == 0:
                 p = slot // period - 1
                 if p % chunk == 0:  # the next chunk's orders, maybe a shorter last one
-                    k = min(chunk, periods - p) * epochs
+                    draws = min(chunk, periods - p) * epochs
                     for rng, rows in zip(train_rngs, orders.reshape(n, -1, period)):
-                        rows[:k] = rng.permuted(ordered[:k], axis=1, out=drawn[:k])
+                        rows[:draws] = rng.permuted(ordered[:draws], axis=1, out=drawn[:draws])
                 x, y = windows[:, slot - period : slot], truths[slot - period : slot]
                 train_rows(kind, theta, x, y, tc, orders[:, p % chunk])
                 check(f"after local training round {slot // period} (slot {slot})")
@@ -340,44 +341,42 @@ def run_simulation(
     rounds = 0 if topology == "isolated" else (
         schedule.n_training_slots // schedule.federation_period_slots)
 
-    central_id = next(p.node_id for p in sensing.placements if p.kind == "central")
     n = trained.theta.shape[1]
-    # Per round: models each node sends and receives, and models merged.
+    # Per round: the models each sensor sends and receives, and the sensors
+    # the coordinator serves; gossip nodes and the coordinator merge them.
+    degree, central = np.zeros(n, np.int64), 0
     if topology == "gossip":
-        node_merges, central_merges = trained.table.valid.sum(axis=1).tolist(), 0
-        degrees = dict(enumerate(node_merges))
+        degree = trained.table.valid.sum(axis=1)
     elif topology == "central":
-        degrees = {**dict.fromkeys(range(n), 1), central_id: n}
-        node_merges, central_merges = [0] * n, n
-    else:
-        degrees, node_merges, central_merges = {}, [0] * n, 0
+        degree, central = np.ones(n, np.int64), n
 
     kind = scenario.training.model_kind
     theta = trained.theta[j].copy()
     decided = predict_rows(kind, theta, sensing.windows[:, schedule.n_training_slots :]) >= 0.5
-    counts = _confusion(decided, sensing.truths[schedule.n_training_slots :])
-    per_node = [DetectionMetrics(*row) for row in counts.tolist()]
-    global_metrics = DetectionMetrics(*counts.sum(axis=0).tolist())
+    confusion = _confusion(decided, sensing.truths[schedule.n_training_slots :])
+    global_metrics = DetectionMetrics(*confusion.sum(axis=0).tolist())
     # closed forms (module docstring): every node trains on each full period,
     # and a node that mixes last did so at the last federation slot
     macs_per_inference, param_count = cost_constants(kind)
     period = schedule.local_train_period_slots
     windows = period * (schedule.n_training_slots // period)
     fresh = windows - period * (rounds * schedule.federation_period_slots // period)
-    models = [ModelParams(kind, row, fresh if degrees.get(i) else windows)
-              for i, row in enumerate(theta)]
+    models = [ModelParams(kind, row, fresh if d else windows)
+              for row, d in zip(theta, degree.tolist())]
+    node_macs = rounds * param_count * (degree if topology == "gossip" else np.zeros_like(degree))
+    confusion.flags.writeable = node_macs.flags.writeable = False
     train_macs = 3 * scenario.training.epochs_per_round * windows * macs_per_inference
     cost = CostReport(macs_per_inference, param_count, 8 * param_count, train_macs)
     return RunResult(
         scenario_digest=scenario_digest(scenario),
         topology=topology,
         seed=seed,
-        per_node_metrics=per_node,
+        confusion=confusion,
         global_metrics=global_metrics,
-        traffic=exchange_traffic(degrees, payload_bytes(param_count), rounds, central_id),
+        traffic=exchange_traffic(degree, central, payload_bytes(param_count), rounds),
         per_node_cost=[cost] * n,
-        node_aggregation_macs=[rounds * param_count * m for m in node_merges],
-        central_aggregation_macs=rounds * param_count * central_merges,
+        node_aggregation_macs=node_macs,
+        central_aggregation_macs=rounds * param_count * central,
         federation_rounds=rounds,
         final_models=models,
     )
@@ -445,7 +444,7 @@ def summarize_runs(runs: Sequence[RunResult]) -> ComparisonReport:
                 np.mean([r.central_aggregation_macs for r in group])
             ),
             max_node_aggregation_macs=float(
-                np.mean([max(r.node_aggregation_macs) for r in group])
+                np.mean([r.node_aggregation_macs.max() for r in group])
             ),
             mean_accuracy=mean_acc,
             mean_pd=mean_pd,

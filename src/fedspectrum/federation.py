@@ -13,17 +13,18 @@ slots, so every merge would weigh equal sample counts: ``samples`` weighting
 builds ``uniform``'s weights, and no counts are kept.  Rounds are
 synchronous, and both steps match per-model references (``merge_models`` and
 ``fedavg_aggregate`` in the tests' oracles, given equal counts) bit for bit.
-Traffic is a closed form: per round each node sends one model to and
-receives one from each peer, at ``16 + 8 * param_count`` bytes a model
-(4-byte sender id, 4-byte round index, 8-byte sample count, then float64
-coefficients), so a node receives as many bytes as it sends.
+Traffic is a closed form: per round sensor ``i`` sends one model to and
+receives one from each of its ``degree[i]`` peers (the coordinator: each
+sensor it serves), at ``16 + 8 * param_count`` bytes a model (4-byte sender
+id, 4-byte round index, 8-byte sample count, then float64 coefficients), so
+a node receives as many bytes as it sends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,34 +49,29 @@ class FederationConfig:
     include_self_weight: bool = True
 
 
-@dataclass
+@dataclass(eq=False)
 class TrafficStats:
-    """Byte counters for one or more federation rounds; every node receives
-    as many bytes as it sends (``tx_bytes``)."""
+    """Byte counters for one or more federation rounds: each sensor sends and
+    receives ``tx_bytes`` (read-only, ``(n,)``), the coordinator ``central_bytes``."""
 
-    tx_bytes: dict[int, int] = field(default_factory=dict)
+    tx_bytes: np.ndarray
     central_bytes: int = 0
     total_bytes: int = 0
     messages: int = 0
-
-    def node_bytes(self, node_id: int) -> int:
-        """Bytes the node sent and received."""
-        return 2 * self.tx_bytes.get(node_id, 0)
 
 
 def payload_bytes(param_count: int) -> int:
     return HEADER_BYTES + 8 * param_count
 
 
-def exchange_traffic(
-    degrees: Mapping[int, int], payload: int, rounds: int, central_id: int
-) -> TrafficStats:
-    """Traffic of ``rounds`` rounds in which each node sends one model to, and
-    receives one from, each of its ``degrees[node]`` peers (for central, the
-    star around ``central_id``).  Nodes that exchange nothing get no entry."""
-    per_node = {node: d * payload * rounds for node, d in degrees.items() if d and rounds}
-    links = sum(degrees.values()) * rounds
-    return TrafficStats(per_node, 2 * per_node.get(central_id, 0), links * payload, links)
+def exchange_traffic(degree: np.ndarray, central: int, payload: int, rounds: int) -> TrafficStats:
+    """Traffic of ``rounds`` rounds in which sensor ``i`` sends one model to,
+    and receives one from, each of its ``degree[i]`` peers, and the
+    coordinator does so with each of ``central`` sensors."""
+    tx = np.multiply(degree, payload * rounds, dtype=np.int64)
+    tx.flags.writeable = False
+    messages = (int(np.sum(degree)) + central) * rounds  # the models sent
+    return TrafficStats(tx, 2 * central * payload * rounds, messages * payload, messages)
 
 
 class NeighborTable(NamedTuple):

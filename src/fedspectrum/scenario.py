@@ -62,7 +62,7 @@ class SlotSchedule:
 @dataclass
 class Placement:
     node_id: int
-    kind: str  # "sensor" | "primary_user" | "central"
+    kind: str  # "sensor" | "primary_user"
     x_m: float
     y_m: float
 
@@ -303,14 +303,14 @@ def check_scenario(s: Scenario) -> Scenario:
 
 
 def place_nodes(s: Scenario, rng: np.random.Generator) -> list[Placement]:
-    """Lay out sensors, primary users, and the central node.
+    """Lay out the sensors and the primary users.
 
     Grid mode fills the nearest square grid with equal margins in row-major
     node-id order and consumes no random draws, so grid sensor positions are
     seed-independent.  Primary users are always uniform over the area.  Each
     random node draws its x then its y, node after node, in one array draw
-    per kind.  Node ids: sensors ``0..n_sensors-1``, then primary users, then
-    the central node.
+    per kind.  Node ids: sensors ``0..n_sensors-1``, then primary users; no
+    cost depends on where the coordinator stands, so it is not placed.
     """
     n, area = s.n_sensors, s.area_size_m
     if s.sensor_placement == "grid":
@@ -322,6 +322,4 @@ def place_nodes(s: Scenario, rng: np.random.Generator) -> list[Placement]:
         xy = rng.uniform(0.0, area, size=(n, 2))
     xy = np.concatenate([xy, rng.uniform(0.0, area, size=(s.n_primary_users, 2))])
     kinds = ["sensor"] * n + ["primary_user"] * s.n_primary_users
-    nodes = [Placement(i, kind, x, y) for i, (kind, (x, y)) in enumerate(zip(kinds, xy.tolist()))]
-    cx, cy = s.central_xy_m if s.central_xy_m is not None else (area / 2.0, area / 2.0)
-    return nodes + [Placement(len(kinds), "central", cx, cy)]
+    return [Placement(i, kind, x, y) for i, (kind, (x, y)) in enumerate(zip(kinds, xy.tolist()))]

@@ -98,15 +98,15 @@ class ModelParams:
         return ModelParams(self.kind, self.theta.copy(), self.n_train_samples)
 
 
-def init_model(kind: str, tc: TrainingConfig, rng: np.random.Generator) -> ModelParams:
-    """Fresh model: logistic starts at zero, MLP weights uniform, biases zero."""
+def init_model(kind: str, tc: TrainingConfig, rng: np.random.Generator) -> np.ndarray:
+    """Fresh ``(d,)`` theta: logistic starts at zero, MLP weights uniform, biases zero."""
     dim = model_dim(kind)
     theta = np.zeros(dim)
     if kind == "mlp":
         s = tc.init_scale
         theta[:_W1_END] = rng.uniform(-s, s, size=_W1_END)
         theta[_B1_END:_W2_END] = rng.uniform(-s, s, size=MLP_HIDDEN)
-    return ModelParams(kind, theta, 0)
+    return theta
 
 
 def _work(kind: str, theta: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
@@ -194,12 +194,14 @@ def train_rows(
         raise EmptyDataError("x: training buffer is empty")
     if order.shape[1:] != (epochs, m):
         raise ValueError(f"order: rows {order.shape[1:]}, not (epochs_per_round, m) {(epochs, m)}")
-    # one take from the flattened buffers, several times faster than x[rows, order]
-    xs = np.take(x.reshape(n * m, 3), order + np.arange(0, n * m, m)[:, None, None], axis=0)
-    ys = np.take(np.asarray(y, dtype=np.float64), order)
+    # an epoch's windows: one take from the flat buffers, faster than x[rows, order]
+    flat_x, offsets = x.reshape(n * m, 3), np.arange(0, n * m, m)[:, None]
+    y = np.asarray(y, dtype=np.float64)
     work = {b: _work(kind, theta, x[:, :b]) for b in {min(batch, m), m % batch or batch}}
     with np.errstate(over="ignore", under="ignore"):
-        for epoch_x, epoch_y in zip(xs.swapaxes(0, 1), ys.swapaxes(0, 1)):
+        for epoch in range(epochs):
+            epoch_x = np.take(flat_x, order[:, epoch] + offsets, axis=0)
+            epoch_y = np.take(y, order[:, epoch])
             for start in range(0, m, batch):
                 bx, by = epoch_x[:, start : start + batch], epoch_y[:, start : start + batch]
                 grad = gradient(kind, theta, bx, by, work[bx.shape[1]])

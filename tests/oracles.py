@@ -88,11 +88,6 @@ def place_nodes(s, rng):
         x = rng.uniform(0.0, s.area_size_m)
         y = rng.uniform(0.0, s.area_size_m)
         placements.append(Placement(s.n_sensors + j, "primary_user", x, y))
-    if s.central_xy_m is not None:
-        cx, cy = s.central_xy_m
-    else:
-        cx = cy = s.area_size_m / 2.0
-    placements.append(Placement(s.n_sensors + s.n_primary_users, "central", cx, cy))
     return placements
 
 
@@ -355,9 +350,8 @@ def train_topology(sensing, topology):
     tc, cfg, schedule = scenario.training, scenario.federation, scenario.schedule
     sensors = [p for p in sensing.placements if p.kind == "sensor"]
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
-    start = init_model(tc.model_kind, tc, substream(seed, "init"))
-    theta = np.tile(start.theta, (len(sensors), 1))
-    samples = np.full(len(sensors), start.n_train_samples, dtype=np.int64)
+    theta = np.tile(init_model(tc.model_kind, tc, substream(seed, "init")), (len(sensors), 1))
+    samples = np.zeros(len(sensors), dtype=np.int64)
     rngs = [substream(seed, f"train:{p.node_id}") for p in sensors]
     windows = sensing.windows
     period, rounds = schedule.local_train_period_slots, 0

@@ -127,11 +127,10 @@ def test_run_simulation_shapes_and_counts():
     result = run_simulation(small_scenario(), "isolated", 4)
     assert result.topology == "isolated"
     assert result.seed == 4
-    assert len(result.per_node_metrics) == 3
+    assert result.confusion.shape == (3, 4)
     assert len(result.final_models) == 3
     assert len(result.per_node_cost) == 3
-    for m in result.per_node_metrics:
-        assert m.tp + m.fp + m.tn + m.fn == 40
+    assert result.confusion.sum(axis=1).tolist() == [40] * 3
     g = result.global_metrics
     assert g.tp + g.fp + g.tn + g.fn == 120
     assert result.federation_rounds == 0
@@ -143,7 +142,7 @@ def test_run_simulation_shapes_and_counts():
     # each model is backed by the 60 windows it trained on
     assert [m.n_train_samples for m in result.final_models] == [60] * 3
     assert result.central_aggregation_macs == 0
-    assert result.node_aggregation_macs == [0, 0, 0]
+    assert result.node_aggregation_macs.tolist() == [0, 0, 0]
 
 
 def test_run_simulation_rejects_bad_inputs():
@@ -217,7 +216,8 @@ def test_gossip_run_without_a_round_builds_no_mixer(monkeypatch):
     monkeypatch.setattr(engine, "gossip_mixer", unused)
     scenario = small_scenario(schedule=SlotSchedule(15, 10, 5, 20, 8))
     result = run_simulation(scenario, "gossip", 1)
-    assert result.federation_rounds == 0 and result.traffic == TrafficStats()
+    assert result.federation_rounds == 0 and result.traffic.messages == 0
+    assert result.traffic.tx_bytes.tolist() == [0, 0, 0] and result.traffic.total_bytes == 0
 
 
 def poisoned_at(mix, round_):
@@ -289,9 +289,9 @@ def test_every_window_is_counted_once_against_one_truth_per_slot(
         schedule=schedule,
     )
     result = run_simulation(scenario, topology, seed)
-    per_node = [astuple(m) for m in result.per_node_metrics]
-    assert len(per_node) == n_sensors
-    assert sum(map(sum, per_node)) == sum(astuple(result.global_metrics)) == n_sensors * n_eval
+    assert result.confusion.shape == (n_sensors, 4)
+    assert result.confusion.sum(axis=0).tolist() == list(astuple(result.global_metrics))
+    assert result.confusion.sum() == n_sensors * n_eval
     # The truth label is one value per slot: the traffic stream's chains
     # replayed through both phases give every node the same positives.
     rng = substream(seed, "traffic")
@@ -300,7 +300,8 @@ def test_every_window_is_counted_once_against_one_truth_per_slot(
     for slot in range(n_training + n_eval):
         on = pu_activity_step(on, scenario.pu_traffic, rng)
         occupied += slot >= n_training and bool(on.any())
-    assert {m.tp + m.fn for m in result.per_node_metrics} == {occupied}
+    tp, _, _, fn = result.confusion.T
+    assert set((tp + fn).tolist()) == {occupied}
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,22 +352,33 @@ def test_costs_and_traffic_are_closed_forms(
     assert traffic.messages == rounds * (degree.sum() + central)
     assert traffic.total_bytes == rounds * (degree.sum() + central) * payload
     assert traffic.central_bytes == 2 * rounds * central * payload
-    node_bytes = [traffic.node_bytes(i) for i in range(n_sensors)]
-    assert node_bytes == (2 * rounds * payload * degree).tolist()
+    assert traffic.tx_bytes.tolist() == (rounds * payload * degree).tolist()
+    assert result.busiest_node_bytes() == 2 * rounds * payload * degree.max()
     merges = degree if topology == "gossip" else 0 * degree
-    assert result.node_aggregation_macs == (rounds * params * merges).tolist()
+    assert result.node_aggregation_macs.tolist() == (rounds * params * merges).tolist()
     assert result.central_aggregation_macs == rounds * params * central
 
 
+def same(x, y):
+    """Equal values; arrays by dtype, shape and bytes."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    return x == y
+
+
 def assert_same_run(a, b):
-    """Every RunResult field equal; models as bytes."""
+    """Every RunResult field equal: models and arrays as bytes, traffic field
+    by field."""
     for f in fields(RunResult):
         if f.name == "final_models":
             for ma, mb in zip(a.final_models, b.final_models, strict=True):
                 assert (ma.kind, ma.n_train_samples) == (mb.kind, mb.n_train_samples)
                 assert ma.theta.tobytes() == mb.theta.tobytes()
+        elif f.name == "traffic":
+            for g in fields(TrafficStats):
+                assert same(getattr(a.traffic, g.name), getattr(b.traffic, g.name)), g.name
         else:
-            assert getattr(a, f.name) == getattr(b, f.name), f.name
+            assert same(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
@@ -483,7 +495,7 @@ def test_run_simulation_deterministic_rerun():
     a = run_simulation(small_scenario(), "gossip", 7)
     b = run_simulation(small_scenario(), "gossip", 7)
     assert a.scenario_digest == b.scenario_digest
-    assert a.per_node_metrics == b.per_node_metrics
+    assert same(a.confusion, b.confusion)
     assert a.traffic.total_bytes == b.traffic.total_bytes
     for ma, mb in zip(a.final_models, b.final_models):
         np.testing.assert_array_equal(ma.theta, mb.theta)
@@ -495,7 +507,7 @@ def test_gossip_zero_radius_degenerates_to_isolated():
     iso = run_simulation(scenario_a, "isolated", 9)
     gos = run_simulation(scenario_b, "gossip", 9)
     assert gos.traffic.messages == 0
-    assert gos.per_node_metrics == iso.per_node_metrics
+    assert same(gos.confusion, iso.confusion)
     for ma, mb in zip(iso.final_models, gos.final_models):
         np.testing.assert_array_equal(ma.theta, mb.theta)
 
@@ -588,10 +600,10 @@ def test_presets_draw_their_epoch_orders_in_one_chunk(path):
 def test_epoch_orders_of_a_long_run_stay_within_a_chunk():
     # default.json at 400 sensors and 16 epochs a period: the whole run's int32
     # orders would be 4 * 400 * 40 * 16 * 50 bytes (51.2 MB); drawn a chunk
-    # at a time (here one period, 1.28 MB) training peaks at the step's own
-    # gather of a period's windows in epoch order (7.7 MB) plus a chunk.
-    # tracemalloc sees numpy's allocations.  The windows are a broadcast
-    # zero row, so the peak is training's alone.
+    # at a time (here one period, 1.28 MB) and gathered an epoch at a time
+    # (0.48 MB of windows, not the period's 7.7 MB), training peaks near
+    # 3.4 MB.  tracemalloc sees numpy's allocations.  The windows are a
+    # broadcast zero row, so the peak is training's alone.
     scenario = load_scenario("scenarios/default.json")
     scenario = replace(scenario, n_sensors=400,
                        training=replace(scenario.training, epochs_per_round=16))
@@ -606,7 +618,7 @@ def test_epoch_orders_of_a_long_run_stay_within_a_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 6 * 2**20
 
 
 def test_identical_nodes_central_matches_single_pool(monkeypatch):
@@ -635,7 +647,7 @@ def test_isolated_training_is_the_per_node_oracle_loop(kind, identical, monkeypa
         sensing = identical_nodes(sensing, monkeypatch)
         trained = train_topologies(sensing, ["isolated"])
     result = run_simulation(scenario, "isolated", 17, trained=trained)
-    start = init_model(kind, scenario.training, substream(17, "init")).theta
+    start = init_model(kind, scenario.training, substream(17, "init"))
     for i, model in enumerate(result.final_models):
         rng = substream(17, "train:shared" if identical else f"train:{i}")
         row, theta = sensing.windows[i], start
@@ -670,7 +682,7 @@ def test_traffic_equals_rounds_times_closed_form():
     valid = build_neighbor_graph(sensors, 400.0).valid
     assert result.traffic.total_bytes == 3 * 48 * valid.sum()
     assert result.traffic.central_bytes == 0
-    assert result.node_aggregation_macs == [3 * valid[i].sum() * 4 for i in range(3)]
+    assert result.node_aggregation_macs.tolist() == [3 * valid[i].sum() * 4 for i in range(3)]
 
     central = run_simulation(small_scenario(), "central", 15)
     assert central.traffic.total_bytes == 3 * 2 * 3 * 48
@@ -740,16 +752,50 @@ def test_metrics_csv_shape_and_global_row():
     assert int(gossip_global[10]) == sum(int(r[10]) for r in per_node)
 
 
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_metrics_csv_bytes_are_the_runs_traffic(topology):
+    # node rows carry tx_bytes; the totals row carries total_bytes, which for
+    # central also counts the coordinator's sends beyond the node rows' sum
+    run = run_simulation(small_scenario(), topology, 1)
+    *nodes, totals = [line.split(",") for line in metrics_csv_lines([run])[1:]]
+    assert [(int(r[7]), int(r[8])) for r in nodes] == [(b, b) for b in run.traffic.tx_bytes]
+    assert totals[3] == "global"
+    assert int(totals[7]) == int(totals[8]) == run.traffic.total_bytes
+    coordinator = run.traffic.central_bytes // 2
+    assert run.traffic.total_bytes == sum(int(r[7]) for r in nodes) + coordinator
+    assert (coordinator > 0) == (topology == "central")
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_per_node_results_are_read_only_int_arrays(topology):
+    # row i is sensor i: its confusion counts against its own decisions
+    scenario = small_scenario(n_sensors=5)
+    sensing = sense_run(scenario, 6)
+    result = run_simulation(scenario, topology, 6)
+    for a, shape in [
+        (result.confusion, (5, 4)),
+        (result.traffic.tx_bytes, (5,)),
+        (result.node_aggregation_macs, (5,)),
+    ]:
+        assert a.shape == shape and a.dtype.kind == "i" and not a.flags.writeable
+    theta = np.stack([m.theta for m in result.final_models])
+    cut = scenario.schedule.n_training_slots
+    decided = predict_rows("logistic", theta, sensing.windows[:, cut:]) >= 0.5
+    for counts, row in zip(result.confusion.tolist(), decided):
+        assert DetectionMetrics(*counts) == evaluate_detection(row, sensing.truths[cut:])
+    assert result.global_metrics == DetectionMetrics(*result.confusion.sum(axis=0).tolist())
+
+
 def test_metrics_csv_blank_cell_for_undefined_rate():
     run = RunResult(
         scenario_digest="x" * 16,
         topology="isolated",
         seed=1,
-        per_node_metrics=[DetectionMetrics(0, 1, 9, 0)],
+        confusion=np.array([[0, 1, 9, 0]]),
         global_metrics=DetectionMetrics(0, 1, 9, 0),
-        traffic=TrafficStats(),
+        traffic=TrafficStats(np.zeros(1, np.int64)),
         per_node_cost=[CostReport(3, 4, 32, 0)],
-        node_aggregation_macs=[0],
+        node_aggregation_macs=np.zeros(1, np.int64),
         central_aggregation_macs=0,
         federation_rounds=0,
         final_models=[ModelParams("logistic", np.zeros(4))],

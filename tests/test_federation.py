@@ -12,7 +12,6 @@ from fedspectrum.federation import (
     FederationConfig,
     NeighborTable,
     NonpositiveDistanceError,
-    TrafficStats,
     build_neighbor_graph,
     exchange_traffic,
     fedavg_mix,
@@ -333,13 +332,14 @@ def stacked(models):
     return np.stack([m.theta for m in models])
 
 
-def degrees_of(table):
-    return dict(enumerate(table.valid.sum(axis=1).tolist()))
+def degree_of(table):
+    """The ``(n,)`` degree vector of a neighbor table, as the engine builds it."""
+    return table.valid.sum(axis=1)
 
 
-def star(n, central_id):
-    """Degrees of a central round: one link per sensor, n at the coordinator."""
-    return {**dict.fromkeys(range(n), 1), central_id: n}
+def assert_frozen_ints(a, shape):
+    """``a`` is a read-only int array of ``shape``."""
+    assert a.shape == shape and a.dtype.kind == "i" and not a.flags.writeable
 
 
 def test_gossip_round_snapshot_semantics():
@@ -354,9 +354,8 @@ def test_gossip_round_snapshot_semantics():
     np.testing.assert_allclose(new_theta[2], np.full(4, 6.0), rtol=1e-15)
     # input untouched
     np.testing.assert_array_equal(theta, before)
-    stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
-    assert stats.tx_bytes == {0: 48, 1: 96, 2: 48}
-    assert stats.node_bytes(1) == 2 * 96  # receives what it sends
+    stats = exchange_traffic(degree_of(table), 0, 48, 1)
+    assert stats.tx_bytes.tolist() == [48, 96, 48]  # each also receives as much
     assert stats.messages == 4
 
 
@@ -378,9 +377,9 @@ def test_gossip_isolated_node_untouched(weighting, self_weight):
     new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
     np.testing.assert_array_equal(new_theta[2:], theta[2:])  # NaN compared as NaN
     np.testing.assert_array_equal(np.signbit(new_theta[2:]), np.signbit(theta[2:]))
-    stats = exchange_traffic(degrees_of(table), 48, 1, central_id=9)
+    stats = exchange_traffic(degree_of(table), 0, 48, 1)
     assert stats.messages == 2
-    assert stats.tx_bytes.keys() == {0, 1} and stats.node_bytes(2) == 0
+    assert stats.tx_bytes.tolist() == [48, 48, 0, 0]
 
 
 def test_gossip_empty_graph_no_messages():
@@ -388,31 +387,37 @@ def test_gossip_empty_graph_no_messages():
     theta = stacked([logistic(1.0), logistic(2.0), logistic(3.0)])
     new_theta = gossip_mix(theta, gossip_mixer(table, FederationConfig(weighting="samples"), 4))
     np.testing.assert_array_equal(new_theta, theta)
-    assert exchange_traffic(degrees_of(table), 48, 5, central_id=9) == TrafficStats()
+    stats = exchange_traffic(degree_of(table), 0, 48, 5)
+    assert stats.tx_bytes.tolist() == [0, 0, 0]
+    assert (stats.central_bytes, stats.total_bytes, stats.messages) == (0, 0, 0)
 
 
-def message_traffic(links, payload, rounds, central_id):
+def message_traffic(links, payload, rounds, coordinator):
     """Reference: book every (sender, receiver) model transfer one at a time.
 
-    Returns (bytes sent per node, bytes received per node, TrafficStats
-    holding the sent bytes and the totals)."""
-    stats, rx = TrafficStats(), {}
+    Returns (bytes sent per node id, bytes received per node id, bytes the
+    ``coordinator`` node id sent and received, total bytes, messages)."""
+    tx, rx, total, messages = {}, {}, 0, 0
     for _ in range(rounds):
         for sender, receiver in links:
-            stats.tx_bytes[sender] = stats.tx_bytes.get(sender, 0) + payload
+            tx[sender] = tx.get(sender, 0) + payload
             rx[receiver] = rx.get(receiver, 0) + payload
-            stats.total_bytes += payload
-            stats.messages += 1
-    stats.central_bytes = stats.tx_bytes.get(central_id, 0) + rx.get(central_id, 0)
-    return stats.tx_bytes, rx, stats
+            total += payload
+            messages += 1
+    return tx, rx, tx.get(coordinator, 0) + rx.get(coordinator, 0), total, messages
 
 
-def assert_matches_messages(stats, links, payload, rounds, central_id):
-    """``stats`` books what sending every message one at a time books; its one
-    per-node field is both the bytes sent and the bytes received."""
-    tx, rx, expected = message_traffic(links, payload, rounds, central_id)
-    assert stats == expected
-    assert stats.tx_bytes == tx and stats.tx_bytes == rx
+def assert_matches_messages(stats, links, payload, rounds, n, coordinator=-1):
+    """``stats`` books what sending every message one at a time books: sensor
+    ``i`` of ``n`` sends and receives ``tx_bytes[i]``, the ``coordinator``
+    node (an id outside ``0..n-1``) ``central_bytes / 2`` each way."""
+    tx, rx, central, total, messages = message_traffic(links, payload, rounds, coordinator)
+    assert_frozen_ints(stats.tx_bytes, (n,))
+    assert stats.tx_bytes.tolist() == [tx.get(i, 0) for i in range(n)]
+    assert stats.tx_bytes.tolist() == [rx.get(i, 0) for i in range(n)]
+    assert (stats.central_bytes, stats.total_bytes, stats.messages) == (central, total, messages)
+    assert stats.central_bytes // 2 == tx.get(coordinator, 0) == rx.get(coordinator, 0)
+    assert stats.tx_bytes.sum() + stats.central_bytes // 2 == stats.total_bytes
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.integers(0, 3))
@@ -424,9 +429,9 @@ def test_gossip_message_count_equals_degree_sum(seed, n, rounds):
         for i, (x, y) in enumerate(rng.uniform(0, 500, size=(n, 2)))
     ]
     table = build_neighbor_graph(placements, float(rng.uniform(0, 400)))
-    stats = exchange_traffic(degrees_of(table), 48, rounds, central_id=99)
+    stats = exchange_traffic(degree_of(table), 0, 48, rounds)
     links = [(i, j) for i, row in enumerate(neighbors(table)) for j in row]
-    assert_matches_messages(stats, links, 48, rounds, central_id=99)
+    assert_matches_messages(stats, links, 48, rounds, n)
     assert stats.messages == rounds * table.valid.sum()
     assert stats.total_bytes == 48 * rounds * table.valid.sum()
     assert stats.central_bytes == 0
@@ -436,15 +441,14 @@ def test_central_round_traffic_and_distribution():
     models = [logistic(i, 60) for i in range(12)]
     theta = stacked(models)
     new_theta = fedavg_mix(theta)
-    stats = exchange_traffic(star(12, 20), 48, 1, central_id=20)
+    stats = exchange_traffic(np.ones(12, np.int64), 12, 48, 1)
     assert stats.messages == 24
     assert stats.total_bytes == 24 * 48
     assert stats.central_bytes == 24 * 48
-    for i in range(12):
-        assert stats.tx_bytes[i] == 48
-        assert stats.node_bytes(i) == 2 * 48
+    assert stats.tx_bytes.tolist() == [48] * 12
+    # the coordinator is node 20, say: no sensor id
     links = [(i, 20) for i in range(12)] + [(20, i) for i in range(12)]
-    assert_matches_messages(stats, links, 48, 1, central_id=20)
+    assert_matches_messages(stats, links, 48, 1, 12, coordinator=20)
     # equal counts -> the plain mean of 0..11
     np.testing.assert_allclose(new_theta[0], np.full(4, 5.5), rtol=1e-15)
     for row in new_theta:
@@ -453,27 +457,31 @@ def test_central_round_traffic_and_distribution():
 
 
 def test_traffic_closed_form_scales_with_rounds():
-    degrees = {0: 1, 1: 2, 2: 1}
-    one = exchange_traffic(degrees, 344, 1, central_id=7)
-    assert sum(one.tx_bytes.values()) == one.total_bytes
+    degree = np.array([1, 2, 1])
+    one = exchange_traffic(degree, 0, 344, 1)
+    assert one.tx_bytes.sum() == one.total_bytes
     assert one.total_bytes == 4 * 344
-    assert one.node_bytes(1) == 2 * 2 * 344
-    three = exchange_traffic(degrees, 344, 3, central_id=7)
+    assert one.tx_bytes[1] == 2 * 344
+    three = exchange_traffic(degree, 0, 344, 3)
     assert three.total_bytes == 3 * one.total_bytes
     assert three.messages == 3 * one.messages == 12
-    assert three.node_bytes(1) == 3 * one.node_bytes(1)
-    assert exchange_traffic(degrees, 344, 0, central_id=7) == TrafficStats()
-    assert exchange_traffic({}, 344, 3, central_id=7) == TrafficStats()
+    assert three.tx_bytes.tolist() == (3 * one.tx_bytes).tolist()
+    for stats in exchange_traffic(degree, 3, 344, 0), exchange_traffic(0 * degree, 0, 344, 3):
+        assert stats.tx_bytes.tolist() == [0, 0, 0]
+        assert (stats.central_bytes, stats.total_bytes, stats.messages) == (0, 0, 0)
 
 
-@given(st.dictionaries(st.integers(0, 9), st.integers(0, 9), max_size=10), st.integers(0, 5))
+@given(
+    st.lists(st.integers(0, 9), min_size=1, max_size=10), st.integers(0, 10), st.integers(0, 5)
+)
 @settings(max_examples=60, deadline=None)
-def test_traffic_conservation_property(degrees, rounds):
-    stats = exchange_traffic(degrees, 48, rounds, central_id=0)
-    assert sum(stats.tx_bytes.values()) == stats.total_bytes
-    assert sum(stats.node_bytes(i) for i in degrees) == 2 * stats.total_bytes
-    assert stats.messages == rounds * sum(degrees.values())
-    assert stats.central_bytes == 2 * 48 * rounds * degrees.get(0, 0)
+def test_traffic_conservation_property(degree, central, rounds):
+    stats = exchange_traffic(np.array(degree), central, 48, rounds)
+    assert_frozen_ints(stats.tx_bytes, (len(degree),))
+    assert stats.tx_bytes.tolist() == [48 * rounds * d for d in degree]
+    assert stats.tx_bytes.sum() + stats.central_bytes // 2 == stats.total_bytes
+    assert stats.messages == rounds * (sum(degree) + central)
+    assert stats.central_bytes == 2 * 48 * rounds * central
 
 
 def random_models(rng, n, kind, count):

@@ -168,21 +168,23 @@ def test_grid_ignores_rng_seed():
             assert (pa.x_m, pa.y_m) == (pb.x_m, pb.y_m)
 
 
-def test_placement_ids_unique_and_central_at_center():
+def test_placement_is_sensors_then_primary_users():
+    # the coordinator is not placed: node ids are the sensors, then the users
     s = Scenario(seed=3)
     placements = place_nodes(s, substream(3, "placement"))
-    ids = [p.node_id for p in placements]
-    assert len(ids) == len(set(ids)) == s.n_sensors + s.n_primary_users + 1
-    central = [p for p in placements if p.kind == "central"]
-    assert len(central) == 1
-    assert (central[0].x_m, central[0].y_m) == (500.0, 500.0)
+    assert [p.node_id for p in placements] == list(range(s.n_sensors + s.n_primary_users))
+    kinds = [p.kind for p in placements]
+    assert kinds == ["sensor"] * s.n_sensors + ["primary_user"] * s.n_primary_users
 
 
-def test_central_override():
-    s = Scenario(seed=3, central_xy_m=(100.0, 200.0))
-    placements = place_nodes(s, substream(3, "placement"))
-    central = next(p for p in placements if p.kind == "central")
-    assert (central.x_m, central.y_m) == (100.0, 200.0)
+def test_central_xy_m_is_descriptive_only():
+    # validated and in the digest, but it moves no node and no draw
+    s = Scenario(seed=3, sensor_placement="uniform_random")
+    moved = replace(s, central_xy_m=(100.0, 200.0))
+    assert place_nodes(moved, substream(3, "placement")) == place_nodes(s, substream(3, "placement"))
+    assert scenario_digest(moved) != scenario_digest(s)
+    outside = validate_scenario(replace(s, central_xy_m=(100.0, 2000.0)))
+    assert outside == ["central_xy_m: must lie inside the area (got [100.0, 2000.0])"]
 
 
 def test_uniform_random_within_area_and_deterministic():

@@ -46,7 +46,7 @@ def test_model_cost_bytes():
         macs, params = cost_constants(kind)
         assert (macs, params, 8 * params) == cost
         # a model's bytes are its float64 coefficients
-        assert init_model(kind, tc, substream(1, "init")).theta.nbytes == 8 * params
+        assert init_model(kind, tc, substream(1, "init")).nbytes == 8 * params
 
 
 def test_sigmoid_saturates_quietly_and_tracks_scipy():
@@ -64,21 +64,21 @@ def test_sigmoid_saturates_quietly_and_tracks_scipy():
 
 
 def test_init_logistic_is_zero():
-    m = init_model("logistic", TrainingConfig(), substream(2, "init"))
-    np.testing.assert_array_equal(m.theta, np.zeros(4))
-    assert m.n_train_samples == 0
+    theta = init_model("logistic", TrainingConfig(), substream(2, "init"))
+    np.testing.assert_array_equal(theta, np.zeros(4))
+    assert theta.dtype == np.float64
 
 
 def test_init_mlp_weights_bounded_biases_zero():
     tc = TrainingConfig(init_scale=0.25)
-    m = init_model("mlp", tc, substream(2, "init"))
-    w1, b1, w2, b2 = m.theta[:24], m.theta[24:32], m.theta[32:40], m.theta[40]
+    theta = init_model("mlp", tc, substream(2, "init"))
+    w1, b1, w2, b2 = theta[:24], theta[24:32], theta[32:40], theta[40]
     assert np.all(np.abs(w1) <= 0.25) and np.all(np.abs(w2) <= 0.25)
     assert np.any(w1 != 0.0) and np.any(w2 != 0.0)
     np.testing.assert_array_equal(b1, np.zeros(8))
     assert b2 == 0.0
     again = init_model("mlp", tc, substream(2, "init"))
-    np.testing.assert_array_equal(m.theta, again.theta)
+    np.testing.assert_array_equal(theta, again)
 
 
 def test_model_params_validation():
@@ -306,9 +306,9 @@ def test_train_rows_reduces_loss_both_kinds():
         x[i] = rng.normal(2.0 if y[i] else -2.0, 0.5, size=3)
     for kind in ("logistic", "mlp"):
         tc = TrainingConfig(model_kind=kind, learning_rate=0.1, epochs_per_round=5)
-        m = init_model(kind, tc, substream(43, "init"))
-        before = bce_loss(kind, m.theta, x, y)
-        theta = m.theta[None].copy()
+        start = init_model(kind, tc, substream(43, "init"))
+        before = bce_loss(kind, start, x, y)
+        theta = start[None].copy()
         train_rows(kind, theta, x[None], y, tc, shuffles([substream(43, "train:0")], 5, 60))
         assert bce_loss(kind, theta[0], x, y) < before
 
@@ -329,7 +329,7 @@ def test_separable_data_reaches_high_accuracy():
     x = np.concatenate([rng.normal(2.5, 0.4, size=(300, 3)), rng.normal(-0.5, 0.4, size=(300, 3))])
     y = np.concatenate([np.ones(300), np.zeros(300)])
     tc = TrainingConfig(learning_rate=0.5, epochs_per_round=30, batch_size=32)
-    theta = init_model("logistic", tc, substream(47, "init")).theta[None].copy()
+    theta = init_model("logistic", tc, substream(47, "init"))[None]
     train_rows("logistic", theta, x[None], y, tc, shuffles([substream(47, "train:0")], 30, 600))
     acc = np.mean((predict_rows("logistic", theta[0], x) >= 0.5) == y.astype(bool))
     assert acc >= 0.99
