@@ -5,11 +5,13 @@ Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
 ``main`` loads the scenario, applies the command's overrides, validates the
 result and makes ``--out-dir`` before it calls the command.  All outputs
 land under ``--out-dir`` and existing files are only replaced with
-``--force``; every file, output format and wall-clock reading is here, the
-engine returns data.  Each output is written to a temp file beside it and
-moved into place once the command's outputs are all written, so a failed or
-interrupted command leaves no output behind, whole or partial; SIGTERM exits
-through the same cleanup, with code 143.
+``--force``; every file, output format, summary across seeds and wall-clock
+reading is here, the engine returns data: ``compare`` keeps each topology's
+runs in seed order and ``comparison_summary`` averages them in one pass.
+Each output is written to a temp file beside it and moved into place once
+the command's outputs are all written, so a failed or interrupted command
+leaves no output behind, whole or partial; SIGTERM exits through the same
+cleanup, with code 143.
 """
 
 from __future__ import annotations
@@ -192,27 +194,60 @@ _FLEXIBILITY = {
 }
 
 
-def comparison_table(report: engine.ComparisonReport) -> str:
+def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
+    """``comparison.json``'s dict from each topology's runs, in seed order.
+
+    Byte and MAC fields are means over the seeds.  ``mean_pd`` and
+    ``mean_pfa`` are means over the runs that define them (None if none
+    does); ``pd_undefined_runs`` and ``pfa_undefined_runs`` count the others.
+    Every run evaluates at least one window, so accuracy is always defined.
+    """
+    topologies = {}
+    for topology, group in runs.items():
+        n, metrics = len(group), [r.global_metrics for r in group]
+        pd = [m.pd for m in metrics if m.pd is not None]
+        pfa = [m.pfa for m in metrics if m.pfa is not None]
+        topologies[topology] = {
+            "needs_neighbor_comm": topology == "gossip",
+            "busiest_node_bytes": sum(r.busiest_node_bytes() for r in group) / n,
+            "total_bytes": sum(r.traffic.total_bytes for r in group) / n,
+            "central_bytes": sum(r.traffic.central_bytes for r in group) / n,
+            "aggregation_macs_central": sum(r.central_aggregation_macs for r in group) / n,
+            "max_node_aggregation_macs": sum(int(r.node_aggregation_macs.max()) for r in group) / n,
+            "mean_accuracy": sum(m.accuracy for m in metrics) / n,
+            "mean_pd": sum(pd) / len(pd) if pd else None,
+            "mean_pfa": sum(pfa) / len(pfa) if pfa else None,
+            "pd_undefined_runs": n - len(pd),
+            "pfa_undefined_runs": n - len(pfa),
+        }
+    first = runs[TOPOLOGIES[0]]
+    return {
+        "scenario_digest": first[0].scenario_digest,
+        "seeds": [r.seed for r in first],
+        "topologies": topologies,
+    }
+
+
+def comparison_table(summary: dict) -> str:
     """Aligned text table: one row per compared aspect, one column per topology."""
-    order = [t for t in TOPOLOGIES if t in report.topologies]
-    summaries = [report.topologies[t] for t in order]
+    summaries = [summary["topologies"][t] for t in TOPOLOGIES]
     rows = [
-        ["aspect", *order],
-        ["neighbor communication", *(_COMMUNICATION[t] for t in order)],
-        ["topology flexibility", *(_FLEXIBILITY[t] for t in order)],
+        ["aspect", *TOPOLOGIES],
+        ["neighbor communication", *(_COMMUNICATION[t] for t in TOPOLOGIES)],
+        ["topology flexibility", *(_FLEXIBILITY[t] for t in TOPOLOGIES)],
         ["traffic volume (bytes)"] + [
-            f"total {s.total_bytes:.0f}; central {s.central_bytes:.0f}; "
-            f"busiest node {s.busiest_node_bytes:.0f}"
+            f"total {s['total_bytes']:.0f}; central {s['central_bytes']:.0f}; "
+            f"busiest node {s['busiest_node_bytes']:.0f}"
             for s in summaries
         ],
         ["aggregation compute (MACs)"] + [
-            f"central {s.aggregation_macs_central:.0f}; "
-            f"busiest node {s.max_node_aggregation_macs:.0f}"
+            f"central {s['aggregation_macs_central']:.0f}; "
+            f"busiest node {s['max_node_aggregation_macs']:.0f}"
             for s in summaries
         ],
         ["detection quality"] + [
-            f"acc {_fmt_mean(s.mean_accuracy)}; pd {_fmt_mean(s.mean_pd)}; "
-            f"pfa {_fmt_mean(s.mean_pfa)}"
+            f"acc {_fmt_mean(s['mean_accuracy'])}; pd {_fmt_mean(s['mean_pd'])}; "
+            f"pfa {_fmt_mean(s['mean_pfa'])}"
             for s in summaries
         ],
     ]
@@ -297,22 +332,21 @@ def cmd_compare(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> 
     metrics_path = _target(out_dir, "metrics.csv", args.force)
     json_path = _target(out_dir, "comparison.json", args.force)
     table_path = _target(out_dir, "comparison.txt", args.force)
-    runs = []
+    runs: dict[str, list[engine.RunResult]] = {t: [] for t in TOPOLOGIES}
     for seed in args.seeds:
         # every topology trains on one draw of the seed's radio environment, in one loop
         trained = engine.train_topologies(engine.sense_run(scenario, seed), TOPOLOGIES)
         for topology in TOPOLOGIES:
             _say(f"running topology={topology} seed={seed}")
-            runs.append(engine.run_simulation(scenario, topology, seed, trained=trained))
+            runs[topology].append(engine.run_simulation(scenario, topology, seed, trained=trained))
         del trained  # one seed's tensor alive at a time
-    runs.sort(key=lambda run: TOPOLOGIES.index(run.topology))  # stable: seeds keep their order
-    report = engine.summarize_runs(runs)
-    comparison = json.dumps(asdict(report), indent=2, sort_keys=True)
-    table = comparison_table(report)
+    lines = metrics_csv_lines([run for group in runs.values() for run in group])  # topology-major
+    summary = comparison_summary(runs)
+    table = comparison_table(summary)
     _write_all(
         {
-            metrics_path: "\n".join(metrics_csv_lines(runs)) + "\n",
-            json_path: comparison + "\n",
+            metrics_path: "\n".join(lines) + "\n",
+            json_path: json.dumps(summary, indent=2, sort_keys=True) + "\n",
             table_path: table,
         }
     )

@@ -19,8 +19,8 @@ at the first gossip round.  Eval slots: models are frozen and one
 ``predict_rows`` call decides every node's windows.  Sensor ``i`` is row
 ``i`` of every array: models, neighbor table, windows, per-node results.
 The engine opens no file and reads no clock: results are data (arrays,
-``RunResult``, ``ComparisonReport``) and ``cli`` owns every file, output
-format and wall-clock reading.
+``RunResult``) and ``cli`` owns every file, output format, summary across
+seeds and wall-clock reading.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -84,7 +84,7 @@ _ORDER_BYTES = 1 << 20
 
 
 class EmptyInputError(ValueError):
-    """Metrics were requested for no truth labels or no runs."""
+    """Metrics were requested for no truth labels."""
 
 
 class DivergenceError(ValueError):
@@ -380,77 +380,3 @@ def run_simulation(
         federation_rounds=rounds,
         final_models=models,
     )
-
-
-@dataclass
-class TopologySummary:
-    """Per-topology aggregation across seeds (byte/MAC fields are means)."""
-
-    needs_neighbor_comm: bool
-    busiest_node_bytes: float
-    total_bytes: float
-    central_bytes: float
-    aggregation_macs_central: float
-    max_node_aggregation_macs: float
-    mean_accuracy: float | None
-    mean_pd: float | None
-    mean_pfa: float | None
-    pd_undefined_runs: int
-    pfa_undefined_runs: int
-
-
-@dataclass
-class ComparisonReport:
-    scenario_digest: str
-    seeds: list[int]
-    topologies: dict[str, TopologySummary]
-
-
-def _mean_defined(values: list[float | None]) -> tuple[float | None, int]:
-    defined = [v for v in values if v is not None]
-    skipped = len(values) - len(defined)
-    if not defined:
-        return None, skipped
-    return sum(defined) / len(defined), skipped
-
-
-def summarize_runs(runs: Sequence[RunResult]) -> ComparisonReport:
-    """Aggregate per-topology means from an already-computed run matrix.  Its
-    seeds are the first topology's, in run order; every topology must have run
-    the same seed list."""
-    by_topology: dict[str, list[RunResult]] = {t: [] for t in TOPOLOGIES}
-    for run in runs:
-        by_topology[run.topology].append(run)
-    seeds = [r.seed for r in by_topology[TOPOLOGIES[0]]]
-    summaries: dict[str, TopologySummary] = {}
-    for topology in TOPOLOGIES:
-        group = by_topology[topology]
-        if not group:
-            raise EmptyInputError(f"runs: no runs for topology {topology!r}")
-        ran = [r.seed for r in group]
-        if ran != seeds:
-            raise ValueError(f"runs: topology {topology!r} ran seeds {ran}, not {seeds}")
-        mean_pd, pd_skipped = _mean_defined([r.global_metrics.pd for r in group])
-        mean_pfa, pfa_skipped = _mean_defined([r.global_metrics.pfa for r in group])
-        mean_acc, _ = _mean_defined([r.global_metrics.accuracy for r in group])
-        summaries[topology] = TopologySummary(
-            needs_neighbor_comm=topology == "gossip",
-            busiest_node_bytes=float(
-                np.mean([r.busiest_node_bytes() for r in group])
-            ),
-            total_bytes=float(np.mean([r.traffic.total_bytes for r in group])),
-            central_bytes=float(np.mean([r.traffic.central_bytes for r in group])),
-            aggregation_macs_central=float(
-                np.mean([r.central_aggregation_macs for r in group])
-            ),
-            max_node_aggregation_macs=float(
-                np.mean([r.node_aggregation_macs.max() for r in group])
-            ),
-            mean_accuracy=mean_acc,
-            mean_pd=mean_pd,
-            mean_pfa=mean_pfa,
-            pd_undefined_runs=pd_skipped,
-            pfa_undefined_runs=pfa_skipped,
-        )
-    digest = runs[0].scenario_digest
-    return ComparisonReport(digest, seeds, summaries)

@@ -1,7 +1,8 @@
 """Radio environment: propagation, primary-user activity, synthetic sensing.
 
 Powers are handled in dBm at the interface and in linear milliwatts inside
-the window synthesis; ``dbm_to_mw`` and ``mw_to_dbm`` convert whole arrays.
+the window synthesis; ``dbm_to_mw`` converts whole arrays, and
+``draw_windows`` takes its features back to dB in place, floored at -300 dBm.
 A sensing window is ``window_samples`` draws of instantaneous power:
 exponential receiver noise plus one exponential component per active
 primary user (Rayleigh-faded carriers observed through an energy detector),
@@ -56,11 +57,6 @@ def dbm_to_mw(dbm) -> np.ndarray:
     """Linear milliwatts of dBm powers, elementwise; too small a power reads 0."""
     with np.errstate(under="ignore"):
         return np.power(10.0, np.asarray(dbm, dtype=np.float64) / 10.0)
-
-
-def mw_to_dbm(mw) -> np.ndarray:
-    """dBm of linear powers, elementwise, floored at -300 dBm (1e-30 mW)."""
-    return 10.0 * np.log10(np.maximum(mw, _POWER_FLOOR_MW))
 
 
 class SensorStreams(NamedTuple):
@@ -236,8 +232,8 @@ def draw_windows(
                     stop.set()
     if errors:
         raise errors[0]
-    # features (mw_to_dbm(stats) - noise floor) / 10, in place: no
-    # temporaries the size of the run's tensor
+    # features (dBm of stats floored at 1e-30 mW - noise floor) / 10, in
+    # place: no temporaries the size of the run's tensor
     np.maximum(stats, _POWER_FLOOR_MW, out=stats)
     np.log10(stats, out=stats)
     stats *= 10.0

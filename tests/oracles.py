@@ -9,6 +9,7 @@ import numpy as np
 
 from fedspectrum import engine
 from fedspectrum.federation import (
+    TOPOLOGIES,
     WEIGHTINGS,
     FederationConfig,
     NeighborTable,
@@ -373,3 +374,46 @@ def train_topology(sensing, topology):
                     theta = fedavg_mix(theta)
                     samples[:] = 0
     return theta, samples, rounds
+
+
+def _mean_defined(values):
+    """Mean of the values that are not None (None if none is), and how many are."""
+    defined = [v for v in values if v is not None]
+    mean = sum(defined) / len(defined) if defined else None
+    return mean, len(values) - len(defined)
+
+
+def summarize_runs(runs):
+    """``comparison.json``'s dict regrouped from a list of runs: the reference
+    ``cli.comparison_summary`` must equal.  Its seeds are the first
+    topology's, in run order, and every topology must have run that list;
+    byte and MAC fields are ``np.mean``s, each rate the mean of the runs that
+    define it, in run order."""
+    by_topology = {t: [] for t in TOPOLOGIES}
+    for run in runs:
+        by_topology[run.topology].append(run)
+    seeds = [r.seed for r in by_topology[TOPOLOGIES[0]]]
+    summaries = {}
+    for topology, group in by_topology.items():
+        assert group and [r.seed for r in group] == seeds, f"{topology} ran another seed list"
+        metrics = [r.global_metrics for r in group]
+        mean_pd, pd_skipped = _mean_defined([m.pd for m in metrics])
+        mean_pfa, pfa_skipped = _mean_defined([m.pfa for m in metrics])
+        summaries[topology] = {
+            "needs_neighbor_comm": topology == "gossip",
+            "busiest_node_bytes": float(np.mean([r.busiest_node_bytes() for r in group])),
+            "total_bytes": float(np.mean([r.traffic.total_bytes for r in group])),
+            "central_bytes": float(np.mean([r.traffic.central_bytes for r in group])),
+            "aggregation_macs_central": float(
+                np.mean([r.central_aggregation_macs for r in group])
+            ),
+            "max_node_aggregation_macs": float(
+                np.mean([r.node_aggregation_macs.max() for r in group])
+            ),
+            "mean_accuracy": _mean_defined([m.accuracy for m in metrics])[0],
+            "mean_pd": mean_pd,
+            "mean_pfa": mean_pfa,
+            "pd_undefined_runs": pd_skipped,
+            "pfa_undefined_runs": pfa_skipped,
+        }
+    return {"scenario_digest": runs[0].scenario_digest, "seeds": seeds, "topologies": summaries}

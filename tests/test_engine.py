@@ -1,6 +1,5 @@
 import itertools
 import json
-import re
 import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, fields, replace
@@ -11,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectrum import engine
-from fedspectrum.cli import METRICS_HEADER, comparison_table, main, metrics_csv_lines
+from fedspectrum.cli import (
+    METRICS_HEADER,
+    comparison_summary,
+    comparison_table,
+    main,
+    metrics_csv_lines,
+)
 from fedspectrum.engine import (
     DetectionMetrics,
     DivergenceError,
@@ -20,7 +25,6 @@ from fedspectrum.engine import (
     evaluate_detection,
     run_simulation,
     sense_run,
-    summarize_runs,
     train_topologies,
 )
 from fedspectrum.federation import TOPOLOGIES, FederationConfig, TrafficStats
@@ -41,7 +45,14 @@ from fedspectrum.sensing import (
     init_model,
     predict_rows,
 )
-from oracles import identical_nodes, pu_activity_step, radio_range, train_local, train_topology
+from oracles import (
+    identical_nodes,
+    pu_activity_step,
+    radio_range,
+    summarize_runs,
+    train_local,
+    train_topology,
+)
 
 
 PU_TRAFFIC = Scenario(seed=1).pu_traffic
@@ -710,26 +721,36 @@ def test_compare_run_order_and_summary(tmp_path, capsys):
     assert run_ids == [f"{t}-s{s}" for t, s in order]
 
     runs = [run_simulation(scenario, t, s) for t, s in order]
-    report = summarize_runs(runs)
     payload = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
-    assert payload == json.loads(json.dumps(asdict(report)))
-    assert set(report.topologies) == {"isolated", "gossip", "central"}
-    assert report.topologies["isolated"].total_bytes == 0.0
-    assert report.topologies["gossip"].needs_neighbor_comm is True
-    assert report.topologies["central"].needs_neighbor_comm is False
+    assert payload == summarize_runs(runs)
+    assert set(payload["topologies"]) == {"isolated", "gossip", "central"}
+    assert payload["topologies"]["isolated"]["total_bytes"] == 0.0
+    assert payload["topologies"]["gossip"]["needs_neighbor_comm"] is True
+    assert payload["topologies"]["central"]["needs_neighbor_comm"] is False
     expected = np.mean([runs[4].traffic.central_bytes, runs[5].traffic.central_bytes])
-    assert report.topologies["central"].central_bytes == expected
-    with pytest.raises(EmptyInputError):
-        summarize_runs([])
-    # the report's seeds are the runs': every topology must cover the same list
-    for partial, ran in [(runs[:5], [1]), (runs[:4] + runs[:3:-1], [2, 1])]:
-        named = re.escape(f"runs: topology 'central' ran seeds {ran}, not [1, 2]")
-        with pytest.raises(ValueError, match=f"^{named}$"):
-            summarize_runs(partial)
+    assert payload["topologies"]["central"]["central_bytes"] == expected
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", ","])
     assert exc.value.code == 2
     assert "need at least one seed" in capsys.readouterr().err
+
+
+def test_compare_summary_matches_the_regrouping_oracle(tmp_path):
+    # one eval slot per run: a run with the primary user off leaves pd
+    # undefined, one with it on leaves pfa undefined
+    scenario = small_scenario(schedule=replace(small_scenario().schedule, n_eval_slots=1))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(asdict(scenario)), encoding="utf-8")
+    seeds = list(range(1, 13))
+    argv = ["compare", "--scenario", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv + ["--seeds", ",".join(map(str, seeds))]) == 0
+    text = (tmp_path / "out" / "comparison.json").read_text(encoding="utf-8")
+    runs = [run_simulation(scenario, t, s) for t in TOPOLOGIES for s in seeds]
+    expected = summarize_runs(runs)
+    assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    for summary in expected["topologies"].values():
+        assert 0 < summary["pd_undefined_runs"] < len(seeds)
+        assert 0 < summary["pfa_undefined_runs"] < len(seeds)
 
 
 def test_metrics_csv_shape_and_global_row():
@@ -807,14 +828,14 @@ def test_metrics_csv_blank_cell_for_undefined_rate():
 
 
 def test_comparison_serialization_and_table():
-    report = summarize_runs([run_simulation(small_scenario(), t, 1) for t in TOPOLOGIES])
-    payload = json.loads(json.dumps(asdict(report), sort_keys=True))
+    summary = comparison_summary({t: [run_simulation(small_scenario(), t, 1)] for t in TOPOLOGIES})
+    payload = json.loads(json.dumps(summary, sort_keys=True))
     assert list(payload["topologies"]) == ["central", "gossip", "isolated"]
-    assert all("topology" not in summary for summary in payload["topologies"].values())
+    assert all("topology" not in s for s in payload["topologies"].values())
     assert payload["seeds"] == [1]
     assert len(payload["scenario_digest"]) == 16
 
-    table = comparison_table(report)
+    table = comparison_table(summary)
     lines = table.splitlines()
     assert lines[0].startswith("aspect")
     assert all(t in lines[0] for t in ("isolated", "gossip", "central"))

@@ -16,9 +16,9 @@ from fedspectrum.engine import UnknownSensorError, generate_dataset, sense_run
 from fedspectrum.radio import (
     ChannelModel,
     PuTrafficModel,
+    SensorStreams,
     dbm_to_mw,
     draw_windows,
-    mw_to_dbm,
     path_loss_db,
     pu_chain,
     sense_windows,
@@ -37,16 +37,38 @@ from oracles import (
 
 @given(st.lists(st.floats(min_value=-120.0, max_value=60.0), max_size=20))
 def test_dbm_mw_round_trip(dbm):
-    back = mw_to_dbm(dbm_to_mw(dbm))
+    back = 10.0 * np.log10(dbm_to_mw(dbm))
     assert back.shape == (len(dbm),)
     assert back == pytest.approx(dbm, rel=1e-9, abs=1e-9)
 
 
-def test_mw_to_dbm_floors_tiny_powers():
-    assert mw_to_dbm(np.array([0.0, 1e-40, 1.0])).tolist() == [-300.0, -300.0, 0.0]
-    assert mw_to_dbm(0.0) == mw_to_dbm(1e-40) == -300.0
-    # the inverse reads a power too small for float64 as 0, without a warning
+def test_dbm_to_mw_reads_too_small_a_power_as_zero():
+    # a power too small for float64 reads 0, without a warning
     assert dbm_to_mw([-4000.0, 0.0]).tolist() == [0.0, 1.0]
+
+
+class _ZeroStream:
+    """Stands in for a sensor stream: every draw fills zeros."""
+
+    def standard_exponential(self, out):
+        out[...] = 0.0
+        return out
+
+    standard_normal = standard_exponential
+
+
+@pytest.mark.parametrize("noise_floor_dbm", [-100.0, -90.0])
+def test_draw_windows_floors_silent_windows(noise_floor_dbm):
+    # all-zero noise and fade rows: every statistic is floored at -300 dBm
+    # before the log, so each feature is finite, with no divide warning
+    ch = ChannelModel(shadowing_sigma_db=6.0, noise_floor_dbm=noise_floor_dbm)
+    sensors = [Placement(i, "sensor", 10.0 * i, 0.0) for i in range(2)]
+    pu = Placement(2, "primary_user", 0.0, 50.0)
+    states = np.array([[False], [True], [True], [False]])
+    streams = [SensorStreams(*[_ZeroStream()] * 3) for _ in sensors]
+    windows = draw_windows(sensors, [pu], states, ch, PuTrafficModel(), 4, streams)
+    assert windows.shape == (2, 4, 3)
+    assert (windows == (-300.0 - noise_floor_dbm) / 10.0).all()
 
 
 def test_path_loss_reference_point_and_clamp():
