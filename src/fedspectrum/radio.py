@@ -22,6 +22,18 @@ consumed in slot order:
   slot-major ``np.nonzero(states)`` order (none when sigma is 0);
 - ``fade``: ``window_samples`` standard exponentials per such pair.
 
+A block's noise and fade rows are scaled to their mean powers in place.
+One flat-index write puts each fade row in its primary user's plane, a
+zeroed array of the noise rows' shape; the planes are added to the noise
+in user order, each with one contiguous add, and zeroed again through the
+same index.  Every term is a non-negative finite power, so an idle user's
++ 0.0 changes no bit and each window sums its rows as one add per (slot,
+primary user) in user order would.  At most ``_MAX_PLANES`` planes are held
+at once: more primary users are added that many at a time, so memory grows
+with them only as their fade rows do.  The window maximum is reduced over
+the samples' ``int64`` view, since non-negative doubles order as their bit
+patterns do; the mean and std keep ``np.mean``'s and ``np.std``'s ufuncs.
+
 The sensor groups are split across worker threads, one contiguous row
 range each; numpy's draws and large ufuncs release the GIL, so the ranges
 overlap.  Draws are sequential, no stream is shared between sensors and a
@@ -51,6 +63,9 @@ _POWER_FLOOR_MW = 1e-30
 # noise samples of one block, 384 windows of 64 (192 KiB); a block also holds
 # its fade rows, one row of as many samples per active (slot, primary user) pair
 _BLOCK_SAMPLES = 384 * 64
+# per-user planes a block holds at most (module docstring), each of its
+# noise samples' shape: both presets' three primary users take one pass
+_MAX_PLANES = 3
 
 
 def dbm_to_mw(dbm) -> np.ndarray:
@@ -164,6 +179,8 @@ def draw_windows(
     # the most active (slot, primary user) pairs in one slot range
     max_pairs = max((np.count_nonzero(states[start : start + block_slots])
                      for start in range(0, n_slots, block_slots)), default=0)
+    # planes held at once; more primary users are added that many at a time
+    n_planes = max(1, min(len(pus), _MAX_PLANES))
     stop, errors = threading.Event(), []
 
     def draw(lo: int, hi: int) -> None:
@@ -172,13 +189,24 @@ def draw_windows(
         order; returns early once ``stop`` is set."""
         samples_buf = np.empty(group * block_slots * w)
         fades_buf = np.empty(group * max_pairs * w)
+        # the planes' rows and a spare row, zero between blocks
+        planes_buf = np.zeros(group * (n_planes * block_slots + 1) * w)
         for batch in range(0, n_slots, batch_slots):
-            ranges = []  # (first slot, active pairs' users, per user (slots, pair mask))
+            # per range: first slot, active pairs' users, each pair's row in
+            # the flat (n_planes x slots) planes, and per chunk of n_planes
+            # users with a pair in the range, its number and active planes
+            ranges = []
             for start in range(batch, min(batch + batch_slots, n_slots), block_slots):
-                slots, pu = np.nonzero(states[start : start + block_slots])
-                by_pu = [(slots[mine], mine) for mine in (pu == p for p in range(len(pus)))]
-                ranges.append((start, pu, by_pu))
-            users = np.concatenate([pu for _, pu, _ in ranges])
+                on = states[start : start + block_slots]
+                slots, pu = np.nonzero(on)
+                chunks = []
+                for chunk in range(0, len(pus), n_planes):
+                    active = np.flatnonzero(on[:, chunk : chunk + n_planes].any(axis=0)).tolist()
+                    if active:
+                        chunks.append((chunk // n_planes, active))
+                ranges.append((start, pu, pu % n_planes * len(on) + slots, chunks))
+            # the batch's active pairs' users, slot-major like the ranges'
+            users = np.nonzero(states[batch : batch + batch_slots])[1]
             for first in range(lo, hi, group):
                 rows = range(first, min(first + group, hi))
                 power_dbm = mean_dbm[first : rows.stop, users]
@@ -188,20 +216,33 @@ def draw_windows(
                         streams[i].shadow.standard_normal(out=normals[j])
                     power_dbm += sigma * normals
                 powers, done = dbm_to_mw(power_dbm), 0
-                for start, pu, by_pu in ranges:
+                for start, pu, row, chunks in ranges:
                     if stop.is_set():
                         return
                     size, length, pairs = len(rows), min(block_slots, n_slots - start), len(pu)
                     samples = samples_buf[: size * length * w].reshape(size, length, w)
                     fades = fades_buf[: size * pairs * w].reshape(size, pairs, w)
+                    flat = planes_buf[: size * (n_planes * length + 1) * w].reshape(
+                        size, n_planes * length + 1, w)
+                    planes = flat[:, :-1].reshape(size, n_planes, length, w)
                     for j, i in enumerate(rows):
                         streams[i].obs.standard_exponential(out=samples[j])
                         streams[i].fade.standard_exponential(out=fades[j])
                     samples *= noise_mw
                     fades *= powers[:, done : done + pairs, None]
                     done += pairs
-                    for on_slots, mine in by_pu:
-                        samples[:, on_slots] += fades[:, mine]
+                    # a user's fade rows in its plane, zero elsewhere: adding
+                    # the planes in user order adds each slot's rows in that
+                    # order, and + 0.0 leaves a non-negative sample as it is.
+                    # With more users than planes, the rows of other chunks'
+                    # users go to a spare row past the planes
+                    for chunk, active in chunks:
+                        at = row if len(pus) <= n_planes else np.where(
+                            pu // n_planes == chunk, row, n_planes * length)
+                        flat[:, at] = fades
+                        for plane in active:
+                            samples += planes[:, plane]
+                        flat[:, at] = 0.0
                     _window_stats(samples, stats[first : rows.stop, start : start + length])
 
     def work(lo: int, hi: int) -> None:
@@ -255,12 +296,14 @@ def _window_stats(samples: np.ndarray, out: np.ndarray) -> None:
     (..., 3)``, overwriting ``samples``.  The std reuses the one mean and
     follows ``np.std``'s ufuncs (sum, / W, subtract, square, sum, / W,
     sqrt), so both equal ``samples.mean(-1)`` and ``samples.std(-1)`` bit
-    for bit."""
+    for bit.  The max is reduced over the ``int64`` view, which equals
+    ``samples.max(-1)`` for non-negative, non-NaN samples (every power is)."""
     w = samples.shape[-1]
     mean = np.add.reduce(samples, axis=-1, keepdims=True)
     mean /= w
     out[..., 0] = mean[..., 0]
-    np.maximum.reduce(samples, axis=-1, out=out[..., 2])
+    # non-negative doubles order as their bit patterns, which reduce faster
+    np.maximum.reduce(samples.view(np.int64), axis=-1, out=out[..., 2].view(np.int64))
     samples -= mean
     samples *= samples
     var = np.add.reduce(samples, axis=-1)

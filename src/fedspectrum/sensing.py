@@ -7,15 +7,19 @@ average them without knowing the architecture.  The model math is written
 once over leading axes: ``predict_rows`` and ``gradient`` serve one ``(d,)``
 model on its ``(m, 3)`` windows, the ``(n, d)`` array of all nodes' models and
 a ``(k, n, d)`` stack of k copies of it, which ``train_rows`` trains in one
-``gradient`` step per mini-batch, in the epoch orders its caller draws and
-in buffers it makes once per call, each of the shape and layout of the fresh
-array it stands for, so the results are a fresh array's to the bit.
+gradient step per mini-batch, in the epoch orders its caller draws.
+``train_rows`` makes its buffers and every view a step reads or writes once
+per call: the epoch buffers that ``np.take(..., out=)`` fills, each batch's
+slice of them with its transpose and label column, and the slices of theta,
+of the outputs and of the gradient (``_views``), so a step is its ufunc calls
+only.  Each buffer has the shape and layout of the fresh array it stands
+for, so the results are a fresh array's to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -118,59 +122,104 @@ def _work(kind: str, theta: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     return [np.empty(shape) for shape in [(*lead, 1), (*lead[:-1], model_dim(kind)), *hidden]]
 
 
-def _probabilities(kind: str, theta: np.ndarray, x: np.ndarray, work: list[np.ndarray]) -> None:
-    """Outputs ``1 / (1 + exp(-z))`` of models ``theta (..., d)`` on ``x (...,
-    b, 3)`` into ``work[0]``, MLP activations into ``work[2]``, saturating under
-    the caller's ``np.errstate``.  Sums are ``@`` on per-row matrices, so one
-    model and n rows sum alike."""
-    z, weights = work[0], theta[..., :N_FEATURES, None]
+class _Views(NamedTuple):
+    """The views of ``theta`` and of its ``_work`` buffers that a step reads or
+    writes (``_views``), made once; MLP fields are None for the logistic model."""
+
+    z: np.ndarray  # (..., b, 1) outputs, then residuals
+    residual: np.ndarray  # (..., b)
+    weights: np.ndarray  # (..., 3 or 8, 1) output weights of theta
+    bias: np.ndarray  # (..., 1, 1) output bias of theta
+    grad: np.ndarray  # (..., d)
+    grad_weights: np.ndarray  # (..., 3 or 8, 1)
+    grad_bias: np.ndarray  # (...)
+    w1t: np.ndarray | None  # (..., 3, 8) hidden weights of theta
+    b1: np.ndarray | None  # (..., 1, 8) hidden biases of theta
+    w2: np.ndarray | None  # (..., 1, 8) output weights of theta
+    h: np.ndarray | None  # (..., b, 8) activations, then tanh's slopes
+    ht: np.ndarray | None  # (..., 8, b)
+    dpre: np.ndarray | None  # (..., b, 8) pre-activation gradients
+    dpret: np.ndarray | None  # (..., 8, b)
+    grad_w1: np.ndarray | None  # (..., 8, 3)
+    grad_b1: np.ndarray | None  # (..., 8)
+
+
+def _views(kind: str, theta: np.ndarray, work: list[np.ndarray]) -> _Views:
+    """Views of models ``theta (..., d)`` and of ``work`` (``_work``); they stay
+    valid while both are changed in place only."""
+    z, grad, *hidden = work
+    if kind == "logistic":
+        return _Views(z, z[..., 0], theta[..., :N_FEATURES, None], theta[..., -1, None, None],
+                      grad, grad[..., :N_FEATURES, None], grad[..., -1], *[None] * 9)
+    h, dpre = hidden
+    w1 = theta[..., :_W1_END].reshape(*theta.shape[:-1], MLP_HIDDEN, N_FEATURES)
+    return _Views(
+        z, z[..., 0], theta[..., _B1_END:_W2_END, None], theta[..., -1, None, None],
+        grad, grad[..., _B1_END:_W2_END, None], grad[..., -1],
+        w1.swapaxes(-1, -2), theta[..., None, _W1_END:_B1_END], theta[..., None, _B1_END:_W2_END],
+        h, h.swapaxes(-1, -2), dpre, dpre.swapaxes(-1, -2),
+        grad[..., :_W1_END].reshape(*grad.shape[:-1], MLP_HIDDEN, N_FEATURES),
+        grad[..., _W1_END:_B1_END],
+    )
+
+
+def _probabilities(kind: str, x: np.ndarray, views: _Views) -> np.ndarray:
+    """Outputs ``1 / (1 + exp(-z))`` of the models of ``views`` on ``x (..., b,
+    3)`` into ``views.z``, MLP activations into ``views.h``, saturating under
+    the caller's ``np.errstate``; returns them as ``views.residual (..., b)``.
+    Sums are ``@`` on per-row matrices, so one model and n rows sum alike."""
+    z = views.z
     if kind == "mlp":
-        h, w1 = work[2], theta[..., :_W1_END].reshape(*theta.shape[:-1], MLP_HIDDEN, N_FEATURES)
-        np.matmul(x, w1.swapaxes(-1, -2), out=h)
-        h += theta[..., None, _W1_END:_B1_END]
+        h = views.h
+        np.matmul(x, views.w1t, out=h)
+        h += views.b1
         np.tanh(h, out=h)
-        x, weights = h, theta[..., _B1_END:_W2_END, None]
-    np.matmul(x, weights, out=z)
-    z += theta[..., -1, None, None]
+        x = h
+    np.matmul(x, views.weights, out=z)
+    z += views.bias
     np.exp(np.negative(z, out=z), out=z)
     np.divide(1.0, np.add(z, 1.0, out=z), out=z)
+    return views.residual
 
 
-def gradient(
-    kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray, work: list | None = None
+def _gradient(
+    kind: str, x: np.ndarray, xt: np.ndarray, y: np.ndarray, views: _Views
 ) -> np.ndarray:
-    """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``, in
-    ``work``'s gradient buffer (``_work(kind, theta, x)``); without ``work`` the
-    buffers are fresh and the sigmoid saturates quietly."""
-    if work is None:
-        with np.errstate(over="ignore", under="ignore"):
-            return gradient(kind, theta, x, y, _work(kind, theta, x))
-    _probabilities(kind, theta, x, work)
-    column, grad, *hidden = work
-    column -= y[..., None]
-    column /= x.shape[-2]
-    np.add.reduce(column[..., 0], axis=-1, out=grad[..., -1])
+    """Mean-BCE gradients of the models of ``views`` on ``x (..., b, 3)``, its
+    transpose ``xt`` and the label column ``y (..., b, 1)``, in ``views.grad``,
+    by ufunc calls on those views only."""
+    z = views.z
+    _probabilities(kind, x, views)
+    z -= y
+    z /= x.shape[-2]
+    np.add.reduce(views.residual, axis=-1, out=views.grad_bias)
     if kind == "logistic":
-        np.matmul(x.swapaxes(-1, -2), column, out=grad[..., :N_FEATURES, None])
-        return grad
-    h, dpre = hidden
-    np.matmul(h.swapaxes(-1, -2), column, out=grad[..., _B1_END:_W2_END, None])
+        np.matmul(xt, z, out=views.grad_weights)
+        return views.grad
+    h, dpre = views.h, views.dpre
+    np.matmul(views.ht, z, out=views.grad_weights)
     np.subtract(1.0, np.multiply(h, h, out=h), out=h)  # tanh's slope
-    np.multiply(column, theta[..., None, _B1_END:_W2_END], out=dpre)
+    np.multiply(z, views.w2, out=dpre)
     dpre *= h
-    w1 = grad[..., :_W1_END].reshape(*grad.shape[:-1], MLP_HIDDEN, N_FEATURES)
-    np.matmul(dpre.swapaxes(-1, -2), x, out=w1)
-    np.add.reduce(dpre, axis=-2, out=grad[..., _W1_END:_B1_END])
-    return grad
+    np.matmul(views.dpret, x, out=views.grad_w1)
+    np.add.reduce(dpre, axis=-2, out=views.grad_b1)
+    return views.grad
+
+
+def gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``,
+    in fresh buffers; the sigmoid saturates quietly."""
+    views = _views(kind, theta, _work(kind, theta, x))
+    with np.errstate(over="ignore", under="ignore"):
+        return _gradient(kind, x, x.swapaxes(-1, -2), y[..., None], views)
 
 
 def predict_rows(kind: str, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Probabilities ``(n, m)`` of models ``theta (n, d)``, row i on windows
     ``x[i]`` of ``x (n, m, 3)``; one model and its ``(m, 3)`` windows give ``(m,)``."""
-    work = _work(kind, theta, x)
+    views = _views(kind, theta, _work(kind, theta, x))
     with np.errstate(over="ignore", under="ignore"):
-        _probabilities(kind, theta, x, work)
-    return work[0][..., 0]
+        return _probabilities(kind, x, views)
 
 
 def train_rows(
@@ -181,9 +230,11 @@ def train_rows(
     ``theta (..., n, d)`` at once, in place: row i of each leading copy on its
     ``(m, 3)`` buffer ``x[i]`` and the shared ``(m,)`` 0/1 labels ``y``, epoch
     e in the order ``order[i, e]`` of ``order (n, epochs_per_round, m)``, each
-    row a permutation of ``range(m)``; an epoch's last batch may be short.
-    Each step is one ``gradient`` in buffers made once per call, one set per
-    batch length, under one ``np.errstate`` per call.  Callers such as
+    row a permutation of ``range(m)`` (unchecked: the takes clip); an epoch's
+    last batch may be short.  Each epoch's windows and labels are taken into
+    two buffers, and each step is one ``_gradient`` on views of them, of
+    theta and of work buffers (one set per batch length), all made once per
+    call, under one ``np.errstate`` per call.  Callers such as
     ``engine.train_topologies`` check that the rows stay finite."""
     n, m, batch, epochs = theta.shape[-2], x.shape[1], tc.batch_size, tc.epochs_per_round
     if not len(order) == len(x) == n:
@@ -197,14 +248,20 @@ def train_rows(
     # an epoch's windows: one take from the flat buffers, faster than x[rows, order]
     flat_x, offsets = x.reshape(n * m, 3), np.arange(0, n * m, m)[:, None]
     y = np.asarray(y, dtype=np.float64)
-    work = {b: _work(kind, theta, x[:, :b]) for b in {min(batch, m), m % batch or batch}}
+    at, epoch_x, epoch_y = np.empty((n, m), np.intp), np.empty((n, m, 3)), np.empty((n, m))
+    views = {b: _views(kind, theta, _work(kind, theta, x[:, :b]))
+             for b in {min(batch, m), m % batch or batch}}
+    steps = []  # per batch: its windows, their transpose, its label column, its views
+    for start in range(0, m, batch):
+        bx, by = epoch_x[:, start : start + batch], epoch_y[:, start : start + batch, None]
+        steps.append((bx, bx.swapaxes(-1, -2), by, views[bx.shape[1]]))
     with np.errstate(over="ignore", under="ignore"):
         for epoch in range(epochs):
-            epoch_x = np.take(flat_x, order[:, epoch] + offsets, axis=0)
-            epoch_y = np.take(y, order[:, epoch])
-            for start in range(0, m, batch):
-                bx, by = epoch_x[:, start : start + batch], epoch_y[:, start : start + batch]
-                grad = gradient(kind, theta, bx, by, work[bx.shape[1]])
+            np.add(order[:, epoch], offsets, out=at)
+            np.take(flat_x, at, axis=0, out=epoch_x, mode="clip")
+            np.take(y, order[:, epoch], out=epoch_y, mode="clip")
+            for step in steps:
+                grad = _gradient(kind, *step)
                 grad *= tc.learning_rate
                 theta -= grad
 

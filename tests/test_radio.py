@@ -338,8 +338,8 @@ def test_sensing_memory_is_a_fixed_budget(monkeypatch, path, workers):
     # tracemalloc sees numpy's allocations.  Beyond the windows and truth
     # labels it returns, sense_run holds the run's set-up (placements, each
     # sensor's three streams, the chain states, a byte per slot and primary
-    # user) and, per worker, a block's noise samples, its fade rows, the
-    # scatter's temporaries and a batch's pair data.  Less the chain states,
+    # user) and, per worker, a block's noise samples, its fade rows, its
+    # primary users' planes and a batch's pair data.  Less the chain states,
     # that stays under 1.5 MiB plus five blocks of noise samples a worker,
     # and 8 times as many training slots add less than 384 KiB (the busiest
     # slot range has more pairs in a longer run).
@@ -358,6 +358,61 @@ def test_sensing_memory_is_a_fixed_budget(monkeypatch, path, workers):
         excess.append(peak - per_slot)
     assert max(excess) < 1.5 * 2**20 + workers * 5 * 8 * radio._BLOCK_SAMPLES
     assert excess[1] < excess[0] + 384 * 2**10
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sensing_memory_grows_with_primary_users_as_their_fade_rows(monkeypatch, workers):
+    # A block holds at most _MAX_PLANES planes of its noise samples' shape,
+    # however many primary users there are, so 9 more users on default.json
+    # add their fade rows and pair data (~1.45 MB a worker), less than a
+    # plane each (1.77 MB); a plane per user would add ~3.1 MB a worker.
+    # The 12 users take four passes of three planes, and the threaded run
+    # equals the per-slot reference.
+    monkeypatch.setattr(radio, "_worker_count", lambda: workers)
+    default, excess = load_scenario("scenarios/default.json"), []
+    for n_pus in (3, 12):
+        scenario = replace(default, n_primary_users=n_pus)
+        tracemalloc.start()
+        try:
+            sensing = sense_run(scenario, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - sensing.windows.nbytes - len(sensing.truths) * (1 + n_pus))
+    assert excess[1] - excess[0] < workers * 9 * 8 * radio._BLOCK_SAMPLES
+    if workers == 2:
+        assert_same_bytes(sensing, per_slot_reference(scenario, 5))
+
+
+def test_planes_held_at_once_do_not_change_the_tensor(monkeypatch):
+    # With fewer planes than primary users, the users are added a chunk at a
+    # time, the other chunks' fade rows parked in the spare row: one and two
+    # planes for three users (chunks of 2 and 1), on long and short runs.
+    for scenario, _ in block_runs()[:4]:
+        tensors = set()
+        for planes in (3, 2, 1):
+            monkeypatch.setattr(radio, "_MAX_PLANES", planes)
+            tensors.add(sense_run(scenario, 43).windows.tobytes())
+        assert len(tensors) == 1
+
+
+def test_window_stats_equal_numpy_bytewise():
+    # Every W from 2 to 300 crosses the pairwise sum's regimes (under 8, up
+    # to 128 and past it).  Rows of exact zeros, of subnormals, of 1e60-scale
+    # powers and of all three mixed: the int64-view maximum equals np.max on
+    # non-negative doubles, and the mean and std np.mean's and np.std's.
+    for w in range(2, 301):
+        rng = np.random.default_rng(w)
+        powers = rng.standard_exponential((2, 6, w))
+        powers[0, 0] = 0.0
+        powers[0, 1] *= 5e-324 * 2**20  # subnormal
+        powers[0, 2] *= 1e60
+        powers[0, 3] = rng.choice([0.0, 5e-324, 1e-310, 1.0, 1e60], size=w)
+        powers[1] *= 10.0 ** rng.uniform(-300.0, 60.0, size=(6, 1))
+        out = np.empty((2, 6, 3))
+        radio._window_stats(powers.copy(), out)
+        for k, stat in enumerate((np.mean, np.std, np.max)):
+            assert out[..., k].tobytes() == stat(powers, axis=-1).tobytes(), (w, stat.__name__)
 
 
 class RaisingStream:
