@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 runtime/validation/IO failure, 2 usage error.
 Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
-``main`` loads the scenario, applies the command's overrides, validates the
-result and makes ``--out-dir`` before it calls the command.  All outputs
-land under ``--out-dir`` and existing files are only replaced with
-``--force``; every file, output format, summary across seeds and wall-clock
-reading is here, the engine returns data: ``compare`` keeps each topology's
-runs in seed order and ``comparison_summary`` averages them in one pass.
+``main`` loads the scenario, applies the command's overrides with
+``dataclasses.replace`` (a Scenario validates itself as it is built, so a
+bad override fails by field name) and makes ``--out-dir`` before it calls
+the command.  All outputs land under ``--out-dir`` and existing files are
+only replaced with ``--force``; every file, output format, summary across
+seeds and wall-clock reading is here, the engine returns data: ``compare``
+keeps each topology's runs in seed order and ``comparison_summary``
+averages them in one pass.
 Each output is written to a temp file beside it and moved into place once
 the command's outputs are all written, so a failed or interrupted command
 leaves no output behind, whole or partial; SIGTERM exits through the same
@@ -31,7 +33,7 @@ from typing import Sequence
 from . import engine
 from .federation import TOPOLOGIES
 from .rng import MAX_SEED
-from .scenario import MAX_WINDOWS, Scenario, check_scenario, load_scenario
+from .scenario import MAX_WINDOWS, Scenario, load_scenario
 from .sensing import ModelParams
 
 PROG = "fedspectrum"
@@ -108,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
+    """``scenario`` with the command's overrides; ``replace`` validates the variant."""
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     schedule = scenario.schedule
@@ -200,6 +203,7 @@ def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
     Byte and MAC fields are means over the seeds.  ``mean_pd`` and
     ``mean_pfa`` are means over the runs that define them (None if none
     does); ``pd_undefined_runs`` and ``pfa_undefined_runs`` count the others.
+    ``needs_neighbor_comm`` is whether any run sent bytes between sensors.
     Every run evaluates at least one window, so accuracy is always defined.
     """
     topologies = {}
@@ -208,7 +212,8 @@ def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
         pd = [m.pd for m in metrics if m.pd is not None]
         pfa = [m.pfa for m in metrics if m.pfa is not None]
         topologies[topology] = {
-            "needs_neighbor_comm": topology == "gossip",
+            "needs_neighbor_comm": any(
+                r.traffic.total_bytes > r.traffic.central_bytes for r in group),
             "busiest_node_bytes": sum(r.busiest_node_bytes() for r in group) / n,
             "total_bytes": sum(r.traffic.total_bytes for r in group) / n,
             "central_bytes": sum(r.traffic.central_bytes for r in group) / n,
@@ -367,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"run": cmd_run, "generate": cmd_generate, "compare": cmd_compare}
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        scenario = check_scenario(_apply_overrides(load_scenario(args.scenario), args))
+        scenario = _apply_overrides(load_scenario(args.scenario), args)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args, scenario, out_dir)

@@ -20,7 +20,9 @@ at the first gossip round.  Eval slots: models are frozen and one
 ``i`` of every array: models, neighbor table, windows, per-node results.
 The engine opens no file and reads no clock: results are data (arrays,
 ``RunResult``) and ``cli`` owns every file, output format, summary across
-seeds and wall-clock reading.
+seeds and wall-clock reading.  A Scenario is valid and frozen once built
+(``scenario``), so no function here checks it again, and a run's
+placements are a tuple of frozen ``Placement``s.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
@@ -61,14 +63,7 @@ from .federation import (
 )
 from .radio import SensorStreams, sense_windows
 from .rng import substreams
-from .scenario import (
-    MAX_WINDOWS,
-    Placement,
-    Scenario,
-    check_scenario,
-    place_nodes,
-    scenario_digest,
-)
+from .scenario import MAX_WINDOWS, Placement, Scenario, place_nodes, scenario_digest
 from .sensing import (
     CostReport,
     ModelParams,
@@ -170,7 +165,7 @@ class RunSensing:
 
     scenario: Scenario
     seed: int
-    placements: list[Placement]
+    placements: tuple[Placement, ...]
     windows: np.ndarray
     truths: np.ndarray
 
@@ -184,10 +179,9 @@ def _sensor_streams(seed: int, node_ids: Sequence[int]) -> list[SensorStreams]:
 
 
 def _place(scenario: Scenario, seed: int):
-    """The set-up ``sense_run`` and ``generate_dataset`` share: check
-    ``scenario``, then place its nodes.  Returns the placements, the sensors,
-    the primary users and the ``traffic`` stream."""
-    check_scenario(scenario)
+    """The set-up ``sense_run`` and ``generate_dataset`` share: place the
+    nodes of ``scenario``.  Returns the placements, the sensors, the primary
+    users and the ``traffic`` stream."""
     placement_rng, traffic_rng = substreams(seed, ["placement", "traffic"])
     placements = place_nodes(scenario, placement_rng)
     sensors = [p for p in placements if p.kind == "sensor"]
@@ -315,7 +309,7 @@ def run_simulation(
     """Simulate one (scenario, topology, seed) combination.
 
     Args:
-        scenario: validated experiment description.
+        scenario: experiment description (valid, as every Scenario is).
         topology: "isolated", "gossip", or "central"; overrides the
             scenario's federation topology for this run.
         seed: master seed for every labeled sub-stream, in ``0..2**64-1``.
@@ -326,7 +320,6 @@ def run_simulation(
         RunResult with per-node and global metrics, traffic, and costs.
         A model that goes non-finite raises DivergenceError naming its node.
     """
-    check_scenario(scenario)
     if topology not in TOPOLOGIES:
         raise ValueError(f"topology: must be one of {TOPOLOGIES} (got {topology!r})")
     if trained is None:

@@ -41,7 +41,7 @@ class NonpositiveDistanceError(ValueError):
     """Inverse-distance weighting needs strictly positive link distances."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederationConfig:
     topology: str = "isolated"
     neighbor_radius_m: float = 300.0

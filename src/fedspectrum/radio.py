@@ -82,7 +82,7 @@ class SensorStreams(NamedTuple):
     fade: np.random.Generator
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelModel:
     """Log-distance path loss with optional log-normal shadowing."""
 
@@ -93,7 +93,7 @@ class ChannelModel:
     noise_floor_dbm: float = -100.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PuTrafficModel:
     """Two-state Markov on/off transmitter.
 
@@ -192,21 +192,15 @@ def draw_windows(
         # the planes' rows and a spare row, zero between blocks
         planes_buf = np.zeros(group * (n_planes * block_slots + 1) * w)
         for batch in range(0, n_slots, batch_slots):
-            # per range: first slot, active pairs' users, each pair's row in
-            # the flat (n_planes x slots) planes, and per chunk of n_planes
-            # users with a pair in the range, its number and active planes
+            # per range: first slot, active pairs' users and each pair's row
+            # in the flat (n_planes x slots) planes
             ranges = []
             for start in range(batch, min(batch + batch_slots, n_slots), block_slots):
                 on = states[start : start + block_slots]
                 slots, pu = np.nonzero(on)
-                chunks = []
-                for chunk in range(0, len(pus), n_planes):
-                    active = np.flatnonzero(on[:, chunk : chunk + n_planes].any(axis=0)).tolist()
-                    if active:
-                        chunks.append((chunk // n_planes, active))
-                ranges.append((start, pu, pu % n_planes * len(on) + slots, chunks))
+                ranges.append((start, pu, pu % n_planes * len(on) + slots))
             # the batch's active pairs' users, slot-major like the ranges'
-            users = np.nonzero(states[batch : batch + batch_slots])[1]
+            users = np.concatenate([pu for _, pu, _ in ranges])
             for first in range(lo, hi, group):
                 rows = range(first, min(first + group, hi))
                 power_dbm = mean_dbm[first : rows.stop, users]
@@ -216,7 +210,7 @@ def draw_windows(
                         streams[i].shadow.standard_normal(out=normals[j])
                     power_dbm += sigma * normals
                 powers, done = dbm_to_mw(power_dbm), 0
-                for start, pu, row, chunks in ranges:
+                for start, pu, row in ranges:
                     if stop.is_set():
                         return
                     size, length, pairs = len(rows), min(block_slots, n_slots - start), len(pu)
@@ -234,13 +228,14 @@ def draw_windows(
                     # a user's fade rows in its plane, zero elsewhere: adding
                     # the planes in user order adds each slot's rows in that
                     # order, and + 0.0 leaves a non-negative sample as it is.
-                    # With more users than planes, the rows of other chunks'
-                    # users go to a spare row past the planes
-                    for chunk, active in chunks:
+                    # With more users than planes, n_planes users are added
+                    # at a time, the rows of the others in a spare row past
+                    # the planes
+                    for chunk in range(0, len(pus), n_planes):
                         at = row if len(pus) <= n_planes else np.where(
-                            pu // n_planes == chunk, row, n_planes * length)
+                            pu // n_planes == chunk // n_planes, row, n_planes * length)
                         flat[:, at] = fades
-                        for plane in active:
+                        for plane in range(min(n_planes, len(pus) - chunk)):
                             samples += planes[:, plane]
                         flat[:, at] = 0.0
                     _window_stats(samples, stats[first : rows.stop, start : start + length])

@@ -6,8 +6,10 @@ accepted value types, and its defaults fill absent keys; nested dataclass
 fields are nested objects.  Every key is optional except ``seed``; unknown
 keys are rejected so typos cannot silently fall back to defaults, and
 duplicate keys so no value is silently dropped.  Value bounds and choices
-are one table, ``_RULES``.  ``docs/scenario_schema.md`` carries the
-annotated reference.
+are one table, ``_RULES``, which ``Scenario.__post_init__`` checks: the
+dataclasses are frozen, so a Scenario that exists is valid and stays so,
+and a variant made with ``dataclasses.replace`` is checked as it is built.
+``docs/scenario_schema.md`` carries the annotated reference.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class ScenarioValidationError(ValueError):
     """The scenario violates a documented field invariant."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlotSchedule:
     n_training_slots: int = 2000
     n_eval_slots: int = 2000
@@ -59,7 +61,7 @@ class SlotSchedule:
     window_samples: int = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class Placement:
     node_id: int
     kind: str  # "sensor" | "primary_user"
@@ -67,9 +69,11 @@ class Placement:
     y_m: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Complete description of one experiment."""
+    """Complete description of one experiment, valid once it exists: the
+    constructor (and so ``dataclasses.replace``) raises
+    ScenarioValidationError joining every violation (``_violations``)."""
 
     seed: int
     area_size_m: float = 1000.0
@@ -83,6 +87,11 @@ class Scenario:
     training: TrainingConfig = field(default_factory=TrainingConfig)
     federation: FederationConfig = field(default_factory=FederationConfig)
     schedule: SlotSchedule = field(default_factory=SlotSchedule)
+
+    def __post_init__(self) -> None:
+        violations = _violations(self)
+        if violations:
+            raise ScenarioValidationError("; ".join(violations))
 
 
 def scenario_digest(s: Scenario) -> str:
@@ -159,7 +168,8 @@ def _read(cls, raw: dict, ctx: str):
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build a Scenario from an already-parsed JSON object (strict keys)."""
+    """Build a Scenario from an already-parsed JSON object (strict keys);
+    ScenarioValidationError if it breaks a rule."""
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("scenario root must be a JSON object")
     return _read(Scenario, raw, "")
@@ -176,7 +186,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    """Load, schema-check, and validate a scenario file.
+    """Load and schema-check a scenario file; the Scenario validates itself.
 
     Raises:
         FileNotFoundError: missing file.
@@ -197,7 +207,7 @@ def load_scenario(path) -> Scenario:
         raise
     except (ValueError, RecursionError) as exc:  # bad UTF-8, deep nesting, huge integers
         raise ScenarioParseError(f"{path}: invalid JSON: {exc}") from exc
-    return check_scenario(scenario_from_dict(raw))
+    return scenario_from_dict(raw)
 
 
 def _leaves(d: dict, prefix: str = ""):
@@ -243,7 +253,7 @@ _RULES = {
 _OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-def validate_scenario(s: Scenario) -> list[str]:
+def _violations(s: Scenario) -> list[str]:
     """All invariant violations, each naming the offending field.
 
     Fields come in field order, with at most one message each: a non-finite
@@ -294,15 +304,7 @@ def validate_scenario(s: Scenario) -> list[str]:
     return v
 
 
-def check_scenario(s: Scenario) -> Scenario:
-    """``s`` unchanged, or ScenarioValidationError joining every violation."""
-    violations = validate_scenario(s)
-    if violations:
-        raise ScenarioValidationError("; ".join(violations))
-    return s
-
-
-def place_nodes(s: Scenario, rng: np.random.Generator) -> list[Placement]:
+def place_nodes(s: Scenario, rng: np.random.Generator) -> tuple[Placement, ...]:
     """Lay out the sensors and the primary users.
 
     Grid mode fills the nearest square grid with equal margins in row-major
@@ -322,4 +324,4 @@ def place_nodes(s: Scenario, rng: np.random.Generator) -> list[Placement]:
         xy = rng.uniform(0.0, area, size=(n, 2))
     xy = np.concatenate([xy, rng.uniform(0.0, area, size=(s.n_primary_users, 2))])
     kinds = ["sensor"] * n + ["primary_user"] * s.n_primary_users
-    return [Placement(i, kind, x, y) for i, (kind, (x, y)) in enumerate(zip(kinds, xy.tolist()))]
+    return tuple(Placement(i, k, x, y) for i, (k, (x, y)) in enumerate(zip(kinds, xy.tolist())))

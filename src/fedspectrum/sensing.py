@@ -55,7 +55,7 @@ def cost_constants(kind: str) -> tuple[int, int]:
     raise ValueError(f"kind: unknown model kind {kind!r} (expected one of {MODEL_KINDS})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     learning_rate: float = 0.2
     epochs_per_round: int = 4
@@ -113,18 +113,9 @@ def init_model(kind: str, tc: TrainingConfig, rng: np.random.Generator) -> np.nd
     return theta
 
 
-def _work(kind: str, theta: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-    """Buffers of a ``gradient`` step of ``theta`` on ``x``: the output column
-    ``(..., b, 1)``, the gradient ``(..., d)`` and, for MLP, two ``(..., b,
-    8)``, each shaped and laid out as the fresh array it stands for."""
-    lead = (*np.broadcast_shapes(theta.shape[:-1], x.shape[:-2]), x.shape[-2])
-    hidden = [(*lead, MLP_HIDDEN)] * (2 if kind == "mlp" else 0)
-    return [np.empty(shape) for shape in [(*lead, 1), (*lead[:-1], model_dim(kind)), *hidden]]
-
-
 class _Views(NamedTuple):
-    """The views of ``theta`` and of its ``_work`` buffers that a step reads or
-    writes (``_views``), made once; MLP fields are None for the logistic model."""
+    """The views of ``theta`` and of the buffers that a step reads or writes
+    (``_views``), made once; MLP fields are None for the logistic model."""
 
     z: np.ndarray  # (..., b, 1) outputs, then residuals
     residual: np.ndarray  # (..., b)
@@ -144,14 +135,18 @@ class _Views(NamedTuple):
     grad_b1: np.ndarray | None  # (..., 8)
 
 
-def _views(kind: str, theta: np.ndarray, work: list[np.ndarray]) -> _Views:
-    """Views of models ``theta (..., d)`` and of ``work`` (``_work``); they stay
-    valid while both are changed in place only."""
-    z, grad, *hidden = work
+def _views(kind: str, theta: np.ndarray, x: np.ndarray) -> _Views:
+    """Views of models ``theta (..., d)`` and of new buffers for a step on
+    ``x (..., b, 3)``: the output column ``(..., b, 1)``, the gradient ``(...,
+    d)`` and, for MLP, two ``(..., b, 8)``, each shaped and laid out as the
+    fresh array it stands for.  The views stay valid while theta is changed
+    in place only."""
+    lead = (*np.broadcast_shapes(theta.shape[:-1], x.shape[:-2]), x.shape[-2])
+    z, grad = np.empty((*lead, 1)), np.empty((*lead[:-1], model_dim(kind)))
     if kind == "logistic":
         return _Views(z, z[..., 0], theta[..., :N_FEATURES, None], theta[..., -1, None, None],
                       grad, grad[..., :N_FEATURES, None], grad[..., -1], *[None] * 9)
-    h, dpre = hidden
+    h, dpre = np.empty((*lead, MLP_HIDDEN)), np.empty((*lead, MLP_HIDDEN))
     w1 = theta[..., :_W1_END].reshape(*theta.shape[:-1], MLP_HIDDEN, N_FEATURES)
     return _Views(
         z, z[..., 0], theta[..., _B1_END:_W2_END, None], theta[..., -1, None, None],
@@ -209,7 +204,7 @@ def _gradient(
 def gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``,
     in fresh buffers; the sigmoid saturates quietly."""
-    views = _views(kind, theta, _work(kind, theta, x))
+    views = _views(kind, theta, x)
     with np.errstate(over="ignore", under="ignore"):
         return _gradient(kind, x, x.swapaxes(-1, -2), y[..., None], views)
 
@@ -217,7 +212,7 @@ def gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
 def predict_rows(kind: str, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Probabilities ``(n, m)`` of models ``theta (n, d)``, row i on windows
     ``x[i]`` of ``x (n, m, 3)``; one model and its ``(m, 3)`` windows give ``(m,)``."""
-    views = _views(kind, theta, _work(kind, theta, x))
+    views = _views(kind, theta, x)
     with np.errstate(over="ignore", under="ignore"):
         return _probabilities(kind, x, views)
 
@@ -249,8 +244,7 @@ def train_rows(
     flat_x, offsets = x.reshape(n * m, 3), np.arange(0, n * m, m)[:, None]
     y = np.asarray(y, dtype=np.float64)
     at, epoch_x, epoch_y = np.empty((n, m), np.intp), np.empty((n, m, 3)), np.empty((n, m))
-    views = {b: _views(kind, theta, _work(kind, theta, x[:, :b]))
-             for b in {min(batch, m), m % batch or batch}}
+    views = {b: _views(kind, theta, x[:, :b]) for b in {min(batch, m), m % batch or batch}}
     steps = []  # per batch: its windows, their transpose, its label column, its views
     for start in range(0, m, batch):
         bx, by = epoch_x[:, start : start + batch], epoch_y[:, start : start + batch, None]

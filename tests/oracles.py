@@ -400,7 +400,8 @@ def summarize_runs(runs):
         mean_pd, pd_skipped = _mean_defined([m.pd for m in metrics])
         mean_pfa, pfa_skipped = _mean_defined([m.pfa for m in metrics])
         summaries[topology] = {
-            "needs_neighbor_comm": topology == "gossip",
+            # sensors that merge their peers' models exchanged with them
+            "needs_neighbor_comm": any(r.node_aggregation_macs.any() for r in group),
             "busiest_node_bytes": float(np.mean([r.busiest_node_bytes() for r in group])),
             "total_bytes": float(np.mean([r.traffic.total_bytes for r in group])),
             "central_bytes": float(np.mean([r.traffic.central_bytes for r in group])),

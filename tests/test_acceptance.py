@@ -7,6 +7,7 @@ asserted, never tuned to the observed value.
 
 import json
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,15 +81,14 @@ def test_criterion_1_determinism(compare_dirs):
 
 def test_criterion_2_fedavg_symmetry_oracle(monkeypatch):
     with criterion(2, "central with identical streams tracks the single-pool oracle to 1e-9"):
-        scenario = load_scenario(DEFAULT_SCENARIO)
         # 10 federation rounds, light windows; N stays at 14
-        scenario.schedule = SlotSchedule(
+        scenario = replace(load_scenario(DEFAULT_SCENARIO), schedule=SlotSchedule(
             n_training_slots=300,
             n_eval_slots=1,
             local_train_period_slots=30,
             federation_period_slots=30,
             window_samples=16,
-        )
+        ))
         # every node senses sensor 0's windows and draws train:shared's shuffles
         sensing = identical_nodes(sense_run(scenario, 5), monkeypatch)
         trained = train_topologies(sensing, ["isolated", "central"])
@@ -127,15 +127,14 @@ def test_criterion_3_gradient_checks():
 
 def test_criterion_4_traffic_closed_form():
     with criterion(4, "central round is exactly 1344 B and gossip exactly 48*sum(degrees)"):
-        scenario = load_scenario(DEFAULT_SCENARIO)
         # 3 federation rounds, one eval slot; N stays at 14
-        scenario.schedule = SlotSchedule(
+        scenario = replace(load_scenario(DEFAULT_SCENARIO), schedule=SlotSchedule(
             n_training_slots=150,
             n_eval_slots=1,
             local_train_period_slots=50,
             federation_period_slots=50,
             window_samples=16,
-        )
+        ))
         central = run_simulation(scenario, "central", scenario.seed)
         assert central.federation_rounds == 3
         assert central.traffic.central_bytes == 3 * 1344

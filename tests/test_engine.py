@@ -159,10 +159,10 @@ def test_run_simulation_shapes_and_counts():
 def test_run_simulation_rejects_bad_inputs():
     with pytest.raises(ValueError, match="topology"):
         run_simulation(small_scenario(), "ring", 1)
-    bad = small_scenario()
-    bad.schedule.window_samples = 1
-    with pytest.raises(ScenarioValidationError):
-        run_simulation(bad, "isolated", 1)
+    # an invalid scenario cannot be built, so no run is handed one
+    good = small_scenario()
+    with pytest.raises(ScenarioValidationError, match="^schedule.window_samples: must be >= 2"):
+        replace(good, schedule=replace(good.schedule, window_samples=1))
     # 64-bit seeds only: -1 and 2**64 must not wrap onto 2**64 - 1 and 0
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="seed"):
@@ -173,10 +173,11 @@ def test_run_simulation_rejects_bad_inputs():
 @pytest.mark.parametrize("topology", ["isolated", "gossip", "central"])
 def test_divergent_training_names_node_and_slot(kind, topology):
     scenario = load_scenario("scenarios/default.json")
-    scenario.training.learning_rate = 1.7e308
-    scenario.training.model_kind = kind
-    scenario.schedule.n_training_slots = 200
-    scenario.schedule.n_eval_slots = 10
+    scenario = replace(
+        scenario,
+        training=replace(scenario.training, learning_rate=1.7e308, model_kind=kind),
+        schedule=replace(scenario.schedule, n_training_slots=200, n_eval_slots=10),
+    )
     named = r"^node \d+: .* after local training round \d+ \(slot \d+\)$"
     sensing = sense_run(scenario, 1)
     # the named error is the only report: numpy's overflow warnings stay quiet
@@ -733,6 +734,29 @@ def test_compare_run_order_and_summary(tmp_path, capsys):
         main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", ","])
     assert exc.value.code == 2
     assert "need at least one seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # a federation period past the training phase: no round
+        {"schedule": SlotSchedule(60, 40, 20, 100_000, 8)},
+        # three sensors 150 m apart and a radius of 0: no edge
+        {"federation": FederationConfig(neighbor_radius_m=0.0)},
+    ],
+    ids=["no-rounds", "no-edges"],
+)
+def test_gossip_that_sends_nothing_needs_no_neighbor_comm(tmp_path, changes):
+    scenario = small_scenario(**changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(asdict(scenario)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", "1,2"]) == 0
+    payload = json.loads((out / "comparison.json").read_text(encoding="utf-8"))
+    runs = [run_simulation(scenario, t, s) for t in TOPOLOGIES for s in (1, 2)]
+    assert payload == summarize_runs(runs)
+    assert payload["topologies"]["gossip"]["total_bytes"] == 0.0
+    assert [payload["topologies"][t]["needs_neighbor_comm"] for t in TOPOLOGIES] == [False] * 3
 
 
 def test_compare_summary_matches_the_regrouping_oracle(tmp_path):

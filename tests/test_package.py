@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,19 @@ def test_every_exported_name_resolves_and_is_listed_once():
 def test_every_exported_name_is_documented_in_the_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert [name for name in fedspectrum.__all__ if name not in readme] == []
+
+
+def test_the_readme_python_block_runs_from_the_repo_root():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", blocks[0]], cwd=root, capture_output=True, text=True, env=env
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert 0.0 <= float(done.stdout) <= 1.0  # the printed accuracy
 
 
 def test_every_bench_import_from_the_package_resolves():

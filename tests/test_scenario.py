@@ -2,7 +2,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedspectrum.engine import run_simulation, sense_run
+from fedspectrum.engine import sense_run
+from fedspectrum.radio import ChannelModel, PuTrafficModel
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
     MAX_COUNT,
@@ -27,7 +28,6 @@ from fedspectrum.scenario import (
     place_nodes,
     scenario_digest,
     scenario_from_dict,
-    validate_scenario,
 )
 from oracles import place_nodes as reference_place_nodes
 
@@ -36,6 +36,16 @@ def write(tmp_path, obj):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     return path
+
+
+def violations(build, *args, **kwargs):
+    """The messages of the ScenarioValidationError that ``build(*args,
+    **kwargs)`` raises, in order; [] when it builds a scenario."""
+    try:
+        build(*args, **kwargs)
+    except ScenarioValidationError as exc:
+        return str(exc).split("; ")
+    return []
 
 
 def test_minimal_file_gets_documented_defaults(tmp_path):
@@ -136,12 +146,30 @@ def test_validation_names_offending_field(tmp_path):
 
 def test_validate_collects_violations():
     s = Scenario(seed=1)
-    s.schedule.window_samples = 1
-    s.pu_traffic.mean_gap_slots = 0.0
-    violations = validate_scenario(s)
-    assert any("window_samples" in v for v in violations)
-    assert any("mean_gap_slots" in v for v in violations)
-    assert validate_scenario(Scenario(seed=1)) == []
+    found = violations(
+        replace, s, schedule=replace(s.schedule, window_samples=1),
+        pu_traffic=replace(s.pu_traffic, mean_gap_slots=0.0),
+    )
+    assert any("window_samples" in v for v in found)
+    assert any("mean_gap_slots" in v for v in found)
+    assert violations(Scenario, seed=1) == []
+
+
+def test_a_scenario_cannot_change_under_a_run():
+    # a run holds its scenario by reference: changing the schedule after
+    # sensing would evaluate other windows than the digest names
+    s = load_scenario("scenarios/data_scarce.json")
+    sensing = sense_run(s, 3)
+    with pytest.raises(FrozenInstanceError):
+        sensing.scenario.schedule.n_eval_slots = 5000
+    for obj in (s, s.channel, s.pu_traffic, s.training, s.federation, s.schedule,
+                sensing.placements[0]):
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    with pytest.raises(AttributeError):
+        sensing.placements.append(sensing.placements[0])
+    assert sensing.scenario == load_scenario("scenarios/data_scarce.json")
 
 
 def test_bad_tag_values_fail_validation(tmp_path):
@@ -183,7 +211,7 @@ def test_central_xy_m_is_descriptive_only():
     moved = replace(s, central_xy_m=(100.0, 200.0))
     assert place_nodes(moved, substream(3, "placement")) == place_nodes(s, substream(3, "placement"))
     assert scenario_digest(moved) != scenario_digest(s)
-    outside = validate_scenario(replace(s, central_xy_m=(100.0, 2000.0)))
+    outside = violations(replace, s, central_xy_m=(100.0, 2000.0))
     assert outside == ["central_xy_m: must lie inside the area (got [100.0, 2000.0])"]
 
 
@@ -255,7 +283,7 @@ def test_shipped_scenarios_load():
         "scenarios/default.json", "scenarios/data_scarce.json", "bench/scenarios/dense_gossip.json"
     ):
         s = load_scenario(name)
-        assert validate_scenario(s) == []
+        assert replace(s) == s  # rebuilding validates again
 
 
 def test_absurd_power_is_rejected_by_field_name(tmp_path):
@@ -273,9 +301,11 @@ def test_absurd_power_is_rejected_by_field_name(tmp_path):
 def test_power_bounds_keep_the_windows_finite(tx, pl0, noise, sigma):
     # at every corner of the power bounds the windows are finite and no
     # numpy overflow or invalid-value warning fires
-    s = Scenario(seed=3, n_sensors=4, schedule=SlotSchedule(30, 30, 10, 10, 64))
-    s.pu_traffic.tx_power_dbm, s.pu_traffic.mean_gap_slots = tx, 2.0
-    s.channel.pl0_db, s.channel.noise_floor_dbm, s.channel.shadowing_sigma_db = pl0, noise, sigma
+    s = Scenario(
+        seed=3, n_sensors=4, schedule=SlotSchedule(30, 30, 10, 10, 64),
+        pu_traffic=PuTrafficModel(tx_power_dbm=tx, mean_gap_slots=2.0),
+        channel=ChannelModel(pl0_db=pl0, noise_floor_dbm=noise, shadowing_sigma_db=sigma),
+    )
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error", RuntimeWarning)
         sensing = sense_run(s, 3)
@@ -350,24 +380,24 @@ def test_integer_beyond_float_range_is_rejected_by_field_name(tmp_path, sign):
 
 def test_non_finite_number_fails_programmatic_validation():
     s = Scenario(seed=1)
-    s.federation.neighbor_radius_m = float("nan")
-    assert validate_scenario(s) == ["federation.neighbor_radius_m: must be finite (got nan)"]
+    federation = replace(s.federation, neighbor_radius_m=float("nan"))
+    assert violations(replace, s, federation=federation) == [
+        "federation.neighbor_radius_m: must be finite (got nan)"
+    ]
 
 
 def test_cross_field_checks_skip_fields_already_reported():
-    def violations(**raw):
-        return validate_scenario(scenario_from_dict({"seed": 1, **raw}))
+    def found(**raw):
+        return violations(scenario_from_dict, {"seed": 1, **raw})
 
     nan = float("nan")
-    assert violations(area_size_m=nan, central_xy_m=[1, 1]) == [
-        "area_size_m: must be finite (got nan)"
-    ]
-    assert violations(area_size_m=-1, central_xy_m=[1, 1]) == ["area_size_m: must be > 0 (got -1.0)"]
-    assert violations(carrier_band_mhz=[nan, 1]) == [
+    assert found(area_size_m=nan, central_xy_m=[1, 1]) == ["area_size_m: must be finite (got nan)"]
+    assert found(area_size_m=-1, central_xy_m=[1, 1]) == ["area_size_m: must be > 0 (got -1.0)"]
+    assert found(carrier_band_mhz=[nan, 1]) == [
         "carrier_band_mhz: must be finite (got [nan, 1.0])"
     ]
     # a count the window check does not read leaves it running
-    assert violations(n_sensors=10**6, schedule={"window_samples": 10**7}) == [
+    assert found(n_sensors=10**6, schedule={"window_samples": 10**7}) == [
         "schedule.window_samples: must be <= 1000000 (got 10000000)",
         "n_sensors: 1000000 x 4000 slots is 4000000000 windows, above the limit of 100000000",
     ]
@@ -436,28 +466,26 @@ def test_every_documented_key_rejects_other_types_by_name(section, key, doc_type
 def test_every_count_above_the_limit_is_rejected_by_field_name(section, key):
     name = f"{section}.{key}" if section else key
 
-    def violations(count):
+    def found(count):
         raw = {"seed": 1, section: {key: count}} if section else {"seed": 1, key: count}
-        return validate_scenario(scenario_from_dict(raw))
+        return violations(scenario_from_dict, raw)
 
-    assert f"{name}: must be <= {MAX_COUNT} (got {MAX_COUNT + 1})" in violations(MAX_COUNT + 1)
-    assert not any("must be <=" in v for v in violations(MAX_COUNT))
-    huge = violations(10**400)  # one message per field, no arithmetic on the huge value
+    assert f"{name}: must be <= {MAX_COUNT} (got {MAX_COUNT + 1})" in found(MAX_COUNT + 1)
+    assert not any("must be <=" in v for v in found(MAX_COUNT))
+    huge = found(10**400)  # one message per field, no arithmetic on the huge value
     assert huge == [f"{name}: must be <= {MAX_COUNT} (got {10**400})"]
 
 
 def test_window_tensor_and_chain_block_limits():
     # sensors x slots windows and primary users x slots chain steps, inclusive
     at = Scenario(seed=1, n_sensors=10**6, n_primary_users=10**6, schedule=SlotSchedule(40, 60))
-    assert MAX_WINDOWS == 10**8 and validate_scenario(at) == []
-    over = replace(at, schedule=SlotSchedule(40, 61))
-    assert validate_scenario(over) == [
+    assert MAX_WINDOWS == 10**8 and violations(replace, at) == []
+    # one slot more cannot be built, so no run places its million nodes
+    assert violations(replace, at, schedule=SlotSchedule(40, 61)) == [
         "n_sensors: 1000000 x 101 slots is 101000000 windows, above the limit of 100000000",
         "n_primary_users: 1000000 x 101 slots is 101000000 chain steps, above the limit of "
         "100000000",
     ]
-    with pytest.raises(ScenarioValidationError, match="n_sensors: 1000000 x 101 slots"):
-        run_simulation(over, "isolated", 1)  # before placing a million nodes
 
 
 def test_schema_doc_states_the_count_limits():
@@ -477,7 +505,8 @@ CHOICES = sorted((name, rule) for name, rule in _RULES.items() if isinstance(rul
 
 
 def with_leaf(name, value):
-    """A default scenario with the dotted field ``name`` set to ``value``."""
+    """A default scenario with the dotted field ``name`` set to ``value``;
+    ScenarioValidationError if that breaks a rule."""
     raw = {"seed": 1}
     *parents, last = name.split(".")
     holder = raw
@@ -502,16 +531,16 @@ def test_each_bound_accepts_its_limit_and_rejects_the_next_value_past_it(name, r
     else:
         below, above = math.nextafter(limit, -math.inf), math.nextafter(limit, math.inf)
     inside, outside = {">=": (limit, below), ">": (above, limit), "<=": (limit, above)}[op]
-    assert validate_scenario(with_leaf(name, inside)) == []
+    assert violations(with_leaf, name, inside) == []
     message = f"{name}: must be {_RULES[name]} (got {outside})"
-    assert validate_scenario(with_leaf(name, outside)) == [message]
+    assert violations(with_leaf, name, outside) == [message]
 
 
 @pytest.mark.parametrize("name,choices", CHOICES)
 def test_each_choice_field_accepts_its_choices_and_rejects_others(name, choices):
     for choice in choices:
-        assert validate_scenario(with_leaf(name, choice)) == []
-    assert validate_scenario(with_leaf(name, "nope")) == [
+        assert violations(with_leaf, name, choice) == []
+    assert violations(with_leaf, name, "nope") == [
         f"{name}: must be one of {choices} (got 'nope')"
     ]
 
