@@ -165,23 +165,28 @@ def _fmt_rate(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _fmt_rates(m: engine.DetectionMetrics) -> str:
+    return f"{_fmt_rate(m.pd)},{_fmt_rate(m.pfa)},{_fmt_rate(m.accuracy)}"
+
+
 def metrics_csv_lines(runs: Sequence[engine.RunResult]) -> list[str]:
     """CSV rows: one per sensor per run plus a totals row per run."""
     lines = [METRICS_HEADER]
     for run in runs:
+        prefix, costs = f"{run.topology}-s{run.seed},{run.topology},{run.seed}", run.per_node_cost
         # every node receives as many bytes as it sends: rx_bytes repeats tx_bytes
-        tx_bytes, costs = run.traffic.tx_bytes.tolist(), run.per_node_cost
-        rows = [
-            (str(i), engine.DetectionMetrics(*m), tx, tx, c.train_macs_accumulated, c.model_bytes)
-            for i, (m, tx, c) in enumerate(zip(run.confusion.tolist(), tx_bytes, costs))
+        lines += [
+            f"{prefix},{i},{_fmt_rates(engine.DetectionMetrics(*m))},{tx},{tx},"
+            f"{c.train_macs_accumulated},{c.model_bytes}"
+            for i, (m, tx, c) in enumerate(
+                zip(run.confusion.tolist(), run.traffic.tx_bytes.tolist(), costs))
         ]
         # totals over every node, the coordinator's traffic included
-        totals = [run.traffic.total_bytes] * 2
-        totals += [sum(c.train_macs_accumulated for c in costs), sum(c.model_bytes for c in costs)]
-        for node, m, *counts in rows + [("global", run.global_metrics, *totals)]:
-            cells = [f"{run.topology}-s{run.seed}", run.topology, str(run.seed), node]
-            cells += [_fmt_rate(m.pd), _fmt_rate(m.pfa), _fmt_rate(m.accuracy)]
-            lines.append(",".join(cells + [str(count) for count in counts]))
+        total = run.traffic.total_bytes
+        lines.append(
+            f"{prefix},global,{_fmt_rates(run.global_metrics)},{total},{total},"
+            f"{sum(c.train_macs_accumulated for c in costs)},{sum(c.model_bytes for c in costs)}"
+        )
     return lines
 
 
@@ -189,7 +194,8 @@ def _fmt_mean(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.4f}"
 
 
-_COMMUNICATION = {"isolated": "none", "gossip": "required", "central": "optional"}
+# gossip's cell is read from its runs (comparison_table)
+_COMMUNICATION = {"isolated": "none", "central": "optional"}
 _FLEXIBILITY = {
     "isolated": "n/a (no exchange)",
     "gossip": "high (any layout in radio range)",
@@ -238,7 +244,11 @@ def comparison_table(summary: dict) -> str:
     summaries = [summary["topologies"][t] for t in TOPOLOGIES]
     rows = [
         ["aspect", *TOPOLOGIES],
-        ["neighbor communication", *(_COMMUNICATION[t] for t in TOPOLOGIES)],
+        ["neighbor communication"] + [
+            ("required" if s["needs_neighbor_comm"] else "none") if t == "gossip"
+            else _COMMUNICATION[t]
+            for t, s in zip(TOPOLOGIES, summaries)
+        ],
         ["topology flexibility", *(_FLEXIBILITY[t] for t in TOPOLOGIES)],
         ["traffic volume (bytes)"] + [
             f"total {s['total_bytes']:.0f}; central {s['central_bytes']:.0f}; "

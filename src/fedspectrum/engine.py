@@ -283,8 +283,9 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
                 p = slot // period - 1
                 if p % chunk == 0:  # the next chunk's orders, maybe a shorter last one
                     draws = min(chunk, periods - p) * epochs
+                    source, out = ordered[:draws], drawn[:draws]
                     for rng, rows in zip(train_rngs, orders.reshape(n, -1, period)):
-                        rows[:draws] = rng.permuted(ordered[:draws], axis=1, out=drawn[:draws])
+                        rows[:draws] = rng.permuted(source, axis=1, out=out)
                 x, y = windows[:, slot - period : slot], truths[slot - period : slot]
                 train_rows(kind, theta, x, y, tc, orders[:, p % chunk])
                 check(f"after local training round {slot // period} (slot {slot})")

@@ -108,9 +108,29 @@ class PuTrafficModel:
 
 
 def path_loss_db(ch: ChannelModel, distance_m: float) -> float:
-    """Deterministic log-distance loss, clamped below the reference distance."""
+    """Deterministic log-distance loss, clamped below the reference distance:
+    the definition that ``_mean_power_dbm``'s table equals bit for bit."""
     d = max(distance_m, ch.d0_m)
     return ch.pl0_db + 10.0 * ch.n_exp * math.log10(d / ch.d0_m)
+
+
+def _mean_power_dbm(
+    sensors: Sequence["Placement"], pus: Sequence["Placement"], ch: ChannelModel,
+    tm: PuTrafficModel,
+) -> np.ndarray:
+    """``(len(sensors), len(pus))`` unshadowed mean powers, ``[i, u]`` being
+    ``tm.tx_power_dbm - path_loss_db(ch, math.hypot(dx, dy))`` of sensor i
+    and user u bit for bit: numpy's subtractions and arithmetic round as
+    Python's floats do, and ``math.hypot`` and ``math.log10`` are mapped
+    over the pairs, so no other Python call is made per pair."""
+    sensor_xy = np.array([(p.x_m, p.y_m) for p in sensors]).reshape(-1, 2)
+    pu_xy = np.array([(p.x_m, p.y_m) for p in pus]).reshape(-1, 2)
+    dx, dy = (sensor_xy[:, None] - pu_xy).reshape(-1, 2).T.tolist()
+    # as Python's floats: an overflow is inf and inf * 0.0 is NaN, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.maximum(list(map(math.hypot, dx, dy)), ch.d0_m) / ch.d0_m
+        loss = ch.pl0_db + 10.0 * ch.n_exp * np.array(list(map(math.log10, ratio.tolist())))
+        return (tm.tx_power_dbm - loss).reshape(len(sensors), len(pus))
 
 
 def pu_chain(uniforms: np.ndarray, tm: PuTrafficModel) -> np.ndarray:
@@ -147,11 +167,11 @@ def draw_windows(
     A window is its noise row plus, for each primary user on in that slot,
     in index order, a fade row scaled to the path-loss mean shadowed by
     ``sigma`` times the pair's normal, in dB.  Path loss is computed once
-    per (sensor, primary user); each worker finds the active pairs once per
-    batch of slot ranges, where each sensor group draws its normals and
-    converts its pairs' powers to mW in one pass, and per block each sensor
-    draws its noise and fade rows and the arithmetic runs once for the
-    group.  The groups are split into contiguous row ranges, one per worker
+    per (sensor, primary user), in one table (``_mean_power_dbm``); each
+    worker finds the active pairs once per batch of slot ranges, where each
+    sensor group draws its normals and converts its pairs' powers to mW in
+    one pass, and per block each sensor draws its noise and fade rows and
+    the arithmetic runs once for the group.  The groups are split into contiguous row ranges, one per worker
     (``_worker_count``, at most one per group): the calling thread draws
     the first, a thread each the others.  A worker that fails, or an
     interrupt of the caller, stops the others at their next block; all are
@@ -163,11 +183,7 @@ def draw_windows(
     n, n_slots, w = len(sensors), len(states), window_samples
     sigma = ch.shadowing_sigma_db
     noise_mw = dbm_to_mw(ch.noise_floor_dbm)
-    mean_dbm = np.array([
-        [tm.tx_power_dbm - path_loss_db(ch, math.hypot(s.x_m - pu.x_m, s.y_m - pu.y_m))
-         for pu in pus]
-        for s in sensors
-    ])
+    mean_dbm = _mean_power_dbm(sensors, pus, ch, tm)
     # (mean, std, max) in mW, converted to features in place at the end
     stats = np.empty((n, n_slots, 3))
     # a block holds at most _BLOCK_SAMPLES noise samples: long runs take one

@@ -8,13 +8,16 @@ sequences any other module sees.  ``engine`` derives every label.
 
 Stream ``(seed, label)`` is ``default_rng(SeedSequence([seed,
 substream_key(label)]))``, but ``substreams`` derives a whole batch of labels
-at once: it runs numpy's ``SeedSequence`` hash (``mix_entropy`` on a pool of
-four 32-bit words, then ``generate_state(4, uint64)``) column-wise over one
-``(L, 4)`` word array and seeds each ``PCG64`` with its row, so the batch
-costs one numpy pass instead of L ``SeedSequence`` objects.  ``[seed, key]``
-is at most four words and ``SeedSequence`` hashes a missing pool word as 0,
-so zero padding is exact.  The streams hold no ``SeedSequence``, so they
-cannot ``spawn``; every stream is derived from its own label instead.
+at once.  Its keys are hashed in one batch (``substream_keys``, the one
+definition of a key): each label's 8-byte SHA-256 prefix is joined and all
+the keys are read by one ``frombuffer``.  Then numpy's ``SeedSequence`` hash
+(``mix_entropy`` on a pool of four 32-bit words, then ``generate_state(4,
+uint64)``) runs column-wise over one ``(L, 4)`` word array and each
+``PCG64`` is seeded with its row, so the batch costs one numpy pass instead
+of L ``SeedSequence`` objects.  ``[seed, key]`` is at most four words and
+``SeedSequence`` hashes a missing pool word as 0, so zero padding is exact.
+The streams hold no ``SeedSequence``, so they cannot ``spawn``; every
+stream is derived from its own label instead.
 """
 
 from __future__ import annotations
@@ -39,10 +42,16 @@ _HASH_B = np.array([0x8B51F9DD * 0x58F38DED**k & _MASK32 for k in range(9)], np.
 _OTHERS = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POOL)]
 
 
+def substream_keys(labels: Sequence[str]) -> np.ndarray:
+    """``(L,)`` uint64 keys of stream labels: each the first 8 bytes of the
+    label's UTF-8 SHA-256, little-endian, read in one ``frombuffer``."""
+    digests = b"".join([hashlib.sha256(label.encode("utf-8")).digest()[:8] for label in labels])
+    return np.frombuffer(digests, "<u8")
+
+
 def substream_key(label: str) -> int:
-    """Stable 64-bit key for a stream label (first 8 bytes of SHA-256)."""
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little")
+    """Stable 64-bit key for one stream label (``substream_keys``)."""
+    return int(substream_keys([label])[0])
 
 
 def substream(seed: int, label: str) -> np.random.Generator:
@@ -55,7 +64,7 @@ def substreams(seed: int, labels: Sequence[str]) -> list[np.random.Generator]:
     a repeated label gives distinct generators in equal states."""
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed: must be in 0..{MAX_SEED} (got {seed})")
-    return _keyed_streams(seed, [substream_key(label) for label in labels])
+    return _keyed_streams(seed, substream_keys(labels))
 
 
 class _State(ISeedSequence):
@@ -76,10 +85,10 @@ def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, m: int) -> np.ndarra
     return value ^ value >> 16
 
 
-def _keyed_streams(seed: int, keys: Sequence[int]) -> list[np.random.Generator]:
+def _keyed_streams(seed: int, keys: Sequence[int] | np.ndarray) -> list[np.random.Generator]:
     """The generators of ``SeedSequence([seed, key])`` for each key in
     ``0..MAX_SEED`` (a seed in ``0..MAX_SEED``, no spawn key)."""
-    keys = np.array(keys, dtype=np.uint64)
+    keys = np.asarray(keys, dtype=np.uint64)
     # entropy words: the seed's (one, or two from 2**32), then the key's; a
     # key below 2**32 has one word, and its zero high word is the padding
     seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]

@@ -72,8 +72,9 @@ class Placement:
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one experiment, valid once it exists: the
-    constructor (and so ``dataclasses.replace``) raises
-    ScenarioValidationError joining every violation (``_violations``)."""
+    constructor (and so ``dataclasses.replace``) stores the pairs as tuples
+    and raises ScenarioValidationError joining every violation
+    (``_violations``)."""
 
     seed: int
     area_size_m: float = 1000.0
@@ -89,6 +90,10 @@ class Scenario:
     schedule: SlotSchedule = field(default_factory=SlotSchedule)
 
     def __post_init__(self) -> None:
+        # a pair given as a list becomes a tuple: hashable, and not the caller's
+        for name in ("carrier_band_mhz", "central_xy_m"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         violations = _violations(self)
         if violations:
             raise ScenarioValidationError("; ".join(violations))
@@ -324,4 +329,4 @@ def place_nodes(s: Scenario, rng: np.random.Generator) -> tuple[Placement, ...]:
         xy = rng.uniform(0.0, area, size=(n, 2))
     xy = np.concatenate([xy, rng.uniform(0.0, area, size=(s.n_primary_users, 2))])
     kinds = ["sensor"] * n + ["primary_user"] * s.n_primary_users
-    return tuple(Placement(i, k, x, y) for i, (k, (x, y)) in enumerate(zip(kinds, xy.tolist())))
+    return tuple(map(Placement, range(len(kinds)), kinds, *xy.T.tolist()))

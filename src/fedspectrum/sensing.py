@@ -90,7 +90,7 @@ class ModelParams:
             raise ValueError(
                 f"theta: kind {self.kind!r} needs shape ({expected},), got {theta.shape}"
             )
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             raise ValueError("theta: entries must be finite")
         if self.n_train_samples < 0:
             raise ValueError(

@@ -1,5 +1,6 @@
 """Independent references the module tests share."""
 
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -20,7 +21,6 @@ from fedspectrum.federation import (
     gossip_mixer,
 )
 from fedspectrum.radio import SensorStreams, path_loss_db
-from fedspectrum.rng import substream_key
 from fedspectrum.scenario import Placement
 from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
 
@@ -32,8 +32,10 @@ def seed_sequence_stream(seed, key):
 
 
 def substream(seed, label):
-    """Stream ``label`` under ``seed``, one ``SeedSequence`` per label."""
-    return seed_sequence_stream(seed, substream_key(label))
+    """Stream ``label`` under ``seed``, one ``SeedSequence`` per label, keyed
+    by the first 8 bytes of the label's SHA-256, little-endian."""
+    key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+    return seed_sequence_stream(seed, key)
 
 
 def expit(z):

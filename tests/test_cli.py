@@ -16,6 +16,7 @@ import fedspectrum
 from fedspectrum import engine, radio
 from fedspectrum.cli import _parse_seeds, main
 from fedspectrum.engine import sense_run
+from fedspectrum.federation import TOPOLOGIES
 from fedspectrum.scenario import load_scenario
 
 FAST_SCENARIO = {
@@ -343,6 +344,25 @@ def test_compare_outputs_and_determinism(tmp_path, scenario_path, capsys):
     assert set(payload["topologies"]) == {"central", "gossip", "isolated"}
     metrics = (out_a / "metrics.csv").read_text(encoding="utf-8").splitlines()
     assert len(metrics) == 1 + 3 * 2 * (3 + 1)
+
+
+@pytest.mark.parametrize("federation_period", [30, 100_000], ids=["preset", "no-rounds"])
+def test_neighbor_communication_row_reads_the_gossip_runs(federation_period, tmp_path):
+    # a federation period past the training phase: gossip sends nothing, and
+    # comparison.txt says "none" as comparison.json's needs_neighbor_comm does
+    raw = json.loads(Path("scenarios/data_scarce.json").read_text(encoding="utf-8"))
+    raw["schedule"]["federation_period_slots"] = federation_period
+    path, out = tmp_path / "scenario.json", tmp_path / "out"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", "1"]) == 0
+    gossip = json.loads((out / "comparison.json").read_text(encoding="utf-8"))["topologies"]["gossip"]
+    assert gossip["needs_neighbor_comm"] is (federation_period == 30)
+    assert (gossip["total_bytes"] > 0) is gossip["needs_neighbor_comm"]
+    table = (out / "comparison.txt").read_text(encoding="utf-8").splitlines()
+    assert [cell.strip() for cell in table[0].split("|")] == ["aspect", *TOPOLOGIES]
+    row = [cell.strip() for cell in table[2].split("|")]
+    assert row == ["neighbor communication", "none",
+                   "required" if gossip["needs_neighbor_comm"] else "none", "optional"]
 
 
 def test_missing_scenario_file_is_runtime_error(tmp_path, capsys):

@@ -89,6 +89,37 @@ def test_path_loss_monotone_in_distance(d1, d2):
     assert path_loss_db(ch, lo) <= path_loss_db(ch, hi) + 1e-12
 
 
+COORDS = st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sensors=st.lists(COORDS, min_size=1, max_size=5),
+    pus=st.lists(COORDS, max_size=4),
+    d0=st.floats(5e-324, 1e6),
+    n_exp=st.floats(0.0, 1e308),
+    pl0=st.floats(-300.0, 300.0),
+)
+# inside the reference distance, on the dense-gossip preset's scale
+@example(sensors=[(0.0, 0.0), (25.0, 75.0)], pus=[(0.5, 0.0), (900.0, 40.0)], d0=1.0,
+         n_exp=3.0, pl0=40.0)
+# a distance over a subnormal reference overflows to inf
+@example(sensors=[(0.0, 0.0)], pus=[(1000.0, 0.0)], d0=5e-324, n_exp=3.0, pl0=40.0)
+# 10 * n_exp overflows, and times log10(1) is NaN
+@example(sensors=[(1.0, 1.0)], pus=[(1.0, 1.0), (2.0, 1.0)], d0=1.0, n_exp=1e308, pl0=40.0)
+def test_mean_power_table_is_path_loss_of_each_pair(sensors, pus, d0, n_exp, pl0):
+    ch, tm = ChannelModel(pl0_db=pl0, d0_m=d0, n_exp=n_exp), PuTrafficModel(tx_power_dbm=20.0)
+    sensors = [Placement(i, "sensor", x, y) for i, (x, y) in enumerate(sensors)]
+    pus = [Placement(len(sensors) + i, "primary_user", x, y) for i, (x, y) in enumerate(pus)]
+    want = np.array([
+        [tm.tx_power_dbm - path_loss_db(ch, math.hypot(s.x_m - u.x_m, s.y_m - u.y_m)) for u in pus]
+        for s in sensors
+    ]).reshape(len(sensors), len(pus))
+    got = radio._mean_power_dbm(sensors, pus, ch, tm)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 def test_received_power_no_shadowing_is_deterministic():
     ch = ChannelModel(shadowing_sigma_db=0.0)
     streams = sensor_streams(5, 0)

@@ -1,11 +1,14 @@
 """The batched stream derivation against one ``SeedSequence`` per stream."""
 
+import hashlib
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectrum import rng
-from fedspectrum.rng import MAX_SEED, substream, substreams
+from fedspectrum.rng import MAX_SEED, substream, substream_key, substream_keys, substreams
 from oracles import seed_sequence_stream
 from oracles import substream as reference_substream
 
@@ -55,16 +58,28 @@ def test_repeated_label_gives_distinct_generators_in_equal_states():
     assert streams[1].random(5).tobytes() == streams[2].random(5).tobytes() == first.tobytes()
 
 
+@settings(max_examples=50, deadline=None)
+@given(labels=st.lists(st.text(max_size=12), max_size=5))
+@example(labels=["placement", "obs:0", "train:399", "\u00e9", ""])
+def test_keys_are_each_labels_sha256_prefix_in_one_batch(labels):
+    want = [int.from_bytes(hashlib.sha256(s.encode("utf-8")).digest()[:8], "little")
+            for s in labels]
+    keys = substream_keys(labels)
+    assert keys.dtype == np.uint64 and keys.shape == (len(labels),)
+    assert keys.tolist() == want
+    assert [substream_key(label) for label in labels] == want
+
+
 def test_no_labels_give_no_streams():
     assert substreams(3, []) == []
 
 
 @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
 def test_out_of_range_seed_is_rejected_before_any_hashing(monkeypatch, seed):
-    def hash_label(label):
-        raise AssertionError(f"hashed {label!r} before the seed check")
+    def hash_labels(labels):
+        raise AssertionError(f"hashed {list(labels)!r} before the seed check")
 
-    monkeypatch.setattr(rng, "substream_key", hash_label)
+    monkeypatch.setattr(rng, "substream_keys", hash_labels)
     message = rf"^seed: must be in 0\.\.{MAX_SEED} \(got {seed}\)$"
     with pytest.raises(ValueError, match=message):
         substream(seed, "traffic")

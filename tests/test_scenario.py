@@ -172,6 +172,16 @@ def test_a_scenario_cannot_change_under_a_run():
     assert sensing.scenario == load_scenario("scenarios/data_scarce.json")
 
 
+def test_a_pair_given_as_a_list_is_stored_as_a_tuple():
+    band, central = [3500.0, 3600.0], [100.0, 100.0]
+    s = Scenario(seed=1, carrier_band_mhz=band, central_xy_m=central)
+    digest = scenario_digest(s)
+    band[0], central[0] = 3650.0, 5000.0  # the caller's lists, not the scenario's
+    tuples = Scenario(seed=1, carrier_band_mhz=(3500.0, 3600.0), central_xy_m=(100.0, 100.0))
+    assert s == tuples and hash(s) == hash(tuples)
+    assert scenario_digest(s) == digest == scenario_digest(tuples)
+
+
 def test_bad_tag_values_fail_validation(tmp_path):
     with pytest.raises(ScenarioValidationError, match="sensor_placement"):
         load_scenario(write(tmp_path, {"seed": 1, "sensor_placement": "ring"}))

@@ -84,8 +84,9 @@ def test_init_mlp_weights_bounded_biases_zero():
 def test_model_params_validation():
     with pytest.raises(ValueError, match="shape"):
         ModelParams("logistic", np.zeros(3))
-    with pytest.raises(ValueError, match="finite"):
-        ModelParams("logistic", np.array([0.0, np.nan, 0.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams("logistic", np.array([0.0, bad, 0.0, 0.0]))
     with pytest.raises(ValueError, match="n_train_samples"):
         ModelParams("logistic", np.zeros(4), -1)
 
