@@ -78,10 +78,6 @@ from .sensing import (
 _ORDER_BYTES = 1 << 20
 
 
-class EmptyInputError(ValueError):
-    """Metrics were requested for no truth labels."""
-
-
 class DivergenceError(ValueError):
     """A node's model left the finite numbers during a run."""
 
@@ -121,16 +117,6 @@ def _confusion(decided: np.ndarray, truths: np.ndarray) -> np.ndarray:
     fp = np.count_nonzero(decided, axis=-1) - tp
     fn = np.count_nonzero(truths) - tp
     return np.stack([tp, fp, truths.size - tp - fp - fn, fn], axis=-1)
-
-
-def evaluate_detection(decided: np.ndarray, truths: np.ndarray) -> DetectionMetrics:
-    """Confusion counts of bool decisions against their bool truth labels."""
-    decided, truths = np.asarray(decided, dtype=bool), np.asarray(truths, dtype=bool)
-    if truths.size == 0:
-        raise EmptyInputError("truths: nothing to evaluate")
-    if decided.shape != truths.shape:
-        raise ValueError(f"decided: {decided.size} decisions for {truths.size} truth labels")
-    return DetectionMetrics(*_confusion(decided, truths).tolist())
 
 
 @dataclass(eq=False)

@@ -107,22 +107,16 @@ class PuTrafficModel:
     mean_gap_slots: float = 40.0
 
 
-def path_loss_db(ch: ChannelModel, distance_m: float) -> float:
-    """Deterministic log-distance loss, clamped below the reference distance:
-    the definition that ``_mean_power_dbm``'s table equals bit for bit."""
-    d = max(distance_m, ch.d0_m)
-    return ch.pl0_db + 10.0 * ch.n_exp * math.log10(d / ch.d0_m)
-
-
 def _mean_power_dbm(
     sensors: Sequence["Placement"], pus: Sequence["Placement"], ch: ChannelModel,
     tm: PuTrafficModel,
 ) -> np.ndarray:
-    """``(len(sensors), len(pus))`` unshadowed mean powers, ``[i, u]`` being
-    ``tm.tx_power_dbm - path_loss_db(ch, math.hypot(dx, dy))`` of sensor i
-    and user u bit for bit: numpy's subtractions and arithmetic round as
-    Python's floats do, and ``math.hypot`` and ``math.log10`` are mapped
-    over the pairs, so no other Python call is made per pair."""
+    """``(len(sensors), len(pus))`` unshadowed mean powers: ``[i, u]`` is
+    ``tm.tx_power_dbm - (ch.pl0_db + 10 * ch.n_exp * log10(d / ch.d0_m))``,
+    d being sensor i's ``math.hypot`` distance from user u, clamped below at
+    ``ch.d0_m``.  Each step rounds as Python's floats would: numpy's arithmetic
+    does, and ``math.hypot`` and ``math.log10`` are mapped over the pairs, so
+    no other Python call is made per pair."""
     sensor_xy = np.array([(p.x_m, p.y_m) for p in sensors]).reshape(-1, 2)
     pu_xy = np.array([(p.x_m, p.y_m) for p in pus]).reshape(-1, 2)
     dx, dy = (sensor_xy[:, None] - pu_xy).reshape(-1, 2).T.tolist()

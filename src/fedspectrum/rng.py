@@ -6,18 +6,17 @@ each node's training shuffle) derives its own generator from ``(seed,
 label)``, so adding or removing draws in one module never shifts the
 sequences any other module sees.  ``engine`` derives every label.
 
-Stream ``(seed, label)`` is ``default_rng(SeedSequence([seed,
-substream_key(label)]))``, but ``substreams`` derives a whole batch of labels
-at once.  Its keys are hashed in one batch (``substream_keys``, the one
-definition of a key): each label's 8-byte SHA-256 prefix is joined and all
-the keys are read by one ``frombuffer``.  Then numpy's ``SeedSequence`` hash
-(``mix_entropy`` on a pool of four 32-bit words, then ``generate_state(4,
-uint64)``) runs column-wise over one ``(L, 4)`` word array and each
-``PCG64`` is seeded with its row, so the batch costs one numpy pass instead
-of L ``SeedSequence`` objects.  ``[seed, key]`` is at most four words and
-``SeedSequence`` hashes a missing pool word as 0, so zero padding is exact.
-The streams hold no ``SeedSequence``, so they cannot ``spawn``; every
-stream is derived from its own label instead.
+Stream ``(seed, label)`` is ``default_rng(SeedSequence([seed, key]))``, the
+key being the label's 8-byte SHA-256 prefix (``substream_keys``), but
+``substreams`` derives a whole batch of labels at once.  Its keys are hashed
+in one batch: the prefixes are joined and read by one ``frombuffer``.  Then
+numpy's ``SeedSequence`` hash (``mix_entropy`` on a pool of four 32-bit
+words, then ``generate_state(4, uint64)``) runs column-wise over one ``(L,
+4)`` word array and each ``PCG64`` is seeded with its row, so the batch
+costs one numpy pass instead of L ``SeedSequence`` objects.  ``[seed, key]``
+is at most four words and ``SeedSequence`` hashes a missing pool word as 0,
+so zero padding is exact.  The streams hold no ``SeedSequence``, so they
+cannot ``spawn``; every stream is derived from its own label instead.
 """
 
 from __future__ import annotations
@@ -47,11 +46,6 @@ def substream_keys(labels: Sequence[str]) -> np.ndarray:
     label's UTF-8 SHA-256, little-endian, read in one ``frombuffer``."""
     digests = b"".join([hashlib.sha256(label.encode("utf-8")).digest()[:8] for label in labels])
     return np.frombuffer(digests, "<u8")
-
-
-def substream_key(label: str) -> int:
-    """Stable 64-bit key for one stream label (``substream_keys``)."""
-    return int(substream_keys([label])[0])
 
 
 def substream(seed: int, label: str) -> np.random.Generator:

@@ -18,6 +18,7 @@ import json
 import math
 import operator
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from hashlib import sha256
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -72,9 +73,9 @@ class Placement:
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one experiment, valid once it exists: the
-    constructor (and so ``dataclasses.replace``) stores the pairs as tuples
-    and raises ScenarioValidationError joining every violation
-    (``_violations``)."""
+    constructor (and so ``dataclasses.replace``) types every field as a
+    scenario file's (``_typed``), then raises ScenarioValidationError joining
+    every violation (``_violations``)."""
 
     seed: int
     area_size_m: float = 1000.0
@@ -90,10 +91,8 @@ class Scenario:
     schedule: SlotSchedule = field(default_factory=SlotSchedule)
 
     def __post_init__(self) -> None:
-        # a pair given as a list becomes a tuple: hashable, and not the caller's
-        for name in ("carrier_band_mhz", "central_xy_m"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, value in _typed(Scenario, asdict(self), "").items():
+            object.__setattr__(self, name, value)
         violations = _violations(self)
         if violations:
             raise ScenarioValidationError("; ".join(violations))
@@ -116,13 +115,19 @@ _EXPECTED = {
 }
 
 
+# a dataclass's field types, read once per class
+_hints = cache(get_type_hints)
+# the values a number field accepts
+_NUMBERS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
 def _convert(hint, value):
     """``value`` as field type ``hint``; TypeError when it has another type.
 
     ``hint`` is float (an int is accepted and stored as a float; one beyond
     float range becomes an infinity, as JSON's ``1e400`` does, for validation
-    to reject), int, str, bool, a tuple of those, or ``T | None``.  Booleans
-    are not numbers.
+    to reject), int, str, bool, a tuple of those (from a list or a tuple), or
+    ``T | None``.  Booleans are not numbers; numpy's numbers become Python's.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:  # T | None
@@ -131,7 +136,7 @@ def _convert(hint, value):
         if not isinstance(value, (list, tuple)) or len(value) != len(args):
             raise TypeError
         return tuple(map(_convert, args, value))
-    allowed = (int, float) if hint is float else hint
+    allowed = _NUMBERS.get(hint, hint)
     if isinstance(value, bool) and hint is not bool or not isinstance(value, allowed):
         raise TypeError
     try:
@@ -140,19 +145,20 @@ def _convert(hint, value):
         return math.inf if value > 0 else -math.inf
 
 
-def _read(cls, raw: dict, ctx: str):
-    """Dataclass ``cls`` from a JSON object; absent keys take the field defaults.
+def _typed(cls, raw: dict, ctx: str) -> dict:
+    """The fields of dataclass ``cls`` from the object ``raw`` (JSON, or a
+    built Scenario's ``asdict``), each as its type (``_convert``); absent
+    keys take the field defaults.
 
     Keys, types and defaults all come from the dataclass fields, and nested
-    dataclass fields are read from nested objects.  ``ctx``, the dotted path
-    of the enclosing objects, prefixes key names in error messages.
+    dataclass fields are built from nested objects.  ``ctx``, the dotted
+    path of the enclosing objects, prefixes key names in error messages.
     """
     declared = fields(cls)
     unknown = sorted(set(raw) - {f.name for f in declared})
     if unknown:
         raise ScenarioSchemaError(f"unknown key {ctx}{unknown[0]!r}")
-    hints = get_type_hints(cls)
-    values = {}
+    hints, values = _hints(cls), {}
     for f in declared:
         hint, key = hints[f.name], f"{ctx}{f.name!r}"
         if f.name not in raw:
@@ -161,7 +167,7 @@ def _read(cls, raw: dict, ctx: str):
         elif is_dataclass(hint):
             if not isinstance(raw[f.name], dict):
                 raise ScenarioSchemaError(f"key {key} must be an object")
-            values[f.name] = _read(hint, raw[f.name], f"{ctx}{f.name}.")
+            values[f.name] = hint(**_typed(hint, raw[f.name], f"{ctx}{f.name}."))
         else:
             try:
                 values[f.name] = _convert(hint, raw[f.name])
@@ -169,7 +175,7 @@ def _read(cls, raw: dict, ctx: str):
                 named = get_args(hint)[0] if get_origin(hint) is UnionType else hint
                 expected = _EXPECTED[get_origin(named) or named]
                 raise ScenarioSchemaError(f"key {key} must be {expected}") from None
-    return cls(**values)
+    return values
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
@@ -177,7 +183,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     ScenarioValidationError if it breaks a rule."""
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("scenario root must be a JSON object")
-    return _read(Scenario, raw, "")
+    return Scenario(**_typed(Scenario, raw, ""))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -4,7 +4,7 @@ Both models map the three standardized window features to an occupancy
 probability and are trained with mini-batch gradient descent on mean binary
 cross-entropy.  Parameters live in a flat float64 vector so federation can
 average them without knowing the architecture.  The model math is written
-once over leading axes: ``predict_rows`` and ``gradient`` serve one ``(d,)``
+once over leading axes: ``predict_rows`` and ``_gradient`` serve one ``(d,)``
 model on its ``(m, 3)`` windows, the ``(n, d)`` array of all nodes' models and
 a ``(k, n, d)`` stack of k copies of it, which ``train_rows`` trains in one
 gradient step per mini-batch, in the epoch orders its caller draws.
@@ -19,7 +19,7 @@ for, so the results are a fresh array's to the bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,27 +76,14 @@ class CostReport:
 
 @dataclass
 class ModelParams:
-    """Flat parameter vector plus ``n_train_samples``, the windows trained
-    since the model's last exchange (a closed form of the run's schedule)."""
+    """Snapshot of one node's final model: its flat parameter vector and
+    ``n_train_samples``, the windows trained since the model's last exchange
+    (a closed form of the run's schedule).  ``engine.run_simulation`` fills
+    it from the trained ``(k, n, d)`` stack, whose finiteness training checks."""
 
     kind: str
     theta: np.ndarray
     n_train_samples: int = 0
-
-    def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=np.float64)
-        expected = model_dim(self.kind)
-        if theta.shape != (expected,):
-            raise ValueError(
-                f"theta: kind {self.kind!r} needs shape ({expected},), got {theta.shape}"
-            )
-        if not np.isfinite(theta).all():
-            raise ValueError("theta: entries must be finite")
-        if self.n_train_samples < 0:
-            raise ValueError(
-                f"n_train_samples: must be >= 0 (got {self.n_train_samples})"
-            )
-        self.theta = theta
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.kind, self.theta.copy(), self.n_train_samples)
@@ -201,14 +188,6 @@ def _gradient(
     return views.grad
 
 
-def gradient(kind: str, theta: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Mean-BCE gradients ``(..., d)`` of ``theta`` on ``x``, ``y (..., b)``,
-    in fresh buffers; the sigmoid saturates quietly."""
-    views = _views(kind, theta, x)
-    with np.errstate(over="ignore", under="ignore"):
-        return _gradient(kind, x, x.swapaxes(-1, -2), y[..., None], views)
-
-
 def predict_rows(kind: str, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Probabilities ``(n, m)`` of models ``theta (n, d)``, row i on windows
     ``x[i]`` of ``x (n, m, 3)``; one model and its ``(m, 3)`` windows give ``(m,)``."""
@@ -258,8 +237,3 @@ def train_rows(
                 grad = _gradient(kind, *step)
                 grad *= tc.learning_rate
                 theta -= grad
-
-
-def energy_baseline_decide(features: Sequence[float], threshold_std: float) -> bool:
-    """Classical energy detector on the standardized mean-power feature."""
-    return bool(features[0] > threshold_std)

@@ -20,9 +20,10 @@ from fedspectrum.federation import (
     gossip_mix,
     gossip_mixer,
 )
-from fedspectrum.radio import SensorStreams, path_loss_db
+from fedspectrum.radio import SensorStreams
 from fedspectrum.scenario import Placement
 from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
+from fedspectrum.sensing import _gradient, _views
 
 
 def seed_sequence_stream(seed, key):
@@ -36,6 +37,13 @@ def substream(seed, label):
     by the first 8 bytes of the label's SHA-256, little-endian."""
     key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
     return seed_sequence_stream(seed, key)
+
+
+def confusion(decided, truths):
+    """(tp, fp, tn, fn) of bool decisions against their truth labels, counted
+    pair by pair: the reference for ``engine._confusion``."""
+    pairs = list(zip(map(bool, decided), map(bool, truths)))
+    return tuple(pairs.count(pair) for pair in [(1, 1), (1, 0), (0, 0), (0, 1)])
 
 
 def expit(z):
@@ -131,6 +139,14 @@ def identical_nodes(sensing, monkeypatch):
 # from ``obs`` and, per active primary user in index order, one normal from
 # ``shadow`` and one fade row from ``fade``.  dB conversions are the numpy
 # ufuncs ``np.power`` and ``np.log10``, elementwise like the block's.
+
+
+def path_loss_db(ch, distance_m):
+    """Log-distance loss at one distance, clamped below the reference
+    distance, in Python's floats: the reference ``radio._mean_power_dbm``'s
+    table must equal bit for bit."""
+    d = max(distance_m, ch.d0_m)
+    return ch.pl0_db + 10.0 * ch.n_exp * math.log10(d / ch.d0_m)
 
 
 def received_power_dbm(ch, tx_power_dbm, distance_m, shadow_rng):
@@ -290,7 +306,7 @@ def predict(model, features):
 def bce_loss(kind, theta, x, y):
     """Mean binary cross-entropy of one model on ``(b, 3)`` windows, from its
     logits written out in 2-D products, so it never overflows: the loss the
-    central-difference checks of ``sensing.gradient`` differentiate."""
+    central-difference checks of ``step_gradient`` differentiate."""
     w1_end, b1_end = N_FEATURES * MLP_HIDDEN, N_FEATURES * MLP_HIDDEN + MLP_HIDDEN
     if kind == "logistic":
         z = x @ theta[:N_FEATURES] + theta[N_FEATURES]
@@ -307,7 +323,7 @@ def bce_loss(kind, theta, x, y):
 
 def gradient(kind, theta, x, y):
     """Mean-BCE gradient of one model on a ``(b, 3)`` batch, the layers written
-    out in 2-D products: the reference for ``sensing.gradient``."""
+    out in 2-D products: the reference for ``step_gradient``."""
     w1_end, b1_end = N_FEATURES * MLP_HIDDEN, N_FEATURES * MLP_HIDDEN + MLP_HIDDEN
     if kind == "logistic":
         r = (expit(x @ theta[:N_FEATURES] + theta[N_FEATURES]) - y) / len(x)
@@ -318,6 +334,14 @@ def gradient(kind, theta, x, y):
     r = (expit(h @ w2 + theta[-1]) - y) / len(x)
     dpre = np.outer(r, w2) * (1.0 - h * h)
     return np.concatenate([(dpre.T @ x).reshape(-1), dpre.sum(axis=0), h.T @ r, [r.sum()]])
+
+
+def step_gradient(kind, theta, x, y):
+    """Not a reference: the gradient a ``train_rows`` step takes, from
+    ``sensing._gradient`` of ``theta`` on ``x``, ``y (..., b)`` in fresh
+    buffers, under the step's ``np.errstate``."""
+    with np.errstate(over="ignore", under="ignore"):
+        return _gradient(kind, x, x.swapaxes(-1, -2), y[..., None], _views(kind, theta, x))
 
 
 def shuffles(rngs, epochs, m):

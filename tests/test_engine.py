@@ -20,9 +20,7 @@ from fedspectrum.cli import (
 from fedspectrum.engine import (
     DetectionMetrics,
     DivergenceError,
-    EmptyInputError,
     RunResult,
-    evaluate_detection,
     run_simulation,
     sense_run,
     train_topologies,
@@ -46,6 +44,7 @@ from fedspectrum.sensing import (
     predict_rows,
 )
 from oracles import (
+    confusion,
     identical_nodes,
     pu_activity_step,
     radio_range,
@@ -77,33 +76,23 @@ def small_scenario(seed=1, **kwargs):
     return Scenario(**defaults)
 
 
-def test_evaluate_detection_balanced_example():
+def test_confusion_balanced_example():
     decided = np.array([True, False, True, False])
     truths = np.array([True, True, False, False])
-    m = evaluate_detection(decided, truths)
+    m = DetectionMetrics(*engine._confusion(decided, truths).tolist())
     assert (m.tp, m.fn, m.fp, m.tn) == (1, 1, 1, 1)
     assert m.pd == 0.5 and m.pfa == 0.5 and m.accuracy == 0.5
     assert all(type(count) is int for count in astuple(m))  # JSON-ready
 
 
-def test_evaluate_detection_empty_raises():
-    with pytest.raises(EmptyInputError):
-        evaluate_detection(np.array([], dtype=bool), np.array([], dtype=bool))
-    with pytest.raises(ValueError, match="2 decisions for 1 truth labels"):
-        evaluate_detection(np.array([True, False]), np.array([True]))
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=30))
-def test_evaluate_detection_matches_pairwise_count(pairs):
+def test_confusion_matches_pairwise_count(pairs):
     decided, truths = np.array(pairs).T
-    expected = (
-        sum(d and t for d, t in pairs),
-        sum(d and not t for d, t in pairs),
-        sum(not d and not t for d, t in pairs),
-        sum(not d and t for d, t in pairs),
-    )
-    assert astuple(evaluate_detection(decided, truths)) == expected
+    # one row, and the (..., m) stack of it and its negation
+    assert engine._confusion(decided, truths).tolist() == list(confusion(decided, truths))
+    stacked = engine._confusion(np.stack([decided, ~decided]), truths).tolist()
+    assert stacked == [list(confusion(decided, truths)), list(confusion(~decided, truths))]
 
 
 def test_metrics_undefined_without_support():
@@ -123,7 +112,8 @@ def test_roc_sweep_endpoints_and_monotonicity():
     features[:, 0] = rng.normal(0.5, 1.0, size=200)
     probs, truths = predict_rows("logistic", theta, features), features[:, 0] > 0.5
     thresholds = np.linspace(0.0, 1.0, 101)
-    points = [evaluate_detection(probs >= t, truths) for t in thresholds]
+    counts = engine._confusion(probs >= thresholds[:, None], truths)  # one row per threshold
+    points = [DetectionMetrics(*c) for c in counts]
     assert len(points) == 101
     assert thresholds[0] == 0.0 and thresholds[-1] == 1.0
     # threshold 0 accepts everything
@@ -472,6 +462,9 @@ def test_stacked_training_is_the_per_topology_loop(
         run = run_simulation(scenario, topology, seed, trained=trained)
         assert run.federation_rounds == rounds
         assert [m.n_train_samples for m in run.final_models] == samples.tolist()
+        # the snapshots are the trained rows, which training checked are finite
+        assert {m.kind for m in run.final_models} == {kind}
+        assert np.stack([m.theta for m in run.final_models]).tobytes() == theta.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -827,7 +820,7 @@ def test_per_node_results_are_read_only_int_arrays(topology):
     cut = scenario.schedule.n_training_slots
     decided = predict_rows("logistic", theta, sensing.windows[:, cut:]) >= 0.5
     for counts, row in zip(result.confusion.tolist(), decided):
-        assert DetectionMetrics(*counts) == evaluate_detection(row, sensing.truths[cut:])
+        assert tuple(counts) == confusion(row, sensing.truths[cut:])
     assert result.global_metrics == DetectionMetrics(*result.confusion.sum(axis=0).tolist())
 
 

@@ -35,34 +35,64 @@ def test_the_readme_python_block_runs_from_the_repo_root():
     assert 0.0 <= float(done.stdout) <= 1.0  # the printed accuracy
 
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_imports():
+    """(file, import) of each ``from fedspectrum[.module] import`` in ``bench/``."""
+    for path in sorted(BENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                if node.module.split(".")[0] == "fedspectrum":
+                    yield path, node
+
+
 def test_every_bench_import_from_the_package_resolves():
     # no test imports bench/probe.py, so a name pruned from the package would
     # otherwise fail only when the benchmark runs
-    bench = Path(__file__).resolve().parents[1] / "bench"
     missing = []
-    for path in sorted(bench.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module):
-                continue
-            if node.module.split(".")[0] != "fedspectrum":
-                continue
-            module = importlib.import_module(node.module)
-            for alias in node.names:
-                if not hasattr(module, alias.name):
-                    try:  # a submodule: ``from fedspectrum import cli``
-                        importlib.import_module(f"{node.module}.{alias.name}")
-                    except ModuleNotFoundError:
-                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+    for path, node in bench_imports():
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            if not hasattr(module, alias.name):
+                try:  # a submodule: ``from fedspectrum import cli``
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    missing.append(f"{path.name}: {node.module}.{alias.name}")
     assert missing == []
 
 
-def test_runtime_imports_no_scipy():
-    # scipy is a test dependency only: importing the CLI must not load it
-    src = Path(fedspectrum.__file__).resolve().parents[1]
-    code = "import sys, fedspectrum.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+def test_the_cli_imports_numpy_and_the_standard_library_only():
+    # pyproject's one dependency is numpy (scipy is for the tests only), and
+    # every module the CLI loads beyond numpy's adds to each command's set-up
+    code = ("import sys, numpy, numpy.random; before = {m.split('.')[0] for m in sys.modules}; "
+            "import fedspectrum.cli; new = {m.split('.')[0] for m in sys.modules} - before; "
+            "print(sorted(new - set(sys.stdlib_module_names)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(fedspectrum.__file__).resolve().parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "['fedspectrum']\n")
+
+
+def test_src_holds_no_api_that_only_the_tests_call():
+    # a public top-level function, class or constant of src/ that no other
+    # top-level statement there uses, that __all__ does not list and that no
+    # bench/ file imports is test-only API, which belongs in tests/oracles.py
+    reads = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}  # the name a node reads
+    kept = set(fedspectrum.__all__) | {a.name for _, node in bench_imports() for a in node.names}
+    statements = [(path.stem, node) for path in sorted(BENCH.parent.glob("src/fedspectrum/*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    uses = [{getattr(sub, reads[type(sub)]) for sub in ast.walk(node) if type(sub) in reads}
+            for _, node in statements]
+    unused = []
+    for (module, node), own in zip(statements, uses):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:  # an Assign's targets or an AnnAssign's target
+            names = [t.id for t in getattr(node, "targets", [getattr(node, "target", None)])
+                     if isinstance(t, ast.Name)]
+        unused += [f"{module}.{name}" for name in names if not name.startswith("_")
+                   and name not in kept and not any(name in use for use in uses if use is not own)]
+    assert unused == []
 
 
 def test_engine_calls_into_federation_through_its_own_functions():

@@ -19,13 +19,13 @@ from fedspectrum.radio import (
     SensorStreams,
     dbm_to_mw,
     draw_windows,
-    path_loss_db,
     pu_chain,
     sense_windows,
 )
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, Scenario, SlotSchedule, load_scenario, place_nodes
 from oracles import (
+    path_loss_db,
     pu_activity_step,
     received_power_dbm,
     sense_slot,
@@ -71,12 +71,17 @@ def test_draw_windows_floors_silent_windows(noise_floor_dbm):
     assert (windows == (-300.0 - noise_floor_dbm) / 10.0).all()
 
 
+def table_loss_db(ch, distances):
+    """Path loss at each distance from a sensor, as ``_mean_power_dbm``'s table has it."""
+    pus = [Placement(1 + i, "primary_user", d, 0.0) for i, d in enumerate(distances)]
+    sensor, tm = Placement(0, "sensor", 0.0, 0.0), PuTrafficModel(tx_power_dbm=0.0)
+    return -radio._mean_power_dbm([sensor], pus, ch, tm)[0]
+
+
 def test_path_loss_reference_point_and_clamp():
-    ch = ChannelModel(pl0_db=40.0, d0_m=1.0, n_exp=3.0)
-    assert path_loss_db(ch, 1.0) == 40.0
-    assert path_loss_db(ch, 0.25) == 40.0
-    assert path_loss_db(ch, 10.0) == pytest.approx(70.0)
-    assert path_loss_db(ch, 100.0) == pytest.approx(100.0)
+    loss = table_loss_db(ChannelModel(pl0_db=40.0, d0_m=1.0, n_exp=3.0), [1.0, 0.25, 10.0, 100.0])
+    assert loss[:2].tolist() == [40.0, 40.0]
+    assert loss[2:].tolist() == pytest.approx([70.0, 100.0])
 
 
 @given(
@@ -84,9 +89,8 @@ def test_path_loss_reference_point_and_clamp():
     st.floats(min_value=0.0, max_value=5000.0),
 )
 def test_path_loss_monotone_in_distance(d1, d2):
-    ch = ChannelModel(n_exp=2.5)
-    lo, hi = sorted((d1, d2))
-    assert path_loss_db(ch, lo) <= path_loss_db(ch, hi) + 1e-12
+    lo, hi = table_loss_db(ChannelModel(n_exp=2.5), sorted((d1, d2)))
+    assert lo <= hi + 1e-12
 
 
 COORDS = st.tuples(st.floats(0.0, 1e300), st.floats(0.0, 1e300))

@@ -172,14 +172,27 @@ def test_a_scenario_cannot_change_under_a_run():
     assert sensing.scenario == load_scenario("scenarios/data_scarce.json")
 
 
-def test_a_pair_given_as_a_list_is_stored_as_a_tuple():
-    band, central = [3500.0, 3600.0], [100.0, 100.0]
-    s = Scenario(seed=1, carrier_band_mhz=band, central_xy_m=central)
-    digest = scenario_digest(s)
+def test_a_scenario_built_in_python_is_typed_as_a_file_is():
+    # an int for a float field, numpy's numbers, a pair given as a list and a
+    # config given as a dict are the floats, ints, tuples and configs a file
+    # gives: one scenario, one digest
+    s = load_scenario("scenarios/data_scarce.json")
+    python = replace(s, area_size_m=600.0, seed=5, central_xy_m=(100.0, 100.0))
+    band, central = list(s.carrier_band_mhz), [100, np.float64(100.0)]
+    spellings = [
+        replace(s, area_size_m=600, seed=5, carrier_band_mhz=band, central_xy_m=central),
+        replace(s, area_size_m=np.float32(600.0), seed=np.int64(5), central_xy_m=(100, 100)),
+        replace(python, seed=np.uint64(5), channel={"n_exp": 2, "shadowing_sigma_db": np.int64(8)},
+                schedule=replace(s.schedule, n_eval_slots=np.int32(s.schedule.n_eval_slots))),
+    ]
     band[0], central[0] = 3650.0, 5000.0  # the caller's lists, not the scenario's
-    tuples = Scenario(seed=1, carrier_band_mhz=(3500.0, 3600.0), central_xy_m=(100.0, 100.0))
-    assert s == tuples and hash(s) == hash(tuples)
-    assert scenario_digest(s) == digest == scenario_digest(tuples)
+    for built in spellings:
+        values = [built.area_size_m, built.seed, built.schedule.n_eval_slots, built.channel.n_exp]
+        assert list(map(type, values + [built.central_xy_m[0]])) == [float, int, int, float, float]
+        assert built == python and hash(built) == hash(python)
+        assert scenario_digest(built) == scenario_digest(python)
+    with pytest.raises(ScenarioSchemaError, match="^key 'channel' must be an object$"):
+        replace(s, channel=None)
 
 
 def test_bad_tag_values_fail_validation(tmp_path):
@@ -443,8 +456,8 @@ def test_schema_doc_example_is_the_default_scenario():
 
 # per documented type: what a value must be, and values that are not that
 TYPE_ERRORS = {
-    "number": ("a number", ["x", True, None]),
-    "int": ("an integer", ["x", True, None, 2.5]),
+    "number": ("a number", ["x", True, None, np.True_]),
+    "int": ("an integer", ["x", True, None, 2.5, np.True_, np.float64(2.0)]),
     "string": ("a string", [7, None]),
     "bool": ("a boolean", ["yes", 1, None]),
     "[number, number]": ("a pair of numbers", ["x", True, [1.0], [1.0, "x"]]),
@@ -455,13 +468,18 @@ TYPE_ERRORS = {
     "section,key,doc_type",
     [(s, k, t) for s, rows in schema_doc_tables().items() for k, (t, _, _) in rows.items()],
 )
-def test_every_documented_key_rejects_other_types_by_name(section, key, doc_type):
+@pytest.mark.parametrize("built", ["from-a-file", "in-python"])
+def test_every_documented_key_rejects_other_types_by_name(section, key, doc_type, built):
     expected, wrong_values = TYPE_ERRORS[doc_type]
     name = f"{section}.{key!r}" if section else repr(key)
     for value in wrong_values:
         obj = {"seed": 1, section: {key: value}} if section else {"seed": 1, key: value}
         with pytest.raises(ScenarioSchemaError, match=f"^key {re.escape(name)} must be {expected}$"):
-            scenario_from_dict(obj)
+            if built == "from-a-file":
+                scenario_from_dict(obj)
+            else:  # the config holding the value is built first
+                leaf = get_type_hints(Scenario)[section](**{key: value}) if section else value
+                Scenario(**{"seed": 1, section or key: leaf})
 
 
 @pytest.mark.parametrize(
