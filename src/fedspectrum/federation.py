@@ -137,11 +137,8 @@ class GossipMixer(NamedTuple):
 
 def gossip_mixer(table: NeighborTable, cfg: FederationConfig, d: int) -> GossipMixer:
     """The gossip round over ``table`` under ``cfg`` for ``(n, d)`` models;
-    ``samples`` weighting builds ``uniform``'s weights (module docstring)."""
-    if cfg.weighting not in WEIGHTINGS:
-        raise ValueError(
-            f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"
-        )
+    ``samples`` weighting builds ``uniform``'s weights (module docstring).
+    ``cfg.weighting`` is one of ``WEIGHTINGS``, as a Scenario checks."""
     # slot k + 1 is row k of ids, valid and distances; slot 0 is the node itself
     ids, valid, distances = (np.ascontiguousarray(a.T) for a in table)
     if cfg.weighting == "inverse_distance" and distances.min(initial=np.inf) <= 0.0:

@@ -6,10 +6,13 @@ accepted value types, and its defaults fill absent keys; nested dataclass
 fields are nested objects.  Every key is optional except ``seed``; unknown
 keys are rejected so typos cannot silently fall back to defaults, and
 duplicate keys so no value is silently dropped.  Value bounds and choices
-are one table, ``_RULES``, which ``Scenario.__post_init__`` checks: the
-dataclasses are frozen, so a Scenario that exists is valid and stays so,
-and a variant made with ``dataclasses.replace`` is checked as it is built.
-``docs/scenario_schema.md`` carries the annotated reference.
+are one table, ``_RULES``, which ``Scenario.__post_init__`` checks in the
+same walk that types each value: the dataclasses are frozen, so a Scenario
+that exists is valid and stays so, and a variant made with
+``dataclasses.replace`` is checked as it is built.  The Scenario is the one
+place a rule is checked: the code below it (``sensing.cost_constants``,
+``federation.gossip_mixer``, ``sensing.train_rows``) takes its values as
+they are.  ``docs/scenario_schema.md`` carries the annotated reference.
 """
 
 from __future__ import annotations
@@ -73,9 +76,9 @@ class Placement:
 @dataclass(frozen=True)
 class Scenario:
     """Complete description of one experiment, valid once it exists: the
-    constructor (and so ``dataclasses.replace``) types every field as a
-    scenario file's (``_typed``), then raises ScenarioValidationError joining
-    every violation (``_violations``)."""
+    constructor (and so ``dataclasses.replace``) types and checks every field
+    as a scenario file's (``_typed``), then raises ScenarioValidationError
+    joining every violation (``_violations``)."""
 
     seed: int
     area_size_m: float = 1000.0
@@ -91,9 +94,10 @@ class Scenario:
     schedule: SlotSchedule = field(default_factory=SlotSchedule)
 
     def __post_init__(self) -> None:
-        for name, value in _typed(Scenario, asdict(self), "").items():
+        bad: dict[str, str] = {}
+        for name, value in _typed(Scenario, asdict(self), "", bad).items():
             object.__setattr__(self, name, value)
-        violations = _violations(self)
+        violations = _violations(self, bad)
         if violations:
             raise ScenarioValidationError("; ".join(violations))
 
@@ -145,10 +149,12 @@ def _convert(hint, value):
         return math.inf if value > 0 else -math.inf
 
 
-def _typed(cls, raw: dict, ctx: str) -> dict:
+def _typed(cls, raw: dict, ctx: str, bad: dict[str, str]) -> dict:
     """The fields of dataclass ``cls`` from the object ``raw`` (JSON, or a
     built Scenario's ``asdict``), each as its type (``_convert``); absent
-    keys take the field defaults.
+    keys take the field defaults.  The same walk puts in ``bad``, by dotted
+    name, the first rule each given value breaks: finite, a count (not the
+    seed) at most ``MAX_COUNT``, then its ``_RULES`` bound or choice.
 
     Keys, types and defaults all come from the dataclass fields, and nested
     dataclass fields are built from nested objects.  ``ctx``, the dotted
@@ -160,14 +166,14 @@ def _typed(cls, raw: dict, ctx: str) -> dict:
         raise ScenarioSchemaError(f"unknown key {ctx}{unknown[0]!r}")
     hints, values = _hints(cls), {}
     for f in declared:
-        hint, key = hints[f.name], f"{ctx}{f.name!r}"
+        hint, key, name = hints[f.name], f"{ctx}{f.name!r}", f"{ctx}{f.name}"
         if f.name not in raw:
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ScenarioSchemaError(f"missing required key {key}")
         elif is_dataclass(hint):
             if not isinstance(raw[f.name], dict):
                 raise ScenarioSchemaError(f"key {key} must be an object")
-            values[f.name] = hint(**_typed(hint, raw[f.name], f"{ctx}{f.name}."))
+            values[f.name] = hint(**_typed(hint, raw[f.name], f"{name}.", bad))
         else:
             try:
                 values[f.name] = _convert(hint, raw[f.name])
@@ -175,6 +181,19 @@ def _typed(cls, raw: dict, ctx: str) -> dict:
                 named = get_args(hint)[0] if get_origin(hint) is UnionType else hint
                 expected = _EXPECTED[get_origin(named) or named]
                 raise ScenarioSchemaError(f"key {key} must be {expected}") from None
+            value, rule = values[f.name], _RULES.get(name)
+            numbers = value if isinstance(value, tuple) else [value]
+            if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+                shown = list(value) if numbers is value else value
+                bad[name] = f"{name}: must be finite (got {shown})"
+            elif name != "seed" and isinstance(value, int) and value > MAX_COUNT:
+                bad[name] = f"{name}: must be <= {MAX_COUNT} (got {value})"
+            elif isinstance(rule, tuple) and value not in rule:
+                bad[name] = f"{name}: must be one of {rule} (got {value!r})"
+            elif isinstance(rule, str):
+                bounds = (bound.split() for bound in rule.split(", "))
+                if not all(_OPS[op](value, float(limit)) for op, limit in bounds):
+                    bad[name] = f"{name}: must be {rule} (got {value})"
     return values
 
 
@@ -183,7 +202,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     ScenarioValidationError if it breaks a rule."""
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("scenario root must be a JSON object")
-    return Scenario(**_typed(Scenario, raw, ""))
+    return Scenario(**_typed(Scenario, raw, "", {}))
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -221,16 +240,7 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw)
 
 
-def _leaves(d: dict, prefix: str = ""):
-    """(dotted name, value) of every non-dict value in a nested dict, tuples as lists."""
-    for key, value in d.items():
-        if isinstance(value, dict):
-            yield from _leaves(value, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}", list(value) if isinstance(value, tuple) else value
-
-
-# Value rule per field, by the dotted name ``_leaves`` yields: bounds
+# Value rule per field, by its dotted name (``schedule.window_samples``): bounds
 # "<op> <limit>[, <op> <limit>]" that are both the check and its message, or
 # the tuple of allowed choices.  A field without a rule takes any value of its
 # type.  dB powers are bounded to keep linear powers' squares finite.
@@ -264,27 +274,10 @@ _RULES = {
 _OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
-def _violations(s: Scenario) -> list[str]:
-    """All invariant violations, each naming the offending field.
-
-    Fields come in field order, with at most one message each: a non-finite
-    number, a count above ``MAX_COUNT``, or a broken ``_RULES`` entry.  The
-    cross-field checks follow, each only when no field it reads was reported.
-    """
-    bad: dict[str, str] = {}
-    for name, value in _leaves(asdict(s)):
-        numbers = value if isinstance(value, list) else [value]
-        rule = _RULES.get(name)
-        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
-            bad[name] = f"{name}: must be finite (got {value})"
-        elif name != "seed" and isinstance(value, int) and value > MAX_COUNT:
-            bad[name] = f"{name}: must be <= {MAX_COUNT} (got {value})"
-        elif isinstance(rule, tuple) and value not in rule:
-            bad[name] = f"{name}: must be one of {rule} (got {value!r})"
-        elif isinstance(rule, str):
-            bounds = (bound.split() for bound in rule.split(", "))
-            if not all(_OPS[op](value, float(limit)) for op, limit in bounds):
-                bad[name] = f"{name}: must be {rule} (got {value})"
+def _violations(s: Scenario, bad: dict[str, str]) -> list[str]:
+    """All invariant violations, each naming its field: ``_typed``'s field
+    messages ``bad`` in field order, then the cross-field checks, each only
+    when no field it reads is in ``bad``."""
     v = list(bad.values())
 
     def clean(*names: str) -> bool:

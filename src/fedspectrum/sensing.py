@@ -38,21 +38,16 @@ _B1_END = _W1_END + MLP_HIDDEN
 _W2_END = _B1_END + MLP_HIDDEN
 
 
-class EmptyDataError(ValueError):
-    """Training was asked to run on an empty observation buffer."""
-
-
 def model_dim(kind: str) -> int:
     return cost_constants(kind)[1]
 
 
 def cost_constants(kind: str) -> tuple[int, int]:
-    """(multiply-accumulates per inference, parameter count) for a kind."""
+    """(multiply-accumulates per inference, parameter count) for a kind, one
+    of ``MODEL_KINDS`` (a Scenario's ``training.model_kind``, checked there)."""
     if kind == "logistic":
         return N_FEATURES, LOGISTIC_DIM
-    if kind == "mlp":
-        return N_FEATURES * MLP_HIDDEN + MLP_HIDDEN, MLP_DIM
-    raise ValueError(f"kind: unknown model kind {kind!r} (expected one of {MODEL_KINDS})")
+    return N_FEATURES * MLP_HIDDEN + MLP_HIDDEN, MLP_DIM
 
 
 @dataclass(frozen=True)
@@ -215,8 +210,6 @@ def train_rows(
         raise ValueError(f"order: {len(order)}, x: {len(x)} and theta: {n} rows must agree")
     if len(y) != m:
         raise ValueError(f"y: {len(y)} labels for buffers of {m} windows")
-    if m == 0:
-        raise EmptyDataError("x: training buffer is empty")
     if order.shape[1:] != (epochs, m):
         raise ValueError(f"order: rows {order.shape[1:]}, not (epochs_per_round, m) {(epochs, m)}")
     # an epoch's windows: one take from the flat buffers, faster than x[rows, order]

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import operator
 import re
 from dataclasses import replace
 from typing import Sequence
@@ -21,7 +22,7 @@ from fedspectrum.federation import (
     gossip_mixer,
 )
 from fedspectrum.radio import SensorStreams
-from fedspectrum.scenario import Placement
+from fedspectrum.scenario import _RULES, MAX_COUNT, MAX_WINDOWS, Placement
 from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
 from fedspectrum.sensing import _gradient, _views
 
@@ -47,7 +48,8 @@ def confusion(decided, truths):
 
 
 def expit(z):
-    """Logistic sigmoid written out: the reference for ``sensing.expit``."""
+    """Logistic sigmoid written out: the reference for the one in
+    ``sensing._probabilities``, which ``predict_rows`` reaches."""
     with np.errstate(over="ignore", under="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
 
@@ -444,3 +446,64 @@ def summarize_runs(runs):
             "pfa_undefined_runs": pfa_skipped,
         }
     return {"scenario_digest": runs[0].scenario_digest, "seeds": seeds, "topologies": summaries}
+
+
+def scenario_leaves(d, prefix=""):
+    """(dotted name, value) of every non-dict value in a nested dict, tuples
+    as lists: a scenario's fields as ``asdict`` nests them, in field order."""
+    for key, value in d.items():
+        if isinstance(value, dict):
+            yield from scenario_leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", list(value) if isinstance(value, tuple) else value
+
+
+def scenario_violations(raw):
+    """The messages, in order, that a Scenario whose typed fields are the
+    complete nested dict ``raw`` (an ``asdict``) raises, [] for none.
+
+    Leaf by leaf from ``scenario_leaves``, at most one message each: a
+    non-finite number, a count other than the seed above ``MAX_COUNT``, or a
+    broken ``_RULES`` entry.  Then the cross-field checks, each only when no
+    leaf it reads was reported: the reference for the checks
+    ``scenario._typed`` makes as it types and for ``scenario._violations``.
+    """
+    ops = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+    leaves, bad = dict(scenario_leaves(raw)), {}
+    for name, value in leaves.items():
+        numbers = value if isinstance(value, list) else [value]
+        rule = _RULES.get(name)
+        if any(isinstance(x, float) and not math.isfinite(x) for x in numbers):
+            bad[name] = f"{name}: must be finite (got {value})"
+        elif name != "seed" and isinstance(value, int) and value > MAX_COUNT:
+            bad[name] = f"{name}: must be <= {MAX_COUNT} (got {value})"
+        elif isinstance(rule, tuple) and value not in rule:
+            bad[name] = f"{name}: must be one of {rule} (got {value!r})"
+        elif isinstance(rule, str):
+            bounds = (bound.split() for bound in rule.split(", "))
+            if not all(ops[op](value, float(limit)) for op, limit in bounds):
+                bad[name] = f"{name}: must be {rule} (got {value})"
+    messages = list(bad.values())
+
+    def reported(*names):
+        return any(name in bad for name in names)
+
+    slot_names = ("schedule.n_training_slots", "schedule.n_eval_slots")
+    slots = sum(leaves[name] for name in slot_names)
+    for name, what in (("n_sensors", "windows"), ("n_primary_users", "chain steps")):
+        count = leaves[name]
+        if not reported(name, *slot_names) and count * slots > MAX_WINDOWS:
+            messages.append(
+                f"{name}: {count} x {slots} slots is {count * slots} {what}, "
+                f"above the limit of {MAX_WINDOWS}"
+            )
+    low, high = leaves["carrier_band_mhz"]
+    if not reported("carrier_band_mhz") and not low < high:
+        messages.append(f"carrier_band_mhz: low edge must be below high edge (got {[low, high]})")
+    if not 0 <= leaves["seed"] < 2**64:
+        messages.append(f"seed: must fit in 64 unsigned bits (got {leaves['seed']})")
+    central, area = leaves["central_xy_m"], leaves["area_size_m"]
+    if central is not None and not reported("central_xy_m", "area_size_m"):
+        if not all(0 <= c <= area for c in central):
+            messages.append(f"central_xy_m: must lie inside the area (got {central})")
+    return messages

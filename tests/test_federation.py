@@ -639,8 +639,6 @@ def test_gossip_mix_rejects_what_merge_models_rejects():
     with pytest.raises(NonpositiveDistanceError):
         cfg = FederationConfig(weighting="inverse_distance")
         gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
-    with pytest.raises(ValueError, match="weighting"):
-        gossip_mix(theta, gossip_mixer(table, FederationConfig(weighting="mean"), 4))
 
 
 def test_gossip_mix_rejects_a_theta_of_another_shape():

@@ -22,7 +22,6 @@ from fedspectrum.scenario import (
     ScenarioSchemaError,
     ScenarioValidationError,
     SlotSchedule,
-    _leaves,
     _RULES,
     load_scenario,
     place_nodes,
@@ -30,6 +29,7 @@ from fedspectrum.scenario import (
     scenario_from_dict,
 )
 from oracles import place_nodes as reference_place_nodes
+from oracles import scenario_leaves, scenario_violations
 
 
 def write(tmp_path, obj):
@@ -121,22 +121,6 @@ def test_unknown_key_rejected(tmp_path):
 def test_unknown_nested_key_rejected(tmp_path):
     with pytest.raises(ScenarioSchemaError, match=r"channel\.'pl0'"):
         load_scenario(write(tmp_path, {"seed": 1, "channel": {"pl0": 40}}))
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        {"seed": "one"},
-        {"seed": 1, "n_sensors": 2.5},
-        {"seed": 1, "sensor_placement": 7},
-        {"seed": 1, "carrier_band_mhz": [3550.0]},
-        {"seed": 1, "federation": {"include_self_weight": "yes"}},
-        {"seed": 1, "schedule": {"window_samples": True}},
-    ],
-)
-def test_wrong_types_rejected(tmp_path, obj):
-    with pytest.raises(ScenarioSchemaError):
-        load_scenario(write(tmp_path, obj))
 
 
 def test_validation_names_offending_field(tmp_path):
@@ -521,7 +505,7 @@ def test_schema_doc_states_the_count_limits():
     assert f"`{MAX_COUNT}`" in text and f"`{MAX_WINDOWS}`" in text
 
 
-DEFAULT_LEAVES = dict(_leaves(asdict(Scenario(seed=1))))
+DEFAULT_LEAVES = dict(scenario_leaves(asdict(Scenario(seed=1))))
 # one entry per bound: a rule "<op> <limit>, <op> <limit>" gives two
 BOUNDS = sorted(
     (name, bound)
@@ -584,3 +568,93 @@ def test_doc_constraint_column_states_each_rule():
                 assert re.findall(r'"(\w+)"', constraint) == list(rule), name
             else:
                 assert not re.match("[<>]", constraint) and '"' not in constraint, name
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+FINITE = st.floats(-1e3, 1e3)
+
+
+def broken_values(name, default):
+    """A strategy for values of leaf ``name``, of the type of its default,
+    that each break one of its rules: one of its bounds, its choices,
+    finiteness or the count limit; None for a leaf no value of its type
+    breaks on its own."""
+    rule, found = _RULES.get(name), []
+    if default is None or isinstance(default, tuple):  # a pair; central_xy_m defaults to None
+        found.append(st.tuples(NON_FINITE, FINITE | NON_FINITE) | st.tuples(FINITE, NON_FINITE))
+    elif isinstance(default, float):
+        found.append(NON_FINITE)
+    elif type(default) is int and name != "seed":
+        found.append(st.integers(min_value=MAX_COUNT + 1))
+    if isinstance(rule, tuple):
+        found.append(st.text().filter(lambda text: text not in rule))
+    bounds = rule.split(", ") if isinstance(rule, str) else []
+    for op, text in map(str.split, bounds):
+        limit = type(default)(float(text))
+        if isinstance(default, int):
+            edge = {">=": limit - 1, ">": limit, "<=": limit + 1}[op]
+            found.append(st.integers(min_value=edge) if op == "<=" else st.integers(max_value=edge))
+        elif op == "<=":
+            found.append(st.floats(min_value=limit, exclude_min=True, allow_infinity=False))
+        else:
+            found.append(st.floats(max_value=limit, exclude_max=op == ">=", allow_infinity=False))
+    return st.one_of(found) if found else None
+
+
+LEAF_BREAKS = {
+    name: values
+    for name, default in DEFAULT_LEAVES.items()
+    if (values := broken_values(name, default)) is not None
+}
+# one leaf value each that breaks a cross-field rule on an otherwise default scenario
+TOO_MANY = st.integers(MAX_WINDOWS // (SlotSchedule().n_training_slots + SlotSchedule().n_eval_slots)
+                       + 1, MAX_COUNT)
+CROSS_FIELD_BREAKS = {
+    "windows": st.tuples(st.just("n_sensors"), TOO_MANY),
+    "chain steps": st.tuples(st.just("n_primary_users"), TOO_MANY),
+    "band order": st.tuples(
+        st.just("carrier_band_mhz"),
+        st.tuples(FINITE, FINITE).map(lambda pair: tuple(sorted(pair, reverse=True))),
+    ),
+    "seed range": st.tuples(st.just("seed"), st.integers(2**64) | st.integers(max_value=-1)),
+    "coordinator": st.tuples(
+        st.just("central_xy_m"), st.tuples(st.floats(-1e6, 1e6), st.floats(1000.5, 1e6))
+    ),
+}
+
+
+def set_leaf(raw, name, value):
+    """Set the dotted leaf ``name`` of the nested dict ``raw`` to ``value``."""
+    *parents, last = name.split(".")
+    for key in parents:
+        raw = raw[key]
+    raw[last] = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_broken_leaves_raise_the_oracles_messages_in_order(data):
+    # 1-4 leaves across the nested configs break a bound, a choice,
+    # finiteness or the count limit, and maybe a cross-field rule breaks too;
+    # a file's dict and dataclasses.replace both raise the walk's messages
+    base = Scenario(seed=1)
+    raw = asdict(base)
+    cross = data.draw(st.sampled_from([None, *CROSS_FIELD_BREAKS]), label="cross-field")
+    if cross:
+        set_leaf(raw, *data.draw(CROSS_FIELD_BREAKS[cross], label=cross))
+    names = data.draw(st.lists(st.sampled_from(sorted(LEAF_BREAKS)), min_size=1, max_size=4,
+                               unique=True), label="leaves")
+    for name in names:
+        set_leaf(raw, name, data.draw(LEAF_BREAKS[name], label=name))
+    expected = "; ".join(scenario_violations(raw))
+    assert all(any(m.startswith(f"{name}: ") for m in expected.split("; ")) for name in names)
+    with pytest.raises(ScenarioValidationError) as from_dict:
+        scenario_from_dict(raw)
+    assert str(from_dict.value) == expected
+    changes = {
+        key: replace(getattr(base, key), **value) if isinstance(value, dict) else value
+        for key, value in raw.items()
+    }
+    with pytest.raises(ScenarioValidationError) as replaced:
+        replace(base, **changes)
+    assert str(replaced.value) == expected
