@@ -123,6 +123,22 @@ def test_unknown_nested_key_rejected(tmp_path):
         load_scenario(write(tmp_path, {"seed": 1, "channel": {"pl0": 40}}))
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"seed": "one"},
+        {"seed": 1, "n_sensors": 2.5},
+        {"seed": 1, "sensor_placement": 7},
+        {"seed": 1, "carrier_band_mhz": [3550.0]},
+        {"seed": 1, "federation": {"include_self_weight": "yes"}},
+        {"seed": 1, "schedule": {"window_samples": True}},
+    ],
+)
+def test_wrong_types_rejected(tmp_path, obj):
+    with pytest.raises(ScenarioSchemaError):
+        load_scenario(write(tmp_path, obj))
+
+
 def test_validation_names_offending_field(tmp_path):
     with pytest.raises(ScenarioValidationError, match="n_sensors"):
         load_scenario(write(tmp_path, {"seed": 1, "n_sensors": 0}))
