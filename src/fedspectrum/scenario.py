@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from hashlib import sha256
 from types import UnionType
@@ -150,11 +150,12 @@ def _convert(hint, value):
 
 
 def _typed(cls, raw: dict, ctx: str, bad: dict[str, str]) -> dict:
-    """The fields of dataclass ``cls`` from the object ``raw`` (JSON, or a
-    built Scenario's ``asdict``), each as its type (``_convert``); absent
-    keys take the field defaults.  The same walk puts in ``bad``, by dotted
-    name, the first rule each given value breaks: finite, a count (not the
-    seed) at most ``MAX_COUNT``, then its ``_RULES`` bound or choice.
+    """The fields of dataclass ``cls`` from the object ``raw`` (a built
+    Scenario's ``asdict``, whose nested objects may be a file's), each as its
+    type (``_convert``); keys absent from a nested object take the field
+    defaults.  The same walk puts in ``bad``, by dotted name, the first rule
+    each given value breaks: finite, a count (not the seed) at most
+    ``MAX_COUNT``, then its ``_RULES`` bound or choice.
 
     Keys, types and defaults all come from the dataclass fields, and nested
     dataclass fields are built from nested objects.  ``ctx``, the dotted
@@ -168,9 +169,8 @@ def _typed(cls, raw: dict, ctx: str, bad: dict[str, str]) -> dict:
     for f in declared:
         hint, key, name = hints[f.name], f"{ctx}{f.name!r}", f"{ctx}{f.name}"
         if f.name not in raw:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ScenarioSchemaError(f"missing required key {key}")
-        elif is_dataclass(hint):
+            continue
+        if is_dataclass(hint):
             if not isinstance(raw[f.name], dict):
                 raise ScenarioSchemaError(f"key {key} must be an object")
             values[f.name] = hint(**_typed(hint, raw[f.name], f"{name}.", bad))
@@ -198,11 +198,17 @@ def _typed(cls, raw: dict, ctx: str, bad: dict[str, str]) -> dict:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build a Scenario from an already-parsed JSON object (strict keys);
-    ScenarioValidationError if it breaks a rule."""
+    """Build a Scenario from an already-parsed JSON object (strict keys): the
+    constructor types its values, nested objects included, and checks them
+    in one walk; ScenarioValidationError if it breaks a rule."""
     if not isinstance(raw, dict):
         raise ScenarioSchemaError("scenario root must be a JSON object")
-    return Scenario(**_typed(Scenario, raw, "", {}))
+    unknown = sorted(set(raw) - {f.name for f in fields(Scenario)})
+    if unknown:
+        raise ScenarioSchemaError(f"unknown key {unknown[0]!r}")
+    if "seed" not in raw:
+        raise ScenarioSchemaError("missing required key 'seed'")
+    return Scenario(**raw)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

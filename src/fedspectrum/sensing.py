@@ -8,18 +8,18 @@ once over leading axes: ``predict_rows`` and ``_gradient`` serve one ``(d,)``
 model on its ``(m, 3)`` windows, the ``(n, d)`` array of all nodes' models and
 a ``(k, n, d)`` stack of k copies of it, which ``train_rows`` trains in one
 gradient step per mini-batch, in the epoch orders its caller draws.
-``train_rows`` makes its buffers and every view a step reads or writes once
-per call: the epoch buffers that ``np.take(..., out=)`` fills, each batch's
-slice of them with its transpose and label column, and the slices of theta,
-of the outputs and of the gradient (``_views``), so a step is its ufunc calls
-only.  Each buffer has the shape and layout of the fresh array it stands
-for, so the results are a fresh array's to the bit.
+``train_rows`` makes its buffers and views once per call: the epoch buffers
+that ``np.take(..., out=)`` fills, each batch's slice of them, and the layer
+views (``_layers``) of theta and of one gradient buffer, which a step writes
+with ``out=``.  A step's outputs, activations and pre-activation gradients
+are the fresh arrays ``@`` and the ufuncs return, changed in place after;
+each makes the BLAS and ufunc calls, on operands of the same layouts, as the
+2-D per-model oracle, so the results are the same to the bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,100 +95,67 @@ def init_model(kind: str, tc: TrainingConfig, rng: np.random.Generator) -> np.nd
     return theta
 
 
-class _Views(NamedTuple):
-    """The views of ``theta`` and of the buffers that a step reads or writes
-    (``_views``), made once; MLP fields are None for the logistic model."""
-
-    z: np.ndarray  # (..., b, 1) outputs, then residuals
-    residual: np.ndarray  # (..., b)
-    weights: np.ndarray  # (..., 3 or 8, 1) output weights of theta
-    bias: np.ndarray  # (..., 1, 1) output bias of theta
-    grad: np.ndarray  # (..., d)
-    grad_weights: np.ndarray  # (..., 3 or 8, 1)
-    grad_bias: np.ndarray  # (...)
-    w1t: np.ndarray | None  # (..., 3, 8) hidden weights of theta
-    b1: np.ndarray | None  # (..., 1, 8) hidden biases of theta
-    w2: np.ndarray | None  # (..., 1, 8) output weights of theta
-    h: np.ndarray | None  # (..., b, 8) activations, then tanh's slopes
-    ht: np.ndarray | None  # (..., 8, b)
-    dpre: np.ndarray | None  # (..., b, 8) pre-activation gradients
-    dpret: np.ndarray | None  # (..., 8, b)
-    grad_w1: np.ndarray | None  # (..., 8, 3)
-    grad_b1: np.ndarray | None  # (..., 8)
-
-
-def _views(kind: str, theta: np.ndarray, x: np.ndarray) -> _Views:
-    """Views of models ``theta (..., d)`` and of new buffers for a step on
-    ``x (..., b, 3)``: the output column ``(..., b, 1)``, the gradient ``(...,
-    d)`` and, for MLP, two ``(..., b, 8)``, each shaped and laid out as the
-    fresh array it stands for.  The views stay valid while theta is changed
-    in place only."""
-    lead = (*np.broadcast_shapes(theta.shape[:-1], x.shape[:-2]), x.shape[-2])
-    z, grad = np.empty((*lead, 1)), np.empty((*lead[:-1], model_dim(kind)))
+def _layers(kind: str, a: np.ndarray) -> tuple:
+    """Views of the layers of models ``a (..., d)``, for theta and for a
+    gradient buffer: the output weights as a column ``(..., 3 or 8, 1)``, the
+    output bias ``(..., 1, 1)``, then for MLP the hidden weights ``(..., 8,
+    3)``, their transpose, the hidden biases ``(..., 1, 8)`` and the output
+    weights as a row ``(..., 1, 8)`` (None for the logistic model)."""
+    bias = a[..., -1, None, None]
     if kind == "logistic":
-        return _Views(z, z[..., 0], theta[..., :N_FEATURES, None], theta[..., -1, None, None],
-                      grad, grad[..., :N_FEATURES, None], grad[..., -1], *[None] * 9)
-    h, dpre = np.empty((*lead, MLP_HIDDEN)), np.empty((*lead, MLP_HIDDEN))
-    w1 = theta[..., :_W1_END].reshape(*theta.shape[:-1], MLP_HIDDEN, N_FEATURES)
-    return _Views(
-        z, z[..., 0], theta[..., _B1_END:_W2_END, None], theta[..., -1, None, None],
-        grad, grad[..., _B1_END:_W2_END, None], grad[..., -1],
-        w1.swapaxes(-1, -2), theta[..., None, _W1_END:_B1_END], theta[..., None, _B1_END:_W2_END],
-        h, h.swapaxes(-1, -2), dpre, dpre.swapaxes(-1, -2),
-        grad[..., :_W1_END].reshape(*grad.shape[:-1], MLP_HIDDEN, N_FEATURES),
-        grad[..., _W1_END:_B1_END],
-    )
+        return a[..., :N_FEATURES, None], bias, None, None, None, None
+    w = a[..., _B1_END:_W2_END, None]
+    w1 = a[..., :_W1_END].reshape(*a.shape[:-1], MLP_HIDDEN, N_FEATURES)
+    return w, bias, w1, w1.swapaxes(-1, -2), a[..., None, _W1_END:_B1_END], w.swapaxes(-1, -2)
 
 
-def _probabilities(kind: str, x: np.ndarray, views: _Views) -> np.ndarray:
-    """Outputs ``1 / (1 + exp(-z))`` of the models of ``views`` on ``x (..., b,
-    3)`` into ``views.z``, MLP activations into ``views.h``, saturating under
-    the caller's ``np.errstate``; returns them as ``views.residual (..., b)``.
-    Sums are ``@`` on per-row matrices, so one model and n rows sum alike."""
-    z = views.z
+def _probabilities(kind: str, x: np.ndarray, model: tuple) -> tuple:
+    """Outputs ``1 / (1 + exp(-z))`` ``(..., b, 1)`` of the models whose
+    ``_layers`` are ``model`` on ``x (..., b, 3)``, and for MLP the tanh
+    activations ``(..., b, 8)`` (else None): the arrays ``@`` returns, then
+    changed in place, saturating under the caller's ``np.errstate``.  Sums
+    are ``@`` on per-row matrices, so one model and n rows sum alike."""
+    w, bias, _, w1t, b1, _ = model
+    h = None
     if kind == "mlp":
-        h = views.h
-        np.matmul(x, views.w1t, out=h)
-        h += views.b1
-        np.tanh(h, out=h)
-        x = h
-    np.matmul(x, views.weights, out=z)
-    z += views.bias
+        h = x @ w1t
+        h += b1
+        x = np.tanh(h, out=h)
+    z = x @ w
+    z += bias
     np.exp(np.negative(z, out=z), out=z)
     np.divide(1.0, np.add(z, 1.0, out=z), out=z)
-    return views.residual
+    return z, h
 
 
 def _gradient(
-    kind: str, x: np.ndarray, xt: np.ndarray, y: np.ndarray, views: _Views
-) -> np.ndarray:
-    """Mean-BCE gradients of the models of ``views`` on ``x (..., b, 3)``, its
-    transpose ``xt`` and the label column ``y (..., b, 1)``, in ``views.grad``,
-    by ufunc calls on those views only."""
-    z = views.z
-    _probabilities(kind, x, views)
+    kind: str, x: np.ndarray, xt: np.ndarray, y: np.ndarray, model: tuple, grad: tuple
+) -> None:
+    """Mean-BCE gradients of the models whose ``_layers`` are ``model`` on
+    ``x (..., b, 3)``, its transpose ``xt`` and the label column ``y (..., b,
+    1)``, written into ``grad``, the ``_layers`` of a ``(..., d)`` buffer."""
+    z, h = _probabilities(kind, x, model)
     z -= y
     z /= x.shape[-2]
-    np.add.reduce(views.residual, axis=-1, out=views.grad_bias)
+    grad_w, grad_bias, grad_w1, _, grad_b1, _ = grad
+    np.add.reduce(z, axis=-2, out=grad_bias, keepdims=True)
     if kind == "logistic":
-        np.matmul(xt, z, out=views.grad_weights)
-        return views.grad
-    h, dpre = views.h, views.dpre
-    np.matmul(views.ht, z, out=views.grad_weights)
+        np.matmul(xt, z, out=grad_w)
+        return
+    np.matmul(h.swapaxes(-1, -2), z, out=grad_w)
     np.subtract(1.0, np.multiply(h, h, out=h), out=h)  # tanh's slope
-    np.multiply(z, views.w2, out=dpre)
+    dpre = z * model[-1]  # pre-activation gradients, by the output weights' row
     dpre *= h
-    np.matmul(views.dpret, x, out=views.grad_w1)
-    np.add.reduce(dpre, axis=-2, out=views.grad_b1)
-    return views.grad
+    np.matmul(dpre.swapaxes(-1, -2), x, out=grad_w1)
+    np.add.reduce(dpre, axis=-2, out=grad_b1, keepdims=True)
 
 
 def predict_rows(kind: str, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Probabilities ``(n, m)`` of models ``theta (n, d)``, row i on windows
     ``x[i]`` of ``x (n, m, 3)``; one model and its ``(m, 3)`` windows give ``(m,)``."""
-    views = _views(kind, theta, x)
     with np.errstate(over="ignore", under="ignore"):
-        return _probabilities(kind, x, views)
+        z, _ = _probabilities(kind, x, _layers(kind, theta))
+    return z[..., 0]
 
 
 def train_rows(
@@ -201,10 +168,11 @@ def train_rows(
     e in the order ``order[i, e]`` of ``order (n, epochs_per_round, m)``, each
     row a permutation of ``range(m)`` (unchecked: the takes clip); an epoch's
     last batch may be short.  Each epoch's windows and labels are taken into
-    two buffers, and each step is one ``_gradient`` on views of them, of
-    theta and of work buffers (one set per batch length), all made once per
-    call, under one ``np.errstate`` per call.  Callers such as
-    ``engine.train_topologies`` check that the rows stay finite."""
+    two buffers, and each step is one ``_gradient`` on slices of them, made
+    once per call with the ``_layers`` of theta and of one gradient buffer,
+    under one ``np.errstate`` per call; its outputs are the fresh arrays
+    ``@`` and the ufuncs return.  Callers such as ``engine.train_topologies``
+    check that the rows stay finite."""
     n, m, batch, epochs = theta.shape[-2], x.shape[1], tc.batch_size, tc.epochs_per_round
     if not len(order) == len(x) == n:
         raise ValueError(f"order: {len(order)}, x: {len(x)} and theta: {n} rows must agree")
@@ -216,17 +184,18 @@ def train_rows(
     flat_x, offsets = x.reshape(n * m, 3), np.arange(0, n * m, m)[:, None]
     y = np.asarray(y, dtype=np.float64)
     at, epoch_x, epoch_y = np.empty((n, m), np.intp), np.empty((n, m, 3)), np.empty((n, m))
-    views = {b: _views(kind, theta, x[:, :b]) for b in {min(batch, m), m % batch or batch}}
-    steps = []  # per batch: its windows, their transpose, its label column, its views
+    grad = np.empty(theta.shape)
+    model, grads = _layers(kind, theta), _layers(kind, grad)
+    steps = []  # per batch: its windows, their transpose and its label column
     for start in range(0, m, batch):
-        bx, by = epoch_x[:, start : start + batch], epoch_y[:, start : start + batch, None]
-        steps.append((bx, bx.swapaxes(-1, -2), by, views[bx.shape[1]]))
+        bx = epoch_x[:, start : start + batch]
+        steps.append((bx, bx.swapaxes(-1, -2), epoch_y[:, start : start + batch, None]))
     with np.errstate(over="ignore", under="ignore"):
         for epoch in range(epochs):
             np.add(order[:, epoch], offsets, out=at)
             np.take(flat_x, at, axis=0, out=epoch_x, mode="clip")
             np.take(y, order[:, epoch], out=epoch_y, mode="clip")
-            for step in steps:
-                grad = _gradient(kind, *step)
+            for bx, bxt, by in steps:
+                _gradient(kind, bx, bxt, by, model, grads)
                 grad *= tc.learning_rate
                 theta -= grad

@@ -24,7 +24,7 @@ from fedspectrum.federation import (
 from fedspectrum.radio import SensorStreams
 from fedspectrum.scenario import _RULES, MAX_COUNT, MAX_WINDOWS, Placement
 from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
-from fedspectrum.sensing import _gradient, _views
+from fedspectrum.sensing import _gradient, _layers
 
 
 def seed_sequence_stream(seed, key):
@@ -340,10 +340,12 @@ def gradient(kind, theta, x, y):
 
 def step_gradient(kind, theta, x, y):
     """Not a reference: the gradient a ``train_rows`` step takes, from
-    ``sensing._gradient`` of ``theta`` on ``x``, ``y (..., b)`` in fresh
-    buffers, under the step's ``np.errstate``."""
+    ``sensing._gradient`` of ``theta`` on ``x``, ``y (..., b)`` in a fresh
+    buffer, under the step's ``np.errstate``."""
+    grad = np.empty((*np.broadcast_shapes(theta.shape[:-1], x.shape[:-2]), theta.shape[-1]))
     with np.errstate(over="ignore", under="ignore"):
-        return _gradient(kind, x, x.swapaxes(-1, -2), y[..., None], _views(kind, theta, x))
+        _gradient(kind, x, x.swapaxes(-1, -2), y[..., None], _layers(kind, theta), _layers(kind, grad))
+    return grad
 
 
 def shuffles(rngs, epochs, m):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedspectrum import scenario
 from fedspectrum.engine import sense_run
 from fedspectrum.radio import ChannelModel, PuTrafficModel
 from fedspectrum.rng import substream
@@ -124,19 +125,38 @@ def test_unknown_nested_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "raw,message",
     [
-        {"seed": "one"},
-        {"seed": 1, "n_sensors": 2.5},
-        {"seed": 1, "sensor_placement": 7},
-        {"seed": 1, "carrier_band_mhz": [3550.0]},
-        {"seed": 1, "federation": {"include_self_weight": "yes"}},
-        {"seed": 1, "schedule": {"window_samples": True}},
+        ([], "scenario root must be a JSON object"),
+        ({}, "missing required key 'seed'"),
+        ({"channel": {"bogus": 1}}, "missing required key 'seed'"),
+        ({"n_sensor": 5}, "unknown key 'n_sensor'"),
+        ({"seed": "one", "zeta": 1, "alpha": 2}, "unknown key 'alpha'"),
+        ({"seed": 1, "n_sensors": 2.5, "channel": {"bogus": 1}}, "key 'n_sensors' must be an integer"),
+        ({"seed": 1, "channel": {"bogus": 1}, "training": 3}, "unknown key channel.'bogus'"),
+        ({"seed": 1, "training": 3}, "key 'training' must be an object"),
     ],
 )
-def test_wrong_types_rejected(tmp_path, obj):
-    with pytest.raises(ScenarioSchemaError):
-        load_scenario(write(tmp_path, obj))
+def test_schema_errors_name_the_first_broken_key(raw, message):
+    """Unknown keys at the root first, then the missing seed, then each key
+    in field order, nested objects as they come."""
+    with pytest.raises(ScenarioSchemaError) as exc:
+        scenario_from_dict(raw)
+    assert str(exc.value) == message
+
+
+def test_a_file_is_typed_in_one_walk(monkeypatch):
+    """A load types the file's object once, in the constructor: one
+    top-level ``_typed`` walk per ``load_scenario``, nested ones below it."""
+    walks, typed = [], scenario._typed
+
+    def counted(cls, raw, ctx, bad):
+        walks.append(ctx)
+        return typed(cls, raw, ctx, bad)
+
+    monkeypatch.setattr(scenario, "_typed", counted)
+    load_scenario("scenarios/default.json")
+    assert sorted(walks) == ["", "channel.", "federation.", "pu_traffic.", "schedule.", "training."]
 
 
 def test_validation_names_offending_field(tmp_path):
