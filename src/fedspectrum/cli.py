@@ -125,6 +125,8 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
 
 def _target(out_dir: Path, name: str, force: bool) -> Path:
     path = out_dir / name
+    if path.exists() and not path.is_file():  # no --force replaces it
+        raise FileExistsError(f"{path}: exists and is not a regular file")
     if path.exists() and not force:
         raise FileExistsError(f"{path}: exists; pass --force to overwrite")
     return path

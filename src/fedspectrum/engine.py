@@ -15,7 +15,7 @@ windows, in epoch orders drawn in chunks of periods, one ``permuted`` call
 per node's ``train:`` stream a chunk; every ``federation_period_slots`` each
 topology's exchange (gossip or central FedAvg round) mixes its slice,
 training first when both land on the same slot; the gossip mixer is built
-at the first gossip round.  Eval slots: models are frozen and one
+with the graph, before the first slot.  Eval slots: models are frozen and one
 ``predict_rows`` call decides every node's windows.  Sensor ``i`` is row
 ``i`` of every array: models, neighbor table, windows, per-node results.
 The engine opens no file and reads no clock: results are data (arrays,
@@ -69,6 +69,7 @@ from .sensing import (
     ModelParams,
     cost_constants,
     init_model,
+    model_dim,
     predict_rows,
     train_rows,
 )
@@ -235,6 +236,7 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     sensors = [p for p in sensing.placements if p.kind == "sensor"]
     k, n, cfg, kind = len(topologies), len(sensors), scenario.federation, tc.model_kind
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
+    mixer = None if table is None else gossip_mixer(table, cfg, model_dim(kind))
     # theta[j, i] is sensor i's model in topology j
     init_rng, *train_rngs = substreams(seed, ["init"] + [f"train:{p.node_id}" for p in sensors])
     theta = np.tile(init_model(kind, tc, init_rng), (k, n, 1))
@@ -251,7 +253,6 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     drawn = np.empty((chunk * epochs, period), np.intp)
     ordered = np.broadcast_to(np.arange(period), drawn.shape)
     failures: dict[int, str] = {}  # topology index: its first divergence
-    mixer = None
 
     def check(when: str) -> None:
         if np.isfinite(theta).all():
@@ -278,8 +279,6 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
             if slot % federation == 0 and topologies != ("isolated",):
                 for j, topology in enumerate(topologies):
                     if topology == "gossip":
-                        if mixer is None:  # the first gossip round, under errstate
-                            mixer = gossip_mixer(table, cfg, theta.shape[-1])
                         theta[j] = gossip_mix(theta[j], mixer)
                     elif topology == "central":
                         theta[j] = fedavg_mix(theta[j])

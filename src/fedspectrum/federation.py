@@ -3,16 +3,17 @@
 The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
 ``i``) and the radio-range graph as one padded ``NeighborTable`` whose row
 ``i`` lists node ``i``'s neighbors; numpy screens the candidate pairs in
-blocks of rows and ``math.hypot`` decides each one.  A run's gossip rounds
-apply one fixed operator, which ``gossip_mixer`` builds once: the table
-slot-major, the normalised weights and the work buffers.  A ``gossip_mix``
-round fills the buffers and adds each node's own and neighbor terms in one
-ordered reduction.  A central round replaces every row by their mean, one
-reduction over the rows.  Every node trains on the same windows at the same
-slots, so every merge would weigh equal sample counts: ``samples`` weighting
-builds ``uniform``'s weights, and no counts are kept.  Rounds are
-synchronous, and both steps match per-model references (``merge_models`` and
-``fedavg_aggregate`` in the tests' oracles, given equal counts) bit for bit.
+blocks of rows and ``math.hypot`` decides each one; no distance is kept.
+A run's gossip rounds apply one fixed operator, which ``gossip_mixer``
+builds once, with the graph: the table slot-major, the normalised weights
+and the work buffers.  A ``gossip_mix`` round fills the buffers and adds
+each node's own and neighbor terms in one ordered reduction.  A central
+round replaces every row by their mean, one reduction over the rows.  Every
+node trains on the same windows at the same slots, so every merge would
+weigh equal sample counts: both weightings build uniform weights, and no
+counts are kept.  Rounds are synchronous, and both steps match per-model
+references (``merge_models`` and ``fedavg_aggregate`` in the tests' oracles,
+given equal counts) bit for bit.
 Traffic is a closed form: per round sensor ``i`` sends one model to and
 receives one from each of its ``degree[i]`` peers (the coordinator: each
 sensor it serves), at ``16 + 8 * param_count`` bytes a model (4-byte sender
@@ -34,11 +35,7 @@ if TYPE_CHECKING:
 HEADER_BYTES = 16
 
 TOPOLOGIES = ("isolated", "gossip", "central")
-WEIGHTINGS = ("uniform", "samples", "inverse_distance")
-
-
-class NonpositiveDistanceError(ValueError):
-    """Inverse-distance weighting needs strictly positive link distances."""
+WEIGHTINGS = ("uniform", "samples")
 
 
 @dataclass(frozen=True)
@@ -77,19 +74,18 @@ def exchange_traffic(degree: np.ndarray, central: int, payload: int, rounds: int
 class NeighborTable(NamedTuple):
     """The symmetric radio-range graph, no self loops, padded to
     ``(n, max_degree)`` arrays: row ``i`` lists node ``i``'s neighbors in
-    ascending order; padded slots have ``valid`` False, id 0 and distance
-    inf.  Node ``i``'s degree is ``valid[i].sum()``."""
+    ascending order; padded slots have ``valid`` False and id 0.  Node
+    ``i``'s degree is ``valid[i].sum()``."""
 
     ids: np.ndarray
     valid: np.ndarray
-    distances: np.ndarray
 
 
 def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> NeighborTable:
     """Connect every pair of nodes within ``radius_m`` of each other; row
     ``i`` is the ``i``-th placement by node id (sensors have ids ``0..n-1``).
     numpy screens pairs in blocks of rows with a little slack (no ``(n, n)``
-    array); ``math.hypot`` decides each candidate and gives its distance."""
+    array); ``math.hypot`` decides each candidate and no distance is kept."""
     nodes = sorted(placements, key=lambda p: p.node_id)
     n = len(nodes)
     xy = np.array([(p.x_m, p.y_m) for p in nodes], dtype=np.float64).reshape(n, 2)
@@ -113,16 +109,16 @@ def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> 
         pairs.append(np.argwhere(np.triu(near, 1)).T + a)
     src, dst = np.concatenate(pairs, axis=1)
     d = np.array(list(map(math.hypot, *(xy[src] - xy[dst]).T.tolist())))
-    src, dst, d = src[d <= radius_m], dst[d <= radius_m], d[d <= radius_m]
+    src, dst = src[d <= radius_m], dst[d <= radius_m]
     # both directions of every edge, by row and then by neighbor id
     rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
     order = np.lexsort((cols, rows))
-    rows, cols, dists = rows[order], cols[order], np.tile(d, 2)[order]
+    rows, cols = rows[order], cols[order]
     degree = np.bincount(rows, minlength=n)
     slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
     shape = (n, int(degree.max(initial=0)))
-    table = NeighborTable(np.zeros(shape, np.intp), np.zeros(shape, bool), np.full(shape, np.inf))
-    table.ids[rows, slot], table.valid[rows, slot], table.distances[rows, slot] = cols, True, dists
+    table = NeighborTable(np.zeros(shape, np.intp), np.zeros(shape, bool))
+    table.ids[rows, slot], table.valid[rows, slot] = cols, True
     return table
 
 
@@ -137,22 +133,16 @@ class GossipMixer(NamedTuple):
 
 def gossip_mixer(table: NeighborTable, cfg: FederationConfig, d: int) -> GossipMixer:
     """The gossip round over ``table`` under ``cfg`` for ``(n, d)`` models;
-    ``samples`` weighting builds ``uniform``'s weights (module docstring).
-    ``cfg.weighting`` is one of ``WEIGHTINGS``, as a Scenario checks."""
-    # slot k + 1 is row k of ids, valid and distances; slot 0 is the node itself
-    ids, valid, distances = (np.ascontiguousarray(a.T) for a in table)
-    if cfg.weighting == "inverse_distance" and distances.min(initial=np.inf) <= 0.0:
-        raise NonpositiveDistanceError(
-            f"distance: inverse_distance weighting needs d > 0 (got {distances.min()})"
-        )
+    both weightings build uniform weights (module docstring)."""
+    # slot k + 1 is row k of ids and valid; slot 0 is the node itself
+    ids, valid = (np.ascontiguousarray(a.T) for a in table)
     n = len(table.ids)
     slots = np.concatenate([np.arange(n)[None], np.where(valid, ids, n)])
     # a node without neighbors weighs its own row 1.0, whatever
     # include_self_weight says: its round is -0.0 + row * 1.0 plus padded
     # terms of -0.0, its row exactly, for ±0, ±inf and NaN alike
     own_w = np.where(valid.any(axis=0), float(cfg.include_self_weight), 1.0)
-    # padded slots: 0, 1/inf = 0
-    nbr_w = 1.0 / distances if cfg.weighting == "inverse_distance" else valid.astype(np.float64)
+    nbr_w = valid.astype(np.float64)  # padded slots: 0
     # Outer-axis reductions add rows in order, as merge_models does, from -0.0:
     # add's own +0.0 start turns -0.0 to 0.0.  Padded slots add -0.0 * 0.0.
     total = own_w + np.add.reduce(nbr_w, axis=0, initial=-0.0)

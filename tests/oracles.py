@@ -15,7 +15,6 @@ from fedspectrum.federation import (
     WEIGHTINGS,
     FederationConfig,
     NeighborTable,
-    NonpositiveDistanceError,
     build_neighbor_graph,
     fedavg_mix,
     gossip_mix,
@@ -61,23 +60,16 @@ def neighbor_graph(placements, radius_m):
     nodes = sorted(placements, key=lambda p: p.node_id)
     n = len(nodes)
     ids = [[] for _ in range(n)]
-    dists = [[] for _ in range(n)]
     for i, a in enumerate(nodes):
         for j, b in enumerate(nodes[i + 1 :], i + 1):
-            d = math.hypot(a.x_m - b.x_m, a.y_m - b.y_m)
-            if d <= radius_m:
+            if math.hypot(a.x_m - b.x_m, a.y_m - b.y_m) <= radius_m:
                 ids[i].append(j)
-                dists[i].append(d)
                 ids[j].append(i)
-                dists[j].append(d)
     width = max(map(len, ids), default=0)
-    table = NeighborTable(
-        np.zeros((n, width), np.intp), np.zeros((n, width), bool), np.full((n, width), np.inf)
-    )
+    table = NeighborTable(np.zeros((n, width), np.intp), np.zeros((n, width), bool))
     for i, row in enumerate(ids):
         table.ids[i, : len(row)] = row
         table.valid[i, : len(row)] = True
-        table.distances[i, : len(row)] = dists[i]
     return table
 
 
@@ -105,12 +97,12 @@ def place_nodes(s, rng):
 
 
 def radio_range(xy, radius_m):
-    """(adjacent, distances) ``(n, n)`` matrices of the radio-range graph over
-    the points ``xy``, from one numpy distance matrix: an oracle for
+    """The ``(n, n)`` adjacency matrix of the radio-range graph over the points
+    ``xy``, from one numpy distance matrix: an oracle for
     ``build_neighbor_graph``, which tests each pair with ``math.hypot``."""
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     dist = np.hypot(xy[:, None, 0] - xy[None, :, 0], xy[:, None, 1] - xy[None, :, 1])
-    return (dist <= radius_m) & ~np.eye(len(xy), dtype=bool), dist
+    return (dist <= radius_m) & ~np.eye(len(xy), dtype=bool)
 
 
 def sensor_streams(seed, key):
@@ -242,8 +234,7 @@ def merge_models(
     """Convex combination of the own model and the received ones.
 
     Weights before normalization: ``uniform`` gives 1 to every contributor,
-    ``samples`` gives ``max(n_train_samples, 1)``, ``inverse_distance`` gives
-    the own model 1 and each received model ``1/distance``.  With
+    ``samples`` gives ``max(n_train_samples, 1)``.  With
     ``include_self_weight`` false the own model gets weight 0 (its sample
     count still participates in the resulting counter).  An empty ``received``
     returns ``own`` unchanged.
@@ -257,14 +248,6 @@ def merge_models(
     elif cfg.weighting == "samples":
         own_w = float(max(own.n_train_samples, 1))
         recv_w = [float(max(m.n_train_samples, 1)) for m, _ in received]
-    elif cfg.weighting == "inverse_distance":
-        for _, d in received:
-            if d <= 0.0:
-                raise NonpositiveDistanceError(
-                    f"distance: inverse_distance weighting needs d > 0 (got {d})"
-                )
-        own_w = 1.0
-        recv_w = [1.0 / d for _, d in received]
     else:
         raise ValueError(
             f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"

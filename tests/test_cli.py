@@ -580,3 +580,48 @@ def test_failed_generate_leaves_no_dataset(scenario_path, tmp_path, monkeypatch,
     assert list(out.iterdir()) == []
     assert main(argv) == 0
     assert len((out / "dataset.csv").read_text(encoding="utf-8").splitlines()) == 21
+
+
+TARGETS = {
+    "run": (["--export-models"], ["metrics.csv", "summary.json", "models.json"]),
+    "compare": (["--seeds", "1"], ["metrics.csv", "comparison.json", "comparison.txt"]),
+    "generate": (["--slots", "20"], ["dataset.csv"]),
+}
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["no-force", "force"])
+@pytest.mark.parametrize("command", list(TARGETS))
+def test_a_target_that_is_not_a_file_is_rejected_before_any_work(
+    command, force, scenario_path, tmp_path, capsys
+):
+    # a directory at the last target once failed only at the final move, after
+    # every progress line, with the other outputs already in place
+    extra, names = TARGETS[command]
+    out = tmp_path / "out"
+    (out / names[-1]).mkdir(parents=True)
+    (out / names[-1] / "inside.txt").write_text("kept\n", encoding="utf-8")
+    (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+    for name in names[:-1] if force else []:  # --force may replace these, but not now
+        (out / name).write_text("old\n", encoding="utf-8")
+    before = sorted((p, p.is_file() and p.read_bytes()) for p in out.rglob("*"))
+    argv = [command, "--scenario", scenario_path, "--out-dir", str(out), *extra]
+    assert main(argv + ["--force"] * force) == 1
+    captured = capsys.readouterr()
+    message = f"{out / names[-1]}: exists and is not a regular file"
+    assert captured.err == f"fedspectrum: error: {message}\n"
+    assert captured.out == ""
+    assert sorted((p, p.is_file() and p.read_bytes()) for p in out.rglob("*")) == before
+
+
+def test_inverse_distance_weighting_is_rejected_by_name(tmp_path, capsys):
+    path = tmp_path / "inverse.json"
+    raw = {"seed": 1, "federation": {"weighting": "inverse_distance"}}
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(path), "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "fedspectrum: error: federation.weighting: must be one of ('uniform', 'samples') "
+        "(got 'inverse_distance')\n"
+    )
+    assert captured.out == "" and not out.exists()

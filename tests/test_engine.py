@@ -25,7 +25,13 @@ from fedspectrum.engine import (
     sense_run,
     train_topologies,
 )
-from fedspectrum.federation import TOPOLOGIES, FederationConfig, TrafficStats
+from fedspectrum.federation import (
+    TOPOLOGIES,
+    WEIGHTINGS,
+    FederationConfig,
+    TrafficStats,
+    build_neighbor_graph,
+)
 from fedspectrum.radio import pu_chain
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
@@ -183,15 +189,24 @@ def test_divergent_training_names_node_and_slot(kind, topology):
     assert str(stacked.value) == str(alone.value)
 
 
-def test_mixing_overflow_names_node_and_round():
-    # Two sensors 5e-309 m apart: the inverse-distance weight 1/d overflows
-    # in the mixing step, which reports the node, not a numpy warning.
+def test_mixing_overflow_names_node_and_round(monkeypatch):
+    # A 4 x 4 grid at a radius of 2.1 cells: node 5 is the first with degree
+    # 10.  With every row at the largest float, its 11 uniform terms of
+    # max * (1/11) add up to inf in the mixing step, which reports the node,
+    # not a numpy warning; the 6 and 8 terms of nodes 0 to 4 stay finite.
+    def train_rows(kind, theta, *args):
+        theta[...] = np.finfo(float).max
+
+    monkeypatch.setattr(engine, "train_rows", train_rows)
     scenario = small_scenario(
-        area_size_m=1e-308,
-        n_sensors=2,
-        federation=FederationConfig(neighbor_radius_m=1.0, weighting="inverse_distance"),
+        n_sensors=16,
+        sensor_placement="grid",
+        federation=FederationConfig(neighbor_radius_m=2.1 * 300.0 / 4),
     )
-    named = r"^node 0: .* after federation round 1 \(slot 20\)$"
+    sensors = [p for p in place_nodes(scenario, substream(1, "placement")) if p.kind == "sensor"]
+    degree = build_neighbor_graph(sensors, scenario.federation.neighbor_radius_m).valid.sum(axis=1)
+    assert degree[:6].tolist() == [5, 7, 7, 5, 7, 10]
+    named = r"^node 5: .* after federation round 1 \(slot 20\)$"
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match=named):
@@ -210,16 +225,37 @@ def test_divergent_mixing_names_node_and_round(monkeypatch):
         run_simulation(small_scenario(), "central", 1)
 
 
-def test_gossip_run_without_a_round_builds_no_mixer(monkeypatch):
-    # training ends before the first federation slot: no mixer, so no weight
-    def unused(*args):
-        raise AssertionError("gossip_mixer called in a run without a round")
+@pytest.mark.parametrize(
+    "schedule,rounds",
+    [(SlotSchedule(15, 10, 5, 20, 8), 0), (SlotSchedule(60, 40, 20, 20, 8), 3)],
+    ids=["no-round", "three-rounds"],
+)
+def test_a_gossip_run_builds_one_mixer_before_its_first_slot(monkeypatch, schedule, rounds):
+    # the mixer is built with the graph, once, also when training ends before
+    # the first federation slot; every round applies that one mixer
+    events, mixers = [], []
 
-    monkeypatch.setattr(engine, "gossip_mixer", unused)
-    scenario = small_scenario(schedule=SlotSchedule(15, 10, 5, 20, 8))
-    result = run_simulation(scenario, "gossip", 1)
-    assert result.federation_rounds == 0 and result.traffic.messages == 0
-    assert result.traffic.tx_bytes.tolist() == [0, 0, 0] and result.traffic.total_bytes == 0
+    def recorded(name, fn):
+        def call(*args):
+            events.append(name)
+            out = fn(*args)
+            if name == "mixer":
+                mixers.append(out)
+            elif name == "mix":
+                assert args[1] is mixers[0]
+            return out
+
+        return call
+
+    for name, attr in (("mixer", "gossip_mixer"), ("mix", "gossip_mix"), ("train", "train_rows")):
+        monkeypatch.setattr(engine, attr, recorded(name, getattr(engine, attr)))
+    result = run_simulation(small_scenario(schedule=schedule), "gossip", 1)
+    assert events[0] == "mixer" and events.count("mixer") == 1
+    assert events.count("mix") == result.federation_rounds == rounds
+    assert "train" in events
+    if rounds == 0:
+        assert result.traffic.messages == 0 and result.traffic.total_bytes == 0
+        assert result.traffic.tx_bytes.tolist() == [0, 0, 0]
 
 
 def poisoned_at(mix, round_):
@@ -345,7 +381,7 @@ def test_costs_and_traffic_are_closed_forms(
     if topology == "gossip":
         placements = place_nodes(scenario, substream(seed, "placement"))
         xy = [(p.x_m, p.y_m) for p in placements if p.kind == "sensor"]
-        degree = radio_range(xy, radius)[0].sum(axis=1)
+        degree = radio_range(xy, radius).sum(axis=1)
     elif topology == "central":
         degree, central = degree + 1, n_sensors
     payload = 16 + 8 * params
@@ -419,7 +455,7 @@ SUBSETS = [TOPOLOGIES, ("isolated",), ("gossip",), ("central",), ("gossip", "cen
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(["logistic", "mlp"]),
-    weighting=st.sampled_from(["uniform", "samples", "inverse_distance"]),
+    weighting=st.sampled_from(WEIGHTINGS),
     self_weight=st.booleans(),
     n_training=st.integers(0, 45),
     period=st.integers(1, 50),
@@ -429,7 +465,7 @@ SUBSETS = [TOPOLOGIES, ("isolated",), ("gossip",), ("central",), ("gossip", "cen
 )
 @example("logistic", "samples", True, 0, 10, 10, TOPOLOGIES, 1)
 @example("mlp", "samples", True, 30, 40, 10, TOPOLOGIES, 2)
-@example("mlp", "inverse_distance", False, 45, 7, 5, TOPOLOGIES, 3)
+@example("mlp", "uniform", False, 45, 7, 5, TOPOLOGIES, 3)
 @example("logistic", "uniform", False, 40, 5, 8, ("gossip", "central"), 4)
 # no federation slot within the training slots
 @example("logistic", "samples", True, 30, 7, 45, TOPOLOGIES, 5)
@@ -680,8 +716,6 @@ def test_eval_phase_does_not_touch_models():
 def test_traffic_equals_rounds_times_closed_form():
     result = run_simulation(small_scenario(), "gossip", 15)
     assert result.federation_rounds == 3
-    from fedspectrum.federation import build_neighbor_graph
-
     placements = place_nodes(small_scenario(), substream(15, "placement"))
     sensors = [p for p in placements if p.kind == "sensor"]
     valid = build_neighbor_graph(sensors, 400.0).valid

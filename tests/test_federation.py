@@ -11,7 +11,6 @@ from fedspectrum.federation import (
     WEIGHTINGS,
     FederationConfig,
     NeighborTable,
-    NonpositiveDistanceError,
     build_neighbor_graph,
     exchange_traffic,
     fedavg_mix,
@@ -55,11 +54,9 @@ def neighbors(table):
 def test_neighbor_graph_radius_and_symmetry():
     table = build_neighbor_graph(line_placements(100.0, 4), 150.0)
     assert neighbors(table) == [[1], [0, 2], [1, 3], [2]]
-    assert table.distances[1].tolist() == [100.0, 100.0]
-    # padded slots: invalid, id 0, distance inf
+    # padded slots: invalid, id 0
     assert table.valid[0].tolist() == [True, False]
     assert table.ids[0].tolist() == [1, 0]
-    assert table.distances[0].tolist() == [100.0, np.inf]
     assert table.valid.sum() // 2 == 3  # edges
     assert table.valid[1].sum() == 2
     assert table.valid.sum() == 6
@@ -212,17 +209,6 @@ def test_merge_samples_zero_count_floors_to_one():
     np.testing.assert_allclose(merged.theta, np.full(4, 4.0), rtol=1e-15)
 
 
-def test_merge_inverse_distance():
-    cfg = FederationConfig(weighting="inverse_distance")
-    merged = merge_models(logistic(2), [(logistic(8), 0.5)], cfg)
-    # weights 1 and 2: (2 + 16) / 3 = 6
-    np.testing.assert_allclose(merged.theta, np.full(4, 6.0), rtol=1e-15)
-    with pytest.raises(NonpositiveDistanceError):
-        merge_models(logistic(2), [(logistic(8), 0.0)], cfg)
-    with pytest.raises(NonpositiveDistanceError):
-        merge_models(logistic(2), [(logistic(8), -1.0)], cfg)
-
-
 def test_merge_exclude_self():
     cfg = FederationConfig(weighting="uniform", include_self_weight=False)
     merged = merge_models(logistic(100, 50), [(logistic(4), 1.0), (logistic(8), 1.0)], cfg)
@@ -276,7 +262,7 @@ def test_merge_samples_weighting_scale_invariant(received_pairs, scale):
     st.floats(-5, 5),
     st.lists(st.tuples(st.floats(-5, 5), st.integers(0, 20), st.floats(0.1, 900)),
              min_size=1, max_size=5),
-    st.sampled_from(["uniform", "samples", "inverse_distance"]),
+    st.sampled_from(WEIGHTINGS),
 )
 @settings(max_examples=80, deadline=None)
 def test_merge_is_convex_combination(own_value, received_pairs, weighting):
@@ -367,9 +353,7 @@ def test_gossip_isolated_node_untouched(weighting, self_weight):
     # 1.0, whatever include_self_weight says, and adds -0.0 terms, which
     # leave -0.0, +-inf and NaN as they are
     table = NeighborTable(
-        ids=np.array([[1], [0], [0], [0]]),
-        valid=np.array([[True], [True], [False], [False]]),
-        distances=np.array([[100.0], [100.0], [np.inf], [np.inf]]),
+        ids=np.array([[1], [0], [0], [0]]), valid=np.array([[True], [True], [False], [False]])
     )
     theta = stacked([logistic(0.0), logistic(3.0), logistic(9.0), logistic(9.0)])
     theta[2] = [-0.0, np.inf, -np.inf, np.nan]
@@ -493,6 +477,16 @@ def random_models(rng, n, kind, count):
     return [ModelParams(kind, theta[i], count) for i in range(n)]
 
 
+def merges(models, table, placements, cfg):
+    """Each node's ``merge_models`` of its own model and its table row's
+    models, each received with its link distance: the rows a gossip round
+    must return.  ``placements`` are listed by node id."""
+    xy = [(p.x_m, p.y_m) for p in placements]
+    received = [[(models[j], math.dist(xy[i], xy[j])) for j in ids[valid]]
+                for i, (ids, valid) in enumerate(zip(*table))]
+    return [merge_models(own, row, cfg).theta for own, row in zip(models, received)]
+
+
 # shared counts: none yet (floored to one), a few periods, and a large one
 COUNTS = st.one_of(st.just(0), st.integers(1, 500), st.just(2**40))
 
@@ -521,10 +515,8 @@ def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight
     models = random_models(rng, n, kind, count)
     theta = stacked(models)
     new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
-    for i, (ids, valid, distances) in enumerate(zip(*table)):
-        received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
-        expected = merge_models(models[i], received, cfg)
-        assert new_theta[i].tobytes() == expected.theta.tobytes()
+    for row, expected in zip(new_theta, merges(models, table, placements, cfg), strict=True):
+        assert row.tobytes() == expected.tobytes()
 
 
 @given(
@@ -553,28 +545,24 @@ def test_one_mixer_over_many_rounds_matches_merge_models_bitwise(
     for r in rounds:
         models = [ModelParams("mlp", row.copy(), counts[r]) for row in theta]
         theta = gossip_mix(theta, mixer)
-        for i, (ids, valid, distances) in enumerate(zip(*table)):
-            received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
-            expected = merge_models(models[i], received, cfg)
-            assert theta[i].tobytes() == expected.theta.tobytes()
+        for row, expected in zip(theta, merges(models, table, placements, cfg), strict=True):
+            assert row.tobytes() == expected.tobytes()
         returned.append((theta, theta.tobytes()))
     # no result is a view of the mixer's buffers: later rounds left each intact
     for theta, theta_bytes in returned:
         assert theta.tobytes() == theta_bytes
 
 
-def mixing_matrix(adjacent, dist, counts, cfg):
+def mixing_matrix(adjacent, counts, cfg):
     """Dense row-stochastic ``W`` of one gossip round, so that the round maps
     ``theta`` to ``W @ theta``; a row without neighbors is an identity row."""
     n = len(adjacent)
     own = np.ones(n)
     if cfg.weighting == "uniform":
         links = np.where(adjacent, 1.0, 0.0)
-    elif cfg.weighting == "samples":
+    else:
         own = np.maximum(counts, 1).astype(np.float64)
         links = np.where(adjacent, own[None, :], 0.0)
-    else:
-        links = np.where(adjacent, 1.0 / np.where(adjacent, dist, 1.0), 0.0)
     w = links + np.diag(own if cfg.include_self_weight else np.zeros(n))
     mixes = adjacent.any(axis=1)
     w[mixes] /= w[mixes].sum(axis=1, keepdims=True)
@@ -600,19 +588,18 @@ def test_gossip_mix_equals_its_mixing_matrix(
     placements = [Placement(i, "sensor", float(x), float(y)) for i, (x, y) in enumerate(xy)]
     table = build_neighbor_graph(placements, radius)
     # the table holds exactly the numpy distance matrix's graph
-    adjacent, dist = radio_range(xy, radius)
+    adjacent = radio_range(xy, radius)
     degree = adjacent.sum(axis=1)
-    assert table.valid.shape == table.ids.shape == table.distances.shape == (n, degree.max())
+    assert table.valid.shape == table.ids.shape == (n, degree.max())
     for i, k in enumerate(degree):
         assert table.ids[i, :k].tolist() == np.flatnonzero(adjacent[i]).tolist()
         assert table.valid[i].tolist() == [True] * k + [False] * (degree.max() - k)
-        np.testing.assert_allclose(table.distances[i, :k], dist[i, adjacent[i]], rtol=1e-15)
-        assert np.all(table.ids[i, k:] == 0) and np.all(table.distances[i, k:] == np.inf)
+        assert np.all(table.ids[i, k:] == 0)
 
     cfg = FederationConfig(weighting=weighting, include_self_weight=self_weight)
     theta = stacked(random_models(rng, n, kind, count))
     new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
-    w = mixing_matrix(adjacent, dist, np.full(n, count), cfg)
+    w = mixing_matrix(adjacent, np.full(n, count), cfg)
     assert np.all(w >= 0.0)
     np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(new_theta, w @ theta, rtol=0, atol=1e-12)
@@ -631,14 +618,18 @@ def test_fedavg_mix_matches_fedavg_aggregate_bitwise(seed, n, kind, count):
     assert all(row.tobytes() == expected for row in new_theta)
 
 
-def test_gossip_mix_rejects_what_merge_models_rejects():
-    # two sensors at one spot: inverse-distance weighting has no weight for them
-    placements = [Placement(0, "sensor", 5.0, 5.0), Placement(1, "sensor", 5.0, 5.0)]
-    table = build_neighbor_graph(placements, 10.0)
-    theta = stacked([logistic(1.0), logistic(2.0)])
-    with pytest.raises(NonpositiveDistanceError):
-        cfg = FederationConfig(weighting="inverse_distance")
-        gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
+@pytest.mark.parametrize("self_weight", [True, False])
+def test_samples_weighting_builds_the_uniform_mixer(self_weight):
+    # equal counts at every merge: samples weighs as uniform does, array for array
+    # a 4-node line and a far node without neighbors
+    table = build_neighbor_graph(line_placements(100.0, 4) + [Placement(4, "sensor", 5e3, 0.0)], 150.0)
+    uniform, samples = (
+        gossip_mixer(table, FederationConfig(weighting=w, include_self_weight=self_weight), 4)
+        for w in WEIGHTINGS
+    )
+    for name in ("slots", "weights", "padded"):
+        assert getattr(samples, name).tobytes() == getattr(uniform, name).tobytes()
+    assert samples.terms.shape == uniform.terms.shape
 
 
 def test_gossip_mix_rejects_a_theta_of_another_shape():
@@ -665,9 +656,8 @@ def test_gossip_mix_wide_rows_on_the_dense_grid(weighting, self_weight, kind):
     models = random_models(rng, len(sensors), kind, count)
     theta = stacked(models)
     new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
-    for i, (ids, valid, distances) in enumerate(zip(*table)):
-        received = [(models[j], float(d)) for j, d in zip(ids[valid], distances[valid])]
-        assert new_theta[i].tobytes() == merge_models(models[i], received, cfg).theta.tobytes()
-    adjacent, dist = radio_range([(p.x_m, p.y_m) for p in sensors], radius)
-    w = mixing_matrix(adjacent, dist, np.full(len(sensors), count), cfg)
+    for row, expected in zip(new_theta, merges(models, table, sensors, cfg), strict=True):
+        assert row.tobytes() == expected.tobytes()
+    adjacent = radio_range([(p.x_m, p.y_m) for p in sensors], radius)
+    w = mixing_matrix(adjacent, np.full(len(sensors), count), cfg)
     np.testing.assert_allclose(new_theta, w @ theta, rtol=0, atol=1e-12)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fedspectrum import scenario
 from fedspectrum.engine import sense_run
+from fedspectrum.federation import FederationConfig
 from fedspectrum.radio import ChannelModel, PuTrafficModel
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
@@ -220,6 +221,15 @@ def test_bad_tag_values_fail_validation(tmp_path):
         load_scenario(write(tmp_path, {"seed": 1, "sensor_placement": "ring"}))
     with pytest.raises(ScenarioValidationError, match="federation.topology"):
         load_scenario(write(tmp_path, {"seed": 1, "federation": {"topology": "mesh"}}))
+
+
+def test_retired_inverse_distance_weighting_fails_validation():
+    # a scenario built in Python with the retired weighting is refused by
+    # field name, not run as another weighting
+    federation = FederationConfig(weighting="inverse_distance")
+    assert violations(Scenario, seed=1, federation=federation) == [
+        "federation.weighting: must be one of ('uniform', 'samples') (got 'inverse_distance')"
+    ]
 
 
 def test_grid_placement_positions():
