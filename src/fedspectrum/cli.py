@@ -30,6 +30,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import engine
 from .federation import TOPOLOGIES
 from .rng import MAX_SEED
@@ -163,30 +165,33 @@ METRICS_HEADER = (
 )
 
 
-def _fmt_rate(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _fmt_rates(m: engine.DetectionMetrics) -> str:
-    return f"{_fmt_rate(m.pd)},{_fmt_rate(m.pfa)},{_fmt_rate(m.accuracy)}"
+def _rate_cells(confusion: np.ndarray) -> list[str]:
+    """The pd, pfa and accuracy cells of each ``(tp, fp, tn, fn)`` row, ""
+    for a rate without support: float64 divisions, which round as Python's
+    ``int / int`` does, counts below 2**53 being exact."""
+    tp, fp, tn, fn = np.asarray(confusion, np.float64).T
+    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN: no support
+        rates = tp / (tp + fn), fp / (fp + tn), (tp + tn) / (tp + fp + tn + fn)
+    cells = [["" if r != r else repr(r) for r in column.tolist()] for column in rates]
+    return [f"{pd},{pfa},{accuracy}" for pd, pfa, accuracy in zip(*cells)]
 
 
 def metrics_csv_lines(runs: Sequence[engine.RunResult]) -> list[str]:
     """CSV rows: one per sensor per run plus a totals row per run."""
     lines = [METRICS_HEADER]
     for run in runs:
-        prefix, costs = f"{run.topology}-s{run.seed},{run.topology},{run.seed}", run.per_node_cost
+        prefix = f"{run.topology}-s{run.seed},{run.topology},{run.seed}"
+        costs, g = run.per_node_cost, run.global_metrics
+        *rates, global_rates = _rate_cells(np.vstack([run.confusion, [[g.tp, g.fp, g.tn, g.fn]]]))
         # every node receives as many bytes as it sends: rx_bytes repeats tx_bytes
         lines += [
-            f"{prefix},{i},{_fmt_rates(engine.DetectionMetrics(*m))},{tx},{tx},"
-            f"{c.train_macs_accumulated},{c.model_bytes}"
-            for i, (m, tx, c) in enumerate(
-                zip(run.confusion.tolist(), run.traffic.tx_bytes.tolist(), costs))
+            f"{prefix},{i},{r},{tx},{tx},{c.train_macs_accumulated},{c.model_bytes}"
+            for i, (r, tx, c) in enumerate(zip(rates, run.traffic.tx_bytes.tolist(), costs))
         ]
         # totals over every node, the coordinator's traffic included
         total = run.traffic.total_bytes
         lines.append(
-            f"{prefix},global,{_fmt_rates(run.global_metrics)},{total},{total},"
+            f"{prefix},global,{global_rates},{total},{total},"
             f"{sum(c.train_macs_accumulated for c in costs)},{sum(c.model_bytes for c in costs)}"
         )
     return lines

@@ -22,7 +22,7 @@ The engine opens no file and reads no clock: results are data (arrays,
 ``RunResult``) and ``cli`` owns every file, output format, summary across
 seeds and wall-clock reading.  A Scenario is valid and frozen once built
 (``scenario``), so no function here checks it again, and a run's
-placements are a tuple of frozen ``Placement``s.
+placements are a tuple of ``Placement`` named tuples.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``

@@ -3,7 +3,8 @@
 The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
 ``i``) and the radio-range graph as one padded ``NeighborTable`` whose row
 ``i`` lists node ``i``'s neighbors; numpy screens the candidate pairs in
-blocks of rows and ``math.hypot`` decides each one; no distance is kept.
+blocks of rows within reach in y and decides each one, bar the ties within
+~1e-9 of the radius, which ``math.hypot`` decides; no distance is kept.
 A run's gossip rounds apply one fixed operator, which ``gossip_mixer``
 builds once, with the graph: the table slot-major, the normalised weights
 and the work buffers.  A ``gossip_mix`` round fills the buffers and adds
@@ -84,13 +85,17 @@ class NeighborTable(NamedTuple):
 def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> NeighborTable:
     """Connect every pair of nodes within ``radius_m`` of each other; row
     ``i`` is the ``i``-th placement by node id (sensors have ids ``0..n-1``).
-    numpy screens pairs in blocks of rows with a little slack (no ``(n, n)``
-    array); ``math.hypot`` decides each candidate and no distance is kept."""
+    With the nodes ordered by y, numpy screens pairs with a little slack in
+    blocks of rows, each against the nodes within reach of it in y (no
+    ``(n, n)`` array), and accepts every pair safely inside the radius;
+    ``math.hypot`` decides the other candidates, the ties within ~1e-9 of
+    it.  No distance is kept."""
     nodes = sorted(placements, key=lambda p: p.node_id)
     n = len(nodes)
     xy = np.array([(p.x_m, p.y_m) for p in nodes], dtype=np.float64).reshape(n, 2)
-    x, y = xy.T.copy()
-    pairs = [np.zeros((2, 0), np.intp)]
+    by_y = np.argsort(xy[:, 1], kind="stable")
+    x, y = xy[by_y].T.copy()
+    pairs, inside = [np.zeros((2, 0), np.intp)], [np.zeros(0, bool)]
     step = max(1, (1 << 14) // max(n, 1))  # rows a block: at most 16,384 pairs
     # squared distances in units of a power of two near the radius (capped
     # for a subnormal one): exact, and squares near the radius neither
@@ -99,21 +104,31 @@ def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> 
     reach = (radius_m + 1e-323) * (1 + 1e-9)
     scale = math.ldexp(1.0, -max(math.frexp(reach)[1], -1000))
     limit = (reach * scale) ** 2
+    # a float square-sum is within a few ulps of the exact one, so below
+    # this the faithfully rounded math.hypot is at most the radius (a
+    # product: ** raises OverflowError near the largest float)
+    accept = (radius_m * scale) * (radius_m * scale) * (1 - 1e-9)
     for a in range(0, n, step):
-        # rows a.. against columns a..; a pair counts once, from its lower id
+        # rows a.. against columns a..end, those within reach in y; a pair
+        # counts once, from its lower position in y order
+        end = np.searchsorted(y, float(y[min(a + step, n) - 1]) + reach, side="right")
         # what overflows is out of range; what underflows is far inside it
         with np.errstate(over="ignore", under="ignore"):
-            dx = (x[a:] - x[a : a + step, None]) * scale
-            dy = (y[a:] - y[a : a + step, None]) * scale
-            near = dx * dx + dy * dy <= limit
-        pairs.append(np.argwhere(np.triu(near, 1)).T + a)
-    src, dst = np.concatenate(pairs, axis=1)
-    d = np.array(list(map(math.hypot, *(xy[src] - xy[dst]).T.tolist())))
-    src, dst = src[d <= radius_m], dst[d <= radius_m]
+            dx = (x[a:end] - x[a : a + step, None]) * scale
+            dy = (y[a:end] - y[a : a + step, None]) * scale
+            squares = dx * dx + dy * dy
+        near = np.argwhere(np.triu(squares <= limit, 1)).T
+        inside.append(squares[tuple(near)] < accept)
+        pairs.append(near + a)
+    i, j = np.concatenate(pairs, axis=1)
+    edge = np.concatenate(inside)
+    tie = np.flatnonzero(~edge)
+    with np.errstate(over="ignore"):  # an overflowing difference is out of range
+        dx, dy = (x[i[tie]] - x[j[tie]]).tolist(), (y[i[tie]] - y[j[tie]]).tolist()
+    edge[tie] = [math.hypot(u, v) <= radius_m for u, v in zip(dx, dy)]
+    src, dst = by_y[i[edge]], by_y[j[edge]]
     # both directions of every edge, by row and then by neighbor id
-    rows, cols = np.concatenate([src, dst]), np.concatenate([dst, src])
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
+    rows, cols = np.divmod(np.sort(np.concatenate([src * n + dst, dst * n + src])), n)
     degree = np.bincount(rows, minlength=n)
     slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
     shape = (n, int(degree.max(initial=0)))

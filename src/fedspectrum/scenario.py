@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from hashlib import sha256
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class SlotSchedule:
     window_samples: int = 64
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     node_id: int
     kind: str  # "sensor" | "primary_user"
     x_m: float

@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from fedspectrum import engine
+from fedspectrum.cli import METRICS_HEADER
 from fedspectrum.federation import (
     TOPOLOGIES,
     WEIGHTINGS,
@@ -228,7 +229,7 @@ def _check_kinds(kinds: Sequence[str]) -> str:
 
 def merge_models(
     own: ModelParams,
-    received: Sequence[tuple[ModelParams, float]],
+    received: Sequence[ModelParams],
     cfg: FederationConfig,
 ) -> ModelParams:
     """Convex combination of the own model and the received ones.
@@ -241,13 +242,13 @@ def merge_models(
     """
     if not received:
         return own
-    _check_kinds([own.kind] + [m.kind for m, _ in received])
+    _check_kinds([own.kind] + [m.kind for m in received])
     if cfg.weighting == "uniform":
         own_w = 1.0
         recv_w = [1.0] * len(received)
     elif cfg.weighting == "samples":
         own_w = float(max(own.n_train_samples, 1))
-        recv_w = [float(max(m.n_train_samples, 1)) for m, _ in received]
+        recv_w = [float(max(m.n_train_samples, 1)) for m in received]
     else:
         raise ValueError(
             f"weighting: unknown mode {cfg.weighting!r} (expected one of {WEIGHTINGS})"
@@ -256,9 +257,9 @@ def merge_models(
         own_w = 0.0
     total = own_w + sum(recv_w)
     theta = own.theta * (own_w / total)
-    for (m, _), w in zip(received, recv_w):
+    for m, w in zip(received, recv_w):
         theta = theta + m.theta * (w / total)
-    n_max = max([own.n_train_samples] + [m.n_train_samples for m, _ in received])
+    n_max = max([own.n_train_samples] + [m.n_train_samples for m in received])
     return ModelParams(own.kind, theta, n_max)
 
 
@@ -431,6 +432,33 @@ def summarize_runs(runs):
             "pfa_undefined_runs": pfa_skipped,
         }
     return {"scenario_digest": runs[0].scenario_digest, "seeds": seeds, "topologies": summaries}
+
+
+def metrics_csv_lines(runs):
+    """``metrics.csv``'s lines with each node's rates from a
+    ``DetectionMetrics`` of its confusion row, formatted one rate at a time:
+    the per-node loop ``cli.metrics_csv_lines`` replaced, which it must
+    equal byte for byte."""
+
+    def rates(m):
+        return ",".join("" if r is None else repr(float(r)) for r in (m.pd, m.pfa, m.accuracy))
+
+    lines = [METRICS_HEADER]
+    for run in runs:
+        prefix, costs = f"{run.topology}-s{run.seed},{run.topology},{run.seed}", run.per_node_cost
+        for i, (m, tx, c) in enumerate(
+            zip(run.confusion.tolist(), run.traffic.tx_bytes.tolist(), costs)
+        ):
+            lines.append(
+                f"{prefix},{i},{rates(engine.DetectionMetrics(*m))},{tx},{tx},"
+                f"{c.train_macs_accumulated},{c.model_bytes}"
+            )
+        total = run.traffic.total_bytes
+        lines.append(
+            f"{prefix},global,{rates(run.global_metrics)},{total},{total},"
+            f"{sum(c.train_macs_accumulated for c in costs)},{sum(c.model_bytes for c in costs)}"
+        )
+    return lines
 
 
 def scenario_leaves(d, prefix=""):

@@ -49,6 +49,7 @@ from fedspectrum.sensing import (
     init_model,
     predict_rows,
 )
+from oracles import metrics_csv_lines as oracle_metrics_csv_lines
 from oracles import (
     confusion,
     identical_nodes,
@@ -876,6 +877,37 @@ def test_metrics_csv_blank_cell_for_undefined_rate():
     cells = lines[1].split(",")
     assert cells[4] == ""  # pd has no positive support
     assert cells[5] == repr(0.1)
+
+
+def test_metrics_csv_rates_match_the_per_node_oracle():
+    # the dense-gossip run's 400 node rows; nodes without positives, without
+    # negatives or without windows (blank cells), and counts near 2**42;
+    # and a run whose totals row has no support at all
+    def run_of(counts):
+        n = len(counts)
+        return RunResult(
+            scenario_digest="x" * 16,
+            topology="gossip",
+            seed=2,
+            confusion=np.array(counts),
+            global_metrics=DetectionMetrics(*np.sum(counts, axis=0).tolist()),
+            traffic=TrafficStats(np.arange(n) * 48, total_bytes=48 * n),
+            per_node_cost=[CostReport(3, 4, 32, i) for i in range(n)],
+            node_aggregation_macs=np.zeros(n, np.int64),
+            central_aggregation_macs=0,
+            federation_rounds=1,
+            final_models=[ModelParams("logistic", np.zeros(4))] * n,
+        )
+
+    scenario = load_scenario("bench/scenarios/dense_gossip.json")
+    dense = run_simulation(scenario, "gossip", scenario.seed)
+    sparse = run_of([[0, 1, 9, 0], [3, 0, 0, 1], [0, 0, 0, 0], [0, 0, 7, 0], [2, 0, 0, 0],
+                     [2**42 + 1, 3, 2**42 - 7, 5], [1, 2, 3, 4]])
+    runs = [dense, sparse, run_of([[0, 0, 0, 0]])]
+    lines = metrics_csv_lines(runs)
+    assert lines == oracle_metrics_csv_lines(runs)
+    rates = [line.split(",")[4:7] for line in lines[-10:]]
+    assert [r.count("") for r in rates] == [1, 1, 3, 1, 1, 0, 0, 0, 3, 3]
 
 
 def test_comparison_serialization_and_table():

@@ -170,8 +170,8 @@ def test_neighbor_graph_pairs_whose_difference_overflows(radius):
     assert_same_table(table, neighbor_graph(placements, radius))
 
 
-def test_neighbor_graph_calls_hypot_per_candidate_not_per_pair(monkeypatch):
-    sensors, radius = dense_gossip_sensors()
+def hypot_calls(monkeypatch, placements, radius):
+    """``build_neighbor_graph``'s table and the argument tuples it passed to ``math.hypot``."""
     calls, real = [], math.hypot
 
     def hypot(*args):
@@ -179,25 +179,53 @@ def test_neighbor_graph_calls_hypot_per_candidate_not_per_pair(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(federation.math, "hypot", hypot)
-    table = build_neighbor_graph(sensors, radius)
+    with np.errstate(all="warn"):  # and no numpy warning (an error under pytest)
+        table = build_neighbor_graph(placements, radius)
     monkeypatch.undo()
+    return table, calls
+
+
+def test_neighbor_graph_decides_the_dense_grid_without_math_hypot(monkeypatch):
+    # 160 m is 3.2 grid spacings: no pair lies within ~1e-9 of the radius,
+    # so numpy decides every candidate
+    sensors, radius = dense_gossip_sensors()
+    table, calls = hypot_calls(monkeypatch, sensors, radius)
     edges, n = int(table.valid.sum()) // 2, len(sensors)
     assert edges == 6190 and n * (n - 1) // 2 == 79800
-    # the numpy screen passes each edge plus at most a few pairs within its slack
-    assert edges <= len(calls) <= edges + n
+    assert calls == []
     assert_same_table(table, neighbor_graph(sensors, radius))
+
+
+@pytest.mark.parametrize("unit", [5e-324, 1e-160, 1.0, 1e160, 1e300])
+def test_neighbor_graph_calls_math_hypot_once_per_tie(monkeypatch, unit):
+    # 3-4-5 pairs in every orientation, each exactly at the radius, far
+    # apart; coordinates are small integers times a power of two near
+    # ``unit``, so every difference is exact and the radius is a tie
+    u = math.ldexp(1.0, math.frexp(unit)[1])
+    legs = [(3, 4), (-4, 3), (3, -4), (-4, -3), (0, 5), (5, 0)]
+    xy = [(100 * k * u, 0.0) for k in range(len(legs))]
+    xy += [(100 * k * u + dx * u, dy * u) for k, (dx, dy) in enumerate(legs)]
+    radius = 5 * u
+    assert all(math.hypot(dx * u, dy * u) == radius for dx, dy in legs)
+    placements = points(xy, np.random.default_rng(len(xy)).permutation(len(xy)))
+    table, calls = hypot_calls(monkeypatch, placements, radius)
+    assert len(calls) == len(legs)
+    assert neighbors(table) == [[k + len(legs)] for k in range(len(legs))] + [
+        [k] for k in range(len(legs))
+    ]
+    assert_same_table(table, neighbor_graph(placements, radius))
 
 
 def test_merge_uniform_average():
     cfg = FederationConfig(weighting="uniform")
-    merged = merge_models(logistic(2, 10), [(logistic(4, 1), 50.0), (logistic(6, 1), 80.0)], cfg)
+    merged = merge_models(logistic(2, 10), [logistic(4, 1), logistic(6, 1)], cfg)
     np.testing.assert_allclose(merged.theta, np.full(4, 4.0), rtol=1e-15)
     assert merged.n_train_samples == 10
 
 
 def test_merge_samples_weighting():
     cfg = FederationConfig(weighting="samples")
-    merged = merge_models(logistic(2, 1), [(logistic(6, 3), 50.0)], cfg)
+    merged = merge_models(logistic(2, 1), [logistic(6, 3)], cfg)
     # (1*2 + 3*6) / 4 = 5
     np.testing.assert_allclose(merged.theta, np.full(4, 5.0), rtol=1e-15)
     assert merged.n_train_samples == 3
@@ -205,13 +233,13 @@ def test_merge_samples_weighting():
 
 def test_merge_samples_zero_count_floors_to_one():
     cfg = FederationConfig(weighting="samples")
-    merged = merge_models(logistic(0, 0), [(logistic(8, 0), 10.0)], cfg)
+    merged = merge_models(logistic(0, 0), [logistic(8, 0)], cfg)
     np.testing.assert_allclose(merged.theta, np.full(4, 4.0), rtol=1e-15)
 
 
 def test_merge_exclude_self():
     cfg = FederationConfig(weighting="uniform", include_self_weight=False)
-    merged = merge_models(logistic(100, 50), [(logistic(4), 1.0), (logistic(8), 1.0)], cfg)
+    merged = merge_models(logistic(100, 50), [logistic(4), logistic(8)], cfg)
     np.testing.assert_allclose(merged.theta, np.full(4, 6.0), rtol=1e-15)
     assert merged.n_train_samples == 50
 
@@ -225,7 +253,7 @@ def test_merge_empty_received_is_identity():
 
 def test_merge_result_count_is_max_of_contributors():
     cfg = FederationConfig(weighting="uniform")
-    merged = merge_models(logistic(1, 2), [(logistic(2, 9), 1.0), (logistic(3, 4), 1.0)], cfg)
+    merged = merge_models(logistic(1, 2), [logistic(2, 9), logistic(3, 4)], cfg)
     assert merged.n_train_samples == 9
 
 
@@ -233,12 +261,12 @@ def test_merge_kind_mismatch():
     own = logistic(1)
     other = ModelParams("mlp", np.zeros(41))
     with pytest.raises(KindMismatchError):
-        merge_models(own, [(other, 1.0)], FederationConfig(weighting="uniform"))
+        merge_models(own, [other], FederationConfig(weighting="uniform"))
 
 
 def test_merge_unknown_weighting():
     with pytest.raises(ValueError, match="weighting"):
-        merge_models(logistic(1), [(logistic(2), 1.0)], FederationConfig(weighting="mean"))
+        merge_models(logistic(1), [logistic(2)], FederationConfig(weighting="mean"))
 
 
 @given(
@@ -251,8 +279,8 @@ def test_merge_samples_weighting_scale_invariant(received_pairs, scale):
     # same factor cannot move the merged coefficients
     cfg = FederationConfig(weighting="samples")
     own_a, own_b = logistic(1.5, 3), logistic(1.5, 3 * scale)
-    recv_a = [(logistic(v, n), 10.0) for v, n in received_pairs]
-    recv_b = [(logistic(v, n * scale), 10.0) for v, n in received_pairs]
+    recv_a = [logistic(v, n) for v, n in received_pairs]
+    recv_b = [logistic(v, n * scale) for v, n in received_pairs]
     a = merge_models(own_a, recv_a, cfg)
     b = merge_models(own_b, recv_b, cfg)
     np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=1e-12)
@@ -260,17 +288,16 @@ def test_merge_samples_weighting_scale_invariant(received_pairs, scale):
 
 @given(
     st.floats(-5, 5),
-    st.lists(st.tuples(st.floats(-5, 5), st.integers(0, 20), st.floats(0.1, 900)),
-             min_size=1, max_size=5),
+    st.lists(st.tuples(st.floats(-5, 5), st.integers(0, 20)), min_size=1, max_size=5),
     st.sampled_from(WEIGHTINGS),
 )
 @settings(max_examples=80, deadline=None)
 def test_merge_is_convex_combination(own_value, received_pairs, weighting):
     cfg = FederationConfig(weighting=weighting)
     own = logistic(own_value, 3)
-    received = [(logistic(v, n), d) for v, n, d in received_pairs]
+    received = [logistic(v, n) for v, n in received_pairs]
     merged = merge_models(own, received, cfg)
-    values = [own_value] + [v for v, _, _ in received_pairs]
+    values = [own_value] + [v for v, _ in received_pairs]
     assert min(values) - 1e-9 <= merged.theta[0] <= max(values) + 1e-9
 
 
@@ -477,13 +504,10 @@ def random_models(rng, n, kind, count):
     return [ModelParams(kind, theta[i], count) for i in range(n)]
 
 
-def merges(models, table, placements, cfg):
+def merges(models, table, cfg):
     """Each node's ``merge_models`` of its own model and its table row's
-    models, each received with its link distance: the rows a gossip round
-    must return.  ``placements`` are listed by node id."""
-    xy = [(p.x_m, p.y_m) for p in placements]
-    received = [[(models[j], math.dist(xy[i], xy[j])) for j in ids[valid]]
-                for i, (ids, valid) in enumerate(zip(*table))]
+    models: the rows a gossip round must return."""
+    received = [[models[j] for j in ids[valid]] for ids, valid in zip(*table)]
     return [merge_models(own, row, cfg).theta for own, row in zip(models, received)]
 
 
@@ -515,7 +539,7 @@ def test_gossip_mix_matches_merge_models_bitwise(seed, n, weighting, self_weight
     models = random_models(rng, n, kind, count)
     theta = stacked(models)
     new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
-    for row, expected in zip(new_theta, merges(models, table, placements, cfg), strict=True):
+    for row, expected in zip(new_theta, merges(models, table, cfg), strict=True):
         assert row.tobytes() == expected.tobytes()
 
 
@@ -545,7 +569,7 @@ def test_one_mixer_over_many_rounds_matches_merge_models_bitwise(
     for r in rounds:
         models = [ModelParams("mlp", row.copy(), counts[r]) for row in theta]
         theta = gossip_mix(theta, mixer)
-        for row, expected in zip(theta, merges(models, table, placements, cfg), strict=True):
+        for row, expected in zip(theta, merges(models, table, cfg), strict=True):
             assert row.tobytes() == expected.tobytes()
         returned.append((theta, theta.tobytes()))
     # no result is a view of the mixer's buffers: later rounds left each intact
@@ -656,7 +680,7 @@ def test_gossip_mix_wide_rows_on_the_dense_grid(weighting, self_weight, kind):
     models = random_models(rng, len(sensors), kind, count)
     theta = stacked(models)
     new_theta = gossip_mix(theta, gossip_mixer(table, cfg, theta.shape[1]))
-    for row, expected in zip(new_theta, merges(models, table, sensors, cfg), strict=True):
+    for row, expected in zip(new_theta, merges(models, table, cfg), strict=True):
         assert row.tobytes() == expected.tobytes()
     adjacent = radio_range([(p.x_m, p.y_m) for p in sensors], radius)
     w = mixing_matrix(adjacent, np.full(len(sensors), count), cfg)

@@ -183,11 +183,15 @@ def test_a_scenario_cannot_change_under_a_run():
     sensing = sense_run(s, 3)
     with pytest.raises(FrozenInstanceError):
         sensing.scenario.schedule.n_eval_slots = 5000
-    for obj in (s, s.channel, s.pu_traffic, s.training, s.federation, s.schedule,
-                sensing.placements[0]):
+    for obj in (s, s.channel, s.pu_traffic, s.training, s.federation, s.schedule):
         for f in fields(obj):
             with pytest.raises(FrozenInstanceError):
                 setattr(obj, f.name, getattr(obj, f.name))
+    placement = sensing.placements[0]
+    assert placement._fields == ("node_id", "kind", "x_m", "y_m")
+    for name in placement._fields:
+        with pytest.raises(AttributeError):
+            setattr(placement, name, getattr(placement, name))
     with pytest.raises(AttributeError):
         sensing.placements.append(sensing.placements[0])
     assert sensing.scenario == load_scenario("scenarios/data_scarce.json")
