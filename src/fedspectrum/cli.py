@@ -299,12 +299,13 @@ def cmd_run(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> int:
     started = time.perf_counter()
     result = engine.run_simulation(scenario, topology, scenario.seed)
     wall = time.perf_counter() - started
-    g = result.global_metrics
+    g, schedule = result.global_metrics, scenario.schedule
     summary = {
         "scenario_digest": result.scenario_digest,
         "topology": result.topology,
         "seed": result.seed,
         "federation_rounds": result.federation_rounds,
+        "training_periods": schedule.n_training_slots // schedule.local_train_period_slots,
         "global": {**asdict(g), "pd": g.pd, "pfa": g.pfa, "accuracy": g.accuracy},
         "traffic": {
             "total_bytes": result.traffic.total_bytes,

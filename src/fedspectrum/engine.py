@@ -12,7 +12,7 @@ the same way (``_place``) and returns one sensor's row of the tensor.
 Training slots: every ``local_train_period_slots`` one ``train_rows`` step
 trains row ``i`` of every ``(n, d)`` slice on its row of the period's
 windows, in epoch orders drawn in chunks of periods, one ``permuted`` call
-per node's ``train:`` stream a chunk; every ``federation_period_slots`` each
+per node's ``train`` stream a chunk; every ``federation_period_slots`` each
 topology's exchange (gossip or central FedAvg round) mixes its slice,
 training first when both land on the same slot; the gossip mixer is built
 with the graph, before the first slot.  Eval slots: models are frozen and one
@@ -34,13 +34,11 @@ So is a final model's ``n_train_samples``, the windows trained since the
 node's last exchange: all of them for a node of degree 0, else those
 trained after the last federation slot.
 
-Random sub-streams are labeled so modules cannot disturb each other, and
-are derived here only: ``placement``, ``traffic``, ``init``, each sensor's
-``obs:<node_id>``, ``shadow:<node_id>`` and ``fade:<node_id>`` (its
-``radio.SensorStreams``), and ``train:<node_id>``.  Streams needed together
-are derived in one ``rng.substreams`` batch: ``placement`` with
-``traffic``, every sensor's three (``_sensor_streams``) and ``init`` with
-every node's ``train:`` stream.
+Random streams are named by kind and row (``rng.streams``) so modules
+cannot disturb each other, and are derived here only: ``placement``,
+``traffic`` and ``init`` of one row each, and row ``i`` of ``obs``,
+``shadow`` and ``fade`` (sensor ``i``'s ``radio.SensorStreams``) and of
+``train``.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from .federation import (
     payload_bytes,
 )
 from .radio import SensorStreams, sense_windows
-from .rng import substreams
+from .rng import streams, substream
 from .scenario import MAX_WINDOWS, Placement, Scenario, place_nodes, scenario_digest
 from .sensing import (
     CostReport,
@@ -157,32 +155,30 @@ class RunSensing:
     truths: np.ndarray
 
 
-def _sensor_streams(seed: int, node_ids: Sequence[int]) -> list[SensorStreams]:
-    """The ``obs``, ``shadow`` and ``fade`` streams of each sensor node id under
-    ``seed``, derived in one ``substreams`` call."""
-    names = SensorStreams._fields
-    rngs = substreams(seed, [f"{name}:{node}" for node in node_ids for name in names])
-    return [SensorStreams(*rngs[i : i + len(names)]) for i in range(0, len(rngs), len(names))]
+def _sensor_streams(seed: int, rows: range) -> list[SensorStreams]:
+    """The ``obs``, ``shadow`` and ``fade`` streams of the sensors ``rows``
+    under ``seed``, one ``SensorStreams`` a sensor."""
+    kinds = [streams(seed, kind, rows) for kind in SensorStreams._fields]
+    return [SensorStreams(*rngs) for rngs in zip(*kinds)]
 
 
 def _place(scenario: Scenario, seed: int):
     """The set-up ``sense_run`` and ``generate_dataset`` share: place the
     nodes of ``scenario``.  Returns the placements, the sensors, the primary
     users and the ``traffic`` stream."""
-    placement_rng, traffic_rng = substreams(seed, ["placement", "traffic"])
-    placements = place_nodes(scenario, placement_rng)
+    placements = place_nodes(scenario, substream(seed, "placement"))
     sensors = [p for p in placements if p.kind == "sensor"]
     pus = [p for p in placements if p.kind == "primary_user"]
-    return placements, sensors, pus, traffic_rng
+    return placements, sensors, pus, substream(seed, "traffic")
 
 
 def sense_run(scenario: Scenario, seed: int) -> RunSensing:
     """Place the nodes and draw every window of one (scenario, seed) run, each
     sensor's row from its own ``obs``, ``shadow`` and ``fade`` streams."""
     placements, sensors, pus, traffic_rng = _place(scenario, seed)
-    streams = _sensor_streams(seed, [p.node_id for p in sensors])
+    rngs = _sensor_streams(seed, range(len(sensors)))
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
-    windows, truths = sense_windows(scenario, sensors, pus, traffic_rng, streams, n_slots)
+    windows, truths = sense_windows(scenario, sensors, pus, traffic_rng, rngs, n_slots)
     windows.flags.writeable = truths.flags.writeable = False
     return RunSensing(scenario, seed, placements, windows, truths)
 
@@ -204,9 +200,9 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[
             f"sensor_id: no sensor with id {sensor_id} "
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
-    streams = _sensor_streams(scenario.seed, [sensor_id])
+    rngs = _sensor_streams(scenario.seed, range(sensor_id, sensor_id + 1))
     sensor = sensors[sensor_id : sensor_id + 1]
-    windows, truths = sense_windows(scenario, sensor, pus, traffic_rng, streams, n_slots)
+    windows, truths = sense_windows(scenario, sensor, pus, traffic_rng, rngs, n_slots)
     return windows[0], truths
 
 
@@ -224,7 +220,7 @@ class TrainedRuns:
 
 def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedRuns:
     """Train ``topologies`` on ``sensing`` in one schedule loop, their models
-    one ``(k, n, d)`` array in ``TOPOLOGIES`` order.  Every run's ``train:<id>``
+    one ``(k, n, d)`` array in ``TOPOLOGIES`` order.  Every run's ``train``
     streams start fresh and the training slots do not depend on the topology,
     so the k copies of node i's model share one shuffle per epoch.  A diverging
     copy trains on without touching the others; after the loop the first
@@ -238,8 +234,8 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
     mixer = None if table is None else gossip_mixer(table, cfg, model_dim(kind))
     # theta[j, i] is sensor i's model in topology j
-    init_rng, *train_rngs = substreams(seed, ["init"] + [f"train:{p.node_id}" for p in sensors])
-    theta = np.tile(init_model(kind, tc, init_rng), (k, n, 1))
+    theta = np.tile(init_model(kind, tc, substream(seed, "init")), (k, n, 1))
+    train_rngs = streams(seed, "train", range(n))
 
     schedule = scenario.schedule
     period, federation = schedule.local_train_period_slots, schedule.federation_period_slots
@@ -298,7 +294,7 @@ def run_simulation(
         scenario: experiment description (valid, as every Scenario is).
         topology: "isolated", "gossip", or "central"; overrides the
             scenario's federation topology for this run.
-        seed: master seed for every labeled sub-stream, in ``0..2**64-1``.
+        seed: master seed for every random stream, in ``0..2**64-1``.
         trained: ``train_topologies`` of ``sense_run(scenario, seed)`` over
             this topology and maybe others; trained here when omitted.
 

@@ -14,8 +14,9 @@ windows are drawn (``draw_windows``) in blocks of (sensor group x slot
 range) of at most ``_BLOCK_SAMPLES`` noise samples: a long run takes one
 sensor over many slots, a short one several sensors over all its slots,
 and a group's shadowed mean powers take one pass per batch of slot ranges.
-Each sensor draws from its own three streams (``SensorStreams``), each
-consumed in slot order:
+Each sensor draws from its own three streams (``SensorStreams``), sensor
+``i``'s being row ``i`` of the kinds ``obs``, ``shadow`` and ``fade``
+(``rng.streams``), each consumed in slot order:
 
 - ``obs``: ``window_samples`` standard exponentials per slot, the noise;
 - ``shadow``: one standard normal per active (slot, primary user) pair, in

@@ -38,10 +38,11 @@ PLACEMENT_MODES = ("grid", "uniform_random")
 # run's window tensor (sensors x slots) and chain block (primary users x slots).
 MAX_COUNT = 10**6
 MAX_WINDOWS = 10**8
-# Version of how a scenario and seed become draws (the streams and what each
-# yields, in ``radio``); bumped whenever the same scenario would sense other
-# windows, so ``scenario_digest`` tells the two apart.
-STREAM_LAYOUT = 2
+# Version of how a scenario and seed become draws (how ``rng`` derives the
+# streams and what each yields, in ``radio``); bumped whenever the same
+# scenario would draw other numbers, so ``scenario_digest`` tells the two
+# apart.  Layout 3 derives the streams by kind and row.
+STREAM_LAYOUT = 3
 
 
 class ScenarioParseError(ValueError):

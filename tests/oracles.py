@@ -3,7 +3,6 @@
 import hashlib
 import math
 import operator
-import re
 from dataclasses import replace
 from typing import Sequence
 
@@ -27,17 +26,36 @@ from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model,
 from fedspectrum.sensing import _gradient, _layers
 
 
-def seed_sequence_stream(seed, key):
-    """The generator of ``SeedSequence([seed, key])``: one stream derived by
-    numpy, the reference ``rng.substreams`` must equal state for state."""
-    return np.random.default_rng(np.random.SeedSequence([seed, key]))
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def substream(seed, label):
-    """Stream ``label`` under ``seed``, one ``SeedSequence`` per label, keyed
-    by the first 8 bytes of the label's SHA-256, little-endian."""
-    key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
-    return seed_sequence_stream(seed, key)
+def stream_key(kind):
+    """The first 8 bytes of the kind's UTF-8 SHA-256, little-endian."""
+    return int.from_bytes(hashlib.sha256(kind.encode("utf-8")).digest()[:8], "little")
+
+
+def pcg64_generator(words):
+    """A generator on the ``PCG64`` seeded by four uint64 words, its seeding
+    spelled out in 128-bit integers as ``pcg64_set_seed`` does: words 0-1 are
+    the initial state and words 2-3 the stream, high word first."""
+    mask = (1 << 128) - 1
+    initstate = int(words[0]) << 64 | int(words[1])
+    inc = ((int(words[2]) << 64 | int(words[3])) << 1 | 1) & mask
+    # one LCG step from state 0, add the initial state, one more step
+    state = ((inc + initstate) * PCG64_MULTIPLIER + inc) & mask
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bit_generator)
+
+
+def substream(seed, kind, row):
+    """Row ``row`` of stream kind ``kind`` under ``seed``: the ``PCG64`` seeded
+    by words ``4 * row`` to ``4 * row + 3`` of ``SeedSequence([seed,
+    stream_key(kind)])``'s uint64 state."""
+    seq = np.random.SeedSequence([seed, stream_key(kind)])
+    return pcg64_generator(seq.generate_state(4 * (row + 1), np.uint64)[4 * row :])
 
 
 def confusion(decided, truths):
@@ -106,25 +124,27 @@ def radio_range(xy, radius_m):
     return (dist <= radius_m) & ~np.eye(len(xy), dtype=bool)
 
 
-def sensor_streams(seed, key):
-    """Sensor ``key``'s ``obs:``, ``shadow:`` and ``fade:`` streams (``key`` its
-    node id), spelled out from their labels."""
-    return SensorStreams(*(substream(seed, f"{name}:{key}") for name in ("obs", "shadow", "fade")))
+def sensor_streams(seed, row):
+    """Sensor ``row``'s streams: row ``row`` of the kinds ``obs``, ``shadow``
+    and ``fade``."""
+    return SensorStreams(*(substream(seed, kind, row) for kind in ("obs", "shadow", "fade")))
 
 
 def identical_nodes(sensing, monkeypatch):
     """The degenerate run where every node is the same node: ``sensing`` (a
     ``RunSensing``) with sensor 0's windows at every row, and, for the rest of
-    the test, ``engine.substreams`` deriving ``train:shared`` for every
-    ``train:<node_id>`` label, so every node's generator draws the same
-    shuffles.  ``engine.train_topologies`` and ``engine.run_simulation(...,
+    the test, ``engine.streams`` giving every ``train`` row its own generator
+    in row 0's state, so every node draws the same shuffles.
+    ``engine.train_topologies`` and ``engine.run_simulation(...,
     trained=...)`` then train and evaluate it on the engine's own path."""
-    derive = engine.substreams
+    derive = engine.streams
 
-    def substreams(seed, labels):
-        return derive(seed, [re.sub(r"^train:\d+$", "train:shared", label) for label in labels])
+    def streams(seed, kind, rows):
+        if kind != "train":
+            return derive(seed, kind, rows)
+        return [derive(seed, kind, range(1))[0] for _ in rows]
 
-    monkeypatch.setattr(engine, "substreams", substreams)
+    monkeypatch.setattr(engine, "streams", streams)
     windows = sensing.windows
     return replace(sensing, windows=np.broadcast_to(windows[:1], windows.shape))
 
@@ -352,7 +372,7 @@ def train_local(kind, theta, x, y, tc, rng):
 
 
 # The per-topology schedule loop ``engine.train_topologies`` replaced: one
-# loop, with fresh ``train:<id>`` streams, for each topology of a seed, over
+# loop, with fresh ``train`` streams, for each topology of a seed, over
 # the ``(n, d)`` model array.  The stage must equal it byte for byte.
 
 
@@ -365,9 +385,9 @@ def train_topology(sensing, topology):
     tc, cfg, schedule = scenario.training, scenario.federation, scenario.schedule
     sensors = [p for p in sensing.placements if p.kind == "sensor"]
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
-    theta = np.tile(init_model(tc.model_kind, tc, substream(seed, "init")), (len(sensors), 1))
+    theta = np.tile(init_model(tc.model_kind, tc, substream(seed, "init", 0)), (len(sensors), 1))
     samples = np.zeros(len(sensors), dtype=np.int64)
-    rngs = [substream(seed, f"train:{p.node_id}") for p in sensors]
+    rngs = [substream(seed, "train", i) for i in range(len(sensors))]
     windows = sensing.windows
     period, rounds = schedule.local_train_period_slots, 0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -87,7 +87,7 @@ def test_criterion_2_fedavg_symmetry_oracle(monkeypatch):
             federation_period_slots=30,
             window_samples=16,
         ))
-        # every node senses sensor 0's windows and draws train:shared's shuffles
+        # every node senses sensor 0's windows and draws train row 0's shuffles
         sensing = identical_nodes(sense_run(scenario, 5), monkeypatch)
         trained = train_topologies(sensing, ["isolated", "central"])
         oracle = run_simulation(scenario, "isolated", 5, trained=trained)

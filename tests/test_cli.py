@@ -131,6 +131,17 @@ def test_run_writes_metrics_and_summary(tmp_path, scenario_path, capsys):
     assert "wall" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("slots, periods", [(10, 0), (40, 2), (59, 2)])
+def test_run_writes_its_training_periods(tmp_path, scenario_path, slots, periods):
+    # 20-slot local periods: a 10-slot training phase never trains
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", scenario_path, "--out-dir", str(out), "--topology", "central",
+            "--training-slots", str(slots)]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert (summary["training_periods"], summary["federation_rounds"]) == (periods, periods)
+
+
 def test_run_prints_the_wall_clock_of_its_simulation(tmp_path, scenario_path, capsys, monkeypatch):
     # the engine reads no clock: run times its run_simulation call
     simulate = engine.run_simulation

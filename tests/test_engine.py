@@ -50,6 +50,7 @@ from fedspectrum.sensing import (
     predict_rows,
 )
 from oracles import metrics_csv_lines as oracle_metrics_csv_lines
+from oracles import substream as oracle_substream
 from oracles import (
     confusion,
     identical_nodes,
@@ -594,18 +595,19 @@ def test_samples_weighting_trains_as_uniform(self_weight):
 
 
 def _trained_with_streams(sensing, topologies, monkeypatch):
-    """``train_topologies(sensing, topologies)`` and the ``train:`` generators
+    """``train_topologies(sensing, topologies)`` and the ``train`` generators
     it drew the epoch orders from."""
-    derive, drawn = engine.substreams, []
+    derive, drawn = engine.streams, []
 
-    def substreams(seed, labels):
-        rngs = derive(seed, labels)
-        drawn.extend(rng for rng, label in zip(rngs, labels) if label.startswith("train:"))
+    def streams(seed, kind, rows):
+        rngs = derive(seed, kind, rows)
+        if kind == "train":
+            drawn.extend(rngs)
         return rngs
 
-    monkeypatch.setattr(engine, "substreams", substreams)
+    monkeypatch.setattr(engine, "streams", streams)
     trained = train_topologies(sensing, topologies)
-    monkeypatch.setattr(engine, "substreams", derive)
+    monkeypatch.setattr(engine, "streams", derive)
     return trained, [rng.bit_generator.state for rng in drawn]
 
 
@@ -614,7 +616,7 @@ def test_epoch_orders_drawn_in_chunks_train_the_one_chunk_models(chunk, monkeypa
     # 7 training periods, their orders drawn `chunk` periods at a time (3:
     # two full chunks and a last one of one period; 6: one full, one of one
     # period) train every topology's models to the bit of the one-chunk draw,
-    # and leave every train: stream in the same state
+    # and leave every train stream in the same state
     schedule = SlotSchedule(70, 10, 10, 20, 8)
     tc = TrainingConfig(model_kind="mlp", epochs_per_round=3, batch_size=4)
     scenario = small_scenario(n_sensors=4, schedule=schedule, training=tc)
@@ -691,7 +693,7 @@ def test_isolated_training_is_the_per_node_oracle_loop(kind, identical, monkeypa
     result = run_simulation(scenario, "isolated", 17, trained=trained)
     start = init_model(kind, scenario.training, substream(17, "init"))
     for i, model in enumerate(result.final_models):
-        rng = substream(17, "train:shared" if identical else f"train:{i}")
+        rng = oracle_substream(17, "train", 0 if identical else i)
         row, theta = sensing.windows[i], start
         for end in (20, 40, 60):
             x, y = row[end - 20 : end], sensing.truths[end - 20 : end]
@@ -712,6 +714,17 @@ def test_eval_phase_does_not_touch_models():
     short_eval = run_simulation(small_scenario(schedule=schedule), "gossip", 13)
     for ma, mb in zip(with_eval.final_models, short_eval.final_models):
         np.testing.assert_array_equal(ma.theta, mb.theta)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_the_placement_substream_places_the_run(seed):
+    # bench/checks.py rebuilds a run's radio graph from place_nodes(scenario,
+    # rng.substream(seed, "placement")); uniform_random sensors draw from that
+    # stream, so any split from the run's own placement shows here
+    scenario = small_scenario(n_sensors=6, n_primary_users=2, sensor_placement="uniform_random")
+    placements = place_nodes(scenario, substream(seed, "placement"))
+    assert placements == sense_run(scenario, seed).placements
+    assert len({(p.x_m, p.y_m) for p in placements}) == 8
 
 
 def test_traffic_equals_rounds_times_closed_form():

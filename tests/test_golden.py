@@ -3,10 +3,15 @@
 The hashes pin the simulator's behaviour byte for byte.  A change that is
 meant to keep outputs identical (a refactor or a speed-up) must pass them
 unchanged; a deliberate change in output re-pins them and says why in
-CHANGES.md.
+CHANGES.md.  ``PYTHONPATH=src python tests/test_golden.py``, run from the repo
+root, prints every case's current hashes in ``CASES`` layout.
 """
 
+import contextlib
 import hashlib
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -17,18 +22,18 @@ CASES = {
         ["compare", "--scenario", "scenarios/default.json", "--seeds", "7",
          "--training-slots", "400", "--eval-slots", "200"],
         {
-            "comparison.json": "05dc85b7eac29f3426a1cdc848bf75b7401c0dfa821d2c4f223fa1aff0d57089",
-            "comparison.txt": "15a105c291acce4bfe4c02f9ac205bed319d3a3c97d10d698da749e98ed90fa4",
-            "metrics.csv": "0e673e7ae71c9a45930448204d1e4c9af5db6d713d7d59205cce4dd07f1e399a",
+            "comparison.json": "e7d929566d1680959c973bafa4a5d86b64b8b30549ec24dd159e48a66a31d7c5",
+            "comparison.txt": "7491c03adfce580909a950c2ca9c40a04a72c8e92120b77f0d97246bccecfa68",
+            "metrics.csv": "d42e284b1bfc96842a05eb0b9f228d099beaa1aa9d4d76158a44cb0cec7458f4",
         },
     ),
     "data-scarce-compare": (
         ["compare", "--scenario", "scenarios/data_scarce.json", "--seeds", "3,4",
          "--eval-slots", "200"],
         {
-            "comparison.json": "c51762d6caf4ceba200ff95c8d845e8fc2612fec058c71ff0a5b6f3850f11c8b",
-            "comparison.txt": "e2dcc7527480e4e12228dc2e291865494b35b9c3d99dfaa7cd070c18f0728899",
-            "metrics.csv": "db6a6cfeecd3d50b57c81086d808fee2ca452b7ea2f16ceb918506ce5e51b02f",
+            "comparison.json": "8551f6a06aa8bdfbd6194a08ce175a092cea17ea2c7e3cbceb82a739e888dfb1",
+            "comparison.txt": "9c6f98dadd5ab81a24f027d6b7d7a924318337c21eda5617373da435f5f3d79e",
+            "metrics.csv": "1fcb4c5efa06c460bf13e21ed8aeb18cfa266d2495c4cf1b34410a31f4cffee2",
         },
     ),
     "dense-gossip-run": (
@@ -36,15 +41,15 @@ CASES = {
          "--export-models", "--training-slots", "40", "--eval-slots", "5"],
         {
             "metrics.csv": "f8d7fac5bb6db884ed62896169ea7116a877182c96f60f1fd1bb3ef7892e4683",
-            "models.json": "5bd01b124fb1c3332c9362baba226fd40754533be3cd8007df57b59cd20f7886",
-            "summary.json": "ee86f2c94b0487b5d3e9d821be5dcdef6a3ee0cedf8c83f533e1bebb6fd4085d",
+            "models.json": "13b7e3e74aecbb55a613c9f18e9dd7bdc9128d26f7e437cb64f110ec591a7c6a",
+            "summary.json": "cb52ba1ee21999ecac09fc263ab69230fcfd5484b54bccbb551782ac7f60619f",
         },
     ),
     "default-generate": (
         ["generate", "--scenario", "scenarios/default.json", "--sensor-id", "5",
          "--slots", "1000"],
         {
-            "dataset.csv": "38ce4f184674e8ed1d4f70ee8982f73ac151cd6291092881540e456662ac6b7f",
+            "dataset.csv": "7bebe517c0cedc2fdac85299b98a25a2263f63377a568740c3d1551e7c42c8da",
         },
     ),
 }
@@ -59,3 +64,15 @@ def test_outputs_match_pinned_hashes(name, tmp_path):
         for path in tmp_path.iterdir()
     }
     assert written == pinned
+
+
+if __name__ == "__main__":
+    for name, (argv, _) in CASES.items():
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stdout(sys.stderr):  # the CLI's "wrote" lines
+                assert main(argv + ["--out-dir", out]) == 0
+            print(f'    "{name}": (\n        ...\n        {{')
+            for path in sorted(Path(out).iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(f'            "{path.name}": "{digest}",')
+            print("        },\n    ),")

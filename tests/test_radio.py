@@ -284,7 +284,7 @@ def test_per_pair_shadowing_moments():
     residual = 10.0 * f1 + ch.noise_floor_dbm - (tm.tx_power_dbm - path_loss_db(ch, 10.0))
     assert abs(residual.mean()) < 0.35
     assert residual.std() == pytest.approx(6.0, abs=0.25)
-    normals = substream(71, "shadow:0").standard_normal(2 * len(f1))
+    normals = sensor_streams(71, 0).shadow.standard_normal(2 * len(f1))
     assert np.corrcoef(residual, normals[0::2])[0, 1] > 0.999
     assert abs(np.corrcoef(residual, normals[1::2])[0, 1]) < 0.1
 
@@ -473,8 +473,8 @@ def test_a_failing_draw_propagates_and_no_worker_outlives_the_call(monkeypatch, 
     scenario = block_runs()[0][0]
     stream, real = RaisingStream(error), engine._sensor_streams
 
-    def streams(seed, keys):
-        drawn = real(seed, keys)
+    def streams(seed, rows):
+        drawn = real(seed, rows)
         drawn[sensor] = drawn[sensor]._replace(obs=stream)
         return drawn
 

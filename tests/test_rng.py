@@ -1,20 +1,22 @@
-"""The batched stream derivation against one ``SeedSequence`` per stream."""
+"""The stream derivation against one ``SeedSequence`` per kind, its words split
+into rows, each row seeding a ``PCG64`` whose seeding is spelled out here."""
 
-import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedspectrum import rng
-from fedspectrum.rng import MAX_SEED, substream, substream_keys, substreams
-from oracles import seed_sequence_stream
+from fedspectrum.rng import MAX_SEED, streams, substream
+from oracles import pcg64_generator, stream_key
 from oracles import substream as reference_substream
 
 # one-word (below 2**32) and two-word values, each drawn often
 WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, MAX_SEED))
-KEYS = [0, 1, 2**32 - 1, 2**32, MAX_SEED]
+SEEDS = [0, 2**32 - 1, 2**32, MAX_SEED]
+# the engine's kinds (engine module docstring)
+KINDS = ["placement", "traffic", "init", "obs", "shadow", "fade", "train"]
 
 
 def assert_same_stream(got, want):
@@ -23,64 +25,82 @@ def assert_same_stream(got, want):
     assert got.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=WORDS, keys=st.lists(WORDS, max_size=6))
-@example(seed=0, keys=KEYS)
-@example(seed=2**32 - 1, keys=KEYS)
-@example(seed=2**32, keys=KEYS)
-@example(seed=MAX_SEED, keys=KEYS)
-def test_batched_derivation_is_one_seed_sequence_per_key(seed, keys):
-    got = rng._keyed_streams(seed, keys)
-    assert len(got) == len(keys)
-    for stream, key in zip(got, keys):
-        assert_same_stream(stream, seed_sequence_stream(seed, key))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_rows_are_the_words_of_one_seed_sequence_per_kind(seed, kind):
+    words = np.random.SeedSequence([seed, stream_key(kind)]).generate_state(20, np.uint64)
+    got = streams(seed, kind, range(2, 5))
+    assert len(got) == 3
+    for row, stream in zip(range(2, 5), got):
+        assert_same_stream(stream, pcg64_generator(words[4 * row : 4 * row + 4]))
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=WORDS, labels=st.lists(st.text(max_size=12), max_size=5))
-@example(seed=5, labels=["placement", "traffic", "obs:0", "shadow:shared", "train:399"])
-def test_substreams_are_the_labels_streams(seed, labels):
-    got = substreams(seed, labels)
-    assert len(got) == len(labels)
-    for stream, label in zip(got, labels):
-        assert_same_stream(stream, reference_substream(seed, label))
-        assert_same_stream(substream(seed, label), reference_substream(seed, label))
+@settings(max_examples=100, deadline=None)
+@given(seed=WORDS, kind=st.text(max_size=12), start=st.integers(0, 5), size=st.integers(0, 4))
+@example(seed=5, kind="obs", start=0, size=3)
+def test_a_slice_of_rows_is_the_reference_rows(seed, kind, start, size):
+    got = streams(seed, kind, range(start, start + size))
+    assert len(got) == size
+    for row, stream in enumerate(got, start):
+        assert_same_stream(stream, reference_substream(seed, kind, row))
 
 
-def test_repeated_label_gives_distinct_generators_in_equal_states():
-    # oracles.identical_nodes: every node gets its own train:shared generator
-    streams = substreams(3, ["train:shared"] * 3)
-    assert len({id(s) for s in streams}) == len({id(s.bit_generator) for s in streams}) == 3
-    start = substream(3, "train:shared").bit_generator.state
-    assert all(s.bit_generator.state == start for s in streams)
-    first = streams[0].random(5)
-    assert [s.bit_generator.state == start for s in streams] == [False, True, True]
-    assert streams[1].random(5).tobytes() == streams[2].random(5).tobytes() == first.tobytes()
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_zero_is_numpys_own_seeding_of_the_kind(seed):
+    # ties the spelled-out PCG64 seeding to numpy's: a one-row kind is the
+    # generator default_rng builds from the same SeedSequence
+    for kind in KINDS:
+        for got in (substream(seed, kind), reference_substream(seed, kind, 0)):
+            want = np.random.default_rng(np.random.SeedSequence([seed, stream_key(kind)]))
+            assert_same_stream(got, want)
 
 
-@settings(max_examples=50, deadline=None)
-@given(labels=st.lists(st.text(max_size=12), max_size=5))
-@example(labels=["placement", "obs:0", "train:399", "\u00e9", ""])
-def test_keys_are_each_labels_sha256_prefix_in_one_batch(labels):
-    want = [int.from_bytes(hashlib.sha256(s.encode("utf-8")).digest()[:8], "little")
-            for s in labels]
-    keys = substream_keys(labels)
-    assert keys.dtype == np.uint64 and keys.shape == (len(labels),)
-    assert keys.tolist() == want
+def test_a_row_is_the_same_for_every_row_count_above_it():
+    # sensor r's streams do not depend on the sensor count
+    for r in range(5):
+        alone = streams(9, "obs", range(r, r + 1))[0].bit_generator.state
+        for stop in range(r + 1, 9):
+            assert streams(9, "obs", range(stop))[r].bit_generator.state == alone
 
 
-def test_no_labels_give_no_streams():
-    assert substreams(3, []) == []
+def test_the_kinds_streams_are_pairwise_distinct():
+    states = [stream.bit_generator.state["state"]
+              for kind in KINDS for stream in streams(3, kind, range(3))]
+    assert len({s["state"] for s in states}) == len({s["inc"] for s in states}) == len(states)
+    generators = list(itertools.chain.from_iterable(streams(3, k, range(3)) for k in KINDS))
+    assert len({id(g.bit_generator) for g in generators}) == len(generators)
 
 
-@pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
-def test_out_of_range_seed_is_rejected_before_any_hashing(monkeypatch, seed):
-    def hash_labels(labels):
-        raise AssertionError(f"hashed {list(labels)!r} before the seed check")
+def test_no_rows_give_no_streams():
+    assert streams(3, "obs", range(0)) == streams(3, "obs", range(4, 4)) == []
 
-    monkeypatch.setattr(rng, "substream_keys", hash_labels)
+
+@pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, 2**70])
+def test_a_seed_outside_64_bits_is_rejected_by_name(monkeypatch, seed):
+    def seed_sequence(entropy):
+        raise AssertionError(f"built SeedSequence({entropy!r}) before the seed check")
+
+    monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
     message = rf"^seed: must be in 0\.\.{MAX_SEED} \(got {seed}\)$"
     with pytest.raises(ValueError, match=message):
         substream(seed, "traffic")
     with pytest.raises(ValueError, match=message):
-        substreams(seed, ["obs:0", "shadow:0"])
+        streams(seed, "obs", range(2))
+
+
+def test_stream_layout_canary():
+    # literal words and states, so a numpy change to SeedSequence or to
+    # PCG64's seeding fails here by name rather than as every golden hash
+    assert stream_key("placement") == 0xCACB595412FB8014
+    words = np.random.SeedSequence([7, stream_key("obs")]).generate_state(8, np.uint64)
+    assert words[4:].tolist() == [
+        0x7913D649D1CC0BCD, 0x293512120A55C6E1, 0xC51F3D1502CD390C, 0x53997AFEC51171B5]
+    words = np.random.SeedSequence([7, stream_key("placement")]).generate_state(4, np.uint64)
+    assert words.tolist() == [
+        0x02B37C5F142357D5, 0xEC356D7CDB2E40B4, 0x05864ABA9619FD9F, 0xCBBE0617CD2D7047]
+    obs = streams(7, "obs", range(1, 2))[0].bit_generator.state["state"]
+    assert obs == {"state": 0xDA989B0FCA570B935D9416796ADDD1E7,
+                   "inc": 0x8A3E7A2A059A7218A732F5FD8A22E36B}
+    placement = substream(7, "placement").bit_generator.state["state"]
+    assert placement == {"state": 0x0F4AB56E56F19436E204C0B82CAB399E,
+                         "inc": 0x0B0C95752C33FB3F977C0C2F9A5AE08F}

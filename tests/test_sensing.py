@@ -196,7 +196,7 @@ def test_train_rows_matches_the_per_model_oracle_bytewise(kind, n, m, batch, sha
     lead = (n,) if k is None else (k, n)
     theta = substream(60 + n + m, "init").normal(0.0, 1.0, size=(*lead, model_dim(kind)))
     tc = TrainingConfig(learning_rate=0.3, epochs_per_round=3, batch_size=batch)
-    # oracles.identical_nodes: n generators on one label, each drawing the same shuffles
+    # oracles.identical_nodes: n generators in one state, each drawing the same shuffles
     labels = ["train:shared"] * n if shared else [f"train:{i}" for i in range(n)]
     want = [train_local(kind, row, x[i % n], y, tc, substream(9, labels[i % n]))
             for i, row in enumerate(theta.reshape(-1, theta.shape[-1]))]
