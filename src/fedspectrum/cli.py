@@ -4,12 +4,13 @@ Exit codes: 0 success, 1 runtime/validation/IO failure, 2 usage error.
 Progress goes to stdout prefixed ``fedspectrum:``; diagnostics go to stderr.
 ``main`` loads the scenario, applies the command's overrides with
 ``dataclasses.replace`` (a Scenario validates itself as it is built, so a
-bad override fails by field name) and makes ``--out-dir`` before it calls
-the command.  All outputs land under ``--out-dir`` and existing files are
-only replaced with ``--force``; every file, output format, summary across
-seeds and wall-clock reading is here, the engine returns data: ``compare``
-keeps each topology's runs in seed order and ``comparison_summary``
-averages them in one pass.
+bad override fails by field name), checks ``generate``'s sensor and row
+count, and makes ``--out-dir`` before it calls the command.  All outputs
+land under ``--out-dir`` and existing files are only replaced with
+``--force``; every file, output format, summary across seeds and
+wall-clock reading is here, the engine returns data: ``compare`` keeps
+each topology's runs in seed order and ``comparison_summary`` averages
+them in one pass.
 Each output is written to a temp file beside it and moved into place once
 the command's outputs are all written, so a failed or interrupted command
 leaves no output behind, whole or partial; SIGTERM exits through the same
@@ -201,8 +202,6 @@ def _fmt_mean(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.4f}"
 
 
-# gossip's cell is read from its runs (comparison_table)
-_COMMUNICATION = {"isolated": "none", "central": "optional"}
 _FLEXIBILITY = {
     "isolated": "n/a (no exchange)",
     "gossip": "high (any layout in radio range)",
@@ -216,7 +215,6 @@ def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
     Byte and MAC fields are means over the seeds.  ``mean_pd`` and
     ``mean_pfa`` are means over the runs that define them (None if none
     does); ``pd_undefined_runs`` and ``pfa_undefined_runs`` count the others.
-    ``needs_neighbor_comm`` is whether any run sent bytes between sensors.
     Every run evaluates at least one window, so accuracy is always defined.
     """
     topologies = {}
@@ -225,8 +223,6 @@ def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
         pd = [m.pd for m in metrics if m.pd is not None]
         pfa = [m.pfa for m in metrics if m.pfa is not None]
         topologies[topology] = {
-            "needs_neighbor_comm": any(
-                r.traffic.total_bytes > r.traffic.central_bytes for r in group),
             "busiest_node_bytes": sum(r.busiest_node_bytes() for r in group) / n,
             "total_bytes": sum(r.traffic.total_bytes for r in group) / n,
             "central_bytes": sum(r.traffic.central_bytes for r in group) / n,
@@ -247,14 +243,14 @@ def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
 
 
 def comparison_table(summary: dict) -> str:
-    """Aligned text table: one row per compared aspect, one column per topology."""
+    """Aligned text table: one row per compared aspect, one column per topology.
+    Neighbor communication is ``required`` where the sensors sent each other
+    bytes (more than the coordinator's share), else ``none``."""
     summaries = [summary["topologies"][t] for t in TOPOLOGIES]
     rows = [
         ["aspect", *TOPOLOGIES],
         ["neighbor communication"] + [
-            ("required" if s["needs_neighbor_comm"] else "none") if t == "gossip"
-            else _COMMUNICATION[t]
-            for t, s in zip(TOPOLOGIES, summaries)
+            "required" if s["total_bytes"] > s["central_bytes"] else "none" for s in summaries
         ],
         ["topology flexibility", *(_FLEXIBILITY[t] for t in TOPOLOGIES)],
         ["traffic volume (bytes)"] + [
@@ -282,10 +278,7 @@ def comparison_table(summary: dict) -> str:
 def model_snapshot_json(model: ModelParams) -> str:
     """One-line JSON snapshot with 17-significant-digit coefficients."""
     theta = ", ".join(format(float(v), ".17g") for v in model.theta)
-    return (
-        f'{{"kind": "{model.kind}", "theta": [{theta}], '
-        f'"n_train_samples": {model.n_train_samples}}}'
-    )
+    return f'{{"kind": "{model.kind}", "theta": [{theta}]}}'
 
 
 def cmd_run(args: argparse.Namespace, scenario: Scenario, out_dir: Path) -> int:
@@ -391,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
+        if args.command == "generate":  # a bad sensor or row count makes no out dir
+            engine.check_dataset(scenario, args.sensor_id, args.slots)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return handlers[args.command](args, scenario, out_dir)

@@ -30,9 +30,6 @@ times each at ``3 * macs_per_inference`` (forward, backward, update); a
 gossip or central run has ``n_training_slots // federation_period_slots``
 rounds, and traffic and aggregation MACs follow from the rounds and one
 ``(n,)`` degree vector, the models each sensor sends a round.
-So is a final model's ``n_train_samples``, the windows trained since the
-node's last exchange: all of them for a node of degree 0, else those
-trained after the last federation slot.
 
 Random streams are named by kind and row (``rng.streams``) so modules
 cannot disturb each other, and are derived here only: ``placement``,
@@ -183,11 +180,9 @@ def sense_run(scenario: Scenario, seed: int) -> RunSensing:
     return RunSensing(scenario, seed, placements, windows, truths)
 
 
-def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[np.ndarray, ...]:
-    """Sensor ``sensor_id``'s ``(n_slots, 3)`` windows and the ``(n_slots,)``
-    truth labels: its row of ``sense_run(scenario, scenario.seed)`` (of a
-    longer run, past its slots)."""
-    _, sensors, pus, traffic_rng = _place(scenario, scenario.seed)
+def check_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> None:
+    """Raise, naming the argument, unless ``generate_dataset`` can draw
+    ``n_slots`` rows of sensor ``sensor_id`` of ``scenario``."""
     # the row's windows and the chain block's steps are each at most MAX_WINDOWS
     limit = MAX_WINDOWS // max(1, scenario.n_primary_users)
     if not 0 <= n_slots <= limit:
@@ -195,11 +190,20 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[
             f"n_slots: must be in 0..{limit} (got {n_slots}); the limit is "
             f"{MAX_WINDOWS} / max(1, n_primary_users)"
         )
-    if not 0 <= sensor_id < len(sensors):  # sensor i is node i
+    if not 0 <= sensor_id < scenario.n_sensors:  # sensor i is node i
         raise UnknownSensorError(
             f"sensor_id: no sensor with id {sensor_id} "
             f"(valid ids 0..{scenario.n_sensors - 1})"
         )
+
+
+def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[np.ndarray, ...]:
+    """Sensor ``sensor_id``'s ``(n_slots, 3)`` windows and the ``(n_slots,)``
+    truth labels: its row of ``sense_run(scenario, scenario.seed)`` (of a
+    longer run, past its slots).  Bad arguments fail (``check_dataset``)
+    before any placement is drawn."""
+    check_dataset(scenario, sensor_id, n_slots)
+    _, sensors, pus, traffic_rng = _place(scenario, scenario.seed)
     rngs = _sensor_streams(scenario.seed, range(sensor_id, sensor_id + 1))
     sensor = sensors[sensor_id : sensor_id + 1]
     windows, truths = sense_windows(scenario, sensor, pus, traffic_rng, rngs, n_slots)
@@ -330,14 +334,10 @@ def run_simulation(
     decided = predict_rows(kind, theta, sensing.windows[:, schedule.n_training_slots :]) >= 0.5
     confusion = _confusion(decided, sensing.truths[schedule.n_training_slots :])
     global_metrics = DetectionMetrics(*confusion.sum(axis=0).tolist())
-    # closed forms (module docstring): every node trains on each full period,
-    # and a node that mixes last did so at the last federation slot
+    # closed forms (module docstring): every node trains on each full period
     macs_per_inference, param_count = cost_constants(kind)
     period = schedule.local_train_period_slots
     windows = period * (schedule.n_training_slots // period)
-    fresh = windows - period * (rounds * schedule.federation_period_slots // period)
-    models = [ModelParams(kind, row, fresh if d else windows)
-              for row, d in zip(theta, degree.tolist())]
     node_macs = rounds * param_count * (degree if topology == "gossip" else np.zeros_like(degree))
     confusion.flags.writeable = node_macs.flags.writeable = False
     train_macs = 3 * scenario.training.epochs_per_round * windows * macs_per_inference
@@ -353,5 +353,5 @@ def run_simulation(
         node_aggregation_macs=node_macs,
         central_aggregation_macs=rounds * param_count * central,
         federation_rounds=rounds,
-        final_models=models,
+        final_models=[ModelParams(kind, row) for row in theta],
     )

@@ -71,17 +71,15 @@ class CostReport:
 
 @dataclass
 class ModelParams:
-    """Snapshot of one node's final model: its flat parameter vector and
-    ``n_train_samples``, the windows trained since the model's last exchange
-    (a closed form of the run's schedule).  ``engine.run_simulation`` fills
-    it from the trained ``(k, n, d)`` stack, whose finiteness training checks."""
+    """Snapshot of one node's final model: its kind and flat parameter
+    vector.  ``engine.run_simulation`` fills it from the trained ``(k, n,
+    d)`` stack, whose finiteness training checks."""
 
     kind: str
     theta: np.ndarray
-    n_train_samples: int = 0
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.kind, self.theta.copy(), self.n_train_samples)
+        return ModelParams(self.kind, self.theta.copy())
 
 
 def init_model(kind: str, tc: TrainingConfig, rng: np.random.Generator) -> np.ndarray:

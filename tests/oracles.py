@@ -4,7 +4,7 @@ import hashlib
 import math
 import operator
 from dataclasses import replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from fedspectrum.federation import (
 )
 from fedspectrum.radio import SensorStreams
 from fedspectrum.scenario import _RULES, MAX_COUNT, MAX_WINDOWS, Placement
-from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, ModelParams, init_model, train_rows
+from fedspectrum.sensing import MLP_HIDDEN, N_FEATURES, init_model, train_rows
 from fedspectrum.sensing import _gradient, _layers
 
 
@@ -237,6 +237,15 @@ class EmptyUpdatesError(ValueError):
     """FedAvg was called with no updates."""
 
 
+class CountedModel(NamedTuple):
+    """A model and ``n_train_samples``, the windows behind it: the record the
+    count-weighted references merge (a run's snapshots carry no count)."""
+
+    kind: str
+    theta: np.ndarray
+    n_train_samples: int = 0
+
+
 def _check_kinds(kinds: Sequence[str]) -> str:
     first = kinds[0]
     for k in kinds[1:]:
@@ -248,10 +257,10 @@ def _check_kinds(kinds: Sequence[str]) -> str:
 
 
 def merge_models(
-    own: ModelParams,
-    received: Sequence[ModelParams],
+    own: CountedModel,
+    received: Sequence[CountedModel],
     cfg: FederationConfig,
-) -> ModelParams:
+) -> CountedModel:
     """Convex combination of the own model and the received ones.
 
     Weights before normalization: ``uniform`` gives 1 to every contributor,
@@ -280,10 +289,10 @@ def merge_models(
     for m, w in zip(received, recv_w):
         theta = theta + m.theta * (w / total)
     n_max = max([own.n_train_samples] + [m.n_train_samples for m in received])
-    return ModelParams(own.kind, theta, n_max)
+    return CountedModel(own.kind, theta, n_max)
 
 
-def fedavg_aggregate(updates: Sequence[ModelParams]) -> ModelParams:
+def fedavg_aggregate(updates: Sequence[CountedModel]) -> CountedModel:
     """Sample-count-weighted average; empty counters weigh as one sample."""
     if len(updates) == 0:
         raise EmptyUpdatesError("updates: nothing to aggregate")
@@ -293,7 +302,7 @@ def fedavg_aggregate(updates: Sequence[ModelParams]) -> ModelParams:
     theta = np.zeros_like(updates[0].theta)
     for m, c in zip(updates, counts):
         theta += m.theta * (c / n)
-    return ModelParams(kind, theta, n)
+    return CountedModel(kind, theta, n)
 
 
 def predict(model, features):
@@ -377,16 +386,13 @@ def train_local(kind, theta, x, y, tc, rng):
 
 
 def train_topology(sensing, topology):
-    """(theta ``(n, d)``, sample counts ``(n,)``, federation rounds) of
-    ``topology`` trained alone on ``sensing``, a ``RunSensing``.  A node's
-    count tallies the windows it trains on and resets when it mixes: the
-    ``n_train_samples`` the engine writes from a closed form."""
+    """(theta ``(n, d)``, federation rounds) of ``topology`` trained alone
+    on ``sensing``, a ``RunSensing``."""
     scenario, seed = sensing.scenario, sensing.seed
     tc, cfg, schedule = scenario.training, scenario.federation, scenario.schedule
     sensors = [p for p in sensing.placements if p.kind == "sensor"]
     table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
     theta = np.tile(init_model(tc.model_kind, tc, substream(seed, "init", 0)), (len(sensors), 1))
-    samples = np.zeros(len(sensors), dtype=np.int64)
     rngs = [substream(seed, "train", i) for i in range(len(sensors))]
     windows = sensing.windows
     period, rounds = schedule.local_train_period_slots, 0
@@ -396,18 +402,15 @@ def train_topology(sensing, topology):
                 x, y = windows[:, slot - period : slot], sensing.truths[slot - period : slot]
                 order = shuffles(rngs, tc.epochs_per_round, period)
                 train_rows(tc.model_kind, theta, x, y, tc, order)
-                samples += period
             if topology != "isolated" and slot % schedule.federation_period_slots == 0:
                 rounds += 1
                 if topology == "gossip":
                     # a fresh mixer every round: the engine reuses one per run
                     mixer = gossip_mixer(table, cfg, theta.shape[1])
                     theta = gossip_mix(theta, mixer)
-                    samples[table.valid.any(axis=1)] = 0
                 else:
                     theta = fedavg_mix(theta)
-                    samples[:] = 0
-    return theta, samples, rounds
+    return theta, rounds
 
 
 def _mean_defined(values):
@@ -434,8 +437,6 @@ def summarize_runs(runs):
         mean_pd, pd_skipped = _mean_defined([m.pd for m in metrics])
         mean_pfa, pfa_skipped = _mean_defined([m.pfa for m in metrics])
         summaries[topology] = {
-            # sensors that merge their peers' models exchanged with them
-            "needs_neighbor_comm": any(r.node_aggregation_macs.any() for r in group),
             "busiest_node_bytes": float(np.mean([r.busiest_node_bytes() for r in group])),
             "total_bytes": float(np.mean([r.traffic.total_bytes for r in group])),
             "central_bytes": float(np.mean([r.traffic.central_bytes for r in group])),
@@ -452,6 +453,16 @@ def summarize_runs(runs):
             "pfa_undefined_runs": pfa_skipped,
         }
     return {"scenario_digest": runs[0].scenario_digest, "seeds": seeds, "topologies": summaries}
+
+
+def neighbor_communication(runs):
+    """``comparison.txt``'s "neighbor communication" cells in ``TOPOLOGIES``
+    order: ``required`` where some run's sensors merged their peers' models,
+    which they must have been sent, else ``none``."""
+    merged = {t: False for t in TOPOLOGIES}
+    for run in runs:
+        merged[run.topology] |= bool(run.node_aggregation_macs.any())
+    return ["required" if merged[t] else "none" for t in TOPOLOGIES]
 
 
 def metrics_csv_lines(runs):

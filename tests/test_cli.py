@@ -307,7 +307,28 @@ def test_generate_rejects_slots_beyond_the_window_limit(n_pus, slots, limit, tmp
         f"the limit is 100000000 / max(1, n_primary_users)"
     ]
     assert proc.stdout == ""
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option,value,field",
+    [("--sensor-id", "99", "sensor_id"), ("--slots", "999999999999", "n_slots")],
+    ids=["sensor-id", "slots"],
+)
+def test_a_bad_generate_argument_makes_no_out_dir(option, value, field, tmp_path, capsys,
+                                                  monkeypatch):
+    # either used to leave the out dir made and empty; neither draws a placement
+    def no_placements(*args):
+        raise AssertionError("placements drawn")
+
+    monkeypatch.setattr(engine, "_place", no_placements)
+    out = tmp_path / "out"
+    argv = ["generate", "--scenario", "scenarios/default.json", "--out-dir", str(out)]
+    assert main(argv + [option, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"fedspectrum: error: {field}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
 
 
 def test_sigterm_leaves_no_temp_file(tmp_path):
@@ -359,21 +380,22 @@ def test_compare_outputs_and_determinism(tmp_path, scenario_path, capsys):
 
 @pytest.mark.parametrize("federation_period", [30, 100_000], ids=["preset", "no-rounds"])
 def test_neighbor_communication_row_reads_the_gossip_runs(federation_period, tmp_path):
-    # a federation period past the training phase: gossip sends nothing, and
-    # comparison.txt says "none" as comparison.json's needs_neighbor_comm does
+    # each cell reads its topology's bytes: gossip's sensors send each other
+    # models only in a round, central's send theirs to the coordinator alone
     raw = json.loads(Path("scenarios/data_scarce.json").read_text(encoding="utf-8"))
     raw["schedule"]["federation_period_slots"] = federation_period
     path, out = tmp_path / "scenario.json", tmp_path / "out"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["compare", "--scenario", str(path), "--out-dir", str(out), "--seeds", "1"]) == 0
-    gossip = json.loads((out / "comparison.json").read_text(encoding="utf-8"))["topologies"]["gossip"]
-    assert gossip["needs_neighbor_comm"] is (federation_period == 30)
-    assert (gossip["total_bytes"] > 0) is gossip["needs_neighbor_comm"]
+    summaries = json.loads((out / "comparison.json").read_text(encoding="utf-8"))["topologies"]
+    assert (summaries["gossip"]["total_bytes"] > 0) is (federation_period == 30)
+    assert summaries["central"]["total_bytes"] == summaries["central"]["central_bytes"]
+    assert (summaries["central"]["total_bytes"] > 0) is (federation_period == 30)
     table = (out / "comparison.txt").read_text(encoding="utf-8").splitlines()
     assert [cell.strip() for cell in table[0].split("|")] == ["aspect", *TOPOLOGIES]
     row = [cell.strip() for cell in table[2].split("|")]
-    assert row == ["neighbor communication", "none",
-                   "required" if gossip["needs_neighbor_comm"] else "none", "optional"]
+    gossip = "required" if federation_period == 30 else "none"
+    assert row == ["neighbor communication", "none", gossip, "none"]
 
 
 def test_missing_scenario_file_is_runtime_error(tmp_path, capsys):

@@ -54,6 +54,7 @@ from oracles import substream as oracle_substream
 from oracles import (
     confusion,
     identical_nodes,
+    neighbor_communication,
     pu_activity_step,
     radio_range,
     summarize_runs,
@@ -148,8 +149,6 @@ def test_run_simulation_shapes_and_counts():
     # 4 epochs over 60 windows at 3 MACs per pass (forward, backward, update)
     # of 3 MACs each; 4 float64 coefficients
     assert result.per_node_cost == [CostReport(3, 4, 32, 4 * 60 * 3 * 3)] * 3
-    # each model is backed by the 60 windows it trained on
-    assert [m.n_train_samples for m in result.final_models] == [60] * 3
     assert result.central_aggregation_macs == 0
     assert result.node_aggregation_macs.tolist() == [0, 0, 0]
 
@@ -412,7 +411,7 @@ def assert_same_run(a, b):
     for f in fields(RunResult):
         if f.name == "final_models":
             for ma, mb in zip(a.final_models, b.final_models, strict=True):
-                assert (ma.kind, ma.n_train_samples) == (mb.kind, mb.n_train_samples)
+                assert ma.kind == mb.kind
                 assert ma.theta.tobytes() == mb.theta.tobytes()
         elif f.name == "traffic":
             for g in fields(TrafficStats):
@@ -479,8 +478,7 @@ def test_stacked_training_is_the_per_topology_loop(
     kind, weighting, self_weight, n_training, period, federation_period, topologies, seed
 ):
     # one (k, n, d) loop with shared shuffles trains each topology as its
-    # own loop with fresh streams does, byte for byte, and each final model's
-    # closed-form count is the loop's tally of windows since its last exchange
+    # own loop with fresh streams does, byte for byte
     scenario = small_scenario(
         seed=seed,
         n_sensors=4,
@@ -495,11 +493,10 @@ def test_stacked_training_is_the_per_topology_loop(
     trained = train_topologies(sensing, topologies)
     assert trained.topologies == topologies and trained.sensing is sensing
     for j, topology in enumerate(topologies):
-        theta, samples, rounds = train_topology(sensing, topology)
+        theta, rounds = train_topology(sensing, topology)
         assert trained.theta[j].tobytes() == theta.tobytes()
         run = run_simulation(scenario, topology, seed, trained=trained)
         assert run.federation_rounds == rounds
-        assert [m.n_train_samples for m in run.final_models] == samples.tolist()
         # the snapshots are the trained rows, which training checked are finite
         assert {m.kind for m in run.final_models} == {kind}
         assert np.stack([m.theta for m in run.final_models]).tobytes() == theta.tobytes()
@@ -580,17 +577,12 @@ def test_samples_weighting_trains_as_uniform(self_weight):
     assert uniform.table.valid.sum(axis=1).tolist() == [2, 1, 2, 2, 0, 1]
     assert uniform.theta[0].tobytes() != uniform.theta[1].tobytes()
     assert samples.theta.tobytes() == uniform.theta.tobytes()
-    # and so are the runs: final counts and every metrics.csv row
+    # and so are the runs: every metrics.csv row
     runs = {
         w: [run_simulation(s, t, 2, trained=trained[w]) for t in ("isolated", "gossip")]
         for w, s in scenarios.items()
     }
     assert [run.federation_rounds for run in runs["uniform"]] == [0, 3]
-    for a, b in zip(runs["uniform"], runs["samples"], strict=True):
-        counts = [m.n_train_samples for m in a.final_models]
-        assert counts == [m.n_train_samples for m in b.final_models]
-    # the last exchange (slot 60) follows the last training: only node 4 keeps a count
-    assert [m.n_train_samples for m in runs["samples"][1].final_models] == [0, 0, 0, 0, 60, 0]
     assert metrics_csv_lines(runs["samples"]) == metrics_csv_lines(runs["uniform"])
 
 
@@ -767,8 +759,9 @@ def test_compare_run_order_and_summary(tmp_path, capsys):
     assert payload == summarize_runs(runs)
     assert set(payload["topologies"]) == {"isolated", "gossip", "central"}
     assert payload["topologies"]["isolated"]["total_bytes"] == 0.0
-    assert payload["topologies"]["gossip"]["needs_neighbor_comm"] is True
-    assert payload["topologies"]["central"]["needs_neighbor_comm"] is False
+    table = (out / "comparison.txt").read_text(encoding="utf-8").splitlines()
+    assert [cell.strip() for cell in table[2].split("|")[1:]] == ["none", "required", "none"]
+    assert neighbor_communication(runs) == ["none", "required", "none"]
     expected = np.mean([runs[4].traffic.central_bytes, runs[5].traffic.central_bytes])
     assert payload["topologies"]["central"]["central_bytes"] == expected
     with pytest.raises(SystemExit) as exc:
@@ -797,7 +790,9 @@ def test_gossip_that_sends_nothing_needs_no_neighbor_comm(tmp_path, changes):
     runs = [run_simulation(scenario, t, s) for t in TOPOLOGIES for s in (1, 2)]
     assert payload == summarize_runs(runs)
     assert payload["topologies"]["gossip"]["total_bytes"] == 0.0
-    assert [payload["topologies"][t]["needs_neighbor_comm"] for t in TOPOLOGIES] == [False] * 3
+    table = (out / "comparison.txt").read_text(encoding="utf-8").splitlines()
+    assert [cell.strip() for cell in table[2].split("|")[1:]] == ["none"] * 3
+    assert neighbor_communication(runs) == ["none"] * 3
 
 
 def test_compare_summary_matches_the_regrouping_oracle(tmp_path):

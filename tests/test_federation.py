@@ -20,8 +20,9 @@ from fedspectrum.federation import (
 )
 from fedspectrum.rng import substream
 from fedspectrum.scenario import Placement, load_scenario, place_nodes
-from fedspectrum.sensing import ModelParams, model_dim
+from fedspectrum.sensing import model_dim
 from oracles import (
+    CountedModel,
     EmptyUpdatesError,
     KindMismatchError,
     fedavg_aggregate,
@@ -34,7 +35,7 @@ DENSE_GOSSIP = "bench/scenarios/dense_gossip.json"
 
 
 def logistic(value, n=0):
-    return ModelParams("logistic", np.full(4, float(value)), n)
+    return CountedModel("logistic", np.full(4, float(value)), n)
 
 
 def line_placements(spacing=100.0, n=3):
@@ -259,7 +260,7 @@ def test_merge_result_count_is_max_of_contributors():
 
 def test_merge_kind_mismatch():
     own = logistic(1)
-    other = ModelParams("mlp", np.zeros(41))
+    other = CountedModel("mlp", np.zeros(41))
     with pytest.raises(KindMismatchError):
         merge_models(own, [other], FederationConfig(weighting="uniform"))
 
@@ -308,7 +309,7 @@ def test_fedavg_weighted_example():
 
 
 def test_fedavg_single_update_is_exact():
-    m = ModelParams("logistic", np.array([0.1, -0.2, 0.3, 0.7]), 9)
+    m = CountedModel("logistic", np.array([0.1, -0.2, 0.3, 0.7]), 9)
     out = fedavg_aggregate([m])
     np.testing.assert_array_equal(out.theta, m.theta)
     assert out.n_train_samples == 9
@@ -324,7 +325,7 @@ def test_fedavg_empty_and_mismatch():
     with pytest.raises(EmptyUpdatesError):
         fedavg_aggregate([])
     with pytest.raises(KindMismatchError):
-        fedavg_aggregate([logistic(1), ModelParams("mlp", np.zeros(41))])
+        fedavg_aggregate([logistic(1), CountedModel("mlp", np.zeros(41))])
 
 
 @given(st.lists(st.tuples(st.floats(-8, 8), st.integers(0, 50)), min_size=2, max_size=8),
@@ -501,7 +502,7 @@ def random_models(rng, n, kind, count):
     theta = rng.normal(0.0, 2.0, size=(n, model_dim(kind)))
     theta[rng.random(theta.shape) < 0.2] = -0.0
     theta[rng.random(theta.shape) < 0.1] = 0.0
-    return [ModelParams(kind, theta[i], count) for i in range(n)]
+    return [CountedModel(kind, theta[i], count) for i in range(n)]
 
 
 def merges(models, table, cfg):
@@ -567,7 +568,7 @@ def test_one_mixer_over_many_rounds_matches_merge_models_bitwise(
     mixer = gossip_mixer(table, cfg, theta.shape[1])
     returned = []  # every round's result with its bytes when returned
     for r in rounds:
-        models = [ModelParams("mlp", row.copy(), counts[r]) for row in theta]
+        models = [CountedModel("mlp", row.copy(), counts[r]) for row in theta]
         theta = gossip_mix(theta, mixer)
         for row, expected in zip(theta, merges(models, table, cfg), strict=True):
             assert row.tobytes() == expected.tobytes()

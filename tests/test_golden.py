@@ -22,8 +22,8 @@ CASES = {
         ["compare", "--scenario", "scenarios/default.json", "--seeds", "7",
          "--training-slots", "400", "--eval-slots", "200"],
         {
-            "comparison.json": "e7d929566d1680959c973bafa4a5d86b64b8b30549ec24dd159e48a66a31d7c5",
-            "comparison.txt": "7491c03adfce580909a950c2ca9c40a04a72c8e92120b77f0d97246bccecfa68",
+            "comparison.json": "af61a94c1bd47cf7b0f999517cf4ff5e5ef39f385dfdf5c00524d7f8c399febc",
+            "comparison.txt": "42b482d3d56a08fc1dd06ab8185aae1d7838791d5160890dc52e96819d96d0c5",
             "metrics.csv": "d42e284b1bfc96842a05eb0b9f228d099beaa1aa9d4d76158a44cb0cec7458f4",
         },
     ),
@@ -31,8 +31,8 @@ CASES = {
         ["compare", "--scenario", "scenarios/data_scarce.json", "--seeds", "3,4",
          "--eval-slots", "200"],
         {
-            "comparison.json": "8551f6a06aa8bdfbd6194a08ce175a092cea17ea2c7e3cbceb82a739e888dfb1",
-            "comparison.txt": "9c6f98dadd5ab81a24f027d6b7d7a924318337c21eda5617373da435f5f3d79e",
+            "comparison.json": "55d36094ba9ab934a188cc25d7f3c1ff703792dbc604c8166fcd2ba2e678137c",
+            "comparison.txt": "c66979b3b877641e0ae91fdc219235144dad0b2ff38d9dd38e9f7e638db59c69",
             "metrics.csv": "1fcb4c5efa06c460bf13e21ed8aeb18cfa266d2495c4cf1b34410a31f4cffee2",
         },
     ),
@@ -41,7 +41,7 @@ CASES = {
          "--export-models", "--training-slots", "40", "--eval-slots", "5"],
         {
             "metrics.csv": "f8d7fac5bb6db884ed62896169ea7116a877182c96f60f1fd1bb3ef7892e4683",
-            "models.json": "13b7e3e74aecbb55a613c9f18e9dd7bdc9128d26f7e437cb64f110ec591a7c6a",
+            "models.json": "6129c0066d8943950883ce6e2fba644b2fcda35f5e4e8ced5b0db779158541f5",
             "summary.json": "cb52ba1ee21999ecac09fc263ab69230fcfd5484b54bccbb551782ac7f60619f",
         },
     ),

@@ -73,11 +73,11 @@ def test_init_mlp_weights_bounded_biases_zero():
 
 
 def test_copy_is_independent():
-    m = ModelParams("logistic", np.zeros(4), 5)
+    m = ModelParams("logistic", np.zeros(4))
     c = m.copy()
     c.theta[0] = 9.0
     assert m.theta[0] == 0.0
-    assert c.n_train_samples == 5
+    assert c.kind == "logistic"
 
 
 def test_predict_zero_model_is_half():
@@ -314,8 +314,8 @@ def test_separable_data_reaches_high_accuracy():
 def test_snapshot_round_trip_bitwise():
     rng = substream(53, "init")
     for kind in ("logistic", "mlp"):
-        m = ModelParams(kind, rng.normal(0.0, 2.0, size=model_dim(kind)), 17)
+        m = ModelParams(kind, rng.normal(0.0, 2.0, size=model_dim(kind)))
         back = json.loads(model_snapshot_json(m))
+        assert list(back) == ["kind", "theta"]
         assert back["kind"] == kind
-        assert back["n_train_samples"] == 17
         np.testing.assert_array_equal(np.array(back["theta"]), m.theta)
