@@ -260,7 +260,8 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
         finite = np.isfinite(theta).all(axis=-1)
         for j in np.flatnonzero(~finite.all(axis=1)).tolist():
             node = int(np.argmin(finite[j]))  # row i is sensor node i
-            failures.setdefault(j, f"node {node}: theta has non-finite entries {when}")
+            failures.setdefault(
+                j, f"{topologies[j]} node {node}: theta has non-finite entries {when}")
 
     # a diverging model is reported once, by node, in check; a period longer
     # than the training phase never trains
@@ -304,7 +305,8 @@ def run_simulation(
 
     Returns:
         RunResult with per-node and global metrics, traffic, and costs.
-        A model that goes non-finite raises DivergenceError naming its node.
+        A model that goes non-finite raises DivergenceError naming its
+        topology and node.
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"topology: must be one of {TOPOLOGIES} (got {topology!r})")

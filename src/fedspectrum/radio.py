@@ -24,15 +24,16 @@ Each sensor draws from its own three streams (``SensorStreams``), sensor
 - ``fade``: ``window_samples`` standard exponentials per such pair.
 
 A block's noise and fade rows are scaled to their mean powers in place.
-One flat-index write puts each fade row in its primary user's plane, a
-zeroed array of the noise rows' shape; the planes are added to the noise
-in user order, each with one contiguous add, and zeroed again through the
-same index.  Every term is a non-negative finite power, so an idle user's
-+ 0.0 changes no bit and each window sums its rows as one add per (slot,
-primary user) in user order would.  At most ``_MAX_PLANES`` planes are held
-at once: more primary users are added that many at a time, so memory grows
-with them only as their fade rows do.  The window maximum is reduced over
-the samples' ``int64`` view, since non-negative doubles order as their bit
+One index write puts each fade row in its primary user's plane, a zeroed
+array of the noise rows' shape; the planes are added to the noise in user
+order, each with one contiguous add, and zeroed again through the same
+index.  Every term is a non-negative finite power, so an idle user's + 0.0
+changes no bit and each window sums its rows as one add per (slot, primary
+user) in user order would.  With more than three primary users the block
+shrinks so that its noise and planes fit in four blocks of
+``_BLOCK_SAMPLES``, so memory grows with the users only as their fade rows
+do (until the block is one slot).  The window maximum is reduced over the
+samples' ``int64`` view, since non-negative doubles order as their bit
 patterns do; the mean and std keep ``np.mean``'s and ``np.std``'s ufuncs.
 
 The sensor groups are split across worker threads, one contiguous row
@@ -61,12 +62,11 @@ if TYPE_CHECKING:
 
 # keeps the log-domain features finite if a window statistic underflows
 _POWER_FLOOR_MW = 1e-30
-# noise samples of one block, 384 windows of 64 (192 KiB); a block also holds
-# its fade rows, one row of as many samples per active (slot, primary user) pair
+# noise samples of a block with up to three primary users, 384 windows of 64
+# (192 KiB); a block also holds a plane of as many samples per primary user
+# (with more users it shrinks so that noise and planes fit in four such
+# blocks) and a fade row per active (slot, primary user) pair
 _BLOCK_SAMPLES = 384 * 64
-# per-user planes a block holds at most (module docstring), each of its
-# noise samples' shape: both presets' three primary users take one pass
-_MAX_PLANES = 3
 
 
 def dbm_to_mw(dbm) -> np.ndarray:
@@ -181,17 +181,17 @@ def draw_windows(
     mean_dbm = _mean_power_dbm(sensors, pus, ch, tm)
     # (mean, std, max) in mW, converted to features in place at the end
     stats = np.empty((n, n_slots, 3))
-    # a block holds at most _BLOCK_SAMPLES noise samples: long runs take one
-    # sensor over many slots, short runs several sensors over every slot; a
-    # batch of slot ranges at most an eighth of that many group windows
-    block_slots = max(1, min(n_slots, _BLOCK_SAMPLES // w))
-    group = max(1, _BLOCK_SAMPLES // (block_slots * w))
-    batch_slots = block_slots * max(1, _BLOCK_SAMPLES // 8 // (block_slots * group))
+    # a block holds at most `block` noise samples, its planes as many per
+    # primary user: long runs take one sensor over many slots, short runs
+    # several sensors over every slot; a batch of slot ranges at most an
+    # eighth of that many group windows
+    block = min(_BLOCK_SAMPLES, 4 * _BLOCK_SAMPLES // (1 + len(pus)))
+    block_slots = max(1, min(n_slots, block // w))
+    group = max(1, block // (block_slots * w))
+    batch_slots = block_slots * max(1, block // 8 // (block_slots * group))
     # the most active (slot, primary user) pairs in one slot range
     max_pairs = max((np.count_nonzero(states[start : start + block_slots])
                      for start in range(0, n_slots, block_slots)), default=0)
-    # planes held at once; more primary users are added that many at a time
-    n_planes = max(1, min(len(pus), _MAX_PLANES))
     stop, errors = threading.Event(), []
 
     def draw(lo: int, hi: int) -> None:
@@ -200,18 +200,14 @@ def draw_windows(
         order; returns early once ``stop`` is set."""
         samples_buf = np.empty(group * block_slots * w)
         fades_buf = np.empty(group * max_pairs * w)
-        # the planes' rows and a spare row, zero between blocks
-        planes_buf = np.zeros(group * (n_planes * block_slots + 1) * w)
+        # one plane per primary user, zero between blocks
+        planes_buf = np.zeros(group * len(pus) * block_slots * w)
         for batch in range(0, n_slots, batch_slots):
-            # per range: first slot, active pairs' users and each pair's row
-            # in the flat (n_planes x slots) planes
-            ranges = []
-            for start in range(batch, min(batch + batch_slots, n_slots), block_slots):
-                on = states[start : start + block_slots]
-                slots, pu = np.nonzero(on)
-                ranges.append((start, pu, pu % n_planes * len(on) + slots))
+            # per range: first slot, and each active pair's slot and user
+            ranges = [(start, *np.nonzero(states[start : start + block_slots]))
+                      for start in range(batch, min(batch + batch_slots, n_slots), block_slots)]
             # the batch's active pairs' users, slot-major like the ranges'
-            users = np.concatenate([pu for _, pu, _ in ranges])
+            users = np.concatenate([pu for _, _, pu in ranges])
             for first in range(lo, hi, group):
                 rows = range(first, min(first + group, hi))
                 power_dbm = mean_dbm[first : rows.stop, users]
@@ -221,15 +217,14 @@ def draw_windows(
                         streams[i].shadow.standard_normal(out=normals[j])
                     power_dbm += sigma * normals
                 powers, done = dbm_to_mw(power_dbm), 0
-                for start, pu, row in ranges:
+                for start, slots, pu in ranges:
                     if stop.is_set():
                         return
                     size, length, pairs = len(rows), min(block_slots, n_slots - start), len(pu)
                     samples = samples_buf[: size * length * w].reshape(size, length, w)
                     fades = fades_buf[: size * pairs * w].reshape(size, pairs, w)
-                    flat = planes_buf[: size * (n_planes * length + 1) * w].reshape(
-                        size, n_planes * length + 1, w)
-                    planes = flat[:, :-1].reshape(size, n_planes, length, w)
+                    planes = planes_buf[: size * len(pus) * length * w].reshape(
+                        size, len(pus), length, w)
                     for j, i in enumerate(rows):
                         streams[i].obs.standard_exponential(out=samples[j])
                         streams[i].fade.standard_exponential(out=fades[j])
@@ -238,17 +233,11 @@ def draw_windows(
                     done += pairs
                     # a user's fade rows in its plane, zero elsewhere: adding
                     # the planes in user order adds each slot's rows in that
-                    # order, and + 0.0 leaves a non-negative sample as it is.
-                    # With more users than planes, n_planes users are added
-                    # at a time, the rows of the others in a spare row past
-                    # the planes
-                    for chunk in range(0, len(pus), n_planes):
-                        at = row if len(pus) <= n_planes else np.where(
-                            pu // n_planes == chunk // n_planes, row, n_planes * length)
-                        flat[:, at] = fades
-                        for plane in range(min(n_planes, len(pus) - chunk)):
-                            samples += planes[:, plane]
-                        flat[:, at] = 0.0
+                    # order, and + 0.0 leaves a non-negative sample as it is
+                    planes[:, pu, slots] = fades
+                    for plane in range(len(pus)):
+                        samples += planes[:, plane]
+                    planes[:, pu, slots] = 0.0
                     _window_stats(samples, stats[first : rows.stop, start : start + length])
 
     def work(lo: int, hi: int) -> None:

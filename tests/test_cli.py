@@ -108,7 +108,7 @@ def test_diverging_run_names_the_node(tmp_path, capsys):
     assert main(argv) == 1
     # the named error is the whole report: no numpy overflow warnings before it
     err = capsys.readouterr().err
-    assert err.startswith("fedspectrum: error: node 0: ") and err.count("\n") == 1
+    assert err.startswith("fedspectrum: error: gossip node 0: ") and err.count("\n") == 1
 
 
 def test_run_writes_metrics_and_summary(tmp_path, scenario_path, capsys):

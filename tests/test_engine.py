@@ -175,14 +175,15 @@ def test_divergent_training_names_node_and_slot(kind, topology):
         training=replace(scenario.training, learning_rate=1.7e308, model_kind=kind),
         schedule=replace(scenario.schedule, n_training_slots=200, n_eval_slots=10),
     )
-    named = r"^node \d+: .* after local training round \d+ \(slot \d+\)$"
+    named = r"^{} node \d+: .* after local training round \d+ \(slot \d+\)$"
     sensing = sense_run(scenario, 1)
     # the named error is the only report: numpy's overflow warnings stay quiet
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DivergenceError, match=named) as alone:
+        with pytest.raises(DivergenceError, match=named.format(topology)) as alone:
             run_simulation(scenario, topology, 1)
-        with pytest.raises(DivergenceError, match=named):
+        # the first topology in TOPOLOGIES diverges too, and its error is raised
+        with pytest.raises(DivergenceError, match=named.format(TOPOLOGIES[0])):
             train_topologies(sensing, TOPOLOGIES)
         # stacked with the topologies after it, its own run's error is raised
         with pytest.raises(DivergenceError) as stacked:
@@ -207,7 +208,7 @@ def test_mixing_overflow_names_node_and_round(monkeypatch):
     sensors = [p for p in place_nodes(scenario, substream(1, "placement")) if p.kind == "sensor"]
     degree = build_neighbor_graph(sensors, scenario.federation.neighbor_radius_m).valid.sum(axis=1)
     assert degree[:6].tolist() == [5, 7, 7, 5, 7, 10]
-    named = r"^node 5: .* after federation round 1 \(slot 20\)$"
+    named = r"^gossip node 5: .* after federation round 1 \(slot 20\)$"
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match=named):
@@ -221,7 +222,7 @@ def test_divergent_mixing_names_node_and_round(monkeypatch):
         return theta
 
     monkeypatch.setattr(engine, "fedavg_mix", poisoned)
-    named = r"^node 1: .* after federation round 1 \(slot 20\)$"
+    named = r"^central node 1: .* after federation round 1 \(slot 20\)$"
     with pytest.raises(DivergenceError, match=named):
         run_simulation(small_scenario(), "central", 1)
 
@@ -277,7 +278,7 @@ def test_stacked_divergence_names_the_diverging_topology(monkeypatch):
     # the other topologies train on; the gossip run's own error is raised
     sensing = sense_run(small_scenario(), 1)
     monkeypatch.setattr(engine, "gossip_mix", poisoned_at(engine.gossip_mix, 1))
-    named = r"^node 1: .* after federation round 1 \(slot 20\)$"
+    named = r"^gossip node 1: .* after federation round 1 \(slot 20\)$"
     with pytest.raises(DivergenceError, match=named):
         train_topologies(sensing, TOPOLOGIES)
 
@@ -292,7 +293,7 @@ def test_stacked_divergence_is_raised_in_topology_order(monkeypatch):
         train_topologies(sensing, ["central"])
     monkeypatch.setattr(engine, "gossip_mix", poisoned_at(gossip_mix, 2))
     monkeypatch.setattr(engine, "fedavg_mix", poisoned_at(fedavg_mix, 1))
-    named = r"^node 1: .* after federation round 2 \(slot 40\)$"
+    named = r"^gossip node 1: .* after federation round 2 \(slot 40\)$"
     with pytest.raises(DivergenceError, match=named):
         train_topologies(sensing, TOPOLOGIES)
 

@@ -292,11 +292,12 @@ def test_per_pair_shadowing_moments():
 def block_runs():
     """(scenario, block sizes in samples) of a long run (3 sensors, 600 slots
     of 64 samples) and a short one (7 sensors, 40 slots of 16 samples), each
-    with three primary users and 6 dB shadowing, three users and none, and
-    no primary user."""
+    with three primary users and 6 dB shadowing, three users and none, no
+    primary user, and five users and 6 dB shadowing, whose blocks hold two
+    thirds of the samples given."""
     traffic = PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=5.0, mean_gap_slots=5.0)
     runs = []
-    for n_pus, sigma in ((3, 6.0), (3, 0.0), (0, 6.0)):
+    for n_pus, sigma in ((3, 6.0), (3, 0.0), (0, 6.0), (5, 6.0)):
         long_run = Scenario(
             seed=43, area_size_m=300.0, n_sensors=3, n_primary_users=n_pus, pu_traffic=traffic,
             channel=ChannelModel(shadowing_sigma_db=sigma),
@@ -322,7 +323,11 @@ def test_block_size_does_not_change_the_tensor(monkeypatch):
     # takes groups of 1, 2 and 3 sensors (the last group a remainder), of
     # all 7 and of more than 7 over every slot, and blocks of one and of 3
     # slots (batches of 2 ranges); one-slot blocks with every chain off
-    # draw no (slot, primary user) pair.
+    # draw no (slot, primary user) pair.  With five users every block holds
+    # two thirds as many samples: the long run takes slot ranges of 1, 2
+    # and 4 windows and of the whole run (default: 256 slots), the short
+    # run one sensor over 1, 2 and 26 slots (the last range a remainder of
+    # 14) and over all 40, and groups of 2, 4 and 6 sensors.
     runs = block_runs()
     defaults = [sense_run(scenario, 43) for scenario, _ in runs]
     for default in defaults:
@@ -339,8 +344,10 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
     # own rows, so neither the split nor thread scheduling (a short switch
     # interval) changes the tensor.  1, 2 and 3 workers and more than there
     # are groups: the long runs have 3 groups of one sensor, in one batch by
-    # default and in 11 batches of 7-slot ranges, and the short runs, in
-    # blocks of 2 sensors, 4 groups, the last a remainder.
+    # default and in 11 batches of 7-slot ranges (with five primary users,
+    # 17 batches of 4-slot ranges), and the short runs, in blocks of 2
+    # sensors, 4 groups, the last a remainder (with five users, 7 groups of
+    # one sensor).
     if hasattr(os, "sched_getaffinity"):
         assert radio._worker_count() == len(os.sched_getaffinity(0))
     default_blocks = radio._BLOCK_SAMPLES
@@ -397,12 +404,13 @@ def test_sensing_memory_is_a_fixed_budget(monkeypatch, path, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sensing_memory_grows_with_primary_users_as_their_fade_rows(monkeypatch, workers):
-    # A block holds at most _MAX_PLANES planes of its noise samples' shape,
-    # however many primary users there are, so 9 more users on default.json
-    # add their fade rows and pair data (~1.45 MB a worker), less than a
-    # plane each (1.77 MB); a plane per user would add ~3.1 MB a worker.
-    # The 12 users take four passes of three planes, and the threaded run
-    # equals the per-slot reference.
+    # A block holds a plane of its noise samples' shape per primary user, and
+    # with more than three users it shrinks so that its noise and planes fit
+    # in four blocks of _BLOCK_SAMPLES: 9 more users on default.json add only
+    # their fade rows and pair data (~0.12 MiB a worker), less than one block
+    # of noise samples (0.19 MiB); a plane per user in full blocks would add
+    # ~1.7 MiB a worker.  The 12 users' blocks take 118 slots, and the
+    # threaded run equals the per-slot reference.
     monkeypatch.setattr(radio, "_worker_count", lambda: workers)
     default, excess = load_scenario("scenarios/default.json"), []
     for n_pus in (3, 12):
@@ -414,21 +422,9 @@ def test_sensing_memory_grows_with_primary_users_as_their_fade_rows(monkeypatch,
         finally:
             tracemalloc.stop()
         excess.append(peak - sensing.windows.nbytes - len(sensing.truths) * (1 + n_pus))
-    assert excess[1] - excess[0] < workers * 9 * 8 * radio._BLOCK_SAMPLES
+    assert excess[1] - excess[0] < workers * 8 * radio._BLOCK_SAMPLES
     if workers == 2:
         assert_same_bytes(sensing, per_slot_reference(scenario, 5))
-
-
-def test_planes_held_at_once_do_not_change_the_tensor(monkeypatch):
-    # With fewer planes than primary users, the users are added a chunk at a
-    # time, the other chunks' fade rows parked in the spare row: one and two
-    # planes for three users (chunks of 2 and 1), on long and short runs.
-    for scenario, _ in block_runs()[:4]:
-        tensors = set()
-        for planes in (3, 2, 1):
-            monkeypatch.setattr(radio, "_MAX_PLANES", planes)
-            tensors.add(sense_run(scenario, 43).windows.tobytes())
-        assert len(tensors) == 1
 
 
 def test_window_stats_equal_numpy_bytewise():
@@ -596,6 +592,17 @@ def test_sensed_tensor_equals_per_slot_reference_on_presets(path):
         scenario = replace(scenario, schedule=replace(scenario.schedule, n_training_slots=400,
                                                       n_eval_slots=200))
     assert_same_bytes(sense_run(scenario, 7), per_slot_reference(scenario, 7))
+
+
+@pytest.mark.parametrize("n_pus", [4, 7, 12])
+def test_sensed_tensor_equals_per_slot_reference_with_many_primary_users(n_pus):
+    # With more than three primary users the default block shrinks to
+    # 4 * _BLOCK_SAMPLES // (1 + users) samples, so the long run (600 slots of
+    # 64 samples) takes slot ranges of 307, 192 and 118 slots, the last a
+    # remainder (293, 24 and 10 slots), each user on its own plane.
+    scenario, _ = block_runs()[0]
+    scenario = replace(scenario, n_primary_users=n_pus)
+    assert_same_bytes(sense_run(scenario, 11), per_slot_reference(scenario, 11))
 
 
 @settings(max_examples=40, deadline=None)
