@@ -13,23 +13,23 @@ Training slots: every ``local_train_period_slots`` one ``train_rows`` step
 trains row ``i`` of every ``(n, d)`` slice on its row of the period's
 windows, in epoch orders drawn in chunks of periods, one ``permuted`` call
 per node's ``train`` stream a chunk; every ``federation_period_slots`` each
-topology's exchange (gossip or central FedAvg round) mixes its slice,
-training first when both land on the same slot; the gossip mixer is built
-with the graph, before the first slot.  Eval slots: models are frozen and one
-``predict_rows`` call decides every node's windows.  Sensor ``i`` is row
-``i`` of every array: models, neighbor table, windows, per-node results.
-The engine opens no file and reads no clock: results are data (arrays,
-``RunResult``) and ``cli`` owns every file, output format, summary across
-seeds and wall-clock reading.  A Scenario is valid and frozen once built
-(``scenario``), so no function here checks it again, and a run's
+topology's ``Exchange`` with a ``mix`` (gossip or central FedAvg) mixes its
+slice, training first on a shared slot; ``_exchange`` builds the records up
+front and alone reads a topology's name.  Eval slots: models are frozen and
+one ``predict_rows`` call decides every node's windows.  Sensor ``i`` is
+row ``i`` of every array: models, neighbor table, windows, per-node
+results.  The engine opens no file and reads no clock: results are data
+(arrays, ``RunResult``) and ``cli`` owns every file, output format, summary
+across seeds and wall-clock reading.  A Scenario is valid and frozen once
+built (``scenario``), so no function here checks it again, and a run's
 placements are a tuple of ``Placement`` named tuples.
 
 Costs are closed forms of the schedule, not tallies: every node trains on
 ``period * (n_training_slots // period)`` windows, ``epochs_per_round``
 times each at ``3 * macs_per_inference`` (forward, backward, update); a
-gossip or central run has ``n_training_slots // federation_period_slots``
-rounds, and traffic and aggregation MACs follow from the rounds and one
-``(n,)`` degree vector, the models each sensor sends a round.
+run with a ``mix`` has ``n_training_slots // federation_period_slots`` rounds,
+and traffic and aggregation MACs follow from the rounds and its record's
+``degree``, ``merges`` and ``coordinator`` counts.
 
 Random streams are named by kind and row (``rng.streams``) so modules
 cannot disturb each other, and are derived here only: ``placement``,
@@ -41,13 +41,13 @@ cannot disturb each other, and are derived here only: ``placement``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .federation import (
     TOPOLOGIES,
-    NeighborTable,
+    FederationConfig,
     TrafficStats,
     build_neighbor_graph,
     exchange_traffic,
@@ -210,16 +210,40 @@ def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[
     return windows[0], truths
 
 
+class Exchange(NamedTuple):
+    """A topology's federation round: ``mix`` maps ``(n, d)`` models to mixed
+    ones (None: no round); sensor ``i`` sends (and receives) ``degree[i]``
+    models and merges ``merges[i]``; the coordinator serves ``coordinator``."""
+
+    mix: Callable[[np.ndarray], np.ndarray] | None
+    degree: np.ndarray
+    merges: np.ndarray
+    coordinator: int
+
+
+def _exchange(topology: str, sensors: list[Placement], cfg: FederationConfig, d: int) -> Exchange:
+    """``topology``'s ``Exchange`` over ``sensors`` for ``(n, d)`` models, the
+    one reading of a topology's name: gossip builds its graph and mixer once."""
+    zeros = np.zeros(len(sensors), np.int64)
+    if topology == "gossip":
+        table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
+        mixer, degree = gossip_mixer(table, cfg, d), table.valid.sum(axis=1)
+        return Exchange(lambda theta: gossip_mix(theta, mixer), degree, degree, 0)
+    if topology == "central":
+        return Exchange(fedavg_mix, zeros + 1, zeros, len(sensors))
+    return Exchange(None, zeros, zeros, 0)
+
+
 @dataclass(frozen=True, eq=False)
 class TrainedRuns:
     """Topologies trained on one ``RunSensing``: row ``j`` of ``theta (k, n, d)``
     (read-only) is ``topologies[j]``'s models at the end of the training
-    phase; ``table`` is the gossip graph, if any."""
+    phase, and ``exchanges[j]`` its ``Exchange``."""
 
     sensing: RunSensing
     topologies: tuple[str, ...]
     theta: np.ndarray
-    table: NeighborTable | None
+    exchanges: tuple[Exchange, ...]
 
 
 def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedRuns:
@@ -229,14 +253,15 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
     so the k copies of node i's model share one shuffle per epoch.  A diverging
     copy trains on without touching the others; after the loop the first
     divergence in ``TOPOLOGIES`` order is raised, as its run alone raises it."""
-    if not set(topologies) <= set(TOPOLOGIES):
-        raise ValueError(f"topology: must be one of {TOPOLOGIES} (got {list(topologies)})")
+    if not 0 < len(topologies) == len(set(topologies) & set(TOPOLOGIES)):
+        raise ValueError(f"topology: must be one of {TOPOLOGIES}, one or more, none twice "
+                         f"(got {list(topologies)})")
     topologies = tuple(t for t in TOPOLOGIES if t in topologies)
     scenario, seed, tc = sensing.scenario, sensing.seed, sensing.scenario.training
     sensors = [p for p in sensing.placements if p.kind == "sensor"]
     k, n, cfg, kind = len(topologies), len(sensors), scenario.federation, tc.model_kind
-    table = build_neighbor_graph(sensors, cfg.neighbor_radius_m) if "gossip" in topologies else None
-    mixer = None if table is None else gossip_mixer(table, cfg, model_dim(kind))
+    exchanges = tuple(_exchange(t, sensors, cfg, model_dim(kind)) for t in topologies)
+    mixes = [(j, ex.mix) for j, ex in enumerate(exchanges) if ex.mix is not None]
     # theta[j, i] is sensor i's model in topology j
     theta = np.tile(init_model(kind, tc, substream(seed, "init")), (k, n, 1))
     train_rngs = streams(seed, "train", range(n))
@@ -277,17 +302,14 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
                 x, y = windows[:, slot - period : slot], truths[slot - period : slot]
                 train_rows(kind, theta, x, y, tc, orders[:, p % chunk])
                 check(f"after local training round {slot // period} (slot {slot})")
-            if slot % federation == 0 and topologies != ("isolated",):
-                for j, topology in enumerate(topologies):
-                    if topology == "gossip":
-                        theta[j] = gossip_mix(theta[j], mixer)
-                    elif topology == "central":
-                        theta[j] = fedavg_mix(theta[j])
+            if slot % federation == 0 and mixes:
+                for j, mix in mixes:
+                    theta[j] = mix(theta[j])
                 check(f"after federation round {slot // federation} (slot {slot})")
     if failures:
         raise DivergenceError(failures[min(failures)])
     theta.flags.writeable = False
-    return TrainedRuns(sensing, topologies, theta, table)
+    return TrainedRuns(sensing, topologies, theta, exchanges)
 
 
 def run_simulation(
@@ -318,19 +340,9 @@ def run_simulation(
     if topology not in trained.topologies:
         raise ValueError(f"trained: has no {topology!r} run (trained {trained.topologies})")
     j = trained.topologies.index(topology)
-    schedule = scenario.schedule
-    rounds = 0 if topology == "isolated" else (
-        schedule.n_training_slots // schedule.federation_period_slots)
-
+    ex, schedule = trained.exchanges[j], scenario.schedule
+    rounds = 0 if ex.mix is None else schedule.n_training_slots // schedule.federation_period_slots
     n = trained.theta.shape[1]
-    # Per round: the models each sensor sends and receives, and the sensors
-    # the coordinator serves; gossip nodes and the coordinator merge them.
-    degree, central = np.zeros(n, np.int64), 0
-    if topology == "gossip":
-        degree = trained.table.valid.sum(axis=1)
-    elif topology == "central":
-        degree, central = np.ones(n, np.int64), n
-
     kind = scenario.training.model_kind
     theta = trained.theta[j].copy()
     decided = predict_rows(kind, theta, sensing.windows[:, schedule.n_training_slots :]) >= 0.5
@@ -340,7 +352,7 @@ def run_simulation(
     macs_per_inference, param_count = cost_constants(kind)
     period = schedule.local_train_period_slots
     windows = period * (schedule.n_training_slots // period)
-    node_macs = rounds * param_count * (degree if topology == "gossip" else np.zeros_like(degree))
+    node_macs = rounds * param_count * ex.merges
     confusion.flags.writeable = node_macs.flags.writeable = False
     train_macs = 3 * scenario.training.epochs_per_round * windows * macs_per_inference
     cost = CostReport(macs_per_inference, param_count, 8 * param_count, train_macs)
@@ -350,10 +362,10 @@ def run_simulation(
         seed=seed,
         confusion=confusion,
         global_metrics=global_metrics,
-        traffic=exchange_traffic(degree, central, payload_bytes(param_count), rounds),
+        traffic=exchange_traffic(ex.degree, ex.coordinator, payload_bytes(param_count), rounds),
         per_node_cost=[cost] * n,
         node_aggregation_macs=node_macs,
-        central_aggregation_macs=rounds * param_count * central,
+        central_aggregation_macs=rounds * param_count * ex.coordinator,
         federation_rounds=rounds,
         final_models=[ModelParams(kind, row) for row in theta],
     )

@@ -1,14 +1,17 @@
+import importlib.util
 import itertools
 import json
 import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedspectrum
 from fedspectrum import engine
 from fedspectrum.cli import (
     METRICS_HEADER,
@@ -47,13 +50,17 @@ from fedspectrum.sensing import (
     TrainingConfig,
     cost_constants,
     init_model,
+    model_dim,
     predict_rows,
 )
 from oracles import metrics_csv_lines as oracle_metrics_csv_lines
 from oracles import substream as oracle_substream
 from oracles import (
+    CountedModel,
     confusion,
+    fedavg_aggregate,
     identical_nodes,
+    merge_models,
     neighbor_communication,
     pu_activity_step,
     radio_range,
@@ -260,6 +267,33 @@ def test_a_gossip_run_builds_one_mixer_before_its_first_slot(monkeypatch, schedu
         assert result.traffic.tx_bytes.tolist() == [0, 0, 0]
 
 
+def bench_layers():
+    """``bench/layers.py``, loaded from its file: the benchmark's tracer."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("topology,mix", [("gossip", "gossip_mix"), ("central", "fedavg_mix")])
+def test_a_traced_run_times_every_round_in_the_federation_layer(tmp_path, topology, mix):
+    # the benchmark's tracer wraps the functions engine imports, so each
+    # round of a topology's Exchange is one federation span of its own name
+    layers = bench_layers()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(asdict(small_scenario())), encoding="utf-8")
+    results, tracer = [], layers.Tracer()
+    with layers.instrument(results.append, tracer):
+        args = ["run", "--scenario", str(path), "--topology", topology]
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 0
+    [result] = results
+    assert result.federation_rounds == 3
+    spans = [dict(zip(layers.SPAN_FIELDS, span)) for span in tracer.spans]
+    rounds = [(s["layer"], s["name"]) for s in spans if s["name"] in ("gossip_mix", "fedavg_mix")]
+    assert rounds == [("federation", mix)] * result.federation_rounds
+
+
 def poisoned_at(mix, round_):
     """``mix`` with node 1's model made non-finite in its ``round_``-th call."""
     calls = itertools.count(1)
@@ -399,6 +433,60 @@ def test_costs_and_traffic_are_closed_forms(
     assert result.central_aggregation_macs == rounds * params * central
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sensors=st.integers(1, 6),
+    placement=st.sampled_from(["grid", "uniform_random"]),
+    kind=st.sampled_from(["logistic", "mlp"]),
+    weighting=st.sampled_from(WEIGHTINGS),
+    self_weight=st.booleans(),
+    radius=st.floats(0.0, 500.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+# one sensor; four sensors and no edge
+@example(1, "grid", "logistic", "samples", True, 400.0, 1)
+@example(4, "grid", "mlp", "uniform", False, 0.0, 2)
+def test_each_topology_exchange_is_its_oracle(
+    n_sensors, placement, kind, weighting, self_weight, radius, seed
+):
+    # a record's mix is the oracles' per-model merge, bit for bit, and its
+    # counts are the closed forms of test_costs_and_traffic_are_closed_forms
+    scenario = small_scenario(
+        seed=seed,
+        n_sensors=n_sensors,
+        sensor_placement=placement,
+        training=TrainingConfig(model_kind=kind),
+        schedule=SlotSchedule(0, 1, 10, 10, 4),
+        federation=FederationConfig(
+            neighbor_radius_m=radius, weighting=weighting, include_self_weight=self_weight
+        ),
+    )
+    sensing = sense_run(scenario, seed)
+    isolated, gossip, central = train_topologies(sensing, TOPOLOGIES).exchanges
+    theta = np.random.default_rng(seed).normal(size=(n_sensors, model_dim(kind)))
+    models = [CountedModel(kind, row) for row in theta]
+    zeros = [0] * n_sensors
+
+    assert isolated.mix is None
+    assert (isolated.degree.tolist(), isolated.merges.tolist(), isolated.coordinator) == (
+        zeros, zeros, 0)
+
+    links = radio_range([(p.x_m, p.y_m) for p in sensing.placements[:n_sensors]], radius)
+    merged = [merge_models(own, [models[j] for j in np.flatnonzero(row)], scenario.federation)
+              for own, row in zip(models, links)]
+    assert gossip.mix(theta).tobytes() == np.stack([m.theta for m in merged]).tobytes()
+    degree = links.sum(axis=1).tolist()
+    assert (gossip.degree.tolist(), gossip.merges.tolist(), gossip.coordinator) == (
+        degree, degree, 0)
+    if not any(degree):  # no edge: every row as it was
+        assert gossip.mix(theta).tobytes() == theta.tobytes()
+
+    mean = fedavg_aggregate(models).theta
+    assert central.mix(theta).tobytes() == np.tile(mean, (n_sensors, 1)).tobytes()
+    assert (central.degree.tolist(), central.merges.tolist(), central.coordinator) == (
+        [1] * n_sensors, zeros, n_sensors)
+
+
 def same(x, y):
     """Equal values; arrays by dtype, shape and bytes."""
     if isinstance(x, np.ndarray):
@@ -449,6 +537,26 @@ def test_sensing_for_another_run_is_rejected():
         run_simulation(scenario, "gossip", 3, trained=isolated)
     with pytest.raises(ValueError, match="topology: must be one of"):
         train_topologies(sense_run(scenario, 3), ["isolated", "ring"])
+
+
+@pytest.mark.parametrize(
+    "topologies",
+    [[], ["gossip", "gossip"], ("central", "isolated", "central")],
+    ids=["none", "gossip-twice", "central-twice"],
+)
+def test_a_topology_list_that_is_empty_or_repeats_a_name_is_rejected(monkeypatch, topologies):
+    # by name, before any stream is drawn: [] would train a (0, n, d) array,
+    # and a repeated name would train one row for both
+    sensing = sense_run(small_scenario(), 1)
+
+    def drawn(*args):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(engine, "streams", drawn)
+    monkeypatch.setattr(engine, "substream", drawn)
+    with pytest.raises(ValueError, match=r"^topology: must be one of .*, none twice") as error:
+        fedspectrum.train_topologies(sensing, topologies)
+    assert str(error.value).endswith(f"(got {list(topologies)})")
 
 
 SUBSETS = [TOPOLOGIES, ("isolated",), ("gossip",), ("central",), ("gossip", "central")]
@@ -575,7 +683,7 @@ def test_samples_weighting_trains_as_uniform(self_weight):
     trained = {w: train_topologies(sense_run(s, 2), ["isolated", "gossip"])
                for w, s in scenarios.items()}
     uniform, samples = trained["uniform"], trained["samples"]
-    assert uniform.table.valid.sum(axis=1).tolist() == [2, 1, 2, 2, 0, 1]
+    assert uniform.exchanges[1].degree.tolist() == [2, 1, 2, 2, 0, 1]
     assert uniform.theta[0].tobytes() != uniform.theta[1].tobytes()
     assert samples.theta.tobytes() == uniform.theta.tobytes()
     # and so are the runs: every metrics.csv row
