@@ -1,14 +1,14 @@
 """Slot-synchronous simulation engine and topology comparison.
 
-A run senses, trains, then evaluates on slices of what it sensed.
-``sense_run`` places the nodes and draws the whole run's windows, an ``(n,
-n_training_slots + n_eval_slots, 3)`` tensor, and the truth labels (whether
-any primary user transmits in a slot) through ``radio.sense_windows``.
-These and the training shuffles depend on (scenario, seed) only, never on
-the topology, so ``compare`` senses once per seed, ``train_topologies``
-trains isolated, gossip and central as one ``(3, n, d)`` model array, and
-``run_simulation`` evaluates each; ``generate_dataset`` places the nodes
-the same way (``_place``) and returns one sensor's row of the tensor.
+A run senses, trains, then evaluates on slices of what it sensed.  One
+``_sense`` call places the nodes and draws, in one ``radio.sense_windows``
+call, the windows of the sensor rows it is given and the truth labels
+(whether any primary user transmits in a slot): for ``sense_run`` every row
+of the run's ``(n, n_training_slots + n_eval_slots, 3)`` tensor, for
+``generate_dataset`` one sensor's row.  These and the training shuffles
+depend on (scenario, seed) only, never on the topology, so ``compare``
+senses once per seed, ``train_topologies`` trains isolated, gossip and
+central as one ``(3, n, d)`` model array, and ``run_simulation`` evaluates each.
 Training slots: every ``local_train_period_slots`` one ``train_rows`` step
 trains row ``i`` of every ``(n, d)`` slice on its row of the period's
 windows, in epoch orders drawn in chunks of periods, one ``permuted`` call
@@ -152,30 +152,23 @@ class RunSensing:
     truths: np.ndarray
 
 
-def _sensor_streams(seed: int, rows: range) -> list[SensorStreams]:
-    """The ``obs``, ``shadow`` and ``fade`` streams of the sensors ``rows``
-    under ``seed``, one ``SensorStreams`` a sensor."""
-    kinds = [streams(seed, kind, rows) for kind in SensorStreams._fields]
-    return [SensorStreams(*rngs) for rngs in zip(*kinds)]
-
-
-def _place(scenario: Scenario, seed: int):
-    """The set-up ``sense_run`` and ``generate_dataset`` share: place the
-    nodes of ``scenario``.  Returns the placements, the sensors, the primary
-    users and the ``traffic`` stream."""
+def _sense(scenario: Scenario, seed: int, rows: range, n_slots: int):
+    """Place the nodes (sensors ``0..n_sensors-1``, then primary users) and draw
+    ``n_slots`` windows of the sensors ``rows``, each from its row of ``obs``,
+    ``shadow`` and ``fade``: the placements, ``(len(rows), n_slots, 3)``
+    windows and ``(n_slots,)`` truths that ``sense_run`` and ``generate_dataset`` share."""
     placements = place_nodes(scenario, substream(seed, "placement"))
-    sensors = [p for p in placements if p.kind == "sensor"]
-    pus = [p for p in placements if p.kind == "primary_user"]
-    return placements, sensors, pus, substream(seed, "traffic")
+    kinds = [streams(seed, kind, rows) for kind in SensorStreams._fields]
+    return placements, *sense_windows(
+        scenario, placements[rows.start : rows.stop], placements[scenario.n_sensors :],
+        substream(seed, "traffic"), [SensorStreams(*rngs) for rngs in zip(*kinds)], n_slots)
 
 
 def sense_run(scenario: Scenario, seed: int) -> RunSensing:
-    """Place the nodes and draw every window of one (scenario, seed) run, each
-    sensor's row from its own ``obs``, ``shadow`` and ``fade`` streams."""
-    placements, sensors, pus, traffic_rng = _place(scenario, seed)
-    rngs = _sensor_streams(seed, range(len(sensors)))
+    """Place the nodes and draw every window, training and eval slots, of one
+    (scenario, seed) run: ``_sense`` over every sensor's row."""
     n_slots = scenario.schedule.n_training_slots + scenario.schedule.n_eval_slots
-    windows, truths = sense_windows(scenario, sensors, pus, traffic_rng, rngs, n_slots)
+    placements, windows, truths = _sense(scenario, seed, range(scenario.n_sensors), n_slots)
     windows.flags.writeable = truths.flags.writeable = False
     return RunSensing(scenario, seed, placements, windows, truths)
 
@@ -199,21 +192,18 @@ def check_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> None:
 
 def generate_dataset(scenario: Scenario, sensor_id: int, n_slots: int) -> tuple[np.ndarray, ...]:
     """Sensor ``sensor_id``'s ``(n_slots, 3)`` windows and the ``(n_slots,)``
-    truth labels: its row of ``sense_run(scenario, scenario.seed)`` (of a
-    longer run, past its slots).  Bad arguments fail (``check_dataset``)
-    before any placement is drawn."""
+    truth labels: ``_sense`` over its one row, so its row of ``sense_run(scenario,
+    scenario.seed)`` (of a longer run, past its slots).  Bad arguments fail
+    (``check_dataset``) before any placement is drawn."""
     check_dataset(scenario, sensor_id, n_slots)
-    _, sensors, pus, traffic_rng = _place(scenario, scenario.seed)
-    rngs = _sensor_streams(scenario.seed, range(sensor_id, sensor_id + 1))
-    sensor = sensors[sensor_id : sensor_id + 1]
-    windows, truths = sense_windows(scenario, sensor, pus, traffic_rng, rngs, n_slots)
+    _, windows, truths = _sense(scenario, scenario.seed, range(sensor_id, sensor_id + 1), n_slots)
     return windows[0], truths
 
 
 class Exchange(NamedTuple):
     """A topology's federation round: ``mix`` maps ``(n, d)`` models to mixed
-    ones (None: no round); sensor ``i`` sends (and receives) ``degree[i]``
-    models and merges ``merges[i]``; the coordinator serves ``coordinator``."""
+    ones (None: no round); sensor ``i`` sends (and receives) ``degree[i]`` models
+    and merges ``merges[i]`` (both read-only); the coordinator serves ``coordinator``."""
 
     mix: Callable[[np.ndarray], np.ndarray] | None
     degree: np.ndarray
@@ -221,17 +211,19 @@ class Exchange(NamedTuple):
     coordinator: int
 
 
-def _exchange(topology: str, sensors: list[Placement], cfg: FederationConfig, d: int) -> Exchange:
+def _exchange(topology: str, sensors: Sequence[Placement], cfg: FederationConfig, d: int):
     """``topology``'s ``Exchange`` over ``sensors`` for ``(n, d)`` models, the
     one reading of a topology's name: gossip builds its graph and mixer once."""
     zeros = np.zeros(len(sensors), np.int64)
+    ex = Exchange(None, zeros, zeros, 0)
     if topology == "gossip":
         table = build_neighbor_graph(sensors, cfg.neighbor_radius_m)
         mixer, degree = gossip_mixer(table, cfg, d), table.valid.sum(axis=1)
-        return Exchange(lambda theta: gossip_mix(theta, mixer), degree, degree, 0)
+        ex = Exchange(lambda theta: gossip_mix(theta, mixer), degree, degree, 0)
     if topology == "central":
-        return Exchange(fedavg_mix, zeros + 1, zeros, len(sensors))
-    return Exchange(None, zeros, zeros, 0)
+        ex = Exchange(fedavg_mix, zeros + 1, zeros, len(sensors))
+    ex.degree.flags.writeable = ex.merges.flags.writeable = False
+    return ex
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,8 +250,8 @@ def train_topologies(sensing: RunSensing, topologies: Sequence[str]) -> TrainedR
                          f"(got {list(topologies)})")
     topologies = tuple(t for t in TOPOLOGIES if t in topologies)
     scenario, seed, tc = sensing.scenario, sensing.seed, sensing.scenario.training
-    sensors = [p for p in sensing.placements if p.kind == "sensor"]
-    k, n, cfg, kind = len(topologies), len(sensors), scenario.federation, tc.model_kind
+    k, n, cfg, kind = len(topologies), scenario.n_sensors, scenario.federation, tc.model_kind
+    sensors = sensing.placements[:n]  # sensor i is node i
     exchanges = tuple(_exchange(t, sensors, cfg, model_dim(kind)) for t in topologies)
     mixes = [(j, ex.mix) for j, ex in enumerate(exchanges) if ex.mix is not None]
     # theta[j, i] is sensor i's model in topology j

@@ -321,7 +321,7 @@ def test_a_bad_generate_argument_makes_no_out_dir(option, value, field, tmp_path
     def no_placements(*args):
         raise AssertionError("placements drawn")
 
-    monkeypatch.setattr(engine, "_place", no_placements)
+    monkeypatch.setattr(engine, "place_nodes", no_placements)
     out = tmp_path / "out"
     argv = ["generate", "--scenario", "scenarios/default.json", "--out-dir", str(out)]
     assert main(argv + [option, value]) == 1

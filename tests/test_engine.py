@@ -525,6 +525,20 @@ def test_shared_sensing_gives_the_run_a_fresh_draw_gives(kind):
     assert not trained.theta.flags.writeable
 
 
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_a_trained_exchange_is_read_only(topology):
+    # zeroing a record's degree in place used to change the bytes every later
+    # run of the trained models booked (15,360 -> 0 for gossip here)
+    scenario = load_scenario("scenarios/data_scarce.json")
+    trained = train_topologies(sense_run(scenario, 1), [topology])
+    before = run_simulation(scenario, topology, 1, trained=trained)
+    exchange = trained.exchanges[0]
+    for counts in (exchange.degree, exchange.merges):
+        with pytest.raises(ValueError, match="read-only"):
+            counts[:] = 0
+    assert_same_run(run_simulation(scenario, topology, 1, trained=trained), before)
+
+
 def test_sensing_for_another_run_is_rejected():
     scenario = small_scenario()
     trained = train_topologies(sense_run(scenario, 3), TOPOLOGIES)

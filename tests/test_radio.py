@@ -467,14 +467,15 @@ def test_a_failing_draw_propagates_and_no_worker_outlives_the_call(monkeypatch, 
     # a thread sensors 1 and 2.  Either side's error, raised where that
     # sensor is drawn, comes out of sense_run with no thread left running.
     scenario = block_runs()[0][0]
-    stream, real = RaisingStream(error), engine._sensor_streams
+    stream, real = RaisingStream(error), engine.streams
 
-    def streams(seed, rows):
-        drawn = real(seed, rows)
-        drawn[sensor] = drawn[sensor]._replace(obs=stream)
+    def streams(seed, kind, rows):
+        drawn = real(seed, kind, rows)
+        if kind == "obs":
+            drawn[sensor] = stream
         return drawn
 
-    monkeypatch.setattr(engine, "_sensor_streams", streams)
+    monkeypatch.setattr(engine, "streams", streams)
     monkeypatch.setattr(radio, "_worker_count", lambda: 2)
     before = threading.active_count()
     with pytest.raises(type(error)) as raised:
@@ -669,17 +670,21 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
         assert rng.random() == rng_replay.random()
 
 
-def test_generate_dataset_is_the_sensor_row_of_the_run():
-    # the rows ``dataset.csv`` holds: sensor 2's windows and the truth labels
-    # of the run at the scenario's seed, the same on every call
-    scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2, area_size_m=400.0)
-    windows, truths = generate_dataset(scenario, 2, 200)
+@pytest.mark.parametrize("placement", ["grid", "uniform_random"])
+@pytest.mark.parametrize("sensor_id", range(4))
+def test_generate_dataset_is_the_sensor_row_of_the_run(sensor_id, placement):
+    # the rows ``dataset.csv`` holds: the sensor's windows and the truth
+    # labels of the run at the scenario's seed, the same on every call, for
+    # the first, middle and last rows
+    scenario = Scenario(seed=31, n_sensors=4, n_primary_users=2, area_size_m=400.0,
+                        sensor_placement=placement)
+    windows, truths = generate_dataset(scenario, sensor_id, 200)
     assert windows.shape == (200, 3) and truths.shape == (200,)
     assert 0 < np.count_nonzero(truths) < 200
     run = sense_run(scenario, 31)
-    assert windows.tobytes() == run.windows[2, :200].tobytes()
+    assert windows.tobytes() == run.windows[sensor_id, :200].tobytes()
     assert truths.tobytes() == run.truths[:200].tobytes()
-    again, _ = generate_dataset(scenario, 2, 200)
+    again, _ = generate_dataset(scenario, sensor_id, 200)
     assert again.tobytes() == windows.tobytes()
 
 
