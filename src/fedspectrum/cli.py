@@ -202,13 +202,6 @@ def _fmt_mean(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.4f}"
 
 
-_FLEXIBILITY = {
-    "isolated": "n/a (no exchange)",
-    "gossip": "high (any layout in radio range)",
-    "central": "limited (coordinator placement)",
-}
-
-
 def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
     """``comparison.json``'s dict from each topology's runs, in seed order.
 
@@ -243,16 +236,17 @@ def comparison_summary(runs: dict[str, list[engine.RunResult]]) -> dict:
 
 
 def comparison_table(summary: dict) -> str:
-    """Aligned text table: one row per compared aspect, one column per topology.
-    Neighbor communication is ``required`` where the sensors sent each other
-    bytes (more than the coordinator's share), else ``none``."""
+    """Aligned text table: one row per compared aspect, one column per
+    topology, every cell read from ``summary``'s topology entries; a line
+    ends at its last cell.  Neighbor communication is ``required`` where the
+    sensors sent each other bytes (more than the coordinator's share), else
+    ``none``."""
     summaries = [summary["topologies"][t] for t in TOPOLOGIES]
     rows = [
         ["aspect", *TOPOLOGIES],
         ["neighbor communication"] + [
             "required" if s["total_bytes"] > s["central_bytes"] else "none" for s in summaries
         ],
-        ["topology flexibility", *(_FLEXIBILITY[t] for t in TOPOLOGIES)],
         ["traffic volume (bytes)"] + [
             f"total {s['total_bytes']:.0f}; central {s['central_bytes']:.0f}; "
             f"busiest node {s['busiest_node_bytes']:.0f}"
@@ -270,7 +264,7 @@ def comparison_table(summary: dict) -> str:
         ],
     ]
     widths = [max(len(row[col]) for row in rows) for col in range(len(rows[0]))]
-    lines = [" | ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+    lines = [" | ".join(map(str.ljust, row, widths)).rstrip() for row in rows]
     lines.insert(1, "-+-".join("-" * width for width in widths))
     return "\n".join(lines) + "\n"
 

@@ -367,8 +367,11 @@ def test_compare_outputs_and_determinism(tmp_path, scenario_path, capsys):
             ]
         )
         assert code == 0
-    captured = capsys.readouterr().out
-    assert "aspect" in captured and "detection quality" in captured
+        # what compare prints, its progress lines aside, is the table it writes
+        printed = capsys.readouterr().out.splitlines(keepends=True)
+        table = "".join(line for line in printed if not line.startswith("fedspectrum:"))
+        assert "aspect" in table and "detection quality" in table
+        assert table.encode("utf-8") == (out / "comparison.txt").read_bytes()
     for name in ("metrics.csv", "comparison.json", "comparison.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     payload = json.loads((out_a / "comparison.json").read_text(encoding="utf-8"))

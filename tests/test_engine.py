@@ -1053,12 +1053,37 @@ def test_comparison_serialization_and_table():
     lines = table.splitlines()
     assert lines[0].startswith("aspect")
     assert all(t in lines[0] for t in ("isolated", "gossip", "central"))
-    assert len(lines) == 2 + 5
+    assert len(lines) == 2 + 4
     labels = [l.split("|")[0].strip() for l in lines[2:]]
     assert labels == [
         "neighbor communication",
-        "topology flexibility",
         "traffic volume (bytes)",
         "aggregation compute (MACs)",
         "detection quality",
     ]
+
+
+def test_every_table_cell_is_read_from_its_topology_summary():
+    summary = comparison_summary({t: [run_simulation(small_scenario(), t, 1)] for t in TOPOLOGIES})
+
+    def cells(summary):
+        lines = comparison_table(summary).splitlines()
+        assert not [line for line in lines if line.endswith(" ")]
+        return [[cell.strip() for cell in line.split("|")] for line in lines[2:]]
+
+    before, moved = cells(summary), set()
+    for col, topology in enumerate(TOPOLOGIES, start=1):
+        entry = summary["topologies"][topology]
+        for key, value in entry.items():
+            for figure in (0.25,) if value is None else (value + 1, 0):
+                entries = {**summary["topologies"], topology: {**entry, key: figure}}
+                after = cells({**summary, "topologies": entries})
+                changed = {
+                    (row, c) for row, (old, new) in enumerate(zip(before, after))
+                    for c, (a, b) in enumerate(zip(old, new)) if a != b
+                }
+                # a topology's figure moves only cells of its own column
+                assert {c for _, c in changed} <= {col}
+                moved |= changed
+    # every cell below the rule moves with some figure of its topology
+    assert moved == {(row, c) for row in range(len(before)) for c in range(1, 1 + len(TOPOLOGIES))}

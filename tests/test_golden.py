@@ -23,7 +23,7 @@ CASES = {
          "--training-slots", "400", "--eval-slots", "200"],
         {
             "comparison.json": "af61a94c1bd47cf7b0f999517cf4ff5e5ef39f385dfdf5c00524d7f8c399febc",
-            "comparison.txt": "42b482d3d56a08fc1dd06ab8185aae1d7838791d5160890dc52e96819d96d0c5",
+            "comparison.txt": "0ef3876bdd1a1d847a2e26257aa0a8f2881f73b11b3f4e502b8e8c9da25505c8",
             "metrics.csv": "d42e284b1bfc96842a05eb0b9f228d099beaa1aa9d4d76158a44cb0cec7458f4",
         },
     ),
@@ -32,7 +32,7 @@ CASES = {
          "--eval-slots", "200"],
         {
             "comparison.json": "55d36094ba9ab934a188cc25d7f3c1ff703792dbc604c8166fcd2ba2e678137c",
-            "comparison.txt": "c66979b3b877641e0ae91fdc219235144dad0b2ff38d9dd38e9f7e638db59c69",
+            "comparison.txt": "486a61f724b294123fba61168b12e9fdb38a9d7dabed436bef35a7dad05f67ce",
             "metrics.csv": "1fcb4c5efa06c460bf13e21ed8aeb18cfa266d2495c4cf1b34410a31f4cffee2",
         },
     ),
