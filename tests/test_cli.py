@@ -525,8 +525,12 @@ def test_duplicate_key_is_rejected(tmp_path, capsys):
          "n_sensors: 1000000 x 101 slots is 101000000 windows, above the limit of 100000000"),
         ("run", {"n_primary_users": 10**6, "schedule": {"n_training_slots": 1000}},
          "n_primary_users: 1000000 x 1020 slots is 1020000000 chain steps, above the limit"),
+        # rules broken in two nested configs are named in one line, in field order
+        ("run", {"seed": 1, "training": {"batch_size": 0}, "schedule": {"window_samples": 1}},
+         "training.batch_size: must be >= 1 (got 0); "
+         "schedule.window_samples: must be >= 2 (got 1)\n"),
     ],
-    ids=["sensors", "primary-users", "window-samples", "windows", "chain-steps"],
+    ids=["sensors", "primary-users", "window-samples", "windows", "chain-steps", "two-rules"],
 )
 def test_huge_counts_are_rejected_by_name_before_any_work(command, changes, message, tmp_path,
                                                          capsys):
@@ -543,6 +547,7 @@ def test_huge_counts_are_rejected_by_name_before_any_work(command, changes, mess
     captured = capsys.readouterr()
     assert captured.err.startswith(f"fedspectrum: error: {message}")
     assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -347,7 +347,8 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
     # default and in 11 batches of 7-slot ranges (with five primary users,
     # 17 batches of 4-slot ranges), and the short runs, in blocks of 2
     # sensors, 4 groups, the last a remainder (with five users, 7 groups of
-    # one sensor).
+    # one sensor).  default.json with 12 primary users takes 14 groups of one
+    # sensor in blocks of 118 slots.
     if hasattr(os, "sched_getaffinity"):
         assert radio._worker_count() == len(os.sched_getaffinity(0))
     default_blocks = radio._BLOCK_SAMPLES
@@ -355,10 +356,10 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
     for scenario, _ in block_runs():
         blocks = [default_blocks, 7 * 64] if scenario.n_sensors == 3 else [2 * 40 * 16]
         runs += [(scenario, block_samples) for block_samples in blocks]
-    runs += [
-        (load_scenario(path), default_blocks)
-        for path in ("scenarios/default.json", "scenarios/data_scarce.json")
-    ]
+    default = load_scenario("scenarios/default.json")
+    presets = [default, load_scenario("scenarios/data_scarce.json"),
+               replace(default, n_primary_users=12)]
+    runs += [(scenario, default_blocks) for scenario in presets]
     interval = sys.getswitchinterval()
     for scenario, block_samples in runs:
         monkeypatch.setattr(radio, "_BLOCK_SAMPLES", block_samples)
