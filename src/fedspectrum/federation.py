@@ -4,7 +4,8 @@ The engine holds the models as one ``(n, d)`` array (row ``i`` is sensor
 ``i``) and the radio-range graph as one padded ``NeighborTable`` whose row
 ``i`` lists node ``i``'s neighbors; numpy screens the candidate pairs in
 blocks of rows within reach in y and decides each one, bar the ties within
-~1e-9 of the radius, which ``math.hypot`` decides; no distance is kept.
+~1e-9 of the radius, which ``math.hypot`` decides; no distance is kept,
+and the Scenario's bound on the area keeps every square finite, none subnormal.
 A run's gossip rounds apply one fixed operator, which ``gossip_mixer``
 builds once, with the graph: the table slot-major, the normalised weights
 and the work buffers.  A ``gossip_mix`` round fills the buffers and adds
@@ -97,34 +98,23 @@ def build_neighbor_graph(placements: Sequence["Placement"], radius_m: float) -> 
     x, y = xy[by_y].T.copy()
     pairs, inside = [np.zeros((2, 0), np.intp)], [np.zeros(0, bool)]
     step = max(1, (1 << 14) // max(n, 1))  # rows a block: at most 16,384 pairs
-    # squared distances in units of a power of two near the radius (capped
-    # for a subnormal one): exact, and squares near the radius neither
-    # overflow nor underflow, so the slack keeps every pair math.hypot
-    # accepts; the absolute part covers its rounding of subnormal distances
-    reach = (radius_m + 1e-323) * (1 + 1e-9)
-    scale = math.ldexp(1.0, -max(math.frexp(reach)[1], -1000))
-    limit = (reach * scale) ** 2
-    # a float square-sum is within a few ulps of the exact one, so below
-    # this the faithfully rounded math.hypot is at most the radius (a
-    # product: ** raises OverflowError near the largest float)
-    accept = (radius_m * scale) * (radius_m * scale) * (1 - 1e-9)
+    # square-sums are within a few ulps of the exact ones: the slack keeps every
+    # pair math.hypot accepts, and below accept it is at most the radius
+    reach = radius_m * (1 + 1e-9)
+    limit, accept = reach * reach, radius_m * radius_m * (1 - 1e-9)  # ** raises at 1e300
     for a in range(0, n, step):
         # rows a.. against columns a..end, those within reach in y; a pair
         # counts once, from its lower position in y order
         end = np.searchsorted(y, float(y[min(a + step, n) - 1]) + reach, side="right")
-        # what overflows is out of range; what underflows is far inside it
-        with np.errstate(over="ignore", under="ignore"):
-            dx = (x[a:end] - x[a : a + step, None]) * scale
-            dy = (y[a:end] - y[a : a + step, None]) * scale
-            squares = dx * dx + dy * dy
+        dx, dy = x[a:end] - x[a : a + step, None], y[a:end] - y[a : a + step, None]
+        squares = dx * dx + dy * dy
         near = np.argwhere(np.triu(squares <= limit, 1)).T
         inside.append(squares[tuple(near)] < accept)
         pairs.append(near + a)
     i, j = np.concatenate(pairs, axis=1)
     edge = np.concatenate(inside)
     tie = np.flatnonzero(~edge)
-    with np.errstate(over="ignore"):  # an overflowing difference is out of range
-        dx, dy = (x[i[tie]] - x[j[tie]]).tolist(), (y[i[tie]] - y[j[tie]]).tolist()
+    dx, dy = (x[i[tie]] - x[j[tie]]).tolist(), (y[i[tie]] - y[j[tie]]).tolist()
     edge[tie] = [math.hypot(u, v) <= radius_m for u, v in zip(dx, dy)]
     src, dst = by_y[i[edge]], by_y[j[edge]]
     # both directions of every edge, by row and then by neighbor id

@@ -6,17 +6,19 @@ the window synthesis; ``dbm_to_mw`` converts whole arrays, and
 A sensing window is ``window_samples`` draws of instantaneous power:
 exponential receiver noise plus one exponential component per active
 primary user (Rayleigh-faded carriers observed through an energy detector),
-whose mean carries path loss and a log-normal shadowing draw.
+whose mean carries path loss and a log-normal shadowing draw (the
+Scenario's bounds on the area, ``d0_m`` and ``n_exp`` keep it finite).
 
 A run is sensed before anything else (``sense_windows``): the primary-user
 chains step over one block of uniforms (``pu_chain``), then every sensor's
 windows are drawn (``draw_windows``) in blocks of (sensor group x slot
-range) of at most ``_BLOCK_SAMPLES`` noise samples: a long run takes one
-sensor over many slots, a short one several sensors over all its slots,
-and a group's shadowed mean powers take one pass per batch of slot ranges.
-Each sensor draws from its own three streams (``SensorStreams``), sensor
-``i``'s being row ``i`` of the kinds ``obs``, ``shadow`` and ``fade``
-(``rng.streams``), each consumed in slot order:
+range) of at most ``_BLOCK_SAMPLES`` noise samples, or of one window if it
+holds more: a long run takes one sensor over many slots, a short one
+several sensors over all its slots, and a group's shadowed mean powers
+take one pass per batch of slot ranges.  Each sensor draws from its own
+three streams (``SensorStreams``), sensor ``i``'s being row ``i`` of the
+kinds ``obs``, ``shadow`` and ``fade`` (``rng.streams``), each consumed in
+slot order:
 
 - ``obs``: ``window_samples`` standard exponentials per slot, the noise;
 - ``shadow``: one standard normal per active (slot, primary user) pair, in
@@ -121,11 +123,9 @@ def _mean_power_dbm(
     sensor_xy = np.array([(p.x_m, p.y_m) for p in sensors]).reshape(-1, 2)
     pu_xy = np.array([(p.x_m, p.y_m) for p in pus]).reshape(-1, 2)
     dx, dy = (sensor_xy[:, None] - pu_xy).reshape(-1, 2).T.tolist()
-    # as Python's floats: an overflow is inf and inf * 0.0 is NaN, quietly
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.maximum(list(map(math.hypot, dx, dy)), ch.d0_m) / ch.d0_m
-        loss = ch.pl0_db + 10.0 * ch.n_exp * np.array(list(map(math.log10, ratio.tolist())))
-        return (tm.tx_power_dbm - loss).reshape(len(sensors), len(pus))
+    ratio = np.maximum(list(map(math.hypot, dx, dy)), ch.d0_m) / ch.d0_m
+    loss = ch.pl0_db + 10.0 * ch.n_exp * np.array(list(map(math.log10, ratio.tolist())))
+    return (tm.tx_power_dbm - loss).reshape(len(sensors), len(pus))
 
 
 def pu_chain(uniforms: np.ndarray, tm: PuTrafficModel) -> np.ndarray:

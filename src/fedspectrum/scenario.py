@@ -249,15 +249,16 @@ def load_scenario(path) -> Scenario:
 # Value rule per field, by its dotted name (``schedule.window_samples``): bounds
 # "<op> <limit>[, <op> <limit>]" that are both the check and its message, or
 # the tuple of allowed choices.  A field without a rule takes any value of its
-# type.  dB powers are bounded to keep linear powers' squares finite.
+# type.  dB powers are bounded to keep linear powers' squares finite, and the
+# area, reference distance and path-loss exponent to keep the geometry finite.
 _RULES = {
-    "area_size_m": "> 0",
+    "area_size_m": ">= 1, <= 1e8",
     "n_sensors": ">= 1",
     "n_primary_users": ">= 0",
     "sensor_placement": PLACEMENT_MODES,
     "channel.pl0_db": ">= -300, <= 300",
-    "channel.d0_m": "> 0",
-    "channel.n_exp": ">= 0",
+    "channel.d0_m": ">= 0.001",
+    "channel.n_exp": ">= 0, <= 10",
     "channel.shadowing_sigma_db": ">= 0, <= 30",
     "channel.noise_floor_dbm": ">= -300, <= 300",
     "pu_traffic.tx_power_dbm": ">= -300, <= 300",
@@ -328,8 +329,7 @@ def place_nodes(s: Scenario, rng: np.random.Generator) -> tuple[Placement, ...]:
     if s.sensor_placement == "grid":
         k = math.ceil(math.sqrt(n))
         row, col = np.divmod(np.arange(n), k)
-        with np.errstate(under="ignore"):  # subnormal coordinates are valid positions
-            xy = np.stack([col + 0.5, row + 0.5], axis=1) * (area / k)
+        xy = np.stack([col + 0.5, row + 0.5], axis=1) * (area / k)
     else:
         xy = rng.uniform(0.0, area, size=(n, 2))
     xy = np.concatenate([xy, rng.uniform(0.0, area, size=(s.n_primary_users, 2))])

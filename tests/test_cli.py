@@ -529,8 +529,11 @@ def test_duplicate_key_is_rejected(tmp_path, capsys):
         ("run", {"seed": 1, "training": {"batch_size": 0}, "schedule": {"window_samples": 1}},
          "training.batch_size: must be >= 1 (got 0); "
          "schedule.window_samples: must be >= 2 (got 1)\n"),
+        # a service area wider than the bound that keeps the geometry finite
+        ("run", {"area_size_m": 1e9}, "area_size_m: must be >= 1, <= 1e8 (got 1000000000.0)\n"),
     ],
-    ids=["sensors", "primary-users", "window-samples", "windows", "chain-steps", "two-rules"],
+    ids=["sensors", "primary-users", "window-samples", "windows", "chain-steps", "two-rules",
+         "area"],
 )
 def test_huge_counts_are_rejected_by_name_before_any_work(command, changes, message, tmp_path,
                                                          capsys):

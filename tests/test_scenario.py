@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fedspectrum import scenario
 from fedspectrum.engine import sense_run
-from fedspectrum.federation import FederationConfig
+from fedspectrum.federation import FederationConfig, build_neighbor_graph
 from fedspectrum.radio import ChannelModel, PuTrafficModel
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
@@ -30,6 +30,7 @@ from fedspectrum.scenario import (
     scenario_digest,
     scenario_from_dict,
 )
+from oracles import neighbor_graph as reference_neighbor_graph
 from oracles import place_nodes as reference_place_nodes
 from oracles import scenario_leaves, scenario_violations
 
@@ -295,16 +296,16 @@ def test_primary_users_random_even_with_grid_sensors():
 @given(
     n=st.sampled_from([1, 2, 3, 14, 15, 16, 17, 400, 401]),
     n_pus=st.integers(0, 7),
-    area=st.sampled_from([1e-300, 5e-309, 1e-160, 1.0, 1000.0, 3.7e7, 1e160, 1e300]),
+    area=st.sampled_from([1.0, 1000.0, 3.7e7, 1e8]) | st.floats(1.0, 1e8),
     placement=st.sampled_from(["grid", "uniform_random"]),
     central=st.booleans(),
     seed=st.sampled_from([0, 5, 2**64 - 1]) | st.integers(0, 2**64 - 1),
 )
-@example(400, 7, 1e-300, "grid", False, 0)
-@example(401, 7, 1e300, "uniform_random", True, 2**64 - 1)
+@example(400, 7, 1.0, "grid", False, 0)
+@example(401, 7, 1e8, "uniform_random", True, 2**64 - 1)
 def test_place_nodes_is_the_per_node_loop(n, n_pus, area, placement, central, seed):
     # the array draws place every node where one scalar uniform per
-    # coordinate put it, bit for bit, and warn of no underflow
+    # coordinate put it, bit for bit, and warn of nothing
     s = Scenario(
         seed=seed, n_sensors=n, n_primary_users=n_pus, area_size_m=area,
         sensor_placement=placement, central_xy_m=(area / 3, area) if central else None,
@@ -366,6 +367,29 @@ def test_power_bounds_keep_the_windows_finite(tx, pl0, noise, sigma):
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error", RuntimeWarning)
         sensing = sense_run(s, 3)
+    assert sensing.truths.any() and np.isfinite(sensing.windows).all()
+
+
+@pytest.mark.parametrize("n_exp", [0.0, 10.0])
+@pytest.mark.parametrize("placement", ["grid", "uniform_random"])
+@pytest.mark.parametrize("area", [1.0, 1e8])
+def test_geometry_bounds_keep_the_windows_and_the_graph_finite(area, placement, n_exp):
+    # at every corner of the area, d0_m and n_exp bounds, and at radii from 0
+    # to the largest float, no coordinate, squared distance or path-loss
+    # ratio over- or underflows: numpy raises on none of them
+    s = Scenario(
+        seed=5, n_sensors=9, n_primary_users=2, area_size_m=area, sensor_placement=placement,
+        schedule=SlotSchedule(30, 30, 10, 10, 64), pu_traffic=PuTrafficModel(mean_gap_slots=2.0),
+        channel=ChannelModel(d0_m=0.001, n_exp=n_exp),
+    )
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        sensing = sense_run(s, 5)
+        sensors = sensing.placements[: s.n_sensors]
+        for radius in [0.0, 5e-324, area / 2, 1e300, 1.7976931348623157e308]:
+            table = build_neighbor_graph(sensors, radius)
+            for got, want in zip(table, reference_neighbor_graph(sensors, radius), strict=True):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert sensing.truths.any() and np.isfinite(sensing.windows).all()
 
 
@@ -449,7 +473,9 @@ def test_cross_field_checks_skip_fields_already_reported():
 
     nan = float("nan")
     assert found(area_size_m=nan, central_xy_m=[1, 1]) == ["area_size_m: must be finite (got nan)"]
-    assert found(area_size_m=-1, central_xy_m=[1, 1]) == ["area_size_m: must be > 0 (got -1.0)"]
+    assert found(area_size_m=-1, central_xy_m=[1, 1]) == [
+        "area_size_m: must be >= 1, <= 1e8 (got -1.0)"
+    ]
     assert found(carrier_band_mhz=[nan, 1]) == [
         "carrier_band_mhz: must be finite (got [nan, 1.0])"
     ]
