@@ -14,7 +14,8 @@ them in one pass.
 Each output is written to a temp file beside it and moved into place once
 the command's outputs are all written, so a failed or interrupted command
 leaves no output behind, whole or partial; SIGTERM exits through the same
-cleanup, with code 143.
+cleanup, with code 143, and one that arrives while the outputs move into
+place waits until they all have.
 """
 
 from __future__ import annotations
@@ -136,14 +137,30 @@ def _target(out_dir: Path, name: str, force: bool) -> Path:
 
 
 @contextmanager
+def _sigterm_held():
+    """Hold SIGTERM for the block (main thread only): one that arrives is
+    raised again once the block is done, to the handler it would have met."""
+    held = []
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: held.append(signum))
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        if held:
+            signal.raise_signal(signal.SIGTERM)
+
+
+@contextmanager
 def _atomic(*paths: Path):
     """Yield a temp path beside each of ``paths``; they replace the targets
-    when the block succeeds and are removed when it fails."""
+    when the block succeeds, with SIGTERM held so that all of them move or
+    none, and are removed when it fails."""
     temps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
         yield temps
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
+        with _sigterm_held():
+            for temp, path in zip(temps, paths):
+                os.replace(temp, path)
     finally:
         for temp in temps:
             temp.unlink(missing_ok=True)

@@ -33,9 +33,8 @@ and traffic and aggregation MACs follow from the rounds and its record's
 
 Random streams are named by kind and row (``rng.streams``) so modules
 cannot disturb each other, and are derived here only: ``placement``,
-``traffic`` and ``init`` of one row each, and row ``i`` of ``obs``,
-``shadow`` and ``fade`` (sensor ``i``'s ``radio.SensorStreams``) and of
-``train``.
+``traffic`` and ``init`` of one row each, and row ``i`` of ``obs`` and
+``shadow`` (sensor ``i``'s ``radio.SensorStreams``) and of ``train``.
 """
 
 from __future__ import annotations
@@ -154,9 +153,9 @@ class RunSensing:
 
 def _sense(scenario: Scenario, seed: int, rows: range, n_slots: int):
     """Place the nodes (sensors ``0..n_sensors-1``, then primary users) and draw
-    ``n_slots`` windows of the sensors ``rows``, each from its row of ``obs``,
-    ``shadow`` and ``fade``: the placements, ``(len(rows), n_slots, 3)``
-    windows and ``(n_slots,)`` truths that ``sense_run`` and ``generate_dataset`` share."""
+    ``n_slots`` windows of the sensors ``rows``, each from its row of ``obs``
+    and ``shadow``: the placements, ``(len(rows), n_slots, 3)`` windows and
+    ``(n_slots,)`` truths that ``sense_run`` and ``generate_dataset`` share."""
     placements = place_nodes(scenario, substream(seed, "placement"))
     kinds = [streams(seed, kind, rows) for kind in SensorStreams._fields]
     return placements, *sense_windows(

@@ -3,40 +3,40 @@
 Powers are handled in dBm at the interface and in linear milliwatts inside
 the window synthesis; ``dbm_to_mw`` converts whole arrays, and
 ``draw_windows`` takes its features back to dB in place, floored at -300 dBm.
-A sensing window is ``window_samples`` draws of instantaneous power:
-exponential receiver noise plus one exponential component per active
-primary user (Rayleigh-faded carriers observed through an energy detector),
-whose mean carries path loss and a log-normal shadowing draw (the
-Scenario's bounds on the area, ``d0_m`` and ``n_exp`` keep it finite).
+A sensing window is ``window_samples`` draws of instantaneous power at an
+energy detector (Urkowitz 1967; Digham, Alouini & Simon 2007).  The receiver
+noise and each active primary user's Rayleigh-fading carrier are zero-mean
+circular Gaussian signals, so their amplitudes add and the sum is one such
+signal: a sample's power is one exponential whose mean, the slot's
+superposed power ``mu``, is the noise power plus every active user's mean
+power.  A user's mean power carries path loss and a log-normal shadowing
+draw (the Scenario's bounds on the area, ``d0_m`` and ``n_exp`` keep it
+finite).  A window is therefore ``mu`` times ``window_samples`` standard
+exponentials; an idle slot's ``mu`` is the noise power alone.  One
+exponential per user added sample by sample would add the signals' powers,
+not their amplitudes: the same mean, but a busy window's std and max from
+another law.
 
 A run is sensed before anything else (``sense_windows``): the primary-user
 chains step over one block of uniforms (``pu_chain``), then every sensor's
 windows are drawn (``draw_windows``) in blocks of (sensor group x slot
-range) of at most ``_BLOCK_SAMPLES`` noise samples, or of one window if it
-holds more: a long run takes one sensor over many slots, a short one
-several sensors over all its slots, and a group's shadowed mean powers
-take one pass per batch of slot ranges.  Each sensor draws from its own
-three streams (``SensorStreams``), sensor ``i``'s being row ``i`` of the
-kinds ``obs``, ``shadow`` and ``fade`` (``rng.streams``), each consumed in
-slot order:
+range) of at most ``_BLOCK_SAMPLES`` samples, or of one window if it holds
+more: a long run takes one sensor over many slots, a short one several
+sensors over all its slots.  Each sensor draws from its own two streams
+(``SensorStreams``), sensor ``i``'s being row ``i`` of the kinds ``obs``
+and ``shadow`` (``rng.streams``), each consumed in slot order:
 
-- ``obs``: ``window_samples`` standard exponentials per slot, the noise;
+- ``obs``: ``window_samples`` standard exponentials per slot;
 - ``shadow``: one standard normal per active (slot, primary user) pair, in
-  slot-major ``np.nonzero(states)`` order (none when sigma is 0);
-- ``fade``: ``window_samples`` standard exponentials per such pair.
+  slot-major ``np.nonzero(states)`` order (none when sigma is 0).
 
-A block's noise and fade rows are scaled to their mean powers in place.
-One index write puts each fade row in its primary user's plane, a zeroed
-array of the noise rows' shape; the planes are added to the noise in user
-order, each with one contiguous add, and zeroed again through the same
-index.  Every term is a non-negative finite power, so an idle user's + 0.0
-changes no bit and each window sums its rows as one add per (slot, primary
-user) in user order would.  With more than three primary users the block
-shrinks so that its noise and planes fit in four blocks of
-``_BLOCK_SAMPLES``, so memory grows with the users only as their fade rows
-do (until the block is one slot).  The window maximum is reduced over the
-samples' ``int64`` view, since non-negative doubles order as their bit
-patterns do; the mean and std keep ``np.mean``'s and ``np.std``'s ufuncs.
+A sensor group's ``mu`` is found once per batch of slot ranges: a buffer
+of the noise power takes each active pair's shadowed power by one
+``np.add.at``, which adds in index order, so each slot adds its users in
+index order.  Each block then scales its ``obs`` rows by its slice of
+``mu`` in place.  The window maximum is reduced over the samples' ``int64``
+view, since non-negative doubles order as their bit patterns do; the mean
+and std keep ``np.mean``'s and ``np.std``'s ufuncs.
 
 The sensor groups are split across worker threads, one contiguous row
 range each; numpy's draws and large ufuncs release the GIL, so the ranges
@@ -64,10 +64,7 @@ if TYPE_CHECKING:
 
 # keeps the log-domain features finite if a window statistic underflows
 _POWER_FLOOR_MW = 1e-30
-# noise samples of a block with up to three primary users, 384 windows of 64
-# (192 KiB); a block also holds a plane of as many samples per primary user
-# (with more users it shrinks so that noise and planes fit in four such
-# blocks) and a fade row per active (slot, primary user) pair
+# samples of a block, 384 windows of 64 (192 KiB)
 _BLOCK_SAMPLES = 384 * 64
 
 
@@ -82,7 +79,6 @@ class SensorStreams(NamedTuple):
 
     obs: np.random.Generator
     shadow: np.random.Generator
-    fade: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -140,10 +136,10 @@ def pu_chain(uniforms: np.ndarray, tm: PuTrafficModel) -> np.ndarray:
     """
     leave = (1.0 / tm.mean_gap_slots, 1.0 / tm.mean_burst_slots)
     states = np.empty(uniforms.shape, dtype=bool)
-    for p, column in enumerate(uniforms.T.tolist()):
+    for p in range(uniforms.shape[1]):  # one column's Python floats at a time
         state = False
         trajectory = []
-        for u in column:
+        for u in uniforms[:, p].tolist():
             state ^= u < leave[state]
             trajectory.append(state)
         states[:, p] = trajectory
@@ -159,18 +155,19 @@ def draw_windows(
     drawn from ``streams[i]`` (module docstring), one block of (sensor group
     x slot range) at a time.
 
-    A window is its noise row plus, for each primary user on in that slot,
-    in index order, a fade row scaled to the path-loss mean shadowed by
-    ``sigma`` times the pair's normal, in dB.  Path loss is computed once
-    per (sensor, primary user), in one table (``_mean_power_dbm``); each
-    worker finds the active pairs once per batch of slot ranges, where each
-    sensor group draws its normals and converts its pairs' powers to mW in
-    one pass, and per block each sensor draws its noise and fade rows and
-    the arithmetic runs once for the group.  The groups are split into contiguous row ranges, one per worker
-    (``_worker_count``, at most one per group): the calling thread draws
-    the first, a thread each the others.  A worker that fails, or an
-    interrupt of the caller, stops the others at their next block; all are
-    joined before this returns or raises the first error.
+    A window is its ``obs`` row times the slot's superposed power: the noise
+    power plus, for each primary user on in that slot, in index order, the
+    path-loss mean shadowed by ``sigma`` times the pair's normal, in dB.
+    Path loss is computed once per (sensor, primary user), in one table
+    (``_mean_power_dbm``); each worker finds the active pairs once per batch
+    of slot ranges, where each sensor group draws its normals and sums its
+    superposed powers in one pass, and per block each sensor draws its rows
+    and the arithmetic runs once for the group.  The groups are split into
+    contiguous row ranges, one per worker (``_worker_count``, at most one
+    per group): the calling thread draws the first, a thread each the
+    others.  A worker that fails, or an interrupt of the caller, stops the
+    others at their next block; all are joined before this returns or
+    raises the first error.
 
     Returns:
         (len(sensors), slots, 3) features, [i, t] from sensor i's window of slot t.
@@ -181,33 +178,23 @@ def draw_windows(
     mean_dbm = _mean_power_dbm(sensors, pus, ch, tm)
     # (mean, std, max) in mW, converted to features in place at the end
     stats = np.empty((n, n_slots, 3))
-    # a block holds at most `block` noise samples, its planes as many per
-    # primary user: long runs take one sensor over many slots, short runs
-    # several sensors over every slot; a batch of slot ranges at most an
-    # eighth of that many group windows
-    block = min(_BLOCK_SAMPLES, 4 * _BLOCK_SAMPLES // (1 + len(pus)))
-    block_slots = max(1, min(n_slots, block // w))
-    group = max(1, block // (block_slots * w))
-    batch_slots = block_slots * max(1, block // 8 // (block_slots * group))
-    # the most active (slot, primary user) pairs in one slot range
-    max_pairs = max((np.count_nonzero(states[start : start + block_slots])
-                     for start in range(0, n_slots, block_slots)), default=0)
+    # long runs take one sensor over many slots, short runs several sensors
+    # over every slot; a batch of slot ranges at most an eighth of a block's
+    # samples in group windows
+    block_slots = max(1, min(n_slots, _BLOCK_SAMPLES // w))
+    group = max(1, _BLOCK_SAMPLES // (block_slots * w))
+    batch_slots = block_slots * max(1, _BLOCK_SAMPLES // 8 // (block_slots * group))
     stop, errors = threading.Event(), []
 
     def draw(lo: int, hi: int) -> None:
         """Rows ``lo..hi`` of ``stats``, batch by batch: per sensor group, its
-        mean powers over the batch's active pairs, then its blocks in slot
-        order; returns early once ``stop`` is set."""
+        superposed powers over the batch, then its blocks in slot order;
+        returns early once ``stop`` is set."""
         samples_buf = np.empty(group * block_slots * w)
-        fades_buf = np.empty(group * max_pairs * w)
-        # one plane per primary user, zero between blocks
-        planes_buf = np.zeros(group * len(pus) * block_slots * w)
         for batch in range(0, n_slots, batch_slots):
-            # per range: first slot, and each active pair's slot and user
-            ranges = [(start, *np.nonzero(states[start : start + block_slots]))
-                      for start in range(batch, min(batch + batch_slots, n_slots), block_slots)]
-            # the batch's active pairs' users, slot-major like the ranges'
-            users = np.concatenate([pu for _, _, pu in ranges])
+            length = min(batch_slots, n_slots - batch)
+            # the batch's active pairs, slot-major: each one's slot and user
+            slots, users = np.nonzero(states[batch : batch + length])
             for first in range(lo, hi, group):
                 rows = range(first, min(first + group, hi))
                 power_dbm = mean_dbm[first : rows.stop, users]
@@ -216,29 +203,20 @@ def draw_windows(
                     for j, i in enumerate(rows):
                         streams[i].shadow.standard_normal(out=normals[j])
                     power_dbm += sigma * normals
-                powers, done = dbm_to_mw(power_dbm), 0
-                for start, slots, pu in ranges:
+                # the noise power plus each pair's, added in index order: each
+                # slot's users in index order
+                mu = np.full((len(rows), length), noise_mw)
+                np.add.at(mu, (slice(None), slots), dbm_to_mw(power_dbm))
+                for start in range(0, length, block_slots):
                     if stop.is_set():
                         return
-                    size, length, pairs = len(rows), min(block_slots, n_slots - start), len(pu)
-                    samples = samples_buf[: size * length * w].reshape(size, length, w)
-                    fades = fades_buf[: size * pairs * w].reshape(size, pairs, w)
-                    planes = planes_buf[: size * len(pus) * length * w].reshape(
-                        size, len(pus), length, w)
+                    span = min(block_slots, length - start)
+                    samples = samples_buf[: len(rows) * span * w].reshape(len(rows), span, w)
                     for j, i in enumerate(rows):
                         streams[i].obs.standard_exponential(out=samples[j])
-                        streams[i].fade.standard_exponential(out=fades[j])
-                    samples *= noise_mw
-                    fades *= powers[:, done : done + pairs, None]
-                    done += pairs
-                    # a user's fade rows in its plane, zero elsewhere: adding
-                    # the planes in user order adds each slot's rows in that
-                    # order, and + 0.0 leaves a non-negative sample as it is
-                    planes[:, pu, slots] = fades
-                    for plane in range(len(pus)):
-                        samples += planes[:, plane]
-                    planes[:, pu, slots] = 0.0
-                    _window_stats(samples, stats[first : rows.stop, start : start + length])
+                    samples *= mu[:, start : start + span, None]
+                    at = batch + start
+                    _window_stats(samples, stats[first : rows.stop, at : at + span])
 
     def work(lo: int, hi: int) -> None:
         try:

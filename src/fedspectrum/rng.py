@@ -2,8 +2,8 @@
 
 Every experiment owns a single 64-bit master seed.  Each consumer draws from
 its own stream, named by a kind and a row: ``placement``, ``traffic`` and
-``init`` have one row, and ``obs``, ``shadow``, ``fade`` and ``train`` have
-row ``i`` for sensor ``i``.  Adding or removing draws in one module therefore
+``init`` have one row, and ``obs``, ``shadow`` and ``train`` have row ``i``
+for sensor ``i``.  Adding or removing draws in one module therefore
 never shifts the sequences any other module sees.  ``engine`` derives every
 stream.
 

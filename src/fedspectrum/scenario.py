@@ -41,8 +41,9 @@ MAX_WINDOWS = 10**8
 # Version of how a scenario and seed become draws (how ``rng`` derives the
 # streams and what each yields, in ``radio``); bumped whenever the same
 # scenario would draw other numbers, so ``scenario_digest`` tells the two
-# apart.  Layout 3 derives the streams by kind and row.
-STREAM_LAYOUT = 3
+# apart.  Layout 3 derives the streams by kind and row; layout 4 draws a
+# window as one ``obs`` row times the slot's superposed power.
+STREAM_LAYOUT = 4
 
 
 class ScenarioParseError(ValueError):

@@ -125,9 +125,8 @@ def radio_range(xy, radius_m):
 
 
 def sensor_streams(seed, row):
-    """Sensor ``row``'s streams: row ``row`` of the kinds ``obs``, ``shadow``
-    and ``fade``."""
-    return SensorStreams(*(substream(seed, kind, row) for kind in ("obs", "shadow", "fade")))
+    """Sensor ``row``'s streams: row ``row`` of the kinds ``obs`` and ``shadow``."""
+    return SensorStreams(*(substream(seed, kind, row) for kind in ("obs", "shadow")))
 
 
 def identical_nodes(sensing, monkeypatch):
@@ -150,10 +149,11 @@ def identical_nodes(sensing, monkeypatch):
 
 
 # The per-slot sensing path the block draws (``radio.sense_windows``) must
-# equal byte for byte: one chain step per slot, then per sensor one noise row
-# from ``obs`` and, per active primary user in index order, one normal from
-# ``shadow`` and one fade row from ``fade``.  dB conversions are the numpy
-# ufuncs ``np.power`` and ``np.log10``, elementwise like the block's.
+# equal byte for byte: one chain step per slot, then per sensor the slot's
+# superposed power, the noise power plus, per active primary user in index
+# order, its power shadowed by one normal from ``shadow``, times one row from
+# ``obs``.  dB conversions are the numpy ufuncs ``np.power`` and
+# ``np.log10``, elementwise like the block's.
 
 
 def path_loss_db(ch, distance_m):
@@ -181,16 +181,14 @@ def pu_activity_step(on, tm, rng):
 
 
 def window_features(sensor, active_pus, ch, tm, window_samples, streams):
-    """One window: a noise row, then per active primary user one shadowing
-    normal and a fade row; (mean, std, max) in dBm over the noise floor, / 10."""
-    noise_mw = np.power(10.0, ch.noise_floor_dbm / 10.0)
-    samples_mw = streams.obs.standard_exponential(window_samples) * noise_mw
+    """One window: the noise power plus, per active primary user, its power
+    with one shadowing normal, then one ``obs`` row times that sum; (mean,
+    std, max) in dBm over the noise floor, / 10."""
+    mu_mw = np.power(10.0, ch.noise_floor_dbm / 10.0)
     for pu in active_pus:
         d = math.hypot(sensor.x_m - pu.x_m, sensor.y_m - pu.y_m)
-        rx_dbm = received_power_dbm(ch, tm.tx_power_dbm, d, streams.shadow)
-        samples_mw += streams.fade.standard_exponential(window_samples) * np.power(
-            10.0, rx_dbm / 10.0
-        )
+        mu_mw += np.power(10.0, received_power_dbm(ch, tm.tx_power_dbm, d, streams.shadow) / 10.0)
+    samples_mw = streams.obs.standard_exponential(window_samples) * mu_mw
     stats_mw = np.array([samples_mw.mean(), samples_mw.std(), samples_mw.max()])
     stats_dbm = 10.0 * np.log10(np.maximum(stats_mw, 1e-30))
     return (stats_dbm - ch.noise_floor_dbm) / 10.0

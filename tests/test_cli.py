@@ -108,7 +108,7 @@ def test_diverging_run_names_the_node(tmp_path, capsys):
     assert main(argv) == 1
     # the named error is the whole report: no numpy overflow warnings before it
     err = capsys.readouterr().err
-    assert err.startswith("fedspectrum: error: gossip node 0: ") and err.count("\n") == 1
+    assert err.startswith("fedspectrum: error: gossip node 1: ") and err.count("\n") == 1
 
 
 def test_run_writes_metrics_and_summary(tmp_path, scenario_path, capsys):
@@ -352,6 +352,23 @@ def test_sigterm_leaves_no_temp_file(tmp_path):
     assert proc.returncode == 128 + signal.SIGTERM == 143
     assert err == b""
     assert list(out.iterdir()) == []
+
+
+def test_sigterm_while_outputs_move_leaves_them_all(tmp_path, scenario_path, monkeypatch):
+    # a SIGTERM after compare's first move used to leave metrics.csv alone
+    move = os.replace
+
+    def move_then_terminate(src, dst):
+        move(src, dst)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    monkeypatch.setattr(os, "replace", move_then_terminate)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(["compare", "--scenario", scenario_path, "--out-dir", str(out), "--seeds", "1"])
+    assert exited.value.code == 128 + signal.SIGTERM
+    assert sorted(path.name for path in out.iterdir()) == [
+        "comparison.json", "comparison.txt", "metrics.csv"]
 
 
 def test_compare_outputs_and_determinism(tmp_path, scenario_path, capsys):

@@ -22,18 +22,18 @@ CASES = {
         ["compare", "--scenario", "scenarios/default.json", "--seeds", "7",
          "--training-slots", "400", "--eval-slots", "200"],
         {
-            "comparison.json": "af61a94c1bd47cf7b0f999517cf4ff5e5ef39f385dfdf5c00524d7f8c399febc",
-            "comparison.txt": "0ef3876bdd1a1d847a2e26257aa0a8f2881f73b11b3f4e502b8e8c9da25505c8",
-            "metrics.csv": "d42e284b1bfc96842a05eb0b9f228d099beaa1aa9d4d76158a44cb0cec7458f4",
+            "comparison.json": "b543dd42475157bb1cb991ccba4f8cac75f460c6847f4b34cae61c430f72526a",
+            "comparison.txt": "1dd4a7198e20e52ed9f532a50dda65c755759ce97b6cfba3fa3589bbeb0188ef",
+            "metrics.csv": "1da14b45254ffbea5250fd4928bedbee391c615a03aaad6aa6c3a72bb2e10214",
         },
     ),
     "data-scarce-compare": (
         ["compare", "--scenario", "scenarios/data_scarce.json", "--seeds", "3,4",
          "--eval-slots", "200"],
         {
-            "comparison.json": "55d36094ba9ab934a188cc25d7f3c1ff703792dbc604c8166fcd2ba2e678137c",
-            "comparison.txt": "486a61f724b294123fba61168b12e9fdb38a9d7dabed436bef35a7dad05f67ce",
-            "metrics.csv": "1fcb4c5efa06c460bf13e21ed8aeb18cfa266d2495c4cf1b34410a31f4cffee2",
+            "comparison.json": "adcd0a0275a04ecbf22c38bb8ecd4a79d8909a5abcba9cc608f6146ac731ad2c",
+            "comparison.txt": "1bd4735aaef2cbfa89aa091a0884d1194a57d6c41826ead09a7065bec3055abb",
+            "metrics.csv": "fae6171f7a6b257481c520f63ad38a90b18e50f441f62a58dc93c94330f7be1d",
         },
     ),
     "dense-gossip-run": (
@@ -41,15 +41,15 @@ CASES = {
          "--export-models", "--training-slots", "40", "--eval-slots", "5"],
         {
             "metrics.csv": "f8d7fac5bb6db884ed62896169ea7116a877182c96f60f1fd1bb3ef7892e4683",
-            "models.json": "6129c0066d8943950883ce6e2fba644b2fcda35f5e4e8ced5b0db779158541f5",
-            "summary.json": "cb52ba1ee21999ecac09fc263ab69230fcfd5484b54bccbb551782ac7f60619f",
+            "models.json": "f845d985f3fc838a0fde0e86049717f9144eb4c80a316d518b896d5e0874337b",
+            "summary.json": "6f6ccbf4a67550e0d36497e25254264b0b7005683a2b2f47ae6a5b8cc21aa369",
         },
     ),
     "default-generate": (
         ["generate", "--scenario", "scenarios/default.json", "--sensor-id", "5",
          "--slots", "1000"],
         {
-            "dataset.csv": "7bebe517c0cedc2fdac85299b98a25a2263f63377a568740c3d1551e7c42c8da",
+            "dataset.csv": "e9c66c273f7401351d24ab0622010f82960a4650fd6ce3428ede80ffd3dad26e",
         },
     ),
 }

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from fedspectrum import engine, radio
 from fedspectrum.engine import UnknownSensorError, generate_dataset, sense_run
@@ -59,13 +59,13 @@ class _ZeroStream:
 
 @pytest.mark.parametrize("noise_floor_dbm", [-100.0, -90.0])
 def test_draw_windows_floors_silent_windows(noise_floor_dbm):
-    # all-zero noise and fade rows: every statistic is floored at -300 dBm
+    # all-zero obs rows: every statistic is floored at -300 dBm
     # before the log, so each feature is finite, with no divide warning
     ch = ChannelModel(shadowing_sigma_db=6.0, noise_floor_dbm=noise_floor_dbm)
     sensors = [Placement(i, "sensor", 10.0 * i, 0.0) for i in range(2)]
     pu = Placement(2, "primary_user", 0.0, 50.0)
     states = np.array([[False], [True], [True], [False]])
-    streams = [SensorStreams(*[_ZeroStream()] * 3) for _ in sensors]
+    streams = [SensorStreams(*[_ZeroStream()] * 2) for _ in sensors]
     windows = draw_windows(sensors, [pu], states, ch, PuTrafficModel(), 4, streams)
     assert windows.shape == (2, 4, 3)
     assert (windows == (-300.0 - noise_floor_dbm) / 10.0).all()
@@ -129,13 +129,12 @@ def test_received_power_no_shadowing_is_deterministic():
     assert p == pytest.approx(20.0 - 70.0)
     # sigma=0 must not consume entropy
     assert streams.shadow.bit_generator.state == before
-    # nor in the block path: an occupied window draws a noise row and a fade row only
+    # nor in the block path: an occupied window draws its obs row only
     sensor, pu = Placement(0, "sensor", 0.0, 0.0), Placement(1, "primary_user", 10.0, 0.0)
     busy = np.ones((1, 1), bool)
     features = draw_windows([sensor], [pu], busy, ch, PuTrafficModel(), 16, [streams])[0]
     replay = sensor_streams(5, 0)
     replay.obs.standard_exponential(16)
-    replay.fade.standard_exponential(16)
     for got, expected in zip(streams, replay):
         assert got.bit_generator.state == expected.bit_generator.state
     np.testing.assert_array_equal(features[0], window_features(
@@ -180,6 +179,20 @@ def test_activity_step_consumes_one_uniform():
     for row in states:
         on = pu_activity_step(on, tm, replay)
         assert row.tolist() == on.tolist()
+
+
+def test_chain_memory_is_one_column_of_python_floats():
+    # pu_chain turns one chain's uniforms into Python floats at a time: past
+    # its states it holds ~40 bytes a slot (a float, its list entry and a
+    # state's), not ~32 bytes per uniform of the whole block (4x the block)
+    uniforms = substream(14, "traffic").random((2000, 100))
+    tracemalloc.start()
+    try:
+        states = pu_chain(uniforms, PuTrafficModel())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < states.nbytes + 100 * len(uniforms)
 
 
 def test_activity_stationary_occupancy_and_run_length():
@@ -243,6 +256,26 @@ def test_noise_only_mean_feature_follows_the_gamma_law(window_samples):
     f1 = _noise_only_features(20_000, window_samples, 61)[:, 0]
     law = stats.gamma(window_samples, scale=1.0 / window_samples)
     assert stats.kstest(10.0**f1, law.cdf).pvalue > 1e-3
+    # Its H1 companion: one primary user always on at the noise floor's
+    # power (0 dB path-loss SNR, no shadowing) superposes to mu = 2 noise
+    # powers, so 10**f1 is mu * Gamma(W, 1) / W and Pd at a threshold thr is
+    # gammaincc(W, W * thr / mu), held to 4.5 binomial standard errors at
+    # thresholds a standard deviation below, at and above mu.  Adding the
+    # user's power sample by sample instead halves the samples' variance
+    # and misses the Pd a standard deviation off mu by ~0.08 (~30 standard
+    # errors).
+    ch = ChannelModel(pl0_db=40.0, d0_m=1.0, shadowing_sigma_db=0.0, noise_floor_dbm=-100.0)
+    tm, mu = PuTrafficModel(tx_power_dbm=-60.0), 2.0
+    sensor, pu = Placement(0, "sensor", 0.0, 0.0), Placement(1, "primary_user", 1.0, 0.0)
+    busy = np.ones((20_000, 1), dtype=bool)
+    power = 10.0 ** draw_windows([sensor], [pu], busy, ch, tm, window_samples,
+                                 [sensor_streams(63, 0)])[0][:, 0]
+    assert stats.kstest(power / mu, law.cdf).pvalue > 1e-3
+    for k in (-1.0, 0.0, 1.0):
+        thr = mu * (1.0 + k / math.sqrt(window_samples))
+        pd = special.gammaincc(window_samples, window_samples * thr / mu)
+        tolerance = 4.5 * math.sqrt(pd * (1.0 - pd) / len(power))
+        assert abs(np.mean(power > thr) - pd) < tolerance, (k, pd)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 6.0])
@@ -267,7 +300,7 @@ def test_mean_power_feature_follows_path_loss(sigma, distance_m):
 def test_per_pair_shadowing_moments():
     # Two primary users always on; the first 90 dB stronger than the second
     # and 50 dB over the noise, with W = 1024 so the window mean sits within
-    # ~0.14 dB of its faded mean.  The mean feature in dBm, less the first
+    # ~0.14 dB of its mean power.  The mean feature in dBm, less the first
     # user's path-loss power, is then its shadowing: mean 0 and std sigma (to
     # ~3.5 standard errors over 4,000 slots), and it is the shadow stream's
     # normals times sigma in slot-major pair order: every other normal, from
@@ -290,8 +323,7 @@ def block_runs():
     """(scenario, block sizes in samples) of a long run (3 sensors, 600 slots
     of 64 samples) and a short one (7 sensors, 40 slots of 16 samples), each
     with three primary users and 6 dB shadowing, three users and none, no
-    primary user, and five users and 6 dB shadowing, whose blocks hold two
-    thirds of the samples given."""
+    primary user, and five users and 6 dB shadowing."""
     traffic = PuTrafficModel(tx_power_dbm=0.0, mean_burst_slots=5.0, mean_gap_slots=5.0)
     runs = []
     for n_pus, sigma in ((3, 6.0), (3, 0.0), (0, 6.0), (5, 6.0)):
@@ -320,11 +352,7 @@ def test_block_size_does_not_change_the_tensor(monkeypatch):
     # takes groups of 1, 2 and 3 sensors (the last group a remainder), of
     # all 7 and of more than 7 over every slot, and blocks of one and of 3
     # slots (batches of 2 ranges); one-slot blocks with every chain off
-    # draw no (slot, primary user) pair.  With five users every block holds
-    # two thirds as many samples: the long run takes slot ranges of 1, 2
-    # and 4 windows and of the whole run (default: 256 slots), the short
-    # run one sensor over 1, 2 and 26 slots (the last range a remainder of
-    # 14) and over all 40, and groups of 2, 4 and 6 sensors.
+    # draw no (slot, primary user) pair.
     runs = block_runs()
     defaults = [sense_run(scenario, 43) for scenario, _ in runs]
     for default in defaults:
@@ -341,11 +369,9 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
     # own rows, so neither the split nor thread scheduling (a short switch
     # interval) changes the tensor.  1, 2 and 3 workers and more than there
     # are groups: the long runs have 3 groups of one sensor, in one batch by
-    # default and in 11 batches of 7-slot ranges (with five primary users,
-    # 17 batches of 4-slot ranges), and the short runs, in blocks of 2
-    # sensors, 4 groups, the last a remainder (with five users, 7 groups of
-    # one sensor).  default.json with 12 primary users takes 14 groups of one
-    # sensor in blocks of 118 slots.
+    # default and in 11 batches of 7-slot ranges, and the short runs, in
+    # blocks of 2 sensors, 4 groups, the last a remainder; both presets take
+    # their default blocks.
     if hasattr(os, "sched_getaffinity"):
         assert radio._worker_count() == len(os.sched_getaffinity(0))
     default_blocks = radio._BLOCK_SAMPLES
@@ -353,10 +379,8 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
     for scenario, _ in block_runs():
         blocks = [default_blocks, 7 * 64] if scenario.n_sensors == 3 else [2 * 40 * 16]
         runs += [(scenario, block_samples) for block_samples in blocks]
-    default = load_scenario("scenarios/default.json")
-    presets = [default, load_scenario("scenarios/data_scarce.json"),
-               replace(default, n_primary_users=12)]
-    runs += [(scenario, default_blocks) for scenario in presets]
+    presets = ["scenarios/default.json", "scenarios/data_scarce.json"]
+    runs += [(load_scenario(path), default_blocks) for path in presets]
     interval = sys.getswitchinterval()
     for scenario, block_samples in runs:
         monkeypatch.setattr(radio, "_BLOCK_SAMPLES", block_samples)
@@ -377,52 +401,29 @@ def test_worker_count_does_not_change_the_tensor(monkeypatch):
 def test_sensing_memory_is_a_fixed_budget(monkeypatch, path, workers):
     # tracemalloc sees numpy's allocations.  Beyond the windows and truth
     # labels it returns, sense_run holds the run's set-up (placements, each
-    # sensor's three streams, the chain states, a byte per slot and primary
-    # user) and, per worker, a block's noise samples, its fade rows, its
-    # primary users' planes and a batch's pair data.  Less the chain states,
-    # that stays under 1.5 MiB plus five blocks of noise samples a worker,
-    # and 8 times as many training slots add less than 384 KiB (the busiest
-    # slot range has more pairs in a longer run).
+    # sensor's two streams, the chain states, a byte per slot and primary
+    # user) and, per worker, a block's samples and a batch's superposed
+    # powers and pair data.  Less the chain states, that stays under 1.5 MiB
+    # plus five blocks of samples a worker.  8 times as many training slots
+    # add less than 384 KiB (the busiest batch has more pairs in a longer
+    # run), and four times as many primary users (12 against the presets'
+    # 3) add only their pairs' data, ~0.44 MiB a worker on default.json, less
+    # than three blocks of samples.
     monkeypatch.setattr(radio, "_worker_count", lambda: workers)
     scenario, excess = load_scenario(path), []
-    for scale in (1, 8):
+    for scale, n_pus in ((1, 3), (8, 3), (1, 12)):
         schedule = replace(scenario.schedule,
                            n_training_slots=scale * scenario.schedule.n_training_slots)
         tracemalloc.start()
         try:
-            sensing = sense_run(replace(scenario, schedule=schedule), 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        per_slot = sensing.windows.nbytes + len(sensing.truths) * (1 + scenario.n_primary_users)
-        excess.append(peak - per_slot)
-    assert max(excess) < 1.5 * 2**20 + workers * 5 * 8 * radio._BLOCK_SAMPLES
-    assert excess[1] < excess[0] + 384 * 2**10
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sensing_memory_grows_with_primary_users_as_their_fade_rows(monkeypatch, workers):
-    # A block holds a plane of its noise samples' shape per primary user, and
-    # with more than three users it shrinks so that its noise and planes fit
-    # in four blocks of _BLOCK_SAMPLES: 9 more users on default.json add only
-    # their fade rows and pair data (~0.12 MiB a worker), less than one block
-    # of noise samples (0.19 MiB); a plane per user in full blocks would add
-    # ~1.7 MiB a worker.  The 12 users' blocks take 118 slots, and the
-    # threaded run equals the per-slot reference.
-    monkeypatch.setattr(radio, "_worker_count", lambda: workers)
-    default, excess = load_scenario("scenarios/default.json"), []
-    for n_pus in (3, 12):
-        scenario = replace(default, n_primary_users=n_pus)
-        tracemalloc.start()
-        try:
-            sensing = sense_run(scenario, 5)
+            sensing = sense_run(replace(scenario, n_primary_users=n_pus, schedule=schedule), 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         excess.append(peak - sensing.windows.nbytes - len(sensing.truths) * (1 + n_pus))
-    assert excess[1] - excess[0] < workers * 8 * radio._BLOCK_SAMPLES
-    if workers == 2:
-        assert_same_bytes(sensing, per_slot_reference(scenario, 5))
+    assert max(excess) < 1.5 * 2**20 + workers * 5 * 8 * radio._BLOCK_SAMPLES
+    assert excess[1] < excess[0] + 384 * 2**10
+    assert excess[2] - excess[0] < workers * 3 * 8 * radio._BLOCK_SAMPLES
 
 
 def test_window_stats_equal_numpy_bytewise():
@@ -487,7 +488,7 @@ def test_a_failing_draw_propagates_and_no_worker_outlives_the_call(monkeypatch, 
 def test_grouped_windows_without_shadowing_draw_no_normals():
     # sigma = 0 on one block of three sensors: every sensor's shadow stream
     # is left untouched, and each window is the per-slot oracle's, drawn
-    # from that sensor's own obs and fade streams.
+    # from that sensor's own obs stream.
     ch, tm = ChannelModel(shadowing_sigma_db=0.0), PuTrafficModel(tx_power_dbm=0.0)
     sensors = [Placement(i, "sensor", 40.0 * i, 0.0) for i in range(3)]
     pus = [Placement(3, "primary_user", 50.0, 30.0), Placement(4, "primary_user", 0.0, 60.0)]
@@ -593,12 +594,15 @@ def test_sensed_tensor_equals_per_slot_reference_on_presets(path):
     assert_same_bytes(sense_run(scenario, 7), per_slot_reference(scenario, 7))
 
 
-@pytest.mark.parametrize("n_pus", [4, 7, 12])
-def test_sensed_tensor_equals_per_slot_reference_with_many_primary_users(n_pus):
-    # With more than three primary users the default block shrinks to
-    # 4 * _BLOCK_SAMPLES // (1 + users) samples, so the long run (600 slots of
-    # 64 samples) takes slot ranges of 307, 192 and 118 slots, the last a
-    # remainder (293, 24 and 10 slots), each user on its own plane.
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_pus", [0, 1, 4, 7, 12])
+def test_sensed_tensor_equals_per_slot_reference_with_many_primary_users(
+    monkeypatch, n_pus, workers
+):
+    # Whatever the user count, the long run (3 sensors, 600 slots of 64
+    # samples) takes the default blocks, and each slot adds its users'
+    # powers to the noise in index order, on one worker and on two.
+    monkeypatch.setattr(radio, "_worker_count", lambda: workers)
     scenario, _ = block_runs()[0]
     scenario = replace(scenario, n_primary_users=n_pus)
     assert_same_bytes(sense_run(scenario, 11), per_slot_reference(scenario, 11))
@@ -619,7 +623,7 @@ def test_sensed_tensor_equals_per_slot_reference_with_many_primary_users(n_pus):
 )
 @example(3, 0, 6.0, 64, 20, 20, 20.0, 40.0, 1)  # no primary users
 @example(3, 3, 0.0, 16, 20, 20, 5.0, 5.0, 2)  # no shadowing draws
-@example(3, 2, 6.0, 16, 20, 20, 5.0, 5.0, 3)  # shadowing and fading from two users
+@example(3, 2, 6.0, 16, 20, 20, 5.0, 5.0, 3)  # shadowing from two superposed users
 @example(2, 2, 6.0, 5, 20, 20, 5.0, 5.0, 4)  # below 8 samples
 @example(2, 2, 6.0, 100, 20, 20, 5.0, 5.0, 5)  # 8 to 128 samples
 @example(2, 2, 6.0, 300, 150, 150, 5.0, 5.0, 6)  # above 128, blocks of 54 slots
@@ -641,9 +645,10 @@ def test_sensed_tensor_equals_per_slot_reference(
 
 
 def test_window_draw_order_one_shadowing_draw_per_active_pu():
-    # Documented draw order: a noise row from obs, then per active PU in
-    # index order one normal from shadow and one fade row from fade.
-    # Replaying that sequence by hand must reproduce the features bitwise.
+    # Documented draw order: per active PU in index order one normal from
+    # shadow, whose power adds to the noise power, then one row from obs
+    # times that sum.  Replaying that sequence by hand must reproduce the
+    # features bitwise.
     ch = ChannelModel(shadowing_sigma_db=4.0)
     tm = PuTrafficModel(tx_power_dbm=10.0)
     sensor = Placement(0, "sensor", 0.0, 0.0)
@@ -656,11 +661,12 @@ def test_window_draw_order_one_shadowing_draw_per_active_pu():
     features = draw_windows([sensor], pus, busy, ch, tm, 16, [streams])[0][0]
 
     replay = sensor_streams(29, 3)
-    samples = replay.obs.standard_exponential(16) * np.power(10.0, ch.noise_floor_dbm / 10.0)
+    mu = np.power(10.0, ch.noise_floor_dbm / 10.0)
     for pu in pus:
         d = math.hypot(pu.x_m, pu.y_m)
         rx = 10.0 - path_loss_db(ch, d) + 4.0 * replay.shadow.standard_normal()
-        samples = samples + replay.fade.standard_exponential(16) * np.power(10.0, rx / 10.0)
+        mu = mu + np.power(10.0, rx / 10.0)
+    samples = replay.obs.standard_exponential(16) * mu
     stats_mw = np.array([samples.mean(), samples.std(), samples.max()])
     expected = (10.0 * np.log10(stats_mw) - ch.noise_floor_dbm) / 10.0
     np.testing.assert_array_equal(features, expected)

@@ -16,7 +16,7 @@ from oracles import substream as reference_substream
 WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(0, MAX_SEED))
 SEEDS = [0, 2**32 - 1, 2**32, MAX_SEED]
 # the engine's kinds (engine module docstring)
-KINDS = ["placement", "traffic", "init", "obs", "shadow", "fade", "train"]
+KINDS = ["placement", "traffic", "init", "obs", "shadow", "train"]
 
 
 def assert_same_stream(got, want):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspectrum import scenario
-from fedspectrum.engine import sense_run
-from fedspectrum.federation import FederationConfig, build_neighbor_graph
+from fedspectrum.engine import run_simulation, sense_run, train_topologies
+from fedspectrum.federation import TOPOLOGIES, FederationConfig, build_neighbor_graph
 from fedspectrum.radio import ChannelModel, PuTrafficModel
 from fedspectrum.rng import substream
 from fedspectrum.scenario import (
@@ -592,16 +593,23 @@ BOUNDS = sorted(
 CHOICES = sorted((name, rule) for name, rule in _RULES.items() if isinstance(rule, tuple))
 
 
+def with_leaves(raw, leaves):
+    """The scenario of the nested dict ``raw`` with each dotted field of
+    ``leaves`` set to its value; ScenarioValidationError if that breaks a rule."""
+    raw = json.loads(json.dumps(raw))
+    for name, value in leaves.items():
+        *parents, last = name.split(".")
+        holder = raw
+        for key in parents:
+            holder = holder.setdefault(key, {})
+        holder[last] = value
+    return scenario_from_dict(raw)
+
+
 def with_leaf(name, value):
     """A default scenario with the dotted field ``name`` set to ``value``;
     ScenarioValidationError if that breaks a rule."""
-    raw = {"seed": 1}
-    *parents, last = name.split(".")
-    holder = raw
-    for key in parents:
-        holder = holder.setdefault(key, {})
-    holder[last] = value
-    return scenario_from_dict(raw)
+    return with_leaves({"seed": 1}, {name: value})
 
 
 def test_every_rule_names_a_scenario_leaf():
@@ -734,3 +742,71 @@ def test_broken_leaves_raise_the_oracles_messages_in_order(data):
     with pytest.raises(ScenarioValidationError) as replaced:
         replace(base, **changes)
     assert str(replaced.value) == expected
+
+
+# A second valid value for every Scenario leaf but the seed (the commands take
+# it as an argument), with the leaves that give it a meaning: an accepted field
+# that no output reads has no meaning to map to.
+SECOND_VALUES = {
+    "area_size_m": (900.0, {}),
+    "n_sensors": (9, {}),
+    "n_primary_users": (2, {}),
+    "sensor_placement": ("uniform_random", {}),
+    "channel.pl0_db": (45.0, {}),
+    "channel.d0_m": (2.0, {}),
+    "channel.n_exp": (2.5, {}),
+    "channel.shadowing_sigma_db": (4.0, {}),
+    "channel.noise_floor_dbm": (-95.0, {}),
+    "pu_traffic.tx_power_dbm": (10.0, {}),
+    "pu_traffic.mean_burst_slots": (10.0, {}),
+    "pu_traffic.mean_gap_slots": (30.0, {}),
+    "training.learning_rate": (0.5, {}),
+    "training.epochs_per_round": (3, {}),
+    "training.batch_size": (5, {}),
+    "training.init_scale": (0.1, {"training.model_kind": "mlp"}),
+    "training.model_kind": ("mlp", {}),
+    # gossip runs in every comparison
+    "federation.neighbor_radius_m": (250.0, {}),
+    "federation.include_self_weight": (False, {}),
+    "schedule.n_training_slots": (150, {}),
+    "schedule.n_eval_slots": (50, {}),
+    "schedule.local_train_period_slots": (20, {}),
+    "schedule.federation_period_slots": (60, {}),
+    "schedule.window_samples": (32, {}),
+}
+# Accepted leaves that move no model, confusion count or byte count of a
+# comparison, each with a second value and what retires it (ROADMAP items)
+INERT_LEAVES = {
+    "carrier_band_mhz": ((2400.0, 2483.5), "descriptive only; item 4 removes it"),
+    "central_xy_m": ((0.0, 0.0), "no run places the coordinator; item 18"),
+    "federation.weighting": ("uniform", "both values weight uniformly; item 6 removes it"),
+    "federation.topology": ("gossip", "only `run` reads it, as --topology's default"),
+}
+
+
+def test_every_field_changes_some_output_or_is_a_named_exception():
+    # Each leaf, set to its second value on a short data-scarce comparison
+    # (200 + 100 slots, all three topologies), changes the models, the
+    # confusion counts or the byte counts; each inert leaf changes none, so
+    # a field that goes dead, or one that comes alive, fails here.
+    base = asdict(load_scenario("scenarios/data_scarce.json"))
+    base["schedule"].update(n_training_slots=200, n_eval_slots=100)
+    leaves = {name for name, _ in scenario_leaves(base)} - {"seed"}
+    assert SECOND_VALUES.keys() | INERT_LEAVES.keys() == leaves
+    assert not SECOND_VALUES.keys() & INERT_LEAVES.keys()
+
+    @functools.cache
+    def outputs(leaves):
+        variant = with_leaves(base, dict(leaves))
+        trained = train_topologies(sense_run(variant, 1), TOPOLOGIES)
+        runs = [run_simulation(variant, t, 1, trained=trained) for t in TOPOLOGIES]
+        return [trained.theta.tobytes()] + [
+            (r.confusion.tobytes(), r.traffic.tx_bytes.tobytes(), r.traffic.central_bytes)
+            for r in runs
+        ]
+
+    for name, (value, condition) in SECOND_VALUES.items():
+        given = tuple(condition.items())
+        assert outputs(given + ((name, value),)) != outputs(given), name
+    for name, (value, _) in INERT_LEAVES.items():
+        assert outputs(((name, value),)) == outputs(()), name
